@@ -13,7 +13,8 @@ use qdi_bench::banner;
 use qdi_crypto::aes;
 use qdi_crypto::gatelevel::slice::{aes_first_round_slice, SliceStage};
 use qdi_dpa::cpa::{cpa, HammingWeightSbox};
-use qdi_dpa::{run_slice_campaign, CampaignConfig, PlaintextSource, TraceSet};
+use qdi_dpa::{run_parallel_campaign, CampaignConfig, PlaintextSource, TraceSet};
+use qdi_exec::ExecConfig;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -71,7 +72,7 @@ fn main() {
     cfg.plaintexts = PlaintextSource::Random;
     cfg.seed = 5;
     cfg.synth.noise_sigma = 0.05;
-    let qdi = run_slice_campaign(&slice, &cfg).expect("campaign");
+    let qdi = run_parallel_campaign(&slice, &cfg, ExecConfig::serial()).expect("campaign");
     let qdi_result = cpa(&qdi, &model);
     let qdi_rank = qdi_result.rank_of(KEY as u16).map_or(256, |r| r + 1);
     println!(

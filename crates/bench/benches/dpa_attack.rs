@@ -12,7 +12,8 @@ use qdi_bench::banner;
 use qdi_crypto::gatelevel::slice::{aes_first_round_slice, SliceStage};
 use qdi_dpa::campaign::xor_stage_window;
 use qdi_dpa::template::{bits_correct, profile_bit_templates, template_attack};
-use qdi_dpa::{run_slice_campaign, CampaignConfig};
+use qdi_dpa::{run_parallel_campaign, CampaignConfig};
+use qdi_exec::ExecConfig;
 use qdi_pnr::{criterion, place_and_route, PnrConfig, Strategy};
 
 const KEY: u8 = 0x6B;
@@ -61,7 +62,7 @@ fn run(strategy: Strategy, seed: u64) -> Outcome {
     atk.key = KEY;
     atk.seed = seed ^ 0xDEAD;
     atk.synth.noise_sigma = NOISE_SIGMA;
-    let set = run_slice_campaign(&slice, &atk).expect("attack campaign");
+    let set = run_parallel_campaign(&slice, &atk, ExecConfig::serial()).expect("attack campaign");
     let recovered = template_attack(&set, &templates);
 
     // Analytic per-bit success probability under the Gaussian noise

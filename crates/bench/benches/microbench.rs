@@ -6,7 +6,8 @@ use qdi_analog::{SynthConfig, TraceSynthesizer};
 use qdi_bench::XorFixture;
 use qdi_crypto::gatelevel::slice::{aes_first_round_slice, SliceStage};
 use qdi_dpa::selection::AesSboxSelect;
-use qdi_dpa::{bias_signal, run_slice_campaign, CampaignConfig};
+use qdi_dpa::{bias_signal, run_parallel_campaign, CampaignConfig};
+use qdi_exec::ExecConfig;
 use qdi_pnr::{place, PnrConfig};
 
 fn bench_xor_handshake(c: &mut Criterion) {
@@ -21,7 +22,11 @@ fn bench_slice_simulation(c: &mut Criterion) {
     let mut cfg = CampaignConfig::new(0x42);
     cfg.traces = 1;
     c.bench_function("sbox_slice_trace_acquisition", |b| {
-        b.iter(|| std::hint::black_box(run_slice_campaign(&slice, &cfg).expect("runs")))
+        b.iter(|| {
+            std::hint::black_box(
+                run_parallel_campaign(&slice, &cfg, ExecConfig::serial()).expect("runs"),
+            )
+        })
     });
 }
 
@@ -38,7 +43,7 @@ fn bench_bias_computation(c: &mut Criterion) {
     let slice = aes_first_round_slice("s", SliceStage::XorOnly).expect("builds");
     let mut cfg = CampaignConfig::new(0x42);
     cfg.traces = 64;
-    let set = run_slice_campaign(&slice, &cfg).expect("runs");
+    let set = run_parallel_campaign(&slice, &cfg, ExecConfig::serial()).expect("runs");
     let sel = AesSboxSelect { byte: 0, bit: 0 };
     c.bench_function("bias_signal_64_traces", |b| {
         b.iter(|| std::hint::black_box(bias_signal(&set, &sel, 0x42)))

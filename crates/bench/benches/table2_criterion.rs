@@ -7,6 +7,7 @@
 
 use qdi_bench::banner;
 use qdi_crypto::gatelevel::column::aes_column_datapath;
+use qdi_exec::ExecConfig;
 use qdi_pnr::{criterion, place_and_route, PnrConfig, Strategy};
 
 fn main() {
@@ -52,8 +53,13 @@ fn main() {
     println!("\nflat-flow stability study (worst channel per seed):");
     let mut fast = cfg;
     fast.anneal.moves_per_gate = 15;
-    let outcomes =
-        criterion::stability_study(&column.netlist, Strategy::Flat, &fast, &[1, 2, 3, 4]);
+    let outcomes = criterion::stability_study_parallel(
+        &column.netlist,
+        Strategy::Flat,
+        &fast,
+        &[1, 2, 3, 4],
+        ExecConfig::serial(),
+    );
     for o in &outcomes {
         println!(
             "  seed {:>2}: {:<36} dA = {:.3}",

@@ -188,12 +188,10 @@ pub struct FlowConfig {
     pub worst_k: usize,
     /// Trace campaign for the DPA evaluation step (slice flow).
     pub campaign: campaign::CampaignConfig,
-    /// Worker threads for the trace-campaign step. `1` (the default)
-    /// uses the legacy serial acquisition loop; larger values (or `0`
-    /// for "all cores") run the campaign on the `qdi-exec` pool with
-    /// per-index noise seeding — bit-identical across worker counts, but
-    /// on a different (worker-count-invariant) noise schedule than the
-    /// serial loop (see [`qdi_dpa::parallel`]).
+    /// Worker threads for the trace-campaign step (`0` = all cores). The
+    /// campaign runs on the `qdi-exec` pool with per-index noise seeding,
+    /// so its traces are bit-identical at every worker count; `1` (the
+    /// default) runs it on the calling thread (see [`qdi_dpa::parallel`]).
     pub workers: usize,
     /// Lint severities and thresholds for both lint stages. The flow
     /// default disables the `dA` deny tier (`da_deny = None`): routed
@@ -205,14 +203,13 @@ pub struct FlowConfig {
     /// error): abort with a [`FlowError`] or record the failure in the
     /// report's [`StepOutcome`] list and keep going.
     pub policy: FlowPolicy,
-    /// Supervisor policy for the trace-campaign step. When set — and the
-    /// campaign runs on the pool (`workers != 1`) under
-    /// [`FlowPolicy::ContinueOnError`] — acquisitions that panic, error
-    /// or overrun are retried and then quarantined instead of sinking
-    /// the whole evaluation: the attack runs on the surviving traces and
+    /// Supervisor policy for the trace-campaign step. When set under
+    /// [`FlowPolicy::ContinueOnError`], acquisitions that panic, error or
+    /// overrun are retried and then quarantined instead of sinking the
+    /// whole evaluation: the attack runs on the surviving traces and
     /// [`SliceFlowReport::quarantine`] carries the manifest. Ignored
-    /// under [`FlowPolicy::FailFast`] and on the serial campaign path,
-    /// where a failure is supposed to abort.
+    /// under [`FlowPolicy::FailFast`], where a failure is supposed to
+    /// abort. Applies at every worker count, `1` included.
     pub supervisor: Option<qdi_exec::SupervisorPolicy>,
     /// Turns on the process-wide progress facility
     /// ([`qdi_obs::progress`]) before the run, so the campaign and any
@@ -661,11 +658,10 @@ pub fn run_slice_flow(
 ) -> Result<SliceFlowReport, FlowError> {
     let mut layout = run_static_flow(&mut slice.netlist, cfg)?;
     // The supervised campaign path is graceful degradation, so it only
-    // engages when the flow is already committed to continuing on error
-    // and the campaign runs on the pool.
+    // engages when the flow is already committed to continuing on error.
     let supervised = match cfg.policy {
-        FlowPolicy::ContinueOnError if cfg.workers != 1 => cfg.supervisor.as_ref(),
-        _ => None,
+        FlowPolicy::ContinueOnError => cfg.supervisor.as_ref(),
+        FlowPolicy::FailFast => None,
     };
     let mut quarantine = None;
     let set = if let Some(policy) = supervised {
@@ -713,17 +709,13 @@ pub fn run_slice_flow(
         run.traces
     } else {
         let set = layout.telemetry.step("qdi_core::flow", "campaign", || {
-            if cfg.workers == 1 {
-                campaign::run_slice_campaign(slice, &cfg.campaign)
-            } else {
-                qdi_dpa::run_parallel_campaign(
-                    slice,
-                    &cfg.campaign,
-                    qdi_exec::ExecConfig {
-                        workers: cfg.workers,
-                    },
-                )
-            }
+            qdi_dpa::run_parallel_campaign(
+                slice,
+                &cfg.campaign,
+                qdi_exec::ExecConfig {
+                    workers: cfg.workers,
+                },
+            )
         });
         if cfg.timeseries {
             qdi_obs::timeseries::tick();
@@ -803,7 +795,8 @@ mod tests {
         let mut slice = aes_first_round_slice("s", SliceStage::XorOnly).expect("builds");
         let mut cfg = fast_cfg(Strategy::Flat, 0x42);
         cfg.policy = FlowPolicy::ContinueOnError;
-        cfg.workers = 2;
+        // One worker: supervision does not need scoped worker threads.
+        cfg.workers = 1;
         cfg.campaign.traces = 6;
         // A budget no acquisition fits in, with the supervisor's retries
         // off: every acquisition quarantines.
@@ -982,7 +975,7 @@ mod tests {
     fn slice_flow_parallel_campaign_is_worker_count_invariant() {
         let sel = AesXorSelect { byte: 0, bit: 0 };
         let mut best = Vec::new();
-        for workers in [2usize, 4] {
+        for workers in [1usize, 2, 4] {
             let mut slice = aes_first_round_slice("s", SliceStage::XorOnly).expect("builds");
             let mut cfg = fast_cfg(Strategy::Flat, 0x42);
             cfg.workers = workers;
@@ -991,9 +984,9 @@ mod tests {
             assert_eq!(attack.traces, 24);
             best.push((attack.best().guess, attack.best().peak_abs));
         }
-        assert_eq!(
-            best[0], best[1],
-            "parallel campaign results must not depend on the worker count"
+        assert!(
+            best.iter().all(|b| *b == best[0]),
+            "campaign results must not depend on the worker count: {best:?}"
         );
     }
 

@@ -1,5 +1,7 @@
-//! Trace-campaign generation: drive the gate-level AES byte slice with
-//! random plaintexts and synthesize one power trace per encryption.
+//! Trace-campaign configuration and the per-acquisition kernel: drive
+//! the gate-level AES byte slice with one plaintext and synthesize its
+//! power trace. The campaign drivers ([`crate::run_parallel_campaign`],
+//! [`crate::StoreCampaignRunner`]) run this kernel on the `qdi-exec` pool.
 
 use qdi_analog::{SynthConfig, TraceSynthesizer};
 use qdi_crypto::gatelevel::{bit_values, slice::AesByteSlice};
@@ -7,8 +9,6 @@ use qdi_sim::{SimError, Testbench, TestbenchConfig};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-
-use crate::traceset::TraceSet;
 
 /// How plaintexts are drawn.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -33,7 +33,9 @@ pub struct CampaignConfig {
     pub traces: usize,
     /// The device's secret key byte.
     pub key: u8,
-    /// RNG seed for plaintexts and noise.
+    /// Root seed: the plaintext schedule is drawn from it, and
+    /// acquisition `i` draws its noise from
+    /// [`qdi_exec::job_rng`]`(seed, i)`.
     pub seed: u64,
     /// Plaintext generation strategy.
     pub plaintexts: PlaintextSource,
@@ -65,44 +67,57 @@ impl CampaignConfig {
     }
 }
 
-/// Draws the plaintext for acquisition `n`. Shared by the one-shot
-/// campaign and the resumable runner so their RNG call sequences are
-/// bit-identical — a checkpointed run must not diverge from an
-/// uninterrupted one.
-pub(crate) fn draw_plaintext(
-    n: usize,
-    plaintexts: PlaintextSource,
-    rng: &mut ChaCha8Rng,
-    codebook: &mut [u8],
-) -> u8 {
-    match plaintexts {
-        PlaintextSource::Random => rng.gen(),
-        PlaintextSource::FullCodebook => {
-            if n.is_multiple_of(256) {
-                // Fisher-Yates reshuffle per codebook pass.
-                for i in (1..codebook.len()).rev() {
-                    let j = rng.gen_range(0..=i);
-                    codebook.swap(i, j);
+/// The campaign's plaintext schedule: plaintext `n` of `cfg.traces`,
+/// drawn serially from one root stream seeded with `cfg.seed`, so the
+/// plaintext of every acquisition is a pure function of the config.
+pub(crate) fn plaintext_schedule(cfg: &CampaignConfig) -> Vec<u8> {
+    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
+    let mut codebook: Vec<u8> = (0..=255).collect();
+    (0..cfg.traces)
+        .map(|n| match cfg.plaintexts {
+            PlaintextSource::Random => rng.gen(),
+            PlaintextSource::FullCodebook => {
+                if n.is_multiple_of(256) {
+                    // Fisher-Yates reshuffle per codebook pass.
+                    for i in (1..codebook.len()).rev() {
+                        let j = rng.gen_range(0..=i);
+                        codebook.swap(i, j);
+                    }
                 }
+                codebook[n % 256]
             }
-            codebook[n % 256]
-        }
-    }
+        })
+        .collect()
 }
 
-/// One acquisition: simulates a four-phase computation of the slice for
-/// plaintext `pt` and synthesizes its noisy supply-current trace. `rng` is
-/// consumed only by the noise synthesis — the simulation itself is
-/// deterministic, which is what makes per-trace retries sound.
+/// Acquisition `index` of a campaign: simulates a four-phase computation
+/// of the slice for plaintext `pt` and synthesizes its supply-current
+/// trace with noise from the per-index RNG
+/// [`qdi_exec::job_rng`]`(cfg.seed, index)`. The simulation itself is
+/// deterministic, so the trace depends only on the config, `pt` and
+/// `index` — never on the worker that ran it, the attempt number, or
+/// the order of acquisition.
 pub(crate) fn acquire_trace(
     slice: &AesByteSlice,
-    testbench: &TestbenchConfig,
+    cfg: &CampaignConfig,
     synth: &TraceSynthesizer<'_>,
-    key: u8,
     pt: u8,
-    rng: &mut ChaCha8Rng,
+    index: usize,
 ) -> Result<qdi_analog::Trace, SimError> {
     let _prof = qdi_obs::prof::region("dpa.acquire");
+    let run = slice_testbench(slice, &cfg.testbench, cfg.key, pt)?.run()?;
+    let mut noise_rng = qdi_exec::job_rng(cfg.seed, index as u64);
+    Ok(synth.synthesize_noisy(&run.transitions, &mut noise_rng))
+}
+
+/// A testbench driving the slice with plaintext `pt` and key `key` for
+/// one token.
+fn slice_testbench<'n>(
+    slice: &'n AesByteSlice,
+    testbench: &TestbenchConfig,
+    key: u8,
+    pt: u8,
+) -> Result<Testbench<'n>, SimError> {
     let mut tb = Testbench::new(&slice.netlist, *testbench)?;
     let pbits = bit_values(pt);
     let kbits = bit_values(key);
@@ -111,49 +126,29 @@ pub(crate) fn acquire_trace(
         tb.source(slice.key[i], vec![kbits[i]])?;
         tb.sink(slice.out[i])?;
     }
-    let run = tb.run()?;
-    Ok(synth.synthesize_noisy(&run.transitions, rng))
+    Ok(tb)
 }
 
-/// Runs the campaign: for each of `cfg.traces` random plaintext bytes,
-/// simulates one four-phase computation of the slice and synthesizes its
-/// supply-current trace. The trace-set inputs hold the plaintext byte at
-/// index 0 (as the selection functions expect).
-///
-/// For long campaigns that should survive interruption, use
-/// [`crate::resume::CampaignRunner`] instead — it produces bit-identical
-/// traces with checkpoint/resume and per-trace retry.
-///
-/// # Errors
-///
-/// Propagates simulator errors ([`SimError`]); a deadlock indicates a bug
-/// in the slice netlist, not in the campaign.
-pub fn run_slice_campaign(
+/// The span in which `rails` make their rising (evaluation) transitions
+/// for a reference plaintext, padded by `pad_ps` on both sides.
+fn rising_window(
     slice: &AesByteSlice,
     cfg: &CampaignConfig,
-) -> Result<TraceSet, SimError> {
-    let mut span = qdi_obs::span("qdi_dpa::campaign", "run_slice_campaign")
-        .field("traces", cfg.traces)
-        .field("noise_sigma", cfg.synth.noise_sigma)
-        .enter();
-    let start = std::time::Instant::now();
-    let traces_metric = qdi_obs::metrics::counter("dpa.traces");
-    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-    let synth = TraceSynthesizer::new(&slice.netlist, cfg.synth);
-    let mut codebook: Vec<u8> = (0..=255).collect();
-    let mut set = TraceSet::new();
-    for n in 0..cfg.traces {
-        let pt = draw_plaintext(n, cfg.plaintexts, &mut rng, &mut codebook);
-        let trace = acquire_trace(slice, &cfg.testbench, &synth, cfg.key, pt, &mut rng)?;
-        set.push(vec![pt], trace);
-        traces_metric.inc();
+    rails: &[qdi_netlist::NetId],
+    pad_ps: u64,
+) -> Result<(u64, u64), SimError> {
+    let run = slice_testbench(slice, &cfg.testbench, cfg.key, 0x5A)?.run()?;
+    let mut first: Option<u64> = None;
+    let mut last: Option<u64> = None;
+    for t in &run.transitions {
+        if t.rising && rails.contains(&t.net) {
+            first = Some(first.map_or(t.time_ps, |f| f.min(t.time_ps)));
+            last = Some(last.map_or(t.time_ps, |l| l.max(t.time_ps)));
+        }
     }
-    let elapsed = start.elapsed().as_secs_f64();
-    span.record("wall_s", elapsed);
-    if elapsed > 0.0 {
-        span.record("traces_per_s", cfg.traces as f64 / elapsed);
-    }
-    Ok(set)
+    let first = first.unwrap_or(0);
+    let last = last.unwrap_or(run.end_time_ps);
+    Ok((first.saturating_sub(pad_ps), last + pad_ps))
 }
 
 /// Calibrates a point-of-interest window for attacks on the slice: the
@@ -169,31 +164,12 @@ pub fn output_window(
     cfg: &CampaignConfig,
     pad_ps: u64,
 ) -> Result<(u64, u64), SimError> {
-    let mut tb = Testbench::new(&slice.netlist, cfg.testbench)?;
-    let pbits = bit_values(0x5A);
-    let kbits = bit_values(cfg.key);
-    for i in 0..8 {
-        tb.source(slice.pt[i], vec![pbits[i]])?;
-        tb.source(slice.key[i], vec![kbits[i]])?;
-        tb.sink(slice.out[i])?;
-    }
-    let run = tb.run()?;
     let out_rails: Vec<_> = slice
         .out
         .iter()
         .flat_map(|&c| slice.netlist.channel(c).rails.clone())
         .collect();
-    let mut first: Option<u64> = None;
-    let mut last: Option<u64> = None;
-    for t in &run.transitions {
-        if t.rising && out_rails.contains(&t.net) {
-            first = Some(first.map_or(t.time_ps, |f| f.min(t.time_ps)));
-            last = Some(last.map_or(t.time_ps, |l| l.max(t.time_ps)));
-        }
-    }
-    let first = first.unwrap_or(0);
-    let last = last.unwrap_or(run.end_time_ps);
-    Ok((first.saturating_sub(pad_ps), last + pad_ps))
+    rising_window(slice, cfg, &out_rails, pad_ps)
 }
 
 /// Like [`output_window`] but calibrated on the AddRoundKey stage: the
@@ -225,41 +201,29 @@ pub fn xor_stage_window(
             rails.push(net);
         }
     }
-    let mut tb = Testbench::new(&slice.netlist, cfg.testbench)?;
-    let pbits = bit_values(0x5A);
-    let kbits = bit_values(cfg.key);
-    for i in 0..8 {
-        tb.source(slice.pt[i], vec![pbits[i]])?;
-        tb.source(slice.key[i], vec![kbits[i]])?;
-        tb.sink(slice.out[i])?;
-    }
-    let run = tb.run()?;
-    let mut first: Option<u64> = None;
-    let mut last: Option<u64> = None;
-    for t in &run.transitions {
-        if t.rising && rails.contains(&t.net) {
-            first = Some(first.map_or(t.time_ps, |f| f.min(t.time_ps)));
-            last = Some(last.map_or(t.time_ps, |l| l.max(t.time_ps)));
-        }
-    }
-    let first = first.unwrap_or(0);
-    let last = last.unwrap_or(run.end_time_ps);
-    Ok((first.saturating_sub(pad_ps), last + pad_ps))
+    rising_window(slice, cfg, &rails, pad_ps)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::attack::{attack_with_guesses, bias_signal};
+    use crate::parallel::run_parallel_campaign;
     use crate::selection::{AesSboxSelect, AesXorSelect};
+    use crate::traceset::TraceSet;
     use qdi_crypto::gatelevel::slice::{aes_first_round_slice, SliceStage};
+    use qdi_exec::ExecConfig;
+
+    fn campaign(slice: &AesByteSlice, cfg: &CampaignConfig) -> TraceSet {
+        run_parallel_campaign(slice, cfg, ExecConfig::serial()).expect("runs")
+    }
 
     #[test]
     fn campaign_produces_aligned_traces() {
         let slice = aes_first_round_slice("s", SliceStage::XorOnly).expect("builds");
         let mut cfg = CampaignConfig::new(0x42);
         cfg.traces = 8;
-        let set = run_slice_campaign(&slice, &cfg).expect("runs");
+        let set = campaign(&slice, &cfg);
         assert_eq!(set.len(), 8);
         let dt = set.trace(0).dt_ps();
         for i in 1..8 {
@@ -275,7 +239,7 @@ mod tests {
         let key = 0x42;
         let mut cfg = CampaignConfig::new(key);
         cfg.traces = 64;
-        let set = run_slice_campaign(&slice, &cfg).expect("runs");
+        let set = campaign(&slice, &cfg);
         let sel = AesXorSelect { byte: 0, bit: 0 };
         let correct = bias_signal(&set, &sel, key as u16).expect("split");
         let peak = correct.abs_peak().expect("nonempty").1.abs();
@@ -296,7 +260,7 @@ mod tests {
         let key = 0xB5;
         let mut cfg = CampaignConfig::new(key);
         cfg.traces = 64;
-        let set = run_slice_campaign(&slice, &cfg).expect("runs");
+        let set = campaign(&slice, &cfg);
         let sel = AesXorSelect { byte: 0, bit: 0 };
         let correct = bias_signal(&set, &sel, key as u16).expect("split");
         let peak = correct.abs_peak().expect("peak").1.abs();
@@ -324,7 +288,7 @@ mod tests {
         let key = 0x6B;
         let mut cfg = CampaignConfig::new(key);
         cfg.traces = 96;
-        let set = run_slice_campaign(&slice, &cfg).expect("runs");
+        let set = campaign(&slice, &cfg);
         let sel = AesSboxSelect { byte: 0, bit: 0 };
         // Rank the correct key against 15 decoys (a full 256-guess attack
         // lives in the benches).

@@ -16,8 +16,10 @@
 //!   studies ([`selection`]);
 //! * set partitioning, averaging, bias computation, full key-guess
 //!   ranking and multi-bit (Bevan–Knudsen style) combination ([`mod@attack`]);
-//! * trace campaign generation against the gate-level AES byte slice of
-//!   [`qdi_crypto::gatelevel`] ([`campaign`]);
+//! * trace campaigns against the gate-level AES byte slice of
+//!   [`qdi_crypto::gatelevel`], in memory ([`parallel`]) or streamed to a
+//!   resumable `.qtrs` store ([`store`]), both on the `qdi-exec` pool with
+//!   one per-index noise schedule ([`campaign`]);
 //! * attack-quality metrics: ghost-peak ratio and measurements to
 //!   disclosure ([`metrics`]).
 //!
@@ -53,7 +55,6 @@ pub mod campaign;
 pub mod cpa;
 pub mod metrics;
 pub mod parallel;
-pub mod resume;
 pub mod selection;
 pub mod spa;
 pub mod store;
@@ -62,14 +63,15 @@ pub mod template;
 mod traceset;
 
 pub use attack::{attack, bias_signal, AttackResult, BiasAccumulator, GuessScore};
-pub use campaign::{run_slice_campaign, CampaignConfig, PlaintextSource};
+pub use campaign::{CampaignConfig, PlaintextSource};
 pub use cpa::{cpa, CpaResult, HammingWeightSbox, LeakageModel};
 pub use parallel::{
     parallel_attack, parallel_attack_windowed, parallel_bias_signal, run_parallel_campaign,
     run_parallel_campaign_supervised, SupervisedCampaign, BIAS_SHARD,
 };
-pub use resume::{CampaignCheckpoint, CampaignError, CampaignRunner, ResilienceConfig};
 pub use selection::SelectionFunction;
-pub use store::{bias_signal_from_store, StoreCampaignRunner, StoreCheckpoint};
+pub use store::{
+    bias_signal_from_store, CampaignError, ResilienceConfig, StoreCampaignRunner, StoreCheckpoint,
+};
 pub use template::{profile_bit_templates, template_attack, BitTemplates};
 pub use traceset::{TraceSet, TraceSetError};

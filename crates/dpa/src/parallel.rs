@@ -7,33 +7,27 @@
 //! rankings. Two mechanisms make that hold:
 //!
 //! * **Per-index noise seeding.** [`run_parallel_campaign`] draws all
-//!   plaintexts serially from the root RNG stream (exactly as the serial
-//!   campaign orders them), then gives acquisition `i` its own noise RNG
-//!   [`qdi_exec::job_rng`]`(cfg.seed, i)` — so a trace's noise depends
-//!   only on its index, never on which worker ran it or in what order.
+//!   plaintexts serially from the root RNG stream, then gives acquisition
+//!   `i` its own noise RNG [`qdi_exec::job_rng`]`(cfg.seed, i)` — so a
+//!   trace's noise depends only on its index, never on which worker ran
+//!   it or in what order. This is the only noise schedule in the crate:
+//!   the store-backed runner and the supervised campaign use it too.
 //! * **Fixed-shard accumulation.** [`parallel_bias_signal`] folds traces
 //!   into per-shard [`BiasAccumulator`]s of [`BIAS_SHARD`] traces each —
 //!   a shard structure that depends only on the set size — and merges
 //!   shards in index order, fixing the f64 summation tree.
 //!
-//! The contract is invariance across *worker counts*, not bit-identity
-//! with the legacy serial paths: [`crate::run_slice_campaign`]
-//! interleaves plaintext and noise draws on one sequential stream (which
-//! cannot parallelize), and [`crate::bias_signal`] sums each partition
-//! left-to-right in one chain. The parallel results are statistically
-//! identical and typically agree to the last ulp on small sets, but are
-//! not guaranteed bit-equal to those serial paths — only to themselves
-//! at every worker count.
+//! [`crate::bias_signal`] sums each partition left-to-right in one chain;
+//! it agrees bit for bit with the sharded tree on sets of at most
+//! [`BIAS_SHARD`] traces and statistically beyond.
 
 use qdi_analog::{Trace, TraceSynthesizer};
 use qdi_crypto::gatelevel::slice::AesByteSlice;
 use qdi_exec::ExecConfig;
 use qdi_sim::SimError;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 use crate::attack::{score_bias, sort_scores, AttackResult, BiasAccumulator, GuessScore};
-use crate::campaign::{acquire_trace, draw_plaintext, CampaignConfig};
+use crate::campaign::{acquire_trace, plaintext_schedule, CampaignConfig};
 use crate::selection::SelectionFunction;
 use crate::traceset::TraceSet;
 
@@ -42,36 +36,11 @@ use crate::traceset::TraceSet;
 /// trace's bit pattern — is the same for every worker count.
 pub const BIAS_SHARD: usize = 256;
 
-/// Draws the full plaintext schedule serially from the root RNG stream —
-/// the same `draw_plaintext` sequence the serial campaign uses, so the
-/// plaintext of acquisition `i` is a pure function of the config.
-pub(crate) fn plaintext_schedule(cfg: &CampaignConfig) -> Vec<u8> {
-    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-    let mut codebook: Vec<u8> = (0..=255).collect();
-    (0..cfg.traces)
-        .map(|n| draw_plaintext(n, cfg.plaintexts, &mut rng, &mut codebook))
-        .collect()
-}
-
-/// Acquires one trace of a parallel campaign: simulation as in the
-/// serial path, noise drawn from the per-index RNG.
-pub(crate) fn acquire_indexed(
-    slice: &AesByteSlice,
-    cfg: &CampaignConfig,
-    synth: &TraceSynthesizer<'_>,
-    pt: u8,
-    index: usize,
-) -> Result<Trace, SimError> {
-    let mut noise_rng = qdi_exec::job_rng(cfg.seed, index as u64);
-    acquire_trace(slice, &cfg.testbench, synth, cfg.key, pt, &mut noise_rng)
-}
-
 /// Runs a trace campaign on the `qdi-exec` work-stealing pool.
 ///
-/// Bit-identical across worker counts (see the module docs for why it is
-/// *not* bit-identical to [`crate::run_slice_campaign`]). With
-/// `exec.workers == 1` the pool runs inline on the calling thread, so
-/// the single-worker result doubles as the golden reference in tests.
+/// Bit-identical across worker counts (see the module docs). With
+/// `exec.workers == 1` the pool runs on the calling thread: that is the
+/// serial campaign, and it doubles as the golden reference in tests.
 ///
 /// # Errors
 ///
@@ -92,7 +61,7 @@ pub fn run_parallel_campaign(
     // the streamed snapshots for a live completed/total + ETA view.
     let progress = qdi_obs::progress::task("dpa.campaign", cfg.traces);
     let traces = qdi_exec::try_run_indexed(&exec, cfg.traces, |i| {
-        let trace = acquire_indexed(slice, cfg, &synth, pts[i], i);
+        let trace = acquire_trace(slice, cfg, &synth, pts[i], i);
         progress.advance(1);
         trace
     })?;
@@ -157,7 +126,7 @@ pub fn run_parallel_campaign_supervised(
     let synth = TraceSynthesizer::new(&slice.netlist, cfg.synth);
     let progress = qdi_obs::progress::task("dpa.campaign", cfg.traces);
     let run = qdi_exec::run_supervised(&exec, policy, cfg.seed, cfg.traces, |i| {
-        let trace = acquire_indexed(slice, cfg, &synth, pts[i], i)
+        let trace = acquire_trace(slice, cfg, &synth, pts[i], i)
             .map_err(|e| format!("simulation failed: {e:?}"))?;
         progress.advance(1);
         Ok::<_, String>(trace)
@@ -333,21 +302,20 @@ mod tests {
     }
 
     #[test]
-    fn parallel_campaign_plaintexts_match_serial_schedule() {
-        // The plaintext schedule is shared with the serial campaign: same
-        // root stream, same draw order.
+    fn noiseless_trace_is_a_function_of_the_plaintext_alone() {
+        // Only the noise draw depends on the acquisition index: without
+        // noise, every acquisition of one plaintext is the same trace.
         let slice = aes_first_round_slice("s", SliceStage::XorOnly).expect("builds");
-        let mut cfg = noisy_cfg(8);
+        let mut cfg = noisy_cfg(512);
         cfg.synth.noise_sigma = 0.0;
-        let serial = crate::campaign::run_slice_campaign(&slice, &cfg).expect("serial");
-        let parallel =
-            run_parallel_campaign(&slice, &cfg, ExecConfig { workers: 2 }).expect("parallel");
-        for i in 0..serial.len() {
-            assert_eq!(serial.input(i), parallel.input(i), "plaintext {i}");
-            // Noiseless synthesis is deterministic, so the traces agree
-            // too even though the noise RNG schedule differs.
-            assert_eq!(serial.trace(i).samples(), parallel.trace(i).samples());
+        let set = run_parallel_campaign(&slice, &cfg, ExecConfig { workers: 2 }).expect("runs");
+        let mut first_of = std::collections::HashMap::new();
+        for i in 0..set.len() {
+            let j = *first_of.entry(set.input(i)[0]).or_insert(i);
+            assert_eq!(set.trace(i).samples(), set.trace(j).samples(), "{i} vs {j}");
         }
+        // Two full-codebook passes: each plaintext exactly twice.
+        assert_eq!(first_of.len(), 256);
     }
 
     #[test]

@@ -15,23 +15,92 @@
 //!   appends them to a store as chunks complete. Its
 //!   [`StoreCheckpoint`] is a few hundred bytes — fingerprint, progress
 //!   counter and byte offset — because per-index noise seeding makes
-//!   every other bit of campaign state derivable from the config.
+//!   every other bit of campaign state derivable from the config. It is
+//!   the crate's resumable campaign: checkpoint/resume, budget-escalating
+//!   retry ([`ResilienceConfig`]) and supervised quarantine all live here.
 
+use std::error::Error;
+use std::fmt;
 use std::path::Path;
 
 use qdi_analog::{Trace, TraceSynthesizer};
 use qdi_crypto::gatelevel::slice::AesByteSlice;
 use qdi_exec::store::{StoreOptions, StoreReader, StoreWriter};
-use qdi_exec::{run_supervised, ExecConfig, Quarantine, StoreError, SupervisorPolicy};
+use qdi_exec::{run_supervised, ExecConfig, JobOutcome, Quarantine, StoreError, SupervisorPolicy};
 use qdi_sim::SimError;
 use serde::{Deserialize, Serialize};
 
 use crate::attack::BiasAccumulator;
-use crate::campaign::CampaignConfig;
-use crate::parallel::{acquire_indexed, plaintext_schedule, BIAS_SHARD};
-use crate::resume::{load_durable_json, save_durable_json, CampaignError, ResilienceConfig};
+use crate::campaign::{acquire_trace, plaintext_schedule, CampaignConfig};
+use crate::parallel::BIAS_SHARD;
 use crate::selection::SelectionFunction;
 use crate::traceset::{TraceSet, TraceSetError};
+
+/// Chunking and retry knobs of a [`StoreCampaignRunner`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ResilienceConfig {
+    /// Traces per [`StoreCampaignRunner::step_chunk`]: the chunk is
+    /// acquired on the pool, appended and flushed before the call
+    /// returns, so this is also the checkpoint granularity.
+    pub checkpoint_every: usize,
+    /// Retries per trace on budget-class simulator failures
+    /// ([`SimError::EventLimit`], [`SimError::SimTimeout`]) before the
+    /// trace fails.
+    pub max_retries: u32,
+    /// Budget multiplier per retry: attempt `k` runs with the configured
+    /// event/round budgets times `budget_backoff^k`. Values below 2 are
+    /// clamped to 2 — retrying with the same budget cannot help a
+    /// deterministic simulation.
+    pub budget_backoff: u64,
+}
+
+impl ResilienceConfig {
+    /// Defaults: chunks of 64 traces, 2 retries, 4x backoff.
+    pub fn new() -> Self {
+        ResilienceConfig {
+            checkpoint_every: 64,
+            max_retries: 2,
+            budget_backoff: 4,
+        }
+    }
+}
+
+impl Default for ResilienceConfig {
+    fn default() -> Self {
+        ResilienceConfig::new()
+    }
+}
+
+/// Why a store-backed campaign stopped.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CampaignError {
+    /// The simulator failed permanently (deadlock, livelock, bad
+    /// environment) or exhausted its budget even after all retries.
+    Sim(SimError),
+    /// A checkpoint could not be applied (config mismatch, inconsistent
+    /// counters) or both of its generations are damaged.
+    Checkpoint(String),
+    /// A checkpoint or store file could not be read, written or parsed.
+    Io(String),
+}
+
+impl fmt::Display for CampaignError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CampaignError::Sim(e) => write!(f, "simulation failed: {e:?}"),
+            CampaignError::Checkpoint(reason) => write!(f, "bad checkpoint: {reason}"),
+            CampaignError::Io(reason) => write!(f, "checkpoint I/O: {reason}"),
+        }
+    }
+}
+
+impl Error for CampaignError {}
+
+impl From<SimError> for CampaignError {
+    fn from(e: SimError) -> Self {
+        CampaignError::Sim(e)
+    }
+}
 
 impl From<StoreError> for CampaignError {
     fn from(e: StoreError) -> Self {
@@ -133,7 +202,8 @@ pub fn bias_signal_from_store(
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StoreCheckpoint {
     /// Ties the checkpoint to the exact config *and worker count* that
-    /// produced it (see [`crate::resume::CampaignCheckpoint`]).
+    /// produced it: resuming under a different config would silently
+    /// mix trace distributions.
     pub fingerprint: String,
     /// Traces acquired and durably appended to the store.
     pub completed: usize,
@@ -152,9 +222,11 @@ pub struct StoreCheckpoint {
 }
 
 impl StoreCheckpoint {
-    /// Writes the checkpoint as durable JSON (write-then-rename with a
-    /// trailing CRC, previous verified generation kept as `.bak` —
-    /// like [`crate::resume::CampaignCheckpoint::save`]).
+    /// Writes the checkpoint as durable JSON: write-then-rename with a
+    /// trailing CRC, keeping the previous verified generation as `.bak`
+    /// ([`qdi_obs::durable`], `Durability::Checkpoint`). A kill at any
+    /// byte leaves the new generation, a classified-torn temp file, or
+    /// the old generation — never a half-written checkpoint that parses.
     ///
     /// # Errors
     ///
@@ -162,12 +234,19 @@ impl StoreCheckpoint {
     pub fn save(&self, path: &Path) -> Result<(), CampaignError> {
         let json = serde_json::to_string(self)
             .map_err(|e| CampaignError::Io(format!("serialize checkpoint: {e:?}")))?;
-        save_durable_json(path, json)
+        qdi_obs::durable::save(
+            path,
+            (json + "\n").as_bytes(),
+            qdi_obs::durable::Durability::Checkpoint,
+        )
+        .map_err(|e| CampaignError::Io(e.to_string()))
     }
 
     /// Reads a checkpoint written by [`StoreCheckpoint::save`], falling
     /// back to the `.bak` generation when the primary is torn or
-    /// corrupt.
+    /// corrupt. Files written before the durable format (no CRC trailer)
+    /// still load; a file that carries a trailer but fails verification
+    /// is classified, never parsed around.
     ///
     /// # Errors
     ///
@@ -175,7 +254,25 @@ impl StoreCheckpoint {
     /// [`CampaignError::Checkpoint`] when both generations are damaged
     /// (with the torn/corrupt classification).
     pub fn load(path: &Path) -> Result<Self, CampaignError> {
-        let json = load_durable_json(path)?;
+        use qdi_obs::durable;
+        let json = match durable::recover(path) {
+            Ok(recovered) => String::from_utf8(recovered.payload)
+                .map_err(|e| CampaignError::Io(format!("{}: {e}", path.display())))?,
+            Err(e @ durable::DurableError::Io { .. }) => {
+                return Err(CampaignError::Io(e.to_string()))
+            }
+            Err(err) => {
+                let text = std::fs::read_to_string(path)
+                    .map_err(|e| CampaignError::Io(format!("read {}: {e}", path.display())))?;
+                if text.contains(durable::TRAILER_PREFIX) {
+                    return Err(CampaignError::Checkpoint(format!(
+                        "{}: {err}",
+                        path.display()
+                    )));
+                }
+                text
+            }
+        };
         serde_json::from_str(&json)
             .map_err(|e| CampaignError::Io(format!("parse {}: {e:?}", path.display())))
     }
@@ -183,40 +280,6 @@ impl StoreCheckpoint {
 
 fn store_fingerprint(cfg: &CampaignConfig, workers: usize) -> String {
     format!("{cfg:?} workers={workers}")
-}
-
-/// One indexed acquisition with the budget-escalation retry loop of
-/// [`crate::resume::CampaignRunner::step`]: budget-class simulator
-/// failures re-run with event/round budgets times `budget_backoff^k`.
-/// The noise RNG is re-derived from the index each attempt, so a
-/// rescued trace is bit-identical to an undisturbed acquisition.
-fn acquire_resilient(
-    slice: &AesByteSlice,
-    cfg: &CampaignConfig,
-    synth: &TraceSynthesizer<'_>,
-    resilience: &ResilienceConfig,
-    pt: u8,
-    index: usize,
-) -> Result<Trace, CampaignError> {
-    let backoff = resilience.budget_backoff.max(2);
-    let mut attempt = 0u32;
-    loop {
-        let mut try_cfg = *cfg;
-        let factor = backoff.saturating_pow(attempt);
-        try_cfg.testbench.event_limit = try_cfg.testbench.event_limit.saturating_mul(factor);
-        try_cfg.testbench.max_rounds = try_cfg.testbench.max_rounds.saturating_mul(factor);
-        match acquire_indexed(slice, &try_cfg, synth, pt, index) {
-            Ok(trace) => return Ok(trace),
-            Err(err @ (SimError::EventLimit { .. } | SimError::SimTimeout { .. }))
-                if attempt < resilience.max_retries =>
-            {
-                attempt += 1;
-                qdi_obs::metrics::counter("dpa.campaign.retries").inc();
-                let _ = err;
-            }
-            Err(err) => return Err(CampaignError::Sim(err)),
-        }
-    }
 }
 
 /// Store-backed parallel campaign: acquires chunks of traces on the
@@ -401,9 +464,9 @@ impl<'a> StoreCampaignRunner<'a> {
     /// when the campaign was already complete.
     ///
     /// Budget-class simulator failures are retried per trace with the
-    /// escalation policy of [`crate::resume::CampaignRunner::step`];
-    /// the retry re-derives the per-index noise RNG, so a rescued trace
-    /// is bit-identical to an undisturbed acquisition.
+    /// escalation policy of [`ResilienceConfig`]; the retry re-derives
+    /// the per-index noise RNG, so a rescued trace is bit-identical to an
+    /// undisturbed acquisition.
     ///
     /// With a supervisor ([`StoreCampaignRunner::with_supervisor`]) the
     /// chunk degrades gracefully instead of failing fast: panicking or
@@ -421,49 +484,79 @@ impl<'a> StoreCampaignRunner<'a> {
         }
         let lo = self.completed;
         let hi = (lo + self.resilience.checkpoint_every.max(1)).min(self.cfg.traces);
-        let (slice, cfg, synth, pts, resilience) = (
-            self.slice,
-            &self.cfg,
-            &self.synth,
-            &self.pts,
-            &self.resilience,
-        );
-        let progress = &self.progress;
         if let Some(policy) = &self.supervisor {
-            let run = run_supervised(&self.exec, policy, cfg.seed, hi - lo, |j| {
-                let index = lo + j;
-                let trace = acquire_resilient(slice, cfg, synth, resilience, pts[index], index)?;
-                progress.advance(1);
-                Ok::<_, CampaignError>(trace)
-            });
-            // Quarantine entries come back with chunk-relative indices;
-            // report campaign indices and the true per-index seeds.
-            let mut quarantine = run.quarantine;
-            for entry in &mut quarantine.entries {
-                entry.index += lo;
-                entry.job_seed = qdi_exec::derive_seed(cfg.seed, entry.index as u64);
-            }
-            for (j, outcome) in run.outcomes.into_iter().enumerate() {
-                if let Some(trace) = outcome.into_value() {
-                    self.writer.append(&[pts[lo + j]], &trace)?;
+            let indices: Vec<usize> = (lo..hi).collect();
+            let (traces, quarantine) = self.acquire_supervised(policy, &indices);
+            for (index, trace) in indices.into_iter().zip(traces) {
+                if let Some(trace) = trace {
+                    self.writer.append(&[self.pts[index]], &trace)?;
                 }
             }
             self.quarantined.extend(quarantine.indices());
             self.manifest.entries.extend(quarantine.entries);
         } else {
-            let traces = qdi_exec::try_run_indexed(&self.exec, hi - lo, |j| {
-                let index = lo + j;
-                let trace = acquire_resilient(slice, cfg, synth, resilience, pts[index], index)?;
-                progress.advance(1);
-                Ok::<_, CampaignError>(trace)
-            })?;
+            let traces = qdi_exec::try_run_indexed(&self.exec, hi - lo, |j| self.acquire(lo + j))?;
             for (j, trace) in traces.iter().enumerate() {
-                self.writer.append(&[pts[lo + j]], trace)?;
+                self.writer.append(&[self.pts[lo + j]], trace)?;
             }
         }
         self.writer.flush()?;
         self.completed = hi;
         Ok(true)
+    }
+
+    /// One acquisition with budget escalation: budget-class simulator
+    /// failures re-run with event/round budgets times `budget_backoff^k`.
+    /// Protocol-class failures (deadlock, livelock, bad environment) are
+    /// never retried — the simulation is deterministic, so they would
+    /// only repeat. The noise RNG is re-derived from the index each
+    /// attempt, so a rescued trace is bit-identical to an undisturbed
+    /// acquisition.
+    fn acquire(&self, index: usize) -> Result<Trace, CampaignError> {
+        let backoff = self.resilience.budget_backoff.max(2);
+        let mut attempt = 0u32;
+        let trace = loop {
+            let mut cfg = self.cfg;
+            let factor = backoff.saturating_pow(attempt);
+            cfg.testbench.event_limit = cfg.testbench.event_limit.saturating_mul(factor);
+            cfg.testbench.max_rounds = cfg.testbench.max_rounds.saturating_mul(factor);
+            match acquire_trace(self.slice, &cfg, &self.synth, self.pts[index], index) {
+                Ok(trace) => break trace,
+                Err(SimError::EventLimit { .. } | SimError::SimTimeout { .. })
+                    if attempt < self.resilience.max_retries =>
+                {
+                    attempt += 1;
+                    qdi_obs::metrics::counter("dpa.campaign.retries").inc();
+                }
+                Err(err) => return Err(CampaignError::Sim(err)),
+            }
+        };
+        self.progress.advance(1);
+        Ok(trace)
+    }
+
+    /// Acquires `indices` under the supervisor: one optional trace per
+    /// index plus the manifest of the ones that failed, reported with
+    /// campaign indices and their true per-index seeds.
+    fn acquire_supervised(
+        &self,
+        policy: &SupervisorPolicy,
+        indices: &[usize],
+    ) -> (Vec<Option<Trace>>, Quarantine) {
+        let run = run_supervised(&self.exec, policy, self.cfg.seed, indices.len(), |j| {
+            self.acquire(indices[j])
+        });
+        let mut quarantine = run.quarantine;
+        for entry in &mut quarantine.entries {
+            entry.index = indices[entry.index];
+            entry.job_seed = qdi_exec::derive_seed(self.cfg.seed, entry.index as u64);
+        }
+        let traces = run
+            .outcomes
+            .into_iter()
+            .map(JobOutcome::into_value)
+            .collect();
+        (traces, quarantine)
     }
 
     /// Re-attempts every quarantined index under the supervisor policy,
@@ -490,38 +583,17 @@ impl<'a> StoreCampaignRunner<'a> {
             return Ok(0);
         }
         let indices = std::mem::take(&mut self.quarantined);
-        let (slice, cfg, synth, pts, resilience) = (
-            self.slice,
-            &self.cfg,
-            &self.synth,
-            &self.pts,
-            &self.resilience,
-        );
-        let progress = &self.progress;
-        let idx = &indices;
-        let run = run_supervised(&self.exec, policy, cfg.seed, idx.len(), |j| {
-            let index = idx[j];
-            let trace = acquire_resilient(slice, cfg, synth, resilience, pts[index], index)?;
-            progress.advance(1);
-            Ok::<_, CampaignError>(trace)
-        });
-        let mut quarantine = run.quarantine;
-        for entry in &mut quarantine.entries {
-            entry.index = indices[entry.index];
-            entry.job_seed = qdi_exec::derive_seed(cfg.seed, entry.index as u64);
-        }
+        let (traces, quarantine) = self.acquire_supervised(policy, &indices);
         let mut recovered = 0usize;
-        let mut still = Vec::new();
-        for (j, outcome) in run.outcomes.into_iter().enumerate() {
-            match outcome.into_value() {
+        for (index, trace) in indices.into_iter().zip(traces) {
+            match trace {
                 Some(trace) => {
-                    self.writer.append(&[pts[indices[j]]], &trace)?;
+                    self.writer.append(&[self.pts[index]], &trace)?;
                     recovered += 1;
                 }
-                None => still.push(indices[j]),
+                None => self.quarantined.push(index),
             }
         }
-        self.quarantined = still;
         self.manifest = quarantine;
         self.writer.flush()?;
         Ok(recovered)
@@ -832,5 +904,114 @@ mod tests {
         .expect_err("worker count mismatch");
         std::fs::remove_file(&path).ok();
         assert!(matches!(err, CampaignError::Checkpoint(_)), "{err}");
+    }
+
+    #[test]
+    fn budget_failures_retry_with_escalated_budget() {
+        let slice = aes_first_round_slice("s", SliceStage::XorOnly).expect("builds");
+        let mut cfg = noisy_cfg(3);
+        // A budget far too small for one handshake cycle: the first
+        // attempt must fail with EventLimit; backoff^1 = 8x then 64x
+        // raises it until the run fits.
+        cfg.testbench.event_limit = 40;
+        cfg.testbench.max_rounds = 40;
+        let resilience = ResilienceConfig {
+            checkpoint_every: 2,
+            max_retries: 3,
+            budget_backoff: 8,
+        };
+        let retries = qdi_obs::metrics::counter("dpa.campaign.retries");
+        let before = retries.get();
+        let path = tmp("escalate.qtrs");
+        let exec = ExecConfig { workers: 2 };
+        let mut runner =
+            StoreCampaignRunner::new(&slice, cfg, resilience, exec, &path, StoreOptions::new())
+                .expect("creates");
+        while runner.step_chunk().expect("retries rescue the campaign") {}
+        runner.finish().expect("closes");
+        assert!(retries.get() > before, "expected at least one retry");
+
+        // The rescued traces match a comfortably-budgeted golden run.
+        let mut roomy = cfg;
+        roomy.testbench.event_limit = 50_000_000;
+        roomy.testbench.max_rounds = 1_000_000;
+        let golden = run_parallel_campaign(&slice, &roomy, exec).expect("golden runs");
+        let stored = TraceSet::from_store(&path).expect("loads");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(golden.len(), stored.len());
+        for i in 0..golden.len() {
+            assert_eq!(golden.input(i), stored.input(i), "plaintext {i}");
+            assert_eq!(golden.trace(i).samples(), stored.trace(i).samples());
+        }
+
+        // Without retries the same starved budget fails the chunk.
+        let no_retry = ResilienceConfig {
+            max_retries: 0,
+            ..resilience
+        };
+        let mut starved =
+            StoreCampaignRunner::new(&slice, cfg, no_retry, exec, &path, StoreOptions::new())
+                .expect("creates");
+        let err = starved.step_chunk().expect_err("budget exhausted");
+        std::fs::remove_file(&path).ok();
+        assert!(
+            matches!(err, CampaignError::Sim(SimError::EventLimit { .. })),
+            "{err}"
+        );
+    }
+
+    fn two_generations(name: &str) -> (std::path::PathBuf, std::path::PathBuf) {
+        let path = tmp(name);
+        let bak = path.with_extension("json.bak");
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&bak).ok();
+        for completed in [4, 8] {
+            StoreCheckpoint {
+                fingerprint: "cfg workers=2".into(),
+                completed,
+                store_path: "campaign.qtrs".into(),
+                store_offset: 100 * completed as u64,
+                quarantined: Vec::new(),
+            }
+            .save(&path)
+            .expect("saves");
+        }
+        (path, bak)
+    }
+
+    #[test]
+    fn torn_checkpoint_falls_back_to_previous_generation() {
+        let (path, bak) = two_generations("torn.ckpt.json");
+        // Tear the primary mid-payload.
+        let bytes = std::fs::read(&path).expect("read");
+        std::fs::write(&path, &bytes[..bytes.len() / 2]).expect("tear");
+        let loaded = StoreCheckpoint::load(&path).expect("falls back to .bak");
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&bak).ok();
+        assert_eq!(loaded.completed, 4, "previous generation recovered");
+        assert_eq!(loaded.store_offset, 400);
+    }
+
+    #[test]
+    fn damaged_checkpoint_without_backup_is_classified_not_parsed() {
+        let (path, bak) = two_generations("damaged.ckpt.json");
+        std::fs::remove_file(&bak).expect("drop the backup generation");
+        // Flip a payload byte: the trailer CRC no longer matches, there
+        // is no backup, and the loader must classify rather than hand
+        // serde a corrupt file.
+        let mut bytes = std::fs::read(&path).expect("read");
+        bytes[10] ^= 0x01;
+        std::fs::write(&path, &bytes).expect("corrupt");
+        let err = StoreCheckpoint::load(&path).expect_err("classified");
+        std::fs::remove_file(&path).ok();
+        assert!(matches!(err, CampaignError::Checkpoint(_)), "{err}");
+    }
+
+    #[test]
+    fn missing_checkpoint_is_an_io_error() {
+        let path = tmp("missing.ckpt.json");
+        std::fs::remove_file(&path).ok();
+        let err = StoreCheckpoint::load(&path).expect_err("missing file");
+        assert!(matches!(err, CampaignError::Io(_)), "{err}");
     }
 }

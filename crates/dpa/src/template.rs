@@ -19,9 +19,11 @@ use qdi_sim::SimError;
 use serde::{Deserialize, Serialize};
 
 use crate::attack::bias_signal;
-use crate::campaign::{run_slice_campaign, CampaignConfig};
+use crate::campaign::CampaignConfig;
+use crate::parallel::run_parallel_campaign;
 use crate::selection::AesXorSelect;
 use crate::traceset::TraceSet;
+use qdi_exec::ExecConfig;
 
 /// Per-bit charge templates for the two key-bit hypotheses.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -78,9 +80,9 @@ pub fn profile_bit_templates(
     cfg.plaintexts = crate::campaign::PlaintextSource::FullCodebook;
     cfg.traces = cfg.traces.max(256);
     cfg.key = 0x00;
-    let set0 = run_slice_campaign(slice, &cfg)?;
+    let set0 = run_parallel_campaign(slice, &cfg, ExecConfig::serial())?;
     cfg.key = 0xFF;
-    let set1 = run_slice_campaign(slice, &cfg)?;
+    let set1 = run_parallel_campaign(slice, &cfg, ExecConfig::serial())?;
     Ok(BitTemplates {
         window,
         key_bit0: bit_bias_charges(&set0, window),
@@ -152,7 +154,7 @@ mod tests {
             let mut atk = cfg;
             atk.key = key;
             atk.seed = 99;
-            let set = run_slice_campaign(&slice, &atk).expect("campaign");
+            let set = run_parallel_campaign(&slice, &atk, ExecConfig::serial()).expect("campaign");
             let recovered = template_attack(&set, &templates);
             assert_eq!(recovered, key, "recovered 0x{recovered:02x}");
         }

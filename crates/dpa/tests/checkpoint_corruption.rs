@@ -1,14 +1,13 @@
 //! Property tests of checkpoint crash-consistency: corrupting a
-//! checkpoint file at **any** offset, with any corruption class, yields
-//! either a classified error or a clean fallback to the backup
-//! generation — never a panic, and never a silently different
+//! store-campaign checkpoint at **any** offset, with any corruption
+//! class, yields either a classified error or a clean fallback to the
+//! backup generation — never a panic, and never a silently different
 //! checkpoint handed to resume.
 
 use std::path::PathBuf;
 
 use proptest::prelude::*;
-use qdi_analog::Trace;
-use qdi_dpa::{CampaignCheckpoint, CampaignError, StoreCheckpoint, TraceSet};
+use qdi_dpa::{CampaignError, StoreCheckpoint};
 use qdi_exec::chaos::Corruption;
 
 fn tmp(tag: &str, case: u64) -> PathBuf {
@@ -18,25 +17,8 @@ fn tmp(tag: &str, case: u64) -> PathBuf {
     ))
 }
 
-/// Hand-built generation `g` of a campaign checkpoint — distinct
+/// Hand-built generation `g` of a store checkpoint — distinct
 /// generations serialize to distinct JSON, so a fallback is detectable.
-fn campaign_checkpoint(g: usize) -> CampaignCheckpoint {
-    let mut traces = TraceSet::new();
-    for i in 0..g {
-        let mut t = Trace::zeros(0, 10, 8);
-        t.samples_mut()[i % 8] = 1.0 + g as f64;
-        traces.push(vec![i as u8, 0xAB], t);
-    }
-    CampaignCheckpoint {
-        fingerprint: "proptest-cfg workers=2".into(),
-        workers: 2,
-        completed: g,
-        rng: vec![g as u32; 16],
-        codebook: (0..8u8).collect(),
-        traces,
-    }
-}
-
 fn store_checkpoint(g: usize) -> StoreCheckpoint {
     StoreCheckpoint {
         fingerprint: "proptest-cfg workers=2".into(),
@@ -71,93 +53,11 @@ fn corrupt_file(path: &PathBuf, c: Corruption) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Corrupt the *primary* of a two-generation campaign checkpoint:
-    /// load must return the current generation (corruption missed the
-    /// payload semantics — impossible with CRC, but allowed in form),
-    /// fall back cleanly to the previous generation, or classify. It
-    /// must never produce a third state.
-    #[test]
-    fn corrupted_campaign_checkpoint_never_resumes_wrong(
-        case in any::<u64>(),
-        offset in any::<u64>(),
-        kind in 0u8..3,
-        bit in any::<u8>(),
-        drop_len in any::<u64>(),
-    ) {
-        let path = tmp("campaign", case);
-        let bak = path.with_extension("json.bak");
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&bak).ok();
-
-        let gen1 = campaign_checkpoint(1);
-        let gen2 = campaign_checkpoint(2);
-        gen1.save(&path).expect("save gen1");
-        gen2.save(&path).expect("save gen2: rotates gen1 to .bak");
-        let json1 = serde_json::to_string(&gen1).expect("json1");
-        let json2 = serde_json::to_string(&gen2).expect("json2");
-
-        let file_len = std::fs::metadata(&path).expect("meta").len();
-        corrupt_file(&path, corruption(kind, offset, bit, drop_len, file_len));
-
-        match CampaignCheckpoint::load(&path) {
-            Ok(cp) => {
-                let got = serde_json::to_string(&cp).expect("reserialize");
-                prop_assert!(
-                    got == json2 || got == json1,
-                    "load invented a checkpoint that was never saved"
-                );
-            }
-            Err(CampaignError::Checkpoint(_)) | Err(CampaignError::Io(_)) => {}
-            Err(other) => prop_assert!(false, "unclassified failure: {other:?}"),
-        }
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&bak).ok();
-    }
-
-    /// Corrupt *both* generations: load must fail classified (or, in
-    /// form, return one of the two saved states) — never panic, never
-    /// fabricate.
-    #[test]
-    fn doubly_corrupted_campaign_checkpoint_fails_classified(
-        case in any::<u64>(),
-        offset_a in any::<u64>(),
-        offset_b in any::<u64>(),
-        kind_a in 0u8..3,
-        kind_b in 0u8..3,
-        bit in any::<u8>(),
-    ) {
-        let path = tmp("campaign2", case);
-        let bak = path.with_extension("json.bak");
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&bak).ok();
-
-        let gen1 = campaign_checkpoint(1);
-        let gen2 = campaign_checkpoint(3);
-        gen1.save(&path).expect("save gen1");
-        gen2.save(&path).expect("save gen2");
-        let json1 = serde_json::to_string(&gen1).expect("json1");
-        let json2 = serde_json::to_string(&gen2).expect("json2");
-
-        let len_p = std::fs::metadata(&path).expect("meta").len();
-        let len_b = std::fs::metadata(&bak).expect("meta bak").len();
-        corrupt_file(&path, corruption(kind_a, offset_a, bit, offset_b, len_p));
-        corrupt_file(&bak, corruption(kind_b, offset_b, bit, offset_a, len_b));
-
-        match CampaignCheckpoint::load(&path) {
-            Ok(cp) => {
-                let got = serde_json::to_string(&cp).expect("reserialize");
-                prop_assert!(got == json2 || got == json1, "fabricated checkpoint");
-            }
-            Err(CampaignError::Checkpoint(_)) | Err(CampaignError::Io(_)) => {}
-            Err(other) => prop_assert!(false, "unclassified failure: {other:?}"),
-        }
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&bak).ok();
-    }
-
-    /// The store-campaign checkpoint (offset + quarantine manifest) gets
-    /// the same guarantee: any single corruption → current generation,
-    /// previous generation, or a classified error.
+    /// Corrupt the *primary* of a two-generation store checkpoint
+    /// (offset + quarantine manifest): load must return the current
+    /// generation (corruption missed the payload semantics — impossible
+    /// with CRC, but allowed in form), fall back cleanly to the previous
+    /// generation, or classify. It must never produce a third state.
     #[test]
     fn corrupted_store_checkpoint_never_resumes_wrong(
         case in any::<u64>(),

@@ -37,9 +37,9 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecConfig {
     /// Worker threads; `0` means one per available hardware thread
-    /// ([`std::thread::available_parallelism`]), `1` runs inline on the
-    /// calling thread. The effective count is additionally capped by
-    /// the number of jobs.
+    /// ([`std::thread::available_parallelism`]), `1` runs the worker
+    /// loop on the calling thread. The effective count is additionally
+    /// capped by the number of jobs.
     pub workers: usize,
 }
 
@@ -131,255 +131,56 @@ where
         .field("jobs", jobs)
         .field("workers", workers)
         .enter();
-    // Snapshot the profiler switch once per bag so a mid-run toggle
-    // cannot produce half-recorded timelines.
-    let profiling = qdi_obs::prof::enabled();
     let _prof_run = qdi_obs::prof::region("exec.pool.run");
     let start = std::time::Instant::now();
     qdi_obs::metrics::gauge("exec.pool.workers").set(workers as i64);
     let depth = qdi_obs::metrics::gauge("exec.pool.queue_depth");
     depth.add(jobs as i64);
-    let jobs_metric = qdi_obs::metrics::counter("exec.pool.jobs");
-
     if jobs == 0 {
         return Ok(Vec::new());
     }
 
-    let result = if workers <= 1 {
-        // Even the inline path records a one-worker lane: on single-core
-        // hosts this is the only source of mean-job-duration data, which
-        // `qdi-mon analyze` compares against the parallel legs.
-        let mut lane = profiling.then(|| qdi_obs::prof::LaneRecorder::new(0));
-        let mut out = Vec::with_capacity(jobs);
-        let mut failure = None;
-        for i in 0..jobs {
-            let job_start = lane.as_ref().map(|_| elapsed_us(&start));
-            let outcome = {
-                let _prof_job = qdi_obs::prof::region("exec.pool.job");
-                catch_unwind(AssertUnwindSafe(|| job(i)))
-            };
-            if let (Some(lane), Some(job_start)) = (lane.as_mut(), job_start) {
-                lane.job(i as u64, job_start, elapsed_us(&start));
-            }
-            let outcome = match outcome {
-                Ok(outcome) => outcome,
-                Err(payload) => {
-                    depth.add(-((jobs - i) as i64));
-                    panic!(
-                        "qdi-exec pool job {i} panicked: {} ({} of {jobs} jobs completed)",
-                        panic_message(payload.as_ref()),
-                        out.len()
-                    );
-                }
-            };
-            match outcome {
-                Ok(v) => {
-                    out.push(v);
-                    jobs_metric.inc();
-                    depth.add(-1);
-                }
-                Err(e) => {
-                    depth.add(-((jobs - i) as i64));
-                    failure = Some(e);
-                    break;
-                }
-            }
-        }
-        if let Some(lane) = lane {
-            let wall_us = elapsed_us(&start);
-            qdi_obs::prof::record_pool_run(qdi_obs::prof::PoolRun {
-                jobs: jobs as u64,
-                workers: 1,
-                wall_us,
-                steals: 0,
-                lanes: vec![lane.finish(wall_us)],
-            });
-        }
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(out),
-        }
+    let run = Run {
+        // Contiguous partition: worker w owns [w*jobs/workers, (w+1)*jobs/workers).
+        queues: (0..workers)
+            .map(|w| Mutex::new((w * jobs / workers..(w + 1) * jobs / workers).collect()))
+            .collect(),
+        cancel: AtomicBool::new(false),
+        epoch: start,
+        // Snapshot the profiler switch once per bag so a mid-run toggle
+        // cannot produce half-recorded timelines.
+        profiling: qdi_obs::prof::enabled(),
+        job: &job,
+        depth: depth.clone(),
+        jobs_metric: qdi_obs::metrics::counter("exec.pool.jobs"),
+        steals_metric: qdi_obs::metrics::counter("exec.pool.steals"),
+    };
+    // One worker runs on the calling thread; more run in scoped threads.
+    let mut per_worker: Vec<WorkerOutput<T, E>> = if workers == 1 {
+        vec![work(&run, 0)]
     } else {
-        run_stealing(
-            workers,
-            jobs,
-            profiling,
-            &job,
-            &depth,
-            &jobs_metric,
-            &mut span,
-        )
+        let run = &run;
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers)
+                .map(|wid| s.spawn(move || work(run, wid)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| match h.join() {
+                    Ok(v) => v,
+                    // Job panics are caught inside the worker loop; reaching
+                    // this arm means the pool machinery itself panicked.
+                    Err(panic) => std::panic::resume_unwind(panic),
+                })
+                .collect()
+        })
     };
 
-    let elapsed = start.elapsed().as_secs_f64();
-    span.record("wall_s", elapsed);
-    if elapsed > 0.0 && result.is_ok() {
-        span.record("jobs_per_s", jobs as f64 / elapsed);
-    }
-    result
-}
-
-/// Microseconds elapsed since `epoch` (the pool-run clock the lane
-/// timelines are expressed in).
-fn elapsed_us(epoch: &std::time::Instant) -> u64 {
-    u64::try_from(epoch.elapsed().as_micros()).unwrap_or(u64::MAX)
-}
-
-/// The parallel path: contiguous index ranges per worker, back-half
-/// stealing, merge-by-index after the scope joins.
-fn run_stealing<T, E, F>(
-    workers: usize,
-    jobs: usize,
-    profiling: bool,
-    job: &F,
-    depth: &qdi_obs::metrics::Gauge,
-    jobs_metric: &qdi_obs::metrics::Counter,
-    span: &mut qdi_obs::SpanGuard,
-) -> Result<Vec<T>, E>
-where
-    T: Send,
-    E: Send,
-    F: Fn(usize) -> Result<T, E> + Sync,
-{
-    // Per-worker output: `(worker id, [(job index, job result)])`.
-    type WorkerResults<T, E> = Vec<(usize, Result<T, E>)>;
-
-    let steals_metric = qdi_obs::metrics::counter("exec.pool.steals");
-    // Contiguous partition: worker w owns [w*jobs/workers, (w+1)*jobs/workers).
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| {
-            let lo = w * jobs / workers;
-            let hi = (w + 1) * jobs / workers;
-            Mutex::new((lo..hi).collect())
-        })
-        .collect();
-    let cancel = AtomicBool::new(false);
-    let queues = &queues;
-    let cancel = &cancel;
-    let steals_metric = &steals_metric;
-    // The run clock every lane timeline is expressed in.
-    let epoch = std::time::Instant::now();
-    let epoch = &epoch;
-
-    type WorkerOutput<T, E> = (
-        usize,
-        WorkerResults<T, E>,
-        Option<qdi_obs::prof::LaneRecorder>,
-        Option<(usize, String)>,
-    );
-    let mut per_worker: Vec<WorkerOutput<T, E>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|wid| {
-                s.spawn(move || {
-                    let mut local: WorkerResults<T, E> = Vec::new();
-                    let mut done = 0usize;
-                    let mut panicked: Option<(usize, String)> = None;
-                    let mut lane = profiling.then(|| qdi_obs::prof::LaneRecorder::new(wid));
-                    'work: loop {
-                        if cancel.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        // Everything from here until a job index is in
-                        // hand counts as queue wait: own-queue locking
-                        // plus steal scans.
-                        let acquire_start = lane.as_ref().map(|_| elapsed_us(epoch));
-                        let next = queues[wid].lock().expect("queue poisoned").pop_front();
-                        let index = match next {
-                            Some(i) => i,
-                            None => {
-                                // Steal the back half of the fullest victim.
-                                let mut best: Option<(usize, usize)> = None;
-                                for (vid, victim) in queues.iter().enumerate() {
-                                    if vid == wid {
-                                        continue;
-                                    }
-                                    let len = victim.lock().expect("queue poisoned").len();
-                                    if len > 0 && best.is_none_or(|(_, blen)| len > blen) {
-                                        best = Some((vid, len));
-                                    }
-                                }
-                                let Some((vid, _)) = best else {
-                                    break 'work; // every queue is drained
-                                };
-                                let mut victim = queues[vid].lock().expect("queue poisoned");
-                                let n = victim.len();
-                                if n == 0 {
-                                    if let (Some(lane), Some(from)) = (lane.as_mut(), acquire_start)
-                                    {
-                                        lane.queue_wait_us(elapsed_us(epoch) - from);
-                                    }
-                                    continue; // raced; rescan
-                                }
-                                let stolen = victim.split_off(n - n.div_ceil(2));
-                                drop(victim);
-                                steals_metric.inc();
-                                if let Some(lane) = lane.as_mut() {
-                                    lane.steal();
-                                }
-                                let mut mine = queues[wid].lock().expect("queue poisoned");
-                                mine.extend(stolen);
-                                drop(mine);
-                                if let (Some(lane), Some(from)) = (lane.as_mut(), acquire_start) {
-                                    lane.queue_wait_us(elapsed_us(epoch) - from);
-                                }
-                                continue;
-                            }
-                        };
-                        let job_start = lane.as_ref().map(|_| elapsed_us(epoch));
-                        if let (Some(lane), Some(from), Some(to)) =
-                            (lane.as_mut(), acquire_start, job_start)
-                        {
-                            lane.queue_wait_us(to - from);
-                        }
-                        let outcome = {
-                            let _prof_job = qdi_obs::prof::region("exec.pool.job");
-                            catch_unwind(AssertUnwindSafe(|| job(index)))
-                        };
-                        if let (Some(lane), Some(from)) = (lane.as_mut(), job_start) {
-                            lane.job(index as u64, from, elapsed_us(epoch));
-                        }
-                        let outcome = match outcome {
-                            Ok(outcome) => outcome,
-                            Err(payload) => {
-                                // A panic cancels the run like an error
-                                // does, but is reported after the merge
-                                // so every worker joins cleanly first.
-                                panicked = Some((index, panic_message(payload.as_ref())));
-                                depth.add(-1);
-                                cancel.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                        };
-                        done += 1;
-                        jobs_metric.inc();
-                        depth.add(-1);
-                        let failed = outcome.is_err();
-                        local.push((index, outcome));
-                        if failed {
-                            cancel.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                    }
-                    (done, local, lane, panicked)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(v) => v,
-                // Job panics are caught inside the worker loop; reaching
-                // this arm means the pool machinery itself panicked.
-                Err(panic) => std::panic::resume_unwind(panic),
-            })
-            .collect()
-    });
-
-    if profiling {
-        let wall_us = elapsed_us(epoch);
+    if run.profiling {
+        let wall_us = elapsed_us(&start);
         let lanes: Vec<qdi_obs::prof::WorkerLane> = per_worker
             .iter_mut()
-            .filter_map(|(_, _, lane, _)| lane.take())
+            .filter_map(|w| w.lane.take())
             .map(|lane| lane.finish(wall_us))
             .collect();
         let steals = lanes.iter().map(|l| l.steals).sum();
@@ -395,8 +196,8 @@ where
     let mut merged: Vec<(usize, Result<T, E>)> = Vec::with_capacity(jobs);
     let mut first_panic: Option<(usize, String)> = None;
     let mut panicked_jobs = 0usize;
-    for (wid, (done, local, _, panicked)) in per_worker.into_iter().enumerate() {
-        if let Some((index, msg)) = panicked {
+    for (wid, worker) in per_worker.into_iter().enumerate() {
+        if let Some((index, msg)) = worker.panicked {
             panicked_jobs += 1;
             if first_panic
                 .as_ref()
@@ -405,15 +206,15 @@ where
                 first_panic = Some((index, msg));
             }
         }
-        span.record(&format!("worker{wid}_jobs"), done);
-        qdi_obs::metrics::counter(&format!("exec.pool.worker.{wid}.jobs")).add(done as u64);
+        span.record(&format!("worker{wid}_jobs"), worker.done);
+        qdi_obs::metrics::counter(&format!("exec.pool.worker.{wid}.jobs")).add(worker.done as u64);
         // Share of the bag this worker executed, in percent. Computed
-        // once after the scope joins (not on the hot path); an even
+        // once after the workers stop (not on the hot path); an even
         // split reads 100/workers, so a stalled worker is visible as a
         // near-zero share. Feeds the pool section of `qdi-mon watch`.
         qdi_obs::metrics::gauge(&format!("exec.pool.worker.{wid}.share_pct"))
-            .set((done * 100 / jobs) as i64);
-        merged.extend(local);
+            .set((worker.done * 100 / jobs) as i64);
+        merged.extend(worker.results);
     }
     // Cancelled (never-run) jobs leave no entry; drain the gauge for
     // them (panicked indices already drained theirs in the worker).
@@ -425,11 +226,132 @@ where
         );
     }
     merged.sort_by_key(|(i, _)| *i);
-    let mut out = Vec::with_capacity(jobs);
-    for (_, result) in merged {
-        out.push(result?);
+    let result: Result<Vec<T>, E> = merged.into_iter().map(|(_, r)| r).collect();
+
+    let elapsed = start.elapsed().as_secs_f64();
+    span.record("wall_s", elapsed);
+    if elapsed > 0.0 && result.is_ok() {
+        span.record("jobs_per_s", jobs as f64 / elapsed);
     }
-    Ok(out)
+    result
+}
+
+/// Microseconds elapsed since `epoch` (the pool-run clock the lane
+/// timelines are expressed in).
+fn elapsed_us(epoch: &std::time::Instant) -> u64 {
+    u64::try_from(epoch.elapsed().as_micros()).unwrap_or(u64::MAX)
+}
+
+/// Shared state of one pool run, borrowed by every worker.
+struct Run<'a, F> {
+    queues: Vec<Mutex<VecDeque<usize>>>,
+    cancel: AtomicBool,
+    /// The run clock every lane timeline is expressed in.
+    epoch: std::time::Instant,
+    profiling: bool,
+    job: &'a F,
+    depth: qdi_obs::metrics::Gauge,
+    jobs_metric: qdi_obs::metrics::Counter,
+    steals_metric: qdi_obs::metrics::Counter,
+}
+
+/// What one worker did: jobs completed, `(job index, result)` pairs,
+/// its profiling lane, and the job that panicked, if any.
+struct WorkerOutput<T, E> {
+    done: usize,
+    results: Vec<(usize, Result<T, E>)>,
+    lane: Option<qdi_obs::prof::LaneRecorder>,
+    panicked: Option<(usize, String)>,
+}
+
+/// The worker loop: pops its own queue front to back, steals the back
+/// half of the fullest victim when it runs dry, and stops when every
+/// queue is drained or any job fails or panics.
+fn work<T, E, F>(run: &Run<'_, F>, wid: usize) -> WorkerOutput<T, E>
+where
+    F: Fn(usize) -> Result<T, E> + Sync,
+{
+    let queues = &run.queues;
+    let epoch = &run.epoch;
+    let mut out = WorkerOutput {
+        done: 0,
+        results: Vec::new(),
+        lane: run.profiling.then(|| qdi_obs::prof::LaneRecorder::new(wid)),
+        panicked: None,
+    };
+    let lane = &mut out.lane;
+    loop {
+        if run.cancel.load(Ordering::Relaxed) {
+            break;
+        }
+        // Everything from here until a job index is in hand counts as
+        // queue wait: own-queue locking plus steal scans.
+        let acquire_start = lane.as_ref().map(|_| elapsed_us(epoch));
+        let next = queues[wid].lock().expect("queue poisoned").pop_front();
+        let Some(index) = next else {
+            // Steal the back half of the fullest victim.
+            let mut best: Option<(usize, usize)> = None;
+            for (vid, victim) in queues.iter().enumerate() {
+                if vid == wid {
+                    continue;
+                }
+                let len = victim.lock().expect("queue poisoned").len();
+                if len > 0 && best.is_none_or(|(_, blen)| len > blen) {
+                    best = Some((vid, len));
+                }
+            }
+            let Some((vid, _)) = best else {
+                break; // every queue is drained
+            };
+            let mut victim = queues[vid].lock().expect("queue poisoned");
+            let n = victim.len();
+            if n > 0 {
+                let stolen = victim.split_off(n - n.div_ceil(2));
+                drop(victim);
+                run.steals_metric.inc();
+                if let Some(lane) = lane.as_mut() {
+                    lane.steal();
+                }
+                queues[wid].lock().expect("queue poisoned").extend(stolen);
+            } // else raced; rescan
+            if let (Some(lane), Some(from)) = (lane.as_mut(), acquire_start) {
+                lane.queue_wait_us(elapsed_us(epoch) - from);
+            }
+            continue;
+        };
+        let job_start = lane.as_ref().map(|_| elapsed_us(epoch));
+        if let (Some(lane), Some(from), Some(to)) = (lane.as_mut(), acquire_start, job_start) {
+            lane.queue_wait_us(to - from);
+        }
+        let outcome = {
+            let _prof_job = qdi_obs::prof::region("exec.pool.job");
+            catch_unwind(AssertUnwindSafe(|| (run.job)(index)))
+        };
+        if let (Some(lane), Some(from)) = (lane.as_mut(), job_start) {
+            lane.job(index as u64, from, elapsed_us(epoch));
+        }
+        run.depth.add(-1);
+        let outcome = match outcome {
+            Ok(outcome) => outcome,
+            Err(payload) => {
+                // A panic cancels the run like an error does, but is
+                // reported after the merge so every worker stops
+                // cleanly first.
+                out.panicked = Some((index, panic_message(payload.as_ref())));
+                run.cancel.store(true, Ordering::Relaxed);
+                break;
+            }
+        };
+        out.done += 1;
+        run.jobs_metric.inc();
+        let failed = outcome.is_err();
+        out.results.push((index, outcome));
+        if failed {
+            run.cancel.store(true, Ordering::Relaxed);
+            break;
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -549,14 +471,14 @@ mod tests {
             .pool_runs
             .iter()
             .find(|r| r.jobs == 7 && r.workers == 1)
-            .expect("inline path records a one-worker lane");
+            .expect("a one-worker run records its lane");
         assert_eq!(serial.lanes.len(), 1);
         assert_eq!(serial.lanes[0].jobs, 7);
         assert_eq!(serial.steals, 0);
 
         // The job closures themselves show up in the region tree — at
-        // worker-thread roots for the parallel path, nested under
-        // `exec.pool.run` for the inline path.
+        // worker-thread roots for scoped workers, nested under
+        // `exec.pool.run` for a worker on the calling thread.
         let job_visits: u64 = report
             .regions
             .regions

@@ -27,8 +27,9 @@ use std::io::IsTerminal as _;
 use std::process::ExitCode;
 use std::sync::Arc;
 
+use qdi_exec::ExecConfig;
 use qdi_fi::{
-    default_injection_times, enumerate_faults, parse_models, run_campaign, sample_faults,
+    default_injection_times, enumerate_faults, parse_models, run_campaign_parallel, sample_faults,
     CampaignConfig, FaultOutcome,
 };
 use qdi_sim::TimePs;
@@ -208,7 +209,8 @@ fn main() -> ExitCode {
         if let Some(k) = opts.sample {
             faults = sample_faults(faults, k, opts.cfg.seed);
         }
-        let report = match run_campaign(&netlist, &faults, &opts.cfg) {
+        let report = match run_campaign_parallel(&netlist, &faults, &opts.cfg, ExecConfig::serial())
+        {
             Ok(report) => report,
             Err(err) => {
                 eprintln!("qdi-fi: {file}: golden run failed: {err}");

@@ -61,59 +61,19 @@ pub fn default_injection_times(
 }
 
 /// Runs a fault campaign: one golden run, then one injected run per
-/// fault, each classified against the golden outputs.
+/// fault, each classified against the golden outputs. Injected runs
+/// execute on the `qdi-exec` pool — one job per fault site;
+/// `exec.workers == 1` runs them in order on the calling thread.
+///
+/// The simulation is deterministic and every injected run is independent
+/// (faults never interact), so the report — per-fault outcomes, counts
+/// and coverage — is bit-identical at every worker count.
 ///
 /// # Errors
 ///
 /// Returns [`SimError`] if the stimulus cannot attach or the *golden*
 /// run fails — a circuit that deadlocks without faults has no baseline.
 /// Injected-run failures are never errors; they classify as outcomes.
-pub fn run_campaign(
-    netlist: &Netlist,
-    faults: &[Fault],
-    cfg: &CampaignConfig,
-) -> Result<FaultReport, SimError> {
-    let mut span = qdi_obs::span("qdi_fi::campaign", "run_campaign")
-        .field("faults", faults.len())
-        .field("tokens", cfg.tokens)
-        .enter();
-    let runs_metric = qdi_obs::metrics::counter("fi.runs");
-    let stim = Stimulus::random(netlist, cfg.tokens, cfg.seed)?;
-    let golden_run = stim.run(netlist, &cfg.testbench, None)?;
-    let golden = output_values(&golden_run);
-    runs_metric.inc();
-
-    let mut records = Vec::with_capacity(faults.len());
-    for fault in faults {
-        let plan = FaultPlan::single(*fault);
-        let result = stim.run(netlist, &cfg.testbench, Some(&plan));
-        runs_metric.inc();
-        let outcome = classify(netlist, &golden, &result);
-        qdi_obs::metrics::counter(&format!("fi.outcome.{}", outcome.mnemonic())).inc();
-        records.push(FaultRecord::new(netlist, fault, outcome));
-    }
-
-    let report = FaultReport::new(netlist, faults, records);
-    span.record("detected", report.detected() as f64);
-    span.record("silent", report.silent as f64);
-    for outcome in FaultOutcome::all() {
-        span.record(outcome.mnemonic(), report.count(outcome) as f64);
-    }
-    Ok(report)
-}
-
-/// [`run_campaign`] with injected runs executed on the `qdi-exec`
-/// work-stealing pool — one job per fault site.
-///
-/// The simulation is deterministic and every injected run is independent
-/// (faults never interact), so the report — per-fault outcomes, counts
-/// and coverage — is bit-identical to the serial campaign's and to
-/// itself at every worker count.
-///
-/// # Errors
-///
-/// As [`run_campaign`]: only stimulus attachment or *golden*-run
-/// failures are errors; injected-run failures classify as outcomes.
 pub fn run_campaign_parallel(
     netlist: &Netlist,
     faults: &[Fault],
@@ -162,78 +122,20 @@ pub fn run_campaign_parallel(
     Ok(report)
 }
 
-/// [`run_campaign_parallel`] under a `qdi-exec` supervisor: a panicking
-/// or overrunning injected run is retried per `policy` and, when it
-/// keeps failing, recorded as [`FaultOutcome::Aborted`] (a harness
-/// verdict, not a circuit verdict) instead of killing the campaign. The
-/// quarantine manifest is returned beside the report so the aborted
-/// sites can be re-attempted.
-///
-/// Classification itself never fails — injected-run simulator errors
-/// already classify as outcomes — so quarantine here means the job
-/// *infrastructure* failed (panic or timeout). Golden-run failures
-/// still propagate: a circuit without a baseline has no campaign.
-///
-/// # Errors
-///
-/// As [`run_campaign_parallel`]: stimulus attachment or golden-run
-/// failures only.
-pub fn run_campaign_parallel_supervised(
-    netlist: &Netlist,
-    faults: &[Fault],
-    cfg: &CampaignConfig,
-    exec: qdi_exec::ExecConfig,
-    policy: &qdi_exec::SupervisorPolicy,
-) -> Result<(FaultReport, qdi_exec::Quarantine), SimError> {
-    let mut span = qdi_obs::span("qdi_fi::campaign", "run_campaign_parallel_supervised")
-        .field("faults", faults.len())
-        .field("tokens", cfg.tokens)
-        .field("workers", exec.workers)
-        .enter();
-    let runs_metric = qdi_obs::metrics::counter("fi.runs");
-    let stim = Stimulus::random(netlist, cfg.tokens, cfg.seed)?;
-    let golden_run = stim.run(netlist, &cfg.testbench, None)?;
-    let golden = output_values(&golden_run);
-    runs_metric.inc();
-
-    let progress = qdi_obs::progress::task("fi.campaign", faults.len());
-    let run = qdi_exec::run_supervised(&exec, policy, cfg.seed, faults.len(), |i| {
-        let plan = FaultPlan::single(faults[i]);
-        let result = stim.run(netlist, &cfg.testbench, Some(&plan));
-        let outcome = classify(netlist, &golden, &result);
-        progress.advance(1);
-        Ok::<_, String>(outcome)
-    });
-    progress.finish();
-    runs_metric.add(faults.len() as u64);
-    let records: Vec<FaultRecord> = faults
-        .iter()
-        .zip(run.outcomes)
-        .map(|(fault, job)| {
-            // A quarantined injection is a harness failure, not a
-            // circuit verdict: record it as an aborted run.
-            let outcome = job.into_value().unwrap_or(FaultOutcome::Aborted);
-            qdi_obs::metrics::counter(&format!("fi.outcome.{}", outcome.mnemonic())).inc();
-            FaultRecord::new(netlist, fault, outcome)
-        })
-        .collect();
-
-    let report = FaultReport::new(netlist, faults, records);
-    span.record("detected", report.detected() as f64);
-    span.record("silent", report.silent as f64);
-    span.record("quarantined", run.quarantine.len());
-    for outcome in FaultOutcome::all() {
-        span.record(outcome.mnemonic(), report.count(outcome) as f64);
-    }
-    Ok((report, run.quarantine))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sites::enumerate_faults;
     use qdi_netlist::{cells, NetlistBuilder};
     use qdi_sim::{FaultKind, FaultSite};
+
+    fn serial_campaign(
+        nl: &Netlist,
+        faults: &[Fault],
+        cfg: &CampaignConfig,
+    ) -> Result<FaultReport, SimError> {
+        run_campaign_parallel(nl, faults, cfg, qdi_exec::ExecConfig::serial())
+    }
 
     fn xor_netlist() -> Netlist {
         let mut b = NetlistBuilder::new("xor");
@@ -249,7 +151,7 @@ mod tests {
     #[test]
     fn empty_campaign_reports_nothing() {
         let nl = xor_netlist();
-        let report = run_campaign(&nl, &[], &CampaignConfig::new()).expect("runs");
+        let report = serial_campaign(&nl, &[], &CampaignConfig::new()).expect("runs");
         assert_eq!(report.total, 0);
         assert_eq!(report.detected(), 0);
         assert_eq!(report.coverage.len(), 1);
@@ -265,7 +167,7 @@ mod tests {
             .gates()
             .map(|g| Fault::new(FaultSite::Gate(g.id), FaultKind::StuckAt(false), 0))
             .collect();
-        let report = run_campaign(&nl, &faults, &CampaignConfig::new()).expect("runs");
+        let report = serial_campaign(&nl, &faults, &CampaignConfig::new()).expect("runs");
         assert_eq!(report.total, faults.len());
         assert_eq!(
             report.silent, 0,
@@ -278,27 +180,6 @@ mod tests {
         );
         let classified: usize = FaultOutcome::all().iter().map(|&o| report.count(o)).sum();
         assert_eq!(classified, report.total, "every run lands in one class");
-    }
-
-    #[test]
-    fn supervised_campaign_matches_unsupervised_when_clean() {
-        let nl = xor_netlist();
-        let cfg = CampaignConfig::new();
-        let faults: Vec<Fault> = nl
-            .gates()
-            .map(|g| Fault::new(FaultSite::Gate(g.id), FaultKind::StuckAt(false), 0))
-            .collect();
-        let exec = qdi_exec::ExecConfig { workers: 2 };
-        let golden = run_campaign_parallel(&nl, &faults, &cfg, exec).expect("runs");
-        let policy = qdi_exec::SupervisorPolicy::new().without_backoff();
-        let (report, quarantine) =
-            run_campaign_parallel_supervised(&nl, &faults, &cfg, exec, &policy).expect("runs");
-        assert!(quarantine.is_empty(), "clean campaign quarantines nothing");
-        assert_eq!(report.total, golden.total);
-        assert_eq!(report.aborted, 0);
-        for (a, b) in golden.records.iter().zip(&report.records) {
-            assert_eq!(a.outcome, b.outcome, "{}", a.detail);
-        }
     }
 
     #[test]
@@ -317,7 +198,7 @@ mod tests {
             );
         }
         let faults = enumerate_faults(&nl, &[FaultKind::TransientFlip], &times);
-        let report = run_campaign(&nl, &faults, &cfg).expect("runs");
+        let report = serial_campaign(&nl, &faults, &cfg).expect("runs");
         assert_eq!(report.total, faults.len());
     }
 }

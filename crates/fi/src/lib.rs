@@ -28,10 +28,7 @@ pub mod outcome;
 pub mod report;
 pub mod sites;
 
-pub use campaign::{
-    default_injection_times, run_campaign, run_campaign_parallel, run_campaign_parallel_supervised,
-    CampaignConfig,
-};
+pub use campaign::{default_injection_times, run_campaign_parallel, CampaignConfig};
 pub use harness::{output_values, OutputValues, Stimulus};
 pub use outcome::{classify, FaultOutcome};
 pub use report::{ChannelCoverage, FaultRecord, FaultReport, SILENT_CORRUPTION};

@@ -4,9 +4,10 @@
 //! must attribute cone faults, and — per the paper's Section II claim —
 //! no dual-rail gate fault may corrupt output data silently.
 
+use qdi_exec::ExecConfig;
 use qdi_fi::{
-    default_injection_times, enumerate_faults, run_campaign, sample_faults, CampaignConfig,
-    FaultOutcome,
+    default_injection_times, enumerate_faults, run_campaign_parallel, sample_faults,
+    CampaignConfig, FaultOutcome,
 };
 use qdi_netlist::Netlist;
 use qdi_sim::FaultKind;
@@ -25,7 +26,8 @@ fn aes_slice_single_transient_faults_classify_with_zero_silent_corruption() {
     let faults = enumerate_faults(&nl, &[FaultKind::TransientFlip], &times);
     assert_eq!(faults.len(), nl.gate_count() * times.len());
 
-    let report = run_campaign(&nl, &faults, &cfg).expect("campaign runs");
+    let report =
+        run_campaign_parallel(&nl, &faults, &cfg, ExecConfig::serial()).expect("campaign runs");
     assert_eq!(report.total, faults.len(), "every fault classified");
     let classified: usize = FaultOutcome::all().iter().map(|&o| report.count(o)).sum();
     assert_eq!(classified, report.total, "histogram partitions the runs");
@@ -60,7 +62,8 @@ fn aes_slice_stuck_at_campaign_detects_permanent_faults() {
     // rail can never rise, so affected handshakes stall.
     let all = enumerate_faults(&nl, &[FaultKind::StuckAt(false)], &[0]);
     let faults = sample_faults(all, 16, 7);
-    let report = run_campaign(&nl, &faults, &cfg).expect("campaign runs");
+    let report =
+        run_campaign_parallel(&nl, &faults, &cfg, ExecConfig::serial()).expect("campaign runs");
     assert_eq!(report.total, 16);
     assert_eq!(report.silent, 0, "{}", report.to_text());
     assert!(
@@ -79,7 +82,11 @@ fn campaigns_are_deterministic() {
         12,
         3,
     );
-    let a = run_campaign(&nl, &faults, &cfg).expect("first run");
-    let b = run_campaign(&nl, &faults, &cfg).expect("second run");
-    assert_eq!(a, b, "same faults, same config, same report");
+    let a = run_campaign_parallel(&nl, &faults, &cfg, ExecConfig::serial()).expect("first run");
+    let b =
+        run_campaign_parallel(&nl, &faults, &cfg, ExecConfig::with_workers(2)).expect("second run");
+    assert_eq!(
+        a, b,
+        "same faults, same config, same report at any worker count"
+    );
 }

@@ -8,7 +8,10 @@
 
 use proptest::prelude::*;
 
-use qdi_fi::{classify, output_values, run_campaign, CampaignConfig, FaultOutcome, Stimulus};
+use qdi_exec::ExecConfig;
+use qdi_fi::{
+    classify, output_values, run_campaign_parallel, CampaignConfig, FaultOutcome, Stimulus,
+};
 use qdi_netlist::{cells, Netlist, NetlistBuilder};
 use qdi_sim::{Fault, FaultKind, FaultPlan, FaultSite, TestbenchConfig};
 
@@ -79,7 +82,7 @@ proptest! {
             .collect();
         let mut cfg = CampaignConfig::new();
         cfg.seed = seed;
-        let report = run_campaign(&nl, &faults, &cfg).expect("campaign runs");
+        let report = run_campaign_parallel(&nl, &faults, &cfg, ExecConfig::serial()).expect("campaign runs");
         let classified: usize = FaultOutcome::all().iter().map(|&o| report.count(o)).sum();
         prop_assert_eq!(classified, report.total);
         prop_assert_eq!(report.total, faults.len());

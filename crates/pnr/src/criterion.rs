@@ -10,7 +10,7 @@
 //! "The lower the value of dA, the more resistant to DPA the chip is."
 //! Table 2 of the paper lists the most critical channels (highest `dA`)
 //! for the hierarchical and flat AES layouts; [`criterion_table`] produces
-//! that ranking for any extracted netlist, and [`stability_study`]
+//! that ranking for any extracted netlist, and [`stability_study_parallel`]
 //! reproduces the observation that under the flat flow "the most sensitive
 //! channels are never the same from one place and route to another".
 
@@ -110,46 +110,15 @@ pub struct SeedOutcome {
     pub worst_d: f64,
 }
 
-/// One seed's flow run of a stability study — shared by the serial and
-/// parallel drivers so their outcomes are bit-identical.
-fn seed_outcome(netlist: &Netlist, strategy: Strategy, cfg: &PnrConfig, seed: u64) -> SeedOutcome {
-    let mut nl = netlist.clone();
-    let mut cfg = *cfg;
-    cfg.anneal.seed = seed;
-    place_and_route(&mut nl, strategy, &cfg);
-    // Prefer internal channels (the paper's Table 2 scope); fall
-    // back to all channels for IO-only fixtures.
-    let mut worst = internal_criterion_table(&nl);
-    if worst.is_empty() {
-        worst = criterion_table(&nl);
-    }
-    let first = worst.first().expect("netlist has channels");
-    SeedOutcome {
-        seed,
-        worst_channel: first.name.clone(),
-        worst_d: first.d,
-    }
-}
-
 /// Re-runs the flow across `seeds` and records the worst channel of each
 /// run — the paper's evidence that the flat flow is "not under the
 /// designer's control" is that these differ from run to run.
-pub fn stability_study(
-    netlist: &Netlist,
-    strategy: Strategy,
-    cfg: &PnrConfig,
-    seeds: &[u64],
-) -> Vec<SeedOutcome> {
-    seeds
-        .iter()
-        .map(|&seed| seed_outcome(netlist, strategy, cfg, seed))
-        .collect()
-}
-
-/// [`stability_study`] with the per-seed annealing runs executed on the
-/// `qdi-exec` pool. Each run's randomness comes from its own seed and
-/// results are merged in seed order, so the outcome list is bit-identical
-/// to the serial study at every worker count.
+///
+/// The per-seed annealing runs execute on the `qdi-exec` pool
+/// (`exec.workers == 1` runs them in order on the calling thread). Each
+/// run's randomness comes from its own seed and results are merged in
+/// seed order, so the outcome list is bit-identical at every worker
+/// count.
 pub fn stability_study_parallel(
     netlist: &Netlist,
     strategy: Strategy,
@@ -164,56 +133,27 @@ pub fn stability_study_parallel(
     // Inert unless `qdi_obs::progress` is enabled; feeds `qdi-mon watch`.
     let progress = qdi_obs::progress::task("pnr.stability_study", seeds.len());
     let outcomes = qdi_exec::run_indexed(&exec, seeds.len(), |i| {
-        let outcome = seed_outcome(netlist, strategy, cfg, seeds[i]);
+        let mut nl = netlist.clone();
+        let mut cfg = *cfg;
+        cfg.anneal.seed = seeds[i];
+        place_and_route(&mut nl, strategy, &cfg);
+        // Prefer internal channels (the paper's Table 2 scope); fall
+        // back to all channels for IO-only fixtures.
+        let mut worst = internal_criterion_table(&nl);
+        if worst.is_empty() {
+            worst = criterion_table(&nl);
+        }
+        let first = worst.first().expect("netlist has channels");
         progress.advance(1);
-        outcome
+        SeedOutcome {
+            seed: seeds[i],
+            worst_channel: first.name.clone(),
+            worst_d: first.d,
+        }
     });
     progress.finish();
     span.record("outcomes", outcomes.len());
     outcomes
-}
-
-/// [`stability_study_parallel`] under a `qdi-exec` supervisor: a
-/// panicking or overrunning annealing run is retried per `policy` and
-/// quarantined when it keeps failing, instead of killing the study.
-/// Returns one outcome per seed (`None` where quarantined, so surviving
-/// outcomes keep their seed position) plus the quarantine manifest —
-/// its entries report the failing *annealing seed* itself, the natural
-/// re-attempt handle for a multi-seed study.
-pub fn stability_study_parallel_supervised(
-    netlist: &Netlist,
-    strategy: Strategy,
-    cfg: &PnrConfig,
-    seeds: &[u64],
-    exec: qdi_exec::ExecConfig,
-    policy: &qdi_exec::SupervisorPolicy,
-) -> (Vec<Option<SeedOutcome>>, qdi_exec::Quarantine) {
-    let mut span = qdi_obs::span("qdi_pnr::criterion", "stability_study_parallel_supervised")
-        .field("seeds", seeds.len())
-        .field("workers", exec.workers)
-        .enter();
-    let progress = qdi_obs::progress::task("pnr.stability_study", seeds.len());
-    let root = seeds.first().copied().unwrap_or(0);
-    let run = qdi_exec::run_supervised(&exec, policy, root, seeds.len(), |i| {
-        let outcome = seed_outcome(netlist, strategy, cfg, seeds[i]);
-        progress.advance(1);
-        Ok::<_, String>(outcome)
-    });
-    progress.finish();
-    let mut quarantine = run.quarantine;
-    for entry in &mut quarantine.entries {
-        // The job's randomness is its annealing seed, not a derived
-        // pool seed: report the handle a re-attempt actually needs.
-        entry.job_seed = seeds[entry.index];
-    }
-    let outcomes: Vec<Option<SeedOutcome>> = run
-        .outcomes
-        .into_iter()
-        .map(qdi_exec::JobOutcome::into_value)
-        .collect();
-    span.record("outcomes", outcomes.iter().filter(|o| o.is_some()).count());
-    span.record("quarantined", quarantine.len());
-    (outcomes, quarantine)
 }
 
 #[cfg(test)]
@@ -268,50 +208,48 @@ mod tests {
         assert!(text.lines().count() >= 3);
     }
 
-    #[test]
-    fn stability_study_covers_all_seeds() {
-        let nl = xor_netlist();
-        let outcomes = stability_study(&nl, Strategy::Flat, &PnrConfig::fast(), &[1, 2, 3]);
-        assert_eq!(outcomes.len(), 3);
-        for o in &outcomes {
-            assert!(o.worst_d >= 0.0);
-            assert!(!o.worst_channel.is_empty());
-        }
+    /// Reference for the pool driver, built from the public pieces: one
+    /// flow run per seed, in order, reading the worst internal channel
+    /// (any channel for this IO-only fixture).
+    fn reference_study(nl: &Netlist, seeds: &[u64]) -> Vec<SeedOutcome> {
+        seeds
+            .iter()
+            .map(|&seed| {
+                let mut nl = nl.clone();
+                let mut cfg = PnrConfig::fast();
+                cfg.anneal.seed = seed;
+                place_and_route(&mut nl, Strategy::Flat, &cfg);
+                let worst = internal_criterion_table(&nl)
+                    .into_iter()
+                    .chain(criterion_table(&nl))
+                    .next()
+                    .expect("netlist has channels");
+                SeedOutcome {
+                    seed,
+                    worst_channel: worst.name,
+                    worst_d: worst.d,
+                }
+            })
+            .collect()
     }
 
     #[test]
-    fn supervised_stability_study_matches_serial_when_clean() {
-        let nl = xor_netlist();
-        let seeds = [1u64, 2, 3, 4];
-        let serial = stability_study(&nl, Strategy::Flat, &PnrConfig::fast(), &seeds);
-        let policy = qdi_exec::SupervisorPolicy::new().without_backoff();
-        let (outcomes, quarantine) = stability_study_parallel_supervised(
-            &nl,
-            Strategy::Flat,
-            &PnrConfig::fast(),
-            &seeds,
-            qdi_exec::ExecConfig { workers: 2 },
-            &policy,
-        );
-        assert!(quarantine.is_empty());
-        let outcomes: Vec<SeedOutcome> = outcomes.into_iter().map(Option::unwrap).collect();
-        assert_eq!(serial, outcomes);
-    }
-
-    #[test]
-    fn parallel_stability_study_matches_serial() {
+    fn stability_study_is_worker_count_invariant_and_matches_reference() {
         let nl = xor_netlist();
         let seeds = [1u64, 2, 3, 4, 5];
-        let serial = stability_study(&nl, Strategy::Flat, &PnrConfig::fast(), &seeds);
+        let reference = reference_study(&nl, &seeds);
+        assert!(reference
+            .iter()
+            .all(|o| o.worst_d >= 0.0 && !o.worst_channel.is_empty()));
         for workers in [1usize, 2, 8] {
-            let parallel = stability_study_parallel(
+            let outcomes = stability_study_parallel(
                 &nl,
                 Strategy::Flat,
                 &PnrConfig::fast(),
                 &seeds,
                 qdi_exec::ExecConfig { workers },
             );
-            assert_eq!(serial, parallel, "outcomes @ {workers} workers");
+            assert_eq!(reference, outcomes, "outcomes @ {workers} workers");
         }
     }
 }

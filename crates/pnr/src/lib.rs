@@ -60,10 +60,7 @@ pub mod timing;
 use qdi_netlist::Netlist;
 use serde::{Deserialize, Serialize};
 
-pub use criterion::{
-    criterion_table, stability_study, stability_study_parallel,
-    stability_study_parallel_supervised, ChannelCriterion,
-};
+pub use criterion::{criterion_table, stability_study_parallel, ChannelCriterion};
 pub use floorplan::{Floorplan, Region};
 pub use geometry::Rect;
 pub use place::{AnnealConfig, Placement};

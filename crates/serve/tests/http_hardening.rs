@@ -169,3 +169,47 @@ fn live_server_rejects_garbage_without_hanging() {
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A job body nested far past the JSON depth limit (10,000 `[`, 10 KB)
+/// is a 400, not a stack overflow that aborts the daemon for every
+/// tenant: the server keeps answering afterwards.
+#[test]
+fn deeply_nested_job_body_is_400_and_the_server_survives() {
+    let dir = std::env::temp_dir().join(format!("qdi_serve_deep_{}", std::process::id()));
+    let mut cfg = ServeConfig::new(&dir);
+    cfg.addr = "127.0.0.1:0".into();
+    cfg.io_timeout_ms = 2_000;
+    let server = Server::start(cfg).expect("server starts");
+    let addr = server.local_addr();
+    let exchange = |raw: &[u8]| {
+        let mut stream = TcpStream::connect(addr).expect("connects");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        stream.write_all(raw).expect("sends");
+        let mut response = Vec::new();
+        stream.read_to_end(&mut response).expect("reads");
+        String::from_utf8_lossy(&response).into_owned()
+    };
+
+    let body = "[".repeat(10_000);
+    let mut raw = format!(
+        "POST /v1/jobs HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
+    raw.extend_from_slice(body.as_bytes());
+    let response = exchange(&raw);
+    assert!(
+        response.starts_with("HTTP/1.1 400"),
+        "expected 400, got {:?}",
+        &response[..response.len().min(200)]
+    );
+    assert!(response.contains("recursion limit"), "{response}");
+
+    let health = exchange(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
+    assert!(health.starts_with("HTTP/1.1 200"), "{health}");
+
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}

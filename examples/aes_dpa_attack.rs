@@ -13,7 +13,8 @@
 use qdi::crypto::gatelevel::slice::{aes_first_round_slice, SliceStage};
 use qdi::dpa::campaign::xor_stage_window;
 use qdi::dpa::template::{bits_correct, profile_bit_templates, template_attack};
-use qdi::dpa::{run_slice_campaign, CampaignConfig};
+use qdi::dpa::{run_parallel_campaign, CampaignConfig};
+use qdi::exec::ExecConfig;
 use qdi::pnr::{criterion, place_and_route, PnrConfig, Strategy};
 
 const KEY: u8 = 0x6B;
@@ -50,7 +51,7 @@ fn attack_layout(strategy: Strategy, seed: u64) -> Result<(), Box<dyn std::error
     let mut atk = cfg;
     atk.seed = 0xA77AC4;
     atk.synth.noise_sigma = NOISE_SIGMA;
-    let set = run_slice_campaign(&slice, &atk)?;
+    let set = run_parallel_campaign(&slice, &atk, ExecConfig::serial())?;
     let recovered = template_attack(&set, &templates);
     println!(
         "recovered key byte 0x{recovered:02x} (true 0x{KEY:02x}): {}/8 bits correct",

@@ -5,8 +5,9 @@
 //!
 //! Run with: `cargo run --example fault_campaign`
 
+use qdi::exec::ExecConfig;
 use qdi::fi::{
-    default_injection_times, enumerate_faults, run_campaign, sample_faults, CampaignConfig,
+    default_injection_times, enumerate_faults, run_campaign_parallel, sample_faults, CampaignConfig,
 };
 use qdi::sim::FaultKind;
 
@@ -30,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // point. Section II predicts zero silent corruption.
     let seu = enumerate_faults(&netlist, &[FaultKind::TransientFlip], &times);
     println!("campaign 1: {} transient-flip injections", seu.len());
-    let report = run_campaign(&netlist, &seu, &cfg)?;
+    let report = run_campaign_parallel(&netlist, &seu, &cfg, ExecConfig::serial())?;
     print!("{}", report.to_text());
     assert_eq!(
         report.silent, 0,
@@ -50,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         42,
     );
     println!("\ncampaign 2: {} sampled stuck-at injections", stuck.len());
-    let report = run_campaign(&netlist, &stuck, &cfg)?;
+    let report = run_campaign_parallel(&netlist, &stuck, &cfg, ExecConfig::serial())?;
     print!("{}", report.to_text());
     assert_eq!(report.silent, 0);
 

@@ -7,7 +7,8 @@ use qdi::analog::{SynthConfig, Trace, TraceSynthesizer};
 use qdi::core::model::CurrentModel;
 use qdi::crypto::gatelevel::slice::{aes_first_round_slice, SliceStage};
 use qdi::dpa::selection::AesSboxSelect;
-use qdi::dpa::{attack, run_slice_campaign, CampaignConfig};
+use qdi::dpa::{attack, run_parallel_campaign, CampaignConfig};
+use qdi::exec::ExecConfig;
 use qdi::netlist::{cells, Channel, Netlist, NetlistBuilder};
 use qdi::sim::{Testbench, TestbenchConfig};
 
@@ -117,7 +118,7 @@ fn full_attack_recovers_key_byte_on_unbalanced_layout() {
     let key = 0xC3;
     let mut cfg = CampaignConfig::new(key);
     cfg.traces = 120;
-    let set = run_slice_campaign(&slice, &cfg).expect("campaign");
+    let set = run_parallel_campaign(&slice, &cfg, ExecConfig::serial()).expect("campaign");
     let result = attack(&set, &AesSboxSelect { byte: 0, bit: 0 });
     assert_eq!(
         result.best().guess,
@@ -135,7 +136,7 @@ fn balanced_layout_resists_the_same_attack() {
     let key = 0xC3;
     let mut cfg = CampaignConfig::new(key);
     cfg.traces = 120;
-    let set = run_slice_campaign(&slice, &cfg).expect("campaign");
+    let set = run_parallel_campaign(&slice, &cfg, ExecConfig::serial()).expect("campaign");
     let result = attack(&set, &AesSboxSelect { byte: 0, bit: 0 });
     let correct_peak = result
         .scores

@@ -4,6 +4,7 @@
 use qdi::core::{run_slice_flow, run_static_flow, FlowConfig};
 use qdi::crypto::gatelevel::slice::{aes_first_round_slice, SliceStage};
 use qdi::dpa::selection::AesSboxSelect;
+use qdi::exec::ExecConfig;
 use qdi::pnr::{criterion, PnrConfig, Strategy};
 
 fn fast_cfg(strategy: Strategy, key: u8, seed: u64) -> FlowConfig {
@@ -45,11 +46,12 @@ fn flat_flow_worst_channel_varies_by_seed() {
     // route to another" — check the flat flow's worst channel is not
     // always identical across seeds.
     let base = aes_first_round_slice("s", SliceStage::XorOnly).expect("builds");
-    let outcomes = criterion::stability_study(
+    let outcomes = criterion::stability_study_parallel(
         &base.netlist,
         Strategy::Flat,
         &PnrConfig::fast(),
         &[1, 2, 3, 4, 5],
+        ExecConfig::serial(),
     );
     let names: std::collections::HashSet<&str> =
         outcomes.iter().map(|o| o.worst_channel.as_str()).collect();
