@@ -102,6 +102,7 @@ impl<'a> TraceSynthesizer<'a> {
 
     /// Synthesizes a noiseless trace from a transition log.
     pub fn synthesize(&self, transitions: &[Transition]) -> Trace {
+        let _span = qdi_obs::span::hot("analog.synth");
         let mut trace = Trace::zeros(0, self.cfg.dt_ps, 1);
         for t in transitions {
             let (charge_fc, dur_ps) = self.pulse_params(t);
@@ -128,6 +129,7 @@ impl<'a> TraceSynthesizer<'a> {
     /// [`SynthConfig::noise_sigma`].
     pub fn synthesize_noisy<R: Rng>(&self, transitions: &[Transition], rng: &mut R) -> Trace {
         let mut trace = self.synthesize(transitions);
+        let _span = qdi_obs::span::hot("analog.noise");
         trace.add_gaussian_noise(rng, self.cfg.noise_sigma);
         trace
     }

@@ -3,16 +3,14 @@
 //! contract checked on the way (bias `T = A0 − A1` bit-identical across
 //! worker counts and when streamed back from a `.qtrs` store).
 //!
-//! Emits `BENCH_parallel_campaign.json` in the working directory so CI
-//! can archive the numbers, plus `BENCH_parallel_campaign.qprof.json`:
-//! the wall-clock attribution profile of the parallel leg (`qdi-mon
-//! analyze` explains the speedup, `qdi-mon flame`/`timeline` render
-//! it). Trace count defaults to 10 000 and can be overridden with
-//! `QDI_BENCH_TRACES` for quick smoke runs.
+//! Prints the numbers and writes `BENCH_parallel_campaign.qprof.json`
+//! at the workspace root: the wall-clock attribution profile of the
+//! parallel leg (`qdi-mon analyze` explains the speedup, `qdi-mon
+//! flame`/`timeline` render it). Trace count defaults to 10 000 and can
+//! be overridden with `QDI_BENCH_TRACES` for quick smoke runs. The
+//! gating benchmark, with host fingerprint, is `qdi-perf`.
 
 use std::time::Instant;
-
-use serde::Serialize;
 
 use qdi_bench::banner;
 use qdi_crypto::gatelevel::slice::{aes_first_round_slice, SliceStage};
@@ -25,29 +23,6 @@ use qdi_exec::{ExecConfig, StoreOptions};
 const KEY: u8 = 0x5a;
 const SEED: u64 = 0xb0e5;
 const STREAM_CHUNK: usize = 512;
-
-/// The numbers archived as `BENCH_parallel_campaign.json`.
-#[derive(Serialize)]
-struct Report {
-    bench: &'static str,
-    traces: usize,
-    /// Hardware threads the host exposes
-    /// ([`std::thread::available_parallelism`]).
-    available_parallelism: usize,
-    /// Worker count the parallel leg actually ran with. `speedup`
-    /// compares against the 1-worker leg, so it is only meaningful
-    /// between runs with equal `workers` — `qdi-mon bench-diff`
-    /// refuses to gate on `speedup` otherwise.
-    workers: usize,
-    serial_s: f64,
-    parallel_s: f64,
-    serial_traces_per_s: f64,
-    parallel_traces_per_s: f64,
-    speedup: f64,
-    bias_bit_identical: bool,
-    store_bytes: u64,
-    stream_chunk: usize,
-}
 
 fn trace_count() -> usize {
     std::env::var("QDI_BENCH_TRACES")
@@ -86,11 +61,11 @@ fn main() {
 
     let (serial_set, serial_s) = timed_campaign(&slice, &cfg, 1);
     // Profile only the parallel leg: its .qprof is the attribution
-    // trail CI archives with every baseline update.
-    qdi_obs::prof::set_enabled(true);
+    // trail of the speedup.
+    qdi_obs::prof::install();
     let (parallel_set, parallel_s) = timed_campaign(&slice, &cfg, 0);
-    qdi_obs::prof::set_enabled(false);
     let profile = qdi_obs::prof::report();
+    qdi_obs::prof::uninstall();
 
     let serial_tps = traces as f64 / serial_s.max(1e-9);
     let parallel_tps = traces as f64 / parallel_s.max(1e-9);
@@ -129,35 +104,12 @@ fn main() {
     let store_bytes = std::fs::metadata(&store).map(|m| m.len()).unwrap_or(0);
     let _ = std::fs::remove_file(&store);
     println!("bias bit-identical   1w == {workers}w == streamed ({STREAM_CHUNK}-trace chunks)");
+    println!("store                {store_bytes} bytes");
 
-    let report = Report {
-        bench: "parallel_campaign",
-        traces,
-        available_parallelism: available,
-        workers,
-        serial_s,
-        parallel_s,
-        serial_traces_per_s: serial_tps,
-        parallel_traces_per_s: parallel_tps,
-        speedup,
-        bias_bit_identical: bias_identical && streamed_identical,
-        store_bytes,
-        stream_chunk: STREAM_CHUNK,
-    };
-    // Cargo runs benches with the package dir as cwd; emit at the
-    // workspace root (overridable) so CI finds one well-known path.
-    let path = std::env::var("QDI_BENCH_OUT").unwrap_or_else(|_| {
-        concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_parallel_campaign.json"
-        )
-        .to_string()
-    });
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(&path, json + "\n").expect("report writes");
-    println!("wrote {path}");
-
-    let qprof_path = path.strip_suffix(".json").unwrap_or(&path).to_string() + ".qprof.json";
-    profile.save(&qprof_path).expect("profile writes");
+    let qprof_path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../BENCH_parallel_campaign.qprof.json"
+    );
+    profile.save(qprof_path).expect("profile writes");
     println!("wrote {qprof_path} (qdi-mon analyze / flame / timeline)");
 }

@@ -1,62 +1,74 @@
-//! Profiler region overhead: the disabled-cost contract of
-//! `qdi_obs::prof` pins the disabled enter/exit pair at the same order
-//! as a disabled progress handle — one relaxed atomic load plus a
-//! branch on drop, ~ns. The enabled variants measure what a profiled
-//! run actually pays per region visit (thread-local map hit plus two
-//! clock reads), so hot-path instrumentation stays honest about its
-//! observer effect.
+//! Span overhead: the disabled-cost contract of `qdi_obs::span` pins a
+//! disabled span at the same order as a disabled progress handle — one
+//! relaxed atomic load plus a branch on drop, ~ns. The enabled variants
+//! measure what a profiled run pays per hot-span visit (stack push/pop,
+//! roll-up node lookup, two clock reads) and per ordinary span (ids,
+//! one record to every consumer), so instrumentation stays honest about
+//! its observer effect.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-fn bench_prof_overhead(c: &mut Criterion) {
-    // Baseline: the loop body with no region at all.
+fn bench_span_overhead(c: &mut Criterion) {
+    // Baseline: the loop body with no span at all.
     let mut acc = 0u64;
-    c.bench_function("prof_baseline_no_region", |b| {
+    c.bench_function("span_baseline_none", |b| {
         b.iter(|| {
             acc = acc.wrapping_add(1);
             black_box(acc)
         })
     });
 
-    // Disabled: one relaxed load in `region`, one bool branch in the
-    // guard's drop. This is what every instrumented hot path (simulator
-    // event loop, `.qtrs` codec, pool dispatch) pays in production.
-    qdi_obs::prof::set_enabled(false);
-    c.bench_function("prof_region_disabled", |b| {
+    // Disabled: one relaxed load in `hot`, one branch in the guard's
+    // drop. This is what every instrumented hot path (simulator event
+    // loop, `.qtrs` codec, pool dispatch) pays in production.
+    qdi_obs::prof::uninstall();
+    c.bench_function("span_hot_disabled", |b| {
         b.iter(|| {
-            let _r = qdi_obs::prof::region("bench.prof.disabled");
+            let _s = qdi_obs::span::hot("bench.span.disabled");
             acc = acc.wrapping_add(1);
             black_box(acc)
         })
     });
 
-    // Enabled, flat: node-table hit, frame push/pop, two Instant reads.
-    qdi_obs::prof::set_enabled(true);
-    c.bench_function("prof_region_enabled", |b| {
+    // Enabled, under an ordinary span: the realistic shape — a kernel
+    // folding into the roll-up of its enclosing step.
+    qdi_obs::prof::install();
+    c.bench_function("span_hot_enabled", |b| {
+        let _step = qdi_obs::span("bench", "step");
         b.iter(|| {
-            let _r = qdi_obs::prof::region("bench.prof.enabled");
+            let _s = qdi_obs::span::hot("bench.span.enabled");
             acc = acc.wrapping_add(1);
             black_box(acc)
         })
     });
 
-    // Enabled, nested: the realistic shape — a leaf region under an
-    // open parent, exercising the child-time attribution path.
-    c.bench_function("prof_region_enabled_nested", |b| {
-        let _outer = qdi_obs::prof::region("bench.prof.outer");
+    // Enabled, nested: a leaf under an open hot parent, exercising the
+    // child-time attribution path.
+    c.bench_function("span_hot_enabled_nested", |b| {
+        let _step = qdi_obs::span("bench", "step");
+        let _outer = qdi_obs::span::hot("bench.span.outer");
         b.iter(|| {
-            let _r = qdi_obs::prof::region("bench.prof.inner");
+            let _s = qdi_obs::span::hot("bench.span.inner");
             acc = acc.wrapping_add(1);
             black_box(acc)
         })
     });
-    qdi_obs::prof::set_enabled(false);
+
+    // An ordinary span: one record per close, here to the profile only.
+    c.bench_function("span_ordinary_enabled", |b| {
+        b.iter(|| {
+            let _s = qdi_obs::span("bench", "ordinary");
+            acc = acc.wrapping_add(1);
+            black_box(acc)
+        })
+    });
+    qdi_obs::prof::uninstall();
     qdi_obs::prof::reset();
 }
 
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(50);
-    targets = bench_prof_overhead
+    targets = bench_span_overhead
 }
 criterion_main!(benches);

@@ -402,7 +402,7 @@ pub fn run_static_flow(
         qdi_obs::progress::set_enabled(true);
     }
     if cfg.profile {
-        qdi_obs::prof::set_enabled(true);
+        qdi_obs::prof::install();
     }
     let tick = || {
         if cfg.timeseries {
@@ -410,10 +410,9 @@ pub fn run_static_flow(
         }
     };
     let mut flow_span = qdi_obs::span("qdi_core::flow", "static_flow")
-        .field("netlist", netlist.name())
-        .field("strategy", format!("{:?}", cfg.strategy))
-        .field("gates", netlist.gate_count())
-        .enter();
+        .attr("netlist", netlist.name())
+        .attr("strategy", format!("{:?}", cfg.strategy))
+        .attr("gates", netlist.gate_count());
     let mut telemetry = qdi_obs::Telemetry::new();
     let mut steps: Vec<StepOutcome> = Vec::new();
 
@@ -558,10 +557,10 @@ pub fn run_static_flow(
     steps.push(StepOutcome::completed("leakage_ranking"));
     tick();
     leakage.truncate(cfg.worst_k);
-    flow_span.record("max_criterion", max_criterion);
-    flow_span.record("flagged_channels", flagged.len());
-    flow_span.record("lint_findings", lint.len());
-    flow_span.record("wall_ms", telemetry.total_wall_ms);
+    flow_span.set_attr("max_criterion", max_criterion);
+    flow_span.set_attr("flagged_channels", flagged.len());
+    flow_span.set_attr("lint_findings", lint.len());
+    flow_span.set_attr("wall_ms", telemetry.total_wall_ms);
     Ok(StaticFlowReport {
         netlist: netlist.name().to_owned(),
         strategy: cfg.strategy,
@@ -1281,7 +1280,7 @@ mod tests {
         assert!(pool.jobs >= 24, "one pool job per trace: {pool:?}");
         let json = serde_json::to_string(&report.layout).expect("serializes");
         assert!(json.contains("\"profile\""));
-        qdi_obs::prof::set_enabled(false);
+        qdi_obs::prof::uninstall();
         qdi_obs::prof::reset();
     }
 

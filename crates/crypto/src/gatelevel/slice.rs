@@ -62,9 +62,8 @@ pub fn expected_output(stage: SliceStage, pt: u8, key: u8) -> u8 {
 /// the generator rather than bad input).
 pub fn aes_first_round_slice(name: &str, stage: SliceStage) -> Result<AesByteSlice, NetlistError> {
     let mut span = qdi_obs::span_at(qdi_obs::Level::Debug, "qdi_crypto::slice", "build_slice")
-        .field("name", name)
-        .field("stage", format!("{stage:?}"))
-        .enter();
+        .attr("name", name)
+        .attr("stage", format!("{stage:?}"));
     let mut b = NetlistBuilder::new(name);
     let pt = DualRailByte::inputs(&mut b, "pt");
     let key = DualRailByte::inputs(&mut b, "key");
@@ -114,8 +113,8 @@ pub fn aes_first_round_slice(name: &str, stage: SliceStage) -> Result<AesByteSli
         stage,
         netlist: b.finish()?,
     };
-    span.record("gates", slice.netlist.gate_count());
-    span.record("nets", slice.netlist.net_count());
+    span.set_attr("gates", slice.netlist.gate_count());
+    span.set_attr("nets", slice.netlist.net_count());
     qdi_obs::metrics::counter("crypto.slices_built").inc();
     Ok(slice)
 }

@@ -71,7 +71,7 @@ impl BiasAccumulator {
     /// Panics if the trace grid differs from traces already accumulated
     /// (as [`Trace::add_assign`] does).
     pub fn accumulate(&mut self, selected: bool, trace: &Trace) {
-        let _prof = qdi_obs::prof::region("dpa.bias.accumulate");
+        let _span = qdi_obs::span::hot("dpa.bias.accumulate");
         let (slot, n) = if selected {
             (&mut self.sum1, &mut self.n1)
         } else {
@@ -231,10 +231,9 @@ pub fn attack_windowed(
     window: Option<(u64, u64)>,
 ) -> AttackResult {
     let mut span = qdi_obs::span("qdi_dpa::attack", "attack")
-        .field("selection", sel.name())
-        .field("guesses", guesses.len())
-        .field("traces", set.len())
-        .enter();
+        .attr("selection", sel.name())
+        .attr("guesses", guesses.len())
+        .attr("traces", set.len());
     let ranking_start = std::time::Instant::now();
     let mut scores: Vec<GuessScore> = guesses
         .iter()
@@ -251,11 +250,11 @@ pub fn attack_windowed(
         &[1.0, 10.0, 100.0, 1_000.0, 10_000.0],
     )
     .observe(ranking_ms);
-    span.record("scored", scores.len());
-    span.record("ranking_ms", ranking_ms);
+    span.set_attr("scored", scores.len());
+    span.set_attr("ranking_ms", ranking_ms);
     if let Some(best) = scores.first() {
-        span.record("best_guess", best.guess);
-        span.record("best_peak", best.peak_abs);
+        span.set_attr("best_guess", best.guess);
+        span.set_attr("best_peak", best.peak_abs);
     }
     AttackResult {
         selection: sel.name(),

@@ -104,7 +104,7 @@ pub(crate) fn acquire_trace(
     pt: u8,
     index: usize,
 ) -> Result<qdi_analog::Trace, SimError> {
-    let _prof = qdi_obs::prof::region("dpa.acquire");
+    let _span = qdi_obs::span::hot("dpa.acquire");
     let run = slice_testbench(slice, &cfg.testbench, cfg.key, pt)?.run()?;
     let mut noise_rng = qdi_exec::job_rng(cfg.seed, index as u64);
     Ok(synth.synthesize_noisy(&run.transitions, &mut noise_rng))
@@ -118,6 +118,7 @@ fn slice_testbench<'n>(
     key: u8,
     pt: u8,
 ) -> Result<Testbench<'n>, SimError> {
+    let _span = qdi_obs::span::hot("sim.tb.new");
     let mut tb = Testbench::new(&slice.netlist, *testbench)?;
     let pbits = bit_values(pt);
     let kbits = bit_values(key);

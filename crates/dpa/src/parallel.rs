@@ -51,9 +51,8 @@ pub fn run_parallel_campaign(
     exec: ExecConfig,
 ) -> Result<TraceSet, SimError> {
     let mut span = qdi_obs::span("qdi_dpa::parallel", "run_parallel_campaign")
-        .field("traces", cfg.traces)
-        .field("workers", exec.workers)
-        .enter();
+        .attr("traces", cfg.traces)
+        .attr("workers", exec.workers);
     let start = std::time::Instant::now();
     let pts = plaintext_schedule(cfg);
     let synth = TraceSynthesizer::new(&slice.netlist, cfg.synth);
@@ -72,9 +71,9 @@ pub fn run_parallel_campaign(
     }
     qdi_obs::metrics::counter("dpa.traces").add(set.len() as u64);
     let elapsed = start.elapsed().as_secs_f64();
-    span.record("wall_s", elapsed);
+    span.set_attr("wall_s", elapsed);
     if elapsed > 0.0 {
-        span.record("traces_per_s", set.len() as f64 / elapsed);
+        span.set_attr("traces_per_s", set.len() as f64 / elapsed);
     }
     Ok(set)
 }
@@ -119,9 +118,8 @@ pub fn run_parallel_campaign_supervised(
     policy: &qdi_exec::SupervisorPolicy,
 ) -> SupervisedCampaign {
     let mut span = qdi_obs::span("qdi_dpa::parallel", "run_parallel_campaign_supervised")
-        .field("traces", cfg.traces)
-        .field("workers", exec.workers)
-        .enter();
+        .attr("traces", cfg.traces)
+        .attr("workers", exec.workers);
     let pts = plaintext_schedule(cfg);
     let synth = TraceSynthesizer::new(&slice.netlist, cfg.synth);
     let progress = qdi_obs::progress::task("dpa.campaign", cfg.traces);
@@ -141,9 +139,9 @@ pub fn run_parallel_campaign_supervised(
         }
     }
     qdi_obs::metrics::counter("dpa.traces").add(set.len() as u64);
-    span.record("completed", set.len());
-    span.record("quarantined", run.quarantine.len());
-    span.record("retries", run.retries);
+    span.set_attr("completed", set.len());
+    span.set_attr("quarantined", run.quarantine.len());
+    span.set_attr("retries", run.retries);
     SupervisedCampaign {
         traces: set,
         indices,
@@ -160,7 +158,7 @@ fn accumulate_shard(
     lo: usize,
     hi: usize,
 ) -> BiasAccumulator {
-    let _prof = qdi_obs::prof::region("dpa.bias.shard");
+    let _span = qdi_obs::span::hot("dpa.bias.shard");
     let mut acc = BiasAccumulator::new();
     for i in lo..hi {
         acc.accumulate(sel.select(set.input(i), guess), set.trace(i));
@@ -238,11 +236,10 @@ pub fn parallel_attack_windowed(
     exec: ExecConfig,
 ) -> AttackResult {
     let mut span = qdi_obs::span("qdi_dpa::parallel", "parallel_attack")
-        .field("selection", sel.name())
-        .field("guesses", guesses.len())
-        .field("traces", set.len())
-        .field("workers", exec.workers)
-        .enter();
+        .attr("selection", sel.name())
+        .attr("guesses", guesses.len())
+        .attr("traces", set.len())
+        .attr("workers", exec.workers);
     let start = std::time::Instant::now();
     let scored: Vec<Option<GuessScore>> = qdi_exec::run_indexed(&exec, guesses.len(), |i| {
         let guess = guesses[i];
@@ -253,11 +250,11 @@ pub fn parallel_attack_windowed(
     sort_scores(&mut scores);
     let ranking_ms = start.elapsed().as_secs_f64() * 1e3;
     qdi_obs::metrics::counter("dpa.guesses_scored").add(scores.len() as u64);
-    span.record("scored", scores.len());
-    span.record("ranking_ms", ranking_ms);
+    span.set_attr("scored", scores.len());
+    span.set_attr("ranking_ms", ranking_ms);
     if let Some(best) = scores.first() {
-        span.record("best_guess", best.guess);
-        span.record("best_peak", best.peak_abs);
+        span.set_attr("best_guess", best.guess);
+        span.set_attr("best_peak", best.peak_abs);
     }
     AttackResult {
         selection: sel.name(),

@@ -8,9 +8,10 @@
 //! joins, the output is independent of the schedule — see the
 //! determinism contract in the crate docs.
 //!
-//! Observability: each run opens a `qdi_exec::pool` span recording the
-//! worker count, job count, steal count and per-worker job throughput;
-//! the `exec.pool.jobs` / `exec.pool.steals` counters and the
+//! Observability: each run is an `exec.pool.run` hot span and each job
+//! an `exec.pool.job` hot span; worker threads adopt the caller's span
+//! ([`qdi_obs::span::handoff`]), so job roll-ups land under it. The
+//! `exec.pool.jobs` / `exec.pool.steals` counters and the
 //! `exec.pool.workers` / `exec.pool.queue_depth` gauges aggregate
 //! across runs (`queue_depth` tracks outstanding jobs, so its
 //! high-water mark is the largest bag executed).
@@ -127,11 +128,7 @@ where
     F: Fn(usize) -> Result<T, E> + Sync,
 {
     let workers = cfg.effective_workers(jobs);
-    let mut span = qdi_obs::span("qdi_exec::pool", "run")
-        .field("jobs", jobs)
-        .field("workers", workers)
-        .enter();
-    let _prof_run = qdi_obs::prof::region("exec.pool.run");
+    let _span = qdi_obs::span::hot("exec.pool.run");
     let start = std::time::Instant::now();
     qdi_obs::metrics::gauge("exec.pool.workers").set(workers as i64);
     let depth = qdi_obs::metrics::gauge("exec.pool.queue_depth");
@@ -160,9 +157,16 @@ where
         vec![work(&run, 0)]
     } else {
         let run = &run;
+        let parent = qdi_obs::span::handoff();
+        let parent = &parent;
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
-                .map(|wid| s.spawn(move || work(run, wid)))
+                .map(|wid| {
+                    s.spawn(move || {
+                        let _adopted = parent.as_ref().map(qdi_obs::span::Handoff::adopt);
+                        work(run, wid)
+                    })
+                })
                 .collect();
             handles
                 .into_iter()
@@ -206,7 +210,6 @@ where
                 first_panic = Some((index, msg));
             }
         }
-        span.record(&format!("worker{wid}_jobs"), worker.done);
         qdi_obs::metrics::counter(&format!("exec.pool.worker.{wid}.jobs")).add(worker.done as u64);
         // Share of the bag this worker executed, in percent. Computed
         // once after the workers stop (not on the hot path); an even
@@ -226,14 +229,7 @@ where
         );
     }
     merged.sort_by_key(|(i, _)| *i);
-    let result: Result<Vec<T>, E> = merged.into_iter().map(|(_, r)| r).collect();
-
-    let elapsed = start.elapsed().as_secs_f64();
-    span.record("wall_s", elapsed);
-    if elapsed > 0.0 && result.is_ok() {
-        span.record("jobs_per_s", jobs as f64 / elapsed);
-    }
-    result
+    merged.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Microseconds elapsed since `epoch` (the pool-run clock the lane
@@ -324,7 +320,7 @@ where
             lane.queue_wait_us(to - from);
         }
         let outcome = {
-            let _prof_job = qdi_obs::prof::region("exec.pool.job");
+            let _span = qdi_obs::span::hot("exec.pool.job");
             catch_unwind(AssertUnwindSafe(|| (run.job)(index)))
         };
         if let (Some(lane), Some(from)) = (lane.as_mut(), job_start) {
@@ -449,11 +445,11 @@ mod tests {
         // Distinctive job counts so concurrent tests in this binary
         // (the profiler ring is process-global) cannot alias the runs.
         qdi_obs::prof::reset();
-        qdi_obs::prof::set_enabled(true);
+        qdi_obs::prof::install();
         let _ = run_indexed(&ExecConfig::with_workers(2), 23, |i| i * 3);
         let _ = run_indexed(&ExecConfig::serial(), 7, |i| i);
-        qdi_obs::prof::set_enabled(false);
         let report = qdi_obs::prof::report();
+        qdi_obs::prof::uninstall();
 
         let parallel = report
             .pool_runs
@@ -476,14 +472,14 @@ mod tests {
         assert_eq!(serial.lanes[0].jobs, 7);
         assert_eq!(serial.steals, 0);
 
-        // The job closures themselves show up in the region tree — at
-        // worker-thread roots for scoped workers, nested under
-        // `exec.pool.run` for a worker on the calling thread.
+        // The job closures show up in the call tree nested under
+        // `exec.pool.run`, whether a scoped worker or the calling thread
+        // ran them.
         let job_visits: u64 = report
             .regions
             .regions
             .iter()
-            .filter(|r| r.name == "exec.pool.job")
+            .filter(|r| r.path == "exec.pool.run;exec.pool.job")
             .map(|r| r.count)
             .sum();
         assert!(job_visits >= 30, "23 parallel + 7 serial, got {job_visits}");

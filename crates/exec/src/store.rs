@@ -450,7 +450,7 @@ impl StoreWriter {
     ///
     /// As [`StoreWriter::append`], minus the grid check.
     pub fn append_samples(&mut self, input: &[u8], samples: &[f64]) -> Result<u64, StoreError> {
-        let _prof = qdi_obs::prof::region("qtrs.encode");
+        let _span = qdi_obs::span::hot("qtrs.encode");
         if let Some(sample) = samples.iter().position(|s| !s.is_finite()) {
             return Err(StoreError::NonFinite {
                 record: self.records,
@@ -607,7 +607,7 @@ impl StoreReader {
     /// [`StoreError::BadCrc`] when the record's checksum fails,
     /// [`StoreError::Io`] on read failure.
     pub fn next_record(&mut self) -> Result<Option<(Vec<u8>, Trace)>, StoreError> {
-        let _prof = qdi_obs::prof::region("qtrs.decode");
+        let _span = qdi_obs::span::hot("qtrs.decode");
         let record_start = self.offset;
         let mut fixed = [0u8; 8];
         match read_exact_or_eof(&mut self.file, &mut fixed) {

@@ -81,10 +81,9 @@ pub fn run_campaign_parallel(
     exec: qdi_exec::ExecConfig,
 ) -> Result<FaultReport, SimError> {
     let mut span = qdi_obs::span("qdi_fi::campaign", "run_campaign_parallel")
-        .field("faults", faults.len())
-        .field("tokens", cfg.tokens)
-        .field("workers", exec.workers)
-        .enter();
+        .attr("faults", faults.len())
+        .attr("tokens", cfg.tokens)
+        .attr("workers", exec.workers);
     let runs_metric = qdi_obs::metrics::counter("fi.runs");
     let stim = Stimulus::random(netlist, cfg.tokens, cfg.seed)?;
     let golden_run = stim.run(netlist, &cfg.testbench, None)?;
@@ -114,10 +113,10 @@ pub fn run_campaign_parallel(
         .collect();
 
     let report = FaultReport::new(netlist, faults, records);
-    span.record("detected", report.detected() as f64);
-    span.record("silent", report.silent as f64);
+    span.set_attr("detected", report.detected() as f64);
+    span.set_attr("silent", report.silent as f64);
     for outcome in FaultOutcome::all() {
-        span.record(outcome.mnemonic(), report.count(outcome) as f64);
+        span.set_attr(outcome.mnemonic(), report.count(outcome) as f64);
     }
     Ok(report)
 }

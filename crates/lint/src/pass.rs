@@ -140,9 +140,8 @@ impl Registry {
     #[must_use]
     pub fn run(&self, netlist: &Netlist, config: &LintConfig) -> LintReport {
         let mut span = qdi_obs::span_at(qdi_obs::Level::Debug, "qdi_lint", "lint")
-            .field("netlist", netlist.name())
-            .field("passes", self.passes.len())
-            .enter();
+            .attr("netlist", netlist.name())
+            .attr("passes", self.passes.len());
         let ctx = LintContext { netlist, config };
         let mut diagnostics = Vec::new();
         for pass in &self.passes {
@@ -168,8 +167,8 @@ impl Registry {
                 ))
         });
         let report = LintReport::new(netlist.name(), diagnostics);
-        span.record("findings", report.len());
-        span.record("denied", report.deny_count());
+        span.set_attr("findings", report.len());
+        span.set_attr("denied", report.deny_count());
         report
     }
 }

@@ -140,13 +140,16 @@ fn totals(runs: &[&PoolRun]) -> Totals {
         queue_wait_us: 0,
         idle_us: 0,
     };
+    // Saturating sums: a hostile profile must not overflow the totals.
     for run in runs {
-        t.jobs += run.jobs;
-        t.steals += run.steals;
-        t.capacity_us += run.wall_us.saturating_mul(run.workers as u64);
-        t.busy_us += run.busy_us();
-        t.queue_wait_us += run.queue_wait_us();
-        t.idle_us += run.idle_us();
+        t.jobs = t.jobs.saturating_add(run.jobs);
+        t.steals = t.steals.saturating_add(run.steals);
+        t.capacity_us = t
+            .capacity_us
+            .saturating_add(run.wall_us.saturating_mul(run.workers as u64));
+        t.busy_us = t.busy_us.saturating_add(run.busy_us());
+        t.queue_wait_us = t.queue_wait_us.saturating_add(run.queue_wait_us());
+        t.idle_us = t.idle_us.saturating_add(run.idle_us());
     }
     t
 }
@@ -177,7 +180,7 @@ pub fn analyze(report: &ProfReport, top: usize) -> Analysis {
             code: "PROF000",
             message: "the profile holds no pool runs with measurable wall time".to_string(),
             help: "enable profiling around a parallel campaign \
-                   (FlowConfig.profile or qdi_obs::prof::set_enabled)"
+                   (FlowConfig.profile or qdi_obs::prof::install)"
                 .to_string(),
         });
         return Analysis {
@@ -323,8 +326,7 @@ pub fn analyze(report: &ProfReport, top: usize) -> Analysis {
                 all.iter().map(|r| r.jobs).max().unwrap_or(0)
             ),
             help: "the host exposes too few cores for a parallel win; compare speedup \
-                   only across hosts with equal worker counts (qdi-mon bench-diff \
-                   enforces this)"
+                   only across hosts with equal worker counts"
                 .to_string(),
         });
     }

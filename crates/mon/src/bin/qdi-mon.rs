@@ -1,12 +1,10 @@
 //! The `qdi-mon` command line: live dashboards, HTML reports,
-//! Prometheus exposition and the bench perf-regression gate.
+//! Prometheus exposition, profile and trace renderings, SLO gates.
 //!
 //! ```text
 //! qdi-mon watch [--interval-ms N] [--once] PROGRESS.json|http://HOST:PORT[/v1/jobs/ID/events]
 //! qdi-mon report [--out FILE.html] [--top N] [--title T] TELEMETRY.jsonl
 //! qdi-mon export METRICS.json
-//! qdi-mon bench-diff [--baseline FILE] [--threshold FRAC] [--metric NAME]...
-//!                    [--update-baseline] CURRENT.json
 //! qdi-mon analyze [--top N] [--json] PROFILE.qprof.json
 //! qdi-mon flame [--out FILE.svg] [--title T] PROFILE.qprof.json
 //! qdi-mon timeline [--out FILE.svg] [--title T] PROFILE.qprof.json
@@ -15,14 +13,14 @@
 //! ```
 //!
 //! Exit status mirrors `qdi-lint`: `0` success, `1` a data-level
-//! failure (perf regression past the threshold, profile findings, a
-//! breached SLO, a trace id with no spans), `2` usage error or
+//! failure (profile findings, a breached SLO, a trace id with no
+//! spans), `2` usage error or
 //! unreadable input.
 
 use std::path::Path;
 use std::process::ExitCode;
 
-use qdi_mon::{analyze, bench, dashboard, remote, report, waterfall};
+use qdi_mon::{analyze, dashboard, flame, remote, report, waterfall};
 use qdi_obs::metrics::MetricsSnapshot;
 use qdi_obs::prof::ProfReport;
 use qdi_obs::progress::ProgressSnapshot;
@@ -32,8 +30,6 @@ fn usage() -> &'static str {
      \x20              (a .../v1/jobs/ID/events URL tails the job's SSE stream)\n\
      \x20      qdi-mon report [--out FILE.html] [--top N] [--title T] TELEMETRY.jsonl\n\
      \x20      qdi-mon export METRICS.json\n\
-     \x20      qdi-mon bench-diff [--baseline FILE] [--threshold FRAC] [--metric NAME]...\n\
-     \x20              [--update-baseline] CURRENT.json\n\
      \x20      qdi-mon analyze [--top N] [--json] PROFILE.qprof.json\n\
      \x20      qdi-mon flame [--out FILE.svg] [--title T] PROFILE.qprof.json\n\
      \x20      qdi-mon timeline [--out FILE.svg] [--title T] PROFILE.qprof.json\n\
@@ -152,69 +148,6 @@ fn cmd_export(metrics: &str) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn load_json(path: &str) -> Result<serde::Value, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    serde_json::parse_value_str(&text).map_err(|e| format!("{path}: {e:?}"))
-}
-
-fn cmd_bench_diff(
-    baseline: &str,
-    threshold: f64,
-    metrics: &[String],
-    update: bool,
-    current: &str,
-) -> ExitCode {
-    let current_value = match load_json(current) {
-        Ok(v) => v,
-        Err(err) => {
-            eprintln!("bench-diff: {err}");
-            return ExitCode::from(2);
-        }
-    };
-    if update {
-        let text = match std::fs::read_to_string(current) {
-            Ok(text) => text,
-            Err(err) => {
-                eprintln!("bench-diff: {current}: {err}");
-                return ExitCode::from(2);
-            }
-        };
-        if let Some(parent) = Path::new(baseline).parent() {
-            if !parent.as_os_str().is_empty() {
-                let _ = std::fs::create_dir_all(parent);
-            }
-        }
-        if let Err(err) = std::fs::write(baseline, text) {
-            eprintln!("bench-diff: {baseline}: {err}");
-            return ExitCode::from(2);
-        }
-        println!("baseline {baseline} updated from {current}");
-        return ExitCode::SUCCESS;
-    }
-    let baseline_value = match load_json(baseline) {
-        Ok(v) => v,
-        Err(err) => {
-            eprintln!("bench-diff: {err}");
-            return ExitCode::from(2);
-        }
-    };
-    match bench::diff(&baseline_value, &current_value, metrics, threshold) {
-        Ok(diff) => {
-            print!("{}", diff.render());
-            if diff.failed() {
-                eprintln!("bench-diff: performance regressed past the threshold");
-                ExitCode::from(1)
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
-        Err(err) => {
-            eprintln!("bench-diff: {err}");
-            ExitCode::from(2)
-        }
-    }
-}
-
 fn cmd_analyze(top: usize, json: bool, profile: &str) -> ExitCode {
     let report = match ProfReport::load(profile) {
         Ok(report) => report,
@@ -281,7 +214,7 @@ fn cmd_render_svg(
 fn cmd_trace(out: Option<&str>, title: Option<&str>, trace_id: &str, files: &[String]) -> ExitCode {
     let mut spans = Vec::new();
     for file in files {
-        match qdi_obs::trace::read_spans(Path::new(file)) {
+        match qdi_obs::span::read_spans(Path::new(file)) {
             Ok(mut read) => spans.append(&mut read),
             Err(err) => {
                 eprintln!("trace: {err}");
@@ -301,7 +234,10 @@ fn cmd_trace(out: Option<&str>, title: Option<&str>, trace_id: &str, files: &[St
     };
     let out_path = match out {
         Some(path) => path.to_owned(),
-        None => format!("trace-{}.svg", &trace_id[..trace_id.len().min(12)]),
+        None => format!(
+            "trace-{}.svg",
+            trace_id.chars().take(12).collect::<String>()
+        ),
     };
     if let Err(err) = std::fs::write(&out_path, svg) {
         eprintln!("trace: {out_path}: {err}");
@@ -428,52 +364,6 @@ fn main() -> ExitCode {
             }
             cmd_export(&rest[0])
         }
-        "bench-diff" => {
-            let mut baseline = "benches/baseline.json".to_string();
-            let mut threshold = bench::DEFAULT_THRESHOLD;
-            let mut metrics: Vec<String> = Vec::new();
-            let mut update = false;
-            let mut files = Vec::new();
-            let mut it = rest.iter();
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--baseline" => match it.next() {
-                        Some(path) => baseline = path.clone(),
-                        None => {
-                            eprintln!("bench-diff: --baseline needs a path\n{}", usage());
-                            return ExitCode::from(2);
-                        }
-                    },
-                    "--threshold" => {
-                        let Some(t) = it.next().and_then(|v| v.parse().ok()) else {
-                            eprintln!("bench-diff: --threshold needs a fraction\n{}", usage());
-                            return ExitCode::from(2);
-                        };
-                        threshold = t;
-                    }
-                    "--metric" => match it.next() {
-                        Some(name) => metrics.push(name.clone()),
-                        None => {
-                            eprintln!("bench-diff: --metric needs a name\n{}", usage());
-                            return ExitCode::from(2);
-                        }
-                    },
-                    "--update-baseline" => update = true,
-                    _ => files.push(arg.clone()),
-                }
-            }
-            if files.len() != 1 {
-                eprintln!("bench-diff: exactly one CURRENT.json\n{}", usage());
-                return ExitCode::from(2);
-            }
-            if metrics.is_empty() {
-                metrics = bench::DEFAULT_METRICS
-                    .iter()
-                    .map(|s| s.to_string())
-                    .collect();
-            }
-            cmd_bench_diff(&baseline, threshold, &metrics, update, &files[0])
-        }
         "analyze" => {
             let mut top = 10usize;
             let mut json = false;
@@ -533,7 +423,7 @@ fn main() -> ExitCode {
                     title.as_deref().unwrap_or("region flamegraph"),
                     "flame",
                     &files[0],
-                    |report, title| qdi_obs::flamegraph_svg(&report.regions, title),
+                    |report, title| flame::flamegraph_svg(&report.regions, title),
                 )
             } else {
                 cmd_render_svg(
@@ -542,7 +432,7 @@ fn main() -> ExitCode {
                     title.as_deref().unwrap_or("pool timeline"),
                     "timeline",
                     &files[0],
-                    |report, title| qdi_obs::timeline_svg(&report.pool_runs, title),
+                    |report, title| flame::timeline_svg(&report.pool_runs, title),
                 )
             }
         }

@@ -1,11 +1,12 @@
-//! Self-contained SVG renderers for `.qprof` profiles: a folded-stack
-//! flamegraph of the region call tree and a per-worker timeline of the
-//! pool runs. Like the HTML report, the output embeds no scripts,
-//! fonts or external assets — one file that renders anywhere, which is
-//! what CI archives.
+//! Self-contained SVG renderers for `.qprof` profiles (`qdi-mon flame`
+//! and `qdi-mon timeline`): a folded-stack flamegraph of the hot-span
+//! call tree and a per-worker timeline of the pool runs. Like the trace
+//! waterfall, the output embeds no scripts, fonts or external assets —
+//! one file that renders anywhere, which is what CI archives.
 
-use crate::html::escape;
-use crate::prof::{PoolRun, RegionProfile, RegionStat, PATH_SEP};
+use qdi_obs::prof::{PoolRun, RegionProfile, RegionStat, PATH_SEP};
+
+use crate::waterfall::xml_escape as escape;
 
 const FRAME_H: f64 = 18.0;
 const CHAR_W: f64 = 6.6;
@@ -88,9 +89,10 @@ pub fn flamegraph_svg(profile: &RegionProfile, title: &str) -> String {
         }
     }
     // The regions vector is path-sorted, so sibling order is stable.
-    let total: u64 = roots.iter().map(|r| r.total_ns).sum();
+    // Saturating sums: a hostile profile must not overflow the layout.
+    let total = roots.iter().fold(0u64, |t, r| t.saturating_add(r.total_ns));
     let max_depth = profile.regions.iter().map(|r| r.depth).max().unwrap_or(0);
-    let height = HEADER_H + (max_depth + 1) as f64 * FRAME_H + PAD;
+    let height = HEADER_H + max_depth.saturating_add(1) as f64 * FRAME_H + PAD;
     let mut out = svg_open(
         WIDTH,
         height,
@@ -114,7 +116,7 @@ pub fn flamegraph_svg(profile: &RegionProfile, title: &str) -> String {
     let mut cursor = 0u64; // root-row cursor in ns
     for root in roots {
         stack.push((root, cursor));
-        cursor += root.total_ns;
+        cursor = cursor.saturating_add(root.total_ns);
     }
     stack.reverse();
     let mut frames: Vec<(f64, f64, f64, &RegionStat)> = Vec::new(); // x, y, w, region
@@ -128,7 +130,7 @@ pub fn flamegraph_svg(profile: &RegionProfile, title: &str) -> String {
             let mut ordered: Vec<(&RegionStat, u64)> = Vec::new();
             for kid in kids.iter() {
                 ordered.push((kid, child_off));
-                child_off += kid.total_ns;
+                child_off = child_off.saturating_add(kid.total_ns);
             }
             for item in ordered.into_iter().rev() {
                 stack.push(item);
@@ -258,7 +260,7 @@ pub fn timeline_svg(runs: &[PoolRun], title: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prof::{Segment, WorkerLane};
+    use qdi_obs::prof::{Segment, WorkerLane};
 
     fn stat(path: &str, total: u64, self_ns: u64, count: u64) -> RegionStat {
         RegionStat {

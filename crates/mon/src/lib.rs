@@ -10,32 +10,30 @@
 //! * [`report`] — turns a recorded telemetry JSONL (and its optional
 //!   `*.timeseries.json` / `*.metrics.json` sidecars) into the
 //!   self-contained HTML report of [`qdi_obs::html`].
-//! * [`bench`] — compares a freshly emitted `BENCH_*.json` against a
-//!   committed baseline with relative thresholds: the repo's CI
-//!   perf-regression gate.
 //! * [`analyze`] — reads a `.qprof` profile ([`qdi_obs::prof`]) and
 //!   emits a verdict table (parallel efficiency, idle fraction, steal
 //!   rate, per-job overhead vs mean job duration) with rustc-style
-//!   findings naming the dominant loss; `qdi-mon flame` / `qdi-mon
-//!   timeline` render the same profile as self-contained SVGs.
+//!   findings naming the dominant loss; [`flame`] renders the same
+//!   profile as self-contained SVGs (`qdi-mon flame` / `qdi-mon
+//!   timeline`).
 //! * [`remote`] — progress sources on a running `qdi-serve` instance:
 //!   `qdi-mon watch http://host:port` polls `/v1/progress`, and a
 //!   `.../v1/jobs/{id}/events` URL tails the job's SSE stream.
 //! * [`waterfall`] — renders one distributed trace (span JSONL from
-//!   [`qdi_obs::trace`], possibly spanning client + several server
+//!   [`qdi_obs::span`], possibly spanning client + several server
 //!   processes) as a self-contained waterfall SVG; `qdi-mon slo`
 //!   evaluates an [`qdi_obs::slo::SloConfig`] against a scraped
 //!   `/metrics` exposition.
 //!
 //! The binary follows the `qdi-lint` exit-code discipline: `0` success,
-//! `1` a data-level failure (perf regression, lost determinism), `2`
+//! `1` a data-level failure (profile findings, a breached SLO), `2`
 //! usage error or unreadable input.
 
 #![forbid(unsafe_code)]
 
 pub mod analyze;
-pub mod bench;
 pub mod dashboard;
+pub mod flame;
 pub mod remote;
 pub mod report;
 pub mod waterfall;

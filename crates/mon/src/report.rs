@@ -16,7 +16,7 @@
 
 use std::path::{Path, PathBuf};
 
-use qdi_obs::html::{self, ReportInputs, SpanRow};
+use qdi_obs::html::{self, ReportInputs};
 use qdi_obs::metrics::MetricsSnapshot;
 use qdi_obs::record::Record;
 use qdi_obs::timeseries::TimeseriesSnapshot;
@@ -83,14 +83,14 @@ fn load_metrics(path: &Path) -> Option<MetricsSnapshot> {
 /// Returns a description when the telemetry file is unreadable.
 pub fn build(telemetry: &Path, top: usize, title: &str) -> Result<String, String> {
     let loaded = load_records(telemetry)?;
-    let spans: Vec<SpanRow> = html::slowest_spans(&loaded.records, top);
+    let slowest = html::slowest_spans(&loaded.records, top);
     let timeseries = load_timeseries(&sidecar(telemetry, "timeseries.json"));
     let metrics = load_metrics(&sidecar(telemetry, "metrics.json"));
 
-    let span_closes = loaded
+    let spans = loaded
         .records
         .iter()
-        .filter(|r| matches!(r, Record::SpanClose { .. }))
+        .filter(|r| matches!(r, Record::Span(_)))
         .count();
     let events = loaded
         .records
@@ -100,7 +100,7 @@ pub fn build(telemetry: &Path, top: usize, title: &str) -> Result<String, String
     let mut summary = vec![
         ("telemetry".to_string(), telemetry.display().to_string()),
         ("records".to_string(), loaded.records.len().to_string()),
-        ("span closes".to_string(), span_closes.to_string()),
+        ("spans".to_string(), spans.to_string()),
         ("events".to_string(), events.to_string()),
     ];
     if loaded.skipped > 0 {
@@ -130,7 +130,7 @@ pub fn build(telemetry: &Path, top: usize, title: &str) -> Result<String, String
         summary: &summary,
         timeseries: timeseries.as_ref(),
         metrics: metrics.as_ref(),
-        spans: &spans,
+        spans: &slowest,
     }))
 }
 
@@ -160,16 +160,20 @@ mod tests {
     fn report_builds_from_jsonl_with_bad_lines_skipped() {
         let jsonl = temp("qdi_mon_report_test.telemetry.jsonl");
         let mut f = std::fs::File::create(&jsonl).unwrap();
-        let record = Record::SpanClose {
-            id: 1,
-            depth: 0,
-            target: "t".into(),
+        let record = Record::Span(qdi_obs::SpanRecord {
+            trace_id: "4bf92f3577b34da6a3ce929d0e0e4736".into(),
+            span_id: "00f067aa0ba902b7".into(),
+            parent_id: None,
+            links: vec![],
+            service: "t".into(),
             name: "campaign".into(),
-            fields: vec![],
-            ts_us: 0,
+            start_unix_us: 0,
             dur_us: 1234,
-            thread: 0,
-        };
+            attrs: vec![],
+            events: vec![],
+            thread: Some(0),
+            rollup: None,
+        });
         writeln!(f, "{}", qdi_obs::json::record_to_json(&record)).unwrap();
         writeln!(f, "this line is torn garba").unwrap();
         drop(f);

@@ -1,6 +1,6 @@
 //! Distributed-trace waterfall: one self-contained SVG per trace id.
 //!
-//! Input is the span JSONL written by [`qdi_obs::trace`] — possibly
+//! Input is the span JSONL written by [`qdi_obs::span`] — possibly
 //! the concatenation of several files (client + server), since every
 //! process in a trace appends to its own writer. Spans are laid out on
 //! one wall-clock axis (their `start_unix_us` is UNIX-epoch, so
@@ -15,7 +15,7 @@
 
 use std::collections::BTreeMap;
 
-use qdi_obs::trace::{SpanRecord, LINK_RESUME};
+use qdi_obs::span::{SpanRecord, LINK_RESUME};
 
 const ROW_H: u64 = 22;
 const ROW_GAP: u64 = 4;
@@ -34,7 +34,8 @@ const PALETTE: [(&str, &str); 5] = [
     ("#e58f8f", "#9c4a4a"), // red
 ];
 
-fn xml_escape(raw: &str) -> String {
+/// Escapes `&<>"` for SVG text and attributes.
+pub(crate) fn xml_escape(raw: &str) -> String {
     raw.chars()
         .map(|c| match c {
             '&' => "&amp;".to_string(),
@@ -111,7 +112,7 @@ pub fn render(spans: &[SpanRecord], trace_id: &str, title: &str) -> Result<Strin
     let t0 = ours.iter().map(|s| s.start_unix_us).min().unwrap_or(0);
     let t1 = ours
         .iter()
-        .map(|s| s.start_unix_us + s.dur_us)
+        .map(|s| s.start_unix_us.saturating_add(s.dur_us))
         .max()
         .unwrap_or(t0);
     let total_us = (t1 - t0).max(1);
@@ -161,7 +162,8 @@ pub fn render(spans: &[SpanRecord], trace_id: &str, title: &str) -> Result<Strin
         // label indent so causality stays readable without bending
         // the time axis.
         let x0 = x_of(span.start_unix_us);
-        let x1 = (x_of(span.start_unix_us + span.dur_us)).max(x0 + 2.0);
+        let end_us = span.start_unix_us.saturating_add(span.dur_us);
+        let x1 = x_of(end_us).max(x0 + 2.0);
         geometry.insert(span.span_id.as_str(), (x0, x1, y_mid));
         let (fill, border) = service_color(&span.service, &services);
         svg.push_str(&format!(
@@ -179,11 +181,7 @@ pub fn render(spans: &[SpanRecord], trace_id: &str, title: &str) -> Result<Strin
         ));
         // Event ticks inside the bar.
         for event in &span.events {
-            let ex = x_of(
-                event
-                    .ts_us
-                    .clamp(span.start_unix_us, span.start_unix_us + span.dur_us),
-            );
+            let ex = x_of(event.ts_us.clamp(span.start_unix_us, end_us));
             svg.push_str(&format!(
                 "<line x1=\"{ex:.1}\" y1=\"{}\" x2=\"{ex:.1}\" y2=\"{}\" stroke=\"{border}\" \
                  stroke-width=\"2\"><title>{}</title></line>\n",
@@ -241,7 +239,7 @@ pub fn render(spans: &[SpanRecord], trace_id: &str, title: &str) -> Result<Strin
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qdi_obs::trace::{SpanEvent, SpanLink};
+    use qdi_obs::span::{SpanEvent, SpanLink};
 
     fn span(
         trace: &str,
@@ -263,6 +261,8 @@ mod tests {
             dur_us: dur,
             attrs: Vec::new(),
             events: Vec::new(),
+            thread: None,
+            rollup: None,
         }
     }
 

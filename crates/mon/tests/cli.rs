@@ -6,6 +6,9 @@ use std::process::{Command, Output};
 
 use qdi_obs::metrics::{MetricSample, MetricsSnapshot};
 use qdi_obs::progress::{ProgressSnapshot, TaskSnapshot};
+use qdi_obs::span::{SpanEvent, SpanLink, SpanRecord, LINK_RESUME};
+
+const TRACE_ID: &str = "4bf92f3577b34da6a3ce929d0e0e4736";
 
 fn qdi_mon(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_qdi-mon"))
@@ -21,6 +24,38 @@ fn code(output: &Output) -> i32 {
 
 fn temp(name: &str) -> PathBuf {
     std::env::temp_dir().join(name)
+}
+
+fn span_record(
+    span_id: &str,
+    parent_id: Option<&str>,
+    service: &str,
+    name: &str,
+    start_unix_us: u64,
+    dur_us: u64,
+) -> SpanRecord {
+    SpanRecord {
+        trace_id: TRACE_ID.into(),
+        span_id: span_id.into(),
+        parent_id: parent_id.map(str::to_owned),
+        links: Vec::new(),
+        service: service.into(),
+        name: name.into(),
+        start_unix_us,
+        dur_us,
+        attrs: Vec::new(),
+        events: Vec::new(),
+        thread: Some(0),
+        rollup: None,
+    }
+}
+
+fn write_spans(path: &PathBuf, records: &[SpanRecord]) {
+    let jsonl: String = records
+        .iter()
+        .map(|r| serde_json::to_string(r).unwrap() + "\n")
+        .collect();
+    std::fs::write(path, jsonl).unwrap();
 }
 
 fn write_progress(path: &PathBuf, completed: u64, done: bool) {
@@ -91,16 +126,14 @@ fn watch_missing_file_is_load_error() {
 fn report_builds_html_from_jsonl() {
     let dir = std::env::temp_dir();
     let jsonl = dir.join("qdi_mon_cli_run.telemetry.jsonl");
-    let record = qdi_obs::Record::SpanClose {
-        id: 1,
-        depth: 0,
-        target: "qdi_core::flow".into(),
-        name: "campaign".into(),
-        fields: vec![],
-        ts_us: 0,
-        dur_us: 2_000,
-        thread: 0,
-    };
+    let record = qdi_obs::Record::Span(span_record(
+        "00000000000000a1",
+        None,
+        "qdi_core::flow",
+        "campaign",
+        0,
+        2_000,
+    ));
     std::fs::write(&jsonl, qdi_obs::json::record_to_json(&record) + "\n").unwrap();
     let out_html = dir.join("qdi_mon_cli_run.report.html");
     let out = qdi_mon(&[
@@ -159,106 +192,6 @@ fn export_rejects_non_snapshot_json() {
     std::fs::write(&path, "[1,2,3]").unwrap();
     assert_eq!(code(&qdi_mon(&["export", path.to_str().unwrap()])), 2);
     let _ = std::fs::remove_file(&path);
-}
-
-fn bench_json(serial: f64, parallel: f64, bias: bool) -> String {
-    format!(
-        "{{\"bench\":\"parallel_campaign\",\"serial_traces_per_s\":{serial},\
-         \"parallel_traces_per_s\":{parallel},\"bias_bit_identical\":{bias}}}"
-    )
-}
-
-#[test]
-fn bench_diff_passes_within_threshold_and_fails_past_it() {
-    let base = temp("qdi_mon_cli_baseline.json");
-    let cur = temp("qdi_mon_cli_current.json");
-    std::fs::write(&base, bench_json(100.0, 800.0, true)).unwrap();
-
-    std::fs::write(&cur, bench_json(70.0, 600.0, true)).unwrap();
-    let ok = qdi_mon(&[
-        "bench-diff",
-        "--baseline",
-        base.to_str().unwrap(),
-        cur.to_str().unwrap(),
-    ]);
-    assert_eq!(code(&ok), 0, "{}", String::from_utf8_lossy(&ok.stderr));
-    assert!(String::from_utf8_lossy(&ok.stdout).contains("ok"));
-
-    std::fs::write(&cur, bench_json(10.0, 600.0, true)).unwrap();
-    let bad = qdi_mon(&[
-        "bench-diff",
-        "--baseline",
-        base.to_str().unwrap(),
-        cur.to_str().unwrap(),
-    ]);
-    assert_eq!(code(&bad), 1, "regression past threshold exits 1");
-    assert!(String::from_utf8_lossy(&bad.stdout).contains("REGRESSED"));
-
-    // Tighter threshold flips the verdict for a mild drop.
-    std::fs::write(&cur, bench_json(70.0, 600.0, true)).unwrap();
-    let tight = qdi_mon(&[
-        "bench-diff",
-        "--baseline",
-        base.to_str().unwrap(),
-        "--threshold",
-        "0.1",
-        cur.to_str().unwrap(),
-    ]);
-    assert_eq!(code(&tight), 1);
-
-    let _ = std::fs::remove_file(&base);
-    let _ = std::fs::remove_file(&cur);
-}
-
-#[test]
-fn bench_diff_fails_on_lost_bit_identity() {
-    let base = temp("qdi_mon_cli_baseline_bias.json");
-    let cur = temp("qdi_mon_cli_current_bias.json");
-    std::fs::write(&base, bench_json(100.0, 800.0, true)).unwrap();
-    std::fs::write(&cur, bench_json(100.0, 800.0, false)).unwrap();
-    let out = qdi_mon(&[
-        "bench-diff",
-        "--baseline",
-        base.to_str().unwrap(),
-        cur.to_str().unwrap(),
-    ]);
-    assert_eq!(code(&out), 1);
-    let _ = std::fs::remove_file(&base);
-    let _ = std::fs::remove_file(&cur);
-}
-
-#[test]
-fn bench_diff_update_baseline_rewrites_the_file() {
-    let base = temp("qdi_mon_cli_baseline_update.json");
-    let cur = temp("qdi_mon_cli_current_update.json");
-    let fresh = bench_json(250.0, 2000.0, true);
-    std::fs::write(&cur, &fresh).unwrap();
-    let _ = std::fs::remove_file(&base);
-    let out = qdi_mon(&[
-        "bench-diff",
-        "--baseline",
-        base.to_str().unwrap(),
-        "--update-baseline",
-        cur.to_str().unwrap(),
-    ]);
-    assert_eq!(code(&out), 0, "{}", String::from_utf8_lossy(&out.stderr));
-    assert_eq!(std::fs::read_to_string(&base).unwrap(), fresh);
-    let _ = std::fs::remove_file(&base);
-    let _ = std::fs::remove_file(&cur);
-}
-
-#[test]
-fn bench_diff_missing_baseline_is_load_error() {
-    let cur = temp("qdi_mon_cli_current_nobase.json");
-    std::fs::write(&cur, bench_json(100.0, 800.0, true)).unwrap();
-    let out = qdi_mon(&[
-        "bench-diff",
-        "--baseline",
-        "/nonexistent/baseline.json",
-        cur.to_str().unwrap(),
-    ]);
-    assert_eq!(code(&out), 2);
-    let _ = std::fs::remove_file(&cur);
 }
 
 // ---------------------------------------------------------------------------
@@ -351,7 +284,7 @@ fn analyze_rejects_garbage_with_usage_exit() {
 #[test]
 fn analyze_and_renderers_work_on_a_recorded_profile() {
     qdi_obs::prof::reset();
-    qdi_obs::prof::set_enabled(true);
+    qdi_obs::prof::install();
     let _ = qdi_exec::run_indexed(&qdi_exec::ExecConfig::with_workers(2), 64, |i| {
         // A busy-loop so lanes carry measurable time.
         let mut acc = i as u64;
@@ -360,8 +293,8 @@ fn analyze_and_renderers_work_on_a_recorded_profile() {
         }
         acc
     });
-    qdi_obs::prof::set_enabled(false);
     let report = qdi_obs::prof::report();
+    qdi_obs::prof::uninstall();
     assert!(!report.pool_runs.is_empty(), "pool run recorded");
     let path = temp("qdi_mon_cli_recorded.qprof.json");
     report.save(&path).unwrap();
@@ -419,42 +352,34 @@ fn flame_derives_output_path_from_profile_name() {
 #[test]
 fn trace_renders_a_waterfall_and_honors_exit_codes() {
     let spans = temp("qdi_mon_cli_spans.jsonl");
-    let trace_id = "4bf92f3577b34da6a3ce929d0e0e4736";
-    let records = [
-        qdi_obs::trace::SpanRecord {
-            trace_id: trace_id.into(),
-            span_id: "00000000000000a1".into(),
-            parent_id: None,
-            links: Vec::new(),
-            service: "qdi-client".into(),
-            name: "submit".into(),
-            start_unix_us: 1_000,
-            dur_us: 9_000,
-            attrs: Vec::new(),
-            events: Vec::new(),
-        },
-        qdi_obs::trace::SpanRecord {
-            trace_id: trace_id.into(),
-            span_id: "00000000000000b2".into(),
-            parent_id: Some("00000000000000a1".into()),
-            links: vec![qdi_obs::trace::SpanLink {
-                trace_id: trace_id.into(),
-                span_id: "00000000000000ff".into(),
-                kind: qdi_obs::trace::LINK_RESUME.into(),
-            }],
-            service: "qdi-serve".into(),
-            name: "lease".into(),
-            start_unix_us: 3_000,
-            dur_us: 4_000,
-            attrs: Vec::new(),
-            events: Vec::new(),
-        },
-    ];
-    let jsonl: String = records
-        .iter()
-        .map(|r| serde_json::to_string(r).unwrap() + "\n")
-        .collect();
-    std::fs::write(&spans, jsonl).unwrap();
+    let trace_id = TRACE_ID;
+    let mut lease = span_record(
+        "00000000000000b2",
+        Some("00000000000000a1"),
+        "qdi-serve",
+        "lease",
+        3_000,
+        4_000,
+    );
+    lease.links.push(SpanLink {
+        trace_id: trace_id.into(),
+        span_id: "00000000000000ff".into(),
+        kind: LINK_RESUME.into(),
+    });
+    write_spans(
+        &spans,
+        &[
+            span_record(
+                "00000000000000a1",
+                None,
+                "qdi-client",
+                "submit",
+                1_000,
+                9_000,
+            ),
+            lease,
+        ],
+    );
 
     let svg_path = temp("qdi_mon_cli_trace.svg");
     let out = qdi_mon(&[
@@ -485,6 +410,41 @@ fn trace_renders_a_waterfall_and_honors_exit_codes() {
     // ...and no operands is usage (2).
     assert_eq!(code(&qdi_mon(&["trace", trace_id])), 2);
 
+    let _ = std::fs::remove_file(&spans);
+    let _ = std::fs::remove_file(&svg_path);
+}
+
+/// A hostile span file: a duration that overflows the end time and an
+/// event inside that span. The waterfall saturates instead of panicking.
+#[test]
+fn trace_survives_a_span_whose_end_overflows() {
+    let spans = temp("qdi_mon_cli_overflow_spans.jsonl");
+    let mut hostile = span_record(
+        "00000000000000a1",
+        None,
+        "qdi-serve",
+        "lease",
+        5_000,
+        u64::MAX,
+    );
+    hostile.events.push(SpanEvent {
+        ts_us: 6_000,
+        name: "chunk".into(),
+        attrs: Vec::new(),
+    });
+    write_spans(&spans, &[hostile]);
+    let svg_path = temp("qdi_mon_cli_overflow.svg");
+    let out = qdi_mon(&[
+        "trace",
+        "--out",
+        svg_path.to_str().unwrap(),
+        TRACE_ID,
+        spans.to_str().unwrap(),
+    ]);
+    assert_eq!(code(&out), 0, "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(std::fs::read_to_string(&svg_path)
+        .unwrap()
+        .starts_with("<svg"));
     let _ = std::fs::remove_file(&spans);
     let _ = std::fs::remove_file(&svg_path);
 }

@@ -156,16 +156,15 @@ pub fn check_channel(netlist: &Netlist, channel: &Channel) -> SymmetryReport {
 /// channel-id order.
 pub fn check_all(netlist: &Netlist) -> Vec<SymmetryReport> {
     let mut span = qdi_obs::span_at(qdi_obs::Level::Debug, "qdi_netlist::symmetry", "check_all")
-        .field("channels", netlist.channel_count())
-        .enter();
+        .attr("channels", netlist.channel_count());
     let reports: Vec<SymmetryReport> = netlist
         .channels()
         .filter(|c| c.rails.len() >= 2)
         .map(|c| check_channel(netlist, c))
         .collect();
     let unbalanced = reports.iter().filter(|r| !r.balanced).count();
-    span.record("checked", reports.len());
-    span.record("unbalanced", unbalanced);
+    span.set_attr("checked", reports.len());
+    span.set_attr("unbalanced", unbalanced);
     if unbalanced > 0 {
         let worst = reports
             .iter()

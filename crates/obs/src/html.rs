@@ -5,6 +5,7 @@
 
 use crate::metrics::MetricsSnapshot;
 use crate::record::Record;
+use crate::span::SpanRecord;
 use crate::timeseries::{Point, TimeseriesSnapshot};
 
 /// Escapes `&<>"` for safe interpolation into HTML text and attributes.
@@ -23,41 +24,21 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// One row of the slowest-spans table.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpanRow {
-    /// Span target (module path).
-    pub target: String,
-    /// Span name.
-    pub name: String,
-    /// Open timestamp, µs on the process clock.
-    pub ts_us: u64,
-    /// Wall time, µs.
-    pub dur_us: u64,
-}
-
 /// The `top` longest spans among the records, longest first.
 #[must_use]
-pub fn slowest_spans(records: &[Record], top: usize) -> Vec<SpanRow> {
-    let mut rows: Vec<SpanRow> = records
+pub fn slowest_spans(records: &[Record], top: usize) -> Vec<SpanRecord> {
+    let mut rows: Vec<SpanRecord> = records
         .iter()
         .filter_map(|r| match r {
-            Record::SpanClose {
-                target,
-                name,
-                ts_us,
-                dur_us,
-                ..
-            } => Some(SpanRow {
-                target: target.clone(),
-                name: name.clone(),
-                ts_us: *ts_us,
-                dur_us: *dur_us,
-            }),
-            _ => None,
+            Record::Span(span) => Some(span.clone()),
+            Record::Event { .. } => None,
         })
         .collect();
-    rows.sort_by(|a, b| b.dur_us.cmp(&a.dur_us).then(a.ts_us.cmp(&b.ts_us)));
+    rows.sort_by(|a, b| {
+        b.dur_us
+            .cmp(&a.dur_us)
+            .then(a.start_unix_us.cmp(&b.start_unix_us))
+    });
     rows.truncate(top);
     rows
 }
@@ -75,7 +56,7 @@ pub struct ReportInputs<'a> {
     /// Final metric readings.
     pub metrics: Option<&'a MetricsSnapshot>,
     /// Slowest spans (already ranked, e.g. via [`slowest_spans`]).
-    pub spans: &'a [SpanRow],
+    pub spans: &'a [SpanRecord],
 }
 
 const SPARK_W: f64 = 260.0;
@@ -192,13 +173,19 @@ pub fn render(inputs: &ReportInputs<'_>) -> String {
             "<h2>Slowest spans</h2>\n<table>\n\
              <tr><th>#</th><th>target</th><th>span</th><th>start</th><th>duration</th></tr>\n",
         );
+        let t0 = inputs
+            .spans
+            .iter()
+            .map(|r| r.start_unix_us)
+            .min()
+            .unwrap_or(0);
         for (i, row) in inputs.spans.iter().enumerate() {
             body.push_str(&format!(
                 "<tr><td>{}</td><td class=\"name\">{}</td><td>{}</td><td>{}</td><td>{}</td></tr>\n",
                 i + 1,
-                escape(&row.target),
+                escape(&row.service),
                 escape(&row.name),
-                fmt_dur_us(row.ts_us),
+                fmt_dur_us(row.start_unix_us - t0),
                 fmt_dur_us(row.dur_us),
             ));
         }
@@ -250,16 +237,7 @@ mod tests {
     #[test]
     fn slowest_spans_rank_and_truncate() {
         let records = vec![
-            Record::SpanClose {
-                id: 1,
-                depth: 0,
-                target: "t".into(),
-                name: "fast".into(),
-                fields: vec![],
-                ts_us: 0,
-                dur_us: 10,
-                thread: 0,
-            },
+            span_close("fast", 0, 10),
             Record::Event {
                 level: crate::Level::Info,
                 target: "t".into(),
@@ -270,33 +248,32 @@ mod tests {
                 ts_us: 1,
                 thread: 0,
             },
-            Record::SpanClose {
-                id: 2,
-                depth: 0,
-                target: "t".into(),
-                name: "slow".into(),
-                fields: vec![],
-                ts_us: 5,
-                dur_us: 900,
-                thread: 0,
-            },
+            span_close("slow", 5, 900),
         ];
         let rows = slowest_spans(&records, 1);
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].name, "slow");
     }
 
-    fn span_close(name: &str, ts_us: u64, dur_us: u64) -> Record {
-        Record::SpanClose {
-            id: ts_us,
-            depth: 0,
-            target: "t".into(),
+    fn span(name: &str, ts_us: u64, dur_us: u64) -> SpanRecord {
+        SpanRecord {
+            trace_id: "4bf92f3577b34da6a3ce929d0e0e4736".into(),
+            span_id: format!("{:016x}", ts_us + 1),
+            parent_id: None,
+            links: vec![],
+            service: "t".into(),
             name: name.into(),
-            fields: vec![],
-            ts_us,
+            start_unix_us: ts_us,
             dur_us,
-            thread: 0,
+            attrs: vec![],
+            events: vec![],
+            thread: Some(0),
+            rollup: None,
         }
+    }
+
+    fn span_close(name: &str, ts_us: u64, dur_us: u64) -> Record {
+        Record::Span(span(name, ts_us, dur_us))
     }
 
     #[test]
@@ -373,12 +350,7 @@ mod tests {
             histograms: Vec::new(),
         };
         let summary = vec![("traces".to_string(), "5".to_string())];
-        let spans = vec![SpanRow {
-            target: "qdi_core::flow".into(),
-            name: "campaign & attack".into(),
-            ts_us: 0,
-            dur_us: 1_500_000,
-        }];
+        let spans = vec![span("campaign & attack", 0, 1_500_000)];
         let html = render(&ReportInputs {
             title: "run <1>",
             summary: &summary,

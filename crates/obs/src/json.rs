@@ -1,22 +1,15 @@
-//! Minimal JSON rendering for sinks.
-//!
-//! The crate intentionally depends only on `serde` (for the data
-//! model), so the few JSON strings the sinks emit are written here by
-//! hand rather than pulling in a full JSON crate.
-
-use std::fmt::Write as _;
+//! JSON rendering for sinks: records as JSON Lines and Chrome
+//! trace-event entries, all through the workspace `serde_json`.
 
 use serde::{Serialize, Value};
 
 use crate::level::Level;
-use crate::record::{Fields, Record};
+use crate::record::{FieldValue, Fields, Record};
 
 /// Serializes any `Serialize` type to compact JSON text.
 #[must_use]
 pub fn to_json<T: Serialize>(value: &T) -> String {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value());
-    out
+    serde_json::to_string(value).unwrap_or_default()
 }
 
 /// Serializes one [`Record`] to a single JSON line (no trailing newline).
@@ -25,92 +18,23 @@ pub fn record_to_json(record: &Record) -> String {
     to_json(record)
 }
 
-fn write_value(out: &mut String, value: &Value) {
-    match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => {
-            let _ = write!(out, "{i}");
-        }
-        Value::UInt(u) => {
-            let _ = write!(out, "{u}");
-        }
-        Value::Float(f) => {
-            if f.is_finite() {
-                if f.fract() == 0.0 && f.abs() < 1e15 {
-                    let _ = write!(out, "{f:.1}");
-                } else {
-                    let _ = write!(out, "{f}");
-                }
-            } else {
-                out.push_str("null");
-            }
-        }
-        Value::Str(s) => write_str(out, s),
-        Value::Seq(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_value(out, item);
-            }
-            out.push(']');
-        }
-        Value::Map(entries) => {
-            out.push('{');
-            for (i, (key, item)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_str(out, key);
-                out.push(':');
-                write_value(out, item);
-            }
-            out.push('}');
-        }
-    }
-}
-
-fn write_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn write_args(out: &mut String, fields: &Fields) {
-    use crate::record::FieldValue;
-    out.push('{');
-    for (i, (key, value)) in fields.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_str(out, key);
-        out.push(':');
-        // Bare scalars, not the externally-tagged enum encoding: trace
-        // viewers show `args` verbatim.
-        let scalar = match value {
-            FieldValue::Int(v) => Value::Int(*v),
-            FieldValue::UInt(v) => Value::UInt(*v),
-            FieldValue::Float(v) => Value::Float(*v),
-            FieldValue::Bool(v) => Value::Bool(*v),
-            FieldValue::Str(v) => Value::Str(v.clone()),
-        };
-        write_value(out, &scalar);
-    }
-    out.push('}');
+/// The fields every Chrome trace-event entry carries.
+fn entry(
+    name: String,
+    cat: &str,
+    phase: &str,
+    ts_us: u64,
+    pid: u32,
+    tid: u64,
+) -> Vec<(String, Value)> {
+    vec![
+        ("name".into(), Value::Str(name)),
+        ("cat".into(), Value::Str(cat.into())),
+        ("ph".into(), Value::Str(phase.into())),
+        ("ts".into(), Value::UInt(ts_us)),
+        ("pid".into(), Value::UInt(pid.into())),
+        ("tid".into(), Value::UInt(tid)),
+    ]
 }
 
 /// One Chrome trace-event "X" (complete) entry for a closed span.
@@ -120,22 +44,17 @@ pub fn chrome_complete(
     tid: u64,
     target: &str,
     name: &str,
-    fields: &Fields,
+    attrs: &[(String, String)],
     ts_us: u64,
     dur_us: u64,
 ) -> String {
-    let mut out = String::new();
-    out.push_str("{\"name\":");
-    write_str(&mut out, name);
-    out.push_str(",\"cat\":");
-    write_str(&mut out, target);
-    let _ = write!(
-        out,
-        ",\"ph\":\"X\",\"ts\":{ts_us},\"dur\":{dur_us},\"pid\":{pid},\"tid\":{tid},\"args\":"
-    );
-    write_args(&mut out, fields);
-    out.push('}');
-    out
+    let mut map = entry(name.into(), target, "X", ts_us, pid, tid);
+    map.push(("dur".into(), Value::UInt(dur_us)));
+    let args = attrs
+        .iter()
+        .map(|(k, v)| (k.clone(), Value::Str(v.clone())));
+    map.push(("args".into(), Value::Map(args.collect())));
+    to_json(&Value::Map(map))
 }
 
 /// One Chrome trace-event "i" (instant) entry for a leveled event.
@@ -149,51 +68,40 @@ pub fn chrome_instant(
     fields: &Fields,
     ts_us: u64,
 ) -> String {
-    let mut out = String::new();
-    out.push_str("{\"name\":");
-    write_str(&mut out, &format!("{} {message}", level.label()));
-    out.push_str(",\"cat\":");
-    write_str(&mut out, target);
-    let _ = write!(
-        out,
-        ",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts_us},\"pid\":{pid},\"tid\":{tid},\"args\":"
-    );
-    write_args(&mut out, fields);
-    out.push('}');
-    out
+    let name = format!("{} {message}", level.label());
+    let mut map = entry(name, target, "i", ts_us, pid, tid);
+    map.push(("s".into(), Value::Str("t".into())));
+    // Bare scalars, not the externally-tagged enum encoding: trace
+    // viewers show `args` verbatim.
+    let args = fields.iter().map(|(k, v)| {
+        let scalar = match v {
+            FieldValue::Int(v) => Value::Int(*v),
+            FieldValue::UInt(v) => Value::UInt(*v),
+            FieldValue::Float(v) => Value::Float(*v),
+            FieldValue::Bool(v) => Value::Bool(*v),
+            FieldValue::Str(v) => Value::Str(v.clone()),
+        };
+        (k.clone(), scalar)
+    });
+    map.push(("args".into(), Value::Map(args.collect())));
+    to_json(&Value::Map(map))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::FieldValue;
-
-    #[test]
-    fn escapes_strings() {
-        let mut out = String::new();
-        write_str(&mut out, "a\"b\\c\nd\u{1}");
-        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
-    }
-
-    #[test]
-    fn floats_stay_floats() {
-        let mut out = String::new();
-        write_value(&mut out, &Value::Float(2.0));
-        assert_eq!(out, "2.0");
-        out.clear();
-        write_value(&mut out, &Value::Float(f64::NAN));
-        assert_eq!(out, "null");
-    }
 
     #[test]
     fn chrome_entries_are_json_objects() {
-        let fields = vec![("n".to_string(), FieldValue::UInt(3))];
-        let x = chrome_complete(7, 0, "qdi_pnr::place", "anneal", &fields, 10, 20);
+        let attrs = vec![("n".to_string(), "3".to_string())];
+        let x = chrome_complete(7, 0, "qdi_pnr::place", "anneal", &attrs, 10, 20);
         assert!(x.contains("\"ph\":\"X\""), "{x}");
         assert!(x.contains("\"dur\":20"), "{x}");
-        assert!(x.contains("\"n\":3"), "{x}");
+        assert!(x.contains("\"n\":\"3\""), "{x}");
+        let fields = vec![("n".to_string(), FieldValue::UInt(3))];
         let i = chrome_instant(7, 0, "qdi_sim", Level::Warn, "hazard", &fields, 10);
         assert!(i.contains("\"ph\":\"i\""), "{i}");
         assert!(i.contains("WARN hazard"), "{i}");
+        assert!(i.contains("\"n\":3"), "{i}");
     }
 }

@@ -4,23 +4,28 @@
 //! The crate provides three cooperating facilities, all dependency-free
 //! beyond `std` and the workspace `serde` data model:
 //!
-//! * **Spans and events** — hierarchical [`span`]s carry a name,
-//!   `key = value` [`FieldValue`] attachments and monotonic wall time;
-//!   leveled [`event!`]s attach to the enclosing span. Both are
-//!   filtered by the `QDI_LOG` environment variable (same syntax as
+//! * **Spans and events** — one span model ([`span`]): ordinary
+//!   [`span()`]s for flow steps, requests and leases, and [`span::hot`]
+//!   spans for kernels, which fold into roll-ups instead of writing a
+//!   record per call. Every span carries W3C trace and span ids, so the
+//!   same records feed logs, the `.qprof` call tree ([`prof`]) and the
+//!   cross-process span file. Leveled [`event!`]s attach to the
+//!   enclosing span and are filtered by `QDI_LOG` (same syntax as
 //!   `RUST_LOG`; see [`filter::Filter`]).
 //! * **Metrics** — process-wide [`metrics::counter`]s,
 //!   [`metrics::gauge`]s and fixed-bucket [`metrics::histogram`]s with
 //!   cheap `Arc`-backed handles, snapshotted via
 //!   [`metrics::MetricsSnapshot`].
-//! * **Sinks** — pluggable [`Sink`]s consume every enabled record:
+//! * **Sinks** — pluggable [`Sink`]s consume every logged record:
 //!   [`MemorySink`] (tests, report post-processing), [`StderrSink`]
-//!   (human-readable tree), [`JsonlSink`] (JSON-Lines export) and
+//!   (human-readable lines), [`JsonlSink`] (JSON-Lines export) and
 //!   [`ChromeTraceSink`] (a `chrome://tracing` / Perfetto profile).
 //!
-//! When `QDI_LOG` is unset the whole tracing side collapses to one
-//! relaxed atomic load per check-point, so instrumented hot paths cost
-//! effectively nothing in production runs.
+//! Spans have one switch: they record when `QDI_LOG` enables any level
+//! or when a consumer (the profile, a span file) is installed. While
+//! off, every span and event check-point costs one relaxed atomic load,
+//! so instrumented hot paths cost effectively nothing in production
+//! runs.
 //!
 //! ```
 //! use qdi_obs::{metrics, Level};
@@ -28,9 +33,9 @@
 //! qdi_obs::set_filter(qdi_obs::filter::Filter::at(Level::Debug));
 //! let traces = metrics::counter("dpa.traces");
 //! {
-//!     let mut span = qdi_obs::span("qdi_dpa::campaign", "acquire").enter();
+//!     let mut span = qdi_obs::span("qdi_dpa::campaign", "acquire");
 //!     traces.add(1000);
-//!     span.record("traces", 1000u64);
+//!     span.set_attr("traces", 1000u64);
 //! }
 //! qdi_obs::event!(Level::Info, target: "qdi_dpa::campaign", "campaign done");
 //! ```
@@ -39,7 +44,6 @@
 
 pub mod durable;
 pub mod filter;
-pub mod flame;
 pub mod html;
 pub mod json;
 pub mod level;
@@ -50,28 +54,25 @@ pub mod prometheus;
 pub mod record;
 pub mod sink;
 pub mod slo;
+pub mod span;
 pub mod telemetry;
 pub mod timeseries;
-pub mod trace;
 
 pub use durable::{Durability, DurableError, Recovered};
 pub use filter::Filter;
-pub use flame::{flamegraph_svg, timeline_svg};
 pub use level::Level;
 pub use prof::{ProfReport, ProfSummary, RegionProfile};
 pub use progress::{ProgressSnapshot, ProgressTask};
 pub use record::{FieldValue, Fields, Record};
 pub use sink::{ChromeTraceSink, JsonlSink, MemorySink, Sink, StderrSink};
 pub use slo::{SloConfig, SloReport, SloVerdict};
+pub use span::{span_at, Span, SpanLink, SpanRecord, TraceContext};
 pub use telemetry::{StepTelemetry, Telemetry};
 pub use timeseries::{Recorder, TimeseriesSnapshot, TimeseriesSummary};
-pub use trace::{ActiveSpan, SpanLink, SpanRecord, TraceContext};
 
-use std::cell::RefCell;
-use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Once, OnceLock, RwLock};
-use std::time::Instant;
+use std::time::{Instant, SystemTime};
 
 // ---------------------------------------------------------------------------
 // Global filter state
@@ -92,13 +93,15 @@ fn install_filter(filter: Filter) {
     let max = filter.max_level().map_or(0, Level::as_u8);
     *filter_slot().write().expect("filter lock poisoned") = filter;
     MAX_LEVEL.store(max, Ordering::Relaxed);
+    flip(SWITCH_LOG, max > 0);
 }
 
 /// Parses `QDI_LOG` on first call; later calls are a no-op. Invoked
-/// automatically by every [`enabled`] check, so instrumented libraries
-/// need no explicit initialization.
+/// automatically by every [`enabled`] check and by the first span, so
+/// instrumented libraries need no explicit initialization.
 pub fn init_from_env() {
     INIT.call_once(|| {
+        SWITCH.fetch_and(!SWITCH_UNINIT, Ordering::Relaxed);
         if let Ok(spec) = std::env::var("QDI_LOG") {
             match Filter::parse(&spec) {
                 Ok(filter) => install_filter(filter),
@@ -108,10 +111,56 @@ pub fn init_from_env() {
     });
 }
 
+// ---------------------------------------------------------------------------
+// The span switch
+// ---------------------------------------------------------------------------
+
+/// `QDI_LOG` enables at least one level.
+pub(crate) const SWITCH_LOG: u8 = 1;
+/// The `.qprof` call-tree aggregator is installed ([`prof::install`]).
+pub(crate) const SWITCH_PROFILE: u8 = 2;
+/// A span file is installed ([`span::set_file`]).
+pub(crate) const SWITCH_FILE: u8 = 4;
+/// Either consumer: spans record regardless of the log filter.
+pub(crate) const SWITCH_CONSUMERS: u8 = SWITCH_PROFILE | SWITCH_FILE;
+/// `QDI_LOG` not read yet: forces the first check down the slow path.
+const SWITCH_UNINIT: u8 = 0x80;
+
+/// The one switch spans consult: zero means every span is inert.
+static SWITCH: AtomicU8 = AtomicU8::new(SWITCH_UNINIT);
+
+/// The switch bits; one relaxed load once `QDI_LOG` has been read.
+#[inline]
+pub(crate) fn switch() -> u8 {
+    let bits = SWITCH.load(Ordering::Relaxed);
+    if bits & SWITCH_UNINIT == 0 {
+        return bits;
+    }
+    init_from_env();
+    SWITCH.load(Ordering::Relaxed)
+}
+
+/// Sets or clears switch bits (after reading `QDI_LOG`, so a later
+/// lazy read cannot clobber them).
+pub(crate) fn set_switch(bit: u8, on: bool) {
+    init_from_env();
+    flip(bit, on);
+}
+
+fn flip(bit: u8, on: bool) {
+    if on {
+        SWITCH.fetch_or(bit, Ordering::Relaxed);
+    } else {
+        SWITCH.fetch_and(!bit, Ordering::Relaxed);
+    }
+}
+
 /// Replaces the active filter programmatically (tests, embedding
 /// applications), overriding whatever `QDI_LOG` said.
 pub fn set_filter(filter: Filter) {
-    INIT.call_once(|| {});
+    INIT.call_once(|| {
+        SWITCH.fetch_and(!SWITCH_UNINIT, Ordering::Relaxed);
+    });
     install_filter(filter);
 }
 
@@ -132,13 +181,44 @@ pub fn enabled(level: Level, target: &str) -> bool {
 // Clock and thread identity
 // ---------------------------------------------------------------------------
 
+/// The process clock: a monotonic anchor and the UNIX time it was read
+/// at (the first observability call in the process).
+fn epoch() -> &'static (Instant, u64) {
+    static EPOCH: OnceLock<(Instant, u64)> = OnceLock::new();
+    EPOCH.get_or_init(|| {
+        let unix = SystemTime::now()
+            .duration_since(SystemTime::UNIX_EPOCH)
+            .map_or(0, |d| u64::try_from(d.as_micros()).unwrap_or(u64::MAX));
+        (Instant::now(), unix)
+    })
+}
+
 /// Microseconds elapsed on the process-wide monotonic clock (anchored
 /// at the first observability call in the process).
 #[must_use]
 pub fn now_us() -> u64 {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    let epoch = *EPOCH.get_or_init(Instant::now);
-    u64::try_from(epoch.elapsed().as_micros()).unwrap_or(u64::MAX)
+    u64::try_from(epoch().0.elapsed().as_micros()).unwrap_or(u64::MAX)
+}
+
+/// UNIX-epoch microseconds, advancing with the monotonic process clock
+/// (the time axis of span records).
+#[must_use]
+pub fn unix_us() -> u64 {
+    epoch().1.saturating_add(now_us())
+}
+
+/// The UNIX-epoch microseconds of an instant on the process clock.
+pub(crate) fn unix_us_at(t: Instant) -> u64 {
+    let (anchor, unix) = *epoch();
+    let since = t.saturating_duration_since(anchor).as_micros();
+    unix.saturating_add(u64::try_from(since).unwrap_or(u64::MAX))
+}
+
+/// The UNIX-epoch microseconds of process-clock zero: subtract it from
+/// a span's `start_unix_us` to put it on the [`now_us`] axis.
+#[must_use]
+pub fn epoch_unix_us() -> u64 {
+    epoch().1
 }
 
 /// Dense per-thread id (first observed thread = 0), used as `tid` in
@@ -172,8 +252,10 @@ pub fn set_sinks(new: Vec<Arc<dyn Sink>>) {
     *sinks().write().expect("sink lock poisoned") = new;
 }
 
-/// Flushes every installed sink (file buffers, trace profiles).
+/// Emits pending thread-root roll-ups (see [`span`]), then flushes
+/// every installed sink (file buffers, trace profiles).
 pub fn flush() {
+    span::drain_roots();
     for sink in sinks().read().expect("sink lock poisoned").iter() {
         sink.flush();
     }
@@ -222,160 +304,31 @@ fn dispatch(record: &Record) {
     }
 }
 
+/// Hands the records of one closed span (its hot roll-ups, then the
+/// span itself) to every consumer: the span file, the profile, and —
+/// when the filter enabled the span — the log sinks.
+pub(crate) fn emit_spans(batch: Vec<SpanRecord>, logged: bool) {
+    let bits = switch();
+    if bits & SWITCH_FILE != 0 {
+        span::write_file(&batch);
+    }
+    if bits & SWITCH_PROFILE != 0 {
+        prof::ingest(&batch);
+    }
+    if logged {
+        for record in batch {
+            dispatch(&Record::Span(record));
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Spans
 // ---------------------------------------------------------------------------
 
-thread_local! {
-    /// Ids of the spans currently open on this thread, outermost first.
-    static SPAN_STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
-}
-
-fn next_span_id() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    NEXT.fetch_add(1, Ordering::Relaxed)
-}
-
-fn current_span() -> (Option<u64>, usize) {
-    SPAN_STACK.with(|stack| {
-        let stack = stack.borrow();
-        (stack.last().copied(), stack.len())
-    })
-}
-
-struct SpanData {
-    id: u64,
-    target: &'static str,
-    name: String,
-    fields: Fields,
-    depth: usize,
-    start_us: u64,
-    start: Instant,
-}
-
-/// Builder returned by [`span`] / [`span_at`]; attach fields with
-/// [`SpanBuilder::field`], then [`SpanBuilder::enter`].
-#[must_use = "a span builder does nothing until entered"]
-pub struct SpanBuilder {
-    data: Option<Box<SpanData>>,
-}
-
-impl SpanBuilder {
-    /// Attaches a `key = value` field (no-op when the span is disabled).
-    pub fn field(mut self, key: &str, value: impl Into<FieldValue>) -> SpanBuilder {
-        if let Some(data) = self.data.as_mut() {
-            data.fields.push((key.to_string(), value.into()));
-        }
-        self
-    }
-
-    /// Enters the span: pushes it on the thread's span stack, emits
-    /// [`Record::SpanOpen`], and returns the RAII guard that closes it.
-    pub fn enter(mut self) -> SpanGuard {
-        if let Some(data) = self.data.as_mut() {
-            SPAN_STACK.with(|stack| stack.borrow_mut().push(data.id));
-            let (parent, depth) = SPAN_STACK.with(|stack| {
-                let stack = stack.borrow();
-                let n = stack.len();
-                (if n >= 2 { Some(stack[n - 2]) } else { None }, n - 1)
-            });
-            data.depth = depth;
-            dispatch(&Record::SpanOpen {
-                id: data.id,
-                parent,
-                depth,
-                target: data.target.to_string(),
-                name: data.name.clone(),
-                fields: data.fields.clone(),
-                ts_us: data.start_us,
-                thread: thread_id(),
-            });
-        }
-        SpanGuard {
-            data: self.data,
-            _not_send: PhantomData,
-        }
-    }
-}
-
-/// RAII guard for an entered span; dropping it emits
-/// [`Record::SpanClose`] with the measured wall time.
-#[must_use = "dropping the guard immediately closes the span"]
-pub struct SpanGuard {
-    data: Option<Box<SpanData>>,
-    /// Span guards must close on the thread that opened them.
-    _not_send: PhantomData<*const ()>,
-}
-
-impl SpanGuard {
-    /// Adds a field that will appear on the close record (e.g. results
-    /// computed inside the span).
-    pub fn record(&mut self, key: &str, value: impl Into<FieldValue>) {
-        if let Some(data) = self.data.as_mut() {
-            data.fields.push((key.to_string(), value.into()));
-        }
-    }
-
-    /// The span id, when the span is enabled.
-    #[must_use]
-    pub fn id(&self) -> Option<u64> {
-        self.data.as_ref().map(|d| d.id)
-    }
-
-    /// Whether the span is actually being recorded.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.data.is_some()
-    }
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        if let Some(data) = self.data.take() {
-            SPAN_STACK.with(|stack| {
-                let mut stack = stack.borrow_mut();
-                // Tolerate out-of-order drops instead of corrupting the
-                // stack: remove this id wherever it is.
-                if let Some(pos) = stack.iter().rposition(|&id| id == data.id) {
-                    stack.remove(pos);
-                }
-            });
-            let dur_us = u64::try_from(data.start.elapsed().as_micros()).unwrap_or(u64::MAX);
-            dispatch(&Record::SpanClose {
-                id: data.id,
-                depth: data.depth,
-                target: data.target.to_string(),
-                name: data.name,
-                fields: data.fields,
-                ts_us: data.start_us,
-                dur_us,
-                thread: thread_id(),
-            });
-        }
-    }
-}
-
-/// Starts building a span at the given level; disabled spans cost one
-/// atomic load and allocate nothing.
-pub fn span_at(level: Level, target: &'static str, name: impl Into<String>) -> SpanBuilder {
-    if !enabled(level, target) {
-        return SpanBuilder { data: None };
-    }
-    SpanBuilder {
-        data: Some(Box::new(SpanData {
-            id: next_span_id(),
-            target,
-            name: name.into(),
-            fields: Vec::new(),
-            depth: 0,
-            start_us: now_us(),
-            start: Instant::now(),
-        })),
-    }
-}
-
-/// Starts building an [`Level::Info`] span.
-pub fn span(target: &'static str, name: impl Into<String>) -> SpanBuilder {
+/// Opens an [`Level::Info`] span (see [`span_at`] and the [`span`]
+/// module).
+pub fn span(target: &'static str, name: impl Into<String>) -> Span {
     span_at(Level::Info, target, name)
 }
 
@@ -386,7 +339,7 @@ pub fn span(target: &'static str, name: impl Into<String>) -> SpanBuilder {
 /// Emits a leveled event. Prefer the [`event!`] / [`warn!`] macros,
 /// which check [`enabled`] before building the message and fields.
 pub fn emit_event(level: Level, target: &str, message: String, fields: Fields) {
-    let (span, depth) = current_span();
+    let (span, depth) = span::current_id();
     dispatch(&Record::Event {
         level,
         target: target.to_string(),
@@ -469,17 +422,5 @@ macro_rules! debug {
 macro_rules! trace {
     (target: $target:expr, $($rest:tt)*) => {
         $crate::event!($crate::Level::Trace, target: $target, $($rest)*)
-    };
-}
-
-/// Opens a span with inline fields and enters it:
-///
-/// ```
-/// let _guard = qdi_obs::span!(target: "qdi_pnr::place", "anneal", gates = 128usize);
-/// ```
-#[macro_export]
-macro_rules! span {
-    (target: $target:expr, $name:expr $(, $key:ident = $value:expr)* $(,)?) => {
-        $crate::span($target, $name)$(.field(stringify!($key), $value))*.enter()
     };
 }

@@ -1,46 +1,28 @@
-//! Wall-clock attribution profiler: thread-local region timers and
+//! Wall-clock attribution profile: the call tree of hot spans and
 //! per-worker pool timelines, merged into a `.qprof` profile.
 //!
-//! The facility answers *where the time goes* — the question spans
-//! alone cannot: spans give durations, this module gives attribution
-//! (a call-tree with self/total time per region, and per-worker
-//! busy/steal/queue-wait/idle accounting for the `qdi-exec` pool).
-//!
-//! # Disabled-cost contract
-//!
-//! Profiling is off by default. While disabled, [`region`] returns an
-//! inert guard after **one relaxed atomic load**, and dropping it is a
-//! branch on a bool — the same inert-handle idiom (and the same ~ns
-//! order of cost) as [`crate::progress`], pinned by the
-//! `prof_overhead` criterion bench. Instrumented hot paths (the
-//! simulator event loop, `.qtrs` encode/decode, pool job dispatch) pay
-//! effectively nothing in production runs.
-//!
-//! # Enabled operation
-//!
-//! Each thread accumulates its own call tree: [`region`] pushes a
-//! frame on a thread-local stack, and the guard's drop folds the
-//! elapsed time into a per-thread node table (count, total, self, min,
-//! max per `(parent, name)` node). Worker threads never contend — the
-//! only cross-thread synchronization is a per-thread mutex that
-//! [`report`] locks at merge time. The `qdi-exec` pool additionally
-//! records one [`PoolRun`] per parallel bag: per-worker lanes with job
-//! segments, steal events, queue-wait and idle totals.
+//! The profile answers *where the time goes*. Its call tree is built
+//! from span records alone: [`install`] adds the aggregator as a span
+//! consumer (turning spans on), and every hot-span roll-up record
+//! ([`crate::span::SpanRecord::rollup`]) folds into the node of its
+//! folded path — the hot names from its nearest ordinary ancestor down
+//! (`"exec.pool.run;exec.pool.job;dpa.acquire;sim.run"`). The
+//! `qdi-exec` pool additionally records one [`PoolRun`] per parallel bag
+//! while the profile is installed: per-worker lanes with job segments,
+//! steal events, queue-wait and idle totals.
 //!
 //! [`report`] merges everything into a serializable [`ProfReport`]
 //! (the `.qprof` JSON format, version [`QPROF_VERSION`]) that
 //! `qdi-mon analyze` turns into a verdict table and
 //! `qdi-mon flame` / `qdi-mon timeline` render as SVGs.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::marker::PhantomData;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
+use std::sync::{Mutex, OnceLock};
 
 use serde::{Deserialize, Serialize};
+
+use crate::span::SpanRecord;
 
 /// Version of the `.qprof` JSON format this module writes.
 pub const QPROF_VERSION: u32 = 1;
@@ -58,173 +40,62 @@ pub const MAX_LANE_SEGMENTS: usize = 512;
 /// preserved via the lane aggregates of the runs that remain.
 pub const MAX_POOL_RUNS: usize = 128;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Turns the profiler on or off process-wide. Regions opened while
-/// disabled stay inert even if profiling is enabled before they close.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
+/// Installs the profile as a span consumer: spans record from now on
+/// and roll-ups accumulate until [`reset`].
+pub fn install() {
+    crate::set_switch(crate::SWITCH_PROFILE, true);
 }
 
-/// Whether profiling is currently enabled (one relaxed load — this is
-/// the whole disabled-path cost of [`region`]).
+/// Removes the profile consumer; accumulated data stays readable.
+pub fn uninstall() {
+    crate::set_switch(crate::SWITCH_PROFILE, false);
+}
+
+/// Whether the profile is installed.
 #[must_use]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    crate::switch() & crate::SWITCH_PROFILE != 0
 }
 
 // ---------------------------------------------------------------------------
-// Per-thread call-tree accumulation
+// The call-tree aggregator
 // ---------------------------------------------------------------------------
 
-/// Sentinel parent index for root-level nodes.
-const NO_PARENT: usize = usize::MAX;
-
-#[derive(Debug, Clone)]
-struct NodeStat {
-    name: &'static str,
-    parent: usize,
-    count: u64,
-    total_ns: u64,
-    self_ns: u64,
-    min_ns: u64,
-    max_ns: u64,
+fn tree() -> &'static Mutex<HashMap<String, RegionStat>> {
+    static TREE: OnceLock<Mutex<HashMap<String, RegionStat>>> = OnceLock::new();
+    TREE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-#[derive(Default)]
-struct ThreadNodes {
-    index: HashMap<(usize, &'static str), usize>,
-    stats: Vec<NodeStat>,
-}
-
-impl ThreadNodes {
-    fn node(&mut self, parent: usize, name: &'static str) -> usize {
-        if let Some(&i) = self.index.get(&(parent, name)) {
-            return i;
-        }
-        let i = self.stats.len();
-        self.stats.push(NodeStat {
-            name,
-            parent,
+/// Folds the roll-up records of one closed span into the call tree.
+/// Roll-ups arrive parents first, so a record's path is its parent's
+/// path within the batch plus its own name.
+pub(crate) fn ingest(batch: &[SpanRecord]) {
+    let mut paths: HashMap<&str, String> = HashMap::new();
+    let mut tree = tree().lock().expect("prof tree poisoned");
+    for record in batch {
+        let Some(rollup) = record.rollup else {
+            continue;
+        };
+        let path = match record.parent_id.as_deref().and_then(|p| paths.get(p)) {
+            Some(parent) => format!("{parent}{PATH_SEP}{}", record.name),
+            None => record.name.clone(),
+        };
+        let stat = tree.entry(path.clone()).or_insert_with(|| RegionStat {
+            name: record.name.clone(),
+            depth: path.matches(PATH_SEP).count(),
+            path: path.clone(),
             count: 0,
             total_ns: 0,
             self_ns: 0,
             min_ns: u64::MAX,
             max_ns: 0,
         });
-        self.index.insert((parent, name), i);
-        i
-    }
-
-    fn close(&mut self, node: usize, dur_ns: u64, child_ns: u64) {
-        let stat = &mut self.stats[node];
-        stat.count += 1;
-        stat.total_ns += dur_ns;
-        stat.self_ns += dur_ns.saturating_sub(child_ns);
-        stat.min_ns = stat.min_ns.min(dur_ns);
-        stat.max_ns = stat.max_ns.max(dur_ns);
-    }
-}
-
-struct Frame {
-    node: usize,
-    start: Instant,
-    child_ns: u64,
-}
-
-struct ThreadProf {
-    shared: Arc<Mutex<ThreadNodes>>,
-    stack: Vec<Frame>,
-}
-
-fn node_registry() -> &'static Mutex<Vec<Arc<Mutex<ThreadNodes>>>> {
-    static REGISTRY: OnceLock<Mutex<Vec<Arc<Mutex<ThreadNodes>>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-thread_local! {
-    static THREAD_PROF: RefCell<Option<ThreadProf>> = const { RefCell::new(None) };
-}
-
-fn with_thread_prof<R>(f: impl FnOnce(&mut ThreadProf) -> R) -> R {
-    THREAD_PROF.with(|cell| {
-        let mut slot = cell.borrow_mut();
-        let prof = slot.get_or_insert_with(|| {
-            let shared = Arc::new(Mutex::new(ThreadNodes::default()));
-            node_registry()
-                .lock()
-                .expect("prof registry poisoned")
-                .push(shared.clone());
-            ThreadProf {
-                shared,
-                stack: Vec::new(),
-            }
-        });
-        f(prof)
-    })
-}
-
-/// RAII guard for a timed region; dropping it attributes the elapsed
-/// wall time to the region's call-tree node. Must drop on the thread
-/// that opened it (it is `!Send`, like a span guard).
-#[must_use = "dropping the region guard immediately closes it"]
-pub struct Region {
-    active: bool,
-    _not_send: PhantomData<*const ()>,
-}
-
-/// Opens a timed region. While the profiler is disabled this is one
-/// relaxed atomic load and the returned guard is inert; while enabled
-/// it pushes a frame on the thread-local region stack.
-///
-/// Region names should be short dotted identifiers (`"sim.run"`,
-/// `"qtrs.encode"`): they become frames of the folded-stack paths the
-/// flamegraph renders.
-pub fn region(name: &'static str) -> Region {
-    if !enabled() {
-        return Region {
-            active: false,
-            _not_send: PhantomData,
-        };
-    }
-    with_thread_prof(|prof| {
-        let parent = prof.stack.last().map_or(NO_PARENT, |f| f.node);
-        let node = prof
-            .shared
-            .lock()
-            .expect("prof nodes poisoned")
-            .node(parent, name);
-        prof.stack.push(Frame {
-            node,
-            start: Instant::now(),
-            child_ns: 0,
-        });
-    });
-    Region {
-        active: true,
-        _not_send: PhantomData,
-    }
-}
-
-impl Drop for Region {
-    fn drop(&mut self) {
-        if !self.active {
-            return;
-        }
-        with_thread_prof(|prof| {
-            let Some(frame) = prof.stack.pop() else {
-                return; // reset() raced a live region; nothing to attribute
-            };
-            let dur_ns = u64::try_from(frame.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            if let Some(parent) = prof.stack.last_mut() {
-                parent.child_ns = parent.child_ns.saturating_add(dur_ns);
-            }
-            prof.shared.lock().expect("prof nodes poisoned").close(
-                frame.node,
-                dur_ns,
-                frame.child_ns,
-            );
-        });
+        stat.count = stat.count.saturating_add(rollup.count);
+        stat.total_ns = stat.total_ns.saturating_add(rollup.total_ns);
+        stat.self_ns = stat.self_ns.saturating_add(rollup.self_ns);
+        stat.min_ns = stat.min_ns.min(rollup.min_ns);
+        stat.max_ns = stat.max_ns.max(rollup.max_ns);
+        paths.insert(&record.span_id, path);
     }
 }
 
@@ -287,19 +158,25 @@ impl PoolRun {
     /// Sum of `busy_us` over the lanes.
     #[must_use]
     pub fn busy_us(&self) -> u64 {
-        self.lanes.iter().map(|l| l.busy_us).sum()
+        self.lanes
+            .iter()
+            .fold(0, |acc, l| acc.saturating_add(l.busy_us))
     }
 
     /// Sum of `queue_wait_us` over the lanes.
     #[must_use]
     pub fn queue_wait_us(&self) -> u64 {
-        self.lanes.iter().map(|l| l.queue_wait_us).sum()
+        self.lanes
+            .iter()
+            .fold(0, |acc, l| acc.saturating_add(l.queue_wait_us))
     }
 
     /// Sum of `idle_us` over the lanes.
     #[must_use]
     pub fn idle_us(&self) -> u64 {
-        self.lanes.iter().map(|l| l.idle_us).sum()
+        self.lanes
+            .iter()
+            .fold(0, |acc, l| acc.saturating_add(l.idle_us))
     }
 
     /// Fraction of the run's worker-seconds spent inside job closures
@@ -543,72 +420,17 @@ impl ProfReport {
     }
 }
 
-/// Merges every thread's call tree and the pool-run ring into a
-/// [`ProfReport`]. Non-destructive: accumulation continues afterwards.
+/// Emits pending thread-root roll-ups, then snapshots the call tree and
+/// the pool-run ring as a [`ProfReport`]. Non-destructive: accumulation
+/// continues afterwards.
 #[must_use]
 pub fn report() -> ProfReport {
-    // Per-thread node tables use per-thread indices; re-key by path.
-    #[derive(Default)]
-    struct Merged {
-        count: u64,
-        total_ns: u64,
-        self_ns: u64,
-        min_ns: u64,
-        max_ns: u64,
-    }
-    let mut merged: HashMap<String, Merged> = HashMap::new();
-    let tables: Vec<Arc<Mutex<ThreadNodes>>> = node_registry()
+    crate::span::drain_roots();
+    let mut regions: Vec<RegionStat> = tree()
         .lock()
-        .expect("prof registry poisoned")
-        .clone();
-    for table in tables {
-        let table = table.lock().expect("prof nodes poisoned");
-        // Resolve each node's folded path by climbing parents.
-        let mut paths: Vec<String> = Vec::with_capacity(table.stats.len());
-        for stat in &table.stats {
-            let path = if stat.parent == NO_PARENT {
-                stat.name.to_string()
-            } else {
-                // Parents always precede children in the table.
-                format!("{}{}{}", paths[stat.parent], PATH_SEP, stat.name)
-            };
-            paths.push(path);
-        }
-        for (stat, path) in table.stats.iter().zip(&paths) {
-            if stat.count == 0 {
-                continue; // opened but never closed (still on a stack)
-            }
-            let entry = merged.entry(path.clone()).or_insert(Merged {
-                min_ns: u64::MAX,
-                ..Merged::default()
-            });
-            entry.count += stat.count;
-            entry.total_ns += stat.total_ns;
-            entry.self_ns += stat.self_ns;
-            entry.min_ns = entry.min_ns.min(stat.min_ns);
-            entry.max_ns = entry.max_ns.max(stat.max_ns);
-        }
-    }
-    let mut regions: Vec<RegionStat> = merged
-        .into_iter()
-        .map(|(path, m)| {
-            let name = path
-                .rsplit(PATH_SEP)
-                .next()
-                .unwrap_or(path.as_str())
-                .to_string();
-            let depth = path.matches(PATH_SEP).count();
-            RegionStat {
-                path,
-                name,
-                depth,
-                count: m.count,
-                total_ns: m.total_ns,
-                self_ns: m.self_ns,
-                min_ns: m.min_ns,
-                max_ns: m.max_ns,
-            }
-        })
+        .expect("prof tree poisoned")
+        .values()
+        .cloned()
         .collect();
     regions.sort_by(|a, b| a.path.cmp(&b.path));
     let pool = pool_registry().lock().expect("prof pool poisoned");
@@ -621,24 +443,11 @@ pub fn report() -> ProfReport {
     }
 }
 
-/// Clears all accumulated region stats and pool runs (tests, between
-/// independent runs). Regions currently open keep timing and attribute
-/// into the fresh tables when they close.
+/// Clears the call tree and the pool runs (tests, between independent
+/// runs). Spans still open attribute into the fresh tree when they
+/// close.
 pub fn reset() {
-    for table in node_registry()
-        .lock()
-        .expect("prof registry poisoned")
-        .iter()
-    {
-        let mut table = table.lock().expect("prof nodes poisoned");
-        for stat in &mut table.stats {
-            stat.count = 0;
-            stat.total_ns = 0;
-            stat.self_ns = 0;
-            stat.min_ns = u64::MAX;
-            stat.max_ns = 0;
-        }
-    }
+    tree().lock().expect("prof tree poisoned").clear();
     let mut pool = pool_registry().lock().expect("prof pool poisoned");
     pool.runs.clear();
     pool.dropped = 0;
@@ -724,8 +533,9 @@ pub fn summary(top: usize) -> ProfSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::span::hot;
 
-    /// These tests toggle process-global state; serialize them.
+    /// These tests install the process-global profile; serialize them.
     fn lock() -> std::sync::MutexGuard<'static, ()> {
         static GATE: OnceLock<Mutex<()>> = OnceLock::new();
         GATE.get_or_init(|| Mutex::new(()))
@@ -741,12 +551,12 @@ mod tests {
     }
 
     #[test]
-    fn disabled_regions_are_inert() {
+    fn uninstalled_profile_records_nothing() {
         let _gate = lock();
-        set_enabled(false);
+        uninstall();
         reset();
         {
-            let _r = region("prof.test.disabled");
+            let _r = hot("prof.test.disabled");
         }
         let rep = report();
         assert!(
@@ -754,25 +564,25 @@ mod tests {
                 .regions
                 .iter()
                 .any(|r| r.path.contains("prof.test.disabled")),
-            "disabled region must not record"
+            "no call tree without the profile"
         );
     }
 
     #[test]
-    fn nested_regions_attribute_self_and_total() {
+    fn nested_hot_spans_attribute_self_and_total() {
         let _gate = lock();
-        set_enabled(true);
+        install();
         reset();
         {
-            let _outer = region("prof.test.outer");
+            let _outer = hot("prof.test.outer");
             std::thread::sleep(std::time::Duration::from_millis(2));
             {
-                let _inner = region("prof.test.inner");
+                let _inner = hot("prof.test.inner");
                 std::thread::sleep(std::time::Duration::from_millis(2));
             }
         }
-        set_enabled(false);
         let rep = report();
+        uninstall();
         let outer = find(&rep.regions, "prof.test.outer");
         let inner = find(&rep.regions, "prof.test.outer;prof.test.inner");
         assert_eq!(outer.count, 1);
@@ -793,13 +603,13 @@ mod tests {
     #[test]
     fn repeat_visits_accumulate_counts_and_minmax() {
         let _gate = lock();
-        set_enabled(true);
+        install();
         reset();
         for _ in 0..5 {
-            let _r = region("prof.test.repeat");
+            let _r = hot("prof.test.repeat");
         }
-        set_enabled(false);
         let rep = report();
+        uninstall();
         let r = find(&rep.regions, "prof.test.repeat");
         assert_eq!(r.count, 5);
         assert!(r.min_ns <= r.max_ns);
@@ -811,19 +621,25 @@ mod tests {
     #[test]
     fn threads_merge_into_one_tree() {
         let _gate = lock();
-        set_enabled(true);
+        install();
         reset();
+        // A finished thread's root roll-ups reach the next report.
         std::thread::scope(|s| {
-            for _ in 0..3 {
-                s.spawn(|| {
-                    let _r = region("prof.test.worker");
-                });
+            let workers: Vec<_> = (0..3)
+                .map(|_| {
+                    s.spawn(|| {
+                        let _r = hot("prof.test.worker");
+                    })
+                })
+                .collect();
+            for w in workers {
+                w.join().expect("worker runs");
             }
         });
-        let _r = region("prof.test.worker");
+        let _r = hot("prof.test.worker");
         drop(_r);
-        set_enabled(false);
         let rep = report();
+        uninstall();
         assert_eq!(find(&rep.regions, "prof.test.worker").count, 4);
         reset();
     }
@@ -898,10 +714,10 @@ mod tests {
     #[test]
     fn report_round_trips_through_a_qprof_file() {
         let _gate = lock();
-        set_enabled(true);
+        install();
         reset();
         {
-            let _r = region("prof.test.roundtrip");
+            let _r = hot("prof.test.roundtrip");
         }
         record_pool_run(PoolRun {
             jobs: 4,
@@ -910,8 +726,8 @@ mod tests {
             steals: 0,
             lanes: vec![],
         });
-        set_enabled(false);
         let rep = report();
+        uninstall();
         assert_eq!(rep.version, QPROF_VERSION);
         assert_eq!(rep.pool_runs.len(), 1);
         let path = std::env::temp_dir().join("qdi_obs_prof_test.qprof.json");
@@ -926,14 +742,14 @@ mod tests {
     #[test]
     fn summary_picks_top_regions_and_pool_totals() {
         let _gate = lock();
-        set_enabled(true);
+        install();
         reset();
         {
-            let _slow = region("prof.test.slow");
+            let _slow = hot("prof.test.slow");
             std::thread::sleep(std::time::Duration::from_millis(3));
         }
         {
-            let _fast = region("prof.test.fast");
+            let _fast = hot("prof.test.fast");
         }
         record_pool_run(PoolRun {
             jobs: 10,
@@ -951,8 +767,8 @@ mod tests {
                 segments_truncated: false,
             }],
         });
-        set_enabled(false);
         let sum = summary(1);
+        uninstall();
         assert_eq!(sum.top_regions.len(), 1);
         assert_eq!(sum.top_regions[0].name, "prof.test.slow");
         let pool = sum.pool.expect("pool totals present");

@@ -3,8 +3,10 @@
 use serde::{Deserialize, Serialize};
 
 use crate::level::Level;
+use crate::span::SpanRecord;
 
-/// A typed `key = value` attachment on a span or event.
+/// A typed `key = value` attachment on an event (span attributes keep
+/// its [`Display`](std::fmt::Display) form).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum FieldValue {
     /// Signed integer.
@@ -71,49 +73,10 @@ impl From<String> for FieldValue {
 pub type Fields = Vec<(String, FieldValue)>;
 
 /// One record delivered to every installed sink.
-///
-/// Timestamps are microseconds on the process-wide monotonic clock
-/// (see [`crate::now_us`]); durations are wall-clock microseconds.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Record {
-    /// A span was entered.
-    SpanOpen {
-        /// Process-unique span id.
-        id: u64,
-        /// Id of the enclosing span on the same thread, if any.
-        parent: Option<u64>,
-        /// Nesting depth on this thread (root = 0).
-        depth: usize,
-        /// Module-path-style origin, e.g. `qdi_pnr::place`.
-        target: String,
-        /// Human-readable span name, e.g. `anneal`.
-        name: String,
-        /// `key = value` attachments captured at entry.
-        fields: Fields,
-        /// Entry time, µs on the monotonic process clock.
-        ts_us: u64,
-        /// Dense id of the emitting thread (main thread = 0).
-        thread: u64,
-    },
-    /// A span was exited.
-    SpanClose {
-        /// Matches the corresponding [`Record::SpanOpen`] id.
-        id: u64,
-        /// Nesting depth on this thread (root = 0).
-        depth: usize,
-        /// Module-path-style origin.
-        target: String,
-        /// Span name.
-        name: String,
-        /// Fields at close: entry fields plus any recorded during the span.
-        fields: Fields,
-        /// Entry time, µs on the monotonic process clock.
-        ts_us: u64,
-        /// Wall time spent inside the span, µs.
-        dur_us: u64,
-        /// Dense id of the emitting thread.
-        thread: u64,
-    },
+    /// A span closed (an ordinary span, or one hot-span roll-up).
+    Span(SpanRecord),
     /// A point-in-time leveled event.
     Event {
         /// Severity.
@@ -128,7 +91,8 @@ pub enum Record {
         span: Option<u64>,
         /// Nesting depth used for tree-indented output.
         depth: usize,
-        /// Emission time, µs on the monotonic process clock.
+        /// Emission time, µs on the monotonic process clock
+        /// ([`crate::now_us`]).
         ts_us: u64,
         /// Dense id of the emitting thread.
         thread: u64,
@@ -136,29 +100,9 @@ pub enum Record {
 }
 
 impl Record {
-    /// The monotonic timestamp of the record, µs.
-    #[must_use]
-    pub fn ts_us(&self) -> u64 {
-        match self {
-            Record::SpanOpen { ts_us, .. }
-            | Record::SpanClose { ts_us, .. }
-            | Record::Event { ts_us, .. } => *ts_us,
-        }
-    }
-
-    /// The record's target (module-path origin).
-    #[must_use]
-    pub fn target(&self) -> &str {
-        match self {
-            Record::SpanOpen { target, .. }
-            | Record::SpanClose { target, .. }
-            | Record::Event { target, .. } => target,
-        }
-    }
-
     /// Formats the fields as ` k=v k=v` (empty string when no fields).
     #[must_use]
-    pub fn fields_pretty(fields: &Fields) -> String {
+    pub fn fields_pretty<V: std::fmt::Display>(fields: &[(String, V)]) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         for (k, v) in fields {

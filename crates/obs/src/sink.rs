@@ -69,15 +69,16 @@ impl Sink for MemorySink {
     }
 }
 
-/// Human-readable tree logger on stderr.
+/// Human-readable logger on stderr.
 ///
-/// Spans print as an indented open/close pair with wall time; events
-/// print at their span's depth with level and fields:
+/// Spans print one line when they close, with their wall time (hot
+/// roll-ups with their visit count); events print at their span's depth
+/// with level and fields:
 ///
 /// ```text
-///   12.301ms INFO qdi_core::flow > place_and_route strategy=flat
-///   14.552ms WARN qdi_pnr::criterion | criterion alert net=ack.1 d_a=0.2100
-///   89.120ms INFO qdi_core::flow < place_and_route (76.819ms)
+///   14.552ms WARN  qdi_pnr::criterion | criterion alert net=ack.1 d_a=0.2100
+///   89.120ms SPAN  qdi_core::flow < place_and_route (76.819ms) strategy=flat
+///   89.200ms SPAN  qdi_core::flow < sim.run (12.070ms) x256 self 11.900ms
 /// ```
 #[derive(Debug, Default)]
 pub struct StderrSink;
@@ -101,40 +102,25 @@ fn ms(ts_us: u64) -> f64 {
 impl Sink for StderrSink {
     fn record(&self, record: &Record) {
         let line = match record {
-            Record::SpanOpen {
-                depth,
-                target,
-                name,
-                fields,
-                ts_us,
-                ..
-            } => format!(
-                "{:>10.3}ms {:5} {} {}> {}{}",
-                ms(*ts_us),
-                "SPAN",
-                target,
-                indent(*depth),
-                name,
-                Record::fields_pretty(fields),
-            ),
-            Record::SpanClose {
-                depth,
-                target,
-                name,
-                fields,
-                ts_us,
-                dur_us,
-                ..
-            } => format!(
-                "{:>10.3}ms {:5} {} {}< {} ({:.3}ms){}",
-                ms(ts_us + dur_us),
-                "SPAN",
-                target,
-                indent(*depth),
-                name,
-                *dur_us as f64 / 1e3,
-                Record::fields_pretty(fields),
-            ),
+            Record::Span(span) => {
+                let end_us = span
+                    .start_unix_us
+                    .saturating_add(span.dur_us)
+                    .saturating_sub(crate::epoch_unix_us());
+                let rollup = span.rollup.map_or(String::new(), |r| {
+                    format!(" x{} self {:.3}ms", r.count, r.self_ns as f64 / 1e6)
+                });
+                format!(
+                    "{:>10.3}ms {:5} {} < {} ({:.3}ms){}{}",
+                    ms(end_us),
+                    "SPAN",
+                    span.service,
+                    span.name,
+                    span.dur_us as f64 / 1e3,
+                    rollup,
+                    Record::fields_pretty(&span.attrs),
+                )
+            }
             Record::Event {
                 level,
                 target,
@@ -210,7 +196,7 @@ impl Drop for JsonlSink {
 }
 
 /// Accumulates spans as Chrome trace-event "X" (complete) entries and
-/// events as "i" (instant) entries; [`Sink::flush`] writes a JSON file
+/// events as "i" (instant) entries, both on the [`crate::now_us`] axis; [`Sink::flush`] writes a JSON file
 /// loadable in `chrome://tracing` or Perfetto.
 pub struct ChromeTraceSink {
     path: PathBuf,
@@ -246,18 +232,15 @@ impl Sink for ChromeTraceSink {
     fn record(&self, record: &Record) {
         let pid = std::process::id();
         let entry = match record {
-            // Spans become complete events at close, when the duration
-            // is known; opens carry no extra information for the profile.
-            Record::SpanOpen { .. } => return,
-            Record::SpanClose {
-                target,
-                name,
-                fields,
-                ts_us,
-                dur_us,
-                thread,
-                ..
-            } => crate::json::chrome_complete(pid, *thread, target, name, fields, *ts_us, *dur_us),
+            Record::Span(span) => crate::json::chrome_complete(
+                pid,
+                span.thread.unwrap_or(0),
+                &span.service,
+                &span.name,
+                &span.attrs,
+                span.start_unix_us.saturating_sub(crate::epoch_unix_us()),
+                span.dur_us,
+            ),
             Record::Event {
                 level,
                 target,
@@ -302,16 +285,21 @@ mod tests {
     use super::*;
 
     fn close_record() -> Record {
-        Record::SpanClose {
-            id: 1,
-            depth: 0,
-            target: "obs.test".into(),
+        let span = crate::span::SpanRecord {
+            trace_id: "4bf92f3577b34da6a3ce929d0e0e4736".into(),
+            span_id: "00f067aa0ba902b7".into(),
+            parent_id: None,
+            links: vec![],
+            service: "obs.test".into(),
             name: "drop".into(),
-            fields: vec![],
-            ts_us: 0,
+            start_unix_us: 0,
             dur_us: 42,
-            thread: 0,
-        }
+            attrs: vec![],
+            events: vec![],
+            thread: Some(0),
+            rollup: None,
+        };
+        Record::Span(span)
     }
 
     #[test]

@@ -43,11 +43,11 @@ impl Telemetry {
     /// Runs `f` as a named, timed, span-wrapped step and records it.
     pub fn step<T>(&mut self, target: &'static str, name: &str, f: impl FnOnce() -> T) -> T {
         let before = MetricsSnapshot::capture();
-        let mut span = crate::span(target, name).enter();
+        let mut span = crate::span(target, name);
         let start = Instant::now();
         let out = f();
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        span.record("wall_ms", wall_ms);
+        span.set_attr("wall_ms", wall_ms);
         drop(span);
         let counters = MetricsSnapshot::capture().delta_since(&before).samples;
         self.total_wall_ms += wall_ms;

@@ -127,9 +127,8 @@ pub fn stability_study_parallel(
     exec: qdi_exec::ExecConfig,
 ) -> Vec<SeedOutcome> {
     let mut span = qdi_obs::span("qdi_pnr::criterion", "stability_study_parallel")
-        .field("seeds", seeds.len())
-        .field("workers", exec.workers)
-        .enter();
+        .attr("seeds", seeds.len())
+        .attr("workers", exec.workers);
     // Inert unless `qdi_obs::progress` is enabled; feeds `qdi-mon watch`.
     let progress = qdi_obs::progress::task("pnr.stability_study", seeds.len());
     let outcomes = qdi_exec::run_indexed(&exec, seeds.len(), |i| {
@@ -152,7 +151,7 @@ pub fn stability_study_parallel(
         }
     });
     progress.finish();
-    span.record("outcomes", outcomes.len());
+    span.set_attr("outcomes", outcomes.len());
     outcomes
 }
 

@@ -11,11 +11,10 @@ use crate::PnrConfig;
 ///
 /// Panics if `lengths.len() != netlist.net_count()`.
 pub fn extract(netlist: &mut Netlist, lengths: &[f64], cfg: &PnrConfig) {
-    let _prof = qdi_obs::prof::region("pnr.extract");
+    let _span = qdi_obs::span::hot("pnr.extract");
     assert_eq!(lengths.len(), netlist.net_count(), "one length per net");
     let mut span = qdi_obs::span_at(qdi_obs::Level::Debug, "qdi_pnr::extract", "extract")
-        .field("nets", lengths.len())
-        .enter();
+        .attr("nets", lengths.len());
     let mut total_cap = 0.0;
     for (i, &len) in lengths.iter().enumerate() {
         let cap = cfg.cap_fixed_ff + cfg.cap_per_um_ff * len;
@@ -23,7 +22,7 @@ pub fn extract(netlist: &mut Netlist, lengths: &[f64], cfg: &PnrConfig) {
         netlist.set_routing_cap(NetId::from_raw(i as u32), cap);
     }
     qdi_obs::metrics::counter("pnr.nets_extracted").add(lengths.len() as u64);
-    span.record("total_cap_ff", total_cap);
+    span.set_attr("total_cap_ff", total_cap);
 }
 
 #[cfg(test)]

@@ -147,12 +147,11 @@ pub struct PnrReport {
 /// Runs the complete flow: floorplan (hierarchical only) → placement →
 /// wirelength estimation → extraction into the netlist's net capacitances.
 pub fn place_and_route(netlist: &mut Netlist, strategy: Strategy, cfg: &PnrConfig) -> PnrReport {
-    let _prof = qdi_obs::prof::region("pnr.place_route");
+    let _span = qdi_obs::span::hot("pnr.place_route");
     let mut span = qdi_obs::span("qdi_pnr", "place_and_route")
-        .field("netlist", netlist.name())
-        .field("strategy", format!("{strategy:?}"))
-        .field("gates", netlist.gate_count())
-        .enter();
+        .attr("netlist", netlist.name())
+        .attr("strategy", format!("{strategy:?}"))
+        .attr("gates", netlist.gate_count());
     let floorplan = match strategy {
         Strategy::Flat => None,
         Strategy::Hierarchical => Some(floorplan::build_floorplan(netlist, cfg)),
@@ -165,9 +164,9 @@ pub fn place_and_route(netlist: &mut Netlist, strategy: Strategy, cfg: &PnrConfi
     let lengths = route::estimate_lengths(netlist, &placement);
     extract::extract(netlist, &lengths, cfg);
     let total_wirelength_um = lengths.iter().sum();
-    span.record("die_area_um2", placement.die.area());
-    span.record("wirelength_um", total_wirelength_um);
-    span.record("final_cost_um", final_cost_um);
+    span.set_attr("die_area_um2", placement.die.area());
+    span.set_attr("wirelength_um", total_wirelength_um);
+    span.set_attr("final_cost_um", final_cost_um);
     PnrReport {
         strategy,
         die_area_um2: placement.die.area(),

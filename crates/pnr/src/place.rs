@@ -259,14 +259,13 @@ pub fn anneal(netlist: &Netlist, placement: &mut Placement, cfg: &AnnealConfig) 
     let mut affected: Vec<u32> = Vec::with_capacity(16);
 
     let mut span = qdi_obs::span_at(qdi_obs::Level::Debug, "qdi_pnr::place", "anneal")
-        .field("gates", n)
-        .field("sweeps", sweeps)
-        .field("seed", cfg.seed)
-        .field("initial_cost_um", cost)
-        .enter();
+        .attr("gates", n)
+        .attr("sweeps", sweeps)
+        .attr("seed", cfg.seed)
+        .attr("initial_cost_um", cost);
     // Per-sweep stats are summarized locally and reported at most once
     // per sweep, so the hot move loop never touches the tracing runtime.
-    let sweep_log = span.is_enabled();
+    let sweep_log = qdi_obs::enabled(qdi_obs::Level::Debug, "qdi_pnr::place");
     let mut attempted_total: u64 = 0;
     let mut accepted_total: u64 = 0;
 
@@ -329,9 +328,9 @@ pub fn anneal(netlist: &Netlist, placement: &mut Placement, cfg: &AnnealConfig) 
     }
     qdi_obs::metrics::counter("pnr.moves_attempted").add(attempted_total);
     qdi_obs::metrics::counter("pnr.moves_accepted").add(accepted_total);
-    span.record("final_cost_um", cost);
-    span.record("moves_attempted", attempted_total);
-    span.record("moves_accepted", accepted_total);
+    span.set_attr("final_cost_um", cost);
+    span.set_attr("moves_attempted", attempted_total);
+    span.set_attr("moves_accepted", accepted_total);
     cost
 }
 

@@ -30,8 +30,7 @@ pub fn steiner_factor(pins: usize) -> f64 {
 /// paper's channel dissymmetry.
 pub fn estimate_lengths(netlist: &Netlist, placement: &Placement) -> Vec<f64> {
     let mut span = qdi_obs::span_at(qdi_obs::Level::Debug, "qdi_pnr::route", "estimate_lengths")
-        .field("nets", netlist.net_count())
-        .enter();
+        .attr("nets", netlist.net_count());
     let min_stub = 2.0; // µm: via stack + local hookup for trivial nets
     let die = placement.die;
     let lengths: Vec<f64> = netlist
@@ -73,7 +72,7 @@ pub fn estimate_lengths(netlist: &Netlist, placement: &Placement) -> Vec<f64> {
         })
         .collect();
     qdi_obs::metrics::counter("pnr.nets_routed").add(lengths.len() as u64);
-    span.record("wirelength_um", lengths.iter().sum::<f64>());
+    span.set_attr("wirelength_um", lengths.iter().sum::<f64>());
     lengths
 }
 

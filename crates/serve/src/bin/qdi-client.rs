@@ -29,8 +29,7 @@ fn usage() -> ! {
                                       submit a job spec, print its id;\n\
                                       a traceparent is always sent and the\n\
                                       trace id echoed to stderr. The local\n\
-                                      submit span is written to F (or to\n\
-                                      $QDI_TRACE when set)\n\
+                                      submit span is written to F\n\
            status JOB [--wait SECS]   print a job's status JSON\n\
            watch JOB                  stream SSE progress to stdout\n\
            list [--tenant T]          list jobs\n\
@@ -71,13 +70,11 @@ fn main() {
             // span, propagate it as `traceparent`, keep stdout to the
             // bare job id (scripts parse it) and put the trace id on
             // stderr for humans and CI.
-            qdi_obs::trace::init_from_env();
             if let Some(file) = flag_value(&rest, "--trace-file") {
-                qdi_obs::trace::set_writer(file);
+                qdi_obs::span::set_file(file);
             }
-            let mut span = qdi_obs::trace::ActiveSpan::root("qdi-client", "submit");
-            span.set_attr("spec", path.clone());
-            let ctx = span.context();
+            let mut span = qdi_obs::span("qdi-client", "submit").attr("spec", path.clone());
+            let ctx = span.context().unwrap_or_else(qdi_obs::span::mint);
             match client.submit_traced(&spec, Some(&ctx)) {
                 Ok(id) => {
                     span.set_attr("job", id.clone());

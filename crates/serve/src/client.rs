@@ -250,9 +250,9 @@ impl ServeClient {
     pub fn submit_traced(
         &self,
         spec_json: &str,
-        trace: Option<&qdi_obs::trace::TraceContext>,
+        trace: Option<&qdi_obs::span::TraceContext>,
     ) -> Result<String, ClientError> {
-        let header = trace.map(qdi_obs::trace::TraceContext::to_traceparent);
+        let header = trace.map(qdi_obs::span::TraceContext::to_traceparent);
         let headers: Vec<(&str, &str)> = header
             .as_deref()
             .map(|value| vec![("traceparent", value)])

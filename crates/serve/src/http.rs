@@ -113,9 +113,9 @@ impl Request {
     /// (W3C Trace Context shape). Absent or malformed headers yield
     /// `None` — a bad trace header must never fail the request itself.
     #[must_use]
-    pub fn trace_context(&self) -> Option<qdi_obs::trace::TraceContext> {
+    pub fn trace_context(&self) -> Option<qdi_obs::span::TraceContext> {
         let raw = self.header("traceparent")?;
-        qdi_obs::trace::TraceContext::parse_traceparent(raw.trim()).ok()
+        qdi_obs::span::TraceContext::parse_traceparent(raw.trim()).ok()
     }
 }
 

@@ -57,7 +57,7 @@ impl JobState {
 /// Distributed-trace context persisted alongside the job so a
 /// restarted server can keep emitting spans under the trace that
 /// submitted it. Ids are the hex strings of
-/// [`qdi_obs::trace::TraceContext`]; `last_lease_span` is the most
+/// [`qdi_obs::span::TraceContext`]; `last_lease_span` is the most
 /// recent lease span, which the next lease links to with a `resume`
 /// span-link (causality across process death, without pretending the
 /// dead span is a parent).

@@ -26,7 +26,8 @@ use qdi_dpa::selection::{AesSboxSelect, AesXorSelect};
 use qdi_dpa::{SelectionFunction, StoreCampaignRunner, StoreCheckpoint};
 use qdi_exec::{ExecConfig, StoreOptions, SupervisorPolicy};
 
-use qdi_obs::trace::{ActiveSpan, SpanId, TraceContext, TraceId, FLAG_SAMPLED, LINK_RESUME};
+use qdi_obs::span::{SpanId, TraceContext, TraceId, FLAG_SAMPLED, LINK_RESUME};
+use qdi_obs::Span;
 
 use crate::job::{JobHandle, JobRecord, JobState, CHECKPOINT_FILE, REPORT_FILE, STORE_FILE};
 use crate::scheduler::Scheduler;
@@ -100,20 +101,28 @@ fn quarantined_u64(indices: &[usize]) -> Vec<u64> {
 /// link to the previous lease span when one ran — possibly in a server
 /// process that has since been killed. The new span id is persisted
 /// before any work so even a `kill -9` mid-lease leaves the link chain
-/// intact for the *next* lease. `None` for untraced jobs.
-fn open_lease_span(job: &Arc<JobHandle>, record: &JobRecord) -> Option<ActiveSpan> {
-    let meta = record.trace.as_ref()?;
-    let trace_id: TraceId = meta.trace_id.parse().ok()?;
-    let root_span: SpanId = meta.root_span.parse().ok()?;
+/// intact for the *next* lease. Untraced jobs get a root lease span.
+/// The campaign's hot spans roll up under the lease.
+fn open_lease_span(job: &Arc<JobHandle>, record: &JobRecord) -> Span {
+    let lease = qdi_obs::span("qdi-serve", "lease")
+        .attr("job", record.id.clone())
+        .attr("tenant", record.spec.tenant.clone())
+        .attr("resumes", record.resumes.to_string());
+    let Some(meta) = record.trace.as_ref() else {
+        return lease;
+    };
+    let (Ok(trace_id), Ok(root_span)) = (
+        meta.trace_id.parse::<TraceId>(),
+        meta.root_span.parse::<SpanId>(),
+    ) else {
+        return lease;
+    };
     let root = TraceContext {
         trace_id,
         span_id: root_span,
         flags: FLAG_SAMPLED,
     };
-    let mut span = ActiveSpan::child_of(&root, "qdi-serve", "lease");
-    span.set_attr("job", record.id.clone());
-    span.set_attr("tenant", record.spec.tenant.clone());
-    span.set_attr("resumes", record.resumes.to_string());
+    let mut span = lease.child_of(&root);
     if let Some(prev) = meta
         .last_lease_span
         .as_deref()
@@ -124,10 +133,12 @@ fn open_lease_span(job: &Arc<JobHandle>, record: &JobRecord) -> Option<ActiveSpa
             span_id: prev,
             flags: FLAG_SAMPLED,
         };
-        span.add_link(&prior, LINK_RESUME);
+        span.link(&prior, LINK_RESUME);
     }
-    let _ = job.set_lease_span(&span.context().span_id.to_string());
-    Some(span)
+    if let Some(ctx) = span.context() {
+        let _ = job.set_lease_span(&ctx.span_id.to_string());
+    }
+    span
 }
 
 /// Runs one lease of `job`. Owns all state transitions; the returned
@@ -148,21 +159,17 @@ pub fn run_lease(sched: &Scheduler, job: &Arc<JobHandle>) -> Disposition {
     };
     match result {
         Ok(disposition) => {
-            if let Some(span) = lease.as_mut() {
-                span.set_attr(
-                    "disposition",
-                    match disposition {
-                        Disposition::Done => "done",
-                        Disposition::Requeue => "requeue",
-                    },
-                );
-            }
+            lease.set_attr(
+                "disposition",
+                match disposition {
+                    Disposition::Done => "done",
+                    Disposition::Requeue => "requeue",
+                },
+            );
             disposition
         }
         Err(message) => {
-            if let Some(span) = lease.as_mut() {
-                span.set_attr("error", message.clone());
-            }
+            lease.set_attr("error", message.clone());
             let _ = job.set_state(JobState::Failed, Some(message));
             qdi_obs::metrics::counter("serve.jobs.failed").inc();
             Disposition::Done
@@ -178,7 +185,7 @@ fn run_dpa(
     sched: &Scheduler,
     job: &Arc<JobHandle>,
     spec: &DpaJobSpec,
-    lease: &mut Option<ActiveSpan>,
+    lease: &mut Span,
 ) -> Result<Disposition, String> {
     let record = job.record();
     let tenant = record.spec.tenant.clone();
@@ -231,23 +238,17 @@ fn run_dpa(
             total,
             quarantined_u64(runner.quarantined()),
         );
-        if let Some(span) = lease.as_mut() {
-            span.add_event("chunk", &[("completed", runner.completed().to_string())]);
-        }
+        lease.event("chunk", &[("completed", runner.completed().to_string())]);
         if sched.draining() {
             // Park durably: the next server start re-queues us and the
             // checkpoint written above resumes exactly here.
-            if let Some(span) = lease.as_mut() {
-                span.add_event("drain.park", &[]);
-            }
+            lease.event("drain.park", &[]);
             let _ = job.set_state(JobState::Queued, None);
             return Ok(Disposition::Done);
         }
         if sched.should_yield(&tenant, priority) {
             qdi_obs::metrics::counter("serve.sched.yields").inc();
-            if let Some(span) = lease.as_mut() {
-                span.add_event("sched.yield", &[("tenant", tenant.clone())]);
-            }
+            lease.event("sched.yield", &[("tenant", tenant.clone())]);
             let _ = job.set_state(JobState::Queued, None);
             return Ok(Disposition::Requeue);
         }

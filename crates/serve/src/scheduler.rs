@@ -69,28 +69,23 @@ impl Scheduler {
     }
 
     /// Queues a job (idempotence is the caller's concern). Traced jobs
-    /// get a zero-duration `sched.enqueue` mark parented under their
-    /// submitting span, so waterfalls show every (re)queue — initial
-    /// submit, fair-share requeue, crash recovery — on one time axis.
+    /// get a `sched.enqueue` span parented under their submitting span,
+    /// so waterfalls show every (re)queue — initial submit, fair-share
+    /// requeue, crash recovery — on one time axis.
     pub fn enqueue(&self, job: Arc<JobHandle>) {
         let record = job.record();
         if let Some(ctx) = record.trace.as_ref().and_then(|meta| {
-            Some(qdi_obs::trace::TraceContext {
+            Some(qdi_obs::span::TraceContext {
                 trace_id: meta.trace_id.parse().ok()?,
                 span_id: meta.root_span.parse().ok()?,
-                flags: qdi_obs::trace::FLAG_SAMPLED,
+                flags: qdi_obs::span::FLAG_SAMPLED,
             })
         }) {
-            qdi_obs::trace::point_span(
-                &ctx,
-                "qdi-serve",
-                "sched.enqueue",
-                &[
-                    ("job", record.id.clone()),
-                    ("tenant", record.spec.tenant.clone()),
-                    ("resumes", record.resumes.to_string()),
-                ],
-            );
+            let _mark = qdi_obs::span("qdi-serve", "sched.enqueue")
+                .child_of(&ctx)
+                .attr("job", record.id.clone())
+                .attr("tenant", record.spec.tenant.clone())
+                .attr("resumes", record.resumes.to_string());
         }
         let entry = QueueEntry {
             tenant: record.spec.tenant.clone(),

@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use qdi_obs::trace::ActiveSpan;
+use qdi_obs::Span;
 
 use crate::http::{
     read_request, write_sse_event, write_sse_preamble, HttpError, Limits, Request, Response,
@@ -134,7 +134,7 @@ impl Server {
         // server keeps appending to the same file and cross-restart
         // traces stay in one place. The writer is process-global: the
         // most recently started server in a process owns it.
-        qdi_obs::trace::set_writer(cfg.data_dir.join("trace").join("spans.jsonl"));
+        qdi_obs::span::set_file(cfg.data_dir.join("trace").join("spans.jsonl"));
 
         let state = Arc::new(ServerState {
             cfg,
@@ -375,10 +375,10 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) {
     // One span per request: a child of the caller's traceparent when
     // one was sent, a fresh root otherwise (so server-side work is
     // traceable even from untraced clients).
-    let mut span = match request.trace_context() {
-        Some(ctx) => ActiveSpan::child_of(&ctx, "qdi-serve", route_name.clone()),
-        None => ActiveSpan::root("qdi-serve", route_name.clone()),
-    };
+    let mut span = qdi_obs::span("qdi-serve", route_name.clone());
+    if let Some(ctx) = request.trace_context() {
+        span = span.child_of(&ctx);
+    }
     span.set_attr("http.method", request.method.clone());
     span.set_attr("http.path", request.path.clone());
     if !tenant.is_empty() {
@@ -425,7 +425,7 @@ fn json_ok<T: serde::Serialize>(value: &T) -> Result<Response, HttpError> {
 fn route(
     state: &Arc<ServerState>,
     request: &Request,
-    span: &mut ActiveSpan,
+    span: &mut Span,
 ) -> Result<Response, HttpError> {
     let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
     match (request.method.as_str(), segments.as_slice()) {
@@ -503,7 +503,7 @@ fn progress_snapshot(state: &Arc<ServerState>) -> qdi_obs::progress::ProgressSna
 fn submit(
     state: &Arc<ServerState>,
     request: &Request,
-    span: &mut ActiveSpan,
+    span: &mut Span,
 ) -> Result<Response, HttpError> {
     if state.drain.load(Ordering::SeqCst) {
         return Err(HttpError::new(503, "server is draining"));
@@ -534,7 +534,7 @@ fn submit(
     // the submitter's trace (when a traceparent came in) and already
     // recorded, so every future lease span — including ones emitted by
     // a different server process after a crash — parents under it.
-    let ctx = span.context();
+    let ctx = span.context().unwrap_or_else(qdi_obs::span::mint);
     span.set_attr("job", id.clone());
     let record = JobRecord {
         id: id.clone(),

@@ -116,7 +116,7 @@ fn sigkill_mid_campaign_resumes_bit_identically() {
     let client = ServeClient::new(wait_addr(&addr_file));
     // Submit under a minted trace context so the whole story — both
     // server processes included — shares one known trace id.
-    let ctx = qdi_obs::trace::mint();
+    let ctx = qdi_obs::span::mint();
     let id = client
         .submit_traced(
             &serde_json::to_string(&crash_spec("crash")).expect("serializes"),
@@ -180,7 +180,7 @@ fn sigkill_mid_campaign_resumes_bit_identically() {
     // lease span carrying a `resume` link whose target is the killed
     // lease — whose own record never hit disk, because SIGKILL runs no
     // destructors. That dangling link IS the crash signature.
-    let spans = qdi_obs::trace::read_spans(&data.join("trace").join("spans.jsonl"))
+    let spans = qdi_obs::span::read_spans(&data.join("trace").join("spans.jsonl"))
         .expect("span file readable");
     let trace_hex = ctx.trace_id.to_string();
     let ours: Vec<_> = spans.iter().filter(|s| s.trace_id == trace_hex).collect();
@@ -207,7 +207,7 @@ fn sigkill_mid_campaign_resumes_bit_identically() {
     let resume_targets: Vec<&str> = leases
         .iter()
         .flat_map(|l| l.links.iter())
-        .filter(|k| k.kind == qdi_obs::trace::LINK_RESUME)
+        .filter(|k| k.kind == qdi_obs::span::LINK_RESUME)
         .map(|k| k.span_id.as_str())
         .collect();
     assert!(

@@ -355,7 +355,7 @@ impl<'a> Testbench<'a> {
     /// * [`SimError::SimTimeout`] if the watchdog's sim-time deadline
     ///   passes.
     pub fn run(mut self) -> Result<TestbenchRun, SimError> {
-        let _prof = qdi_obs::prof::region("sim.tb.run");
+        let _span = qdi_obs::span::hot("sim.tb.run");
         // Sinks start ready: raise their acknowledge nets, then settle.
         for sink in &self.sinks {
             let ack = self

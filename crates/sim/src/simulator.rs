@@ -511,7 +511,7 @@ impl<'a> Simulator<'a> {
     /// Returns [`SimError::EventLimit`] if more than `limit` events fire —
     /// the signature of an oscillating circuit.
     pub fn run_until_quiescent(&mut self, limit: u64) -> Result<(), SimError> {
-        let _prof = qdi_obs::prof::region("sim.run");
+        let _span = qdi_obs::span::hot("sim.run");
         let start = self.events_processed;
         let result = self.drain(None, limit);
         self.finish_run(start, result.is_err());
@@ -525,7 +525,7 @@ impl<'a> Simulator<'a> {
     ///
     /// Returns [`SimError::EventLimit`] if more than `limit` events fire.
     pub fn run_until(&mut self, t_end: TimePs, limit: u64) -> Result<(), SimError> {
-        let _prof = qdi_obs::prof::region("sim.run");
+        let _span = qdi_obs::span::hot("sim.run");
         let start = self.events_processed;
         let result = self.drain(Some(t_end), limit);
         self.now = self.now.max(t_end);
@@ -674,7 +674,7 @@ impl<'a> Simulator<'a> {
     ///
     /// Propagates [`SimError::EventLimit`] from the settling run.
     pub fn settle(&mut self, limit: u64) -> Result<(), SimError> {
-        let _prof = qdi_obs::prof::region("sim.settle");
+        let _span = qdi_obs::span::hot("sim.settle");
         for gate in self.netlist.gates() {
             self.evaluate_gate(gate.id);
         }

@@ -149,9 +149,8 @@ pub fn nominal_switched_cap_ff(netlist: &Netlist, gate: &Gate) -> f64 {
 /// be levelized (the structural lints cover that case).
 pub fn analyze(netlist: &Netlist, cfg: &SymConfig) -> Result<SymReport, NetlistError> {
     let mut span = qdi_obs::span_at(qdi_obs::Level::Debug, "qdi_sym", "analyze")
-        .field("netlist", netlist.name())
-        .field("gates", netlist.gate_count())
-        .enter();
+        .attr("netlist", netlist.name())
+        .attr("gates", netlist.gate_count());
     let eval = evaluate(netlist, cfg)?;
     let mut report = SymReport {
         netlist: netlist.name().to_string(),
@@ -166,8 +165,8 @@ pub fn analyze(netlist: &Netlist, cfg: &SymConfig) -> Result<SymReport, NetlistE
         check_level(netlist, cfg, &eval, level, gates, &mut report);
     }
     check_rails(netlist, &eval, &mut report);
-    span.record("balanced", report.is_balanced());
-    span.record(
+    span.set_attr("balanced", report.is_balanced());
+    span.set_attr(
         "findings",
         report.count_findings.len() + report.cap_findings.len() + report.rail_findings.len(),
     );

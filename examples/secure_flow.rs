@@ -119,9 +119,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     qdi_obs::timeseries::save_json("secure_flow.timeseries.json")?;
 
-    // The full region/pool profile accumulated since `cfg.profile`
-    // switched the profiler on (both flows plus the campaign above):
-    // feed it to `qdi-mon analyze|flame|timeline`.
+    // The full hot-span/pool profile accumulated since `cfg.profile`
+    // installed it (both flows plus the campaign above): feed it to
+    // `qdi-mon analyze|flame|timeline`.
     qdi_obs::prof::report().save("secure_flow.qprof.json")?;
 
     println!(

@@ -67,9 +67,10 @@ fn main() {
     // Alice's submit travels under a client-minted trace context, so the
     // span file tells the whole story — client, edge, scheduler, runner —
     // under one trace id. CI renders it with `qdi-mon trace`.
-    let mut submit_span = qdi::obs::trace::ActiveSpan::root("qdi-client", "submit");
-    submit_span.set_attr("demo", "serve_demo");
-    let ctx = submit_span.context();
+    let mut submit_span = qdi::obs::span("qdi-client", "submit").attr("demo", "serve_demo");
+    let ctx = submit_span
+        .context()
+        .expect("the server's span file turns spans on");
     let alice = client
         .submit_traced(&spec_json, Some(&ctx))
         .expect("alice submits");
