@@ -3,7 +3,6 @@
 #![allow(clippy::needless_range_loop)] // index loops run over parallel channel/ack arrays
 use qdi_netlist::Netlist;
 use qdi_sim::Transition;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::pulse::{Pulse, PulseShape};
@@ -28,8 +27,10 @@ pub struct SynthConfig {
     /// Drive resistance assumed for environment-driven (primary input)
     /// nets, kΩ.
     pub input_drive_kohm: f64,
-    /// Gaussian noise sigma added by [`TraceSynthesizer::synthesize_noisy`]
-    /// (same units as trace samples).
+    /// Standard deviation of the Gaussian noise a campaign adds to each
+    /// synthesized trace with [`Trace::add_gaussian_noise`] (same units
+    /// as trace samples). [`TraceSynthesizer::synthesize`] itself is
+    /// noiseless and ignores it.
     pub noise_sigma: f64,
 }
 
@@ -122,15 +123,6 @@ impl<'a> TraceSynthesizer<'a> {
             samples = trace.len(),
             charge_fc = trace.charge_fc(),
             "synthesized trace");
-        trace
-    }
-
-    /// Synthesizes a trace and adds Gaussian noise of
-    /// [`SynthConfig::noise_sigma`].
-    pub fn synthesize_noisy<R: Rng>(&self, transitions: &[Transition], rng: &mut R) -> Trace {
-        let mut trace = self.synthesize(transitions);
-        let _span = qdi_obs::span::hot("analog.noise");
-        trace.add_gaussian_noise(rng, self.cfg.noise_sigma);
         trace
     }
 }
@@ -235,7 +227,8 @@ mod tests {
         let log = run_xor(&nl, &a, &bb, &out, 0, 1);
         let clean = synth.synthesize(&log);
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let noisy = synth.synthesize_noisy(&log, &mut rng);
+        let mut noisy = synth.synthesize(&log);
+        noisy.add_gaussian_noise(&mut rng, synth.config().noise_sigma);
         assert_eq!(clean.len(), noisy.len());
         assert!(clean.samples() != noisy.samples());
     }

@@ -1,9 +1,14 @@
 //! Trace-campaign configuration and the per-acquisition kernel: drive
 //! the gate-level AES byte slice with one plaintext and synthesize its
-//! power trace. The campaign drivers ([`crate::run_parallel_campaign`],
+//! power trace — once per distinct plaintext per campaign, through a
+//! noiseless-trace cache — then add the acquisition's noise. The
+//! campaign drivers ([`crate::run_parallel_campaign`],
 //! [`crate::StoreCampaignRunner`]) run this kernel on the `qdi-exec` pool.
 
-use qdi_analog::{SynthConfig, TraceSynthesizer};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
+
+use qdi_analog::{SynthConfig, Trace, TraceSynthesizer};
 use qdi_crypto::gatelevel::{bit_values, slice::AesByteSlice};
 use qdi_sim::{SimError, Testbench, TestbenchConfig};
 use rand::{Rng, SeedableRng};
@@ -90,24 +95,76 @@ pub(crate) fn plaintext_schedule(cfg: &CampaignConfig) -> Vec<u8> {
         .collect()
 }
 
-/// Acquisition `index` of a campaign: simulates a four-phase computation
-/// of the slice for plaintext `pt` and synthesizes its supply-current
-/// trace with noise from the per-index RNG
-/// [`qdi_exec::job_rng`]`(cfg.seed, index)`. The simulation itself is
-/// deterministic, so the trace depends only on the config, `pt` and
-/// `index` — never on the worker that ran it, the attempt number, or
-/// the order of acquisition.
+/// The noiseless traces of one campaign: one lazily filled slot per
+/// plaintext byte.
+///
+/// The slice's simulation is deterministic and noise is the only
+/// per-acquisition randomness, so within a campaign the noiseless trace
+/// is a function of the plaintext alone: a byte-slice campaign simulates
+/// at most 256 times whatever its trace count. Each campaign driver owns
+/// one cache and drops it when it finishes.
+pub(crate) struct TraceCache<'a> {
+    slice: &'a AesByteSlice,
+    synth: TraceSynthesizer<'a>,
+    slots: Vec<OnceLock<Trace>>,
+    simulated: AtomicUsize,
+    simulated_metric: qdi_obs::metrics::Counter,
+}
+
+impl<'a> TraceCache<'a> {
+    /// An empty cache for campaigns on `slice` under `cfg`'s synthesis
+    /// configuration.
+    pub(crate) fn new(slice: &'a AesByteSlice, cfg: &CampaignConfig) -> Self {
+        TraceCache {
+            slice,
+            synth: TraceSynthesizer::new(&slice.netlist, cfg.synth),
+            slots: std::iter::repeat_with(OnceLock::new).take(256).collect(),
+            simulated: AtomicUsize::new(0),
+            simulated_metric: qdi_obs::metrics::counter("dpa.acquire.simulated"),
+        }
+    }
+
+    /// Acquisitions that ran the simulator (cache misses) so far.
+    pub(crate) fn simulated(&self) -> usize {
+        self.simulated.load(Ordering::Relaxed)
+    }
+}
+
+/// Acquisition `index` of a campaign: the supply-current trace of a
+/// four-phase computation of the slice for plaintext `pt`, plus noise
+/// from the per-index RNG [`qdi_exec::job_rng`]`(cfg.seed, index)`.
+///
+/// The noiseless trace comes from `cache`; on a miss the slice is
+/// simulated and synthesized under `cfg`'s budgets. Errors and panics
+/// never fill a slot, so a failing stimulus fails at every index that
+/// uses it. Two workers missing the same slot both simulate; the first
+/// to store wins, and both traces are equal. The trace therefore depends
+/// only on the config, `pt` and `index` — never on the worker that ran
+/// it, the attempt number, the order of acquisition or the cache state.
 pub(crate) fn acquire_trace(
-    slice: &AesByteSlice,
+    cache: &TraceCache<'_>,
     cfg: &CampaignConfig,
-    synth: &TraceSynthesizer<'_>,
     pt: u8,
     index: usize,
-) -> Result<qdi_analog::Trace, SimError> {
+) -> Result<Trace, SimError> {
     let _span = qdi_obs::span::hot("dpa.acquire");
-    let run = slice_testbench(slice, &cfg.testbench, cfg.key, pt)?.run()?;
+    let slot = &cache.slots[usize::from(pt)];
+    let noiseless = match slot.get() {
+        Some(trace) => trace,
+        None => {
+            cache.simulated.fetch_add(1, Ordering::Relaxed);
+            cache.simulated_metric.inc();
+            let run = slice_testbench(cache.slice, &cfg.testbench, cfg.key, pt)?.run()?;
+            let trace = cache.synth.synthesize(&run.transitions);
+            // The clone drops the growth capacity synthesis left behind.
+            slot.get_or_init(|| trace.clone())
+        }
+    };
+    let mut trace = noiseless.clone();
+    let _noise = qdi_obs::span::hot("analog.noise");
     let mut noise_rng = qdi_exec::job_rng(cfg.seed, index as u64);
-    Ok(synth.synthesize_noisy(&run.transitions, &mut noise_rng))
+    trace.add_gaussian_noise(&mut noise_rng, cfg.synth.noise_sigma);
+    Ok(trace)
 }
 
 /// A testbench driving the slice with plaintext `pt` and key `key` for
@@ -217,6 +274,27 @@ mod tests {
 
     fn campaign(slice: &AesByteSlice, cfg: &CampaignConfig) -> TraceSet {
         run_parallel_campaign(slice, cfg, ExecConfig::serial()).expect("runs")
+    }
+
+    #[test]
+    fn cache_simulates_each_plaintext_once_and_never_stores_a_failure() {
+        let slice = aes_first_round_slice("s", SliceStage::XorOnly).expect("builds");
+        let mut cfg = CampaignConfig::full_codebook(0x42);
+        cfg.traces = 512;
+        let pts = plaintext_schedule(&cfg);
+        let cache = TraceCache::new(&slice, &cfg);
+        // A starved budget fails every acquisition and fills no slot...
+        let mut starved = cfg;
+        starved.testbench.event_limit = 1;
+        for (i, &pt) in pts.iter().enumerate() {
+            assert!(acquire_trace(&cache, &starved, pt, i).is_err(), "index {i}");
+        }
+        assert_eq!(cache.simulated(), 512);
+        // ...so the same cache then simulates each plaintext exactly once.
+        for (i, &pt) in pts.iter().enumerate() {
+            acquire_trace(&cache, &cfg, pt, i).expect("fits the default budget");
+        }
+        assert_eq!(cache.simulated(), 512 + 256);
     }
 
     #[test]

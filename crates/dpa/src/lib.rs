@@ -19,7 +19,8 @@
 //! * trace campaigns against the gate-level AES byte slice of
 //!   [`qdi_crypto::gatelevel`], in memory ([`parallel`]) or streamed to a
 //!   resumable `.qtrs` store ([`store`]), both on the `qdi-exec` pool with
-//!   one per-index noise schedule ([`campaign`]);
+//!   one per-index noise schedule and a per-campaign noiseless-trace
+//!   cache ([`campaign`]);
 //! * attack-quality metrics: ghost-peak ratio and measurements to
 //!   disclosure ([`metrics`]).
 //!

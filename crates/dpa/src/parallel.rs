@@ -20,14 +20,20 @@
 //! [`crate::bias_signal`] sums each partition left-to-right in one chain;
 //! it agrees bit for bit with the sharded tree on sets of at most
 //! [`BIAS_SHARD`] traces and statistically beyond.
+//!
+//! Each campaign driver also simulates and synthesizes every distinct
+//! plaintext only once ([`crate::campaign`]'s noiseless-trace cache) and
+//! adds the per-index noise to a copy, so the same f64 samples receive
+//! the same noise in the same order as an uncached acquisition: the
+//! cache changes no bit of any result.
 
-use qdi_analog::{Trace, TraceSynthesizer};
+use qdi_analog::Trace;
 use qdi_crypto::gatelevel::slice::AesByteSlice;
 use qdi_exec::ExecConfig;
 use qdi_sim::SimError;
 
 use crate::attack::{score_bias, sort_scores, AttackResult, BiasAccumulator, GuessScore};
-use crate::campaign::{acquire_trace, plaintext_schedule, CampaignConfig};
+use crate::campaign::{acquire_trace, plaintext_schedule, CampaignConfig, TraceCache};
 use crate::selection::SelectionFunction;
 use crate::traceset::TraceSet;
 
@@ -55,12 +61,12 @@ pub fn run_parallel_campaign(
         .attr("workers", exec.workers);
     let start = std::time::Instant::now();
     let pts = plaintext_schedule(cfg);
-    let synth = TraceSynthesizer::new(&slice.netlist, cfg.synth);
+    let cache = TraceCache::new(slice, cfg);
     // Inert unless `qdi_obs::progress` is enabled; `qdi-mon watch` tails
     // the streamed snapshots for a live completed/total + ETA view.
     let progress = qdi_obs::progress::task("dpa.campaign", cfg.traces);
     let traces = qdi_exec::try_run_indexed(&exec, cfg.traces, |i| {
-        let trace = acquire_trace(slice, cfg, &synth, pts[i], i);
+        let trace = acquire_trace(&cache, cfg, pts[i], i);
         progress.advance(1);
         trace
     })?;
@@ -70,6 +76,7 @@ pub fn run_parallel_campaign(
         set.push(vec![pt], trace);
     }
     qdi_obs::metrics::counter("dpa.traces").add(set.len() as u64);
+    span.set_attr("simulated", cache.simulated());
     let elapsed = start.elapsed().as_secs_f64();
     span.set_attr("wall_s", elapsed);
     if elapsed > 0.0 {
@@ -121,10 +128,10 @@ pub fn run_parallel_campaign_supervised(
         .attr("traces", cfg.traces)
         .attr("workers", exec.workers);
     let pts = plaintext_schedule(cfg);
-    let synth = TraceSynthesizer::new(&slice.netlist, cfg.synth);
+    let cache = TraceCache::new(slice, cfg);
     let progress = qdi_obs::progress::task("dpa.campaign", cfg.traces);
     let run = qdi_exec::run_supervised(&exec, policy, cfg.seed, cfg.traces, |i| {
-        let trace = acquire_trace(slice, cfg, &synth, pts[i], i)
+        let trace = acquire_trace(&cache, cfg, pts[i], i)
             .map_err(|e| format!("simulation failed: {e:?}"))?;
         progress.advance(1);
         Ok::<_, String>(trace)
@@ -140,6 +147,7 @@ pub fn run_parallel_campaign_supervised(
     }
     qdi_obs::metrics::counter("dpa.traces").add(set.len() as u64);
     span.set_attr("completed", set.len());
+    span.set_attr("simulated", cache.simulated());
     span.set_attr("quarantined", run.quarantine.len());
     span.set_attr("retries", run.retries);
     SupervisedCampaign {

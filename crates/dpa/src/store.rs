@@ -23,7 +23,7 @@ use std::error::Error;
 use std::fmt;
 use std::path::Path;
 
-use qdi_analog::{Trace, TraceSynthesizer};
+use qdi_analog::Trace;
 use qdi_crypto::gatelevel::slice::AesByteSlice;
 use qdi_exec::store::{StoreOptions, StoreReader, StoreWriter};
 use qdi_exec::{run_supervised, ExecConfig, JobOutcome, Quarantine, StoreError, SupervisorPolicy};
@@ -31,7 +31,7 @@ use qdi_sim::SimError;
 use serde::{Deserialize, Serialize};
 
 use crate::attack::BiasAccumulator;
-use crate::campaign::{acquire_trace, plaintext_schedule, CampaignConfig};
+use crate::campaign::{acquire_trace, plaintext_schedule, CampaignConfig, TraceCache};
 use crate::parallel::BIAS_SHARD;
 use crate::selection::SelectionFunction;
 use crate::traceset::{TraceSet, TraceSetError};
@@ -285,13 +285,13 @@ fn store_fingerprint(cfg: &CampaignConfig, workers: usize) -> String {
 /// Store-backed parallel campaign: acquires chunks of traces on the
 /// `qdi-exec` pool (per-index noise seeding, worker-count invariant) and
 /// appends them to a `.qtrs` store in index order. Peak resident trace
-/// memory is one chunk.
+/// memory is one chunk plus the runner's noiseless-trace cache (at most
+/// 256 traces, one per plaintext byte, dropped with the runner).
 pub struct StoreCampaignRunner<'a> {
-    slice: &'a AesByteSlice,
     cfg: CampaignConfig,
     resilience: ResilienceConfig,
     exec: ExecConfig,
-    synth: TraceSynthesizer<'a>,
+    cache: TraceCache<'a>,
     pts: Vec<u8>,
     writer: StoreWriter,
     store_path: String,
@@ -329,11 +329,10 @@ impl<'a> StoreCampaignRunner<'a> {
         let store_path = store_path.as_ref().to_string_lossy().into_owned();
         let writer = StoreWriter::create(&store_path, 0, cfg.synth.dt_ps, opts)?;
         Ok(StoreCampaignRunner {
-            slice,
             cfg,
             resilience,
             exec,
-            synth: TraceSynthesizer::new(&slice.netlist, cfg.synth),
+            cache: TraceCache::new(slice, &cfg),
             pts: plaintext_schedule(&cfg),
             writer,
             store_path,
@@ -405,11 +404,10 @@ impl<'a> StoreCampaignRunner<'a> {
         let progress = qdi_obs::progress::task("dpa.store_campaign", cfg.traces);
         progress.advance(checkpoint.completed);
         Ok(StoreCampaignRunner {
-            slice,
             cfg,
             resilience,
             exec,
-            synth: TraceSynthesizer::new(&slice.netlist, cfg.synth),
+            cache: TraceCache::new(slice, &cfg),
             pts: plaintext_schedule(&cfg),
             writer,
             store_path: checkpoint.store_path,
@@ -509,7 +507,9 @@ impl<'a> StoreCampaignRunner<'a> {
     /// failures re-run with event/round budgets times `budget_backoff^k`.
     /// Protocol-class failures (deadlock, livelock, bad environment) are
     /// never retried — the simulation is deterministic, so they would
-    /// only repeat. The noise RNG is re-derived from the index each
+    /// only repeat. Budgets only abort a run, so they matter only on a
+    /// noiseless-trace cache miss: a trace that fits any budget is the
+    /// same trace. The noise RNG is re-derived from the index each
     /// attempt, so a rescued trace is bit-identical to an undisturbed
     /// acquisition.
     fn acquire(&self, index: usize) -> Result<Trace, CampaignError> {
@@ -520,7 +520,7 @@ impl<'a> StoreCampaignRunner<'a> {
             let factor = backoff.saturating_pow(attempt);
             cfg.testbench.event_limit = cfg.testbench.event_limit.saturating_mul(factor);
             cfg.testbench.max_rounds = cfg.testbench.max_rounds.saturating_mul(factor);
-            match acquire_trace(self.slice, &cfg, &self.synth, self.pts[index], index) {
+            match acquire_trace(&self.cache, &cfg, self.pts[index], index) {
                 Ok(trace) => break trace,
                 Err(SimError::EventLimit { .. } | SimError::SimTimeout { .. })
                     if attempt < self.resilience.max_retries =>
