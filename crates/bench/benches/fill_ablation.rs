@@ -6,6 +6,9 @@
 //! 2. **Annealing effort**: spending more optimisation effort on the
 //!    *flat* flow improves wirelength but does not bound the worst
 //!    channel — only the region constraint does (DESIGN.md ablation).
+//!
+//! The shapes printed here are asserted, at this same size, by the E3
+//! tests of `tests/paper_claims.rs`.
 
 use qdi_bench::banner;
 use qdi_crypto::gatelevel::slice::{aes_first_round_slice, SliceStage};
@@ -37,7 +40,7 @@ fn main() {
     // Channel-level fill: zeroes the criterion but leaves the paths'
     // internal nets (minterms, OR stages) mismatched.
     let mut channel_only = slice.clone();
-    let ch_report = fill::balance_channels(&mut channel_only.netlist, 0.0);
+    fill::balance_channels(&mut channel_only.netlist, 0.0);
     let (ch_avg, ch_min) = margins_of(&channel_only);
 
     // Cone-level fill: symmetrizes every structurally corresponding net of
@@ -57,18 +60,6 @@ fn main() {
         "  cone-fill cost: {:.0} fF dummy capacitance = {energy:.0} fJ extra per cycle",
         cone_report.added_cap_ff
     );
-    assert!(
-        ch_report.max_criterion_after < 1e-9,
-        "channel fill must zero the criterion"
-    );
-    assert!(
-        ch_avg < before_avg,
-        "channel fill must reduce the margins: {before_avg} -> {ch_avg}"
-    );
-    assert!(
-        after_avg < 0.25 * before_avg,
-        "cone fill must collapse the DPA margins: {before_avg} -> {after_avg}"
-    );
     println!("  note: the channel criterion alone under-covers eq. 12 — internal path");
     println!("  nets leak too; cone fill closes that gap.");
 
@@ -77,8 +68,6 @@ fn main() {
     println!("  effort (moves/gate)   flat wirelength    flat dA    hier dA");
     let base = aes_first_round_slice("slice", SliceStage::XorOnly).expect("builds");
     let seeds = [5u64, 6, 7];
-    let mut flat_rows = Vec::new();
-    let mut hier_rows = Vec::new();
     for effort in [10usize, 60, 240] {
         let mut flat_wl = 0.0;
         let mut flat_d = 0.0;
@@ -98,22 +87,6 @@ fn main() {
         let n = seeds.len() as f64;
         let (flat_wl, flat_d, hier_d) = (flat_wl / n, flat_d / n, hier_d / n);
         println!("  {effort:>10}          {flat_wl:>12.0}    {flat_d:>8.3}  {hier_d:>8.3}");
-        flat_rows.push((flat_wl, flat_d));
-        hier_rows.push(hier_d);
-    }
-    // Wirelength improves monotonically with effort...
-    assert!(
-        flat_rows[2].0 < flat_rows[0].0,
-        "more effort should reduce wirelength: {flat_rows:?}"
-    );
-    // ...but at every effort level the region constraint beats the flat
-    // optimiser on the security criterion.
-    for (i, &hier_d) in hier_rows.iter().enumerate() {
-        assert!(
-            hier_d < flat_rows[i].1,
-            "hierarchical must beat flat at equal effort: {hier_d} vs {}",
-            flat_rows[i].1
-        );
     }
     println!("\nRESULT: fill zeroes the criterion (at an energy cost); optimisation");
     println!("effort alone cannot substitute for the paper's placement constraints.");

@@ -31,7 +31,8 @@
 use std::fmt;
 
 use qdi_crypto::gatelevel::slice::AesByteSlice;
-use qdi_dpa::{attack, campaign, selection::SelectionFunction, AttackResult};
+use qdi_dpa::{campaign, parallel_attack, selection::SelectionFunction, AttackResult};
+use qdi_exec::ExecConfig;
 use qdi_lint::{LintConfig, LintReport, Registry};
 use qdi_netlist::Netlist;
 use qdi_pnr::{criterion, place_and_route, ChannelCriterion, PnrConfig, Strategy};
@@ -188,10 +189,12 @@ pub struct FlowConfig {
     pub worst_k: usize,
     /// Trace campaign for the DPA evaluation step (slice flow).
     pub campaign: campaign::CampaignConfig,
-    /// Worker threads for the trace-campaign step (`0` = all cores). The
-    /// campaign runs on the `qdi-exec` pool with per-index noise seeding,
-    /// so its traces are bit-identical at every worker count; `1` (the
-    /// default) runs it on the calling thread (see [`qdi_dpa::parallel`]).
+    /// Worker threads for the trace-campaign and attack steps (`0` = all
+    /// cores). Both run on the `qdi-exec` pool — the campaign with
+    /// per-index noise seeding, the attack on the fixed-shard bias tree —
+    /// so traces and scores are bit-identical at every worker count; `1`
+    /// (the default) runs them on the calling thread (see
+    /// [`qdi_dpa::parallel`]).
     pub workers: usize,
     /// Lint severities and thresholds for both lint stages. The flow
     /// default disables the `dA` deny tier (`da_deny = None`): routed
@@ -203,14 +206,6 @@ pub struct FlowConfig {
     /// error): abort with a [`FlowError`] or record the failure in the
     /// report's [`StepOutcome`] list and keep going.
     pub policy: FlowPolicy,
-    /// Supervisor policy for the trace-campaign step. When set under
-    /// [`FlowPolicy::ContinueOnError`], acquisitions that panic, error or
-    /// overrun are retried and then quarantined instead of sinking the
-    /// whole evaluation: the attack runs on the surviving traces and
-    /// [`SliceFlowReport::quarantine`] carries the manifest. Ignored
-    /// under [`FlowPolicy::FailFast`], where a failure is supposed to
-    /// abort. Applies at every worker count, `1` included.
-    pub supervisor: Option<qdi_exec::SupervisorPolicy>,
     /// Turns on the process-wide progress facility
     /// ([`qdi_obs::progress`]) before the run, so the campaign and any
     /// nested parallel loops register live tasks `qdi-mon watch` can
@@ -251,7 +246,6 @@ impl FlowConfig {
             workers: 1,
             lint,
             policy: FlowPolicy::FailFast,
-            supervisor: None,
             progress: false,
             timeseries: false,
             profile: false,
@@ -600,12 +594,6 @@ pub struct SliceFlowReport {
     /// Ghost ratio, best peak / runner-up peak (0.0 when the attack did
     /// not run).
     pub ghost_ratio: f64,
-    /// Quarantine manifest of a supervised campaign
-    /// ([`FlowConfig::supervisor`]): `Some` whenever the supervised path
-    /// ran (empty on a clean run), `None` otherwise. Non-empty means the
-    /// attack scores come from a partial trace set.
-    #[serde(default)]
-    pub quarantine: Option<qdi_exec::Quarantine>,
 }
 
 impl SliceFlowReport {
@@ -625,15 +613,6 @@ impl SliceFlowReport {
                     .map_or("unranked".to_owned(), |r| (r + 1).to_string()),
             )),
             None => out.push_str("  DPA evaluation did not run (see step outcomes above)\n"),
-        }
-        if let Some(quarantine) = &self.quarantine {
-            if !quarantine.is_empty() {
-                out.push_str(&format!(
-                    "  quarantine: {} acquisition(s) failed permanently — \
-                     attack scores come from a partial trace set\n",
-                    quarantine.len()
-                ));
-            }
         }
         out
     }
@@ -656,101 +635,45 @@ pub fn run_slice_flow(
     cfg: &FlowConfig,
 ) -> Result<SliceFlowReport, FlowError> {
     let mut layout = run_static_flow(&mut slice.netlist, cfg)?;
-    // The supervised campaign path is graceful degradation, so it only
-    // engages when the flow is already committed to continuing on error.
-    let supervised = match cfg.policy {
-        FlowPolicy::ContinueOnError => cfg.supervisor.as_ref(),
-        FlowPolicy::FailFast => None,
+    let exec = ExecConfig {
+        workers: cfg.workers,
     };
-    let mut quarantine = None;
-    let set = if let Some(policy) = supervised {
-        let run = layout.telemetry.step("qdi_core::flow", "campaign", || {
-            qdi_dpa::run_parallel_campaign_supervised(
-                slice,
-                &cfg.campaign,
-                qdi_exec::ExecConfig {
-                    workers: cfg.workers,
-                },
-                policy,
-            )
-        });
-        if cfg.timeseries {
-            qdi_obs::timeseries::tick();
-        }
-        if run.is_complete() {
+    let set = layout.telemetry.step("qdi_core::flow", "campaign", || {
+        qdi_dpa::run_parallel_campaign(slice, &cfg.campaign, exec)
+    });
+    if cfg.timeseries {
+        qdi_obs::timeseries::tick();
+    }
+    let set = match set {
+        Ok(set) => {
             layout.steps.push(StepOutcome::completed("campaign"));
-        } else {
-            layout.steps.push(StepOutcome::failed(
-                "campaign",
-                format!(
-                    "{} of {} acquisitions quarantined",
-                    run.quarantine.len(),
-                    cfg.campaign.traces
-                ),
-            ));
+            set
         }
-        let survivors_empty = run.traces.is_empty();
-        quarantine = Some(run.quarantine);
-        if survivors_empty {
-            layout.steps.push(StepOutcome::skipped(
-                "attack",
-                "no traces survived the campaign",
-            ));
-            return Ok(SliceFlowReport {
-                layout,
-                attack: None,
-                correct_key_rank: None,
-                best_peak: 0.0,
-                ghost_ratio: 0.0,
-                quarantine,
-            });
-        }
-        run.traces
-    } else {
-        let set = layout.telemetry.step("qdi_core::flow", "campaign", || {
-            qdi_dpa::run_parallel_campaign(
-                slice,
-                &cfg.campaign,
-                qdi_exec::ExecConfig {
-                    workers: cfg.workers,
-                },
-            )
-        });
-        if cfg.timeseries {
-            qdi_obs::timeseries::tick();
-        }
-        match set {
-            Ok(set) => {
-                layout.steps.push(StepOutcome::completed("campaign"));
-                set
+        Err(err) => match cfg.policy {
+            FlowPolicy::FailFast => {
+                qdi_obs::flush();
+                return Err(FlowError::Sim(err));
             }
-            Err(err) => match cfg.policy {
-                FlowPolicy::FailFast => {
-                    qdi_obs::flush();
-                    return Err(FlowError::Sim(err));
-                }
-                FlowPolicy::ContinueOnError => {
-                    layout
-                        .steps
-                        .push(StepOutcome::failed("campaign", format!("{err:?}")));
-                    layout
-                        .steps
-                        .push(StepOutcome::skipped("attack", "campaign failed"));
-                    return Ok(SliceFlowReport {
-                        layout,
-                        attack: None,
-                        correct_key_rank: None,
-                        best_peak: 0.0,
-                        ghost_ratio: 0.0,
-                        quarantine: None,
-                    });
-                }
-            },
-        }
+            FlowPolicy::ContinueOnError => {
+                layout
+                    .steps
+                    .push(StepOutcome::failed("campaign", format!("{err:?}")));
+                layout
+                    .steps
+                    .push(StepOutcome::skipped("attack", "campaign failed"));
+                return Ok(SliceFlowReport {
+                    layout,
+                    attack: None,
+                    correct_key_rank: None,
+                    best_peak: 0.0,
+                    ghost_ratio: 0.0,
+                });
+            }
+        },
     };
-    let result = layout
-        .telemetry
-        .step("qdi_core::flow", "attack", || attack(&set, sel));
+    let result = layout.telemetry.step("qdi_core::flow", "attack", || {
+        parallel_attack(&set, sel, exec)
+    });
     layout.steps.push(StepOutcome::completed("attack"));
     if cfg.timeseries {
         qdi_obs::timeseries::tick();
@@ -771,7 +694,6 @@ pub fn run_slice_flow(
         correct_key_rank,
         best_peak,
         ghost_ratio,
-        quarantine,
     })
 }
 
@@ -787,61 +709,6 @@ mod tests {
         cfg.pnr = PnrConfig::fast();
         cfg.campaign.traces = 24;
         cfg
-    }
-
-    #[test]
-    fn supervised_slice_flow_quarantines_and_still_reports() {
-        let mut slice = aes_first_round_slice("s", SliceStage::XorOnly).expect("builds");
-        let mut cfg = fast_cfg(Strategy::Flat, 0x42);
-        cfg.policy = FlowPolicy::ContinueOnError;
-        // One worker: supervision does not need scoped worker threads.
-        cfg.workers = 1;
-        cfg.campaign.traces = 6;
-        // A budget no acquisition fits in, with the supervisor's retries
-        // off: every acquisition quarantines.
-        cfg.campaign.testbench.event_limit = 1;
-        cfg.supervisor = Some(
-            qdi_exec::SupervisorPolicy::new()
-                .without_backoff()
-                .with_retries(0),
-        );
-        let sel = AesXorSelect { byte: 0, bit: 0 };
-        let report = run_slice_flow(&mut slice, &sel, &cfg).expect("partial report, not abort");
-        let quarantine = report.quarantine.as_ref().expect("supervised path ran");
-        assert_eq!(quarantine.len(), 6);
-        assert!(report.attack.is_none());
-        assert!(report
-            .layout
-            .steps
-            .iter()
-            .any(|s| s.step == "campaign" && matches!(s.status, StepStatus::Failed { .. })));
-        assert!(report
-            .layout
-            .steps
-            .iter()
-            .any(|s| s.step == "attack" && matches!(s.status, StepStatus::Skipped { .. })));
-        let text = report.to_text();
-        assert!(text.contains("quarantine"), "{text}");
-    }
-
-    #[test]
-    fn supervised_slice_flow_clean_run_attacks_normally() {
-        let mut slice = aes_first_round_slice("s", SliceStage::XorOnly).expect("builds");
-        let mut cfg = fast_cfg(Strategy::Flat, 0x42);
-        cfg.policy = FlowPolicy::ContinueOnError;
-        cfg.workers = 2;
-        cfg.campaign.traces = 8;
-        cfg.supervisor = Some(qdi_exec::SupervisorPolicy::new().without_backoff());
-        let sel = AesXorSelect { byte: 0, bit: 0 };
-        let report = run_slice_flow(&mut slice, &sel, &cfg).expect("runs");
-        let quarantine = report.quarantine.as_ref().expect("supervised path ran");
-        assert!(quarantine.is_empty());
-        assert!(report.attack.is_some());
-        assert!(report
-            .layout
-            .steps
-            .iter()
-            .any(|s| s.step == "campaign" && s.is_completed()));
     }
 
     #[test]

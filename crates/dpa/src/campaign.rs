@@ -265,8 +265,7 @@ pub fn xor_stage_window(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attack::{attack_with_guesses, bias_signal};
-    use crate::parallel::run_parallel_campaign;
+    use crate::parallel::{parallel_attack_windowed, parallel_bias_signal, run_parallel_campaign};
     use crate::selection::{AesSboxSelect, AesXorSelect};
     use crate::traceset::TraceSet;
     use qdi_crypto::gatelevel::slice::{aes_first_round_slice, SliceStage};
@@ -320,7 +319,8 @@ mod tests {
         cfg.traces = 64;
         let set = campaign(&slice, &cfg);
         let sel = AesXorSelect { byte: 0, bit: 0 };
-        let correct = bias_signal(&set, &sel, key as u16).expect("split");
+        let correct =
+            parallel_bias_signal(&set, &sel, key as u16, ExecConfig::serial()).expect("split");
         let peak = correct.abs_peak().expect("nonempty").1.abs();
         // All nets still carry the default Cd; rails are symmetric except
         // for tiny fanout-count differences, so the bias stays small
@@ -341,7 +341,8 @@ mod tests {
         cfg.traces = 64;
         let set = campaign(&slice, &cfg);
         let sel = AesXorSelect { byte: 0, bit: 0 };
-        let correct = bias_signal(&set, &sel, key as u16).expect("split");
+        let correct =
+            parallel_bias_signal(&set, &sel, key as u16, ExecConfig::serial()).expect("split");
         let peak = correct.abs_peak().expect("peak").1.abs();
         // The heavier rail both draws more charge and — exactly as the
         // paper's Fig. 7 observes — shifts every downstream transition of
@@ -349,7 +350,8 @@ mod tests {
         assert!(peak > 1.0, "expected a strong DPA peak, got {peak}");
         // The XOR selection is linear: the complementary key bit produces
         // the exactly inverted partition, hence the negated bias signal.
-        let flipped = bias_signal(&set, &sel, (key ^ 1) as u16).expect("split");
+        let flipped = parallel_bias_signal(&set, &sel, (key ^ 1) as u16, ExecConfig::serial())
+            .expect("split");
         let mut sum = flipped.clone();
         sum.add_assign(&correct);
         assert!(
@@ -372,7 +374,7 @@ mod tests {
         // Rank the correct key against 15 decoys (a full 256-guess attack
         // lives in the benches).
         let guesses: Vec<u16> = (0..16).map(|i| (key as u16 + i * 13) & 0xFF).collect();
-        let result = attack_with_guesses(&set, &sel, &guesses);
+        let result = parallel_attack_windowed(&set, &sel, &guesses, None, ExecConfig::serial());
         assert_eq!(
             result.best().guess,
             key as u16,

@@ -14,8 +14,10 @@
 //!   (`D(C1, P8, K8)`), the classic `SBOX(p ⊕ k)` variant, and DES
 //!   `SBOX1(P6 ⊕ K0)` — plus oracle/closure selections for signature
 //!   studies ([`selection`]);
-//! * set partitioning, averaging, bias computation, full key-guess
-//!   ranking and multi-bit (Bevan–Knudsen style) combination ([`mod@attack`]);
+//! * set partitioning, averaging and bias computation on one fixed-shard
+//!   summation tree, bit-identical at every worker count, with full
+//!   key-guess ranking ([`parallel`]) and multi-bit (Bevan–Knudsen style)
+//!   combination ([`attack`]);
 //! * trace campaigns against the gate-level AES byte slice of
 //!   [`qdi_crypto::gatelevel`], in memory ([`parallel`]) or streamed to a
 //!   resumable `.qtrs` store ([`store`]), both on the `qdi-exec` pool with
@@ -27,8 +29,9 @@
 //! # Example
 //!
 //! ```
-//! use qdi_dpa::{attack, selection::ClosureSelect, TraceSet};
+//! use qdi_dpa::{parallel_attack, selection::ClosureSelect, TraceSet};
 //! use qdi_analog::Trace;
+//! use qdi_exec::ExecConfig;
 //!
 //! // Two synthetic trace classes differing at one sample.
 //! let mut set = TraceSet::new();
@@ -43,7 +46,7 @@
 //!     set.push(vec![v], t);
 //! }
 //! let sel = ClosureSelect::new("lsb", 2, |input, guess| (input[0] ^ guess as u8) & 1 == 1);
-//! let result = attack::attack(&set, &sel);
+//! let result = parallel_attack(&set, &sel, ExecConfig::serial());
 //! assert_eq!(result.scores.len(), 2);
 //! assert!(result.scores[0].peak_abs > 0.0);
 //! ```
@@ -63,12 +66,12 @@ pub mod template;
 
 mod traceset;
 
-pub use attack::{attack, bias_signal, AttackResult, BiasAccumulator, GuessScore};
+pub use attack::{AttackResult, BiasAccumulator, GuessScore};
 pub use campaign::{CampaignConfig, PlaintextSource};
 pub use cpa::{cpa, CpaResult, HammingWeightSbox, LeakageModel};
 pub use parallel::{
     parallel_attack, parallel_attack_windowed, parallel_bias_signal, run_parallel_campaign,
-    run_parallel_campaign_supervised, SupervisedCampaign, BIAS_SHARD,
+    BIAS_SHARD,
 };
 pub use selection::SelectionFunction;
 pub use store::{

@@ -1,8 +1,9 @@
 //! Attack-quality metrics.
 
+use qdi_exec::ExecConfig;
 use serde::{Deserialize, Serialize};
 
-use crate::attack::attack_with_guesses;
+use crate::parallel::parallel_attack_windowed;
 use crate::selection::SelectionFunction;
 use crate::traceset::TraceSet;
 
@@ -40,7 +41,7 @@ pub fn measurements_to_disclosure(
     let mut n = step;
     while n <= set.len() {
         let prefix = set.prefix(n);
-        let result = attack_with_guesses(&prefix, sel, guesses);
+        let result = parallel_attack_windowed(&prefix, sel, guesses, None, ExecConfig::serial());
         let rank = result.rank_of(correct).unwrap_or(usize::MAX);
         sweep.push((n, rank));
         n += step;

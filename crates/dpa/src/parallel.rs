@@ -11,15 +11,17 @@
 //!   `i` its own noise RNG [`qdi_exec::job_rng`]`(cfg.seed, i)` — so a
 //!   trace's noise depends only on its index, never on which worker ran
 //!   it or in what order. This is the only noise schedule in the crate:
-//!   the store-backed runner and the supervised campaign use it too.
+//!   the store-backed runner uses it too.
 //! * **Fixed-shard accumulation.** [`parallel_bias_signal`] folds traces
 //!   into per-shard [`BiasAccumulator`]s of [`BIAS_SHARD`] traces each —
 //!   a shard structure that depends only on the set size — and merges
 //!   shards in index order, fixing the f64 summation tree.
 //!
-//! [`crate::bias_signal`] sums each partition left-to-right in one chain;
-//! it agrees bit for bit with the sharded tree on sets of at most
-//! [`BIAS_SHARD`] traces and statistically beyond.
+//! This tree is the crate's only bias computation: the templates,
+//! measurements to disclosure, multi-bit attacks and the secure flow all
+//! rank through [`parallel_attack_windowed`] or [`parallel_bias_signal`]
+//! (with [`ExecConfig::serial`] where they have no worker count), and
+//! [`crate::bias_signal_from_store`] streams into the same tree.
 //!
 //! Each campaign driver also simulates and synthesizes every distinct
 //! plaintext only once ([`crate::campaign`]'s noiseless-trace cache) and
@@ -85,83 +87,11 @@ pub fn run_parallel_campaign(
     Ok(set)
 }
 
-/// Result of a supervised parallel campaign: the traces that completed,
-/// which campaign indices they belong to, and the quarantine manifest
-/// for everything that did not.
-#[derive(Debug)]
-pub struct SupervisedCampaign {
-    /// Completed acquisitions, in campaign-index order.
-    pub traces: TraceSet,
-    /// Campaign index of each entry in `traces` (`indices[k]` is the
-    /// acquisition index of trace `k`; gaps are quarantined jobs).
-    pub indices: Vec<usize>,
-    /// Every acquisition that exhausted its retries.
-    pub quarantine: qdi_exec::Quarantine,
-}
-
-impl SupervisedCampaign {
-    /// Whether every acquisition completed.
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.quarantine.is_empty()
-    }
-}
-
-/// [`run_parallel_campaign`] under a `qdi-exec` supervisor: panicking,
-/// erroring or overrunning acquisitions are retried per `policy` and
-/// quarantined when they keep failing, instead of aborting the
-/// campaign. Completed traces are returned in index order next to the
-/// quarantine manifest — graceful degradation for long campaigns where
-/// a hostile index must not cost the other N−1 traces.
-///
-/// Determinism: completed traces are bit-identical to the ones
-/// [`run_parallel_campaign`] produces at any worker count, including
-/// traces that only succeeded on a supervisor re-attempt (per-index
-/// noise seeding is attempt-independent).
-pub fn run_parallel_campaign_supervised(
-    slice: &AesByteSlice,
-    cfg: &CampaignConfig,
-    exec: ExecConfig,
-    policy: &qdi_exec::SupervisorPolicy,
-) -> SupervisedCampaign {
-    let mut span = qdi_obs::span("qdi_dpa::parallel", "run_parallel_campaign_supervised")
-        .attr("traces", cfg.traces)
-        .attr("workers", exec.workers);
-    let pts = plaintext_schedule(cfg);
-    let cache = TraceCache::new(slice, cfg);
-    let progress = qdi_obs::progress::task("dpa.campaign", cfg.traces);
-    let run = qdi_exec::run_supervised(&exec, policy, cfg.seed, cfg.traces, |i| {
-        let trace = acquire_trace(&cache, cfg, pts[i], i)
-            .map_err(|e| format!("simulation failed: {e:?}"))?;
-        progress.advance(1);
-        Ok::<_, String>(trace)
-    });
-    progress.finish();
-    let mut set = TraceSet::new();
-    let mut indices = Vec::new();
-    for (i, outcome) in run.outcomes.into_iter().enumerate() {
-        if let Some(trace) = outcome.into_value() {
-            set.push(vec![pts[i]], trace);
-            indices.push(i);
-        }
-    }
-    qdi_obs::metrics::counter("dpa.traces").add(set.len() as u64);
-    span.set_attr("completed", set.len());
-    span.set_attr("simulated", cache.simulated());
-    span.set_attr("quarantined", run.quarantine.len());
-    span.set_attr("retries", run.retries);
-    SupervisedCampaign {
-        traces: set,
-        indices,
-        quarantine: run.quarantine,
-    }
-}
-
 /// Folds the index range `[lo, hi)` of `set` into one accumulator —
 /// the per-shard work of the parallel bias computation.
 fn accumulate_shard(
     set: &TraceSet,
-    sel: &(dyn SelectionFunction + Sync),
+    sel: &dyn SelectionFunction,
     guess: u16,
     lo: usize,
     hi: usize,
@@ -178,7 +108,7 @@ fn accumulate_shard(
 /// [`parallel_bias_signal`] with any worker count produces exactly this.
 pub(crate) fn sharded_bias(
     set: &TraceSet,
-    sel: &(dyn SelectionFunction + Sync),
+    sel: &dyn SelectionFunction,
     guess: u16,
 ) -> Option<Trace> {
     let n = set.len();
@@ -201,7 +131,7 @@ pub(crate) fn sharded_bias(
 /// is empty.
 pub fn parallel_bias_signal(
     set: &TraceSet,
-    sel: &(dyn SelectionFunction + Sync),
+    sel: &dyn SelectionFunction,
     guess: u16,
     exec: ExecConfig,
 ) -> Option<Trace> {
@@ -225,7 +155,7 @@ pub fn parallel_bias_signal(
 /// job per guess, each computing its fixed-shard bias serially.
 pub fn parallel_attack(
     set: &TraceSet,
-    sel: &(dyn SelectionFunction + Sync),
+    sel: &dyn SelectionFunction,
     exec: ExecConfig,
 ) -> AttackResult {
     let guesses: Vec<u16> = (0..sel.guess_count()).collect();
@@ -238,7 +168,7 @@ pub fn parallel_attack(
 /// results are merged in guess order before the (stable, total) sort.
 pub fn parallel_attack_windowed(
     set: &TraceSet,
-    sel: &(dyn SelectionFunction + Sync),
+    sel: &dyn SelectionFunction,
     guesses: &[u16],
     window: Option<(u64, u64)>,
     exec: ExecConfig,
@@ -258,6 +188,11 @@ pub fn parallel_attack_windowed(
     sort_scores(&mut scores);
     let ranking_ms = start.elapsed().as_secs_f64() * 1e3;
     qdi_obs::metrics::counter("dpa.guesses_scored").add(scores.len() as u64);
+    qdi_obs::metrics::histogram(
+        "dpa.guess_ranking_ms",
+        &[1.0, 10.0, 100.0, 1_000.0, 10_000.0],
+    )
+    .observe(ranking_ms);
     span.set_attr("scored", scores.len());
     span.set_attr("ranking_ms", ranking_ms);
     if let Some(best) = scores.first() {
@@ -274,7 +209,6 @@ pub fn parallel_attack_windowed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attack::{attack_with_guesses, bias_signal};
     use crate::selection::AesXorSelect;
     use qdi_crypto::gatelevel::slice::{aes_first_round_slice, SliceStage};
 
@@ -334,10 +268,6 @@ mod tests {
             let t = parallel_bias_signal(&set, &sel, 0x42, ExecConfig { workers }).expect("bias");
             assert_eq!(golden.samples(), t.samples(), "bias @ {workers} workers");
         }
-        // One shard covers this whole set, so the fixed-shard tree is the
-        // serial left-to-right chain: bit-identical to `bias_signal`.
-        let serial = bias_signal(&set, &sel, 0x42).expect("serial bias");
-        assert_eq!(serial.samples(), golden.samples());
     }
 
     #[test]
@@ -348,8 +278,8 @@ mod tests {
         let set = run_parallel_campaign(&slice, &cfg, ExecConfig { workers: 2 }).expect("runs");
         let sel = AesXorSelect { byte: 0, bit: 0 };
         let guesses: Vec<u16> = (0..32).collect();
-        let serial = attack_with_guesses(&set, &sel, &guesses);
-        for workers in [1, 4] {
+        let serial = parallel_attack_windowed(&set, &sel, &guesses, None, ExecConfig::serial());
+        for workers in [2, 4] {
             let par = parallel_attack_windowed(&set, &sel, &guesses, None, ExecConfig { workers });
             assert_eq!(serial.scores.len(), par.scores.len());
             for (a, b) in serial.scores.iter().zip(&par.scores) {
@@ -358,54 +288,6 @@ mod tests {
                 assert_eq!(a.peak_time_ps, b.peak_time_ps);
             }
         }
-    }
-
-    #[test]
-    fn supervised_campaign_is_bit_identical_to_unsupervised_when_clean() {
-        let slice = aes_first_round_slice("s", SliceStage::XorOnly).expect("builds");
-        let cfg = noisy_cfg(10);
-        let golden = run_parallel_campaign(&slice, &cfg, ExecConfig { workers: 1 }).expect("runs");
-        let policy = qdi_exec::SupervisorPolicy::new().without_backoff();
-        for workers in [1, 2, 8] {
-            let run =
-                run_parallel_campaign_supervised(&slice, &cfg, ExecConfig { workers }, &policy);
-            assert!(run.is_complete(), "workers = {workers}");
-            assert_eq!(run.indices, (0..10).collect::<Vec<_>>());
-            assert_eq!(golden.len(), run.traces.len());
-            for i in 0..golden.len() {
-                assert_eq!(golden.input(i), run.traces.input(i), "plaintext {i}");
-                assert_eq!(
-                    golden.trace(i).samples(),
-                    run.traces.trace(i).samples(),
-                    "trace {i} @ {workers} workers"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn supervised_campaign_quarantines_instead_of_aborting() {
-        let slice = aes_first_round_slice("s", SliceStage::XorOnly).expect("builds");
-        let mut cfg = noisy_cfg(5);
-        // A budget no acquisition fits in: the fail-fast path would
-        // abort on the first index; the supervisor quarantines all.
-        cfg.testbench.event_limit = 1;
-        let policy = qdi_exec::SupervisorPolicy::new()
-            .without_backoff()
-            .with_retries(0);
-        let run =
-            run_parallel_campaign_supervised(&slice, &cfg, ExecConfig { workers: 2 }, &policy);
-        assert!(!run.is_complete());
-        assert_eq!(run.traces.len(), 0);
-        assert!(run.indices.is_empty());
-        assert_eq!(run.quarantine.indices(), vec![0, 1, 2, 3, 4]);
-        let entry = &run.quarantine.entries[0];
-        assert_eq!(entry.kind, qdi_exec::QuarantineKind::Error);
-        assert!(entry.reason.contains("EventLimit"), "{}", entry.reason);
-        // The manifest renders through the shared diagnostic model.
-        let diags = run.quarantine.diagnostics("dpa_campaign");
-        assert_eq!(diags.len(), 5);
-        assert!(diags[0].render(false).contains("QDI0303"));
     }
 
     #[test]

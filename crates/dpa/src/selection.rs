@@ -6,7 +6,9 @@ use qdi_crypto::{aes, des};
 ///
 /// Implementors predict one bit of an intermediate value; the DPA engine
 /// partitions traces on that prediction for every candidate `guess`.
-pub trait SelectionFunction {
+/// `Sync` because the one bias engine ([`crate::parallel`]) shares the
+/// function across its pool workers.
+pub trait SelectionFunction: Sync {
     /// Number of key guesses to enumerate (e.g. 256 for a key byte).
     fn guess_count(&self) -> u16;
 
@@ -126,7 +128,7 @@ impl<F: Fn(&[u8], u16) -> bool> ClosureSelect<F> {
     }
 }
 
-impl<F: Fn(&[u8], u16) -> bool> SelectionFunction for ClosureSelect<F> {
+impl<F: Fn(&[u8], u16) -> bool + Sync> SelectionFunction for ClosureSelect<F> {
     fn guess_count(&self) -> u16 {
         self.guesses
     }

@@ -18,9 +18,8 @@ use qdi_crypto::gatelevel::slice::AesByteSlice;
 use qdi_sim::SimError;
 use serde::{Deserialize, Serialize};
 
-use crate::attack::bias_signal;
 use crate::campaign::CampaignConfig;
-use crate::parallel::run_parallel_campaign;
+use crate::parallel::{parallel_bias_signal, run_parallel_campaign};
 use crate::selection::AesXorSelect;
 use crate::traceset::TraceSet;
 use qdi_exec::ExecConfig;
@@ -57,7 +56,7 @@ pub fn bit_bias_charges(set: &TraceSet, window: (u64, u64)) -> [f64; 8] {
             byte: 0,
             bit: bit as u8,
         };
-        bias_signal(set, &sel, 0)
+        parallel_bias_signal(set, &sel, 0, ExecConfig::serial())
             .map(|b| b.charge_in_fc(window.0, window.1))
             .unwrap_or(0.0)
     })

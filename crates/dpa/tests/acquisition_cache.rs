@@ -16,8 +16,8 @@ use qdi_analog::{Trace, TraceSynthesizer};
 use qdi_crypto::gatelevel::bit_values;
 use qdi_crypto::gatelevel::slice::{aes_first_round_slice, AesByteSlice, SliceStage};
 use qdi_dpa::{
-    run_parallel_campaign, run_parallel_campaign_supervised, CampaignConfig, PlaintextSource,
-    ResilienceConfig, StoreCampaignRunner, StoreCheckpoint, TraceSet,
+    run_parallel_campaign, CampaignConfig, PlaintextSource, ResilienceConfig, StoreCampaignRunner,
+    StoreCheckpoint, TraceSet,
 };
 use qdi_exec::{job_rng, ExecConfig, StoreOptions, SupervisorPolicy};
 use qdi_sim::Testbench;
@@ -164,11 +164,6 @@ proptest! {
 
         let set = run_parallel_campaign(&slice, &cfg, exec).expect("campaign");
         assert_matches_reference("run_parallel_campaign", &slice, &cfg, &set)?;
-
-        let policy = SupervisorPolicy::new().without_backoff();
-        let run = run_parallel_campaign_supervised(&slice, &cfg, exec, &policy);
-        prop_assert!(run.is_complete(), "supervised campaign quarantined");
-        assert_matches_reference("run_parallel_campaign_supervised", &slice, &cfg, &run.traces)?;
 
         let chunks = traces.div_ceil(checkpoint_every);
         let stop_after = 1 + (stop_fraction * (chunks - 1) as f64) as usize;

@@ -1,13 +1,22 @@
-//! Property test of the parallel determinism contract: for arbitrary
-//! campaign parameters, the trace set and the bias signal `T = A0 − A1`
-//! are bit-identical across 1, 2 and 8 workers.
+//! The parallel determinism contract: for arbitrary campaign parameters,
+//! the trace set and the bias signal `T = A0 − A1` are bit-identical
+//! across 1, 2 and 8 workers — and every bias in the workspace, in memory
+//! or streamed, in the templates or the secure flow, is the same
+//! fixed-shard summation tree.
 
 use proptest::prelude::*;
 
+use qdi_core::{run_slice_flow, FlowConfig};
 use qdi_crypto::gatelevel::slice::{aes_first_round_slice, SliceStage};
+use qdi_dpa::campaign::xor_stage_window;
 use qdi_dpa::selection::AesXorSelect;
-use qdi_dpa::{parallel_bias_signal, run_parallel_campaign, CampaignConfig, PlaintextSource};
-use qdi_exec::ExecConfig;
+use qdi_dpa::template::bit_bias_charges;
+use qdi_dpa::{
+    bias_signal_from_store, parallel_attack, parallel_bias_signal, run_parallel_campaign,
+    CampaignConfig, PlaintextSource, BIAS_SHARD,
+};
+use qdi_exec::{ExecConfig, StoreOptions};
+use qdi_pnr::{PnrConfig, Strategy};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
@@ -58,5 +67,78 @@ proptest! {
                 _ => prop_assert!(false, "partition degeneracy differed across worker counts"),
             }
         }
+    }
+}
+
+/// A noisy full-codebook campaign of 600 traces: three shards of
+/// [`BIAS_SHARD`], so the summation tree differs from one left-to-right
+/// chain in the last bits of most samples.
+fn three_shard_cfg() -> CampaignConfig {
+    let mut cfg = CampaignConfig::full_codebook(0x42);
+    cfg.traces = 600;
+    cfg.seed = 11;
+    cfg.synth.noise_sigma = 0.02;
+    cfg
+}
+
+#[test]
+fn one_tree_serves_every_bias_path() {
+    let slice = aes_first_round_slice("s", SliceStage::XorOnly).expect("slice builds");
+    let cfg = three_shard_cfg();
+    assert!(cfg.traces > 2 * BIAS_SHARD);
+    let set = run_parallel_campaign(&slice, &cfg, ExecConfig { workers: 2 }).expect("campaign");
+    let window = xor_stage_window(&slice, &cfg, 30).expect("calibrates");
+    let store = std::env::temp_dir().join(format!("qdi_dpa_one_tree_{}.qtrs", std::process::id()));
+    set.to_store(&store, StoreOptions::new()).expect("stores");
+
+    let mut charges = [0.0; 8];
+    for (bit, charge) in charges.iter_mut().enumerate() {
+        let sel = AesXorSelect {
+            byte: 0,
+            bit: bit as u8,
+        };
+        let tree = parallel_bias_signal(&set, &sel, 0, ExecConfig::serial()).expect("bias");
+        for workers in [2, 8] {
+            let bias = parallel_bias_signal(&set, &sel, 0, ExecConfig { workers }).expect("bias");
+            assert_eq!(
+                tree.samples(),
+                bias.samples(),
+                "bit {bit} @ {workers} workers"
+            );
+        }
+        for chunk in [1, 7, 256, 600] {
+            let streamed = bias_signal_from_store(&store, &sel, 0, chunk)
+                .expect("store reads")
+                .expect("bias");
+            assert_eq!(
+                tree.samples(),
+                streamed.samples(),
+                "bit {bit} @ chunk {chunk}"
+            );
+        }
+        *charge = tree.charge_in_fc(window.0, window.1);
+    }
+    std::fs::remove_file(&store).ok();
+    // The templates' per-bit charges integrate that same tree.
+    assert_eq!(bit_bias_charges(&set, window), charges);
+}
+
+#[test]
+fn slice_flow_attack_is_the_one_tree_ranking() {
+    let sel = AesXorSelect { byte: 0, bit: 0 };
+    for workers in [1usize, 2] {
+        let mut slice = aes_first_round_slice("s", SliceStage::XorOnly).expect("slice builds");
+        let mut cfg = FlowConfig::new(Strategy::Flat, 0x42);
+        cfg.pnr = PnrConfig::fast();
+        cfg.campaign = three_shard_cfg();
+        cfg.workers = workers;
+        let report = run_slice_flow(&mut slice, &sel, &cfg).expect("flow completes");
+        let flow = report.attack.expect("attack ran");
+        // `slice` now carries the extracted capacitances the flow attacked.
+        let set =
+            run_parallel_campaign(&slice, &cfg.campaign, ExecConfig::serial()).expect("campaign");
+        let direct = parallel_attack(&set, &sel, ExecConfig::serial());
+        assert_eq!(flow.traces, 600);
+        assert_eq!(flow, direct, "flow attack @ {workers} workers");
     }
 }

@@ -125,6 +125,27 @@ fn unreadable_input_is_a_usage_error() {
     assert_eq!(out.status.code(), Some(2));
     let no_args = run_lint(&[]);
     assert_eq!(no_args.status.code(), Some(2));
+    // Hostile netlists are parse errors naming their line, not panics
+    // (exit 101) in the loader: a non-finite capacitance, and a second
+    // header that would restart the builder under net ids already used.
+    let text = io::to_text(&xor_cell());
+    let header = text
+        .lines()
+        .find(|l| l.starts_with("netlist "))
+        .expect("header");
+    for (tag, hostile) in [
+        ("nan", text.replacen("cap=8", "cap=NaN", 1)),
+        ("two_headers", format!("{text}{header}\n")),
+    ] {
+        let path =
+            std::env::temp_dir().join(format!("qdi-lint-test-{}-{tag}.qdi", std::process::id()));
+        std::fs::write(&path, hostile).expect("scratch file writable");
+        let out = run_lint(&["--no-color", path.to_str().expect("utf8 path")]);
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(out.status.code(), Some(2), "{tag}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("parse error at line"), "{tag}: {stderr}");
+    }
 }
 
 #[test]

@@ -1,7 +1,8 @@
-//! Seeded corruption fuzz of the two formats `qdi-mon` reads from disk:
-//! the span JSONL behind `qdi-mon trace` and the `.qprof` profile behind
-//! `analyze` / `flame` / `timeline`. Whatever a lying disk serves, each
-//! case must yield records or a classified error, never a panic.
+//! Seeded corruption fuzz of the three formats `qdi-mon` reads from disk:
+//! the span JSONL behind `qdi-mon trace`, the `.qprof` profile behind
+//! `analyze` / `flame` / `timeline`, and the Prometheus exposition behind
+//! `slo`. Whatever a lying disk serves, each case must yield records or a
+//! classified error, never a panic.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -10,6 +11,8 @@ use qdi_exec::chaos::Corruption;
 use qdi_exec::job_rng;
 use qdi_mon::{analyze, flame, waterfall};
 use qdi_obs::prof::{PoolRun, ProfReport, RegionProfile, RegionStat, Segment, WorkerLane};
+use qdi_obs::prometheus::{render_histogram_samples, render_labeled};
+use qdi_obs::slo::{self, SloConfig, ROUTE_ERRORS, ROUTE_LATENCY_MS, ROUTE_REQUESTS};
 use qdi_obs::span::{Rollup, SpanEvent, SpanLink, SpanRecord, LINK_RESUME};
 
 const SEED: u64 = 0x5EED_F022;
@@ -140,6 +143,33 @@ fn profile() -> Vec<u8> {
         .into_bytes()
 }
 
+/// Objectives over every route and tenant: both kinds of target, so
+/// both the counters and the latency histograms are read.
+const SLO_CONFIG: &str = r#"{"slos":[{"name":"all","availability":0.99,"p99_ms":100}]}"#;
+
+/// A `/metrics` scrape of two tenants' request, error and latency series.
+fn exposition() -> Vec<u8> {
+    let mut text = String::new();
+    for (tenant, requests, errors) in [("alice", 60u64, 1u64), ("bob", 40, 0)] {
+        let labels = [("route", "/v1/jobs"), ("tenant", tenant)];
+        text.push_str(&render_labeled(ROUTE_REQUESTS, &labels, requests as f64));
+        text.push_str(&render_labeled(
+            ROUTE_ERRORS,
+            &[labels[0], labels[1], ("class", "server")],
+            errors as f64,
+        ));
+        render_histogram_samples(
+            &mut text,
+            ROUTE_LATENCY_MS,
+            &labels,
+            &[1.0, 10.0, 100.0],
+            &[requests / 2, requests / 2 - 1, 1, 0],
+            42.0,
+        );
+    }
+    text.into_bytes()
+}
+
 /// Exit status of the real binary; a panic would exit 101.
 fn cli_status(args: &[&str]) -> i32 {
     let out = Command::new(env!("CARGO_BIN_EXE_qdi-mon"))
@@ -229,4 +259,71 @@ fn corrupted_profiles_load_render_or_classify() {
     );
     std::fs::remove_file(&victim).ok();
     std::fs::remove_file(&svg).ok();
+}
+
+#[test]
+fn corrupted_expositions_evaluate_or_classify() {
+    let cfg = SloConfig::from_json(SLO_CONFIG).expect("valid config");
+    let golden = exposition();
+    let report = slo::evaluate(&cfg, std::str::from_utf8(&golden).expect("utf8"))
+        .expect("the golden exposition evaluates");
+    assert_eq!(report.verdicts[0].requests, 100);
+    let config = tmp("slo.json");
+    std::fs::write(&config, SLO_CONFIG).expect("write slo config");
+    let victim = tmp("fuzz.prom");
+
+    // Pinned: a NaN bucket bound next to the `+Inf` bucket is a
+    // classified error (exit 2), not a panic in the bucket sort.
+    let text = String::from_utf8(golden.clone()).expect("utf8");
+    let nan = text.replacen("le=\"10\"", "le=\"NaN\"", 1);
+    assert_ne!(nan, text, "the golden exposition has an le=\"10\" bucket");
+    let err = slo::evaluate(&cfg, &nan).expect_err("NaN bound");
+    assert!(err.contains("NaN"), "{err}");
+    std::fs::write(&victim, &nan).expect("write NaN exposition");
+    let status = cli_status(&["slo", "--config", path_str(&config), path_str(&victim)]);
+    assert_eq!(status, 2, "qdi-mon slo on a NaN bucket bound");
+
+    let mut rng = job_rng(SEED ^ 0x0000_510E, 0);
+    let mut evaluated = 0;
+    for case in 0..CASES {
+        let mut bytes = golden.clone();
+        Corruption::sample(&mut rng, bytes.len() as u64).apply(&mut bytes);
+        std::fs::write(&victim, &bytes).expect("write corrupted exposition");
+
+        // Ok or a classified error; a panic fails the test.
+        if slo::evaluate(&cfg, &String::from_utf8_lossy(&bytes)).is_ok() {
+            evaluated += 1;
+        }
+        if case % CLI_EVERY == 0 {
+            let status = cli_status(&["slo", "--config", path_str(&config), path_str(&victim)]);
+            assert!(
+                [0, 1, 2].contains(&status),
+                "case {case}: qdi-mon slo exited {status}"
+            );
+        }
+    }
+    assert!(
+        evaluated > 0,
+        "some corruptions (e.g. a truncated tail) still evaluate"
+    );
+    std::fs::remove_file(&victim).ok();
+    std::fs::remove_file(&config).ok();
+}
+
+#[test]
+fn hostile_sample_values_evaluate_or_classify() {
+    // Every sample's value replaced by each hostile number: counts past
+    // `u64::MAX` (which then sum across tenants), negative and
+    // non-finite values must evaluate or classify, never overflow.
+    let cfg = SloConfig::from_json(SLO_CONFIG).expect("valid config");
+    let golden = String::from_utf8(exposition()).expect("utf8");
+    let lines: Vec<&str> = golden.lines().collect();
+    for (i, line) in lines.iter().enumerate() {
+        let (series, _) = line.rsplit_once(' ').expect("`series value` line");
+        for value in ["1e30", "18446744073709551615", "-1", "NaN", "+Inf", "-Inf"] {
+            let mut mutated: Vec<String> = lines.iter().map(|l| (*l).to_owned()).collect();
+            mutated[i] = format!("{series} {value}");
+            let _ = slo::evaluate(&cfg, &mutated.join("\n"));
+        }
+    }
 }

@@ -139,12 +139,27 @@ pub fn to_text(netlist: &Netlist) -> String {
     out
 }
 
+/// Parses a numeric attribute (a capacitance or drive resistance) that
+/// must be finite and non-negative — the precondition
+/// [`Netlist::set_routing_cap`] asserts — so a hostile value is a parse
+/// error naming its line, never a panic further down.
+fn parse_quantity(v: &str, what: &str, line: usize) -> Result<f64, ParseNetlistError> {
+    match v.parse::<f64>() {
+        Ok(x) if x.is_finite() && x >= 0.0 => Ok(x),
+        _ => Err(ParseNetlistError {
+            line,
+            message: format!("bad {what} {v:?}: expected a finite value >= 0"),
+        }),
+    }
+}
+
 /// Parses the text format back into a netlist.
 ///
 /// # Errors
 ///
 /// Returns [`ParseNetlistError`] on the first malformed line, unknown
-/// reference, or structural validation failure.
+/// reference, non-finite or negative numeric attribute, or structural
+/// validation failure.
 pub fn from_text(text: &str) -> Result<Netlist, ParseNetlistError> {
     let err = |line: usize, message: String| ParseNetlistError { line, message };
     let mut builder: Option<NetlistBuilder> = None;
@@ -161,6 +176,11 @@ pub fn from_text(text: &str) -> Result<Netlist, ParseNetlistError> {
         let keyword = words.next().expect("nonempty line");
         match keyword {
             "netlist" => {
+                // A second header would restart the builder under net ids
+                // already handed out.
+                if builder.is_some() {
+                    return Err(err(line_no, "second netlist header".into()));
+                }
                 let name = words
                     .next()
                     .ok_or_else(|| err(line_no, "netlist needs a name".into()))?;
@@ -182,10 +202,7 @@ pub fn from_text(text: &str) -> Result<Netlist, ParseNetlistError> {
                     } else if word == "output" {
                         is_output = true;
                     } else if let Some(v) = word.strip_prefix("cap=") {
-                        cap = Some(
-                            v.parse()
-                                .map_err(|_| err(line_no, format!("bad capacitance {v:?}")))?,
-                        );
+                        cap = Some(parse_quantity(v, "capacitance", line_no)?);
                     } else {
                         return Err(err(line_no, format!("unknown net attribute {word:?}")));
                     }
@@ -257,21 +274,13 @@ pub fn from_text(text: &str) -> Result<Netlist, ParseNetlistError> {
                     } else if let Some(n) = word.strip_prefix("out=") {
                         output = Some(resolve(&nets, n, line_no)?);
                     } else if let Some(v) = word.strip_prefix("cpar=") {
-                        p.cpar_ff = v
-                            .parse()
-                            .map_err(|_| err(line_no, format!("bad cpar {v:?}")))?;
+                        p.cpar_ff = parse_quantity(v, "cpar", line_no)?;
                     } else if let Some(v) = word.strip_prefix("csc=") {
-                        p.csc_ff = v
-                            .parse()
-                            .map_err(|_| err(line_no, format!("bad csc {v:?}")))?;
+                        p.csc_ff = parse_quantity(v, "csc", line_no)?;
                     } else if let Some(v) = word.strip_prefix("pin=") {
-                        p.pin_cap_ff = v
-                            .parse()
-                            .map_err(|_| err(line_no, format!("bad pin {v:?}")))?;
+                        p.pin_cap_ff = parse_quantity(v, "pin", line_no)?;
                     } else if let Some(v) = word.strip_prefix("rdrv=") {
-                        p.drive_res_kohm = v
-                            .parse()
-                            .map_err(|_| err(line_no, format!("bad rdrv {v:?}")))?;
+                        p.drive_res_kohm = parse_quantity(v, "rdrv", line_no)?;
                     } else if let Some(v) = word.strip_prefix("block=") {
                         block = Some(v.to_owned());
                     } else {
@@ -414,9 +423,70 @@ mod tests {
     }
 
     #[test]
+    fn rejects_second_header() {
+        // A repeated header would restart the builder under net ids the
+        // first header already handed out.
+        let text = "netlist t\nnet a input cap=8\nnetlist t\ngate g BUF in=a out=a\n";
+        let err = from_text(text).expect_err("second header");
+        assert_eq!(err.line, 3);
+        assert!(err.message.contains("second netlist header"));
+    }
+
+    #[test]
     fn rejects_missing_header() {
         let err = from_text("net a input cap=8\n").expect_err("no header");
         assert!(err.message.contains("netlist"));
+    }
+
+    #[test]
+    fn rejects_non_finite_and_negative_quantities() {
+        let text = to_text(&xor_netlist());
+        // `text` with word `w` of line `idx` set to `attr` + `value`.
+        let mutate = |idx: usize, w: usize, attr: &str, value: &str| -> String {
+            let lines: Vec<String> = text
+                .lines()
+                .enumerate()
+                .map(|(i, line)| {
+                    let mut words: Vec<String> =
+                        line.split_whitespace().map(str::to_owned).collect();
+                    if i == idx {
+                        words[w] = format!("{attr}{value}");
+                    }
+                    words.join(" ")
+                })
+                .collect();
+            lines.join("\n")
+        };
+        // Every numeric attribute of every line, replaced by each hostile
+        // value: a classified error naming that line, never a panic. Zero
+        // stays legal (an unloaded net, an ideal driver).
+        let attrs = ["cap=", "cpar=", "csc=", "pin=", "rdrv="];
+        let hostile = [
+            "NaN",
+            "nan",
+            "inf",
+            "-inf",
+            "+infinity",
+            "-5",
+            "-0.5",
+            "1e999",
+        ];
+        let mut cases = 0;
+        for (idx, line) in text.lines().enumerate() {
+            for (w, word) in line.split_whitespace().enumerate() {
+                let Some(attr) = attrs.iter().find(|a| word.starts_with(*a)) else {
+                    continue;
+                };
+                for bad in hostile {
+                    let err = from_text(&mutate(idx, w, attr, bad)).expect_err(bad);
+                    assert_eq!(err.line, idx + 1, "{err}");
+                    assert!(err.message.contains(bad), "{err}");
+                    cases += 1;
+                }
+                from_text(&mutate(idx, w, attr, "0")).expect("zero is a legal quantity");
+            }
+        }
+        assert!(cases > 100, "only {cases} mutations");
     }
 
     #[test]

@@ -379,11 +379,12 @@ impl ParsedHistogram {
                 self.name
             ));
         }
+        // Counts come from scraped text: saturate rather than overflow.
         for (mine, theirs) in self.cumulative.iter_mut().zip(&other.cumulative) {
-            *mine += theirs;
+            *mine = mine.saturating_add(*theirs);
         }
         self.sum += other.sum;
-        self.count += other.count;
+        self.count = self.count.saturating_add(other.count);
         Ok(())
     }
 }
@@ -431,9 +432,16 @@ pub fn parse_histograms(samples: &[MetricSample]) -> Result<Vec<ParsedHistogram>
             };
             let bound = match le.as_str() {
                 "+Inf" => f64::INFINITY,
-                other => other
-                    .parse::<f64>()
-                    .map_err(|e| format!("bad le `{other}` on `{}`: {e}", sample.name))?,
+                other => match other.parse::<f64>() {
+                    Ok(bound) if bound.is_finite() => bound,
+                    Ok(_) => {
+                        return Err(format!(
+                            "bad le `{other}` on `{}`: only `+Inf` may be non-finite",
+                            sample.name
+                        ))
+                    }
+                    Err(e) => return Err(format!("bad le `{other}` on `{}`: {e}", sample.name)),
+                },
             };
             let rest: Vec<(String, String)> =
                 labels.into_iter().filter(|(k, _)| k != "le").collect();
@@ -451,9 +459,9 @@ pub fn parse_histograms(samples: &[MetricSample]) -> Result<Vec<ParsedHistogram>
         if partial.buckets.is_empty() {
             continue; // `_sum`/`_count` of something that is not a histogram
         }
-        partial
-            .buckets
-            .sort_by(|a, b| a.0.partial_cmp(&b.0).expect("le bounds are not NaN"));
+        // Every bound is finite or `+Inf` (checked above), so `total_cmp`
+        // is the numeric order.
+        partial.buckets.sort_by(|a, b| a.0.total_cmp(&b.0));
         let (last, finite) = partial.buckets.split_last().expect("non-empty bucket list");
         if last.0 != f64::INFINITY {
             return Err(format!("histogram `{family}` has no `+Inf` bucket"));
@@ -752,6 +760,13 @@ mod tests {
         let text =
             "qdi_l_bucket{le=\"1\"} 1\nqdi_l_bucket{le=\"1\"} 1\nqdi_l_bucket{le=\"+Inf\"} 2\n";
         assert!(parse_histograms(&parse(text).unwrap()).is_err());
+        // Non-finite bounds other than `+Inf`: classified, never a panic
+        // in the bucket sort.
+        for le in ["NaN", "nan", "-Inf", "inf", "Infinity"] {
+            let text = format!("qdi_l_bucket{{le=\"{le}\"}} 1\nqdi_l_bucket{{le=\"+Inf\"}} 2\n");
+            let err = parse_histograms(&parse(&text).unwrap()).expect_err(le);
+            assert!(err.contains(le), "{err}");
+        }
         // A bare counter that merely ends in _count is not a histogram.
         let text = "qdi_requests_count 9\n";
         assert!(parse_histograms(&parse(text).unwrap()).unwrap().is_empty());

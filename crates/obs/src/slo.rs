@@ -239,16 +239,15 @@ pub fn evaluate(cfg: &SloConfig, exposition: &str) -> Result<SloReport, String> 
     for slo in &cfg.slos {
         let route = slo.route.as_deref();
         let tenant = slo.tenant.as_deref();
+        // Scraped counts are untrusted: saturate rather than overflow.
         let total: u64 = requests
             .iter()
             .filter(|(r, t, _)| matches(route, r) && matches(tenant, t))
-            .map(|(_, _, v)| v)
-            .sum();
+            .fold(0, |sum, (_, _, v)| sum.saturating_add(*v));
         let failed: u64 = errors
             .iter()
             .filter(|(r, t, _)| matches(route, r) && matches(tenant, t))
-            .map(|(_, _, v)| v)
-            .sum();
+            .fold(0, |sum, (_, _, v)| sum.saturating_add(*v));
 
         let availability = (total > 0).then(|| 1.0 - (failed.min(total) as f64 / total as f64));
         let burn_rate = match (slo.availability, availability) {

@@ -238,8 +238,8 @@ impl JobSpec {
 
 /// Builds a DPA job spec from a local [`FlowConfig`] — the bridge from
 /// "I ran this on my workstation" to "submit the same campaign to the
-/// team server": the embedded campaign config, worker count and
-/// supervisor preference transfer verbatim.
+/// team server": the embedded campaign config and worker count
+/// transfer verbatim.
 #[must_use]
 pub fn dpa_spec_from_flow(tenant: &str, flow: &FlowConfig) -> JobSpec {
     JobSpec {

@@ -7,7 +7,8 @@
 use qdi::analog::{SynthConfig, TraceSynthesizer};
 use qdi::crypto::gatelevel::{bridge_ack, sbox::des_sbox_cell};
 use qdi::dpa::selection::DesSboxSelect;
-use qdi::dpa::{attack, TraceSet};
+use qdi::dpa::{parallel_attack, TraceSet};
+use qdi::exec::ExecConfig;
 use qdi::netlist::{cells, Channel, NetId, Netlist, NetlistBuilder};
 use qdi::sim::{Testbench, TestbenchConfig};
 use rand::{Rng, SeedableRng};
@@ -92,7 +93,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         byte: 0,
         bit: 0,
     };
-    let result = attack(&set, &sel);
+    let result = parallel_attack(&set, &sel, ExecConfig::serial());
     println!(
         "attack over {} traces with {}:",
         result.traces, result.selection
