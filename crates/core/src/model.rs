@@ -78,8 +78,9 @@ impl<'a> CurrentModel<'a> {
         for (_, gates) in self.levels.iter() {
             for &g in gates {
                 let gate = self.netlist.gate(g);
-                let inputs: Vec<bool> = gate.inputs.iter().map(|&n| values[n.index()]).collect();
-                values[gate.output.index()] = gate.kind.eval(&inputs, false);
+                values[gate.output.index()] = gate
+                    .kind
+                    .eval(gate.inputs.iter().map(|&n| values[n.index()]), false);
             }
         }
         values

@@ -11,7 +11,8 @@
 //!   --sample N        seeded uniform sample of N faults from the cross
 //!                     product (default: inject all)
 //!   --seed S          stimulus and sampling seed (default: 1)
-//!   --tokens N        tokens per input channel per run (default: 2)
+//!   --tokens N        tokens per input channel per run (default: 2,
+//!                     at most 1024)
 //!   --fail-on CLASS   outcome class that fails the run (default: silent;
 //!                     `none` disables); masked, deadlock, livelock,
 //!                     protocol, silent, aborted

@@ -13,6 +13,12 @@ use qdi_sim::{FaultPlan, SimError, Testbench, TestbenchConfig, TestbenchRun};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
+/// Most tokens [`Stimulus::random`] feeds into one input channel. A run
+/// logs ~240 edges per token on the S-box slice, so the bound is far
+/// above any campaign, and it keeps an untrusted count (a served job
+/// spec) from asking for an allocation that aborts the process.
+pub const MAX_TOKENS: usize = 1_024;
+
 /// The values each output channel delivered, keyed by channel — the
 /// comparison baseline for fault classification.
 pub type OutputValues = BTreeMap<ChannelId, Vec<usize>>;
@@ -39,9 +45,17 @@ impl Stimulus {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::BadEnvironment`] if the netlist has no input
-    /// or no output channels — there is nothing to drive or observe.
+    /// Returns [`SimError::BadEnvironment`] if `tokens` exceeds
+    /// [`MAX_TOKENS`], or the netlist has no input or no output channels —
+    /// there is nothing to drive or observe.
     pub fn random(netlist: &Netlist, tokens: usize, seed: u64) -> Result<Stimulus, SimError> {
+        if tokens > MAX_TOKENS {
+            return Err(SimError::BadEnvironment {
+                reason: format!(
+                    "{tokens} tokens per input channel exceeds the bound of {MAX_TOKENS}"
+                ),
+            });
+        }
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut inputs = Vec::new();
         let mut outputs = Vec::new();
@@ -154,6 +168,16 @@ mod tests {
         assert_eq!(a.inputs(), b.inputs());
         let c = Stimulus::random(&nl, 16, 8).expect("builds");
         assert_ne!(a.inputs(), c.inputs());
+    }
+
+    #[test]
+    fn token_count_is_bounded() {
+        let nl = xor_netlist();
+        assert!(Stimulus::random(&nl, MAX_TOKENS, 1).is_ok());
+        for tokens in [MAX_TOKENS + 1, 1 << 40] {
+            let err = Stimulus::random(&nl, tokens, 1).expect_err("over the bound");
+            assert!(matches!(err, SimError::BadEnvironment { .. }), "{err}");
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub mod report;
 pub mod sites;
 
 pub use campaign::{default_injection_times, run_campaign_parallel, CampaignConfig};
-pub use harness::{output_values, OutputValues, Stimulus};
+pub use harness::{output_values, OutputValues, Stimulus, MAX_TOKENS};
 pub use outcome::{classify, FaultOutcome};
 pub use report::{ChannelCoverage, FaultRecord, FaultReport, SILENT_CORRUPTION};
 pub use sites::{

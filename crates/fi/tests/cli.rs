@@ -76,6 +76,23 @@ fn unknown_model_is_a_usage_error() {
 }
 
 #[test]
+fn token_count_over_the_bound_exits_two() {
+    // Derived injection times run the golden stimulus first; explicit
+    // ones go straight to the campaign. Both must refuse the count.
+    let file = example("xor_cell.qdi");
+    let tokens = (qdi_fi::MAX_TOKENS + 1).to_string();
+    for times in [&[][..], &["--times", "10,20"][..]] {
+        let mut args = vec!["--tokens", tokens.as_str()];
+        args.extend_from_slice(times);
+        args.push(&file);
+        let out = qdi_fi(&args);
+        assert_eq!(out.status.code(), Some(2), "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("exceeds the bound of 1024"), "{stderr}");
+    }
+}
+
+#[test]
 fn missing_file_and_missing_operands_exit_two() {
     let out = qdi_fi(&["/nonexistent/netlist.qdi"]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");

@@ -60,11 +60,20 @@ pub enum ChannelState {
 impl ChannelState {
     /// Decodes rail levels into a channel state.
     pub fn from_rails(levels: &[bool]) -> Self {
-        let high = levels.iter().filter(|&&v| v).count();
-        match high {
-            0 => ChannelState::Invalid,
-            1 => ChannelState::Valid(levels.iter().position(|&v| v).expect("one rail high")),
-            _ => ChannelState::Illegal,
+        ChannelState::decode(levels.iter().copied())
+    }
+
+    /// Decodes rail levels, in rail order, without collecting them: stops
+    /// at the second high rail.
+    fn decode(levels: impl IntoIterator<Item = bool>) -> Self {
+        let mut high = levels
+            .into_iter()
+            .enumerate()
+            .filter_map(|(rail, v)| v.then_some(rail));
+        match (high.next(), high.next()) {
+            (None, _) => ChannelState::Invalid,
+            (Some(rail), None) => ChannelState::Valid(rail),
+            (Some(_), Some(_)) => ChannelState::Illegal,
         }
     }
 
@@ -168,8 +177,7 @@ impl Channel {
 
     /// Decodes the channel state from a per-net level lookup.
     pub fn state(&self, level_of: impl Fn(NetId) -> bool) -> ChannelState {
-        let levels: Vec<bool> = self.rails.iter().map(|&r| level_of(r)).collect();
-        ChannelState::from_rails(&levels)
+        ChannelState::decode(self.rails.iter().map(|&r| level_of(r)))
     }
 }
 

@@ -61,33 +61,35 @@ impl GateKind {
         }
     }
 
-    /// Evaluates the gate.
+    /// Evaluates the gate from its input levels, in pin order.
     ///
     /// `prev` is the previous output value; it only matters for
     /// state-holding kinds (Muller C-elements) and is ignored otherwise.
+    /// The levels are consumed in one pass, so a caller can feed them
+    /// straight from its own level table without collecting them first.
     ///
     /// # Panics
     ///
     /// Panics if `inputs` is empty; builders reject such gates up front.
-    pub fn eval(self, inputs: &[bool], prev: bool) -> bool {
-        assert!(!inputs.is_empty(), "gate evaluated with no inputs");
+    pub fn eval(self, inputs: impl IntoIterator<Item = bool>, prev: bool) -> bool {
+        let mut inputs = inputs.into_iter();
+        let first = inputs.next().expect("gate evaluated with no inputs");
+        let (mut all, mut any, mut parity) = (first, first, first);
+        for v in inputs {
+            all &= v;
+            any |= v;
+            parity ^= v;
+        }
         match self {
-            GateKind::Muller | GateKind::MullerReset => {
-                if inputs.iter().all(|&v| v) {
-                    true
-                } else if inputs.iter().all(|&v| !v) {
-                    false
-                } else {
-                    prev
-                }
-            }
-            GateKind::And => inputs.iter().all(|&v| v),
-            GateKind::Or => inputs.iter().any(|&v| v),
-            GateKind::Nor => !inputs.iter().any(|&v| v),
-            GateKind::Nand => !inputs.iter().all(|&v| v),
-            GateKind::Xor => inputs.iter().fold(false, |acc, &v| acc ^ v),
-            GateKind::Inv => !inputs[0],
-            GateKind::Buf => inputs[0],
+            // Z = XY + Z(X + Y), generalised to N inputs.
+            GateKind::Muller | GateKind::MullerReset => all || (any && prev),
+            GateKind::And => all,
+            GateKind::Or => any,
+            GateKind::Nor => !any,
+            GateKind::Nand => !all,
+            GateKind::Xor => parity,
+            GateKind::Inv => !first,
+            GateKind::Buf => first,
         }
     }
 
@@ -235,38 +237,38 @@ mod tests {
     fn muller_truth_table_matches_paper_fig5() {
         // Z = XY + Z(X+Y): rows of the paper's truth table.
         let c = GateKind::Muller;
-        assert!(!c.eval(&[false, false], false));
-        assert!(!c.eval(&[false, false], true));
-        assert!(!c.eval(&[false, true], false));
-        assert!(c.eval(&[false, true], true));
-        assert!(!c.eval(&[true, false], false));
-        assert!(c.eval(&[true, false], true));
-        assert!(c.eval(&[true, true], false));
-        assert!(c.eval(&[true, true], true));
+        assert!(!c.eval([false, false], false));
+        assert!(!c.eval([false, false], true));
+        assert!(!c.eval([false, true], false));
+        assert!(c.eval([false, true], true));
+        assert!(!c.eval([true, false], false));
+        assert!(c.eval([true, false], true));
+        assert!(c.eval([true, true], false));
+        assert!(c.eval([true, true], true));
     }
 
     #[test]
     fn muller_generalises_to_three_inputs() {
         let c = GateKind::Muller;
-        assert!(c.eval(&[true, true, true], false));
-        assert!(!c.eval(&[false, false, false], true));
-        assert!(c.eval(&[true, false, true], true));
-        assert!(!c.eval(&[true, false, true], false));
+        assert!(c.eval([true, true, true], false));
+        assert!(!c.eval([false, false, false], true));
+        assert!(c.eval([true, false, true], true));
+        assert!(!c.eval([true, false, true], false));
     }
 
     #[test]
     fn simple_gates_evaluate() {
-        assert!(GateKind::And.eval(&[true, true], false));
-        assert!(!GateKind::And.eval(&[true, false], true));
-        assert!(GateKind::Or.eval(&[false, true], false));
-        assert!(GateKind::Or.eval(&[true], false)); // arity-1 OR = buffer
-        assert!(GateKind::Nor.eval(&[false, false], false));
-        assert!(!GateKind::Nor.eval(&[true, false], false));
-        assert!(GateKind::Nand.eval(&[true, false], false));
-        assert!(GateKind::Xor.eval(&[true, false], false));
-        assert!(!GateKind::Xor.eval(&[true, true], false));
-        assert!(GateKind::Inv.eval(&[false], false));
-        assert!(GateKind::Buf.eval(&[true], false));
+        assert!(GateKind::And.eval([true, true], false));
+        assert!(!GateKind::And.eval([true, false], true));
+        assert!(GateKind::Or.eval([false, true], false));
+        assert!(GateKind::Or.eval([true], false)); // arity-1 OR = buffer
+        assert!(GateKind::Nor.eval([false, false], false));
+        assert!(!GateKind::Nor.eval([true, false], false));
+        assert!(GateKind::Nand.eval([true, false], false));
+        assert!(GateKind::Xor.eval([true, false], false));
+        assert!(!GateKind::Xor.eval([true, true], false));
+        assert!(GateKind::Inv.eval([false], false));
+        assert!(GateKind::Buf.eval([true], false));
     }
 
     #[test]

@@ -247,6 +247,14 @@ fn recover_jobs(state: &Arc<ServerState>) {
                         max_id = max_id.max(n);
                     }
                     let terminal = record.state.is_terminal();
+                    // A record edited on disk (or written by an older
+                    // version) is as untrusted as a POST body: it runs
+                    // only if the edge would have accepted it.
+                    let invalid = if terminal {
+                        None
+                    } else {
+                        record.spec.validate().err()
+                    };
                     let id = record.id.clone();
                     let handle = Arc::new(JobHandle::new(record, dir));
                     state
@@ -254,7 +262,10 @@ fn recover_jobs(state: &Arc<ServerState>) {
                         .lock()
                         .expect("jobs lock poisoned")
                         .insert(id, Arc::clone(&handle));
-                    if !terminal {
+                    if let Some(reason) = invalid {
+                        let _ = handle.set_state(JobState::Failed, Some(reason));
+                        qdi_obs::metrics::counter("serve.recover.invalid").inc();
+                    } else if !terminal {
                         recovered.push(handle);
                     }
                 }

@@ -213,6 +213,13 @@ impl JobSpec {
                 }
                 qdi_fi::parse_models(&fi.models)
                     .map_err(|m| format!("unknown fault model {m:?}"))?;
+                if fi.campaign.tokens > qdi_fi::MAX_TOKENS {
+                    return Err(format!(
+                        "campaign.tokens must be at most {}, got {}",
+                        qdi_fi::MAX_TOKENS,
+                        fi.campaign.tokens
+                    ));
+                }
                 if fi.sample == Some(0) {
                     return Err("sample must be at least 1".into());
                 }
@@ -312,6 +319,28 @@ mod tests {
             dpa.stage = "des".into();
         }
         assert!(spec.validate().is_err());
+    }
+
+    #[test]
+    fn bounds_fault_injection_tokens() {
+        let fi = |tokens| JobSpec {
+            tenant: "carol".into(),
+            name: None,
+            priority: None,
+            kind: JobKind::Fi(FiJobSpec {
+                stage: "xor".into(),
+                campaign: qdi_fi::campaign::CampaignConfig {
+                    tokens,
+                    ..qdi_fi::campaign::CampaignConfig::new()
+                },
+                models: "seu".into(),
+                times_ps: None,
+                sample: None,
+            }),
+        };
+        assert!(fi(qdi_fi::MAX_TOKENS).validate().is_ok());
+        let err = fi(1 << 40).validate().expect_err("over the bound");
+        assert!(err.contains("campaign.tokens"), "{err}");
     }
 
     #[test]

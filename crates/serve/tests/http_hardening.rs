@@ -213,3 +213,44 @@ fn deeply_nested_job_body_is_400_and_the_server_survives() {
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A fault-injection job asking for 2^40 tokens per channel would make
+/// the worker allocate 8 TB, which aborts the process for every tenant
+/// (an allocation failure is not an unwinding panic). The edge refuses
+/// it with a 422 and the server keeps answering.
+#[test]
+fn oversized_fault_injection_job_is_422_and_the_server_survives() {
+    let dir = std::env::temp_dir().join(format!("qdi_serve_tokens_{}", std::process::id()));
+    let mut cfg = ServeConfig::new(&dir);
+    cfg.addr = "127.0.0.1:0".into();
+    cfg.io_timeout_ms = 2_000;
+    let server = Server::start(cfg).expect("server starts");
+    let client = qdi_serve::ServeClient::new(format!("http://{}", server.local_addr()));
+
+    let spec = qdi_serve::JobSpec {
+        tenant: "mallory".into(),
+        name: None,
+        priority: None,
+        kind: qdi_serve::JobKind::Fi(qdi_serve::FiJobSpec {
+            stage: "xor".into(),
+            campaign: qdi_fi::campaign::CampaignConfig {
+                tokens: 1 << 40,
+                ..qdi_fi::campaign::CampaignConfig::new()
+            },
+            models: "seu".into(),
+            times_ps: None,
+            sample: None,
+        }),
+    };
+    let err = client
+        .submit(&serde_json::to_string(&spec).expect("serializes"))
+        .expect_err("must reject");
+    assert_eq!(err.status, 422, "{err:?}");
+    assert!(err.message.contains("campaign.tokens"), "{}", err.message);
+
+    let health = client.get("/healthz").expect("healthz answers");
+    assert_eq!(health.status, 200);
+
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -304,3 +304,70 @@ fn sigterm_drains_checkpoints_and_the_next_start_finishes() {
 
     std::fs::remove_dir_all(&data).ok();
 }
+
+/// A queued record edited on disk is as untrusted as a POST body: one
+/// asking for 2^40 tokens per channel would abort the restarted server
+/// on its first lease. Recovery re-validates it instead and fails the
+/// job with the edge's 422 message, and the server keeps serving.
+#[test]
+fn hostile_record_on_disk_fails_validation_at_restart() {
+    let data = tmp_dir("hostile");
+    std::fs::remove_dir_all(&data).ok();
+    let job_dir = data.join("tenants/mallory/jobs/j000007");
+    std::fs::create_dir_all(&job_dir).expect("mkdir");
+    let addr_file = data.join("addr");
+    let spec = JobSpec {
+        tenant: "mallory".into(),
+        name: None,
+        priority: None,
+        kind: JobKind::Fi(qdi_serve::FiJobSpec {
+            stage: "xor".into(),
+            campaign: qdi_fi::campaign::CampaignConfig {
+                tokens: 1 << 40,
+                ..qdi_fi::campaign::CampaignConfig::new()
+            },
+            models: "seu".into(),
+            times_ps: None,
+            sample: None,
+        }),
+    };
+    qdi_serve::JobRecord {
+        id: "j000007".into(),
+        spec,
+        state: JobState::Queued,
+        completed: 0,
+        total: 0,
+        error: None,
+        quarantined: Vec::new(),
+        resumes: 0,
+        submit_seq: 1,
+        trace: None,
+    }
+    .save(&job_dir)
+    .expect("record saves");
+
+    let mut server = spawn_server(&data, &addr_file);
+    let client = ServeClient::new(wait_addr(&addr_file));
+    let status = client.status("j000007").expect("status");
+    assert!(
+        matches!(status.state, JobState::Failed),
+        "hostile record must fail, got {:?}",
+        status.state
+    );
+    assert_eq!(
+        status.error.as_deref(),
+        Some("campaign.tokens must be at most 1024, got 1099511627776")
+    );
+    let record = qdi_serve::JobRecord::load(&job_dir).expect("job.json loads");
+    assert!(
+        matches!(record.state, JobState::Failed),
+        "failure is durable"
+    );
+    assert_eq!(client.get("/healthz").expect("healthz").status, 200);
+
+    let _ = client
+        .post("/v1/shutdown", "{}")
+        .expect("shutdown accepted");
+    let _ = server.wait();
+    std::fs::remove_dir_all(&data).ok();
+}

@@ -8,7 +8,7 @@
 use serde::{Deserialize, Serialize};
 
 use qdi_netlist::diag::{Diagnostic, LintCode, Severity, Subject};
-use qdi_netlist::{Channel, ChannelId, Netlist};
+use qdi_netlist::{Channel, ChannelId, NetId, Netlist};
 
 use crate::simulator::{TimePs, Transition};
 
@@ -116,82 +116,177 @@ enum Phase {
     Rtz,
 }
 
+/// Where an edge lands in a channel: its acknowledge, or the rail whose
+/// level sits at this slot of the caller's rail-level table.
+#[derive(Debug, Clone, Copy)]
+enum Pin {
+    Ack,
+    Rail(usize),
+}
+
+/// The nets `channel` listens to: its acknowledge, then each rail at its
+/// first position, with rail `i` at level slot `first_slot + i`. A net
+/// that is also the acknowledge stays the acknowledge.
+fn pins(channel: &Channel, first_slot: usize) -> impl Iterator<Item = (NetId, Pin)> + '_ {
+    let rails = channel
+        .rails
+        .iter()
+        .enumerate()
+        .filter(move |&(i, r)| Some(*r) != channel.ack && !channel.rails[..i].contains(r))
+        .map(move |(i, &r)| (r, Pin::Rail(first_slot + i)));
+    channel
+        .ack
+        .map(|ack| (ack, Pin::Ack))
+        .into_iter()
+        .chain(rails)
+}
+
+/// One channel's four-phase state machine: the phase rules live only
+/// here.
+struct ChannelCheck<'c> {
+    channel: &'c Channel,
+    phase: Phase,
+    /// Rails currently high.
+    high: usize,
+    communications: usize,
+    violations: Vec<ProtocolViolation>,
+}
+
+impl<'c> ChannelCheck<'c> {
+    fn new(channel: &'c Channel) -> Self {
+        ChannelCheck {
+            channel,
+            phase: Phase::Idle,
+            high: 0,
+            communications: 0,
+            violations: Vec::new(),
+        }
+    }
+
+    fn violation(&mut self, t: &Transition, kind: ViolationKind, detail: String) {
+        self.violations.push(ProtocolViolation {
+            time_ps: t.time_ps,
+            kind,
+            detail,
+        });
+    }
+
+    fn step(&mut self, pin: Pin, rail_levels: &mut [bool], t: &Transition) {
+        let slot = match pin {
+            Pin::Ack => {
+                match (self.phase, t.rising) {
+                    (Phase::Valid, false) => self.phase = Phase::Acked,
+                    (Phase::Rtz, true) => self.phase = Phase::Idle,
+                    (Phase::Idle, true) | (Phase::Acked, false) => {} // re-assertion, harmless
+                    _ => self.violation(
+                        t,
+                        ViolationKind::PhaseOrder,
+                        format!(
+                            "acknowledge edge ({}) out of phase {:?}",
+                            if t.rising { "release" } else { "capture" },
+                            self.phase
+                        ),
+                    ),
+                }
+                return;
+            }
+            Pin::Rail(slot) => slot,
+        };
+        if rail_levels[slot] != t.rising {
+            rail_levels[slot] = t.rising;
+            if t.rising {
+                self.high += 1;
+            } else {
+                self.high -= 1;
+            }
+        }
+        if self.high > 1 {
+            let detail = format!("more than one rail high on {}", self.channel.name);
+            self.violation(t, ViolationKind::IllegalEncoding, detail);
+            return;
+        }
+        match (self.phase, t.rising) {
+            (Phase::Idle, true) => {
+                self.phase = Phase::Valid;
+                self.communications += 1;
+            }
+            (Phase::Acked, false) => self.phase = Phase::Rtz,
+            // Without an acknowledge net we cannot see captures; accept
+            // valid -> invalid directly.
+            (Phase::Valid, false) if self.channel.ack.is_none() => self.phase = Phase::Rtz,
+            _ => {
+                let detail = format!(
+                    "rail edge ({}) out of phase {:?} on {}",
+                    if t.rising { "rise" } else { "fall" },
+                    self.phase,
+                    self.channel.name
+                );
+                self.violation(t, ViolationKind::PhaseOrder, detail);
+            }
+        }
+    }
+
+    fn finish(self) -> ProtocolReport {
+        ProtocolReport {
+            channel: self.channel.id,
+            channel_name: self.channel.name.clone(),
+            communications: self.communications,
+            violations: self.violations,
+        }
+    }
+}
+
 /// Replays the transition log against `channel` and reports conformance.
 ///
 /// The log must start from the idle state (all rails low, acknowledge
 /// high), which is what [`crate::Testbench`] produces.
 pub fn check_channel(channel: &Channel, transitions: &[Transition]) -> ProtocolReport {
-    let mut rail_levels = vec![false; channel.arity()];
-    let mut phase = Phase::Idle;
-    let mut communications = 0usize;
-    let mut violations = Vec::new();
-
-    for t in transitions {
-        if Some(t.net) == channel.ack {
-            match (phase, t.rising) {
-                (Phase::Valid, false) => phase = Phase::Acked,
-                (Phase::Rtz, true) => phase = Phase::Idle,
-                (Phase::Idle, true) | (Phase::Acked, false) => {} // re-assertion, harmless
-                _ => violations.push(ProtocolViolation {
-                    time_ps: t.time_ps,
-                    kind: ViolationKind::PhaseOrder,
-                    detail: format!(
-                        "acknowledge edge ({}) out of phase {:?}",
-                        if t.rising { "release" } else { "capture" },
-                        phase
-                    ),
-                }),
-            }
-            continue;
-        }
-        let Some(idx) = channel.rails.iter().position(|&r| r == t.net) else {
-            continue;
-        };
-        rail_levels[idx] = t.rising;
-        let high = rail_levels.iter().filter(|&&v| v).count();
-        if high > 1 {
-            violations.push(ProtocolViolation {
-                time_ps: t.time_ps,
-                kind: ViolationKind::IllegalEncoding,
-                detail: format!("more than one rail high on {}", channel.name),
-            });
-            continue;
-        }
-        match (phase, t.rising) {
-            (Phase::Idle, true) => {
-                phase = Phase::Valid;
-                communications += 1;
-            }
-            (Phase::Acked, false) => phase = Phase::Rtz,
-            // Without an acknowledge net we cannot see captures; accept
-            // valid -> invalid directly.
-            (Phase::Valid, false) if channel.ack.is_none() => phase = Phase::Rtz,
-            _ => violations.push(ProtocolViolation {
-                time_ps: t.time_ps,
-                kind: ViolationKind::PhaseOrder,
-                detail: format!(
-                    "rail edge ({}) out of phase {:?} on {}",
-                    if t.rising { "rise" } else { "fall" },
-                    phase,
-                    channel.name
-                ),
-            }),
-        }
-    }
-    ProtocolReport {
-        channel: channel.id,
-        channel_name: channel.name.clone(),
-        communications,
-        violations,
-    }
+    let mut reports = check(std::iter::once(channel), transitions);
+    reports.pop().expect("one report per channel")
 }
 
-/// Checks every channel of the netlist against the log.
+/// Checks every channel of the netlist against the log, in one pass.
 pub fn check_all(netlist: &Netlist, transitions: &[Transition]) -> Vec<ProtocolReport> {
-    netlist
-        .channels()
-        .map(|c| check_channel(c, transitions))
-        .collect()
+    check(netlist.channels(), transitions)
+}
+
+/// The one replay behind [`check_channel`] and [`check_all`]. Each net is
+/// indexed once to the channels it serves (one acknowledge net can serve
+/// several), then every edge steps exactly those channels' state
+/// machines. Reports come out in channel order.
+fn check<'c>(
+    channels: impl Iterator<Item = &'c Channel>,
+    transitions: &[Transition],
+) -> Vec<ProtocolReport> {
+    let mut checks: Vec<ChannelCheck<'c>> = channels.map(ChannelCheck::new).collect();
+    let mut index: Vec<(NetId, usize, Pin)> = Vec::new();
+    let mut rail_slots = 0;
+    for (c, check) in checks.iter().enumerate() {
+        index.extend(pins(check.channel, rail_slots).map(|(net, pin)| (net, c, pin)));
+        rail_slots += check.channel.arity();
+    }
+    // A net appears at most once per channel, so the key is unique.
+    index.sort_unstable_by_key(|&(net, c, _)| (net, c));
+    // The pins of net `n` are `index[start[n]..start[n + 1]]`.
+    let nets = index.last().map_or(0, |&(net, ..)| net.index() + 1);
+    let mut start = vec![0usize; nets + 1];
+    for &(net, ..) in &index {
+        start[net.index() + 1] += 1;
+    }
+    for n in 0..nets {
+        start[n + 1] += start[n];
+    }
+    let mut rail_levels = vec![false; rail_slots];
+    for t in transitions {
+        let n = t.net.index();
+        if n >= nets {
+            continue;
+        }
+        for &(_, c, pin) in &index[start[n]..start[n + 1]] {
+            checks[c].step(pin, &mut rail_levels, t);
+        }
+    }
+    checks.into_iter().map(ChannelCheck::finish).collect()
 }
 
 #[cfg(test)]

@@ -410,8 +410,14 @@ impl<'a> Simulator<'a> {
             net,
             rising: value,
         });
-        let loads = self.netlist.net(net).loads.clone();
-        for load in loads {
+        self.evaluate_loads(net);
+    }
+
+    /// Re-evaluates every gate `net` feeds. The fanout list is borrowed
+    /// from the netlist, which outlives the simulator, so no copy is made.
+    fn evaluate_loads(&mut self, net: NetId) {
+        let netlist = self.netlist;
+        for &load in &netlist.net(net).loads {
             self.evaluate_gate(load);
         }
     }
@@ -457,9 +463,8 @@ impl<'a> Simulator<'a> {
         if self.forced[out.index()].is_some() {
             return; // a stuck-at/glitch fault overpowers the gate's drive
         }
-        let inputs: Vec<bool> = g.inputs.iter().map(|&n| self.level(n)).collect();
         let prev = self.level(out);
-        let newv = g.kind.eval(&inputs, prev);
+        let newv = g.kind.eval(g.inputs.iter().map(|&n| self.level(n)), prev);
         if newv == self.effective(out) {
             return;
         }
@@ -591,10 +596,7 @@ impl<'a> Simulator<'a> {
                 net: ev.net,
                 rising: ev.value,
             });
-            let loads = self.netlist.net(ev.net).loads.clone();
-            for load in loads {
-                self.evaluate_gate(load);
-            }
+            self.evaluate_loads(ev.net);
         }
         Ok(())
     }

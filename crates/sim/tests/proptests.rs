@@ -5,8 +5,9 @@
 #![allow(clippy::needless_range_loop)] // index loops run over parallel channel/ack arrays
 use proptest::prelude::*;
 
-use qdi_netlist::{cells, Channel, Netlist, NetlistBuilder};
-use qdi_sim::{hazard, protocol, Testbench, TestbenchConfig};
+use qdi_netlist::{cells, Channel, GateKind, NetId, Netlist, NetlistBuilder};
+use qdi_sim::protocol::{ProtocolReport, ProtocolViolation, ViolationKind};
+use qdi_sim::{hazard, protocol, Testbench, TestbenchConfig, Transition};
 
 fn lut_fixture(table: &[u64], inputs: usize) -> (Netlist, Vec<Channel>, Channel) {
     let mut b = NetlistBuilder::new("lut");
@@ -106,5 +107,146 @@ proptest! {
         }
         prop_assert!(counts.windows(2).all(|w| w[0] == w[1]),
                      "table {table:?} counts {counts:?}");
+    }
+}
+
+/// Phases of the reference checker below.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RefPhase {
+    Idle,
+    Valid,
+    Acked,
+    Rtz,
+}
+
+/// Reference protocol check: the whole log scanned once per channel, each
+/// rail found by linear search. The one-pass `check_all` must report
+/// exactly what this does; `RefPhase` prints like the checker's phases.
+fn reference_check_channel(channel: &Channel, transitions: &[Transition]) -> ProtocolReport {
+    let mut rail_levels = vec![false; channel.arity()];
+    let mut phase = RefPhase::Idle;
+    let mut communications = 0usize;
+    let mut violations = Vec::new();
+
+    for t in transitions {
+        if Some(t.net) == channel.ack {
+            match (phase, t.rising) {
+                (RefPhase::Valid, false) => phase = RefPhase::Acked,
+                (RefPhase::Rtz, true) => phase = RefPhase::Idle,
+                (RefPhase::Idle, true) | (RefPhase::Acked, false) => {}
+                _ => violations.push(ProtocolViolation {
+                    time_ps: t.time_ps,
+                    kind: ViolationKind::PhaseOrder,
+                    detail: format!(
+                        "acknowledge edge ({}) out of phase {:?}",
+                        if t.rising { "release" } else { "capture" },
+                        phase
+                    ),
+                }),
+            }
+            continue;
+        }
+        let Some(idx) = channel.rails.iter().position(|&r| r == t.net) else {
+            continue;
+        };
+        rail_levels[idx] = t.rising;
+        let high = rail_levels.iter().filter(|&&v| v).count();
+        if high > 1 {
+            violations.push(ProtocolViolation {
+                time_ps: t.time_ps,
+                kind: ViolationKind::IllegalEncoding,
+                detail: format!("more than one rail high on {}", channel.name),
+            });
+            continue;
+        }
+        match (phase, t.rising) {
+            (RefPhase::Idle, true) => {
+                phase = RefPhase::Valid;
+                communications += 1;
+            }
+            (RefPhase::Acked, false) => phase = RefPhase::Rtz,
+            (RefPhase::Valid, false) if channel.ack.is_none() => phase = RefPhase::Rtz,
+            _ => violations.push(ProtocolViolation {
+                time_ps: t.time_ps,
+                kind: ViolationKind::PhaseOrder,
+                detail: format!(
+                    "rail edge ({}) out of phase {:?} on {}",
+                    if t.rising { "rise" } else { "fall" },
+                    phase,
+                    channel.name
+                ),
+            }),
+        }
+    }
+    ProtocolReport {
+        channel: channel.id,
+        channel_name: channel.name.clone(),
+        communications,
+        violations,
+    }
+}
+
+/// Channels that stress the net index: `a` and `b` share one acknowledge
+/// net, `c` has none, the internal channel `m` reuses a rail of `a` and
+/// the shared acknowledge, the output `o` is 1-of-3, and the internal
+/// channel `d` lists one rail twice and its own acknowledge as a rail.
+/// Returns the netlist and every net a random log may toggle (one of
+/// them belongs to no channel).
+fn protocol_fixture() -> (Netlist, Vec<NetId>) {
+    let mut b = NetlistBuilder::new("proto");
+    let a = b.input_channel("a", 2);
+    let bb = b.input_channel("b", 3);
+    let c = b.input_channel("c", 2);
+    let ka = b.gate(GateKind::Nor, "ka", &[a.rail(0), a.rail(1), bb.rail(0)]);
+    b.connect_input_acks(&[a.id, bb.id], ka);
+    let x = b.gate(GateKind::Or, "x", &[c.rail(0), c.rail(1)]);
+    let _ = b.internal_channel("m", &[a.rail(0), x], Some(ka));
+    let o: Vec<NetId> = (0..3)
+        .map(|i| b.gate(GateKind::Buf, format!("o{i}"), &[bb.rail(i)]))
+        .collect();
+    let ko = b.input_net("ko");
+    let _ = b.output_channel("o", &o, ko);
+    let _ = b.internal_channel("d", &[c.rail(1), c.rail(1), ko], Some(ko));
+    let nl = b.finish_unchecked();
+    let nets = nl.nets().map(|n| n.id).collect();
+    (nl, nets)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The one-pass `check_all` reports exactly what the per-channel
+    /// scan reported: every violation in order with its time, kind and
+    /// detail, and every communication count. Logs are random edges,
+    /// so two rails high, out-of-phase acknowledges, re-asserted levels
+    /// and same-time edges all occur.
+    #[test]
+    fn one_pass_protocol_check_matches_per_channel_scan(
+        edges in prop::collection::vec((0usize..64, 0u8..4, 0u64..3), 0..160),
+    ) {
+        let (nl, nets) = protocol_fixture();
+        let mut levels = vec![false; nl.net_count()];
+        let mut time_ps = 0;
+        let log: Vec<Transition> = edges
+            .iter()
+            .map(|&(pick, how, dt)| {
+                let net = nets[pick % nets.len()];
+                time_ps += dt;
+                // Mostly toggle; one edge in four re-asserts the level.
+                let level = &mut levels[net.index()];
+                if how != 0 {
+                    *level = !*level;
+                }
+                Transition { time_ps, net, rising: *level }
+            })
+            .collect();
+        let want: Vec<ProtocolReport> = nl
+            .channels()
+            .map(|c| reference_check_channel(c, &log))
+            .collect();
+        prop_assert_eq!(&protocol::check_all(&nl, &log), &want);
+        for (c, report) in nl.channels().zip(&want) {
+            prop_assert_eq!(&protocol::check_channel(c, &log), report);
+        }
     }
 }

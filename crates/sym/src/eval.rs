@@ -137,12 +137,12 @@ pub fn evaluate(netlist: &Netlist, cfg: &SymConfig) -> Result<SymEvaluation, Net
                 // never fires in this model.
                 continue;
             }
-            let input_idles: Vec<bool> = gate
-                .inputs
-                .iter()
-                .map(|&n| net_idle.get(n.index()).copied().unwrap_or(false))
-                .collect();
-            let idle = gate.kind.eval(&input_idles, false);
+            let idle = gate.kind.eval(
+                gate.inputs
+                    .iter()
+                    .map(|&n| net_idle.get(n.index()).copied().unwrap_or(false)),
+                false,
+            );
             let unknown_in = gate
                 .inputs
                 .iter()
@@ -161,7 +161,7 @@ pub fn evaluate(netlist: &Netlist, cfg: &SymConfig) -> Result<SymEvaluation, Net
                 None
             } else {
                 SymBool::apply(&input_evals, &arity_of, cfg.budget, |vals| {
-                    gate.kind.eval(vals, idle)
+                    gate.kind.eval(vals.iter().copied(), idle)
                 })
             };
             let (eval, unknown) = match eval {
