@@ -75,7 +75,8 @@ pub use parallel::{
 };
 pub use selection::SelectionFunction;
 pub use store::{
-    bias_signal_from_store, CampaignError, ResilienceConfig, StoreCampaignRunner, StoreCheckpoint,
+    bias_signal_from_store, bias_signals_from_store, CampaignError, ResilienceConfig,
+    StoreCampaignRunner, StoreCheckpoint,
 };
 pub use template::{profile_bit_templates, template_attack, BitTemplates};
 pub use traceset::{TraceSet, TraceSetError};

@@ -21,7 +21,8 @@
 //! measurements to disclosure, multi-bit attacks and the secure flow all
 //! rank through [`parallel_attack_windowed`] or [`parallel_bias_signal`]
 //! (with [`ExecConfig::serial`] where they have no worker count), and
-//! [`crate::bias_signal_from_store`] streams into the same tree.
+//! [`crate::bias_signals_from_store`] streams into one such tree per
+//! guess.
 //!
 //! Each campaign driver also simulates and synthesizes every distinct
 //! plaintext only once ([`crate::campaign`]'s noiseless-trace cache) and

@@ -8,9 +8,11 @@
 //!
 //! * [`TraceSet::to_store`] / [`TraceSet::from_store`] convert between
 //!   the in-memory set and the on-disk store;
-//! * [`bias_signal_from_store`] computes `T = A0 − A1` directly from a
-//!   store with at most `chunk` traces resident, bit-identical to
-//!   [`crate::parallel::parallel_bias_signal`] over the same traces;
+//! * [`bias_signals_from_store`] computes `T = A0 − A1` for a list of
+//!   guesses in one pass over a store with at most `chunk` traces
+//!   resident, bit-identical to
+//!   [`crate::parallel::parallel_bias_signal`] over the same traces
+//!   ([`bias_signal_from_store`] is its one-guess form);
 //! * [`StoreCampaignRunner`] acquires traces on the `qdi-exec` pool and
 //!   appends them to a store as chunks complete. Its
 //!   [`StoreCheckpoint`] is a few hundred bytes — fingerprint, progress
@@ -156,15 +158,53 @@ impl TraceSet {
     }
 }
 
-/// Computes the DPA bias `T = A0 − A1` for one guess by streaming the
-/// store in chunks of `chunk` traces — peak resident trace memory is one
-/// chunk plus the running sums. Accumulation uses the same fixed
-/// [`BIAS_SHARD`] summation tree as the in-memory parallel path, so the
-/// result is bit-identical to
-/// [`crate::parallel::parallel_bias_signal`] over
+/// Computes the DPA bias `T = A0 − A1` of every guess in `guesses` in
+/// one pass over the store, read in chunks of `chunk` traces — peak
+/// resident trace memory is one chunk plus the running sums. Each guess
+/// has its own fixed [`BIAS_SHARD`] summation tree, the one the
+/// in-memory parallel path uses, so slot `i` is bit-identical to
+/// [`crate::parallel::parallel_bias_signal`] for `guesses[i]` over
 /// [`TraceSet::from_store`] of the same file, at every worker count.
 ///
-/// Returns `Ok(None)` when a partition is empty.
+/// Slot `i` is `None` when a partition of `guesses[i]` is empty.
+///
+/// # Errors
+///
+/// [`StoreError`] on read or validation failure.
+pub fn bias_signals_from_store(
+    path: impl AsRef<Path>,
+    sel: &dyn SelectionFunction,
+    guesses: &[u16],
+    chunk: usize,
+) -> Result<Vec<Option<Trace>>, StoreError> {
+    let reader = StoreReader::open(path)?;
+    let mut totals = vec![BiasAccumulator::new(); guesses.len()];
+    let mut shards = vec![BiasAccumulator::new(); guesses.len()];
+    let mut in_shard = 0usize;
+    for batch in reader.chunks(chunk.max(1)) {
+        for (input, trace) in batch? {
+            for (shard, &guess) in shards.iter_mut().zip(guesses) {
+                shard.accumulate(sel.select(&input, guess), &trace);
+            }
+            in_shard += 1;
+            if in_shard == BIAS_SHARD {
+                for (total, shard) in totals.iter_mut().zip(&mut shards) {
+                    total.merge(std::mem::take(shard));
+                }
+                in_shard = 0;
+            }
+        }
+    }
+    if in_shard > 0 {
+        for (total, shard) in totals.iter_mut().zip(shards) {
+            total.merge(shard);
+        }
+    }
+    Ok(totals.into_iter().map(BiasAccumulator::finish).collect())
+}
+
+/// [`bias_signals_from_store`] for one guess: `Ok(None)` when a
+/// partition is empty.
 ///
 /// # Errors
 ///
@@ -174,25 +214,10 @@ pub fn bias_signal_from_store(
     sel: &dyn SelectionFunction,
     guess: u16,
     chunk: usize,
-) -> Result<Option<qdi_analog::Trace>, StoreError> {
-    let reader = StoreReader::open(path)?;
-    let mut total = BiasAccumulator::new();
-    let mut shard = BiasAccumulator::new();
-    let mut in_shard = 0usize;
-    for batch in reader.chunks(chunk.max(1)) {
-        for (input, trace) in batch? {
-            shard.accumulate(sel.select(&input, guess), &trace);
-            in_shard += 1;
-            if in_shard == BIAS_SHARD {
-                total.merge(std::mem::take(&mut shard));
-                in_shard = 0;
-            }
-        }
-    }
-    if in_shard > 0 {
-        total.merge(shard);
-    }
-    Ok(total.finish())
+) -> Result<Option<Trace>, StoreError> {
+    Ok(bias_signals_from_store(path, sel, &[guess], chunk)?
+        .pop()
+        .flatten())
 }
 
 /// Serializable snapshot of a store-backed campaign: no raw samples —

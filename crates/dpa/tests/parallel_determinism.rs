@@ -9,11 +9,11 @@ use proptest::prelude::*;
 use qdi_core::{run_slice_flow, FlowConfig};
 use qdi_crypto::gatelevel::slice::{aes_first_round_slice, SliceStage};
 use qdi_dpa::campaign::xor_stage_window;
-use qdi_dpa::selection::AesXorSelect;
+use qdi_dpa::selection::{AesXorSelect, ClosureSelect};
 use qdi_dpa::template::bit_bias_charges;
 use qdi_dpa::{
-    bias_signal_from_store, parallel_attack, parallel_bias_signal, run_parallel_campaign,
-    CampaignConfig, PlaintextSource, BIAS_SHARD,
+    bias_signal_from_store, bias_signals_from_store, parallel_attack, parallel_bias_signal,
+    run_parallel_campaign, CampaignConfig, PlaintextSource, SelectionFunction, BIAS_SHARD,
 };
 use qdi_exec::{ExecConfig, StoreOptions};
 use qdi_pnr::{PnrConfig, Strategy};
@@ -121,6 +121,46 @@ fn one_tree_serves_every_bias_path() {
     std::fs::remove_file(&store).ok();
     // The templates' per-bit charges integrate that same tree.
     assert_eq!(bit_bias_charges(&set, window), charges);
+}
+
+#[test]
+fn one_store_pass_gives_every_guess_its_own_tree() {
+    let slice = aes_first_round_slice("s", SliceStage::XorOnly).expect("slice builds");
+    let cfg = three_shard_cfg();
+    let set = run_parallel_campaign(&slice, &cfg, ExecConfig { workers: 2 }).expect("campaign");
+    let store = std::env::temp_dir().join(format!("qdi_dpa_one_pass_{}.qtrs", std::process::id()));
+    set.to_store(&store, StoreOptions::new()).expect("stores");
+
+    // Bit 0 of `p ^ k`, except that guess `EMPTY` sends every trace to
+    // `D = 0`, so its `D = 1` partition is empty.
+    const EMPTY: u16 = 0x100;
+    let xor = AesXorSelect { byte: 0, bit: 0 };
+    let sel = ClosureSelect::new("xor-bit0-or-empty", EMPTY + 1, |input: &[u8], guess| {
+        guess != EMPTY && xor.select(input, guess)
+    });
+    let key = u16::from(cfg.key);
+    let guesses = [key, key ^ 1, EMPTY];
+    let golden: Vec<_> = guesses
+        .iter()
+        .map(|&g| parallel_bias_signal(&set, &sel, g, ExecConfig::serial()))
+        .collect();
+    assert!(golden[0].is_some() && golden[1].is_some());
+    assert!(
+        golden[2].is_none(),
+        "guess {EMPTY:#x} must leave D = 1 empty"
+    );
+    for chunk in [1, 7, 256, 600] {
+        let one_pass = bias_signals_from_store(&store, &sel, &guesses, chunk).expect("store reads");
+        assert_eq!(one_pass.len(), guesses.len());
+        for ((guess, want), got) in guesses.iter().zip(&golden).zip(&one_pass) {
+            assert_eq!(
+                want.as_ref().map(|t| t.samples()),
+                got.as_ref().map(|t| t.samples()),
+                "guess {guess:#x} @ chunk {chunk}"
+            );
+        }
+    }
+    std::fs::remove_file(&store).ok();
 }
 
 #[test]

@@ -14,7 +14,8 @@
 //! and checkpoints its current chunk, running jobs park as `Queued`
 //! (to be resumed by the next start), and the observability sinks are
 //! flushed. `kill -9` is also survivable — recovery replays the
-//! durable job records — it just forfeits the in-flight chunk.
+//! durable job records — it just forfeits the chunks acquired since
+//! the last checkpoint landed.
 
 // The workspace forbids unsafe code in libraries; this binary carries
 // the single exception: registering POSIX signal handlers has no safe
@@ -46,8 +47,9 @@ mod signals {
     }
 
     /// Routes SIGINT and SIGTERM into the shutdown flag. The main
-    /// loop polls the flag; the accept loop is non-blocking, so no
-    /// EINTR plumbing is needed.
+    /// loop polls the flag every 5 ms and calls `Server::shutdown`,
+    /// which wakes the blocking accept loop with a connection of its
+    /// own, so no EINTR plumbing is needed.
     pub fn install() {
         // SAFETY: `on_signal` is async-signal-safe (a single atomic
         // store) and `signal` is only called before threads that care
@@ -131,8 +133,10 @@ fn main() {
     }
     println!("qdi-serve: listening on http://{bound} (data: {data})");
 
+    // A short poll: running campaigns see the drain, and park, within
+    // a few chunks of the signal.
     while !SHUTDOWN.load(Ordering::SeqCst) && !server.shutdown_requested() {
-        std::thread::sleep(std::time::Duration::from_millis(50));
+        std::thread::sleep(std::time::Duration::from_millis(5));
     }
     println!("qdi-serve: draining (checkpointing in-flight jobs)...");
     server.shutdown();

@@ -3,7 +3,7 @@
 //! close` discipline. Used by the `qdi-client` binary, the e2e tests
 //! and anything that wants to submit campaigns programmatically.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -162,11 +162,19 @@ fn read_response(reader: &mut impl BufRead) -> Result<HttpResponse, ClientError>
     }
     let mut body = Vec::new();
     match content_length {
+        // The declared length is the peer's claim, not an allocation
+        // size: the buffer grows only with bytes that actually arrive.
         Some(len) => {
-            body.resize(len, 0);
             reader
-                .read_exact(&mut body)
+                .take(len as u64)
+                .read_to_end(&mut body)
                 .map_err(|e| transport(format!("body: {e}")))?;
+            if body.len() < len {
+                return Err(transport(format!(
+                    "body: {} of {len} declared bytes before the connection closed",
+                    body.len()
+                )));
+            }
         }
         None => {
             reader
@@ -388,5 +396,33 @@ impl ServeClient {
                 return Ok(());
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn a_hostile_content_length_is_a_transport_error_not_an_abort() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
+        let base = format!("http://{}", listener.local_addr().expect("addr"));
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accepts");
+            let mut reader = BufReader::new(stream.try_clone().expect("clones"));
+            let mut line = String::new();
+            while reader.read_line(&mut line).expect("reads") > 2 {
+                line.clear();
+            }
+            let mut stream = stream;
+            stream
+                .write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 1099511627776\r\n\r\nok")
+                .expect("writes");
+        });
+        let err = request(&base, "GET", "/healthz", None, Duration::from_secs(10))
+            .expect_err("a 2-byte body cannot satisfy a 1 TiB Content-Length");
+        assert_eq!(err.status, 0, "{err}");
+        server.join().expect("fake server");
     }
 }

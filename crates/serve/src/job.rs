@@ -4,11 +4,14 @@
 //! Every job owns one directory,
 //! `{data}/tenants/{tenant}/jobs/{id}/`, holding:
 //!
-//! * `job.json` — the durable [`JobRecord`] (spec + state + progress),
-//!   written with the CRC-trailer write-then-rename discipline of
-//!   [`qdi_obs::durable`] so a `kill -9` can never leave a torn record;
+//! * `job.json` — the durable [`JobRecord`] (spec + lifecycle state),
+//!   written at every state transition with the CRC-trailer
+//!   write-then-rename discipline of [`qdi_obs::durable`] so a `kill -9`
+//!   can never leave a torn record;
 //! * `checkpoint.json` — the campaign's [`qdi_dpa::StoreCheckpoint`]
-//!   (DPA jobs only);
+//!   (DPA jobs only), the one durable record of progress: handed to a
+//!   per-lease saver thread after every chunk, and the source of
+//!   `completed` and `quarantined` when the server recovers the job;
 //! * `traces.qtrs` — the trace store;
 //! * `report.json` — the final artifact of a completed job.
 //!
@@ -74,9 +77,9 @@ pub struct TraceMeta {
 }
 
 /// The durable record — everything needed to resurrect the job after
-/// a crash. Progress counters are advisory (the checkpoint is the
-/// source of truth for resumption); they make `GET /v1/jobs` honest
-/// without opening every checkpoint.
+/// a crash. Progress counters are saved with state transitions, not
+/// per chunk; between them the checkpoint is the durable progress, and
+/// recovery takes `completed` and `quarantined` from it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct JobRecord {
     /// Server-assigned id, unique across tenants (`j000042`).
@@ -188,6 +191,11 @@ pub struct JobStatus {
 /// dropped from the front; sequence numbers stay monotonic.
 const EVENT_CAPACITY: usize = 512;
 
+/// Minimum spacing of a running job's `progress` events. The first and
+/// the last chunk always emit one; the chunks between are coalesced, so
+/// long-polls and SSE streams wake at most this often per job.
+const PROGRESS_EVENT_INTERVAL: Duration = Duration::from_millis(100);
+
 struct JobInner {
     record: JobRecord,
     events: VecDeque<JobEvent>,
@@ -195,6 +203,7 @@ struct JobInner {
     started: Option<Instant>,
     ewma_rate: f64,
     last_progress: Option<(Instant, u64)>,
+    last_progress_event: Option<Instant>,
 }
 
 /// In-memory handle: the record plus the event log, condvar-signaled
@@ -221,6 +230,7 @@ impl JobHandle {
                 started: None,
                 ewma_rate: 0.0,
                 last_progress: None,
+                last_progress_event: None,
             }),
             cv: Condvar::new(),
             cancel: AtomicBool::new(false),
@@ -303,11 +313,15 @@ impl JobHandle {
         saved
     }
 
-    /// Records chunk progress, persists, and emits a `progress` event
-    /// whose payload is a single-task
-    /// [`qdi_obs::progress::ProgressSnapshot`] — the exact shape
-    /// `qdi-mon watch` renders.
-    pub fn advance(&self, completed: u64, total: u64, quarantined: Vec<u64>) -> Result<(), String> {
+    /// Records chunk progress in memory: [`JobHandle::status`] and the
+    /// rate estimate follow every call. The first call, a call that
+    /// reaches `total`, and otherwise at most one call per
+    /// [`PROGRESS_EVENT_INTERVAL`] also emit a `progress` event whose
+    /// payload is a single-task [`qdi_obs::progress::ProgressSnapshot`]
+    /// — the exact shape `qdi-mon watch` renders. Nothing is persisted:
+    /// the campaign checkpoint is the durable progress, and the next
+    /// [`JobHandle::set_state`] saves these counters with the record.
+    pub fn advance(&self, completed: u64, total: u64, quarantined: Vec<u64>) {
         let now = Instant::now();
         let mut inner = self.lock();
         if inner.started.is_none() {
@@ -328,13 +342,18 @@ impl JobHandle {
         inner.record.completed = completed;
         inner.record.total = total;
         inner.record.quarantined = quarantined;
-        let saved = inner.record.save(&self.dir);
+        let due = inner
+            .last_progress_event
+            .is_none_or(|at| now.duration_since(at) >= PROGRESS_EVENT_INTERVAL);
+        if !due && completed < total {
+            return;
+        }
+        inner.last_progress_event = Some(now);
         let snapshot = progress_of(&inner);
         let data = serde_json::to_string(&snapshot).unwrap_or_else(|_| "{}".into());
         push_event(&mut inner, "progress", data);
         drop(inner);
         self.cv.notify_all();
-        saved
     }
 
     /// Marks a crash recovery: back to `Queued`, bumps `resumes`.
@@ -548,8 +567,10 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("qdi_serve_ev_{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
         let handle = JobHandle::new(record("j000002"), dir.clone());
-        handle.advance(4, 256, Vec::new()).expect("advances");
-        handle.advance(8, 256, Vec::new()).expect("advances");
+        // Events that always fire: the first chunk's progress (seq 0)
+        // and a state transition (seq 1).
+        handle.advance(4, 256, Vec::new());
+        handle.set_state(JobState::Running, None).expect("state");
         let all = handle.events_after(0);
         assert_eq!(all.len(), 1, "seq 0 is excluded by an after=0 cursor");
         assert_eq!(handle.events_after(u64::MAX).len(), 0);
@@ -559,5 +580,30 @@ mod tests {
         // events past the cursor.
         assert_eq!(handle.wait_event(100, Duration::from_secs(5)), 2);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn progress_events_are_coalesced_but_status_follows_every_chunk() {
+        let dir = std::env::temp_dir().join(format!("qdi_serve_cadence_{}", std::process::id()));
+        let handle = JobHandle::new(record("j000003"), dir);
+        let total = 1_000;
+        let started = Instant::now();
+        for completed in 1..=total {
+            handle.advance(completed, total, Vec::new());
+            assert_eq!(handle.status().completed, completed);
+        }
+        let elapsed = started.elapsed();
+        let events = handle.events_from(0);
+        assert!(events.iter().all(|e| e.event == "progress"));
+        let bound = 2 + elapsed.as_millis() / PROGRESS_EVENT_INTERVAL.as_millis();
+        assert!(
+            events.len() as u128 <= bound,
+            "{} progress events in {elapsed:?} (at most {bound})",
+            events.len()
+        );
+        let last: qdi_obs::progress::ProgressSnapshot =
+            serde_json::from_str(&events.last().expect("the first chunk emits").data)
+                .expect("progress payload parses");
+        assert_eq!(last.tasks[0].completed, total);
     }
 }

@@ -3,13 +3,15 @@
 //!
 //! DPA campaigns run chunk-at-a-time through
 //! [`qdi_dpa::StoreCampaignRunner`] with a durable
-//! checkpoint after every chunk, which buys three properties at once:
+//! checkpoint after every chunk, saved by a per-lease thread while the
+//! next chunk is acquired. That buys three properties at once:
 //!
 //! * **fair-share preemption is free** — parking the job is just
 //!   dropping the runner; the next lease resumes from the checkpoint
 //!   and per-index seeding makes the traces bit-identical;
 //! * **`kill -9` is survivable** — a restarted server re-queues the
-//!   job and the resume truncates whatever torn tail the crash left;
+//!   job and the resume truncates whatever the crash left past the
+//!   last checkpoint that landed;
 //! * **cancellation is prompt** — the cancel flag is honored at every
 //!   chunk boundary.
 //!
@@ -17,7 +19,9 @@
 //! as single uninterruptible leases.
 
 use std::path::Path;
+use std::sync::mpsc::{self, SyncSender};
 use std::sync::Arc;
+use std::thread::{Scope, ScopedJoinHandle};
 
 use serde::{Deserialize, Serialize};
 
@@ -177,6 +181,65 @@ pub fn run_lease(sched: &Scheduler, job: &Arc<JobHandle>) -> Disposition {
     }
 }
 
+/// Checkpoints a lease may hand over while a save is in flight before
+/// acquisition waits for the disk. A `kill -9` therefore loses at most
+/// the chunk being acquired, these, and the one being saved.
+const CHECKPOINT_BACKLOG: usize = 2;
+
+/// Saves a lease's checkpoints on a thread of its own, so acquisition
+/// waits on the disk only when it runs [`CHECKPOINT_BACKLOG`]
+/// checkpoints ahead of it. One save runs at a time, always of the
+/// newest checkpoint: those queued behind a slow fsync are coalesced.
+/// The job advances as each save lands, so [`JobHandle::status`]'s
+/// `completed` is always durable progress.
+struct CheckpointSaver<'scope> {
+    queue: SyncSender<StoreCheckpoint>,
+    thread: ScopedJoinHandle<'scope, Result<(), String>>,
+}
+
+impl<'scope> CheckpointSaver<'scope> {
+    fn start<'env>(
+        scope: &'scope Scope<'scope, 'env>,
+        job: &'env JobHandle,
+        path: &'env Path,
+        total: u64,
+    ) -> CheckpointSaver<'scope> {
+        let (queue, checkpoints) = mpsc::sync_channel::<StoreCheckpoint>(CHECKPOINT_BACKLOG);
+        let thread = scope.spawn(move || {
+            while let Ok(mut checkpoint) = checkpoints.recv() {
+                while let Ok(newer) = checkpoints.try_recv() {
+                    checkpoint = newer;
+                }
+                checkpoint
+                    .save(path)
+                    .map_err(|e| format!("checkpoint: {e:?}"))?;
+                job.advance(
+                    checkpoint.completed as u64,
+                    total,
+                    quarantined_u64(&checkpoint.quarantined),
+                );
+            }
+            Ok(())
+        });
+        CheckpointSaver { queue, thread }
+    }
+
+    /// Hands `checkpoint` over, waiting only while the backlog is full.
+    /// `false` when a save failed; [`CheckpointSaver::finish`] returns
+    /// its error.
+    fn save(&self, checkpoint: StoreCheckpoint) -> bool {
+        self.queue.send(checkpoint).is_ok()
+    }
+
+    /// Waits until the last checkpoint handed over has landed.
+    fn finish(self) -> Result<(), String> {
+        drop(self.queue);
+        self.thread
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    }
+}
+
 fn build_slice(stage: &str) -> Result<AesByteSlice, String> {
     aes_first_round_slice("serve", stage_of(stage)?).map_err(|e| format!("slice: {e}"))
 }
@@ -217,45 +280,51 @@ fn run_dpa(
     };
     let mut runner = runner.with_supervisor(SupervisorPolicy::new());
 
-    while !runner.is_done() {
-        if job.cancel_requested() {
-            runner
-                .checkpoint()
-                .save(&ckpt_path)
-                .map_err(|e| format!("checkpoint: {e:?}"))?;
-            let _ = job.set_state(JobState::Canceled, None);
-            qdi_obs::metrics::counter("serve.jobs.canceled").inc();
-            return Ok(Disposition::Done);
+    let parked = std::thread::scope(|scope| {
+        let saver = CheckpointSaver::start(scope, job, &ckpt_path, total);
+        while !runner.is_done() {
+            if job.cancel_requested() {
+                saver.finish()?;
+                runner
+                    .checkpoint()
+                    .save(&ckpt_path)
+                    .map_err(|e| format!("checkpoint: {e:?}"))?;
+                let _ = job.set_state(JobState::Canceled, None);
+                qdi_obs::metrics::counter("serve.jobs.canceled").inc();
+                return Ok(Some(Disposition::Done));
+            }
+            runner.step_chunk().map_err(|e| format!("acquire: {e:?}"))?;
+            if !saver.save(runner.checkpoint()) {
+                let stopped = saver.finish().err();
+                return Err(stopped.unwrap_or_else(|| "checkpoint saver stopped".into()));
+            }
+            sched.charge(&tenant, 1);
+            lease.event("chunk", &[("completed", runner.completed().to_string())]);
+            if sched.draining() {
+                // Park durably: once the last checkpoint is saved, the
+                // next server start re-queues us and resumes exactly here.
+                saver.finish()?;
+                lease.event("drain.park", &[]);
+                let _ = job.set_state(JobState::Queued, None);
+                return Ok(Some(Disposition::Done));
+            }
+            if sched.should_yield(&tenant, priority) {
+                saver.finish()?;
+                qdi_obs::metrics::counter("serve.sched.yields").inc();
+                lease.event("sched.yield", &[("tenant", tenant.clone())]);
+                let _ = job.set_state(JobState::Queued, None);
+                return Ok(Some(Disposition::Requeue));
+            }
         }
-        runner.step_chunk().map_err(|e| format!("acquire: {e:?}"))?;
-        runner
-            .checkpoint()
-            .save(&ckpt_path)
-            .map_err(|e| format!("checkpoint: {e:?}"))?;
-        sched.charge(&tenant, 1);
-        let _ = job.advance(
-            runner.completed() as u64,
-            total,
-            quarantined_u64(runner.quarantined()),
-        );
-        lease.event("chunk", &[("completed", runner.completed().to_string())]);
-        if sched.draining() {
-            // Park durably: the next server start re-queues us and the
-            // checkpoint written above resumes exactly here.
-            lease.event("drain.park", &[]);
-            let _ = job.set_state(JobState::Queued, None);
-            return Ok(Disposition::Done);
-        }
-        if sched.should_yield(&tenant, priority) {
-            qdi_obs::metrics::counter("serve.sched.yields").inc();
-            lease.event("sched.yield", &[("tenant", tenant.clone())]);
-            let _ = job.set_state(JobState::Queued, None);
-            return Ok(Disposition::Requeue);
-        }
+        saver.finish().map(|()| None)
+    })?;
+    if let Some(disposition) = parked {
+        return Ok(disposition);
     }
 
     // One final rescue pass over anything the supervisor quarantined
     // (either in this lease or recorded by the checkpoint we resumed).
+    // Without one, the saved checkpoint is already the final one.
     if !runner.quarantined().is_empty() {
         let recovered = runner
             .retry_quarantined()
@@ -263,18 +332,18 @@ fn run_dpa(
         if recovered > 0 {
             qdi_obs::metrics::counter("serve.jobs.rescued").add(recovered as u64);
         }
+        runner
+            .checkpoint()
+            .save(&ckpt_path)
+            .map_err(|e| format!("checkpoint: {e:?}"))?;
     }
-    runner
-        .checkpoint()
-        .save(&ckpt_path)
-        .map_err(|e| format!("checkpoint: {e:?}"))?;
     let quarantined = quarantined_u64(runner.quarantined());
     runner.finish().map_err(|e| format!("finish: {e:?}"))?;
 
     let report = dpa_report(&record.id, &tenant, spec, &store_path, &quarantined)?;
     let json = serde_json::to_string_pretty(&report).map_err(|e| format!("{e:?}"))?;
     write_artifact(&job.dir.join(REPORT_FILE), &json)?;
-    let _ = job.advance(total, total, quarantined);
+    job.advance(total, total, quarantined);
     let _ = job.set_state(JobState::Completed, None);
     qdi_obs::metrics::counter("serve.jobs.completed").inc();
     Ok(Disposition::Done)
@@ -315,9 +384,9 @@ fn dpa_report(
         .clone()
         .unwrap_or_else(|| vec![u16::from(spec.campaign.key)]);
     let chunk = spec.resilience.unwrap_or_default().checkpoint_every.max(1);
-    for guess in guesses {
-        let bias = qdi_dpa::bias_signal_from_store(store_path, sel.as_ref(), guess, chunk)
-            .map_err(|e| format!("bias: {e}"))?;
+    let biases = qdi_dpa::bias_signals_from_store(store_path, sel.as_ref(), &guesses, chunk)
+        .map_err(|e| format!("bias: {e}"))?;
+    for (guess, bias) in guesses.into_iter().zip(biases) {
         let Some(trace) = bias else { continue };
         let (peak_t_ps, peak) = trace.abs_peak().unwrap_or((0, 0.0));
         report.guesses.push(GuessReport {
@@ -348,7 +417,7 @@ fn run_fi(job: &Arc<JobHandle>, spec: &FiJobSpec) -> Result<(), String> {
         faults = qdi_fi::sample_faults(faults, k, spec.campaign.seed);
     }
     let total = faults.len() as u64;
-    let _ = job.advance(0, total, Vec::new());
+    job.advance(0, total, Vec::new());
     let report = qdi_fi::run_campaign_parallel(
         &slice.netlist,
         &faults,
@@ -358,7 +427,7 @@ fn run_fi(job: &Arc<JobHandle>, spec: &FiJobSpec) -> Result<(), String> {
     .map_err(|e| format!("campaign: {e}"))?;
     let json = serde_json::to_string_pretty(&report).map_err(|e| format!("{e:?}"))?;
     write_artifact(&job.dir.join(REPORT_FILE), &json)?;
-    let _ = job.advance(total, total, Vec::new());
+    job.advance(total, total, Vec::new());
     let _ = job.set_state(JobState::Completed, None);
     qdi_obs::metrics::counter("serve.jobs.completed").inc();
     Ok(())
@@ -372,7 +441,7 @@ fn run_pnr(job: &Arc<JobHandle>, spec: &PnrJobSpec) -> Result<(), String> {
         cfg.anneal.moves_per_gate = moves as usize;
     }
     let total = spec.seeds.len() as u64;
-    let _ = job.advance(0, total, Vec::new());
+    job.advance(0, total, Vec::new());
     let outcomes = qdi_pnr::stability_study_parallel(
         &column.netlist,
         spec.strategy,
@@ -382,8 +451,99 @@ fn run_pnr(job: &Arc<JobHandle>, spec: &PnrJobSpec) -> Result<(), String> {
     );
     let json = serde_json::to_string_pretty(&outcomes).map_err(|e| format!("{e:?}"))?;
     write_artifact(&job.dir.join(REPORT_FILE), &json)?;
-    let _ = job.advance(total, total, Vec::new());
+    job.advance(total, total, Vec::new());
     let _ = job.set_state(JobState::Completed, None);
     qdi_obs::metrics::counter("serve.jobs.completed").inc();
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::spec::JobSpec;
+    use std::path::PathBuf;
+
+    fn tmp_dir(tag: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("qdi_serve_saver_{tag}_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        dir
+    }
+
+    fn running_job(dir: PathBuf, total: u64) -> JobHandle {
+        let record = JobRecord {
+            id: "j000001".into(),
+            spec: JobSpec {
+                tenant: "t".into(),
+                name: None,
+                priority: None,
+                kind: JobKind::Dpa(DpaJobSpec {
+                    stage: "xor".into(),
+                    campaign: qdi_dpa::CampaignConfig::new(1),
+                    resilience: None,
+                    exec_workers: None,
+                    attack: None,
+                }),
+            },
+            state: JobState::Running,
+            completed: 0,
+            total,
+            error: None,
+            quarantined: Vec::new(),
+            resumes: 0,
+            submit_seq: 0,
+            trace: None,
+        };
+        JobHandle::new(record, dir)
+    }
+
+    fn checkpoint(completed: usize, quarantined: Vec<usize>) -> StoreCheckpoint {
+        StoreCheckpoint {
+            fingerprint: String::new(),
+            completed,
+            store_path: String::new(),
+            store_offset: completed as u64,
+            quarantined,
+        }
+    }
+
+    #[test]
+    fn the_saver_lands_the_last_checkpoint_and_the_job_follows_it() {
+        let dir = tmp_dir("last");
+        let job = running_job(dir.clone(), 1_024);
+        let path = dir.join(CHECKPOINT_FILE);
+        std::thread::scope(|scope| {
+            let saver = CheckpointSaver::start(scope, &job, &path, 1_024);
+            for completed in (8..=1_024).step_by(8) {
+                assert!(saver.save(checkpoint(completed, vec![3])));
+            }
+            saver.finish().expect("every save lands");
+        });
+        let saved = StoreCheckpoint::load(&path).expect("the checkpoint loads");
+        assert_eq!((saved.completed, saved.quarantined), (1_024, vec![3]));
+        let status = job.status();
+        assert_eq!((status.completed, status.quarantined), (1_024, vec![3]));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_failed_save_stops_the_saver_and_finish_returns_its_error() {
+        let dir = tmp_dir("fail");
+        let job = running_job(dir.clone(), 64);
+        let path = dir.join("missing").join(CHECKPOINT_FILE);
+        let err = std::thread::scope(|scope| {
+            let saver = CheckpointSaver::start(scope, &job, &path, 64);
+            assert!(saver.save(checkpoint(8, Vec::new())));
+            // The saver exits on the failed save; later hand-overs are
+            // refused once it has.
+            while saver.save(checkpoint(16, Vec::new())) {
+                std::thread::yield_now();
+            }
+            saver.finish().expect_err("the save fails")
+        });
+        assert!(err.starts_with("checkpoint: "), "{err}");
+        assert_eq!(job.status().completed, 0, "nothing landed");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

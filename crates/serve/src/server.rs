@@ -18,18 +18,27 @@
 //! | `GET`  | `/v1/progress` | all jobs as one `ProgressSnapshot` |
 //! | `POST` | `/v1/shutdown` | request a graceful drain |
 //!
+//! ## Accept model
+//!
+//! The accept loop blocks in `accept` and hands every connection to its
+//! own thread. [`Server::shutdown`] wakes it with a connection of its
+//! own to the bound address (loopback when bound to an unspecified
+//! address), so no request waits on a poll period.
+//!
 //! ## Crash recovery
 //!
 //! The job table is rebuilt at startup purely from the per-tenant
-//! `job.json` records ([`crate::job`]); non-terminal jobs are
-//! re-queued and their campaigns resume from the durable checkpoint.
-//! No state lives only in memory, so `kill -9` costs at most the
-//! chunk that was in flight.
+//! files ([`crate::job`]): `job.json` gives each job's lifecycle state,
+//! and a DPA job's `checkpoint.json` its progress. Non-terminal jobs are
+//! re-queued and their campaigns resume from that checkpoint. No state
+//! lives only in memory, so `kill -9` costs at most the chunks acquired
+//! since the last checkpoint landed: the one in flight and the few whose
+//! checkpoints were still queued or being saved.
 
 use std::collections::BTreeMap;
 use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -60,9 +69,6 @@ pub struct ServeConfig {
     pub limits: Limits,
     /// Socket read/write timeout, ms.
     pub io_timeout_ms: u64,
-    /// Accept-loop poll period, ms (the listener is non-blocking so
-    /// drain requests are noticed promptly).
-    pub poll_ms: u64,
     /// Maximum concurrent connections before responding 503.
     pub max_connections: usize,
 }
@@ -77,7 +83,6 @@ impl ServeConfig {
             workers: 2,
             limits: Limits::default(),
             io_timeout_ms: 10_000,
-            poll_ms: 25,
             max_connections: 64,
         }
     }
@@ -95,6 +100,19 @@ struct ServerState {
 }
 
 impl ServerState {
+    fn new(cfg: ServeConfig) -> ServerState {
+        ServerState {
+            cfg,
+            jobs: Mutex::new(BTreeMap::new()),
+            sched: Scheduler::new(),
+            drain: AtomicBool::new(false),
+            shutdown_requested: AtomicBool::new(false),
+            next_id: AtomicU64::new(1),
+            connections: AtomicUsize::new(0),
+            red: RedRegistry::new(),
+        }
+    }
+
     fn job(&self, id: &str) -> Option<Arc<JobHandle>> {
         self.jobs
             .lock()
@@ -128,7 +146,6 @@ impl Server {
         // from a different working directory still resolves them.
         cfg.data_dir = cfg.data_dir.canonicalize()?;
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         // Span records live next to the tenant tree so a restarted
         // server keeps appending to the same file and cross-restart
@@ -136,16 +153,7 @@ impl Server {
         // most recently started server in a process owns it.
         qdi_obs::span::set_file(cfg.data_dir.join("trace").join("spans.jsonl"));
 
-        let state = Arc::new(ServerState {
-            cfg,
-            jobs: Mutex::new(BTreeMap::new()),
-            sched: Scheduler::new(),
-            drain: AtomicBool::new(false),
-            shutdown_requested: AtomicBool::new(false),
-            next_id: AtomicU64::new(1),
-            connections: AtomicUsize::new(0),
-            red: RedRegistry::new(),
-        });
+        let state = Arc::new(ServerState::new(cfg));
         recover_jobs(&state);
 
         let workers = (0..state.cfg.workers.max(1))
@@ -204,6 +212,7 @@ impl Server {
         self.state.drain.store(true, Ordering::SeqCst);
         self.state.sched.drain();
         if let Some(accept) = self.accept.take() {
+            wake_accept(self.addr);
             let _ = accept.join();
         }
         for worker in self.workers.drain(..) {
@@ -219,6 +228,40 @@ impl Server {
         }
         qdi_obs::progress::write_now();
         qdi_obs::flush();
+    }
+}
+
+/// Unblocks the accept loop after `drain` is set: connect to the bound
+/// address, or to loopback on its port when it is unspecified
+/// (`0.0.0.0`, `::`), which is not a portable connect target.
+fn wake_accept(addr: SocketAddr) {
+    let mut target = addr;
+    if target.ip().is_unspecified() {
+        target.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&target, Duration::from_secs(1));
+}
+
+/// Takes a DPA job's progress from its campaign checkpoint, the durable
+/// record of progress (`job.json` is not saved per chunk).
+/// A checkpoint that does not load, or whose counters do not fit the
+/// record's `total`, leaves the record as it is.
+fn progress_from_checkpoint(record: &mut JobRecord, dir: &Path) {
+    let Ok(checkpoint) = qdi_dpa::StoreCheckpoint::load(&dir.join(CHECKPOINT_FILE)) else {
+        return;
+    };
+    let completed = checkpoint.completed as u64;
+    let in_range = completed <= record.total
+        && checkpoint
+            .quarantined
+            .iter()
+            .all(|&i| i < checkpoint.completed);
+    if in_range {
+        record.completed = completed;
+        record.quarantined = checkpoint.quarantined.iter().map(|&i| i as u64).collect();
     }
 }
 
@@ -238,7 +281,7 @@ fn recover_jobs(state: &Arc<ServerState>) {
         for job_dir in jobs.flatten() {
             let dir = job_dir.path();
             match JobRecord::load(&dir) {
-                Ok(record) => {
+                Ok(mut record) => {
                     if let Some(n) = record
                         .id
                         .strip_prefix('j')
@@ -255,6 +298,9 @@ fn recover_jobs(state: &Arc<ServerState>) {
                     } else {
                         record.spec.validate().err()
                     };
+                    if !terminal && invalid.is_none() {
+                        progress_from_checkpoint(&mut record, &dir);
+                    }
                     let id = record.id.clone();
                     let handle = Arc::new(JobHandle::new(record, dir));
                     state
@@ -307,34 +353,53 @@ fn worker_loop(state: &Arc<ServerState>) {
     }
 }
 
+/// One counted connection: taken before the handler thread is spawned,
+/// moved into its closure, and released when dropped — at the end of
+/// the thread, or with the closure when the spawn fails.
+struct ConnectionSlot(Arc<ServerState>);
+
+impl ConnectionSlot {
+    fn take(state: &Arc<ServerState>) -> ConnectionSlot {
+        state.connections.fetch_add(1, Ordering::SeqCst);
+        ConnectionSlot(Arc::clone(state))
+    }
+
+    fn state(&self) -> &Arc<ServerState> {
+        &self.0
+    }
+}
+
+impl Drop for ConnectionSlot {
+    fn drop(&mut self) {
+        self.0.connections.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Pause after a failed `accept`; successful accepts never wait.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Blocks in `accept` until [`Server::shutdown`] sets `drain` and wakes
+/// it ([`wake_accept`]).
 fn accept_loop(state: &Arc<ServerState>, listener: &TcpListener) {
-    let poll = Duration::from_millis(state.cfg.poll_ms.max(1));
-    loop {
+    for stream in listener.incoming() {
         if state.drain.load(Ordering::SeqCst) {
             return;
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if state.connections.load(Ordering::SeqCst) >= state.cfg.max_connections {
-                    let mut stream = stream;
-                    let _ = Response::from_error(&HttpError::new(503, "connection limit"))
-                        .write_to(&mut stream);
-                    continue;
-                }
-                state.connections.fetch_add(1, Ordering::SeqCst);
-                let state = Arc::clone(state);
-                let _ = std::thread::Builder::new()
-                    .name("qdi-serve-conn".into())
-                    .spawn(move || {
-                        handle_connection(&state, stream);
-                        state.connections.fetch_sub(1, Ordering::SeqCst);
-                    });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(poll);
-            }
-            Err(_) => std::thread::sleep(poll),
+        let Ok(mut stream) = stream else {
+            // An aborted handshake or a full fd table: back off briefly
+            // rather than spin on an error that repeats until an fd frees.
+            std::thread::sleep(ACCEPT_ERROR_BACKOFF);
+            continue;
+        };
+        if state.connections.load(Ordering::SeqCst) >= state.cfg.max_connections {
+            let _ = Response::from_error(&HttpError::new(503, "connection limit"))
+                .write_to(&mut stream);
+            continue;
         }
+        let slot = ConnectionSlot::take(state);
+        let _ = std::thread::Builder::new()
+            .name("qdi-serve-conn".into())
+            .spawn(move || handle_connection(slot.state(), stream));
     }
 }
 
@@ -696,5 +761,97 @@ fn sse_stream(state: &Arc<ServerState>, writer: &mut TcpStream, request: &Reques
             }
             let _ = job.wait_event(next.saturating_sub(1), Duration::from_millis(250));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::spec::DpaJobSpec;
+
+    fn tmp_dir(tag: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("qdi_serve_server_{tag}_{}", std::process::id()))
+    }
+
+    #[test]
+    fn a_connection_slot_is_released_when_its_thread_never_runs() {
+        let state = Arc::new(ServerState::new(ServeConfig::new(tmp_dir("slot"))));
+        let slot = ConnectionSlot::take(&state);
+        assert_eq!(state.connections.load(Ordering::SeqCst), 1);
+        // What a failed `Builder::spawn` does with the handler: drops it
+        // without running it.
+        let handler = move || slot.state().connections.load(Ordering::SeqCst);
+        drop(handler);
+        assert_eq!(state.connections.load(Ordering::SeqCst), 0);
+    }
+
+    fn running_dpa_record(id: &str, traces: usize) -> JobRecord {
+        let mut campaign = qdi_dpa::CampaignConfig::new(0x3C);
+        campaign.traces = traces;
+        JobRecord {
+            id: id.into(),
+            spec: JobSpec {
+                tenant: "t".into(),
+                name: None,
+                priority: None,
+                kind: JobKind::Dpa(DpaJobSpec {
+                    stage: "xor".into(),
+                    campaign,
+                    resilience: None,
+                    exec_workers: None,
+                    attack: None,
+                }),
+            },
+            state: JobState::Running,
+            completed: 0,
+            total: traces as u64,
+            error: None,
+            quarantined: Vec::new(),
+            resumes: 0,
+            submit_seq: 0,
+            trace: None,
+        }
+    }
+
+    #[test]
+    fn recovery_takes_progress_from_a_checkpoint_that_fits() {
+        let data = tmp_dir("recover");
+        std::fs::remove_dir_all(&data).ok();
+        let jobs = data.join("tenants").join("t").join("jobs");
+        // j000001's checkpoint is sound, j000002's is torn and
+        // j000003's counts past the job's total.
+        for (id, completed) in [("j000001", 512), ("j000002", 512), ("j000003", 1025)] {
+            let dir = jobs.join(id);
+            std::fs::create_dir_all(&dir).expect("mkdir");
+            running_dpa_record(id, 1024)
+                .save(&dir)
+                .expect("record saves");
+            qdi_dpa::StoreCheckpoint {
+                fingerprint: String::new(),
+                completed,
+                store_path: dir.join(STORE_FILE).display().to_string(),
+                store_offset: 0,
+                quarantined: vec![17],
+            }
+            .save(&dir.join(CHECKPOINT_FILE))
+            .expect("checkpoint saves");
+        }
+        let torn = jobs.join("j000002").join(CHECKPOINT_FILE);
+        let bytes = std::fs::read(&torn).expect("reads");
+        std::fs::write(&torn, &bytes[..bytes.len() / 2]).expect("tears");
+
+        // No worker runs, so no lease touches the recovered jobs.
+        let state = Arc::new(ServerState::new(ServeConfig::new(&data)));
+        recover_jobs(&state);
+        let status = |id: &str| state.job(id).expect("recovered").status();
+        let sound = status("j000001");
+        assert_eq!(sound.state, JobState::Queued);
+        assert_eq!((sound.completed, sound.quarantined), (512, vec![17]));
+        for id in ["j000002", "j000003"] {
+            let kept = status(id);
+            assert_eq!(kept.state, JobState::Queued, "{id}");
+            assert_eq!((kept.completed, kept.quarantined), (0, vec![]), "{id}");
+        }
+        std::fs::remove_dir_all(&data).ok();
     }
 }

@@ -49,9 +49,6 @@ fn two_tenants_share_one_worker_and_reports_match_local_runs() {
     // One campaign worker: fair sharing must interleave the tenants by
     // parking whichever job is ahead on service at chunk boundaries.
     cfg.workers = 1;
-    // Tight accept polling so the second submission lands while the
-    // first campaign is still running.
-    cfg.poll_ms = 1;
     let server = Server::start(cfg).expect("server starts");
     let client = ServeClient::new(format!("http://{}", server.local_addr()));
 

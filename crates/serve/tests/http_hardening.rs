@@ -254,3 +254,26 @@ fn oversized_fault_injection_job_is_422_and_the_server_survives() {
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The accept loop blocks in `accept`, so a drain has to wake it. On an
+/// unspecified bind address (`0.0.0.0`) the wake goes to loopback; with
+/// no traffic at all, `shutdown()` still returns at once.
+#[test]
+fn shutdown_wakes_an_idle_accept_bound_to_an_unspecified_address() {
+    let dir = std::env::temp_dir().join(format!("qdi_serve_wake_{}", std::process::id()));
+    let mut cfg = ServeConfig::new(&dir);
+    cfg.addr = "0.0.0.0:0".into();
+    let server = Server::start(cfg).expect("server starts");
+    assert!(server.local_addr().ip().is_unspecified());
+
+    let (done, returned) = std::sync::mpsc::channel();
+    let drain = std::thread::spawn(move || {
+        server.shutdown();
+        let _ = done.send(());
+    });
+    returned
+        .recv_timeout(Duration::from_secs(1))
+        .expect("shutdown() must return within 1 s");
+    drain.join().expect("shutdown thread");
+    std::fs::remove_dir_all(&dir).ok();
+}
