@@ -1,9 +1,9 @@
-//! Shared fixtures for the experiment harness.
+//! The paper's running example as a test fixture: the dual-rail XOR of
+//! Fig. 4 with its environment, and its simulated electrical signature.
 //!
-//! Every table and figure of the paper has a dedicated `[[bench]]` target
-//! (see `benches/`); this library holds the workloads they share. The
-//! benches print the regenerated tables/series to stdout — run them with
-//! `cargo bench -p qdi-bench` and compare against `EXPERIMENTS.md`.
+//! `tests/paper_claims.rs` (one test per reproduced table and figure,
+//! see EXPERIMENTS.md), `tests/end_to_end.rs` and the kernel
+//! micro-benchmarks in `benches/` share it.
 
 #![forbid(unsafe_code)]
 
@@ -97,23 +97,6 @@ impl Default for XorFixture {
     fn default() -> Self {
         XorFixture::new()
     }
-}
-
-/// Prints a figure header in a consistent style.
-pub fn banner(title: &str) {
-    println!("\n================================================================");
-    println!("{title}");
-    println!("================================================================");
-}
-
-/// Formats a trace's peak/area summary line.
-pub fn trace_summary(label: &str, trace: &Trace) -> String {
-    let (t, v) = trace.abs_peak().unwrap_or((0, 0.0));
-    format!(
-        "{label:<44} peak |S| = {peak:>7.3} at {t:>5} ps   area = {area:>8.1} fC",
-        peak = v.abs(),
-        area = trace.abs_area_fc()
-    )
 }
 
 #[cfg(test)]

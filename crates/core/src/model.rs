@@ -8,8 +8,8 @@
 //! current profile `Pdc(t) = Σ_i Σ_j I_ij(t)` (eq. 5). Averaging profiles
 //! over the two DPA classes and differencing yields the closed-form bias
 //! signature of eq. 12 — the analytic counterpart of what `qdi-sim` +
-//! `qdi-analog` measure by simulation, compared head to head by the
-//! `model_vs_sim` bench.
+//! `qdi-analog` measure by simulation, compared head to head by the E2
+//! test in `tests/paper_claims.rs`.
 
 use std::collections::HashMap;
 

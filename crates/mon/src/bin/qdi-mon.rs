@@ -21,7 +21,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use qdi_mon::{analyze, dashboard, flame, remote, report, waterfall};
-use qdi_obs::metrics::MetricsSnapshot;
+use qdi_obs::metrics::{HistogramSnapshot, MetricsSnapshot};
 use qdi_obs::prof::ProfReport;
 use qdi_obs::progress::ProgressSnapshot;
 
@@ -143,9 +143,31 @@ fn cmd_export(metrics: &str) -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if let Some(bad) = snap.histograms.iter().find(|h| !histogram_is_renderable(h)) {
+        eprintln!(
+            "export: {metrics}: not a metrics snapshot: histogram `{}` needs finite, \
+             strictly increasing bounds, one more count than bounds and a total that fits u64",
+            bad.name
+        );
+        return ExitCode::from(2);
+    }
     snap.normalize();
     print!("{}", qdi_obs::prometheus::render(&snap));
     ExitCode::SUCCESS
+}
+
+/// Whether a deserialized histogram has the shape the exposition
+/// renders: finite, strictly increasing bounds, `counts.len() ==
+/// bounds.len() + 1` (the last bucket is `+Inf`) and a bucket total
+/// that fits in a `u64`.
+fn histogram_is_renderable(h: &HistogramSnapshot) -> bool {
+    h.bounds.iter().all(|b| b.is_finite())
+        && h.bounds.windows(2).all(|w| w[0] < w[1])
+        && h.counts.len() == h.bounds.len() + 1
+        && h.counts
+            .iter()
+            .try_fold(0u64, |total, &c| total.checked_add(c))
+            .is_some()
 }
 
 fn cmd_analyze(top: usize, json: bool, profile: &str) -> ExitCode {

@@ -191,6 +191,25 @@ fn export_rejects_non_snapshot_json() {
     let path = temp("qdi_mon_cli_not_metrics.json");
     std::fs::write(&path, "[1,2,3]").unwrap();
     assert_eq!(code(&qdi_mon(&["export", path.to_str().unwrap()])), 2);
+    // Well-formed JSON whose histogram the exposition cannot render: a
+    // bucket total past u64, unsorted bounds, and more than one
+    // overflow bucket.
+    for (bounds, counts) in [
+        ("[1.0, 2.0]", "[18446744073709551615, 1, 0]"),
+        ("[10.0, 1.0]", "[1, 1, 1]"),
+        ("[1.0]", "[1, 2, 3]"),
+    ] {
+        std::fs::write(
+            &path,
+            format!(
+                r#"{{"samples":[],"histograms":[{{"name":"h","bounds":{bounds},"counts":{counts},"sum":1.0}}]}}"#
+            ),
+        )
+        .unwrap();
+        let out = qdi_mon(&["export", path.to_str().unwrap()]);
+        assert_eq!(code(&out), 2, "bounds {bounds} counts {counts}");
+        assert!(out.stdout.is_empty(), "bounds {bounds}: nothing rendered");
+    }
     let _ = std::fs::remove_file(&path);
 }
 

@@ -5,8 +5,8 @@
 //! After extraction, the lighter rail of every channel receives dummy
 //! (metal-fill / trim-capacitor) load until the rails match. This drives
 //! the dissymmetry criterion `dA` towards zero wherever applied, at the
-//! cost of extra switched energy — the classic trade the `fill_ablation`
-//! bench quantifies.
+//! cost of extra switched energy — the classic trade the E3 test in
+//! `tests/paper_claims.rs` quantifies.
 
 use qdi_netlist::{ChannelId, Netlist};
 use serde::{Deserialize, Serialize};
