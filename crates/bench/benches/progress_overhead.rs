@@ -47,7 +47,7 @@ fn bench_progress_overhead(c: &mut Criterion) {
     qdi_obs::progress::clear();
 
     // A recorder tick walks the whole metrics registry under its lock —
-    // this is the per-flow-step cost of `FlowConfig::timeseries`, paid
+    // the secure flow pays about this per step (one capture, one ingest),
     // a handful of times per run, never per trace.
     let _seed = qdi_obs::metrics::counter("bench.progress.tick_seed");
     let recorder = qdi_obs::timeseries::Recorder::new(512);

@@ -29,12 +29,14 @@
 //!    full attack quantify the layout's actual resistance.
 
 use std::fmt;
+use std::time::Instant;
 
 use qdi_crypto::gatelevel::slice::AesByteSlice;
 use qdi_dpa::{campaign, parallel_attack, selection::SelectionFunction, AttackResult};
 use qdi_exec::ExecConfig;
 use qdi_lint::{LintConfig, LintReport, Registry};
 use qdi_netlist::Netlist;
+use qdi_obs::metrics::{MetricSample, MetricsSnapshot};
 use qdi_pnr::{criterion, place_and_route, ChannelCriterion, PnrConfig, Strategy};
 use qdi_sim::SimError;
 use serde::{Deserialize, Serialize};
@@ -47,8 +49,9 @@ pub enum FlowError {
     /// A lint stage produced deny-level findings; the embedded report
     /// carries them with full context.
     Lint {
-        /// Which stage denied: `"pre-route"` (structural registry) or
-        /// `"post-extraction"` (electrical registry).
+        /// Which stage denied: `"pre-route"` (structural registry),
+        /// `"symbolic"` (symbolic registry) or `"post-extraction"`
+        /// (electrical registry).
         stage: &'static str,
         /// The findings of the stage that denied.
         report: LintReport,
@@ -114,45 +117,125 @@ pub enum StepStatus {
     },
 }
 
-/// Per-step outcome of a flow run, in execution order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// The record of one flow step: how it ended, how long it took and what
+/// it moved in the metrics registry.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StepOutcome {
-    /// Step name, matching the telemetry step names
-    /// (`lint_structural`, `place_and_route`, …, `campaign`, `attack`).
+    /// Step name, also the name of the step's span (`lint_structural`,
+    /// `place_and_route`, …, `campaign`, `attack`).
     pub step: String,
     /// How the step ended.
     pub status: StepStatus,
+    /// Wall time spent in the step, milliseconds (0 for a skipped step).
+    pub wall_ms: f64,
+    /// Metric deltas from the previous step boundary to the end of this
+    /// step (counters as differences, gauges and high-water marks as
+    /// absolutes); empty for a skipped step.
+    pub counters: Vec<MetricSample>,
 }
 
 impl StepOutcome {
-    fn completed(step: &str) -> Self {
-        StepOutcome {
-            step: step.to_owned(),
-            status: StepStatus::Completed,
-        }
-    }
-
-    fn failed(step: &str, error: impl fmt::Display) -> Self {
-        StepOutcome {
-            step: step.to_owned(),
-            status: StepStatus::Failed {
-                error: error.to_string(),
-            },
-        }
-    }
-
-    fn skipped(step: &str, reason: impl fmt::Display) -> Self {
-        StepOutcome {
-            step: step.to_owned(),
-            status: StepStatus::Skipped {
-                reason: reason.to_string(),
-            },
-        }
-    }
-
     /// `true` when the step completed.
     pub fn is_completed(&self) -> bool {
         self.status == StepStatus::Completed
+    }
+}
+
+/// Records each flow step once. A step runs inside its span and ends in
+/// one [`MetricsSnapshot`]: the step's deltas are taken against the
+/// previous boundary and the same snapshot feeds the global time-series
+/// recorder, so a flow of N steps takes N + 1 captures. [`FlowPolicy`]
+/// is applied here and nowhere else.
+struct Steps {
+    policy: FlowPolicy,
+    boundary: MetricsSnapshot,
+    list: Vec<StepOutcome>,
+}
+
+impl Steps {
+    fn new(policy: FlowPolicy) -> Steps {
+        Steps {
+            policy,
+            boundary: MetricsSnapshot::capture(),
+            list: Vec::new(),
+        }
+    }
+
+    /// Runs `f` as the named step and records it as completed.
+    fn run<T>(&mut self, name: &str, f: impl FnOnce() -> T) -> T {
+        let mut span = qdi_obs::span("qdi_core::flow", name);
+        let start = Instant::now();
+        let out = f();
+        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+        span.set_attr("wall_ms", wall_ms);
+        drop(span);
+        let boundary = MetricsSnapshot::capture();
+        qdi_obs::timeseries::global().ingest(qdi_obs::now_us(), &boundary);
+        let counters = boundary.delta_since(&self.boundary).samples;
+        self.boundary = boundary;
+        self.list.push(StepOutcome {
+            step: name.to_owned(),
+            status: StepStatus::Completed,
+            wall_ms,
+            counters,
+        });
+        out
+    }
+
+    /// Applies the policy to the step just run, which failed with
+    /// `error`: fail-fast aborts with `abort(value)`, continue-on-error
+    /// marks the step failed and hands `value` back.
+    fn fail<T>(
+        &mut self,
+        error: String,
+        value: T,
+        abort: impl FnOnce(T) -> FlowError,
+    ) -> Result<T, FlowError> {
+        match self.policy {
+            FlowPolicy::FailFast => {
+                // Push buffered telemetry out before the early return so
+                // an aborted run still leaves a complete JSONL trail.
+                qdi_obs::flush();
+                Err(abort(value))
+            }
+            FlowPolicy::ContinueOnError => {
+                let step = self.list.last_mut().expect("a failure follows its step");
+                step.status = StepStatus::Failed { error };
+                Ok(value)
+            }
+        }
+    }
+
+    /// Runs a lint stage as the named step, emits its findings and
+    /// applies the policy when it denies.
+    fn lint(
+        &mut self,
+        name: &str,
+        stage: &'static str,
+        f: impl FnOnce() -> LintReport,
+    ) -> Result<LintReport, FlowError> {
+        let report = self.run(name, f);
+        report.emit_to_obs();
+        match report.deny_count() {
+            0 => Ok(report),
+            n => self.fail(
+                format!("{stage} lint denied with {n} error(s)"),
+                report,
+                |report| FlowError::Lint { stage, report },
+            ),
+        }
+    }
+
+    /// Records a step that did not run.
+    fn skip(&mut self, name: &str, reason: &str) {
+        self.list.push(StepOutcome {
+            step: name.to_owned(),
+            status: StepStatus::Skipped {
+                reason: reason.to_owned(),
+            },
+            wall_ms: 0.0,
+            counters: Vec::new(),
+        });
     }
 }
 
@@ -206,27 +289,6 @@ pub struct FlowConfig {
     /// error): abort with a [`FlowError`] or record the failure in the
     /// report's [`StepOutcome`] list and keep going.
     pub policy: FlowPolicy,
-    /// Turns on the process-wide progress facility
-    /// ([`qdi_obs::progress`]) before the run, so the campaign and any
-    /// nested parallel loops register live tasks `qdi-mon watch` can
-    /// tail. Off by default (inert handles, one relaxed load per
-    /// registration). Enabling is one-way: a `false` here never switches
-    /// the facility off for other concurrent users.
-    pub progress: bool,
-    /// Ticks the global time-series recorder
-    /// ([`qdi_obs::timeseries`]) after every flow step and embeds the
-    /// per-metric rollups in [`StaticFlowReport::timeseries`]. Off by
-    /// default (zero cost: no tick calls are made).
-    pub timeseries: bool,
-    /// Turns on the wall-clock attribution profiler
-    /// ([`qdi_obs::prof`]) before the run and embeds a
-    /// [`qdi_obs::prof::ProfSummary`] (top regions by self time, pool
-    /// totals) in [`StaticFlowReport::profile`]. Off by default — the
-    /// instrumented hot paths then cost one relaxed atomic load each.
-    /// Like `progress`, enabling is one-way for the process; the full
-    /// profile stays available via [`qdi_obs::prof::report`] for a
-    /// `.qprof` dump.
-    pub profile: bool,
 }
 
 impl FlowConfig {
@@ -246,9 +308,6 @@ impl FlowConfig {
             workers: 1,
             lint,
             policy: FlowPolicy::FailFast,
-            progress: false,
-            timeseries: false,
-            profile: false,
         }
     }
 }
@@ -273,8 +332,11 @@ pub struct StaticFlowReport {
     pub worst_channels: Vec<ChannelCriterion>,
     /// Maximum `dA` over all channels.
     pub max_criterion: f64,
-    /// Channels whose `dA` exceeds the alert threshold.
+    /// Channels whose `dA` exceeds [`StaticFlowReport::criterion_alert`].
     pub flagged_channels: Vec<String>,
+    /// The `dA` alert threshold the channels were flagged against (the
+    /// run's [`FlowConfig::criterion_alert`]).
+    pub criterion_alert: f64,
     /// Top channels by the eq.-12 analytic leakage estimate.
     pub leakage_ranking: Vec<ChannelLeakage>,
     /// Fill report, when a fill step ran.
@@ -294,22 +356,12 @@ pub struct StaticFlowReport {
     /// deny-level findings appear here and the corresponding step is
     /// marked failed in [`StaticFlowReport::steps`].
     pub lint: LintReport,
-    /// Per-step outcomes, in execution order. Under
-    /// [`FlowPolicy::FailFast`] every entry is completed (a failure
-    /// aborts the run before a report exists); under
-    /// [`FlowPolicy::ContinueOnError`] failed and skipped steps are
-    /// recorded here.
+    /// Every step of the run, in execution order, with its wall time and
+    /// metric deltas. Under [`FlowPolicy::FailFast`] every entry is
+    /// completed (a failure aborts the run before a report exists);
+    /// under [`FlowPolicy::ContinueOnError`] failed and skipped steps
+    /// are recorded here.
     pub steps: Vec<StepOutcome>,
-    /// Per-step wall time and metric deltas for the run.
-    pub telemetry: qdi_obs::Telemetry,
-    /// Per-metric time-series rollups (min/max/mean/p50/p90/p99) over
-    /// the run, recorded when [`FlowConfig::timeseries`] is on; `None`
-    /// otherwise.
-    pub timeseries: Option<qdi_obs::TimeseriesSummary>,
-    /// Wall-clock attribution summary (top regions by self time, pool
-    /// totals), recorded when [`FlowConfig::profile`] is on; `None`
-    /// otherwise.
-    pub profile: Option<qdi_obs::prof::ProfSummary>,
 }
 
 impl StaticFlowReport {
@@ -317,6 +369,16 @@ impl StaticFlowReport {
     /// [`FlowPolicy::FailFast`].
     pub fn incomplete_steps(&self) -> impl Iterator<Item = &StepOutcome> {
         self.steps.iter().filter(|s| !s.is_completed())
+    }
+
+    /// The recorded step with the given name, if any.
+    pub fn step(&self, name: &str) -> Option<&StepOutcome> {
+        self.steps.iter().find(|s| s.step == name)
+    }
+
+    /// Total wall time over the recorded steps, milliseconds.
+    pub fn total_wall_ms(&self) -> f64 {
+        self.steps.iter().map(|s| s.wall_ms).sum()
     }
 
     /// Renders a terminal summary.
@@ -342,7 +404,7 @@ impl StaticFlowReport {
             "  max dA: {:.3} ({} channels flagged above {:.2})\n",
             self.max_criterion,
             self.flagged_channels.len(),
-            0.5
+            self.criterion_alert
         ));
         out.push_str(&format!(
             "  symbolic: {}\n",
@@ -382,62 +444,37 @@ impl StaticFlowReport {
 /// # Errors
 ///
 /// Under [`FlowPolicy::FailFast`] (the default), returns
-/// [`FlowError::Lint`] when either lint stage (pre-route structural,
-/// post-extraction electrical) produces deny-level findings. Under
-/// [`FlowPolicy::ContinueOnError`] lint denials never abort: the denying
-/// stage is recorded as failed in [`StaticFlowReport::steps`], its
-/// findings stay in the report, and the remaining steps still run.
+/// [`FlowError::Lint`] when any of the three lint stages (pre-route
+/// structural, symbolic, post-extraction electrical) produces deny-level
+/// findings. Under [`FlowPolicy::ContinueOnError`] lint denials never
+/// abort: the denying stage is recorded as failed in
+/// [`StaticFlowReport::steps`], its findings stay in the report, and the
+/// remaining steps still run.
 pub fn run_static_flow(
     netlist: &mut Netlist,
     cfg: &FlowConfig,
 ) -> Result<StaticFlowReport, FlowError> {
+    static_flow(netlist, cfg, &mut Steps::new(cfg.policy))
+}
+
+/// The static flow's steps, recorded on `steps`; the report takes the
+/// steps recorded so far.
+fn static_flow(
+    netlist: &mut Netlist,
+    cfg: &FlowConfig,
+    steps: &mut Steps,
+) -> Result<StaticFlowReport, FlowError> {
     qdi_obs::init_from_env();
-    if cfg.progress {
-        qdi_obs::progress::set_enabled(true);
-    }
-    if cfg.profile {
-        qdi_obs::prof::install();
-    }
-    let tick = || {
-        if cfg.timeseries {
-            qdi_obs::timeseries::tick();
-        }
-    };
     let mut flow_span = qdi_obs::span("qdi_core::flow", "static_flow")
         .attr("netlist", netlist.name())
         .attr("strategy", format!("{:?}", cfg.strategy))
         .attr("gates", netlist.gate_count());
-    let mut telemetry = qdi_obs::Telemetry::new();
-    let mut steps: Vec<StepOutcome> = Vec::new();
 
     // Stage 1: structural lints gate the layout effort. The rail-symmetry
     // findings double as the report's unbalanced-channel list.
-    let mut lint = telemetry.step("qdi_core::flow", "lint_structural", || {
+    let mut lint = steps.lint("lint_structural", "pre-route", || {
         Registry::structural().run(netlist, &cfg.lint)
-    });
-    lint.emit_to_obs();
-    tick();
-    if lint.deny_count() > 0 {
-        match cfg.policy {
-            FlowPolicy::FailFast => {
-                // Push buffered telemetry out before the early return so
-                // an aborted run still leaves a complete JSONL trail.
-                qdi_obs::flush();
-                return Err(FlowError::Lint {
-                    stage: "pre-route",
-                    report: lint,
-                });
-            }
-            FlowPolicy::ContinueOnError => {
-                steps.push(StepOutcome::failed(
-                    "lint_structural",
-                    format!("pre-route lint denied with {} error(s)", lint.deny_count()),
-                ));
-            }
-        }
-    } else {
-        steps.push(StepOutcome::completed("lint_structural"));
-    }
+    })?;
     let unbalanced: Vec<String> = lint
         .with_code(qdi_lint::RAIL_SYMMETRY)
         .map(|d| d.subject.name().to_owned())
@@ -446,33 +483,9 @@ pub fn run_static_flow(
     // Stage 1b: the symbolic verifier proves (or refutes with replayable
     // witnesses) per-level data independence. Runs pre-layout: it works
     // at nominal capacitances, so extraction cannot change its verdict.
-    let symbolic = telemetry.step("qdi_core::flow", "lint_symbolic", || {
+    let symbolic = steps.lint("lint_symbolic", "symbolic", || {
         Registry::symbolic().run(netlist, &cfg.lint)
-    });
-    symbolic.emit_to_obs();
-    tick();
-    if symbolic.deny_count() > 0 {
-        match cfg.policy {
-            FlowPolicy::FailFast => {
-                qdi_obs::flush();
-                return Err(FlowError::Lint {
-                    stage: "symbolic",
-                    report: symbolic,
-                });
-            }
-            FlowPolicy::ContinueOnError => {
-                steps.push(StepOutcome::failed(
-                    "lint_symbolic",
-                    format!(
-                        "symbolic lint denied with {} error(s)",
-                        symbolic.deny_count()
-                    ),
-                ));
-            }
-        }
-    } else {
-        steps.push(StepOutcome::completed("lint_symbolic"));
-    }
+    })?;
     // Balanced = no count/activity finding at any severity (a warn-level
     // QDI0201 means "unproven", which is not a proof of balance).
     let symbolic_balanced = symbolic
@@ -487,75 +500,35 @@ pub fn run_static_flow(
         .collect();
     lint.merge(symbolic);
 
-    let pnr = telemetry.step("qdi_core::flow", "place_and_route", || {
+    let pnr = steps.run("place_and_route", || {
         place_and_route(netlist, cfg.strategy, &cfg.pnr)
     });
-    steps.push(StepOutcome::completed("place_and_route"));
-    tick();
-    let fill_report = telemetry.step("qdi_core::flow", "fill", || match cfg.fill {
+    let fill_report = steps.run("fill", || match cfg.fill {
         FillStep::None => None,
         FillStep::Channels { tolerance } => {
             Some(qdi_pnr::fill::balance_channels(netlist, tolerance))
         }
         FillStep::Cones => Some(qdi_pnr::fill::balance_cones(netlist)),
     });
-    steps.push(StepOutcome::completed("fill"));
-    tick();
 
     // Stage 2: electrical lints on the extracted (and possibly filled)
     // capacitances. `criterion_alert` stays the single flagging knob.
     let mut electrical_cfg = cfg.lint.clone();
     electrical_cfg.da_warn = cfg.criterion_alert;
-    let electrical = telemetry.step("qdi_core::flow", "lint_electrical", || {
+    let electrical = steps.lint("lint_electrical", "post-extraction", || {
         Registry::electrical().run(netlist, &electrical_cfg)
-    });
-    electrical.emit_to_obs();
-    tick();
-    if electrical.deny_count() > 0 {
-        match cfg.policy {
-            FlowPolicy::FailFast => {
-                qdi_obs::flush();
-                return Err(FlowError::Lint {
-                    stage: "post-extraction",
-                    report: electrical,
-                });
-            }
-            FlowPolicy::ContinueOnError => {
-                steps.push(StepOutcome::failed(
-                    "lint_electrical",
-                    format!(
-                        "post-extraction lint denied with {} error(s)",
-                        electrical.deny_count()
-                    ),
-                ));
-            }
-        }
-    } else {
-        steps.push(StepOutcome::completed("lint_electrical"));
-    }
+    })?;
     let flagged: Vec<String> = electrical
         .with_code(qdi_lint::CHANNEL_DISSYMMETRY)
         .map(|d| d.subject.name().to_owned())
         .collect();
     lint.merge(electrical);
 
-    let table = telemetry.step("qdi_core::flow", "criterion_table", || {
-        criterion::criterion_table(netlist)
-    });
-    steps.push(StepOutcome::completed("criterion_table"));
-    tick();
+    let table = steps.run("criterion_table", || criterion::criterion_table(netlist));
     let max_criterion = table.first().map_or(0.0, |c| c.d);
-    let mut leakage = telemetry.step("qdi_core::flow", "leakage_ranking", || {
-        rank_channel_leakage(netlist)
-    });
-    steps.push(StepOutcome::completed("leakage_ranking"));
-    tick();
+    let mut leakage = steps.run("leakage_ranking", || rank_channel_leakage(netlist));
     leakage.truncate(cfg.worst_k);
-    flow_span.set_attr("max_criterion", max_criterion);
-    flow_span.set_attr("flagged_channels", flagged.len());
-    flow_span.set_attr("lint_findings", lint.len());
-    flow_span.set_attr("wall_ms", telemetry.total_wall_ms);
-    Ok(StaticFlowReport {
+    let report = StaticFlowReport {
         netlist: netlist.name().to_owned(),
         strategy: cfg.strategy,
         gates: netlist.gate_count(),
@@ -565,16 +538,19 @@ pub fn run_static_flow(
         worst_channels: table.into_iter().take(cfg.worst_k).collect(),
         max_criterion,
         flagged_channels: flagged,
+        criterion_alert: cfg.criterion_alert,
         leakage_ranking: leakage,
         fill: fill_report,
         symbolic_balanced,
         symbolic_witnesses,
         lint,
-        steps,
-        telemetry,
-        timeseries: cfg.timeseries.then(qdi_obs::timeseries::summary),
-        profile: cfg.profile.then(|| qdi_obs::prof::summary(10)),
-    })
+        steps: std::mem::take(&mut steps.list),
+    };
+    flow_span.set_attr("max_criterion", max_criterion);
+    flow_span.set_attr("flagged_channels", report.flagged_channels.len());
+    flow_span.set_attr("lint_findings", report.lint.len());
+    flow_span.set_attr("wall_ms", report.total_wall_ms());
+    Ok(report)
 }
 
 /// Report of the full flow including the DPA evaluation.
@@ -634,66 +610,33 @@ pub fn run_slice_flow(
     sel: &dyn SelectionFunction,
     cfg: &FlowConfig,
 ) -> Result<SliceFlowReport, FlowError> {
-    let mut layout = run_static_flow(&mut slice.netlist, cfg)?;
+    // One recorder for all nine steps, so the campaign's deltas start at
+    // the `leakage_ranking` boundary.
+    let mut steps = Steps::new(cfg.policy);
+    let mut layout = static_flow(&mut slice.netlist, cfg, &mut steps)?;
     let exec = ExecConfig {
         workers: cfg.workers,
     };
-    let set = layout.telemetry.step("qdi_core::flow", "campaign", || {
+    let set = steps.run("campaign", || {
         qdi_dpa::run_parallel_campaign(slice, &cfg.campaign, exec)
     });
-    if cfg.timeseries {
-        qdi_obs::timeseries::tick();
-    }
-    let set = match set {
-        Ok(set) => {
-            layout.steps.push(StepOutcome::completed("campaign"));
-            set
+    let attack = match set {
+        Ok(set) => Some(steps.run("attack", || parallel_attack(&set, sel, exec))),
+        Err(err) => {
+            steps.fail(format!("{err:?}"), err, FlowError::Sim)?;
+            steps.skip("attack", "campaign failed");
+            None
         }
-        Err(err) => match cfg.policy {
-            FlowPolicy::FailFast => {
-                qdi_obs::flush();
-                return Err(FlowError::Sim(err));
-            }
-            FlowPolicy::ContinueOnError => {
-                layout
-                    .steps
-                    .push(StepOutcome::failed("campaign", format!("{err:?}")));
-                layout
-                    .steps
-                    .push(StepOutcome::skipped("attack", "campaign failed"));
-                return Ok(SliceFlowReport {
-                    layout,
-                    attack: None,
-                    correct_key_rank: None,
-                    best_peak: 0.0,
-                    ghost_ratio: 0.0,
-                });
-            }
-        },
     };
-    let result = layout.telemetry.step("qdi_core::flow", "attack", || {
-        parallel_attack(&set, sel, exec)
-    });
-    layout.steps.push(StepOutcome::completed("attack"));
-    if cfg.timeseries {
-        qdi_obs::timeseries::tick();
-        // Refresh the embedded rollups so they cover the DPA steps too.
-        layout.timeseries = Some(qdi_obs::timeseries::summary());
-    }
-    if cfg.profile {
-        // Same refresh for the profile: the campaign and attack are the
-        // hot part a profile is usually after.
-        layout.profile = Some(qdi_obs::prof::summary(10));
-    }
-    let correct_key_rank = result.rank_of(cfg.campaign.key as u16);
-    let best_peak = result.best().peak_abs;
-    let ghost_ratio = result.ghost_ratio();
+    layout.steps.append(&mut steps.list);
     Ok(SliceFlowReport {
         layout,
-        attack: Some(result),
-        correct_key_rank,
-        best_peak,
-        ghost_ratio,
+        correct_key_rank: attack
+            .as_ref()
+            .and_then(|a| a.rank_of(cfg.campaign.key as u16)),
+        best_peak: attack.as_ref().map_or(0.0, |a| a.best().peak_abs),
+        ghost_ratio: attack.as_ref().map_or(0.0, AttackResult::ghost_ratio),
+        attack,
     })
 }
 
@@ -778,12 +721,7 @@ mod tests {
         let mut slice = aes_first_round_slice("s", SliceStage::XorOnly).expect("builds");
         let report =
             run_static_flow(&mut slice.netlist, &fast_cfg(Strategy::Flat, 0)).expect("passes lint");
-        let step_names: Vec<&str> = report
-            .telemetry
-            .steps
-            .iter()
-            .map(|s| s.step.as_str())
-            .collect();
+        let step_names: Vec<&str> = report.steps.iter().map(|s| s.step.as_str()).collect();
         assert_eq!(
             step_names,
             vec![
@@ -796,11 +734,9 @@ mod tests {
                 "leakage_ranking"
             ]
         );
-        assert!(report.telemetry.total_wall_ms > 0.0);
-        let pnr_step = report
-            .telemetry
-            .step_named("place_and_route")
-            .expect("step recorded");
+        assert!(report.total_wall_ms() > 0.0);
+        let pnr_step = report.step("place_and_route").expect("step recorded");
+        assert!(pnr_step.wall_ms > 0.0);
         assert!(
             pnr_step
                 .counters
@@ -811,8 +747,8 @@ mod tests {
         );
         let json = serde_json::to_string(&report).expect("report serializes");
         assert!(
-            json.contains("\"telemetry\""),
-            "report JSON must embed the telemetry block"
+            json.contains("\"counters\""),
+            "report JSON must embed the per-step metric deltas"
         );
         assert!(json.contains("place_and_route"));
     }
@@ -823,10 +759,8 @@ mod tests {
         let sel = AesXorSelect { byte: 0, bit: 0 };
         let report =
             run_slice_flow(&mut slice, &sel, &fast_cfg(Strategy::Flat, 0)).expect("flow completes");
-        let telemetry = &report.layout.telemetry;
-        assert!(telemetry.step_named("campaign").is_some());
-        assert!(telemetry.step_named("attack").is_some());
-        let campaign = telemetry.step_named("campaign").expect("campaign step");
+        assert!(report.layout.step("attack").is_some());
+        let campaign = report.layout.step("campaign").expect("campaign step");
         assert!(
             campaign
                 .counters
@@ -1080,75 +1014,105 @@ mod tests {
         assert!(report.to_text().contains("DPA evaluation did not run"));
     }
 
+    #[test]
+    fn failed_campaign_is_recorded_once_in_the_step_list() {
+        let mut slice = aes_first_round_slice("s", SliceStage::XorOnly).expect("builds");
+        let sel = AesXorSelect { byte: 0, bit: 0 };
+        let mut cfg = fast_cfg(Strategy::Flat, 0x42);
+        cfg.campaign.testbench.event_limit = 10;
+        cfg.campaign.testbench.max_rounds = 10;
+        cfg.policy = FlowPolicy::ContinueOnError;
+        let report = run_slice_flow(&mut slice, &sel, &cfg).expect("partial report");
+        let steps = &report.layout.steps;
+        let names: Vec<&str> = steps.iter().map(|s| s.step.as_str()).collect();
+        assert_eq!(
+            names,
+            vec![
+                "lint_structural",
+                "lint_symbolic",
+                "place_and_route",
+                "fill",
+                "lint_electrical",
+                "criterion_table",
+                "leakage_ranking",
+                "campaign",
+                "attack"
+            ]
+        );
+        assert!(steps[..7].iter().all(StepOutcome::is_completed));
+        let campaign = &steps[7];
+        assert!(matches!(campaign.status, StepStatus::Failed { .. }));
+        assert!(campaign.wall_ms > 0.0, "the failed campaign was timed");
+        assert!(
+            !campaign.counters.is_empty(),
+            "the failed campaign keeps its metric deltas"
+        );
+        let attack = &steps[8];
+        assert!(matches!(attack.status, StepStatus::Skipped { .. }));
+        assert_eq!(attack.wall_ms, 0.0);
+        assert!(attack.counters.is_empty());
+    }
+
+    #[test]
+    fn summary_prints_the_alert_threshold_the_channels_were_flagged_against() {
+        let mut slice = aes_first_round_slice("s", SliceStage::XorOnly).expect("builds");
+        let mut cfg = fast_cfg(Strategy::Flat, 0);
+        cfg.criterion_alert = 0.25;
+        let report = run_static_flow(&mut slice.netlist, &cfg).expect("passes lint");
+        assert_eq!(report.criterion_alert, 0.25);
+        let text = report.to_text();
+        assert!(text.contains("flagged above 0.25"), "{text}");
+    }
+
     fn err_text(err: &FlowError) -> String {
         format!("{err}")
     }
 
     #[test]
-    fn timeseries_knob_embeds_rollups_in_the_report() {
+    fn every_step_feeds_the_global_timeseries() {
         let mut slice = aes_first_round_slice("s", SliceStage::XorOnly).expect("builds");
-        let mut cfg = fast_cfg(Strategy::Flat, 0);
+        let recorder = qdi_obs::timeseries::global();
+        let before = recorder.ticks();
+        let report =
+            run_static_flow(&mut slice.netlist, &fast_cfg(Strategy::Flat, 0)).expect("passes lint");
+        let ticks = recorder.ticks() - before;
         assert!(
-            run_static_flow(&mut slice.netlist.clone(), &cfg)
-                .expect("passes lint")
-                .timeseries
-                .is_none(),
-            "off by default"
+            ticks >= report.steps.len() as u64,
+            "one point per step: {ticks} ticks for {} steps",
+            report.steps.len()
         );
-        cfg.timeseries = true;
-        let report = run_static_flow(&mut slice.netlist, &cfg).expect("passes lint");
-        let ts = report.timeseries.as_ref().expect("summary embedded");
-        assert!(ts.ticks >= 6, "one tick per static step, got {}", ts.ticks);
         assert!(
-            ts.series.iter().any(|s| s.name == "pnr.moves_attempted"),
-            "annealing counters must appear in the rollups"
+            recorder
+                .snapshot()
+                .series
+                .iter()
+                .any(|s| s.name == "pnr.moves_attempted"),
+            "annealing counters must reach the recorder"
         );
-        let json = serde_json::to_string(&report).expect("serializes");
-        assert!(json.contains("\"timeseries\""));
     }
 
     #[test]
-    fn profile_knob_embeds_attribution_summary() {
+    fn installed_profile_attributes_the_flow() {
+        qdi_obs::prof::install();
         let mut slice = aes_first_round_slice("s", SliceStage::XorOnly).expect("builds");
-        let cfg = fast_cfg(Strategy::Flat, 0);
-        assert!(
-            run_static_flow(&mut slice.netlist.clone(), &cfg)
-                .expect("passes lint")
-                .profile
-                .is_none(),
-            "off by default"
-        );
         let sel = AesXorSelect { byte: 0, bit: 0 };
         let mut cfg = fast_cfg(Strategy::Flat, 0x42);
-        cfg.profile = true;
         cfg.workers = 2;
-        let report = run_slice_flow(&mut slice, &sel, &cfg).expect("flow completes");
-        let profile = report.layout.profile.as_ref().expect("summary embedded");
-        assert!(
-            profile
-                .top_regions
-                .iter()
-                .any(|r| r.name == "pnr.place_route"),
-            "place-and-route region must be attributed: {:?}",
-            profile.top_regions
-        );
-        assert!(
-            profile
-                .top_regions
-                .iter()
-                .any(|r| r.path.contains("dpa.acquire")),
-            "campaign acquisition must be attributed: {:?}",
-            profile.top_regions
-        );
-        let pool = profile
-            .pool
-            .as_ref()
-            .expect("pool totals from the campaign");
-        assert!(pool.jobs >= 24, "one pool job per trace: {pool:?}");
-        let json = serde_json::to_string(&report.layout).expect("serializes");
-        assert!(json.contains("\"profile\""));
+        run_slice_flow(&mut slice, &sel, &cfg).expect("flow completes");
+        let profile = qdi_obs::prof::report();
         qdi_obs::prof::uninstall();
         qdi_obs::prof::reset();
+        let top = profile.regions.top_by_self(10);
+        assert!(
+            top.iter().any(|r| r.name == "pnr.place_route"),
+            "place-and-route region must be attributed: {top:?}"
+        );
+        assert!(
+            top.iter().any(|r| r.path.contains("dpa.acquire")),
+            "campaign acquisition must be attributed: {top:?}"
+        );
+        let jobs: u64 = profile.pool_runs.iter().map(|r| r.jobs).sum();
+        assert!(jobs >= 24, "one pool job per trace, got {jobs}");
     }
 
     #[test]

@@ -624,20 +624,6 @@ impl<'a> StoreCampaignRunner<'a> {
         Ok(recovered)
     }
 
-    /// Runs the campaign to completion, saving a [`StoreCheckpoint`] to
-    /// `checkpoint_path` after every chunk and once at the end.
-    ///
-    /// # Errors
-    ///
-    /// Propagates acquisition, store and checkpoint-write errors.
-    pub fn run_with_checkpoints(&mut self, checkpoint_path: &Path) -> Result<(), CampaignError> {
-        while self.step_chunk()? {
-            self.checkpoint().save(checkpoint_path)?;
-        }
-        self.checkpoint().save(checkpoint_path)?;
-        Ok(())
-    }
-
     /// Flushes and closes the store.
     ///
     /// # Errors

@@ -180,7 +180,7 @@ pub fn analyze(report: &ProfReport, top: usize) -> Analysis {
             code: "PROF000",
             message: "the profile holds no pool runs with measurable wall time".to_string(),
             help: "enable profiling around a parallel campaign \
-                   (FlowConfig.profile or qdi_obs::prof::install)"
+                   (qdi_obs::prof::install)"
                 .to_string(),
         });
         return Analysis {

@@ -13,7 +13,7 @@
 //!   stream): holds one connection open and renders every `progress`
 //!   event as a frame.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -103,18 +103,29 @@ pub fn fetch_progress(url: &str, timeout: Duration) -> Result<ProgressSnapshot, 
             }
         }
     }
-    let mut body = String::new();
+    let mut bytes = Vec::new();
     match content_length {
+        // The declared length is the peer's claim, not an allocation
+        // size: the buffer grows only with bytes that actually arrive.
         Some(len) => {
-            let mut bytes = vec![0u8; len];
-            std::io::Read::read_exact(&mut reader, &mut bytes).map_err(|e| format!("body: {e}"))?;
-            body = String::from_utf8_lossy(&bytes).into_owned();
+            reader
+                .take(len as u64)
+                .read_to_end(&mut bytes)
+                .map_err(|e| format!("body: {e}"))?;
+            if bytes.len() < len {
+                return Err(format!(
+                    "body: {} of {len} declared bytes before the connection closed",
+                    bytes.len()
+                ));
+            }
         }
         None => {
-            std::io::Read::read_to_string(&mut reader, &mut body)
+            reader
+                .read_to_end(&mut bytes)
                 .map_err(|e| format!("body: {e}"))?;
         }
     }
+    let body = String::from_utf8_lossy(&bytes);
     if status != 200 {
         return Err(format!("HTTP {status}: {}", body.trim()));
     }

@@ -1,6 +1,8 @@
 //! End-to-end tests of the `qdi-mon` binary: exit-code discipline and
 //! output shapes for every subcommand.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -112,6 +114,29 @@ fn watch_exits_when_all_tasks_done() {
     let out = qdi_mon(&["watch", "--interval-ms", "10", path.to_str().unwrap()]);
     assert_eq!(code(&out), 0, "watch returns once every task is done");
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn watch_survives_a_hostile_content_length() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
+    let url = format!("http://{}", listener.local_addr().expect("addr"));
+    let server = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accepts");
+        let mut reader = BufReader::new(stream.try_clone().expect("clones"));
+        let mut line = String::new();
+        while reader.read_line(&mut line).expect("reads") > 2 {
+            line.clear();
+        }
+        let mut stream = stream;
+        stream
+            .write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 1099511627776\r\n\r\nok")
+            .expect("writes");
+    });
+    let out = qdi_mon(&["watch", "--once", &url]);
+    server.join().expect("fake server");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(code(&out), 2, "a 2-byte body for a 1 TiB claim: {stderr}");
+    assert!(stderr.contains("watch:"), "{stderr}");
 }
 
 #[test]

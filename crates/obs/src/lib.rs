@@ -55,20 +55,18 @@ pub mod record;
 pub mod sink;
 pub mod slo;
 pub mod span;
-pub mod telemetry;
 pub mod timeseries;
 
 pub use durable::{Durability, DurableError, Recovered};
 pub use filter::Filter;
 pub use level::Level;
-pub use prof::{ProfReport, ProfSummary, RegionProfile};
+pub use prof::{ProfReport, RegionProfile};
 pub use progress::{ProgressSnapshot, ProgressTask};
 pub use record::{FieldValue, Fields, Record};
 pub use sink::{ChromeTraceSink, JsonlSink, MemorySink, Sink, StderrSink};
 pub use slo::{SloConfig, SloReport, SloVerdict};
 pub use span::{span_at, Span, SpanLink, SpanRecord, TraceContext};
-pub use telemetry::{StepTelemetry, Telemetry};
-pub use timeseries::{Recorder, TimeseriesSnapshot, TimeseriesSummary};
+pub use timeseries::{Recorder, TimeseriesSnapshot};
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Once, OnceLock, RwLock};

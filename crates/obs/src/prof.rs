@@ -453,83 +453,6 @@ pub fn reset() {
     pool.dropped = 0;
 }
 
-// ---------------------------------------------------------------------------
-// Flow-report summary
-// ---------------------------------------------------------------------------
-
-/// Pool totals folded over every retained run (for report embedding).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct PoolTotals {
-    /// Retained pool runs.
-    pub runs: usize,
-    /// Jobs across the runs.
-    pub jobs: u64,
-    /// Steals across the runs.
-    pub steals: u64,
-    /// Largest worker count among the runs.
-    pub max_workers: usize,
-    /// Worker-seconds spent inside job closures.
-    pub busy_s: f64,
-    /// Worker-seconds spent acquiring work.
-    pub queue_wait_s: f64,
-    /// Worker-seconds spent idle.
-    pub idle_s: f64,
-    /// Busy share of the total worker-seconds, in `[0, 1]`; `0` when
-    /// no time was recorded.
-    pub efficiency: f64,
-}
-
-/// Compact profile view embedded in flow reports: the top regions by
-/// self time plus pool totals.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ProfSummary {
-    /// Top regions by self time, descending.
-    pub top_regions: Vec<RegionStat>,
-    /// Pool totals, when any pool run was recorded.
-    pub pool: Option<PoolTotals>,
-}
-
-/// Folds the pool runs of a report into [`PoolTotals`]; `None` when
-/// the report holds no runs.
-#[must_use]
-pub fn pool_totals(report: &ProfReport) -> Option<PoolTotals> {
-    if report.pool_runs.is_empty() {
-        return None;
-    }
-    let mut totals = PoolTotals {
-        runs: report.pool_runs.len(),
-        ..PoolTotals::default()
-    };
-    let mut capacity_us = 0u64;
-    let mut busy_us = 0u64;
-    for run in &report.pool_runs {
-        totals.jobs += run.jobs;
-        totals.steals += run.steals;
-        totals.max_workers = totals.max_workers.max(run.workers);
-        busy_us += run.busy_us();
-        totals.queue_wait_s += run.queue_wait_us() as f64 / 1e6;
-        totals.idle_s += run.idle_us() as f64 / 1e6;
-        capacity_us += run.wall_us.saturating_mul(run.workers as u64);
-    }
-    totals.busy_s = busy_us as f64 / 1e6;
-    totals.efficiency = if capacity_us == 0 {
-        0.0
-    } else {
-        busy_us as f64 / capacity_us as f64
-    };
-    Some(totals)
-}
-
-/// Captures a [`ProfSummary`] with the `top` regions by self time.
-#[must_use]
-pub fn summary(top: usize) -> ProfSummary {
-    let report = report();
-    ProfSummary {
-        top_regions: report.regions.top_by_self(top),
-        pool: pool_totals(&report),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -740,7 +663,7 @@ mod tests {
     }
 
     #[test]
-    fn summary_picks_top_regions_and_pool_totals() {
+    fn top_by_self_picks_the_slowest_region() {
         let _gate = lock();
         install();
         reset();
@@ -751,31 +674,10 @@ mod tests {
         {
             let _fast = hot("prof.test.fast");
         }
-        record_pool_run(PoolRun {
-            jobs: 10,
-            workers: 2,
-            wall_us: 100,
-            steals: 3,
-            lanes: vec![WorkerLane {
-                worker: 0,
-                jobs: 10,
-                steals: 3,
-                busy_us: 120,
-                queue_wait_us: 10,
-                idle_us: 70,
-                segments: vec![],
-                segments_truncated: false,
-            }],
-        });
-        let sum = summary(1);
+        let top = report().regions.top_by_self(1);
         uninstall();
-        assert_eq!(sum.top_regions.len(), 1);
-        assert_eq!(sum.top_regions[0].name, "prof.test.slow");
-        let pool = sum.pool.expect("pool totals present");
-        assert_eq!(pool.jobs, 10);
-        assert_eq!(pool.steals, 3);
-        assert_eq!(pool.max_workers, 2);
-        assert!((pool.efficiency - 0.6).abs() < 1e-12);
+        assert_eq!(top.len(), 1);
+        assert_eq!(top[0].name, "prof.test.slow");
         reset();
     }
 

@@ -258,23 +258,26 @@ impl ProgressSnapshot {
     #[must_use]
     pub fn capture() -> ProgressSnapshot {
         let now = crate::now_us();
-        let mut tasks: Vec<TaskSnapshot> = registry()
+        let tasks = registry()
             .lock()
             .expect("progress registry poisoned")
             .iter()
             .map(|inner| snapshot_inner(inner, now))
             .collect();
+        ProgressSnapshot::from_tasks(now, tasks)
+    }
+
+    /// A snapshot of `tasks` taken at `ts_us` (sorted here by name) plus
+    /// the live pool metrics, for callers that keep their own tasks.
+    #[must_use]
+    pub fn from_tasks(ts_us: u64, mut tasks: Vec<TaskSnapshot>) -> ProgressSnapshot {
         tasks.sort_by(|a, b| a.name.cmp(&b.name));
         let pool = MetricsSnapshot::capture()
             .samples
             .into_iter()
             .filter(|s| s.name.starts_with("exec.pool.") || s.name.starts_with("exec.supervisor."))
             .collect();
-        ProgressSnapshot {
-            ts_us: now,
-            tasks,
-            pool,
-        }
+        ProgressSnapshot { ts_us, tasks, pool }
     }
 
     /// Whether every task has finished (or reached its total).

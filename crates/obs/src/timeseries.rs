@@ -10,8 +10,9 @@
 //!
 //! Ticking is the only synchronized operation (one short mutex hold per
 //! tick); nothing here touches metric *update* paths, which stay
-//! lock-free. A process-global recorder behind [`tick`] / [`snapshot`] /
-//! [`save_json`] lets flows opt in with a single config bit.
+//! lock-free. The process-global recorder behind [`global`] / [`tick`] /
+//! [`snapshot`] / [`save_json`] is fed by the secure flow at every step
+//! boundary and ticked by callers between their own phases.
 
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -167,24 +168,6 @@ pub struct TimeseriesSnapshot {
     pub series: Vec<Series>,
 }
 
-/// A rollup-only summary, compact enough to embed in flow reports.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct TimeseriesSummary {
-    /// Total ticks taken.
-    pub ticks: u64,
-    /// Per-metric rollups, sorted by metric name.
-    pub series: Vec<SeriesSummary>,
-}
-
-/// One metric's rollup inside a [`TimeseriesSummary`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SeriesSummary {
-    /// Metric name.
-    pub name: String,
-    /// Summary over the retained window.
-    pub rollup: Rollup,
-}
-
 /// Samples the metrics registry into per-metric rings on demand.
 #[derive(Debug)]
 pub struct Recorder {
@@ -266,23 +249,6 @@ impl Recorder {
         }
     }
 
-    /// Rollup-only export, sorted by name.
-    #[must_use]
-    pub fn summary(&self) -> TimeseriesSummary {
-        let snap = self.snapshot();
-        TimeseriesSummary {
-            ticks: snap.ticks,
-            series: snap
-                .series
-                .into_iter()
-                .map(|s| SeriesSummary {
-                    name: s.name,
-                    rollup: s.rollup,
-                })
-                .collect(),
-        }
-    }
-
     /// Drops all series and resets the tick count.
     pub fn clear(&self) {
         self.series
@@ -310,12 +276,6 @@ pub fn tick() -> u64 {
 #[must_use]
 pub fn snapshot() -> TimeseriesSnapshot {
     global().snapshot()
-}
-
-/// Rollup summary of the global recorder.
-#[must_use]
-pub fn summary() -> TimeseriesSummary {
-    global().summary()
 }
 
 /// Writes the global recorder's snapshot as pretty JSON.
@@ -414,9 +374,6 @@ mod tests {
         assert_eq!(a.rollup.min, 2.0, "oldest ticks evicted");
         assert_eq!(a.rollup.max, 5.0);
         assert_eq!(a.rollup.last, 5.0);
-        let summary = rec.summary();
-        assert_eq!(summary.series.len(), 2);
-        assert_eq!(summary.series[0].rollup, a.rollup);
     }
 
     #[test]

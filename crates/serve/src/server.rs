@@ -559,21 +559,14 @@ fn quoted(raw: &str) -> String {
 }
 
 fn progress_snapshot(state: &Arc<ServerState>) -> qdi_obs::progress::ProgressSnapshot {
-    let jobs = state.jobs.lock().expect("jobs lock poisoned");
-    let mut tasks: Vec<qdi_obs::progress::TaskSnapshot> =
-        jobs.values().map(|j| j.progress_snapshot()).collect();
-    drop(jobs);
-    tasks.sort_by(|a, b| a.name.cmp(&b.name));
-    let pool = qdi_obs::metrics::MetricsSnapshot::capture()
-        .samples
-        .into_iter()
-        .filter(|s| s.name.starts_with("exec.pool.") || s.name.starts_with("exec.supervisor."))
+    let tasks = state
+        .jobs
+        .lock()
+        .expect("jobs lock poisoned")
+        .values()
+        .map(|j| j.progress_snapshot())
         .collect();
-    qdi_obs::progress::ProgressSnapshot {
-        ts_us: qdi_obs::now_us(),
-        tasks,
-        pool,
-    }
+    qdi_obs::progress::ProgressSnapshot::from_tasks(qdi_obs::now_us(), tasks)
 }
 
 fn submit(

@@ -31,7 +31,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )));
     // Live progress: `qdi-mon watch secure_flow.progress.json` tails
     // this file while the flow runs.
+    qdi_obs::progress::set_enabled(true);
     qdi_obs::progress::set_file("secure_flow.progress.json", 200);
+    // The hot-span/pool profile saved as `secure_flow.qprof.json` below.
+    qdi_obs::prof::install();
     // Flush the file sinks on *every* exit path — a failed flow step
     // used to `?`-return past the flush calls below and leave a
     // truncated telemetry stream behind.
@@ -54,9 +57,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut cfg = FlowConfig::new(strategy, 0);
         cfg.pnr.anneal.moves_per_gate = 60;
         cfg.worst_k = 6;
-        cfg.progress = true;
-        cfg.timeseries = true;
-        cfg.profile = true;
         let report = run_static_flow(&mut netlist, &cfg)?;
         println!("{}", report.to_text());
         println!(
@@ -71,10 +71,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         println!();
         println!(
-            "  telemetry: {:.1} ms total — {}",
-            report.telemetry.total_wall_ms,
+            "  steps: {:.1} ms total — {}",
+            report.total_wall_ms(),
             report
-                .telemetry
                 .steps
                 .iter()
                 .map(|s| format!("{} {:.1}ms", s.step, s.wall_ms))
@@ -95,7 +94,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // `dpa.campaign` progress task and drives the `exec.pool.*` gauges,
     // so the streamed progress file carries live completed/total + ETA.
     println!("\nacquiring a 512-trace parallel campaign on the byte slice...");
-    qdi_obs::progress::set_enabled(true);
     let slice = qdi::crypto::gatelevel::slice::aes_first_round_slice(
         "s",
         qdi::crypto::gatelevel::slice::SliceStage::XorOnly,
@@ -119,8 +117,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     qdi_obs::timeseries::save_json("secure_flow.timeseries.json")?;
 
-    // The full hot-span/pool profile accumulated since `cfg.profile`
-    // installed it (both flows plus the campaign above): feed it to
+    // The full hot-span/pool profile accumulated since `prof::install`
+    // (both flows plus the campaign above): feed it to
     // `qdi-mon analyze|flame|timeline`.
     qdi_obs::prof::report().save("secure_flow.qprof.json")?;
 
