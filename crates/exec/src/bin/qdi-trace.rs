@@ -12,6 +12,8 @@
 //! Exit status mirrors `qdi-lint`: `0` success, `1` a store carries
 //! corrupt or incompatible data (failed CRC, torn record, grid
 //! mismatch), `2` usage error or a file that is not a loadable store.
+//! `convert` and `merge` refuse, with `2` and before writing anything,
+//! an OUT that is the same file as an IN.
 
 use std::process::ExitCode;
 
@@ -175,7 +177,34 @@ fn cmd_head(count: usize, file: &str) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Whether `output` is the same file as `input`, following symlinks
+/// and, on Unix, comparing device and inode so a hard link counts too.
+/// Creating the output truncates it, so an input read from the same
+/// file would be destroyed. An output that does not exist yet is no
+/// input.
+fn same_file(input: &str, output: &str) -> bool {
+    #[cfg(unix)]
+    {
+        use std::os::unix::fs::MetadataExt;
+        match (std::fs::metadata(input), std::fs::metadata(output)) {
+            (Ok(a), Ok(b)) => a.dev() == b.dev() && a.ino() == b.ino(),
+            _ => false,
+        }
+    }
+    #[cfg(not(unix))]
+    {
+        matches!(
+            (std::fs::canonicalize(input), std::fs::canonicalize(output)),
+            (Ok(a), Ok(b)) if a == b
+        )
+    }
+}
+
 fn cmd_convert(opts: StoreOptions, input: &str, output: &str) -> ExitCode {
+    if same_file(input, output) {
+        eprintln!("convert: OUT {output} is the same file as IN {input}; write to a new file");
+        return ExitCode::from(2);
+    }
     let run = || -> Result<(usize, usize), StoreError> {
         let mut reader = StoreReader::open(input)?;
         let mut writer = StoreWriter::create(output, reader.t0_ps(), reader.dt_ps(), opts)?;
@@ -206,6 +235,10 @@ fn cmd_convert(opts: StoreOptions, input: &str, output: &str) -> ExitCode {
 }
 
 fn cmd_merge(output: &str, inputs: &[String]) -> ExitCode {
+    if let Some(input) = inputs.iter().find(|input| same_file(input, output)) {
+        eprintln!("merge: OUT {output} is the same file as IN {input}; write to a new file");
+        return ExitCode::from(2);
+    }
     let run = || -> Result<usize, StoreError> {
         let first = StoreReader::open(&inputs[0])?;
         let mut writer =

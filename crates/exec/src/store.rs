@@ -43,6 +43,7 @@ use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use qdi_analog::Trace;
+use qdi_obs::metrics::Counter;
 
 /// File magic, `b"QTRS"`.
 pub const MAGIC: [u8; 4] = *b"QTRS";
@@ -234,23 +235,28 @@ pub use qdi_obs::durable::{crc32, Crc32};
 // Encoding helpers
 // ---------------------------------------------------------------------------
 
+/// Appends the sample block to `out`, sized once up front so the loop
+/// stores into place instead of growing the buffer per sample.
 fn encode_samples(samples: &[f64], opts: &StoreOptions, out: &mut Vec<u8>) {
+    let start = out.len();
+    out.resize(start + samples.len() * opts.sample_width(), 0);
+    let block = &mut out[start..];
     match opts.encoding {
         SampleEncoding::F64 => {
             let mut prev = 0u64;
-            for &s in samples {
+            for (dst, &s) in block.chunks_exact_mut(8).zip(samples) {
                 let bits = s.to_bits();
                 let stored = if opts.delta { bits ^ prev } else { bits };
-                out.extend_from_slice(&stored.to_le_bytes());
+                dst.copy_from_slice(&stored.to_le_bytes());
                 prev = bits;
             }
         }
         SampleEncoding::F32 => {
             let mut prev = 0u32;
-            for &s in samples {
+            for (dst, &s) in block.chunks_exact_mut(4).zip(samples) {
                 let bits = (s as f32).to_bits();
                 let stored = if opts.delta { bits ^ prev } else { bits };
-                out.extend_from_slice(&stored.to_le_bytes());
+                dst.copy_from_slice(&stored.to_le_bytes());
                 prev = bits;
             }
         }
@@ -300,6 +306,10 @@ pub struct StoreWriter {
     opts: StoreOptions,
     records: usize,
     offset: u64,
+    /// The record being encoded, reused so an append allocates only
+    /// when a record outgrows every earlier one.
+    record: Vec<u8>,
+    written: Counter,
 }
 
 impl StoreWriter {
@@ -339,6 +349,8 @@ impl StoreWriter {
             opts,
             records: 0,
             offset: HEADER_LEN,
+            record: Vec::new(),
+            written: qdi_obs::metrics::counter("exec.store.records_written"),
         })
     }
 
@@ -396,6 +408,8 @@ impl StoreWriter {
             opts,
             records,
             offset: expected_offset,
+            record: Vec::new(),
+            written: qdi_obs::metrics::counter("exec.store.records_written"),
         })
     }
 
@@ -457,30 +471,29 @@ impl StoreWriter {
                 sample,
             });
         }
-        let mut body =
-            Vec::with_capacity(8 + input.len() + samples.len() * self.opts.sample_width());
-        body.extend_from_slice(
+        let record = &mut self.record;
+        record.clear();
+        record.reserve(8 + input.len() + samples.len() * self.opts.sample_width() + 4);
+        record.extend_from_slice(
             &u32::try_from(input.len())
                 .expect("input fits u32")
                 .to_le_bytes(),
         );
-        body.extend_from_slice(
+        record.extend_from_slice(
             &u32::try_from(samples.len())
                 .expect("sample count fits u32")
                 .to_le_bytes(),
         );
-        body.extend_from_slice(input);
-        encode_samples(samples, &self.opts, &mut body);
-        let crc = crc32(&body);
+        record.extend_from_slice(input);
+        encode_samples(samples, &self.opts, record);
+        let crc = crc32(record);
+        record.extend_from_slice(&crc.to_le_bytes());
         self.file
-            .write_all(&body)
-            .map_err(|e| io_err(&self.path, &e))?;
-        self.file
-            .write_all(&crc.to_le_bytes())
+            .write_all(record)
             .map_err(|e| io_err(&self.path, &e))?;
         self.records += 1;
-        self.offset += body.len() as u64 + 4;
-        qdi_obs::metrics::counter("exec.store.records_written").inc();
+        self.offset += record.len() as u64;
+        self.written.inc();
         Ok(self.offset)
     }
 
@@ -519,10 +532,13 @@ pub struct StoreReader {
     offset: u64,
     record: usize,
     /// File size at open time — the upper bound a record's declared
-    /// length is checked against before its body buffer is allocated,
-    /// so a corrupted length field yields `Truncated`, not a
-    /// multi-gigabyte allocation.
+    /// length is checked against before its body buffer is grown, so a
+    /// corrupted length field yields `Truncated`, not a multi-gigabyte
+    /// allocation.
     file_len: u64,
+    /// Body and CRC of the record being read, reused across records.
+    body: Vec<u8>,
+    read: Counter,
 }
 
 impl StoreReader {
@@ -566,6 +582,8 @@ impl StoreReader {
             offset: HEADER_LEN,
             record: 0,
             file_len,
+            body: Vec::new(),
+            read: qdi_obs::metrics::counter("exec.store.records_read"),
         })
     }
 
@@ -623,17 +641,18 @@ impl StoreReader {
         let input_len = u32::from_le_bytes(fixed[0..4].try_into().expect("4 bytes")) as usize;
         let sample_count = u32::from_le_bytes(fixed[4..8].try_into().expect("4 bytes")) as usize;
         let body_len = input_len + sample_count * self.opts.sample_width();
-        // A corrupted length field must not drive the allocation below:
-        // a record larger than the rest of the file is a torn/corrupt
-        // tail, classified before any buffer is sized from it.
+        // A corrupted length field must not drive the buffer growth
+        // below: a record larger than the rest of the file is a
+        // torn/corrupt tail, classified before any buffer is sized from it.
         let remaining = self.file_len.saturating_sub(record_start + 8);
         if body_len as u64 + 4 > remaining {
             return Err(StoreError::Truncated {
                 offset: record_start,
             });
         }
-        let mut body = vec![0u8; body_len + 4];
-        match read_exact_or_eof(&mut self.file, &mut body) {
+        self.body.resize(body_len + 4, 0);
+        let body = self.body.as_mut_slice();
+        match read_exact_or_eof(&mut self.file, body) {
             ReadOutcome::Full => {}
             ReadOutcome::Eof | ReadOutcome::Partial => {
                 return Err(StoreError::Truncated {
@@ -642,22 +661,22 @@ impl StoreReader {
             }
             ReadOutcome::Err(e) => return Err(io_err(&self.path, &e)),
         }
-        let stored_crc = u32::from_le_bytes(body[body_len..].try_into().expect("4 bytes"));
+        let (body, stored_crc) = body.split_at(body_len);
+        let stored_crc = u32::from_le_bytes(stored_crc.try_into().expect("4 bytes"));
         let mut crc = Crc32::new();
         crc.update(&fixed);
-        crc.update(&body[..body_len]);
+        crc.update(body);
         if crc.finish() != stored_crc {
             return Err(StoreError::BadCrc {
                 record: self.record,
             });
         }
-        let input = body[..input_len].to_vec();
-        let samples = decode_samples(&body[input_len..body_len], &self.opts);
-        let trace = Trace::from_samples(self.t0_ps, self.dt_ps, samples);
-        self.offset += 8 + body.len() as u64;
+        let (input, block) = body.split_at(input_len);
+        let trace = Trace::from_samples(self.t0_ps, self.dt_ps, decode_samples(block, &self.opts));
+        self.offset += 8 + body_len as u64 + 4;
         self.record += 1;
-        qdi_obs::metrics::counter("exec.store.records_read").inc();
-        Ok(Some((input, trace)))
+        self.read.inc();
+        Ok(Some((input.to_vec(), trace)))
     }
 
     /// Consumes the reader into an iterator over chunks of at most

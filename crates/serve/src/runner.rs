@@ -145,9 +145,21 @@ fn open_lease_span(job: &Arc<JobHandle>, record: &JobRecord) -> Span {
     span
 }
 
-/// Runs one lease of `job`. Owns all state transitions; the returned
-/// [`Disposition`] tells the worker whether to re-queue.
+/// Releases a lease's worker ([`Scheduler::release`]) when dropped.
+struct LeaseHeld<'a>(&'a Scheduler);
+
+impl Drop for LeaseHeld<'_> {
+    fn drop(&mut self) {
+        self.0.release();
+    }
+}
+
+/// Runs one lease of `job`, which [`Scheduler::take_next`] handed out.
+/// Owns all state transitions; the returned [`Disposition`] tells the
+/// worker whether to re-queue. The worker is released once the job's
+/// state is published, before the lease span closes, and on a panic.
 pub fn run_lease(sched: &Scheduler, job: &Arc<JobHandle>) -> Disposition {
+    let held = LeaseHeld(sched);
     if job.cancel_requested() {
         let _ = job.set_state(JobState::Canceled, None);
         qdi_obs::metrics::counter("serve.jobs.canceled").inc();
@@ -161,7 +173,7 @@ pub fn run_lease(sched: &Scheduler, job: &Arc<JobHandle>) -> Disposition {
         JobKind::Fi(spec) => run_fi(job, spec).map(|()| Disposition::Done),
         JobKind::Pnr(spec) => run_pnr(job, spec).map(|()| Disposition::Done),
     };
-    match result {
+    let disposition = match result {
         Ok(disposition) => {
             lease.set_attr(
                 "disposition",
@@ -178,7 +190,9 @@ pub fn run_lease(sched: &Scheduler, job: &Arc<JobHandle>) -> Disposition {
             qdi_obs::metrics::counter("serve.jobs.failed").inc();
             Disposition::Done
         }
-    }
+    };
+    drop(held);
+    disposition
 }
 
 /// Checkpoints a lease may hand over while a save is in flight before

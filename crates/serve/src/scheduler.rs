@@ -14,9 +14,11 @@
 //!
 //! Preemption is cooperative: a running DPA job re-evaluates
 //! [`Scheduler::should_yield`] after every checkpointed chunk and, if
-//! a more deserving tenant is waiting, parks itself back in the queue
-//! (its checkpoint makes the hand-off free). Fault-injection and P&R
-//! jobs run as single leases.
+//! a more deserving tenant is waiting and no worker is free to take
+//! that job, parks itself back in the queue (its checkpoint makes the
+//! hand-off cheap, but the resumed lease starts with a cold trace cache
+//! and rescans the store prefix). Fault-injection and P&R jobs run as
+//! single leases.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
@@ -35,6 +37,9 @@ struct SchedInner {
     queue: Vec<QueueEntry>,
     /// Scheduling quanta charged per tenant since server start.
     service: HashMap<String, u64>,
+    /// Workers holding a lease: handed a job by `take_next` and not yet
+    /// released by [`Scheduler::release`].
+    leased: usize,
     draining: bool,
 }
 
@@ -42,25 +47,23 @@ struct SchedInner {
 pub struct Scheduler {
     inner: Mutex<SchedInner>,
     cv: Condvar,
-}
-
-impl Default for Scheduler {
-    fn default() -> Scheduler {
-        Scheduler::new()
-    }
+    /// Worker threads taking jobs from this scheduler.
+    workers: usize,
 }
 
 impl Scheduler {
-    /// An empty scheduler.
+    /// An empty scheduler feeding `workers` worker threads.
     #[must_use]
-    pub fn new() -> Scheduler {
+    pub fn new(workers: usize) -> Scheduler {
         Scheduler {
             inner: Mutex::new(SchedInner {
                 queue: Vec::new(),
                 service: HashMap::new(),
+                leased: 0,
                 draining: false,
             }),
             cv: Condvar::new(),
+            workers,
         }
     }
 
@@ -114,7 +117,9 @@ impl Scheduler {
     }
 
     /// Blocks until a job is available and returns the most deserving
-    /// one, or `None` once draining (workers exit on `None`).
+    /// one, or `None` once draining (workers exit on `None`). The
+    /// calling worker holds a lease from here until it calls
+    /// [`Scheduler::release`].
     #[must_use]
     pub fn take_next(&self) -> Option<Arc<JobHandle>> {
         let mut inner = self.lock();
@@ -124,6 +129,7 @@ impl Scheduler {
             }
             if let Some(best) = pick(&inner) {
                 let entry = inner.queue.swap_remove(best);
+                inner.leased += 1;
                 qdi_obs::metrics::gauge("serve.sched.queued").add(-1);
                 return Some(entry.job);
             }
@@ -138,13 +144,29 @@ impl Scheduler {
         qdi_obs::metrics::counter("serve.sched.leases").add(quanta);
     }
 
+    /// Ends the lease a [`Scheduler::take_next`] call handed out: the
+    /// job has published a terminal or parked state, so its worker is
+    /// free from now on even while it is still closing the lease.
+    pub fn release(&self) {
+        // Runs from a drop guard, possibly while a panicking lease
+        // unwinds, so it must not panic itself.
+        if let Ok(mut inner) = self.inner.lock() {
+            inner.leased = inner.leased.saturating_sub(1);
+        }
+    }
+
     /// Whether the job a worker is running for `tenant` should park
-    /// itself: true when a strictly less-served tenant is waiting, or
-    /// when the same tenant has queued something of strictly higher
-    /// priority than `running`.
+    /// itself: true when every worker holds a lease and either a
+    /// strictly less-served tenant is waiting or the same tenant has
+    /// queued something of strictly higher priority than `running`.
+    /// While a worker is free, it takes the waiting job itself, and
+    /// parking would only cost the running job its warm trace cache.
     #[must_use]
     pub fn should_yield(&self, tenant: &str, running: Priority) -> bool {
         let inner = self.lock();
+        if inner.leased < self.workers {
+            return false;
+        }
         let mine = inner.service.get(tenant).copied().unwrap_or(0);
         inner.queue.iter().any(|e| {
             if e.tenant == tenant {
@@ -229,7 +251,7 @@ mod tests {
 
     #[test]
     fn alternates_between_tenants_regardless_of_queue_depth() {
-        let sched = Scheduler::new();
+        let sched = Scheduler::new(2);
         // Tenant a floods the queue before b shows up.
         for i in 0..3 {
             sched.enqueue(handle(&format!("a{i}"), "a", Priority::High, i));
@@ -249,7 +271,7 @@ mod tests {
 
     #[test]
     fn priority_orders_within_a_tenant() {
-        let sched = Scheduler::new();
+        let sched = Scheduler::new(1);
         sched.enqueue(handle("a0", "a", Priority::Low, 0));
         sched.enqueue(handle("a1", "a", Priority::High, 1));
         let first = sched.take_next().expect("job");
@@ -258,7 +280,9 @@ mod tests {
 
     #[test]
     fn yields_to_a_less_served_tenant_and_to_higher_priority() {
-        let sched = Scheduler::new();
+        let sched = Scheduler::new(1);
+        sched.enqueue(handle("a0", "a", Priority::Normal, 0));
+        let _running = sched.take_next().expect("the one worker leases a0");
         sched.charge("a", 5);
         assert!(!sched.should_yield("a", Priority::Normal), "empty queue");
         sched.enqueue(handle("b0", "b", Priority::Low, 0));
@@ -277,8 +301,33 @@ mod tests {
     }
 
     #[test]
+    fn does_not_yield_while_a_worker_is_free() {
+        let sched = Scheduler::new(2);
+        sched.enqueue(handle("a0", "a", Priority::Normal, 0));
+        let _a0 = sched.take_next().expect("worker 1 leases a0");
+        sched.charge("a", 1);
+        sched.enqueue(handle("b0", "b", Priority::Normal, 1));
+        sched.enqueue(handle("b1", "b", Priority::Normal, 2));
+        assert!(
+            !sched.should_yield("a", Priority::Normal),
+            "worker 2 is free and takes b0"
+        );
+        let b0 = sched.take_next().expect("worker 2 leases b0");
+        assert_eq!(b0.record().id, "b0");
+        assert!(
+            sched.should_yield("a", Priority::Normal),
+            "both workers hold leases and b1 waits on a less-served tenant"
+        );
+        sched.release();
+        assert!(
+            !sched.should_yield("a", Priority::Normal),
+            "worker 2 published b0's state and takes b1 next"
+        );
+    }
+
+    #[test]
     fn drain_wakes_blocked_workers_with_none() {
-        let sched = Arc::new(Scheduler::new());
+        let sched = Arc::new(Scheduler::new(1));
         let waiter = {
             let sched = Arc::clone(&sched);
             std::thread::spawn(move || sched.take_next().is_none())

@@ -102,9 +102,9 @@ struct ServerState {
 impl ServerState {
     fn new(cfg: ServeConfig) -> ServerState {
         ServerState {
+            sched: Scheduler::new(cfg.workers.max(1)),
             cfg,
             jobs: Mutex::new(BTreeMap::new()),
-            sched: Scheduler::new(),
             drain: AtomicBool::new(false),
             shutdown_requested: AtomicBool::new(false),
             next_id: AtomicU64::new(1),
