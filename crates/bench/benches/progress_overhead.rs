@@ -1,7 +1,6 @@
-//! Progress/time-series hook overhead: the acceptance bar for the
-//! monitoring layer is "near-zero cost when disabled". Three variants
-//! isolate it — an advance on a disabled (inert) handle, an advance on
-//! a live task, and a full time-series tick over the metrics registry.
+//! Progress hook overhead: the acceptance bar for the monitoring layer
+//! is "near-zero cost when disabled". Two variants isolate it — an
+//! advance on a disabled (inert) handle and an advance on a live task.
 //! The disabled advance must stay within noise of the empty baseline:
 //! it is one relaxed atomic load at registration plus an `Option`
 //! branch per call.
@@ -45,13 +44,6 @@ fn bench_progress_overhead(c: &mut Criterion) {
     });
     qdi_obs::progress::set_enabled(false);
     qdi_obs::progress::clear();
-
-    // A recorder tick walks the whole metrics registry under its lock —
-    // the secure flow pays about this per step (one capture, one ingest),
-    // a handful of times per run, never per trace.
-    let _seed = qdi_obs::metrics::counter("bench.progress.tick_seed");
-    let recorder = qdi_obs::timeseries::Recorder::new(512);
-    c.bench_function("timeseries_tick", |b| b.iter(|| black_box(recorder.tick())));
 }
 
 criterion_group! {

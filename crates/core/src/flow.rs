@@ -143,9 +143,10 @@ impl StepOutcome {
 
 /// Records each flow step once. A step runs inside its span and ends in
 /// one [`MetricsSnapshot`]: the step's deltas are taken against the
-/// previous boundary and the same snapshot feeds the global time-series
-/// recorder, so a flow of N steps takes N + 1 captures. [`FlowPolicy`]
-/// is applied here and nowhere else.
+/// previous boundary and the same snapshot is appended to the run
+/// record as a `Metrics` record (when one is installed), so a flow of N
+/// steps takes N + 1 captures. [`FlowPolicy`] is applied here and
+/// nowhere else.
 struct Steps {
     policy: FlowPolicy,
     boundary: MetricsSnapshot,
@@ -170,7 +171,7 @@ impl Steps {
         span.set_attr("wall_ms", wall_ms);
         drop(span);
         let boundary = MetricsSnapshot::capture();
-        qdi_obs::timeseries::global().ingest(qdi_obs::now_us(), &boundary);
+        qdi_obs::record_metrics(&boundary);
         let counters = boundary.delta_since(&self.boundary).samples;
         self.boundary = boundary;
         self.list.push(StepOutcome {
@@ -193,8 +194,8 @@ impl Steps {
     ) -> Result<T, FlowError> {
         match self.policy {
             FlowPolicy::FailFast => {
-                // Push buffered telemetry out before the early return so
-                // an aborted run still leaves a complete JSONL trail.
+                // Emit pending roll-ups before the early return so an
+                // aborted run still leaves a complete run record.
                 qdi_obs::flush();
                 Err(abort(value))
             }
@@ -1066,29 +1067,6 @@ mod tests {
 
     fn err_text(err: &FlowError) -> String {
         format!("{err}")
-    }
-
-    #[test]
-    fn every_step_feeds_the_global_timeseries() {
-        let mut slice = aes_first_round_slice("s", SliceStage::XorOnly).expect("builds");
-        let recorder = qdi_obs::timeseries::global();
-        let before = recorder.ticks();
-        let report =
-            run_static_flow(&mut slice.netlist, &fast_cfg(Strategy::Flat, 0)).expect("passes lint");
-        let ticks = recorder.ticks() - before;
-        assert!(
-            ticks >= report.steps.len() as u64,
-            "one point per step: {ticks} ticks for {} steps",
-            report.steps.len()
-        );
-        assert!(
-            recorder
-                .snapshot()
-                .series
-                .iter()
-                .any(|s| s.name == "pnr.moves_attempted"),
-            "annealing counters must reach the recorder"
-        );
     }
 
     #[test]

@@ -40,13 +40,6 @@ impl<'a> CurrentModel<'a> {
         })
     }
 
-    /// Replaces the electrical configuration (defaults to
-    /// [`SynthConfig::new`], matching the simulator's calibration).
-    pub fn with_config(mut self, cfg: SynthConfig) -> Self {
-        self.cfg = cfg;
-        self
-    }
-
     /// The level analysis (`Nc` etc.) backing the model.
     pub fn levels(&self) -> &LevelAnalysis {
         &self.levels

@@ -60,7 +60,6 @@ pub mod cpa;
 pub mod metrics;
 pub mod parallel;
 pub mod selection;
-pub mod spa;
 pub mod store;
 pub mod template;
 

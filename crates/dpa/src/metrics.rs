@@ -60,19 +60,6 @@ pub fn measurements_to_disclosure(
     }
 }
 
-/// Signal-to-noise of a bias trace: peak magnitude over the RMS of the
-/// rest of the trace. Large values mean an exploitable DPA peak.
-pub fn peak_to_rms(trace: &qdi_analog::Trace) -> f64 {
-    let Some((_, peak)) = trace.abs_peak() else {
-        return 0.0;
-    };
-    let rms = trace.rms();
-    if rms <= f64::EPSILON {
-        return 0.0;
-    }
-    peak.abs() / rms
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,22 +125,6 @@ mod tests {
             mtd_noisy >= mtd_clean,
             "noise should not speed up disclosure: {mtd_clean} vs {mtd_noisy}"
         );
-    }
-
-    #[test]
-    fn peak_to_rms_detects_isolated_peak() {
-        let mut peaked = Trace::zeros(0, 10, 100);
-        peaked.add_pulse(
-            Pulse {
-                t0_ps: 500,
-                charge_fc: 5.0,
-                dur_ps: 20,
-            },
-            PulseShape::Triangular,
-        );
-        let flat = Trace::zeros(0, 10, 100);
-        assert!(peak_to_rms(&peaked) > 1.0);
-        assert_eq!(peak_to_rms(&flat), 0.0);
     }
 
     #[test]

@@ -426,9 +426,9 @@ struct WatchdogState {
 /// seeded identically, which is what makes retry-N output bit-identical
 /// to first-try output).
 ///
-/// After the workers join, the supervisor flushes the obs sinks
-/// whenever anything was retried or quarantined, so partially-written
-/// JSONL telemetry is never lost to an aborted campaign.
+/// After the workers join, the supervisor emits pending obs roll-ups
+/// whenever anything was retried or quarantined, so an aborted
+/// campaign's run record is never missing them.
 pub fn run_supervised<T, E, F>(
     cfg: &ExecConfig,
     policy: &SupervisorPolicy,
@@ -621,8 +621,8 @@ where
         })
         .sum();
 
-    // An aborted or degraded campaign must not strand buffered JSONL
-    // telemetry: flush the sinks from the supervisor's post-join path.
+    // An aborted or degraded campaign must not strand pending roll-ups:
+    // emit them from the supervisor's post-join path.
     if retries > 0 || !quarantine.is_empty() {
         qdi_obs::flush();
     }

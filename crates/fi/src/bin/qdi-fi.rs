@@ -17,7 +17,7 @@
 //!                     `none` disables); masked, deadlock, livelock,
 //!                     protocol, silent, aborted
 //!   --json            print fault records as JSON-Lines on stdout
-//!   --jsonl FILE      also stream events to FILE via a qdi-obs JSONL sink
+//!   --jsonl FILE      also stream events to FILE, a qdi-obs run record
 //!   --no-color        disable ANSI colors (also: NO_COLOR, non-tty)
 //! ```
 //!
@@ -26,7 +26,6 @@
 
 use std::io::IsTerminal as _;
 use std::process::ExitCode;
-use std::sync::Arc;
 
 use qdi_exec::ExecConfig;
 use qdi_fi::{
@@ -168,16 +167,14 @@ fn main() -> ExitCode {
 
     qdi_obs::init_from_env();
     if let Some(path) = &opts.jsonl {
-        match qdi_obs::JsonlSink::create(path) {
-            Ok(sink) => {
-                qdi_obs::set_filter(qdi_obs::Filter::at(qdi_obs::Level::Debug));
-                qdi_obs::add_sink(Arc::new(sink));
-            }
-            Err(err) => {
-                eprintln!("qdi-fi: cannot create `{path}`: {err}");
-                return ExitCode::from(2);
-            }
+        // Start the run record fresh; a path that cannot be created is
+        // a usage error.
+        if let Err(err) = std::fs::File::create(path) {
+            eprintln!("qdi-fi: cannot create `{path}`: {err}");
+            return ExitCode::from(2);
         }
+        qdi_obs::set_filter(qdi_obs::Filter::at(qdi_obs::Level::Debug));
+        qdi_obs::span::set_file(path);
     }
 
     let mut failing = 0usize;

@@ -128,3 +128,43 @@ fn fail_on_class_flips_the_exit_code() {
     ]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
 }
+
+#[test]
+fn jsonl_writes_a_run_record_of_the_campaign() {
+    let path = std::env::temp_dir().join(format!("qdi-fi-test-{}.jsonl", std::process::id()));
+    let file = path.to_str().expect("utf8 path");
+    // Twice: each run starts the run record fresh.
+    for _ in 0..2 {
+        let out = qdi_fi(&["--jsonl", file, &example("xor_cell.qdi")]);
+        assert_eq!(out.status.code(), Some(0), "{out:?}");
+    }
+    let read = qdi_obs::span::read_records(&path).expect("run record written");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(read.skipped, 0, "every line parses");
+    let campaigns: Vec<_> = read
+        .records
+        .iter()
+        .filter_map(|r| match r {
+            qdi_obs::Record::Span(s) if s.service == "qdi_fi::campaign" => Some(s),
+            _ => None,
+        })
+        .collect();
+    let run = campaigns
+        .iter()
+        .find(|s| s.name == "run_campaign_parallel")
+        .expect("the campaign span");
+    assert!(run.attrs.iter().any(|(k, _)| k == "faults"), "{run:?}");
+    assert!(run.attrs.iter().any(|(k, _)| k == "detected"), "{run:?}");
+    assert!(
+        campaigns.iter().any(|s| s.rollup.is_some()),
+        "simulator roll-ups under the campaign: {campaigns:?}"
+    );
+    assert_eq!(
+        campaigns
+            .iter()
+            .filter(|s| s.name == "run_campaign_parallel")
+            .count(),
+        1,
+        "the second run replaced the first"
+    );
+}

@@ -16,7 +16,7 @@
 //!   --explain CODE    print the extended help for lint CODE and exit
 //!   --format FMT      output format: human (default), json, github
 //!   --json            shorthand for --format json
-//!   --jsonl FILE      also stream findings to FILE via a qdi-obs JSONL sink
+//!   --jsonl FILE      also stream findings to FILE, a qdi-obs run record
 //!   --no-color        disable ANSI colors (also: NO_COLOR, non-tty)
 //! ```
 //!
@@ -26,7 +26,6 @@
 
 use std::io::IsTerminal as _;
 use std::process::ExitCode;
-use std::sync::Arc;
 
 use qdi_lint::{LintCode, LintConfig, Registry, Severity};
 
@@ -192,20 +191,18 @@ fn main() -> ExitCode {
         std::env::var_os("NO_COLOR").is_none() && std::io::stderr().is_terminal()
     });
 
-    // Findings go through qdi-obs as warn/error events; a JSONL sink makes
-    // them a machine-readable stream alongside whatever QDI_LOG set up.
+    // Findings go through qdi-obs as warn/error events; `--jsonl` writes
+    // them to a run record, a machine-readable stream of JSON records.
     qdi_obs::init_from_env();
     if let Some(path) = &opts.jsonl {
-        match qdi_obs::JsonlSink::create(path) {
-            Ok(sink) => {
-                qdi_obs::set_filter(qdi_obs::Filter::at(qdi_obs::Level::Warn));
-                qdi_obs::add_sink(Arc::new(sink));
-            }
-            Err(err) => {
-                eprintln!("qdi-lint: cannot create `{path}`: {err}");
-                return ExitCode::from(2);
-            }
+        // Start the run record fresh; a path that cannot be created is
+        // a usage error.
+        if let Err(err) = std::fs::File::create(path) {
+            eprintln!("qdi-lint: cannot create `{path}`: {err}");
+            return ExitCode::from(2);
         }
+        qdi_obs::set_filter(qdi_obs::Filter::at(qdi_obs::Level::Warn));
+        qdi_obs::span::set_file(path);
     }
 
     let registry = if opts.structural_only {

@@ -158,8 +158,8 @@ impl LintReport {
     }
 
     /// Emits every non-allowed finding as a `qdi-obs` event (target
-    /// `qdi_lint`, level warn/error), so any installed sink — JSONL,
-    /// Chrome trace, memory — receives the machine-readable findings.
+    /// `qdi_lint`, level warn/error), so the run record and any
+    /// installed sink receive the machine-readable findings.
     pub fn emit_to_obs(&self) {
         for diag in &self.diagnostics {
             let level = match diag.severity {

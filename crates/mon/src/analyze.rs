@@ -1,6 +1,6 @@
-//! `qdi-mon analyze`: turns a `.qprof` profile into a verdict table
-//! and rustc-style findings that name *why* a parallel campaign is
-//! slow — the diagnosis step of ROADMAP Open item 1.
+//! `qdi-mon analyze`: turns the profile rebuilt from a run record into
+//! a verdict table and rustc-style findings that name *why* a parallel
+//! campaign is slow.
 //!
 //! The verdict table reports parallel efficiency, idle fraction,
 //! queue-wait fraction, steal rate, mean job duration, and per-job
@@ -49,7 +49,7 @@ pub struct Finding {
     pub help: String,
 }
 
-/// The full analysis of one `.qprof` profile.
+/// The full analysis of one profile.
 #[derive(Debug, Clone, Serialize)]
 pub struct Analysis {
     /// Verdict-table rows, fixed order.
@@ -341,7 +341,7 @@ pub fn analyze(report: &ProfReport, top: usize) -> Analysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qdi_obs::prof::{RegionProfile, WorkerLane, QPROF_VERSION};
+    use qdi_obs::prof::{RegionProfile, WorkerLane};
 
     fn lane(worker: usize, jobs: u64, steals: u64, busy: u64, wait: u64, wall: u64) -> WorkerLane {
         WorkerLane {
@@ -358,8 +358,6 @@ mod tests {
 
     fn report_with(runs: Vec<PoolRun>) -> ProfReport {
         ProfReport {
-            version: QPROF_VERSION,
-            captured_us: 0,
             regions: RegionProfile::default(),
             pool_runs: runs,
             dropped_pool_runs: 0,

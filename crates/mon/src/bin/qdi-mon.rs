@@ -3,43 +3,47 @@
 //!
 //! ```text
 //! qdi-mon watch [--interval-ms N] [--once] PROGRESS.json|http://HOST:PORT[/v1/jobs/ID/events]
-//! qdi-mon report [--out FILE.html] [--top N] [--title T] TELEMETRY.jsonl
-//! qdi-mon export METRICS.json
-//! qdi-mon analyze [--top N] [--json] PROFILE.qprof.json
-//! qdi-mon flame [--out FILE.svg] [--title T] PROFILE.qprof.json
-//! qdi-mon timeline [--out FILE.svg] [--title T] PROFILE.qprof.json
-//! qdi-mon trace [--out FILE.svg] [--title T] TRACE_ID SPANS.jsonl...
+//! qdi-mon report [--out FILE.html] [--top N] [--title T] RUN.jsonl
+//! qdi-mon export RUN.jsonl
+//! qdi-mon analyze [--top N] [--json] RUN.jsonl
+//! qdi-mon flame [--out FILE.svg] [--title T] RUN.jsonl
+//! qdi-mon timeline [--out FILE.svg] [--title T] RUN.jsonl
+//! qdi-mon trace [--out FILE.svg] [--title T] TRACE_ID RUN.jsonl...
 //! qdi-mon slo --config SLO.json METRICS.prom
 //! ```
 //!
-//! Exit status mirrors `qdi-lint`: `0` success, `1` a data-level
-//! failure (profile findings, a breached SLO, a trace id with no
-//! spans), `2` usage error or
-//! unreadable input.
+//! Every view but `watch` and `slo` reads a run record
+//! (`qdi_obs::span::set_file`): one JSON record per line, torn lines
+//! skipped. Exit status mirrors `qdi-lint`: `0` success, `1` a
+//! data-level failure (profile findings, a breached SLO, a trace id
+//! with no spans), `2` usage error or unreadable input.
 
+use std::io::Write as _;
 use std::path::Path;
 use std::process::ExitCode;
 
 use qdi_mon::{analyze, dashboard, flame, remote, report, waterfall};
-use qdi_obs::metrics::{HistogramSnapshot, MetricsSnapshot};
 use qdi_obs::prof::ProfReport;
 use qdi_obs::progress::ProgressSnapshot;
 
 fn usage() -> &'static str {
     "usage: qdi-mon watch [--interval-ms N] [--once] PROGRESS.json|http://HOST:PORT\n\
      \x20              (a .../v1/jobs/ID/events URL tails the job's SSE stream)\n\
-     \x20      qdi-mon report [--out FILE.html] [--top N] [--title T] TELEMETRY.jsonl\n\
-     \x20      qdi-mon export METRICS.json\n\
-     \x20      qdi-mon analyze [--top N] [--json] PROFILE.qprof.json\n\
-     \x20      qdi-mon flame [--out FILE.svg] [--title T] PROFILE.qprof.json\n\
-     \x20      qdi-mon timeline [--out FILE.svg] [--title T] PROFILE.qprof.json\n\
-     \x20      qdi-mon trace [--out FILE.svg] [--title T] TRACE_ID SPANS.jsonl...\n\
+     \x20      qdi-mon report [--out FILE.html] [--top N] [--title T] RUN.jsonl\n\
+     \x20      qdi-mon export RUN.jsonl\n\
+     \x20      qdi-mon analyze [--top N] [--json] RUN.jsonl\n\
+     \x20      qdi-mon flame [--out FILE.svg] [--title T] RUN.jsonl\n\
+     \x20      qdi-mon timeline [--out FILE.svg] [--title T] RUN.jsonl\n\
+     \x20      qdi-mon trace [--out FILE.svg] [--title T] TRACE_ID RUN.jsonl...\n\
      \x20              (merge spans from every file, render one trace's waterfall)\n\
      \x20      qdi-mon slo --config SLO.json METRICS.prom\n\
      \x20              (exit 1 when any objective is breached)"
 }
 
-fn cmd_watch(interval_ms: u64, once: bool, file: &str) -> ExitCode {
+// Every `cmd_*` returns the exit code, or the message of an exit-2
+// failure, which `run` prints after the subcommand's name.
+
+fn cmd_watch(interval_ms: u64, once: bool, file: &str) -> Result<ExitCode, String> {
     if remote::is_sse_url(file) {
         return watch_sse(file);
     }
@@ -55,24 +59,19 @@ fn cmd_watch(interval_ms: u64, once: bool, file: &str) -> ExitCode {
                 let frame = dashboard::render(&snap);
                 if once {
                     print!("{frame}");
-                    return ExitCode::SUCCESS;
+                    return Ok(ExitCode::SUCCESS);
                 }
                 print!("{}", dashboard::ansi_frame(&frame, first));
-                use std::io::Write as _;
                 let _ = std::io::stdout().flush();
                 first = false;
                 if snap.all_done() {
                     println!("all tasks done");
-                    return ExitCode::SUCCESS;
+                    return Ok(ExitCode::SUCCESS);
                 }
             }
-            Err(err) => {
-                if once || first {
-                    eprintln!("watch: {err}");
-                    return ExitCode::from(2);
-                }
-                // The writer may be mid-rename; keep polling.
-            }
+            Err(err) if once || first => return Err(err),
+            // The writer may be mid-rename; keep polling.
+            Err(_) => {}
         }
         std::thread::sleep(std::time::Duration::from_millis(interval_ms.max(10)));
     }
@@ -80,14 +79,13 @@ fn cmd_watch(interval_ms: u64, once: bool, file: &str) -> ExitCode {
 
 /// Tails a `qdi-serve` per-job SSE stream, rendering every `progress`
 /// event as a dashboard frame.
-fn watch_sse(url: &str) -> ExitCode {
+fn watch_sse(url: &str) -> Result<ExitCode, String> {
     let mut first = true;
-    let result = remote::stream_sse(url, |frame| {
+    remote::stream_sse(url, |frame| {
         match frame {
             remote::SseFrame::Progress(snap) => {
                 let rendered = dashboard::render(&snap);
                 print!("{}", dashboard::ansi_frame(&rendered, first));
-                use std::io::Write as _;
                 let _ = std::io::stdout().flush();
                 first = false;
             }
@@ -95,154 +93,89 @@ fn watch_sse(url: &str) -> ExitCode {
             remote::SseFrame::End(reason) => println!("stream ended ({reason})"),
         }
         true
-    });
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(err) => {
-            eprintln!("watch: {err}");
-            ExitCode::from(2)
-        }
-    }
+    })?;
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_report(out: Option<&str>, top: usize, title: &str, telemetry: &str) -> ExitCode {
-    let telemetry = Path::new(telemetry);
-    let html = match report::build(telemetry, top, title) {
-        Ok(html) => html,
-        Err(err) => {
-            eprintln!("report: {err}");
-            return ExitCode::from(2);
-        }
-    };
+/// The profile rebuilt from a run record; a file with no record in it
+/// is an error.
+fn read_profile(run: &str) -> Result<ProfReport, String> {
+    let read = qdi_obs::span::read_records(Path::new(run))?;
+    if read.records.is_empty() {
+        return Err(format!("{run}: no run records"));
+    }
+    Ok(ProfReport::from_records(&read.records))
+}
+
+/// Writes `contents` to `path` and says so.
+fn write_out(path: &str, contents: String) -> Result<ExitCode, String> {
+    std::fs::write(path, contents).map_err(|err| format!("{path}: {err}"))?;
+    println!("wrote {path}");
+    Ok(ExitCode::SUCCESS)
+}
+
+fn cmd_report(out: Option<&str>, top: usize, title: &str, run: &str) -> Result<ExitCode, String> {
+    let run = Path::new(run);
+    let html = report::build(run, top, title)?;
     let out_path = match out {
         Some(path) => path.to_string(),
-        None => report::sidecar(telemetry, "report.html")
-            .display()
-            .to_string(),
+        None => report::sidecar(run, "report.html").display().to_string(),
     };
-    if let Err(err) = std::fs::write(&out_path, html) {
-        eprintln!("report: {out_path}: {err}");
-        return ExitCode::from(2);
-    }
-    println!("wrote {out_path}");
-    ExitCode::SUCCESS
+    write_out(&out_path, html)
 }
 
-fn cmd_export(metrics: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(metrics) {
-        Ok(text) => text,
-        Err(err) => {
-            eprintln!("export: {metrics}: {err}");
-            return ExitCode::from(2);
-        }
-    };
-    let mut snap: MetricsSnapshot = match serde_json::from_str(&text) {
-        Ok(snap) => snap,
-        Err(err) => {
-            eprintln!("export: {metrics}: not a metrics snapshot: {err}");
-            return ExitCode::from(2);
-        }
-    };
-    if let Some(bad) = snap.histograms.iter().find(|h| !histogram_is_renderable(h)) {
-        eprintln!(
-            "export: {metrics}: not a metrics snapshot: histogram `{}` needs finite, \
-             strictly increasing bounds, one more count than bounds and a total that fits u64",
-            bad.name
-        );
-        return ExitCode::from(2);
-    }
-    snap.normalize();
-    print!("{}", qdi_obs::prometheus::render(&snap));
-    ExitCode::SUCCESS
+fn cmd_export(run: &str) -> Result<ExitCode, String> {
+    let read = qdi_obs::span::read_records(Path::new(run))?;
+    print!(
+        "{}",
+        report::exposition(&read.records).map_err(|err| format!("{run}: {err}"))?
+    );
+    Ok(ExitCode::SUCCESS)
 }
 
-/// Whether a deserialized histogram has the shape the exposition
-/// renders: finite, strictly increasing bounds, `counts.len() ==
-/// bounds.len() + 1` (the last bucket is `+Inf`) and a bucket total
-/// that fits in a `u64`.
-fn histogram_is_renderable(h: &HistogramSnapshot) -> bool {
-    h.bounds.iter().all(|b| b.is_finite())
-        && h.bounds.windows(2).all(|w| w[0] < w[1])
-        && h.counts.len() == h.bounds.len() + 1
-        && h.counts
-            .iter()
-            .try_fold(0u64, |total, &c| total.checked_add(c))
-            .is_some()
-}
-
-fn cmd_analyze(top: usize, json: bool, profile: &str) -> ExitCode {
-    let report = match ProfReport::load(profile) {
-        Ok(report) => report,
-        Err(err) => {
-            eprintln!("analyze: {err}");
-            return ExitCode::from(2);
-        }
-    };
-    let analysis = analyze::analyze(&report, top);
+fn cmd_analyze(top: usize, json: bool, run: &str) -> Result<ExitCode, String> {
+    let analysis = analyze::analyze(&read_profile(run)?, top);
     if json {
-        match serde_json::to_string_pretty(&analysis) {
-            Ok(text) => println!("{text}"),
-            Err(err) => {
-                eprintln!("analyze: {err}");
-                return ExitCode::from(2);
-            }
-        }
+        let text = serde_json::to_string_pretty(&analysis).map_err(|err| err.to_string())?;
+        println!("{text}");
     } else {
         print!("{}", analysis.render());
     }
-    if analysis.has_findings() {
+    Ok(if analysis.has_findings() {
         ExitCode::from(1)
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }
 
-/// Shared driver of `flame` and `timeline`: load, render, write.
+/// Shared driver of `flame` and `timeline`: rebuild, render, write
+/// (by default to `<run>.<command>.svg`).
 fn cmd_render_svg(
     command: &str,
     out: Option<&str>,
     title: &str,
-    default_suffix: &str,
-    profile: &str,
-    render: impl Fn(&ProfReport, &str) -> String,
-) -> ExitCode {
-    let report = match ProfReport::load(profile) {
-        Ok(report) => report,
-        Err(err) => {
-            eprintln!("{command}: {err}");
-            return ExitCode::from(2);
-        }
-    };
-    let svg = render(&report, title);
+    run: &str,
+    render: fn(&ProfReport, &str) -> String,
+) -> Result<ExitCode, String> {
+    let svg = render(&read_profile(run)?, title);
     let out_path = match out {
         Some(path) => path.to_string(),
-        None => {
-            // foo.qprof.json → foo.<suffix>.svg next to the profile.
-            let stem = profile
-                .strip_suffix(".qprof.json")
-                .or_else(|| profile.strip_suffix(".json"))
-                .unwrap_or(profile);
-            format!("{stem}.{default_suffix}.svg")
-        }
+        None => report::sidecar(Path::new(run), &format!("{command}.svg"))
+            .display()
+            .to_string(),
     };
-    if let Err(err) = std::fs::write(&out_path, svg) {
-        eprintln!("{command}: {out_path}: {err}");
-        return ExitCode::from(2);
-    }
-    println!("wrote {out_path}");
-    ExitCode::SUCCESS
+    write_out(&out_path, svg)
 }
 
-fn cmd_trace(out: Option<&str>, title: Option<&str>, trace_id: &str, files: &[String]) -> ExitCode {
+fn cmd_trace(
+    out: Option<&str>,
+    title: Option<&str>,
+    trace_id: &str,
+    files: &[String],
+) -> Result<ExitCode, String> {
     let mut spans = Vec::new();
     for file in files {
-        match qdi_obs::span::read_spans(Path::new(file)) {
-            Ok(mut read) => spans.append(&mut read),
-            Err(err) => {
-                eprintln!("trace: {err}");
-                return ExitCode::from(2);
-            }
-        }
+        spans.append(&mut qdi_obs::span::read_spans(Path::new(file))?);
     }
     let title = title.map_or_else(|| format!("trace waterfall · {trace_id}"), str::to_owned);
     let svg = match waterfall::render(&spans, trace_id, &title) {
@@ -251,7 +184,7 @@ fn cmd_trace(out: Option<&str>, title: Option<&str>, trace_id: &str, files: &[St
             // Readable inputs without the requested trace is a data
             // failure, not a usage error: the files parsed fine.
             eprintln!("trace: {err}");
-            return ExitCode::from(1);
+            return Ok(ExitCode::from(1));
         }
     };
     let out_path = match out {
@@ -261,269 +194,171 @@ fn cmd_trace(out: Option<&str>, title: Option<&str>, trace_id: &str, files: &[St
             trace_id.chars().take(12).collect::<String>()
         ),
     };
-    if let Err(err) = std::fs::write(&out_path, svg) {
-        eprintln!("trace: {out_path}: {err}");
-        return ExitCode::from(2);
-    }
+    std::fs::write(&out_path, svg).map_err(|err| format!("{out_path}: {err}"))?;
     let matching = spans.iter().filter(|s| s.trace_id == trace_id).count();
     println!("wrote {out_path} ({matching} spans)");
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_slo(config: &str, metrics: &str) -> ExitCode {
-    let config_text = match std::fs::read_to_string(config) {
-        Ok(text) => text,
-        Err(err) => {
-            eprintln!("slo: {config}: {err}");
-            return ExitCode::from(2);
-        }
-    };
-    let cfg = match qdi_obs::slo::SloConfig::from_json(&config_text) {
-        Ok(cfg) => cfg,
-        Err(err) => {
-            eprintln!("slo: {config}: {err}");
-            return ExitCode::from(2);
-        }
-    };
-    let exposition = match std::fs::read_to_string(metrics) {
-        Ok(text) => text,
-        Err(err) => {
-            eprintln!("slo: {metrics}: {err}");
-            return ExitCode::from(2);
-        }
-    };
-    match qdi_obs::slo::evaluate(&cfg, &exposition) {
-        Ok(report) => {
-            print!("{}", report.render_text());
-            if report.breached() {
-                eprintln!("slo: objectives breached");
-                ExitCode::from(1)
-            } else {
-                ExitCode::SUCCESS
+fn cmd_slo(config: &str, metrics: &str) -> Result<ExitCode, String> {
+    let cfg = std::fs::read_to_string(config)
+        .map_err(|err| err.to_string())
+        .and_then(|text| qdi_obs::slo::SloConfig::from_json(&text))
+        .map_err(|err| format!("{config}: {err}"))?;
+    let report = std::fs::read_to_string(metrics)
+        .map_err(|err| err.to_string())
+        .and_then(|text| qdi_obs::slo::evaluate(&cfg, &text))
+        .map_err(|err| format!("{metrics}: {err}"))?;
+    print!("{}", report.render_text());
+    if report.breached() {
+        eprintln!("slo: objectives breached");
+        return Ok(ExitCode::from(1));
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Prints `message` (when there is one) and the usage; exit 2.
+fn usage_error(message: &str) -> ExitCode {
+    if message.is_empty() {
+        eprintln!("{}", usage());
+    } else {
+        eprintln!("{message}\n{}", usage());
+    }
+    ExitCode::from(2)
+}
+
+/// The flags and operands of one subcommand. An argument that is not
+/// one of the subcommand's flags is an operand.
+struct Args {
+    out: Option<String>,
+    title: Option<String>,
+    config: Option<String>,
+    top: usize,
+    interval_ms: u64,
+    json: bool,
+    once: bool,
+    operands: Vec<String>,
+}
+
+impl Args {
+    fn parse(command: &str, rest: &[String], flags: &[&str]) -> Result<Args, ExitCode> {
+        let mut args = Args {
+            out: None,
+            title: None,
+            config: None,
+            top: 10,
+            interval_ms: 250,
+            json: false,
+            once: false,
+            operands: Vec::new(),
+        };
+        let mut it = rest.iter();
+        while let Some(arg) = it.next() {
+            let flag = arg.as_str();
+            if !flags.contains(&flag) {
+                args.operands.push(arg.clone());
+                continue;
+            }
+            let mut value = |what: &str| {
+                it.next()
+                    .cloned()
+                    .ok_or_else(|| usage_error(&format!("{command}: {flag} needs {what}")))
+            };
+            let mut number = |what: &str| -> Result<u64, ExitCode> {
+                value(what)?
+                    .parse()
+                    .map_err(|_| usage_error(&format!("{command}: {flag} needs {what}")))
+            };
+            match flag {
+                "--json" => args.json = true,
+                "--once" => args.once = true,
+                "--out" => args.out = Some(value("a path")?),
+                "--config" => args.config = Some(value("a path")?),
+                "--title" => args.title = Some(value("a value")?),
+                "--top" => args.top = number("a number")? as usize,
+                "--interval-ms" => args.interval_ms = number("a number")?,
+                _ => unreachable!("{flag} is not a qdi-mon flag"),
             }
         }
-        Err(err) => {
-            eprintln!("slo: {metrics}: {err}");
-            ExitCode::from(2)
+        Ok(args)
+    }
+
+    /// The one operand, or a usage error naming what it should be.
+    fn one(&self, command: &str, what: &str) -> Result<&str, ExitCode> {
+        match self.operands.as_slice() {
+            [operand] => Ok(operand),
+            _ => Err(usage_error(&format!("{command}: exactly one {what}"))),
         }
     }
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = args.first().map(String::as_str) else {
-        eprintln!("{}", usage());
-        return ExitCode::from(2);
+    let Some((command, rest)) = args.split_first() else {
+        return usage_error("");
     };
-    let rest = &args[1..];
-    match command {
+    run(command, rest).unwrap_or_else(|code| code)
+}
+
+fn run(command: &str, rest: &[String]) -> Result<ExitCode, ExitCode> {
+    let outcome = match command {
         "watch" => {
-            let mut interval_ms = 250u64;
-            let mut once = false;
-            let mut files = Vec::new();
-            let mut it = rest.iter();
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--interval-ms" => {
-                        let Some(n) = it.next().and_then(|v| v.parse().ok()) else {
-                            eprintln!("watch: --interval-ms needs a number\n{}", usage());
-                            return ExitCode::from(2);
-                        };
-                        interval_ms = n;
-                    }
-                    "--once" => once = true,
-                    _ => files.push(arg.clone()),
-                }
-            }
-            if files.len() != 1 {
-                eprintln!("watch: exactly one PROGRESS.json\n{}", usage());
-                return ExitCode::from(2);
-            }
-            cmd_watch(interval_ms, once, &files[0])
+            let args = Args::parse(command, rest, &["--interval-ms", "--once"])?;
+            let progress = args.one(command, "PROGRESS.json")?;
+            cmd_watch(args.interval_ms, args.once, progress)
         }
         "report" => {
-            let mut out = None;
-            let mut top = 10usize;
-            let mut title = "QDI run report".to_string();
-            let mut files = Vec::new();
-            let mut it = rest.iter();
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--out" => match it.next() {
-                        Some(path) => out = Some(path.clone()),
-                        None => {
-                            eprintln!("report: --out needs a path\n{}", usage());
-                            return ExitCode::from(2);
-                        }
-                    },
-                    "--top" => {
-                        let Some(n) = it.next().and_then(|v| v.parse().ok()) else {
-                            eprintln!("report: --top needs a number\n{}", usage());
-                            return ExitCode::from(2);
-                        };
-                        top = n;
-                    }
-                    "--title" => match it.next() {
-                        Some(t) => title = t.clone(),
-                        None => {
-                            eprintln!("report: --title needs a value\n{}", usage());
-                            return ExitCode::from(2);
-                        }
-                    },
-                    _ => files.push(arg.clone()),
-                }
-            }
-            if files.len() != 1 {
-                eprintln!("report: exactly one TELEMETRY.jsonl\n{}", usage());
-                return ExitCode::from(2);
-            }
-            cmd_report(out.as_deref(), top, &title, &files[0])
+            let args = Args::parse(command, rest, &["--out", "--top", "--title"])?;
+            let title = args.title.as_deref().unwrap_or("QDI run report");
+            let run = args.one(command, "RUN.jsonl")?;
+            cmd_report(args.out.as_deref(), args.top, title, run)
         }
-        "export" => {
-            if rest.len() != 1 {
-                eprintln!("export: exactly one METRICS.json\n{}", usage());
-                return ExitCode::from(2);
-            }
-            cmd_export(&rest[0])
-        }
+        "export" => cmd_export(Args::parse(command, rest, &[])?.one(command, "RUN.jsonl")?),
         "analyze" => {
-            let mut top = 10usize;
-            let mut json = false;
-            let mut files = Vec::new();
-            let mut it = rest.iter();
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--top" => {
-                        let Some(n) = it.next().and_then(|v| v.parse().ok()) else {
-                            eprintln!("analyze: --top needs a number\n{}", usage());
-                            return ExitCode::from(2);
-                        };
-                        top = n;
-                    }
-                    "--json" => json = true,
-                    _ => files.push(arg.clone()),
-                }
-            }
-            if files.len() != 1 {
-                eprintln!("analyze: exactly one PROFILE.qprof.json\n{}", usage());
-                return ExitCode::from(2);
-            }
-            cmd_analyze(top, json, &files[0])
+            let args = Args::parse(command, rest, &["--top", "--json"])?;
+            cmd_analyze(args.top, args.json, args.one(command, "RUN.jsonl")?)
         }
         "flame" | "timeline" => {
-            let mut out = None;
-            let mut title = None;
-            let mut files = Vec::new();
-            let mut it = rest.iter();
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--out" => match it.next() {
-                        Some(path) => out = Some(path.clone()),
-                        None => {
-                            eprintln!("{command}: --out needs a path\n{}", usage());
-                            return ExitCode::from(2);
-                        }
-                    },
-                    "--title" => match it.next() {
-                        Some(t) => title = Some(t.clone()),
-                        None => {
-                            eprintln!("{command}: --title needs a value\n{}", usage());
-                            return ExitCode::from(2);
-                        }
-                    },
-                    _ => files.push(arg.clone()),
-                }
-            }
-            if files.len() != 1 {
-                eprintln!("{command}: exactly one PROFILE.qprof.json\n{}", usage());
-                return ExitCode::from(2);
-            }
-            if command == "flame" {
-                cmd_render_svg(
-                    command,
-                    out.as_deref(),
-                    title.as_deref().unwrap_or("region flamegraph"),
-                    "flame",
-                    &files[0],
-                    |report, title| flame::flamegraph_svg(&report.regions, title),
-                )
+            let args = Args::parse(command, rest, &["--out", "--title"])?;
+            let (title, render): (_, fn(&ProfReport, &str) -> String) = if command == "flame" {
+                ("region flamegraph", |report, title| {
+                    flame::flamegraph_svg(&report.regions, title)
+                })
             } else {
-                cmd_render_svg(
-                    command,
-                    out.as_deref(),
-                    title.as_deref().unwrap_or("pool timeline"),
-                    "timeline",
-                    &files[0],
-                    |report, title| flame::timeline_svg(&report.pool_runs, title),
-                )
-            }
+                ("pool timeline", |report, title| {
+                    flame::timeline_svg(&report.pool_runs, title)
+                })
+            };
+            let title = args.title.as_deref().unwrap_or(title);
+            let run = args.one(command, "RUN.jsonl")?;
+            cmd_render_svg(command, args.out.as_deref(), title, run, render)
         }
         "trace" => {
-            let mut out = None;
-            let mut title = None;
-            let mut operands = Vec::new();
-            let mut it = rest.iter();
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--out" => match it.next() {
-                        Some(path) => out = Some(path.clone()),
-                        None => {
-                            eprintln!("trace: --out needs a path\n{}", usage());
-                            return ExitCode::from(2);
-                        }
-                    },
-                    "--title" => match it.next() {
-                        Some(t) => title = Some(t.clone()),
-                        None => {
-                            eprintln!("trace: --title needs a value\n{}", usage());
-                            return ExitCode::from(2);
-                        }
-                    },
-                    _ => operands.push(arg.clone()),
+            let args = Args::parse(command, rest, &["--out", "--title"])?;
+            match args.operands.as_slice() {
+                [trace_id, files @ ..] if !files.is_empty() => {
+                    cmd_trace(args.out.as_deref(), args.title.as_deref(), trace_id, files)
+                }
+                _ => {
+                    return Err(usage_error(
+                        "trace: need a TRACE_ID and at least one RUN.jsonl",
+                    ))
                 }
             }
-            if operands.len() < 2 {
-                eprintln!(
-                    "trace: need a TRACE_ID and at least one SPANS.jsonl\n{}",
-                    usage()
-                );
-                return ExitCode::from(2);
-            }
-            cmd_trace(
-                out.as_deref(),
-                title.as_deref(),
-                &operands[0],
-                &operands[1..],
-            )
         }
         "slo" => {
-            let mut config = None;
-            let mut files = Vec::new();
-            let mut it = rest.iter();
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--config" => match it.next() {
-                        Some(path) => config = Some(path.clone()),
-                        None => {
-                            eprintln!("slo: --config needs a path\n{}", usage());
-                            return ExitCode::from(2);
-                        }
-                    },
-                    _ => files.push(arg.clone()),
-                }
-            }
-            let (Some(config), [metrics]) = (config, files.as_slice()) else {
-                eprintln!(
-                    "slo: need --config SLO.json and exactly one METRICS.prom\n{}",
-                    usage()
-                );
-                return ExitCode::from(2);
+            let args = Args::parse(command, rest, &["--config"])?;
+            let (Some(config), [metrics]) = (&args.config, args.operands.as_slice()) else {
+                return Err(usage_error(
+                    "slo: need --config SLO.json and exactly one METRICS.prom",
+                ));
             };
-            cmd_slo(&config, metrics)
+            cmd_slo(config, metrics)
         }
-        other => {
-            eprintln!("unknown command `{other}`\n{}", usage());
-            ExitCode::from(2)
-        }
-    }
+        other => return Err(usage_error(&format!("unknown command `{other}`"))),
+    };
+    outcome.map_err(|err| {
+        eprintln!("{command}: {err}");
+        ExitCode::from(2)
+    })
 }

@@ -1,8 +1,9 @@
-//! Self-contained SVG renderers for `.qprof` profiles (`qdi-mon flame`
-//! and `qdi-mon timeline`): a folded-stack flamegraph of the hot-span
-//! call tree and a per-worker timeline of the pool runs. Like the trace
-//! waterfall, the output embeds no scripts, fonts or external assets —
-//! one file that renders anywhere, which is what CI archives.
+//! Self-contained SVG renderers for the profile rebuilt from a run
+//! record (`qdi-mon flame` and `qdi-mon timeline`): a folded-stack
+//! flamegraph of the hot-span call tree and a per-worker timeline of
+//! the pool runs. Like the trace waterfall, the output embeds no
+//! scripts, fonts or external assets — one file that renders anywhere,
+//! which is what CI archives.
 
 use qdi_obs::prof::{PoolRun, RegionProfile, RegionStat, PATH_SEP};
 

@@ -1,27 +1,24 @@
-//! Self-contained HTML run reports: inline-SVG sparklines of the
-//! time-series rings, the top-N slowest spans, and metric/summary
+//! Self-contained HTML run reports: inline-SVG sparklines of every
+//! metric's history, the top-N slowest spans, and metric/summary
 //! tables. No external assets, scripts or fonts — the file is a single
 //! artifact that renders anywhere, which is what CI archives.
 
-use crate::metrics::MetricsSnapshot;
-use crate::record::Record;
-use crate::span::SpanRecord;
-use crate::timeseries::{Point, TimeseriesSnapshot};
+use qdi_obs::metrics::MetricsSnapshot;
+use qdi_obs::record::Record;
+use qdi_obs::span::SpanRecord;
+use qdi_obs::timeseries::{Point, Rollup};
 
-/// Escapes `&<>"` for safe interpolation into HTML text and attributes.
-#[must_use]
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            _ => out.push(c),
-        }
-    }
-    out
+use crate::waterfall::xml_escape as escape;
+
+/// One metric's history across the run record's `Metrics` records.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Series {
+    /// Metric name (the flattened names of [`MetricsSnapshot`]).
+    pub name: String,
+    /// Summary over `points`.
+    pub rollup: Rollup,
+    /// Readings, oldest first.
+    pub points: Vec<Point>,
 }
 
 /// The `top` longest spans among the records, longest first.
@@ -31,7 +28,7 @@ pub fn slowest_spans(records: &[Record], top: usize) -> Vec<SpanRecord> {
         .iter()
         .filter_map(|r| match r {
             Record::Span(span) => Some(span.clone()),
-            Record::Event { .. } => None,
+            _ => None,
         })
         .collect();
     rows.sort_by(|a, b| {
@@ -51,8 +48,10 @@ pub struct ReportInputs<'a> {
     pub title: &'a str,
     /// Key/value summary rows (campaign config, totals, outcome).
     pub summary: &'a [(String, String)],
-    /// Ring-buffer history to draw sparklines from.
-    pub timeseries: Option<&'a TimeseriesSnapshot>,
+    /// Metrics snapshots the series were drawn from.
+    pub snapshots: usize,
+    /// Per-metric history to draw sparklines from, sorted by name.
+    pub series: &'a [Series],
     /// Final metric readings.
     pub metrics: Option<&'a MetricsSnapshot>,
     /// Slowest spans (already ranked, e.g. via [`slowest_spans`]).
@@ -143,14 +142,14 @@ pub fn render(inputs: &ReportInputs<'_>) -> String {
         body.push_str("</table>\n");
     }
 
-    if let Some(ts) = inputs.timeseries {
+    if !inputs.series.is_empty() {
         body.push_str(&format!(
-            "<h2>Time series ({} ticks)</h2>\n<table>\n\
+            "<h2>Time series ({} metrics records)</h2>\n<table>\n\
              <tr><th>metric</th><th>history</th><th>min</th><th>mean</th>\
              <th>p90</th><th>p99</th><th>max</th><th>last</th></tr>\n",
-            ts.ticks
+            inputs.snapshots
         ));
-        for series in &ts.series {
+        for series in inputs.series {
             let r = &series.rollup;
             body.push_str(&format!(
                 "<tr><td class=\"name\">{}</td><td>{}</td><td>{}</td><td>{}</td>\
@@ -226,8 +225,7 @@ pub fn render(inputs: &ReportInputs<'_>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::MetricSample;
-    use crate::timeseries::Recorder;
+    use qdi_obs::metrics::MetricSample;
 
     #[test]
     fn escapes_html_specials() {
@@ -239,7 +237,7 @@ mod tests {
         let records = vec![
             span_close("fast", 0, 10),
             Record::Event {
-                level: crate::Level::Info,
+                level: qdi_obs::Level::Info,
                 target: "t".into(),
                 message: "m".into(),
                 fields: vec![],
@@ -328,20 +326,18 @@ mod tests {
 
     #[test]
     fn render_is_self_contained_and_escaped() {
-        let rec = Recorder::new(8);
-        for i in 0..5u64 {
-            rec.ingest(
-                i * 1000,
-                &MetricsSnapshot {
-                    samples: vec![MetricSample {
-                        name: "dpa.traces".into(),
-                        value: i as f64,
-                    }],
-                    histograms: Vec::new(),
-                },
-            );
-        }
-        let ts = rec.snapshot();
+        let points: Vec<Point> = (0..5u64)
+            .map(|i| Point {
+                ts_us: i * 1000,
+                value: i as f64,
+            })
+            .collect();
+        let values: Vec<f64> = points.iter().map(|p| p.value).collect();
+        let series = vec![Series {
+            name: "dpa.traces".into(),
+            rollup: qdi_obs::timeseries::rollup(&values),
+            points,
+        }];
         let metrics = MetricsSnapshot {
             samples: vec![MetricSample {
                 name: "x<y".into(),
@@ -354,7 +350,8 @@ mod tests {
         let html = render(&ReportInputs {
             title: "run <1>",
             summary: &summary,
-            timeseries: Some(&ts),
+            snapshots: 5,
+            series: &series,
             metrics: Some(&metrics),
             spans: &spans,
         });

@@ -7,20 +7,20 @@
 //!   by running campaigns via `qdi_obs::progress::set_file`) as an
 //!   in-place ANSI terminal frame with completed/total bars, EWMA
 //!   throughput and ETA per task, plus the `exec.pool.*` gauges.
-//! * [`report`] — turns a recorded telemetry JSONL (and its optional
-//!   `*.timeseries.json` / `*.metrics.json` sidecars) into the
-//!   self-contained HTML report of [`qdi_obs::html`].
-//! * [`analyze`] — reads a `.qprof` profile ([`qdi_obs::prof`]) and
-//!   emits a verdict table (parallel efficiency, idle fraction, steal
-//!   rate, per-job overhead vs mean job duration) with rustc-style
-//!   findings naming the dominant loss; [`flame`] renders the same
-//!   profile as self-contained SVGs (`qdi-mon flame` / `qdi-mon
-//!   timeline`).
+//! * [`report`] — turns a run record ([`qdi_obs::span::set_file`])
+//!   into the self-contained HTML report of [`html`]: sparklines from
+//!   its `Metrics` records, the slowest spans, the final readings.
+//! * [`analyze`] — judges the profile rebuilt from a run record
+//!   ([`qdi_obs::prof::ProfReport::from_records`]) in a verdict table
+//!   (parallel efficiency, idle fraction, steal rate, per-job overhead
+//!   vs mean job duration) with rustc-style findings naming the
+//!   dominant loss; [`flame`] renders the same profile as
+//!   self-contained SVGs (`qdi-mon flame` / `qdi-mon timeline`).
 //! * [`remote`] — progress sources on a running `qdi-serve` instance:
 //!   `qdi-mon watch http://host:port` polls `/v1/progress`, and a
 //!   `.../v1/jobs/{id}/events` URL tails the job's SSE stream.
-//! * [`waterfall`] — renders one distributed trace (span JSONL from
-//!   [`qdi_obs::span`], possibly spanning client + several server
+//! * [`waterfall`] — renders one distributed trace (the spans of one or
+//!   more run records, possibly spanning client + several server
 //!   processes) as a self-contained waterfall SVG; `qdi-mon slo`
 //!   evaluates an [`qdi_obs::slo::SloConfig`] against a scraped
 //!   `/metrics` exposition.
@@ -34,6 +34,7 @@
 pub mod analyze;
 pub mod dashboard;
 pub mod flame;
+pub mod html;
 pub mod remote;
 pub mod report;
 pub mod waterfall;

@@ -6,9 +6,11 @@ use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-use qdi_obs::metrics::{MetricSample, MetricsSnapshot};
+use qdi_obs::metrics::{HistogramSnapshot, MetricSample, MetricsSnapshot};
+use qdi_obs::prof::{PoolRun, WorkerLane};
 use qdi_obs::progress::{ProgressSnapshot, TaskSnapshot};
 use qdi_obs::span::{SpanEvent, SpanLink, SpanRecord, LINK_RESUME};
+use qdi_obs::Record;
 
 const TRACE_ID: &str = "4bf92f3577b34da6a3ce929d0e0e4736";
 
@@ -52,12 +54,28 @@ fn span_record(
     }
 }
 
-fn write_spans(path: &PathBuf, records: &[SpanRecord]) {
+/// Writes a run record: one JSON record per line.
+fn write_run(path: &PathBuf, records: &[Record]) {
     let jsonl: String = records
         .iter()
-        .map(|r| serde_json::to_string(r).unwrap() + "\n")
+        .map(|r| qdi_obs::json::to_json(r) + "\n")
         .collect();
     std::fs::write(path, jsonl).unwrap();
+}
+
+fn write_spans(path: &PathBuf, records: &[SpanRecord]) {
+    let records: Vec<Record> = records.iter().cloned().map(Record::Span).collect();
+    write_run(path, &records);
+}
+
+fn metrics_record(samples: Vec<MetricSample>, histograms: Vec<HistogramSnapshot>) -> Record {
+    Record::Metrics {
+        ts_us: 1_000,
+        snapshot: MetricsSnapshot {
+            samples,
+            histograms,
+        },
+    }
 }
 
 fn write_progress(path: &PathBuf, completed: u64, done: bool) {
@@ -150,16 +168,18 @@ fn watch_missing_file_is_load_error() {
 #[test]
 fn report_builds_html_from_jsonl() {
     let dir = std::env::temp_dir();
-    let jsonl = dir.join("qdi_mon_cli_run.telemetry.jsonl");
-    let record = qdi_obs::Record::Span(span_record(
-        "00000000000000a1",
-        None,
-        "qdi_core::flow",
-        "campaign",
-        0,
-        2_000,
-    ));
-    std::fs::write(&jsonl, qdi_obs::json::record_to_json(&record) + "\n").unwrap();
+    let run = dir.join("qdi_mon_cli_run.run.jsonl");
+    write_spans(
+        &run,
+        &[span_record(
+            "00000000000000a1",
+            None,
+            "qdi_core::flow",
+            "campaign",
+            0,
+            2_000,
+        )],
+    );
     let out_html = dir.join("qdi_mon_cli_run.report.html");
     let out = qdi_mon(&[
         "report",
@@ -167,14 +187,14 @@ fn report_builds_html_from_jsonl() {
         out_html.to_str().unwrap(),
         "--title",
         "cli test",
-        jsonl.to_str().unwrap(),
+        run.to_str().unwrap(),
     ]);
     assert_eq!(code(&out), 0, "{}", String::from_utf8_lossy(&out.stderr));
     let html = std::fs::read_to_string(&out_html).unwrap();
     assert!(html.starts_with("<!DOCTYPE html>"));
     assert!(html.contains("cli test"));
     assert!(html.contains("campaign"));
-    let _ = std::fs::remove_file(&jsonl);
+    let _ = std::fs::remove_file(&run);
     let _ = std::fs::remove_file(&out_html);
 }
 
@@ -185,21 +205,27 @@ fn report_missing_telemetry_is_load_error() {
 
 #[test]
 fn export_round_trips_through_prometheus_text() {
-    let path = temp("qdi_mon_cli_metrics.json");
-    let snap = MetricsSnapshot {
-        samples: vec![
+    let path = temp("qdi_mon_cli_metrics.run.jsonl");
+    let samples = |traces: f64| {
+        vec![
             MetricSample {
                 name: "dpa.traces".into(),
-                value: 10_000.0,
+                value: traces,
             },
             MetricSample {
                 name: "sim.queue.max".into(),
                 value: 42.0,
             },
-        ],
-        histograms: Vec::new(),
+        ]
     };
-    std::fs::write(&path, serde_json::to_string_pretty(&snap).unwrap()).unwrap();
+    // The last Metrics record is the run's final reading.
+    write_run(
+        &path,
+        &[
+            metrics_record(samples(5.0), Vec::new()),
+            metrics_record(samples(10_000.0), Vec::new()),
+        ],
+    );
     let out = qdi_mon(&["export", path.to_str().unwrap()]);
     assert_eq!(code(&out), 0);
     let text = String::from_utf8_lossy(&out.stdout);
@@ -213,12 +239,12 @@ fn export_round_trips_through_prometheus_text() {
 
 #[test]
 fn export_rejects_non_snapshot_json() {
-    let path = temp("qdi_mon_cli_not_metrics.json");
+    let path = temp("qdi_mon_cli_not_metrics.run.jsonl");
     std::fs::write(&path, "[1,2,3]").unwrap();
     assert_eq!(code(&qdi_mon(&["export", path.to_str().unwrap()])), 2);
-    // Well-formed JSON whose histogram the exposition cannot render: a
-    // bucket total past u64, unsorted bounds, and more than one
-    // overflow bucket.
+    // A well-formed Metrics record whose histogram the exposition cannot
+    // render: a bucket total past u64, unsorted bounds, and more than
+    // one overflow bucket.
     for (bounds, counts) in [
         ("[1.0, 2.0]", "[18446744073709551615, 1, 0]"),
         ("[10.0, 1.0]", "[1, 1, 1]"),
@@ -227,7 +253,7 @@ fn export_rejects_non_snapshot_json() {
         std::fs::write(
             &path,
             format!(
-                r#"{{"samples":[],"histograms":[{{"name":"h","bounds":{bounds},"counts":{counts},"sum":1.0}}]}}"#
+                r#"{{"Metrics":{{"ts_us":1,"snapshot":{{"samples":[],"histograms":[{{"name":"h","bounds":{bounds},"counts":{counts},"sum":1.0}}]}}}}}}"#
             ),
         )
         .unwrap();
@@ -238,56 +264,115 @@ fn export_rejects_non_snapshot_json() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// A run record cut inside a multi-byte character (a `kill -9` mid
+/// write) still renders through every view; the report counts the
+/// skipped line.
+#[test]
+fn every_view_reads_a_run_record_with_a_torn_multibyte_tail() {
+    let path = temp("qdi_mon_cli_torn.run.jsonl");
+    let healthy = PoolRun {
+        jobs: 100,
+        workers: 2,
+        wall_us: 1_000,
+        steals: 2,
+        lanes: vec![lane(0, 50, 0, 900, 10, 90), lane(1, 50, 2, 880, 20, 100)],
+    };
+    write_run(
+        &path,
+        &[
+            Record::Span(span_record(
+                "00000000000000a1",
+                None,
+                "qdi_core::flow",
+                "campaign",
+                1_000,
+                2_000,
+            )),
+            Record::PoolRun {
+                ts_us: 1_500,
+                run: healthy,
+            },
+            metrics_record(
+                vec![MetricSample {
+                    name: "dpa.traces".into(),
+                    value: 512.0,
+                }],
+                Vec::new(),
+            ),
+        ],
+    );
+    let mut bytes = std::fs::read(&path).unwrap();
+    let torn = r#"{"Event":{"level":"Info","target":"t","message":"1 µ"#;
+    bytes.extend_from_slice(&torn.as_bytes()[..torn.len() - 1]);
+    assert!(std::str::from_utf8(&bytes).is_err(), "cut inside `µ`");
+    std::fs::write(&path, &bytes).unwrap();
+    let run = path.to_str().unwrap();
+
+    let html = temp("qdi_mon_cli_torn.report.html");
+    let out = qdi_mon(&["report", "--out", html.to_str().unwrap(), run]);
+    assert_eq!(code(&out), 0, "{}", String::from_utf8_lossy(&out.stderr));
+    let page = std::fs::read_to_string(&html).unwrap();
+    assert!(
+        page.contains("<tr><th>skipped lines</th><td>1</td></tr>"),
+        "{page}"
+    );
+    let out = qdi_mon(&["export", run]);
+    assert_eq!(code(&out), 0, "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("# TYPE qdi_dpa_traces"));
+    let out = qdi_mon(&["analyze", run]);
+    assert_eq!(code(&out), 0, "{}", String::from_utf8_lossy(&out.stdout));
+    let svg = temp("qdi_mon_cli_torn.svg");
+    let out = qdi_mon(&["trace", "--out", svg.to_str().unwrap(), TRACE_ID, run]);
+    assert_eq!(code(&out), 0, "{}", String::from_utf8_lossy(&out.stderr));
+    for f in [&path, &html, &svg] {
+        let _ = std::fs::remove_file(f);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // analyze / flame / timeline
 // ---------------------------------------------------------------------------
 
-/// A `.qprof` profile shaped like the committed baseline workload:
-/// small jobs whose dispatch overhead exceeds half their mean duration
-/// (55 µs mean vs 70 µs overhead), so `analyze` must name per-job
-/// overhead as a concrete cause of the < 1.0 speedup.
-fn overhead_dominated_profile() -> qdi_obs::prof::ProfReport {
-    use qdi_obs::prof::{PoolRun, ProfReport, RegionProfile, WorkerLane, QPROF_VERSION};
-    ProfReport {
-        version: QPROF_VERSION,
-        captured_us: 0,
-        regions: RegionProfile::default(),
-        pool_runs: vec![PoolRun {
-            jobs: 100,
-            workers: 2,
-            wall_us: 6250,
-            steals: 1,
-            lanes: vec![
-                WorkerLane {
-                    worker: 0,
-                    jobs: 50,
-                    steals: 0,
-                    busy_us: 2750,
-                    queue_wait_us: 100,
-                    idle_us: 3400,
-                    segments: vec![],
-                    segments_truncated: false,
-                },
-                WorkerLane {
-                    worker: 1,
-                    jobs: 50,
-                    steals: 1,
-                    busy_us: 2750,
-                    queue_wait_us: 100,
-                    idle_us: 3400,
-                    segments: vec![],
-                    segments_truncated: false,
-                },
-            ],
-        }],
-        dropped_pool_runs: 0,
+fn lane(worker: usize, jobs: u64, steals: u64, busy: u64, wait: u64, idle: u64) -> WorkerLane {
+    WorkerLane {
+        worker,
+        jobs,
+        steals,
+        busy_us: busy,
+        queue_wait_us: wait,
+        idle_us: idle,
+        segments: vec![],
+        segments_truncated: false,
     }
+}
+
+/// A run record holding one pool run shaped like the committed
+/// baseline workload: small jobs whose dispatch overhead exceeds half
+/// their mean duration (55 µs mean vs 70 µs overhead), so `analyze`
+/// must name per-job overhead as a concrete cause of the < 1.0 speedup.
+fn write_overhead_dominated_run(path: &PathBuf) {
+    write_run(
+        path,
+        &[Record::PoolRun {
+            ts_us: 1_000,
+            run: PoolRun {
+                jobs: 100,
+                workers: 2,
+                wall_us: 6250,
+                steals: 1,
+                lanes: vec![
+                    lane(0, 50, 0, 2750, 100, 3400),
+                    lane(1, 50, 1, 2750, 100, 3400),
+                ],
+            },
+        }],
+    );
 }
 
 #[test]
 fn analyze_names_per_job_overhead_on_the_baseline_workload() {
-    let path = temp("qdi_mon_cli_analyze.qprof.json");
-    overhead_dominated_profile().save(&path).unwrap();
+    let path = temp("qdi_mon_cli_analyze.run.jsonl");
+    write_overhead_dominated_run(&path);
     let out = qdi_mon(&["analyze", path.to_str().unwrap()]);
     assert_eq!(code(&out), 1, "findings exit 1");
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -304,8 +389,8 @@ fn analyze_names_per_job_overhead_on_the_baseline_workload() {
 
 #[test]
 fn analyze_json_emits_the_analysis_structure() {
-    let path = temp("qdi_mon_cli_analyze_json.qprof.json");
-    overhead_dominated_profile().save(&path).unwrap();
+    let path = temp("qdi_mon_cli_analyze_json.run.jsonl");
+    write_overhead_dominated_run(&path);
     let out = qdi_mon(&["analyze", "--json", path.to_str().unwrap()]);
     assert_eq!(code(&out), 1);
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -317,18 +402,22 @@ fn analyze_json_emits_the_analysis_structure() {
 
 #[test]
 fn analyze_rejects_garbage_with_usage_exit() {
-    let path = temp("qdi_mon_cli_analyze_garbage.qprof.json");
+    let path = temp("qdi_mon_cli_analyze_garbage.run.jsonl");
     std::fs::write(&path, "not json").unwrap();
     assert_eq!(code(&qdi_mon(&["analyze", path.to_str().unwrap()])), 2);
     let _ = std::fs::remove_file(&path);
 }
 
-/// The full loop on a real profile: run an instrumented pool bag,
-/// save the `.qprof`, and drive all three profile subcommands.
+/// The full loop on a real run record: run an instrumented pool bag
+/// with the profile and the run record installed, and drive all three
+/// profile subcommands on the file.
 #[test]
 fn analyze_and_renderers_work_on_a_recorded_profile() {
+    let path = temp("qdi_mon_cli_recorded.run.jsonl");
+    let _ = std::fs::remove_file(&path);
     qdi_obs::prof::reset();
     qdi_obs::prof::install();
+    qdi_obs::span::set_file(&path);
     let _ = qdi_exec::run_indexed(&qdi_exec::ExecConfig::with_workers(2), 64, |i| {
         // A busy-loop so lanes carry measurable time.
         let mut acc = i as u64;
@@ -337,11 +426,10 @@ fn analyze_and_renderers_work_on_a_recorded_profile() {
         }
         acc
     });
-    let report = qdi_obs::prof::report();
+    let live = qdi_obs::prof::report();
+    qdi_obs::span::close_file();
     qdi_obs::prof::uninstall();
-    assert!(!report.pool_runs.is_empty(), "pool run recorded");
-    let path = temp("qdi_mon_cli_recorded.qprof.json");
-    report.save(&path).unwrap();
+    assert!(!live.pool_runs.is_empty(), "pool run recorded");
 
     let out = qdi_mon(&["analyze", path.to_str().unwrap()]);
     assert!(
@@ -383,12 +471,12 @@ fn analyze_and_renderers_work_on_a_recorded_profile() {
 
 #[test]
 fn flame_derives_output_path_from_profile_name() {
-    let path = temp("qdi_mon_cli_derive.qprof.json");
-    overhead_dominated_profile().save(&path).unwrap();
+    let path = temp("qdi_mon_cli_derive.run.jsonl");
+    write_overhead_dominated_run(&path);
     let out = qdi_mon(&["flame", path.to_str().unwrap()]);
     assert_eq!(code(&out), 0, "{}", String::from_utf8_lossy(&out.stderr));
     let derived = temp("qdi_mon_cli_derive.flame.svg");
-    assert!(derived.exists(), "foo.qprof.json -> foo.flame.svg");
+    assert!(derived.exists(), "foo.run.jsonl -> foo.flame.svg");
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(&derived);
 }

@@ -1,7 +1,7 @@
-//! Seeded corruption fuzz of the three formats `qdi-mon` reads from disk:
-//! the span JSONL behind `qdi-mon trace`, the `.qprof` profile behind
-//! `analyze` / `flame` / `timeline`, and the Prometheus exposition behind
-//! `slo`. Whatever a lying disk serves, each case must yield records or a
+//! Seeded corruption fuzz of the two formats `qdi-mon` reads from disk:
+//! the run record behind `report`, `export`, `analyze`, `flame`,
+//! `timeline` and `trace`, and the Prometheus exposition behind `slo`.
+//! Whatever a lying disk serves, each case must yield records or a
 //! classified error, never a panic.
 
 use std::path::{Path, PathBuf};
@@ -9,11 +9,13 @@ use std::process::Command;
 
 use qdi_exec::chaos::Corruption;
 use qdi_exec::job_rng;
-use qdi_mon::{analyze, flame, waterfall};
-use qdi_obs::prof::{PoolRun, ProfReport, RegionProfile, RegionStat, Segment, WorkerLane};
+use qdi_mon::{analyze, flame, report, waterfall};
+use qdi_obs::metrics::{HistogramSnapshot, MetricSample, MetricsSnapshot};
+use qdi_obs::prof::{PoolRun, ProfReport, Segment, WorkerLane};
 use qdi_obs::prometheus::{render_histogram_samples, render_labeled};
 use qdi_obs::slo::{self, SloConfig, ROUTE_ERRORS, ROUTE_LATENCY_MS, ROUTE_REQUESTS};
-use qdi_obs::span::{Rollup, SpanEvent, SpanLink, SpanRecord, LINK_RESUME};
+use qdi_obs::span::{Records, Rollup, SpanEvent, SpanLink, SpanRecord, LINK_RESUME};
+use qdi_obs::{FieldValue, Level, Record};
 
 const SEED: u64 = 0x5EED_F022;
 const CASES: u64 = 200;
@@ -45,7 +47,21 @@ fn span(id: &str, parent: Option<&str>, name: &str, start: u64, dur: u64) -> Spa
     }
 }
 
-fn span_file() -> Vec<u8> {
+fn rolled(id: &str, parent: &str, name: &str, count: u64, self_ns: u64) -> SpanRecord {
+    let mut record = span(id, Some(parent), name, 3_100, 3_800);
+    record.rollup = Some(Rollup {
+        count,
+        total_ns: 3_000_000,
+        self_ns,
+        min_ns: 9_000,
+        max_ns: 40_000,
+    });
+    record
+}
+
+/// A run record with all four kinds: spans with roll-ups, events and
+/// links; a leveled event; a pool run; metrics with a histogram.
+fn run_record() -> Vec<Record> {
     let mut lease = span(
         "00000000000000b2",
         Some("00000000000000a1"),
@@ -63,43 +79,6 @@ fn span_file() -> Vec<u8> {
         span_id: "00000000000000ff".into(),
         kind: LINK_RESUME.into(),
     });
-    let mut acquire = span(
-        "00000000000000c3",
-        Some("00000000000000b2"),
-        "dpa.acquire",
-        3_100,
-        3_800,
-    );
-    acquire.rollup = Some(Rollup {
-        count: 256,
-        total_ns: 3_000_000,
-        self_ns: 1_000_000,
-        min_ns: 9_000,
-        max_ns: 40_000,
-    });
-    let records = [
-        span("00000000000000a1", None, "POST /v1/jobs", 1_000, 9_000),
-        lease,
-        acquire,
-    ];
-    records
-        .iter()
-        .map(|r| serde_json::to_string(r).expect("serializes") + "\n")
-        .collect::<String>()
-        .into_bytes()
-}
-
-fn profile() -> Vec<u8> {
-    let stat = |path: &str, total_ns: u64, self_ns: u64| RegionStat {
-        path: path.into(),
-        name: path.rsplit(';').next().unwrap_or(path).into(),
-        depth: path.matches(';').count(),
-        count: 64,
-        total_ns,
-        self_ns,
-        min_ns: 1_000,
-        max_ns: 90_000,
-    };
     let lane = |worker: usize| WorkerLane {
         worker,
         jobs: 32,
@@ -115,32 +94,65 @@ fn profile() -> Vec<u8> {
         }],
         segments_truncated: false,
     };
-    let report = ProfReport {
-        version: qdi_obs::prof::QPROF_VERSION,
-        captured_us: 42,
-        regions: RegionProfile {
-            regions: vec![
-                stat("exec.pool.run", 6_000_000, 500_000),
-                stat("exec.pool.run;exec.pool.job", 5_500_000, 100_000),
-                stat(
-                    "exec.pool.run;exec.pool.job;dpa.acquire",
-                    5_400_000,
-                    5_400_000,
-                ),
-            ],
+    vec![
+        Record::Span(rolled(
+            "00000000000000c3",
+            "00000000000000b2",
+            "dpa.acquire",
+            256,
+            1_000_000,
+        )),
+        Record::Span(rolled(
+            "00000000000000c4",
+            "00000000000000c3",
+            "sim.run",
+            128,
+            2_000_000,
+        )),
+        Record::Span(lease),
+        Record::Event {
+            level: Level::Warn,
+            target: "qdi_pnr::criterion".into(),
+            message: "criterion alert".into(),
+            fields: vec![("d_a".into(), FieldValue::Float(0.21))],
+            span: Some(0xb2),
+            depth: 1,
+            ts_us: 3_600,
+            thread: 1,
         },
-        pool_runs: vec![PoolRun {
-            jobs: 64,
-            workers: 2,
-            wall_us: 6_250,
-            steals: 2,
-            lanes: vec![lane(0), lane(1)],
-        }],
-        dropped_pool_runs: 0,
-    };
-    serde_json::to_string_pretty(&report)
-        .expect("serializes")
-        .into_bytes()
+        Record::Span(span(
+            "00000000000000a1",
+            None,
+            "POST /v1/jobs",
+            1_000,
+            9_000,
+        )),
+        Record::PoolRun {
+            ts_us: 3_000,
+            run: PoolRun {
+                jobs: 64,
+                workers: 2,
+                wall_us: 6_250,
+                steals: 2,
+                lanes: vec![lane(0), lane(1)],
+            },
+        },
+        Record::Metrics {
+            ts_us: 9_000,
+            snapshot: MetricsSnapshot {
+                samples: vec![MetricSample {
+                    name: "dpa.traces".into(),
+                    value: 256.0,
+                }],
+                histograms: vec![HistogramSnapshot {
+                    name: "dpa.guess_ranking_ms".into(),
+                    bounds: vec![1.0, 10.0, 100.0],
+                    counts: vec![3, 2, 1, 0],
+                    sum: 42.0,
+                }],
+            },
+        },
+    ]
 }
 
 /// Objectives over every route and tenant: both kinds of target, so
@@ -184,80 +196,106 @@ fn path_str(path: &Path) -> &str {
     path.to_str().expect("utf8 temp path")
 }
 
-#[test]
-fn corrupted_span_files_render_or_classify() {
-    let golden = span_file();
-    let victim = tmp("spans.jsonl");
-    let svg = tmp("spans.svg");
-    let mut rng = job_rng(SEED, 0);
+/// Writes `CASES` seeded corruptions of the golden run record to a
+/// scratch file and hands each case, the file and what the one reader
+/// made of it to `check`.
+fn fuzz_run_record(name: &str, seed: u64, mut check: impl FnMut(u64, &Path, Records)) {
+    let written = run_record();
+    let golden: Vec<u8> = written
+        .iter()
+        .map(|r| qdi_obs::json::to_json(r) + "\n")
+        .collect::<String>()
+        .into_bytes();
+    let victim = tmp(&format!("{name}.run.jsonl"));
+    std::fs::write(&victim, &golden).expect("write golden run record");
+    let pristine = qdi_obs::span::read_records(&victim).expect("golden run record reads");
+    assert_eq!(pristine.records, written, "the golden file round-trips");
+
+    let mut rng = job_rng(seed, 0);
     for case in 0..CASES {
         let mut bytes = golden.clone();
         Corruption::sample(&mut rng, bytes.len() as u64).apply(&mut bytes);
-        std::fs::write(&victim, &bytes).expect("write corrupted spans");
+        std::fs::write(&victim, &bytes).expect("write corrupted run record");
+        let read = qdi_obs::span::read_records(&victim).expect("the file itself is readable");
+        assert!(
+            read.records.len() <= written.len(),
+            "case {case}: more records than written"
+        );
+        check(case, &victim, read);
+    }
+    std::fs::remove_file(&victim).ok();
+}
 
-        let records = qdi_obs::span::read_spans(&victim).expect("the file itself is readable");
-        assert!(records.len() <= 3, "case {case}: more records than written");
-        let mut traces: Vec<&str> = records.iter().map(|r| r.trace_id.as_str()).collect();
+/// Runs the binary on `args` and checks its exit status is allowed.
+fn cli_allows(case: u64, args: &[&str], allowed: &[i32]) {
+    let status = cli_status(args);
+    assert!(
+        allowed.contains(&status),
+        "case {case}: qdi-mon {} exited {status}",
+        args[0]
+    );
+}
+
+#[test]
+fn corrupted_span_files_render_or_classify() {
+    let out = tmp("spans.out");
+    let mut exported = 0;
+    fuzz_run_record("spans", SEED, |case, victim, read| {
+        report::build(victim, 10, "fuzz").expect("a readable run record always renders");
+        if report::exposition(&read.records).is_ok() {
+            exported += 1;
+        }
+        let spans: Vec<SpanRecord> = read
+            .records
+            .into_iter()
+            .filter_map(|r| match r {
+                Record::Span(span) => Some(span),
+                _ => None,
+            })
+            .collect();
+        let mut traces: Vec<&str> = spans.iter().map(|r| r.trace_id.as_str()).collect();
         traces.dedup();
         for trace in traces {
             // Ok or a classified "no spans" error; a panic fails the test.
-            let _ = waterfall::render(&records, trace, "fuzz");
+            let _ = waterfall::render(&spans, trace, "fuzz");
         }
         if case % CLI_EVERY == 0 {
-            let status = cli_status(&[
-                "trace",
-                "--out",
-                path_str(&svg),
-                TRACE_ID,
-                path_str(&victim),
-            ]);
-            assert!(
-                [0, 1].contains(&status),
-                "case {case}: qdi-mon trace exited {status}"
-            );
+            let (run, out) = (path_str(victim), path_str(&out));
+            cli_allows(case, &["report", "--out", out, run], &[0]);
+            cli_allows(case, &["export", run], &[0, 2]);
+            cli_allows(case, &["trace", "--out", out, TRACE_ID, run], &[0, 1]);
         }
-    }
-    std::fs::remove_file(&victim).ok();
-    std::fs::remove_file(&svg).ok();
+    });
+    assert!(
+        exported > 0,
+        "some corruptions (e.g. a torn span line) still export"
+    );
+    std::fs::remove_file(&out).ok();
 }
 
 #[test]
 fn corrupted_profiles_load_render_or_classify() {
-    let golden = profile();
-    let victim = tmp("fuzz.qprof.json");
-    let svg = tmp("fuzz.svg");
-    let mut rng = job_rng(SEED ^ 0x0000_9F0F, 0);
+    let svg = tmp("profile.svg");
     let mut loaded = 0;
-    for case in 0..CASES {
-        let mut bytes = golden.clone();
-        Corruption::sample(&mut rng, bytes.len() as u64).apply(&mut bytes);
-        std::fs::write(&victim, &bytes).expect("write corrupted profile");
-
-        if let Ok(report) = ProfReport::load(&victim) {
+    fuzz_run_record("profile", SEED ^ 0x0000_9F0F, |case, victim, read| {
+        let profile = ProfReport::from_records(&read.records);
+        if !profile.pool_runs.is_empty() {
             loaded += 1;
-            let _ = analyze::analyze(&report, 10).render();
-            let _ = flame::flamegraph_svg(&report.regions, "fuzz");
-            let _ = flame::timeline_svg(&report.pool_runs, "fuzz");
         }
+        let _ = analyze::analyze(&profile, 10).render();
+        let _ = flame::flamegraph_svg(&profile.regions, "fuzz");
+        let _ = flame::timeline_svg(&profile.pool_runs, "fuzz");
         if case % CLI_EVERY == 0 {
-            for command in ["analyze", "flame", "timeline"] {
-                let status = if command == "analyze" {
-                    cli_status(&[command, path_str(&victim)])
-                } else {
-                    cli_status(&[command, "--out", path_str(&svg), path_str(&victim)])
-                };
-                assert!(
-                    [0, 1, 2].contains(&status),
-                    "case {case}: qdi-mon {command} exited {status}"
-                );
-            }
+            let (run, svg) = (path_str(victim), path_str(&svg));
+            cli_allows(case, &["analyze", run], &[0, 1, 2]);
+            cli_allows(case, &["flame", "--out", svg, run], &[0, 2]);
+            cli_allows(case, &["timeline", "--out", svg, run], &[0, 2]);
         }
-    }
+    });
     assert!(
         loaded > 0,
-        "some corruptions (e.g. a flipped digit) still load"
+        "some corruptions (e.g. a flipped span digit) still rebuild the pool run"
     );
-    std::fs::remove_file(&victim).ok();
     std::fs::remove_file(&svg).ok();
 }
 

@@ -156,28 +156,6 @@ pub fn dual_rail_and(
     dual_rail_fn2(b, name, a, bb, out_ack, [false, false, false, true])
 }
 
-/// Balanced dual-rail OR (see [`dual_rail_fn2`]).
-pub fn dual_rail_or(
-    b: &mut NetlistBuilder,
-    name: &str,
-    a: &Channel,
-    bb: &Channel,
-    out_ack: NetId,
-) -> QdiCell {
-    dual_rail_fn2(b, name, a, bb, out_ack, [false, true, true, true])
-}
-
-/// Balanced dual-rail XNOR (see [`dual_rail_fn2`]).
-pub fn dual_rail_xnor(
-    b: &mut NetlistBuilder,
-    name: &str,
-    a: &Channel,
-    bb: &Channel,
-    out_ack: NetId,
-) -> QdiCell {
-    dual_rail_fn2(b, name, a, bb, out_ack, [true, false, false, true])
-}
-
 /// Weak-conditioned half buffer (WCHB): one `Cr` latch per rail plus a NOR
 /// completion. The basic pipeline stage of QDI design; the paper's AES
 /// floorplan instantiates rows of them (`HB`/`BU` blocks).

@@ -76,11 +76,6 @@ impl ChannelState {
             (Some(_), Some(_)) => ChannelState::Illegal,
         }
     }
-
-    /// `true` when the state is `Valid(_)`.
-    pub fn is_valid(self) -> bool {
-        matches!(self, ChannelState::Valid(_))
-    }
 }
 
 /// Encodes `value` as a 1-of-`n` rail vector (Table 1 generalised to N

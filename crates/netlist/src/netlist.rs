@@ -123,16 +123,6 @@ impl Netlist {
         self.channel_names.get(name).copied()
     }
 
-    /// Primary input nets, in id order.
-    pub fn primary_inputs(&self) -> impl Iterator<Item = &Net> {
-        self.nets.iter().filter(|n| n.is_primary_input)
-    }
-
-    /// Primary output nets, in id order.
-    pub fn primary_outputs(&self) -> impl Iterator<Item = &Net> {
-        self.nets.iter().filter(|n| n.is_primary_output)
-    }
-
     /// Total capacitance hanging on `net`: interconnect (`routing_cap_ff`)
     /// plus the pin capacitance of every load gate. This is the paper's
     /// load capacitance `Cl`.
@@ -532,15 +522,6 @@ impl NetlistBuilder {
     /// Pops the innermost block scope.
     pub fn pop_block(&mut self) {
         self.block_stack.pop();
-    }
-
-    /// Current hierarchical block path, if any.
-    pub fn current_block(&self) -> Option<String> {
-        if self.block_stack.is_empty() {
-            None
-        } else {
-            Some(self.block_stack.join("/"))
-        }
     }
 
     /// Number of gates created so far (useful for generator progress and

@@ -43,19 +43,6 @@ impl Level {
         }
     }
 
-    /// Inverse of [`Level::as_u8`]; `0` and out-of-range map to `None`.
-    #[must_use]
-    pub fn from_u8(raw: u8) -> Option<Level> {
-        match raw {
-            1 => Some(Level::Error),
-            2 => Some(Level::Warn),
-            3 => Some(Level::Info),
-            4 => Some(Level::Debug),
-            5 => Some(Level::Trace),
-            _ => None,
-        }
-    }
-
     /// Parses a level name as used in `QDI_LOG` (case-insensitive).
     /// `"off"` parses to `None`; unknown names are an error.
     pub fn parse(name: &str) -> Result<Option<Level>, String> {

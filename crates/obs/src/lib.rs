@@ -4,25 +4,27 @@
 //! The crate provides three cooperating facilities, all dependency-free
 //! beyond `std` and the workspace `serde` data model:
 //!
-//! * **Spans and events** — one span model ([`span`]): ordinary
+//! * **Spans and events** — one span model ([`span`](mod@span)): ordinary
 //!   [`span()`]s for flow steps, requests and leases, and [`span::hot`]
 //!   spans for kernels, which fold into roll-ups instead of writing a
 //!   record per call. Every span carries W3C trace and span ids, so the
-//!   same records feed logs, the `.qprof` call tree ([`prof`]) and the
-//!   cross-process span file. Leveled [`event!`]s attach to the
-//!   enclosing span and are filtered by `QDI_LOG` (same syntax as
-//!   `RUST_LOG`; see [`filter::Filter`]).
+//!   same records feed logs, the profile's call tree ([`prof`]) and the
+//!   run record. Leveled [`event!`]s attach to the enclosing span and
+//!   are filtered by `QDI_LOG` (same syntax as `RUST_LOG`; see
+//!   [`filter::Filter`]).
 //! * **Metrics** — process-wide [`metrics::counter`]s,
 //!   [`metrics::gauge`]s and fixed-bucket [`metrics::histogram`]s with
 //!   cheap `Arc`-backed handles, snapshotted via
 //!   [`metrics::MetricsSnapshot`].
-//! * **Sinks** — pluggable [`Sink`]s consume every logged record:
-//!   [`MemorySink`] (tests, report post-processing), [`StderrSink`]
-//!   (human-readable lines), [`JsonlSink`] (JSON-Lines export) and
-//!   [`ChromeTraceSink`] (a `chrome://tracing` / Perfetto profile).
+//! * **Records** — every span, event, pool run and metrics snapshot is
+//!   one [`Record`]. The run record ([`span::set_file`]) stores them one
+//!   JSON line each and [`span::read_records`] reads them back; the log
+//!   sinks ([`MemorySink`] for tests, [`StderrSink`] for
+//!   human-readable lines) receive the spans and events the filter
+//!   enables.
 //!
 //! Spans have one switch: they record when `QDI_LOG` enables any level
-//! or when a consumer (the profile, a span file) is installed. While
+//! or when a consumer (the profile, the run record) is installed. While
 //! off, every span and event check-point costs one relaxed atomic load,
 //! so instrumented hot paths cost effectively nothing in production
 //! runs.
@@ -44,7 +46,6 @@
 
 pub mod durable;
 pub mod filter;
-pub mod html;
 pub mod json;
 pub mod level;
 pub mod metrics;
@@ -63,10 +64,9 @@ pub use level::Level;
 pub use prof::{ProfReport, RegionProfile};
 pub use progress::{ProgressSnapshot, ProgressTask};
 pub use record::{FieldValue, Fields, Record};
-pub use sink::{ChromeTraceSink, JsonlSink, MemorySink, Sink, StderrSink};
+pub use sink::{MemorySink, Sink, StderrSink};
 pub use slo::{SloConfig, SloReport, SloVerdict};
 pub use span::{span_at, Span, SpanLink, SpanRecord, TraceContext};
-pub use timeseries::{Recorder, TimeseriesSnapshot};
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Once, OnceLock, RwLock};
@@ -115,9 +115,9 @@ pub fn init_from_env() {
 
 /// `QDI_LOG` enables at least one level.
 pub(crate) const SWITCH_LOG: u8 = 1;
-/// The `.qprof` call-tree aggregator is installed ([`prof::install`]).
+/// The profile's call-tree aggregator is installed ([`prof::install`]).
 pub(crate) const SWITCH_PROFILE: u8 = 2;
-/// A span file is installed ([`span::set_file`]).
+/// The run record is installed ([`span::set_file`]).
 pub(crate) const SWITCH_FILE: u8 = 4;
 /// Either consumer: spans record regardless of the log filter.
 pub(crate) const SWITCH_CONSUMERS: u8 = SWITCH_PROFILE | SWITCH_FILE;
@@ -245,30 +245,27 @@ pub fn add_sink(sink: Arc<dyn Sink>) {
 }
 
 /// Replaces the whole sink set (use `vec![]` to restore the default
-/// stderr fallback).
+/// stderr fallback, which applies while no run record is installed).
 pub fn set_sinks(new: Vec<Arc<dyn Sink>>) {
     *sinks().write().expect("sink lock poisoned") = new;
 }
 
-/// Emits pending thread-root roll-ups (see [`span`]), then flushes
-/// every installed sink (file buffers, trace profiles).
+/// Emits pending thread-root roll-ups (see [`span`](mod@span)) to
+/// every consumer.
 pub fn flush() {
     span::drain_roots();
-    for sink in sinks().read().expect("sink lock poisoned").iter() {
-        sink.flush();
-    }
 }
 
-/// Flushes every sink (and any streamed progress file) when dropped —
-/// including on early `?` returns and panics, which a trailing
-/// [`flush`] call at the end of `main` misses. Binaries that install
-/// file sinks should take one of these right after wiring them up:
+/// Emits pending roll-ups and writes any streamed progress file when
+/// dropped — including on early `?` returns and panics, which a
+/// trailing [`flush`] call at the end of `main` misses. Binaries that
+/// install the run record should take one of these right after:
 ///
 /// ```no_run
 /// fn main() -> Result<(), String> {
-///     // ... qdi_obs::add_sink(...) ...
+///     // ... qdi_obs::span::set_file(...) ...
 ///     let _flush = qdi_obs::flush_on_drop();
-///     // every exit path below now flushes the sinks
+///     // every exit path below now flushes
 ///     Ok(())
 /// }
 /// ```
@@ -283,18 +280,21 @@ impl Drop for FlushGuard {
     }
 }
 
-/// Returns a [`FlushGuard`] that flushes all sinks on scope exit.
+/// Returns a [`FlushGuard`] that flushes on scope exit.
 pub fn flush_on_drop() -> FlushGuard {
     FlushGuard(())
 }
 
+/// Hands a record the filter enabled to every sink. With no sink and
+/// no run record installed it falls back to stderr, so `QDI_LOG=debug
+/// <any binary>` is always visible.
 fn dispatch(record: &Record) {
     let installed = sinks().read().expect("sink lock poisoned");
     if installed.is_empty() {
-        // No sink installed but the filter enabled the record: fall back
-        // to stderr so `QDI_LOG=debug <any binary>` is always visible.
-        static FALLBACK: StderrSink = StderrSink;
-        FALLBACK.record(record);
+        if switch() & SWITCH_FILE == 0 {
+            static FALLBACK: StderrSink = StderrSink;
+            FALLBACK.record(record);
+        }
         return;
     }
     for sink in installed.iter() {
@@ -303,9 +303,9 @@ fn dispatch(record: &Record) {
 }
 
 /// Hands the records of one closed span (its hot roll-ups, then the
-/// span itself) to every consumer: the span file, the profile, and —
+/// span itself) to every consumer: the run record, the profile, and —
 /// when the filter enabled the span — the log sinks.
-pub(crate) fn emit_spans(batch: Vec<SpanRecord>, logged: bool) {
+pub(crate) fn emit_spans(batch: Vec<Record>, logged: bool) {
     let bits = switch();
     if bits & SWITCH_FILE != 0 {
         span::write_file(&batch);
@@ -314,9 +314,18 @@ pub(crate) fn emit_spans(batch: Vec<SpanRecord>, logged: bool) {
         prof::ingest(&batch);
     }
     if logged {
-        for record in batch {
-            dispatch(&Record::Span(record));
-        }
+        batch.iter().for_each(dispatch);
+    }
+}
+
+/// Appends a [`Record::Metrics`] of `snapshot` to the run record, when
+/// one is installed. The secure flow calls it at every step boundary.
+pub fn record_metrics(snapshot: &metrics::MetricsSnapshot) {
+    if switch() & SWITCH_FILE != 0 {
+        span::write_file(&[Record::Metrics {
+            ts_us: unix_us(),
+            snapshot: snapshot.clone(),
+        }]);
     }
 }
 
@@ -334,20 +343,25 @@ pub fn span(target: &'static str, name: impl Into<String>) -> Span {
 // Events
 // ---------------------------------------------------------------------------
 
-/// Emits a leveled event. Prefer the [`event!`] / [`warn!`] macros,
-/// which check [`enabled`] before building the message and fields.
+/// Emits a leveled event to the run record and the log sinks. Prefer
+/// the [`event!`] / [`warn!`] macros, which check [`enabled`] before
+/// building the message and fields.
 pub fn emit_event(level: Level, target: &str, message: String, fields: Fields) {
     let (span, depth) = span::current_id();
-    dispatch(&Record::Event {
+    let record = Record::Event {
         level,
         target: target.to_string(),
         message,
         fields,
         span,
         depth,
-        ts_us: now_us(),
+        ts_us: unix_us(),
         thread: thread_id(),
-    });
+    };
+    if switch() & SWITCH_FILE != 0 {
+        span::write_file(std::slice::from_ref(&record));
+    }
+    dispatch(&record);
 }
 
 /// Emits a leveled, structured event when the filter enables it:

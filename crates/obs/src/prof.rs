@@ -1,5 +1,5 @@
 //! Wall-clock attribution profile: the call tree of hot spans and
-//! per-worker pool timelines, merged into a `.qprof` profile.
+//! per-worker pool timelines.
 //!
 //! The profile answers *where the time goes*. Its call tree is built
 //! from span records alone: [`install`] adds the aggregator as a span
@@ -11,21 +11,18 @@
 //! while the profile is installed: per-worker lanes with job segments,
 //! steal events, queue-wait and idle totals.
 //!
-//! [`report`] merges everything into a serializable [`ProfReport`]
-//! (the `.qprof` JSON format, version [`QPROF_VERSION`]) that
-//! `qdi-mon analyze` turns into a verdict table and
+//! [`report`] merges everything into a [`ProfReport`]. The profile is
+//! never stored: the run record holds the same roll-ups and pool runs,
+//! and [`ProfReport::from_records`] rebuilds the report from them by the
+//! same fold, which `qdi-mon analyze` turns into a verdict table and
 //! `qdi-mon flame` / `qdi-mon timeline` render as SVGs.
 
 use std::collections::HashMap;
-use std::path::Path;
 use std::sync::{Mutex, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
-use crate::span::SpanRecord;
-
-/// Version of the `.qprof` JSON format this module writes.
-pub const QPROF_VERSION: u32 = 1;
+use crate::record::Record;
 
 /// Separator between frame names in a folded region path (the
 /// flamegraph "folded stacks" convention).
@@ -67,12 +64,20 @@ fn tree() -> &'static Mutex<HashMap<String, RegionStat>> {
 }
 
 /// Folds the roll-up records of one closed span into the call tree.
-/// Roll-ups arrive parents first, so a record's path is its parent's
-/// path within the batch plus its own name.
-pub(crate) fn ingest(batch: &[SpanRecord]) {
+pub(crate) fn ingest(batch: &[Record]) {
+    fold(&mut tree().lock().expect("prof tree poisoned"), batch);
+}
+
+/// Folds the hot-span roll-ups among `records` into `tree`. Roll-ups
+/// arrive parents first, so a record's path is its parent roll-up's
+/// path plus its own name; a roll-up whose parent is an ordinary span
+/// starts a path.
+fn fold(tree: &mut HashMap<String, RegionStat>, records: &[Record]) {
     let mut paths: HashMap<&str, String> = HashMap::new();
-    let mut tree = tree().lock().expect("prof tree poisoned");
-    for record in batch {
+    for record in records {
+        let Record::Span(record) = record else {
+            continue;
+        };
         let Some(rollup) = record.rollup else {
             continue;
         };
@@ -192,10 +197,22 @@ impl PoolRun {
     }
 }
 
+/// The most recent [`MAX_POOL_RUNS`] pool runs and how many older
+/// ones were dropped.
 #[derive(Default)]
 struct PoolRuns {
     runs: Vec<PoolRun>,
     dropped: u64,
+}
+
+impl PoolRuns {
+    fn push(&mut self, run: PoolRun) {
+        if self.runs.len() == MAX_POOL_RUNS {
+            self.runs.remove(0);
+            self.dropped += 1;
+        }
+        self.runs.push(run);
+    }
 }
 
 fn pool_registry() -> &'static Mutex<PoolRuns> {
@@ -204,15 +221,20 @@ fn pool_registry() -> &'static Mutex<PoolRuns> {
 }
 
 /// Records one completed pool run (called by `qdi-exec` after the
-/// scope joins, never on the job hot path). Keeps the most recent
+/// scope joins, never on the job hot path) and appends it to the run
+/// record, when one is installed. Keeps the most recent
 /// [`MAX_POOL_RUNS`] runs.
 pub fn record_pool_run(run: PoolRun) {
-    let mut pool = pool_registry().lock().expect("prof pool poisoned");
-    if pool.runs.len() == MAX_POOL_RUNS {
-        pool.runs.remove(0);
-        pool.dropped += 1;
+    if crate::switch() & crate::SWITCH_FILE != 0 {
+        crate::span::write_file(&[Record::PoolRun {
+            ts_us: crate::unix_us().saturating_sub(run.wall_us),
+            run: run.clone(),
+        }]);
     }
-    pool.runs.push(run);
+    pool_registry()
+        .lock()
+        .expect("prof pool poisoned")
+        .push(run);
 }
 
 /// Builds one worker lane incrementally while the worker runs. All
@@ -339,25 +361,13 @@ impl RegionStat {
 }
 
 /// The merged region call tree, sorted by path.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RegionProfile {
     /// Merged nodes, sorted by `path` for deterministic output.
     pub regions: Vec<RegionStat>,
 }
 
 impl RegionProfile {
-    /// Classic folded-stack lines (`path self_ns`), the flamegraph
-    /// input model. Zero-self nodes are kept: their children carry the
-    /// weight.
-    #[must_use]
-    pub fn folded(&self) -> String {
-        let mut out = String::new();
-        for r in &self.regions {
-            out.push_str(&format!("{} {}\n", r.path, r.self_ns));
-        }
-        out
-    }
-
     /// The `top` regions by self time, descending (ties broken by
     /// path so the order is total).
     #[must_use]
@@ -369,54 +379,44 @@ impl RegionProfile {
     }
 }
 
-/// Everything a `.qprof` file holds.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// The merged profile: the region call tree and the pool runs.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProfReport {
-    /// Format version ([`QPROF_VERSION`]).
-    pub version: u32,
-    /// Capture timestamp, µs on the process-monotonic clock.
-    pub captured_us: u64,
     /// Merged region call tree.
     pub regions: RegionProfile,
     /// Retained pool runs, oldest first.
     pub pool_runs: Vec<PoolRun>,
-    /// Pool runs dropped from the ring before capture.
+    /// Pool runs dropped from the ring (beyond [`MAX_POOL_RUNS`]).
     pub dropped_pool_runs: u64,
 }
 
 impl ProfReport {
-    /// Serializes to pretty JSON and writes `path` (the `.qprof`
-    /// convention is `<name>.qprof.json`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-system errors.
-    pub fn save(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        let json = serde_json::to_string_pretty(self)
-            .map_err(|e| std::io::Error::other(format!("profile serialization failed: {e}")))?;
-        std::fs::write(path, json + "\n")
+    /// Rebuilds the profile from the records of a run record: the fold
+    /// the installed profile runs live, over every roll-up, and the
+    /// pool runs in the same ring. A run record written while the
+    /// profile was installed rebuilds to what [`report`] returns at the
+    /// same point.
+    #[must_use]
+    pub fn from_records(records: &[Record]) -> ProfReport {
+        let mut tree = HashMap::new();
+        fold(&mut tree, records);
+        let mut pool = PoolRuns::default();
+        for record in records {
+            if let Record::PoolRun { run, .. } = record {
+                pool.push(run.clone());
+            }
+        }
+        ProfReport::assemble(&tree, &pool)
     }
 
-    /// Loads a profile written by [`ProfReport::save`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description when the file is unreadable, not JSON, or
-    /// a different `.qprof` version.
-    pub fn load(path: impl AsRef<Path>) -> Result<ProfReport, String> {
-        let text = std::fs::read_to_string(path.as_ref())
-            .map_err(|e| format!("{}: {e}", path.as_ref().display()))?;
-        let report: ProfReport = serde_json::from_str(&text)
-            .map_err(|e| format!("{}: not a .qprof profile: {e}", path.as_ref().display()))?;
-        if report.version != QPROF_VERSION {
-            return Err(format!(
-                "{}: .qprof version {} (this build reads {})",
-                path.as_ref().display(),
-                report.version,
-                QPROF_VERSION
-            ));
+    fn assemble(tree: &HashMap<String, RegionStat>, pool: &PoolRuns) -> ProfReport {
+        let mut regions: Vec<RegionStat> = tree.values().cloned().collect();
+        regions.sort_by(|a, b| a.path.cmp(&b.path));
+        ProfReport {
+            regions: RegionProfile { regions },
+            pool_runs: pool.runs.clone(),
+            dropped_pool_runs: pool.dropped,
         }
-        Ok(report)
     }
 }
 
@@ -426,21 +426,8 @@ impl ProfReport {
 #[must_use]
 pub fn report() -> ProfReport {
     crate::span::drain_roots();
-    let mut regions: Vec<RegionStat> = tree()
-        .lock()
-        .expect("prof tree poisoned")
-        .values()
-        .cloned()
-        .collect();
-    regions.sort_by(|a, b| a.path.cmp(&b.path));
-    let pool = pool_registry().lock().expect("prof pool poisoned");
-    ProfReport {
-        version: QPROF_VERSION,
-        captured_us: crate::now_us(),
-        regions: RegionProfile { regions },
-        pool_runs: pool.runs.clone(),
-        dropped_pool_runs: pool.dropped,
-    }
+    let tree = tree().lock().expect("prof tree poisoned");
+    ProfReport::assemble(&tree, &pool_registry().lock().expect("prof pool poisoned"))
 }
 
 /// Clears the call tree and the pool runs (tests, between independent
@@ -518,8 +505,6 @@ mod tests {
             "inner time must not count as outer self time"
         );
         assert!(inner.min_ns <= inner.max_ns);
-        let folded = rep.regions.folded();
-        assert!(folded.contains("prof.test.outer;prof.test.inner "));
         reset();
     }
 
@@ -635,31 +620,63 @@ mod tests {
     }
 
     #[test]
-    fn report_round_trips_through_a_qprof_file() {
-        let _gate = lock();
-        install();
-        reset();
-        {
-            let _r = hot("prof.test.roundtrip");
-        }
-        record_pool_run(PoolRun {
+    fn report_rebuilds_from_run_record_records() {
+        use crate::span::{Rollup, SpanRecord};
+        let rollup = |count| {
+            Some(Rollup {
+                count,
+                total_ns: 40,
+                self_ns: 10,
+                min_ns: 2,
+                max_ns: 9,
+            })
+        };
+        let span = |id: &str, parent: &str, name: &str, count: Option<u64>| {
+            Record::Span(SpanRecord {
+                trace_id: "4bf92f3577b34da6a3ce929d0e0e4736".into(),
+                span_id: id.into(),
+                parent_id: Some(parent.into()),
+                links: vec![],
+                service: "t".into(),
+                name: name.into(),
+                start_unix_us: 0,
+                dur_us: 1,
+                attrs: vec![],
+                events: vec![],
+                thread: Some(0),
+                rollup: count.and_then(rollup),
+            })
+        };
+        let run = PoolRun {
             jobs: 4,
             workers: 2,
             wall_us: 10,
             steals: 0,
             lanes: vec![],
-        });
-        let rep = report();
-        uninstall();
-        assert_eq!(rep.version, QPROF_VERSION);
-        assert_eq!(rep.pool_runs.len(), 1);
-        let path = std::env::temp_dir().join("qdi_obs_prof_test.qprof.json");
-        rep.save(&path).unwrap();
-        let back = ProfReport::load(&path).unwrap();
-        assert_eq!(back.regions, rep.regions);
-        assert_eq!(back.pool_runs, rep.pool_runs);
-        let _ = std::fs::remove_file(&path);
-        reset();
+        };
+        let records = vec![
+            // Two batches under two ordinary spans fold into one path.
+            span("00000000000000b1", "00000000000000a1", "outer", Some(2)),
+            span("00000000000000b2", "00000000000000b1", "inner", Some(3)),
+            span("00000000000000a1", "00000000000000f0", "lease", None),
+            span("00000000000000c1", "00000000000000a2", "outer", Some(1)),
+            Record::PoolRun {
+                ts_us: 5,
+                run: run.clone(),
+            },
+        ];
+        let rep = ProfReport::from_records(&records);
+        let paths: Vec<&str> = rep
+            .regions
+            .regions
+            .iter()
+            .map(|r| r.path.as_str())
+            .collect();
+        assert_eq!(paths, ["outer", "outer;inner"]);
+        let outer = find(&rep.regions, "outer");
+        assert_eq!((outer.count, outer.total_ns, outer.min_ns), (3, 80, 2));
+        assert_eq!(find(&rep.regions, "outer;inner").depth, 1);
+        assert_eq!(rep.pool_runs, vec![run]);
     }
 
     #[test]
@@ -679,18 +696,5 @@ mod tests {
         assert_eq!(top.len(), 1);
         assert_eq!(top[0].name, "prof.test.slow");
         reset();
-    }
-
-    #[test]
-    fn version_mismatch_is_rejected() {
-        let path = std::env::temp_dir().join("qdi_obs_prof_badver.qprof.json");
-        let rep = ProfReport {
-            version: QPROF_VERSION + 1,
-            ..ProfReport::default()
-        };
-        rep.save(&path).unwrap();
-        let err = ProfReport::load(&path).unwrap_err();
-        assert!(err.contains("version"), "{err}");
-        let _ = std::fs::remove_file(&path);
     }
 }

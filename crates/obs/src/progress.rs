@@ -104,12 +104,6 @@ pub struct ProgressTask {
 }
 
 impl ProgressTask {
-    /// An inert handle (what [`task`] returns while disabled).
-    #[must_use]
-    pub fn disabled() -> ProgressTask {
-        ProgressTask { inner: None }
-    }
-
     /// Whether this handle actually records anything.
     #[must_use]
     pub fn is_enabled(&self) -> bool {
@@ -149,13 +143,6 @@ impl ProgressTask {
             }
         }
         maybe_write_file(false);
-    }
-
-    /// Raises the work-item total (store campaigns that grow chunks).
-    pub fn set_total(&self, total: usize) {
-        if let Some(inner) = self.inner.as_ref() {
-            inner.total.store(total as u64, Ordering::Relaxed);
-        }
     }
 
     /// Marks the task finished and forces a progress-file write.
@@ -350,12 +337,6 @@ pub fn set_file(path: impl AsRef<Path>, interval_ms: u64) {
     ));
     LAST_WRITE_US.store(0, Ordering::Relaxed);
     FILE_SET.store(true, Ordering::Relaxed);
-}
-
-/// Stops streaming progress snapshots.
-pub fn clear_file() {
-    FILE_SET.store(false, Ordering::Relaxed);
-    *file_slot().lock().expect("progress file poisoned") = None;
 }
 
 /// Forces an immediate write of the configured progress file, if any.

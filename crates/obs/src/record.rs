@@ -1,8 +1,11 @@
-//! The data model shared by every sink: field values and records.
+//! The data model shared by every sink and by the run record: field
+//! values and records.
 
 use serde::{Deserialize, Serialize};
 
 use crate::level::Level;
+use crate::metrics::MetricsSnapshot;
+use crate::prof::PoolRun;
 use crate::span::SpanRecord;
 
 /// A typed `key = value` attachment on an event (span attributes keep
@@ -72,7 +75,10 @@ impl From<String> for FieldValue {
 /// Named fields, preserving insertion order.
 pub type Fields = Vec<(String, FieldValue)>;
 
-/// One record delivered to every installed sink.
+/// One record: what the log sinks receive (spans and events) and what
+/// each line of the run record holds (all four kinds, see
+/// [`crate::span::set_file`]). Every timestamp is UNIX-epoch
+/// microseconds, the axis of [`crate::unix_us`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Record {
     /// A span closed (an ordinary span, or one hot-span roll-up).
@@ -91,11 +97,26 @@ pub enum Record {
         span: Option<u64>,
         /// Nesting depth used for tree-indented output.
         depth: usize,
-        /// Emission time, µs on the monotonic process clock
-        /// ([`crate::now_us`]).
+        /// Emission time, UNIX-epoch µs.
         ts_us: u64,
         /// Dense id of the emitting thread.
         thread: u64,
+    },
+    /// One parallel bag of the `qdi-exec` pool, written only while the
+    /// profile is installed ([`crate::prof::install`]).
+    PoolRun {
+        /// Start of the run, UNIX-epoch µs.
+        ts_us: u64,
+        /// Lanes and totals of the run.
+        run: PoolRun,
+    },
+    /// A metrics snapshot, taken at each step boundary of the secure
+    /// flow ([`crate::record_metrics`]).
+    Metrics {
+        /// Capture time, UNIX-epoch µs.
+        ts_us: u64,
+        /// Every registered metric at that instant.
+        snapshot: MetricsSnapshot,
     },
 }
 

@@ -10,8 +10,8 @@
 //! carry the current span to worker threads.
 //!
 //! A closed span becomes one [`SpanRecord`]. That record is all any
-//! consumer reads: the log sinks of the crate root, the span file
-//! ([`set_file`], read back by [`read_spans`]) and the call-tree
+//! consumer reads: the log sinks of the crate root, the run record
+//! ([`set_file`], read back by [`read_records`]) and the call-tree
 //! aggregator of [`crate::prof`].
 //!
 //! # Ordinary and hot spans
@@ -31,7 +31,7 @@
 //! # One switch
 //!
 //! Spans record when `QDI_LOG` enables any level or when a consumer is
-//! installed (the profile or a span file). One relaxed atomic load
+//! installed (the profile or the run record). One relaxed atomic load
 //! decides it: a disabled span is an inert guard, pinned at ~4 ns by the
 //! `prof_overhead` bench.
 //!
@@ -52,7 +52,7 @@ use std::time::{Instant, SystemTime};
 use serde::{Deserialize, Serialize};
 
 use crate::level::Level;
-use crate::record::FieldValue;
+use crate::record::{FieldValue, Record};
 
 /// Trace flags: the context was sampled (always set by [`mint`]).
 pub const FLAG_SAMPLED: u8 = 0x01;
@@ -273,8 +273,8 @@ pub struct Rollup {
     pub max_ns: u64,
 }
 
-/// One finished span, as every consumer sees it and as the span file
-/// stores it (one JSON object per line). Ids are hex strings so records
+/// One finished span, as every consumer sees it and as the run record
+/// stores it (one `{"Span": ...}` line). Ids are hex strings so records
 /// stay greppable and schema-stable.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SpanRecord {
@@ -468,7 +468,7 @@ impl Rollups {
     /// One record per visited node, parented under `ids` (a fresh trace
     /// for a thread root). Unvisited nodes are skipped and their
     /// children parent to the nearest visited ancestor.
-    fn records(&self, ids: Option<(TraceId, SpanId)>, service: &str) -> Vec<SpanRecord> {
+    fn records(&self, ids: Option<(TraceId, SpanId)>, service: &str) -> Vec<Record> {
         let trace_id = ids.map_or_else(new_trace_id, |(t, _)| t);
         let mut record_ids: Vec<Option<SpanId>> = Vec::with_capacity(self.nodes.len());
         let mut out = Vec::new();
@@ -495,7 +495,7 @@ impl Rollups {
                 min_ns: n.min_ns,
                 max_ns: n.max_ns,
             });
-            out.push(record);
+            out.push(Record::Span(record));
         }
         out
     }
@@ -904,7 +904,7 @@ fn close_open(mut open: Open) {
         None => Vec::new(),
     };
     open.record.dur_us = nanos(open.start.elapsed()) / 1000;
-    batch.push(open.record);
+    batch.push(Record::Span(open.record));
     crate::emit_spans(batch, open.logged);
 }
 
@@ -998,7 +998,7 @@ impl Handoff {
 }
 
 // ---------------------------------------------------------------------------
-// The span file
+// The run record
 // ---------------------------------------------------------------------------
 
 struct SpanFile {
@@ -1011,11 +1011,14 @@ fn file_slot() -> &'static Mutex<Option<SpanFile>> {
     FILE.get_or_init(|| Mutex::new(None))
 }
 
-/// Appends every span record to `path` as JSON Lines (creating the
-/// parent directory), and turns spans on. One `O_APPEND` handle is kept
-/// per installed path and every record is one `write`, so a crashed
-/// process tears at most the final line ([`read_spans`] skips it). The
-/// file is process-global: the last installed path wins.
+/// Installs the run record: appends every [`Record`] to `path` as JSON
+/// Lines (creating the parent directory) and turns spans on. The file
+/// gets every closed span, every event the filter enables and, where
+/// they are produced, pool runs (while the profile is installed) and
+/// metrics snapshots ([`crate::record_metrics`]). One `O_APPEND` handle
+/// is kept per installed path and every record is one `write`, so a
+/// crashed process tears at most the final line ([`read_records`] skips
+/// it). The file is process-global: the last installed path wins.
 pub fn set_file(path: impl Into<PathBuf>) {
     let path = path.into();
     let mut slot = locked(file_slot());
@@ -1041,20 +1044,20 @@ pub fn set_file(path: impl Into<PathBuf>) {
     }
 }
 
-/// Stops writing the span file.
+/// Stops writing the run record.
 pub fn close_file() {
     *locked(file_slot()) = None;
     crate::set_switch(crate::SWITCH_FILE, false);
 }
 
-/// Appends records to the installed span file. IO errors are
+/// Appends records to the installed run record. IO errors are
 /// swallowed: tracing must never take down the traced service.
-pub(crate) fn write_file(batch: &[SpanRecord]) {
+pub(crate) fn write_file(records: &[Record]) {
     let mut slot = locked(file_slot());
     let Some(out) = slot.as_mut() else {
         return;
     };
-    for record in batch {
+    for record in records {
         if let Ok(mut line) = serde_json::to_string(record) {
             line.push('\n');
             let _ = out.file.write_all(line.as_bytes());
@@ -1062,20 +1065,52 @@ pub(crate) fn write_file(batch: &[SpanRecord]) {
     }
 }
 
-/// Reads span records back from a JSONL file, skipping lines that are
-/// not UTF-8 or do not parse (a `kill -9` can tear the final line
-/// mid-write; that must not hide every span written before it).
+/// The records of one run record, in file order.
+#[derive(Debug, Default)]
+pub struct Records {
+    /// The lines that parsed.
+    pub records: Vec<Record>,
+    /// Lines that were not UTF-8 or did not parse.
+    pub skipped: usize,
+}
+
+/// Reads a run record back. A line that is not UTF-8 or does not parse
+/// is skipped and counted: a `kill -9` can tear the final line
+/// mid-write, even inside a multi-byte character, and that must not
+/// hide every record written before it.
+///
+/// # Errors
+///
+/// Returns a description when the file itself cannot be read.
+pub fn read_records(path: &Path) -> Result<Records, String> {
+    let bytes = std::fs::read(path).map_err(|e| format!("read {}: {e}", path.display()))?;
+    let mut out = Records::default();
+    for line in bytes.split(|&b| b == b'\n') {
+        match std::str::from_utf8(line).map(str::trim) {
+            Ok("") => {}
+            Ok(text) => match serde_json::from_str(text) {
+                Ok(record) => out.records.push(record),
+                Err(_) => out.skipped += 1,
+            },
+            Err(_) => out.skipped += 1,
+        }
+    }
+    Ok(out)
+}
+
+/// The span records of a run record (see [`read_records`]).
 ///
 /// # Errors
 ///
 /// Returns a description when the file itself cannot be read.
 pub fn read_spans(path: &Path) -> Result<Vec<SpanRecord>, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    Ok(bytes
-        .split(|&b| b == b'\n')
-        .filter_map(|line| std::str::from_utf8(line).ok())
-        .filter(|line| !line.trim().is_empty())
-        .filter_map(|line| serde_json::from_str::<SpanRecord>(line).ok())
+    Ok(read_records(path)?
+        .records
+        .into_iter()
+        .filter_map(|record| match record {
+            Record::Span(span) => Some(span),
+            _ => None,
+        })
         .collect())
 }
 
@@ -1166,7 +1201,14 @@ mod tests {
         assert_eq!(node_stats(&a, &["outer"]).0, 1, "seeded base adds no visit");
 
         let parent = (new_trace_id(), new_span_id());
-        let records = a.records(Some(parent), "svc");
+        let records: Vec<SpanRecord> = a
+            .records(Some(parent), "svc")
+            .into_iter()
+            .filter_map(|r| match r {
+                Record::Span(span) => Some(span),
+                _ => None,
+            })
+            .collect();
         assert_eq!(records.len(), 2);
         assert_eq!(
             records[0].parent_id.as_deref(),
@@ -1218,7 +1260,7 @@ mod tests {
             min_ns: 5,
             max_ns: 15,
         });
-        write_file(&[child.clone(), rolled.clone()]);
+        write_file(&[Record::Span(child.clone()), Record::Span(rolled.clone())]);
 
         // Other tests may write spans into the same global file; judge
         // only ours.
@@ -1237,9 +1279,10 @@ mod tests {
             .append(true)
             .open(&path)
             .unwrap();
-        f.write_all(b"{\"trace_id\":\"torn").unwrap();
+        f.write_all(b"{\"Span\":{\"trace_id\":\"torn").unwrap();
         drop(f);
         assert_eq!(ours(&read_spans(&path).unwrap()), 2);
+        assert!(read_records(&path).unwrap().skipped >= 1);
 
         close_file();
         std::fs::remove_dir_all(&dir).ok();

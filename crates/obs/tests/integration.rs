@@ -1,4 +1,5 @@
-//! End-to-end tests of the span/event pipeline through real sinks.
+//! End-to-end tests of the span/event pipeline through real sinks and
+//! the run record.
 //!
 //! The filter, sink registry and span switch are process-global, so
 //! every test takes `PIPELINE` to serialize against the others and
@@ -6,6 +7,8 @@
 
 use std::sync::{Arc, Mutex};
 
+use qdi_obs::metrics::{HistogramSnapshot, MetricSample, MetricsSnapshot};
+use qdi_obs::prof::PoolRun;
 use qdi_obs::span::{hot, Handoff, SpanRecord};
 use qdi_obs::{Filter, Level, MemorySink, Record};
 
@@ -29,7 +32,7 @@ fn spans(records: &[Record]) -> Vec<&SpanRecord> {
         .iter()
         .filter_map(|r| match r {
             Record::Span(span) => Some(span),
-            Record::Event { .. } => None,
+            _ => None,
         })
         .collect()
 }
@@ -103,7 +106,7 @@ fn filter_downgrades_suppress_span_and_event() {
         .iter()
         .filter_map(|r| match r {
             Record::Event { message, .. } => Some(message.as_str()),
-            Record::Span(_) => None,
+            _ => None,
         })
         .collect();
     assert_eq!(messages, vec!["kept", "kept too"]);
@@ -115,23 +118,69 @@ fn filter_downgrades_suppress_span_and_event() {
 
 #[test]
 fn jsonl_round_trips_every_record_kind() {
-    let records = capture(|| {
-        let mut span = qdi_obs::span("obs_it::rt", "round_trip")
-            .attr("count", 3u64)
-            .attr("ratio", 0.25f64)
-            .attr("label", "x")
-            .attr("ok", true);
-        qdi_obs::warn!(target: "obs_it::rt", net = "ack.1", d_a = 0.5f64, "alert fired");
-        span.set_attr("signed", -4i64);
-        span.event("mark", &[("why", "test".to_string())]);
+    let path = std::env::temp_dir().join(format!("qdi_obs_it_run_{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let run = PoolRun {
+        jobs: 4,
+        workers: 2,
+        wall_us: 10,
+        steals: 1,
+        lanes: vec![],
+    };
+    let snapshot = MetricsSnapshot {
+        samples: vec![MetricSample {
+            name: "obs_it.count".into(),
+            value: 3.0,
+        }],
+        histograms: vec![HistogramSnapshot {
+            name: "obs_it.ms".into(),
+            bounds: vec![1.0, 10.0],
+            counts: vec![2, 1, 0],
+            sum: 7.5,
+        }],
+    };
+    let logged = capture(|| {
+        qdi_obs::span::set_file(&path);
+        {
+            let mut span = qdi_obs::span("obs_it::rt", "round_trip")
+                .attr("count", 3u64)
+                .attr("ratio", 0.25f64)
+                .attr("label", "x")
+                .attr("ok", true);
+            qdi_obs::warn!(target: "obs_it::rt", net = "ack.1", d_a = 0.5f64, "alert fired");
+            span.set_attr("signed", -4i64);
+            span.event("mark", &[("why", "test".to_string())]);
+        }
+        qdi_obs::prof::record_pool_run(run.clone());
+        qdi_obs::record_metrics(&snapshot);
+        qdi_obs::span::close_file();
     });
-    assert_eq!(records.len(), 2);
-    for record in &records {
-        let line = qdi_obs::json::record_to_json(record);
-        assert!(!line.contains('\n'), "JSONL must be one line: {line}");
-        let back: Record = serde_json::from_str(&line)
-            .unwrap_or_else(|e| panic!("reparse failed for {line}: {e:?}"));
-        assert_eq!(&back, record, "JSONL round-trip must be lossless");
+    assert_eq!(logged.len(), 2, "the event and the span: {logged:?}");
+
+    let text = std::fs::read_to_string(&path).expect("run record written");
+    assert_eq!(text.lines().count(), 4, "one line per record: {text}");
+    let read = qdi_obs::span::read_records(&path).expect("run record reads");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(read.skipped, 0);
+    assert_eq!(read.records.len(), 4);
+    assert_eq!(
+        &read.records[..2],
+        &logged[..],
+        "spans and events round-trip losslessly"
+    );
+    match &read.records[2] {
+        Record::PoolRun { run: back, .. } => assert_eq!(back, &run),
+        other => panic!("expected the pool run, got {other:?}"),
+    }
+    match &read.records[3] {
+        Record::Metrics {
+            snapshot: back,
+            ts_us,
+        } => {
+            assert_eq!(back, &snapshot);
+            assert!(*ts_us >= qdi_obs::epoch_unix_us(), "UNIX-µs axis");
+        }
+        other => panic!("expected the metrics snapshot, got {other:?}"),
     }
 }
 

@@ -1,10 +1,10 @@
 //! Property and edge-case coverage for `QDI_LOG` filter parsing and the
-//! time-series ring buffers/rollups.
+//! time-series rollups.
 
 use proptest::prelude::*;
 
 use qdi_obs::filter::Filter;
-use qdi_obs::timeseries::{percentile, rollup, Point, Ring};
+use qdi_obs::timeseries::{percentile, rollup};
 use qdi_obs::Level;
 
 /// The level tokens `Level::parse` accepts (plus `off`).
@@ -147,25 +147,10 @@ proptest! {
     }
 }
 
-// -- Ring buffers and rollups -----------------------------------------------
+// -- Rollups ---------------------------------------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// A ring holds exactly the newest `min(cap, n)` points, in push order.
-    #[test]
-    fn ring_keeps_newest_window(cap in 1usize..32, n in 0usize..200) {
-        let mut ring = Ring::new(cap);
-        for i in 0..n {
-            ring.push(Point { ts_us: i as u64, value: i as f64 });
-        }
-        let points = ring.points();
-        prop_assert_eq!(points.len(), n.min(cap));
-        let expected_first = n.saturating_sub(cap);
-        for (k, p) in points.iter().enumerate() {
-            prop_assert_eq!(p.ts_us, (expected_first + k) as u64);
-        }
-    }
 
     /// Rollups agree with a straightforward recomputation over the window.
     #[test]

@@ -39,11 +39,6 @@ pub struct Floorplan {
 }
 
 impl Floorplan {
-    /// Total region area (excludes inter-region whitespace), µm².
-    pub fn region_area_um2(&self) -> f64 {
-        self.regions.iter().map(|r| r.rect.area()).sum()
-    }
-
     /// Region index for a block name, if present.
     pub fn region_index(&self, block: &str) -> Option<usize> {
         self.regions.iter().position(|r| r.name == block)

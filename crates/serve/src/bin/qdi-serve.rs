@@ -100,11 +100,13 @@ fn main() {
     let Some(data) = data else { usage() };
 
     qdi_obs::init_from_env();
-    // Flush observability sinks on every exit path from main — the
+    // The server always writes its run record, which would otherwise
+    // take the records `QDI_LOG` enables instead of stderr.
+    qdi_obs::add_sink(std::sync::Arc::new(qdi_obs::StderrSink));
+    // Emit pending roll-ups on every exit path from main — the
     // graceful drain below, but also an unwinding panic. Worker
     // threads carry their own guard (see `server::worker_loop`), so a
-    // lease that dies mid-campaign still leaves its metrics and spans
-    // on disk.
+    // lease that dies mid-campaign still leaves its spans on disk.
     let _flush = qdi_obs::flush_on_drop();
     signals::install();
 

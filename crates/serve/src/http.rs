@@ -58,13 +58,6 @@ impl HttpError {
     pub fn bad_request(message: impl Into<String>) -> HttpError {
         HttpError::new(400, message)
     }
-
-    /// The peer closed the connection before sending a full request
-    /// line; no response should be written.
-    #[must_use]
-    pub fn is_closed(&self) -> bool {
-        self.status == 0
-    }
 }
 
 impl std::fmt::Display for HttpError {

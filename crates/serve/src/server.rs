@@ -199,15 +199,9 @@ impl Server {
         self.state.shutdown_requested.load(Ordering::SeqCst)
     }
 
-    /// Marks the server as shutting down (what the binary's signal
-    /// handler feeds through).
-    pub fn request_shutdown(&self) {
-        self.state.shutdown_requested.store(true, Ordering::SeqCst);
-    }
-
     /// Graceful drain: stop accepting, let every worker finish (and
     /// durably checkpoint) its current chunk, park running jobs as
-    /// `Queued`, flush observability sinks, and join all threads.
+    /// `Queued`, flush pending roll-ups, and join all threads.
     pub fn shutdown(mut self) {
         self.state.drain.store(true, Ordering::SeqCst);
         self.state.sched.drain();
@@ -332,10 +326,10 @@ fn recover_jobs(state: &Arc<ServerState>) {
 }
 
 fn worker_loop(state: &Arc<ServerState>) {
-    // A lease that panics unwinds past every buffered sink; flush on
-    // the way out of the loop (normal drain or not) and after each
-    // caught panic so the observability trail ends at the crash, not
-    // at the last happenstance flush.
+    // A lease that panics unwinds past its roll-ups; flush on the way
+    // out of the loop (normal drain or not) and after each caught
+    // panic so the observability trail ends at the crash, not at the
+    // last happenstance flush.
     let _flush = qdi_obs::flush_on_drop();
     while let Some(job) = state.sched.take_next() {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

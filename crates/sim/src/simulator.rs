@@ -321,11 +321,6 @@ impl<'a> Simulator<'a> {
         self.faults_applied
     }
 
-    /// Fault actions still waiting for their scheduled time.
-    pub fn pending_faults(&self) -> usize {
-        self.actions.len() - self.next_action
-    }
-
     /// Applies the earliest pending fault action unconditionally, jumping
     /// the clock to its scheduled time. The testbench uses this so faults
     /// scheduled while the circuit idles still fire. Returns `false` when

@@ -5,12 +5,12 @@
 //!
 //! Run with: `cargo run --release --example secure_flow`
 //!
-//! Set `QDI_LOG=debug` to watch the span tree on stderr; the run always
-//! writes a Chrome/Perfetto profile to `secure_flow.trace.json`, the
-//! raw record stream to `secure_flow.telemetry.jsonl`, plus the
-//! monitoring sidecars `secure_flow.metrics.json` /
-//! `secure_flow.timeseries.json` / `secure_flow.progress.json` that
-//! `qdi-mon watch` and `qdi-mon report` consume.
+//! Set `QDI_LOG=debug` to watch the span tree on stderr. The run leaves
+//! two files: the run record `secure_flow.run.jsonl` (every span, the
+//! events `QDI_LOG` enables, the pool runs and one metrics snapshot per
+//! flow step), which every `qdi-mon` view but `watch` reads, and
+//! `secure_flow.progress.json`, which `qdi-mon watch` tails while the
+//! flow runs.
 
 use std::sync::Arc;
 
@@ -18,26 +18,24 @@ use qdi::core::{run_static_flow, FlowConfig};
 use qdi::crypto::gatelevel::column::aes_column_datapath;
 use qdi::pnr::Strategy;
 
+const RUN_RECORD: &str = "secure_flow.run.jsonl";
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Observability: human-readable tree on stderr (visibility governed
-    // by QDI_LOG), plus machine-readable JSONL and Chrome trace files.
+    // by QDI_LOG), plus the run record, started fresh so that a second
+    // run does not append to the first.
     qdi_obs::init_from_env();
-    qdi_obs::add_sink(Arc::new(qdi_obs::StderrSink::new()));
-    qdi_obs::add_sink(Arc::new(qdi_obs::JsonlSink::create(
-        "secure_flow.telemetry.jsonl",
-    )?));
-    qdi_obs::add_sink(Arc::new(qdi_obs::ChromeTraceSink::new(
-        "secure_flow.trace.json",
-    )));
+    qdi_obs::add_sink(Arc::new(qdi_obs::StderrSink));
+    std::fs::File::create(RUN_RECORD)?;
+    qdi_obs::span::set_file(RUN_RECORD);
     // Live progress: `qdi-mon watch secure_flow.progress.json` tails
     // this file while the flow runs.
     qdi_obs::progress::set_enabled(true);
     qdi_obs::progress::set_file("secure_flow.progress.json", 200);
-    // The hot-span/pool profile saved as `secure_flow.qprof.json` below.
+    // The profile: while it is installed, every pool run is recorded.
     qdi_obs::prof::install();
-    // Flush the file sinks on *every* exit path — a failed flow step
-    // used to `?`-return past the flush calls below and leave a
-    // truncated telemetry stream behind.
+    // Emit pending roll-ups on *every* exit path — a failed flow step
+    // `?`-returns past the flush calls below.
     let _flush = qdi_obs::flush_on_drop();
 
     println!("generating the AES column datapath (AddKey0 -> ByteSub x4 -> HB -> MixColumn -> AddRoundKey)...");
@@ -102,32 +100,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     campaign.traces = 512;
     campaign.synth.noise_sigma = 0.02;
     let set = qdi::dpa::run_parallel_campaign(&slice, &campaign, qdi::exec::ExecConfig::new())?;
-    qdi_obs::timeseries::tick();
+    qdi_obs::record_metrics(&qdi_obs::metrics::MetricsSnapshot::capture());
     println!("acquired {} traces", set.len());
 
     qdi_obs::flush();
     qdi_obs::progress::write_now();
 
-    // Monitoring sidecars next to the telemetry, in the layout
-    // `qdi-mon report secure_flow.telemetry.jsonl` expects.
-    let metrics = qdi_obs::metrics::MetricsSnapshot::capture();
-    std::fs::write(
-        "secure_flow.metrics.json",
-        serde_json::to_string_pretty(&metrics)? + "\n",
-    )?;
-    qdi_obs::timeseries::save_json("secure_flow.timeseries.json")?;
-
-    // The full hot-span/pool profile accumulated since `prof::install`
-    // (both flows plus the campaign above): feed it to
-    // `qdi-mon analyze|flame|timeline`.
-    qdi_obs::prof::report().save("secure_flow.qprof.json")?;
-
     println!(
-        "wrote secure_flow.trace.json (chrome://tracing / Perfetto), \
-         secure_flow.telemetry.jsonl, secure_flow.qprof.json and the \
-         qdi-mon sidecars (metrics/timeseries/progress .json)\n\
-         next: qdi-mon report secure_flow.telemetry.jsonl\n\
-         next: qdi-mon analyze secure_flow.qprof.json"
+        "wrote {RUN_RECORD} (the run record) and secure_flow.progress.json\n\
+         next: qdi-mon report|export|analyze|flame|timeline {RUN_RECORD}"
     );
     Ok(())
 }

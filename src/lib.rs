@@ -22,7 +22,7 @@
 //! * [`core`] — the paper's formal current model and the secure design
 //!   flow;
 //! * [`obs`] — structured tracing, metrics and profiling across the flow
-//!   (spans, counters/histograms, stderr/JSONL/Chrome-trace sinks);
+//!   (spans, counters/histograms, the run record, stderr sink);
 //! * [`serve`] — the campaign server: a multi-tenant HTTP/1.1 + JSON job
 //!   API over the campaign engines with fair-share scheduling, durable
 //!   per-tenant artifacts, SSE progress and crash recovery (also the
