@@ -100,9 +100,32 @@ impl Stimulus {
         &self.outputs
     }
 
-    /// Runs the stimulus against `netlist`, injecting `plan` when given.
-    /// The simulation is deterministic: two calls with the same plan
-    /// produce identical transition logs.
+    /// A testbench for `netlist` with this stimulus attached: a seeded
+    /// source on every input channel and a sink on every output channel,
+    /// not yet started.
+    ///
+    /// # Errors
+    ///
+    /// Propagates environment-attachment errors ([`SimError`]).
+    pub fn testbench<'a>(
+        &self,
+        netlist: &'a Netlist,
+        cfg: &TestbenchConfig,
+    ) -> Result<Testbench<'a>, SimError> {
+        let mut tb = Testbench::new(netlist, *cfg)?;
+        for (channel, values) in &self.inputs {
+            tb.source(*channel, values.clone())?;
+        }
+        for &channel in &self.outputs {
+            tb.sink(channel)?;
+        }
+        Ok(tb)
+    }
+
+    /// Runs the stimulus against `netlist` from scratch, injecting `plan`
+    /// when given. The simulation is deterministic: two calls with the
+    /// same plan produce identical transition logs. This is the reference
+    /// the forked fault runs of [`crate::GoldenRun`] reproduce.
     ///
     /// # Errors
     ///
@@ -114,13 +137,7 @@ impl Stimulus {
         cfg: &TestbenchConfig,
         plan: Option<&FaultPlan>,
     ) -> Result<TestbenchRun, SimError> {
-        let mut tb = Testbench::new(netlist, *cfg)?;
-        for (channel, values) in &self.inputs {
-            tb.source(*channel, values.clone())?;
-        }
-        for &channel in &self.outputs {
-            tb.sink(channel)?;
-        }
+        let mut tb = self.testbench(netlist, cfg)?;
         if let Some(plan) = plan {
             tb.inject(plan)?;
         }

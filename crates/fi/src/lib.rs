@@ -11,8 +11,10 @@
 //! 2. runs the netlist once clean under a seeded [`Stimulus`] to record
 //!    golden output values;
 //! 3. replays the identical stimulus once per fault with the fault
-//!    injected, and classifies each run ([`FaultOutcome`]): `masked`,
-//!    `deadlock`, `livelock`, `protocol`, `silent`, `aborted`;
+//!    injected, forking each run from a snapshot of the golden run at its
+//!    injection time ([`GoldenRun`]), and classifies each run
+//!    ([`FaultOutcome`]): `masked`, `deadlock`, `livelock`, `protocol`,
+//!    `silent`, `aborted`;
 //! 4. aggregates a [`FaultReport`] with per-output-channel detection
 //!    coverage computed over fan-in cones, and renders silent
 //!    corruptions as deny-level `QDI0107` diagnostics.
@@ -23,12 +25,14 @@
 #![warn(missing_docs)]
 
 pub mod campaign;
+pub mod fork;
 pub mod harness;
 pub mod outcome;
 pub mod report;
 pub mod sites;
 
 pub use campaign::{default_injection_times, run_campaign_parallel, CampaignConfig};
+pub use fork::{FaultRun, GoldenRun};
 pub use harness::{output_values, OutputValues, Stimulus, MAX_TOKENS};
 pub use outcome::{classify, FaultOutcome};
 pub use report::{ChannelCoverage, FaultRecord, FaultReport, SILENT_CORRUPTION};

@@ -1,18 +1,21 @@
 //! Property test of the fault-campaign determinism contract: for
-//! arbitrary campaign parameters, per-fault outcomes and outcome counts
-//! are bit-identical across 1, 2 and 8 workers — and identical to a
-//! reference loop built here from the public pieces (`Stimulus::run` +
-//! `classify`), which shares no code with the pool driver.
+//! arbitrary campaign parameters and any subset of the six fault models,
+//! per-fault outcomes and outcome counts are bit-identical across 1, 2
+//! and 8 workers — and identical to a reference loop built here from the
+//! public pieces (`Stimulus::run` + `classify`), which runs every fault
+//! from scratch where the campaign forks it from the golden run.
 
 use proptest::prelude::*;
 
 use qdi_exec::ExecConfig;
 use qdi_fi::{
-    classify, default_injection_times, enumerate_faults, output_values, run_campaign_parallel,
-    CampaignConfig, FaultOutcome, Stimulus,
+    classify, default_injection_times, enumerate_faults, output_values, parse_model,
+    run_campaign_parallel, CampaignConfig, FaultOutcome, Stimulus,
 };
 use qdi_netlist::{cells, Netlist, NetlistBuilder};
 use qdi_sim::{Fault, FaultKind, FaultPlan};
+
+const MODELS: [&str; 6] = ["seu", "stuck0", "stuck1", "delay", "glitch", "drop"];
 
 fn xor_netlist() -> Netlist {
     let mut b = NetlistBuilder::new("xor");
@@ -39,23 +42,25 @@ fn reference_outcomes(nl: &Netlist, faults: &[Fault], cfg: &CampaignConfig) -> V
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
+    #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
     fn outcome_counts_are_bit_identical_across_1_2_and_8_workers(
         seed in any::<u64>(),
         tokens in 1usize..4,
-        flips in any::<bool>(),
+        // A non-empty subset of MODELS, one bit per model.
+        mask in 1u8..64,
     ) {
         let nl = xor_netlist();
         let mut cfg = CampaignConfig::new();
         cfg.seed = seed;
         cfg.tokens = tokens;
-        let models = if flips {
-            vec![FaultKind::TransientFlip]
-        } else {
-            vec![FaultKind::StuckAt(false), FaultKind::StuckAt(true)]
-        };
+        let models: Vec<FaultKind> = MODELS
+            .iter()
+            .enumerate()
+            .filter(|&(bit, _)| mask >> bit & 1 == 1)
+            .map(|(_, name)| parse_model(name).expect("known model"))
+            .collect();
         let times = default_injection_times(&nl, &cfg).expect("golden anchors");
         let faults = enumerate_faults(&nl, &models, &times);
         prop_assert!(!faults.is_empty());

@@ -1,6 +1,6 @@
 //! Distributed-trace waterfall: one self-contained SVG per trace id.
 //!
-//! Input is the span JSONL written by [`qdi_obs::span`] — possibly
+//! Input is the span JSONL written by [`qdi_obs::span`](mod@qdi_obs::span) — possibly
 //! the concatenation of several files (client + server), since every
 //! process in a trace appends to its own writer. Spans are laid out on
 //! one wall-clock axis (their `start_unix_us` is UNIX-epoch, so

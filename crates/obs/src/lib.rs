@@ -333,8 +333,8 @@ pub fn record_metrics(snapshot: &metrics::MetricsSnapshot) {
 // Spans
 // ---------------------------------------------------------------------------
 
-/// Opens an [`Level::Info`] span (see [`span_at`] and the [`span`]
-/// module).
+/// Opens an [`Level::Info`] span (see [`span_at`] and the
+/// [`span`](mod@span) module).
 pub fn span(target: &'static str, name: impl Into<String>) -> Span {
     span_at(Level::Info, target, name)
 }

@@ -16,7 +16,7 @@
 //!
 //! # Ordinary and hot spans
 //!
-//! [`crate::span`] opens an *ordinary* span: it writes one record when it
+//! [`crate::span()`] opens an *ordinary* span: it writes one record when it
 //! closes. [`hot`] opens a *hot* span for kernels that run thousands of
 //! times per second (`sim.run`, `dpa.acquire`, `qtrs.encode`). A hot span
 //! never writes a record per call. It folds its wall time into a
@@ -675,7 +675,7 @@ pub(crate) fn drain_roots() {
 // ---------------------------------------------------------------------------
 
 /// An open span; dropping it closes the span. Created by
-/// [`crate::span`], [`crate::span_at`], [`hot`] or [`Handoff::adopt`].
+/// [`crate::span()`], [`crate::span_at`], [`hot`] or [`Handoff::adopt`].
 /// While spans are off it is an inert guard.
 ///
 /// Spans must close on the thread that opened them (the type is not

@@ -315,8 +315,8 @@ impl JobHandle {
 
     /// Records chunk progress in memory: [`JobHandle::status`] and the
     /// rate estimate follow every call. The first call, a call that
-    /// reaches `total`, and otherwise at most one call per
-    /// [`PROGRESS_EVENT_INTERVAL`] also emit a `progress` event whose
+    /// reaches `total`, and otherwise at most one call per 100 ms
+    /// (`PROGRESS_EVENT_INTERVAL`) also emit a `progress` event whose
     /// payload is a single-task [`qdi_obs::progress::ProgressSnapshot`]
     /// — the exact shape `qdi-mon watch` renders. Nothing is persisted:
     /// the campaign checkpoint is the durable progress, and the next

@@ -144,6 +144,20 @@ pub struct JobSpec {
 /// Upper bound on `campaign.traces` a single job may request.
 pub const MAX_TRACES: usize = 1_000_000;
 
+/// Most injection times a fault-injection job may list. The campaign
+/// enumerates gates × models × times faults up front and keeps one golden
+/// testbench snapshot per time, so this bounds both.
+pub const MAX_INJECTION_TIMES: usize = 256;
+
+/// Latest injection time a fault-injection job may name: 1 s of simulated
+/// time, far past the end of any campaign's golden run, and far from the
+/// end of the `u64` range the simulator adds fault durations in.
+pub const MAX_INJECTION_TIME_PS: u64 = 1_000_000_000_000;
+
+/// Most entries a fault-injection job's `models` list may hold: one per
+/// fault model. Like the times, the count multiplies the fault list.
+pub const MAX_FAULT_MODELS: usize = 6;
+
 fn valid_tenant(tenant: &str) -> bool {
     !tenant.is_empty()
         && tenant.len() <= 64
@@ -211,8 +225,27 @@ impl JobSpec {
                 if !valid_stage(&fi.stage) {
                     return Err(format!("stage {:?} must be \"xor\" or \"sbox\"", fi.stage));
                 }
-                qdi_fi::parse_models(&fi.models)
+                let models = qdi_fi::parse_models(&fi.models)
                     .map_err(|m| format!("unknown fault model {m:?}"))?;
+                if models.len() > MAX_FAULT_MODELS {
+                    return Err(format!(
+                        "models must list at most {MAX_FAULT_MODELS} entries, got {}",
+                        models.len()
+                    ));
+                }
+                if let Some(times) = &fi.times_ps {
+                    if times.len() > MAX_INJECTION_TIMES {
+                        return Err(format!(
+                            "times_ps must hold at most {MAX_INJECTION_TIMES} entries, got {}",
+                            times.len()
+                        ));
+                    }
+                    if let Some(&late) = times.iter().find(|&&t| t > MAX_INJECTION_TIME_PS) {
+                        return Err(format!(
+                            "times_ps entries must be at most {MAX_INJECTION_TIME_PS} ps, got {late}"
+                        ));
+                    }
+                }
                 if fi.campaign.tokens > qdi_fi::MAX_TOKENS {
                     return Err(format!(
                         "campaign.tokens must be at most {}, got {}",
@@ -341,6 +374,36 @@ mod tests {
         assert!(fi(qdi_fi::MAX_TOKENS).validate().is_ok());
         let err = fi(1 << 40).validate().expect_err("over the bound");
         assert!(err.contains("campaign.tokens"), "{err}");
+    }
+
+    #[test]
+    fn bounds_fault_injection_times_and_models() {
+        let fi = |models: &str, times_ps: Vec<u64>| JobSpec {
+            tenant: "carol".into(),
+            name: None,
+            priority: None,
+            kind: JobKind::Fi(FiJobSpec {
+                stage: "sbox".into(),
+                campaign: qdi_fi::campaign::CampaignConfig::new(),
+                models: models.into(),
+                times_ps: Some(times_ps),
+                sample: None,
+            }),
+        };
+        let all = "seu,stuck0,stuck1,delay,glitch,drop";
+        let at_bound = vec![MAX_INJECTION_TIME_PS; MAX_INJECTION_TIMES];
+        assert!(fi(all, at_bound).validate().is_ok());
+        for times in [
+            vec![1; MAX_INJECTION_TIMES + 1],
+            vec![MAX_INJECTION_TIME_PS + 1],
+        ] {
+            let err = fi("seu", times).validate().expect_err("over the bound");
+            assert!(err.contains("times_ps"), "{err}");
+        }
+        let err = fi(&format!("{all},seu"), vec![1])
+            .validate()
+            .expect_err("seven");
+        assert!(err.contains("models"), "{err}");
     }
 
     #[test]

@@ -255,6 +255,46 @@ fn oversized_fault_injection_job_is_422_and_the_server_survives() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A fault-injection job listing 100,000 injection times on the S-box
+/// stage would make the worker reserve gates × models × times faults,
+/// about 26 GB, which aborts the process; a time of `u64::MAX` would wrap
+/// the simulator's fault-release arithmetic. The edge refuses both with a
+/// 422 naming `times_ps`, and the server keeps answering.
+#[test]
+fn unbounded_injection_times_are_422_and_the_server_survives() {
+    let dir = std::env::temp_dir().join(format!("qdi_serve_times_{}", std::process::id()));
+    let mut cfg = ServeConfig::new(&dir);
+    cfg.addr = "127.0.0.1:0".into();
+    cfg.io_timeout_ms = 2_000;
+    let server = Server::start(cfg).expect("server starts");
+    let client = qdi_serve::ServeClient::new(format!("http://{}", server.local_addr()));
+
+    let spec = |times_ps: Vec<u64>| qdi_serve::JobSpec {
+        tenant: "mallory".into(),
+        name: None,
+        priority: None,
+        kind: qdi_serve::JobKind::Fi(qdi_serve::FiJobSpec {
+            stage: "sbox".into(),
+            campaign: qdi_fi::campaign::CampaignConfig::new(),
+            models: "seu,stuck0,stuck1,delay,glitch".into(),
+            times_ps: Some(times_ps),
+            sample: None,
+        }),
+    };
+    for times_ps in [(0..100_000).collect(), vec![1_600, u64::MAX]] {
+        let body = serde_json::to_string(&spec(times_ps)).expect("serializes");
+        let err = client.submit(&body).expect_err("must reject");
+        assert_eq!(err.status, 422, "{err:?}");
+        assert!(err.message.contains("times_ps"), "{}", err.message);
+    }
+
+    let health = client.get("/healthz").expect("healthz answers");
+    assert_eq!(health.status, 200);
+
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The accept loop blocks in `accept`, so a drain has to wake it. On an
 /// unspecified bind address (`0.0.0.0`) the wake goes to loopback; with
 /// no traffic at all, `shutdown()` still returns at once.

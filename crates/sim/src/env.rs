@@ -59,7 +59,7 @@ enum SourcePhase {
 }
 
 /// Sender environment attached to an input channel.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SourceEnv {
     channel: ChannelId,
     values: VecDeque<usize>,
@@ -126,7 +126,7 @@ enum SinkPhase {
 }
 
 /// Receiver environment attached to an output channel.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SinkEnv {
     channel: ChannelId,
     phase: SinkPhase,
@@ -204,13 +204,42 @@ impl TestbenchRun {
     }
 }
 
+/// Where [`Testbench::advance`] stopped.
+#[derive(Debug, Clone)]
+pub enum Advance {
+    /// At the pause armed for this time ([`Testbench::pause_at`]): where a
+    /// fault armed at this time would fire. A clone of the testbench taken
+    /// here and injected with such a fault continues exactly as a run that
+    /// had the fault armed from the start.
+    Paused(TimePs),
+    /// Every source token went through and every handshake is idle. The
+    /// testbench is spent.
+    Done(TestbenchRun),
+}
+
 /// Drives a netlist with four-phase environments until all source tokens
 /// have flowed through.
+///
+/// The run is resumable: [`Testbench::advance`] runs until the next armed
+/// pause or the end, keeping its place (settled or not, the polling round,
+/// a drain paused mid-way with the rest of its event budget) in the
+/// struct. A clone taken at a pause is an
+/// independent testbench that continues from there, so a fault campaign
+/// can run the fault-free prefix of its runs once and fork every fault
+/// run from it.
+#[derive(Clone)]
 pub struct Testbench<'a> {
     sim: Simulator<'a>,
     cfg: TestbenchConfig,
     sources: Vec<SourceEnv>,
     sinks: Vec<SinkEnv>,
+    /// Sink acknowledges raised and the circuit settled.
+    started: bool,
+    /// Polling rounds completed.
+    round: u64,
+    /// The rest of the event budget of the drain the current round paused
+    /// in, if it did.
+    paused: Option<u64>,
 }
 
 impl std::fmt::Debug for Testbench<'_> {
@@ -248,6 +277,9 @@ impl<'a> Testbench<'a> {
             cfg,
             sources: Vec::new(),
             sinks: Vec::new(),
+            started: false,
+            round: 0,
+            paused: None,
         }
     }
 
@@ -267,6 +299,26 @@ impl<'a> Testbench<'a> {
     /// the netlist.
     pub fn inject(&mut self, plan: &FaultPlan) -> Result<(), SimError> {
         self.sim.inject(plan)
+    }
+
+    /// Arms a pause at `at_ps`: [`Testbench::advance`] returns
+    /// [`Advance::Paused`] exactly where a fault armed at `at_ps` would
+    /// fire, before it. A pause changes nothing else in the run, and
+    /// [`Testbench::run`] passes over it. Two pauses are dropped without a
+    /// stop: one that comes due while the testbench settles, because
+    /// settling does not resume (a fault armed at that time fires during
+    /// settling, so its run needs a fresh testbench), and one that comes
+    /// due while the circuit idles short of done, where a fault-free run
+    /// is deadlocked.
+    pub fn pause_at(&mut self, at_ps: TimePs) {
+        self.sim.pause_at(at_ps);
+    }
+
+    /// The earliest armed pause that has not come due. After
+    /// [`Advance::Done`], no fault armed at or after this time would have
+    /// fired either.
+    pub fn next_pause(&self) -> Option<TimePs> {
+        self.sim.next_pause()
     }
 
     /// Attaches a source feeding `values` into input channel `channel`.
@@ -341,7 +393,7 @@ impl<'a> Testbench<'a> {
     }
 
     /// Runs until every source token has been delivered and all handshakes
-    /// have returned to idle.
+    /// have returned to idle, passing over armed pauses.
     ///
     /// # Errors
     ///
@@ -356,83 +408,120 @@ impl<'a> Testbench<'a> {
     ///   passes.
     pub fn run(mut self) -> Result<TestbenchRun, SimError> {
         let _span = qdi_obs::span::hot("sim.tb.run");
-        // Sinks start ready: raise their acknowledge nets, then settle.
-        for sink in &self.sinks {
-            let ack = self
-                .sim
-                .netlist()
-                .channel(sink.channel)
-                .ack
-                .expect("validated at attach time");
-            self.sim.drive(ack, true, 1);
+        loop {
+            if let Advance::Done(run) = self.advance()? {
+                return Ok(run);
+            }
         }
-        self.sim.settle(self.cfg.event_limit)?;
+    }
 
-        for _round in 0..self.cfg.max_rounds {
-            let mut progressed = false;
-            for src in &mut self.sources {
-                progressed |= src.poll(&mut self.sim, self.cfg.env_delay_ps);
+    /// Runs until the next armed pause ([`Testbench::pause_at`]) or the
+    /// end of the run. The first call raises the sinks' acknowledges and
+    /// settles the circuit; every later call resumes where the last one
+    /// stopped.
+    ///
+    /// # Errors
+    ///
+    /// As [`Testbench::run`]. After an error the testbench is spent.
+    pub fn advance(&mut self) -> Result<Advance, SimError> {
+        if !self.started {
+            self.started = true;
+            // Sinks start ready: raise their acknowledge nets, then settle.
+            for sink in &self.sinks {
+                let ack = self
+                    .sim
+                    .netlist()
+                    .channel(sink.channel)
+                    .ack
+                    .expect("validated at attach time");
+                self.sim.drive(ack, true, 1);
             }
-            for sink in &mut self.sinks {
-                progressed |= sink.poll(&mut self.sim, self.cfg.env_delay_ps);
+            self.sim.settle(self.cfg.event_limit)?;
+        }
+        while self.round < self.cfg.max_rounds {
+            if let Some(stop) = self.poll_round()? {
+                return Ok(stop);
             }
-            if !self.sim.is_quiescent() {
-                self.sim.run_until_quiescent(self.cfg.event_limit)?;
-                continue;
-            }
-            if progressed {
-                continue;
-            }
-            let done = self.sources.iter().all(SourceEnv::is_done)
-                && self.sinks.iter().all(SinkEnv::is_idle);
-            if done {
-                let cycles = self.sources.iter().map(|s| s.sent).max().unwrap_or(0);
-                let end_time_ps = self.sim.now();
-                let received = self
-                    .sinks
-                    .into_iter()
-                    .map(|s| (s.channel, s.received))
-                    .collect();
-                return Ok(TestbenchRun {
-                    transitions: self.sim.take_transitions(),
-                    end_time_ps,
-                    cycles,
-                    received,
-                });
-            }
-            // A fault armed for a later time can still fire while the
-            // circuit idles — and may be what unsticks (or kills) the run.
-            if self.sim.fire_next_fault() {
-                continue;
-            }
-            let stalled: Vec<StalledChannel> = self
-                .sources
-                .iter()
-                .filter(|s| !s.is_done())
-                .map(|s| StalledChannel {
-                    channel: s.channel,
-                    phase: s.handshake_phase(),
-                })
-                .chain(
-                    self.sinks
-                        .iter()
-                        .filter(|s| !s.is_idle())
-                        .map(|s| StalledChannel {
-                            channel: s.channel,
-                            phase: s.handshake_phase(),
-                        }),
-                )
-                .collect();
-            return Err(SimError::Deadlock {
-                time_ps: self.sim.now(),
-                stalled,
-            });
+            self.round += 1;
         }
         Err(SimError::EventLimit {
             limit: self.cfg.max_rounds,
             time_ps: self.sim.now(),
             active: Vec::new(),
         })
+    }
+
+    /// One polling round, or the rest of a paused one. Returns `None` when
+    /// the round ends and the next one should start.
+    fn poll_round(&mut self) -> Result<Option<Advance>, SimError> {
+        let mut budget = match self.paused.take() {
+            Some(budget) => budget,
+            None => {
+                let mut progressed = false;
+                for src in &mut self.sources {
+                    progressed |= src.poll(&mut self.sim, self.cfg.env_delay_ps);
+                }
+                for sink in &mut self.sinks {
+                    progressed |= sink.poll(&mut self.sim, self.cfg.env_delay_ps);
+                }
+                if self.sim.is_quiescent() {
+                    if progressed {
+                        return Ok(None);
+                    }
+                    let done = self.sources.iter().all(SourceEnv::is_done)
+                        && self.sinks.iter().all(SinkEnv::is_idle);
+                    if done {
+                        return Ok(Some(Advance::Done(self.take_run())));
+                    }
+                    // A fault armed for a later time can still fire while
+                    // the circuit idles — and may be what unsticks (or
+                    // kills) the run.
+                    if self.sim.fire_next_fault() {
+                        return Ok(None);
+                    }
+                    let stalled: Vec<StalledChannel> =
+                        self.sources
+                            .iter()
+                            .filter(|s| !s.is_done())
+                            .map(|s| StalledChannel {
+                                channel: s.channel,
+                                phase: s.handshake_phase(),
+                            })
+                            .chain(self.sinks.iter().filter(|s| !s.is_idle()).map(|s| {
+                                StalledChannel {
+                                    channel: s.channel,
+                                    phase: s.handshake_phase(),
+                                }
+                            }))
+                            .collect();
+                    return Err(SimError::Deadlock {
+                        time_ps: self.sim.now(),
+                        stalled,
+                    });
+                }
+                self.cfg.event_limit
+            }
+        };
+        match self.sim.run_pausable(self.cfg.event_limit, &mut budget)? {
+            Some(at_ps) => {
+                self.paused = Some(budget);
+                Ok(Some(Advance::Paused(at_ps)))
+            }
+            None => Ok(None),
+        }
+    }
+
+    fn take_run(&mut self) -> TestbenchRun {
+        TestbenchRun {
+            transitions: self.sim.take_transitions(),
+            end_time_ps: self.sim.now(),
+            cycles: self.sources.iter().map(|s| s.sent).max().unwrap_or(0),
+            received: self
+                .sinks
+                .iter_mut()
+                .map(|s| (s.channel, std::mem::take(&mut s.received)))
+                .collect(),
+        }
     }
 }
 
@@ -601,5 +690,131 @@ mod tests {
         let mut tb = Testbench::new(&nl, TestbenchConfig::default()).expect("tb");
         let err = tb.source(out.id, vec![0]).expect_err("not an input");
         assert!(matches!(err, SimError::BadEnvironment { .. }));
+    }
+
+    /// A four-token XOR testbench, not yet started.
+    fn streaming_bench(nl: &Netlist, cfg: TestbenchConfig) -> Testbench<'_> {
+        let a = nl.find_channel("a").expect("a");
+        let b = nl.find_channel("b").expect("b");
+        let out = nl.find_channel("co").expect("co");
+        let mut tb = Testbench::new(nl, cfg).expect("tb");
+        tb.source(a, vec![0, 1, 1, 0]).expect("src");
+        tb.source(b, vec![0, 0, 1, 1]).expect("src");
+        tb.sink(out).expect("sink");
+        tb
+    }
+
+    /// Runs `tb` with a pause every `step` ps up to `end`, returning a
+    /// clone at each pause it stopped at and the end result.
+    fn snapshots(
+        mut tb: Testbench<'_>,
+        end: TimePs,
+        step: usize,
+    ) -> (Vec<(TimePs, Testbench<'_>)>, Result<TestbenchRun, SimError>) {
+        for t in (0..=end).step_by(step) {
+            tb.pause_at(t);
+        }
+        let mut clones = Vec::new();
+        loop {
+            match tb.advance() {
+                Ok(Advance::Paused(t)) => clones.push((t, tb.clone())),
+                Ok(Advance::Done(run)) => return (clones, Ok(run)),
+                Err(err) => return (clones, Err(err)),
+            }
+        }
+    }
+
+    fn same(a: &TestbenchRun, b: &TestbenchRun) -> bool {
+        a.transitions == b.transitions
+            && a.end_time_ps == b.end_time_ps
+            && a.cycles == b.cycles
+            && a.received_all().eq(b.received_all())
+    }
+
+    #[test]
+    fn a_clone_at_a_pause_injected_with_a_fault_runs_as_from_scratch() {
+        use crate::fault::{Fault, FaultKind, FaultSite};
+        let (nl, ..) = xor_netlist();
+        let cfg = TestbenchConfig::default();
+        let golden = streaming_bench(&nl, cfg).run().expect("golden");
+        let (clones, done) = snapshots(streaming_bench(&nl, cfg), golden.end_time_ps, 1);
+        assert!(
+            same(&done.expect("completes"), &golden),
+            "pauses change nothing"
+        );
+        // Pauses early enough to come due while settling are dropped.
+        assert!(clones.len() > 100 && clones[0].0 > 1, "{}", clones[0].0);
+        let gates: Vec<_> = nl.gates().map(|g| g.id).collect();
+        for (i, (at_ps, clone)) in clones.iter().enumerate().step_by(7) {
+            let kind = [
+                FaultKind::TransientFlip,
+                FaultKind::StuckAt(true),
+                FaultKind::DropTransition,
+            ][i % 3];
+            let fault = Fault::new(FaultSite::Gate(gates[i % gates.len()]), kind, *at_ps);
+            let plan = FaultPlan::single(fault);
+            let mut scratch = streaming_bench(&nl, cfg);
+            scratch.inject(&plan).expect("inject");
+            let mut fork = clone.clone();
+            fork.inject(&plan).expect("inject");
+            match (scratch.run(), fork.run()) {
+                (Ok(a), Ok(b)) => assert!(same(&a, &b), "{}", fault.describe(&nl)),
+                (a, b) => assert_eq!(a.err(), b.err(), "{}", fault.describe(&nl)),
+            }
+        }
+    }
+
+    #[test]
+    fn a_fork_keeps_the_event_budget_and_the_round_count() {
+        let (nl, ..) = xor_netlist();
+        let golden = streaming_bench(&nl, TestbenchConfig::default())
+            .run()
+            .expect("golden");
+        // Wherever a limit is hit mid-run, every fork must fail exactly as
+        // the run from scratch does, so it resumes with what was left of
+        // the drain's event budget and the round count.
+        let tight = (1..12)
+            .map(|event_limit| TestbenchConfig {
+                event_limit,
+                ..TestbenchConfig::default()
+            })
+            .chain((1..40).step_by(3).map(|max_rounds| TestbenchConfig {
+                max_rounds,
+                ..TestbenchConfig::default()
+            }));
+        let mut forked = [0, 0];
+        for cfg in tight {
+            let Err(reference) = streaming_bench(&nl, cfg).run() else {
+                continue;
+            };
+            let (clones, done) = snapshots(streaming_bench(&nl, cfg), golden.end_time_ps, 13);
+            assert_eq!(done.err(), Some(reference.clone()));
+            if !clones.is_empty() {
+                forked[usize::from(cfg.max_rounds < 1_000)] += 1;
+            }
+            for (at_ps, clone) in clones {
+                assert_eq!(
+                    clone.run().err(),
+                    Some(reference.clone()),
+                    "fork at {at_ps}"
+                );
+            }
+        }
+        assert!(forked.iter().all(|&n| n > 0), "{forked:?}");
+    }
+
+    #[test]
+    fn pauses_past_the_end_stay_armed() {
+        let (nl, ..) = xor_netlist();
+        let cfg = TestbenchConfig::default();
+        let golden = streaming_bench(&nl, cfg).run().expect("golden");
+        let mut tb = streaming_bench(&nl, cfg);
+        tb.pause_at(golden.end_time_ps + 1);
+        tb.pause_at(golden.end_time_ps + 500);
+        let Ok(Advance::Done(run)) = tb.advance() else {
+            panic!("no pause comes due after the last event");
+        };
+        assert!(same(&run, &golden));
+        assert_eq!(tb.next_pause(), Some(golden.end_time_ps + 1));
     }
 }

@@ -28,6 +28,7 @@ use serde::{Deserialize, Serialize};
 
 use qdi_netlist::{GateId, NetId, Netlist};
 
+use crate::error::SimError;
 use crate::simulator::TimePs;
 
 /// What a fault does to its site.
@@ -121,6 +122,37 @@ impl Fault {
             FaultSite::Net(net) => netlist.net(net).driver,
             FaultSite::Gate(gate) => Some(gate),
         }
+    }
+
+    /// Checks that the fault fits `netlist`, as
+    /// [`crate::Simulator::inject`] does before arming it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::BadEnvironment`] if the site is out of range for
+    /// `netlist`, or a delay perturbation targets a net with no driving
+    /// gate.
+    pub fn check(&self, netlist: &Netlist) -> Result<(), SimError> {
+        let out_of_range = match self.site {
+            FaultSite::Net(net) => (net.index() >= netlist.net_count()).then(|| net.to_string()),
+            FaultSite::Gate(gate) => {
+                (gate.index() >= netlist.gate_count()).then(|| gate.to_string())
+            }
+        };
+        if let Some(site) = out_of_range {
+            return Err(SimError::BadEnvironment {
+                reason: format!("fault site {site} is out of range for this netlist"),
+            });
+        }
+        if matches!(self.kind, FaultKind::DelayPerturb { .. }) && self.gate(netlist).is_none() {
+            return Err(SimError::BadEnvironment {
+                reason: format!(
+                    "delay perturbation targets net {} which has no driving gate",
+                    netlist.net(self.net(netlist)).name
+                ),
+            });
+        }
+        Ok(())
     }
 
     /// One-line description for reports, resolving names through `netlist`.

@@ -70,7 +70,7 @@ pub mod vcd;
 mod error;
 
 pub use delay::{ConstantDelay, DelayModel, LinearDelay};
-pub use env::{SinkEnv, SourceEnv, Testbench, TestbenchConfig, TestbenchRun};
+pub use env::{Advance, SinkEnv, SourceEnv, Testbench, TestbenchConfig, TestbenchRun};
 pub use error::{HandshakePhase, NetActivity, SimError, StalledChannel};
 pub use fault::{Fault, FaultKind, FaultPlan, FaultSite};
 pub use replay::{replay_witness, ReplaySide, WitnessReplay};

@@ -2,13 +2,14 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::sync::Arc;
 
 use qdi_netlist::{ChannelId, ChannelState, GateId, NetId, Netlist};
 use serde::{Deserialize, Serialize};
 
 use crate::delay::DelayModel;
 use crate::error::{NetActivity, SimError};
-use crate::fault::{FaultKind, FaultPlan, FaultSite};
+use crate::fault::{FaultKind, FaultPlan};
 
 /// Simulation time in picoseconds.
 pub type TimePs = u64;
@@ -74,6 +75,10 @@ enum FaultOp {
     RestoreGate(GateId, TimePs),
     /// Cancel the pending scheduled transition on the net, if any.
     Drop(NetId),
+    /// Not a fault: stop a pausable drain here (see
+    /// [`Simulator::pause_at`]). It changes no state, and a drain that
+    /// cannot stop passes over it.
+    Pause,
 }
 
 /// One logged net edge. The driving gate (if any) can be recovered through
@@ -115,9 +120,15 @@ impl PartialOrd for Event {
 /// C-element cleared); [`Simulator::settle`] then lets gates with non-zero
 /// all-low output (completion NORs, inverters) reach their idle levels
 /// before any stimulus is applied.
+///
+/// A clone is an independent simulator in the same state: levels, queued
+/// events, armed faults and log. It shares only the netlist and the delay
+/// model, so a clone taken mid-run continues exactly as the original
+/// would.
+#[derive(Clone)]
 pub struct Simulator<'a> {
     netlist: &'a Netlist,
-    delay: Box<dyn DelayModel>,
+    delay: Arc<dyn DelayModel>,
     levels: Vec<bool>,
     /// Per net: sequence number of the authoritative pending event, if any.
     pending_seq: Vec<u64>,
@@ -165,7 +176,7 @@ impl<'a> Simulator<'a> {
         let n = netlist.net_count();
         Simulator {
             netlist,
-            delay: Box::new(delay),
+            delay: Arc::new(delay),
             levels: vec![false; n],
             pending_seq: vec![0; n],
             pending_value: vec![false; n],
@@ -238,6 +249,19 @@ impl<'a> Simulator<'a> {
         self.queue.is_empty()
     }
 
+    /// Queued events still due to fire; cancelled and superseded entries,
+    /// which the queue keeps until they surface, do not count. Costs one
+    /// pass over the queue.
+    pub fn pending_events(&self) -> usize {
+        self.queue
+            .iter()
+            .filter(|Reverse(ev)| {
+                let i = ev.net.index();
+                self.has_pending[i] && self.pending_seq[i] == ev.seq
+            })
+            .count()
+    }
+
     /// Replaces the watchdog configuration.
     pub fn set_watchdog(&mut self, watchdog: WatchdogConfig) {
         self.watchdog = watchdog;
@@ -262,19 +286,7 @@ impl<'a> Simulator<'a> {
     /// no driving gate.
     pub fn inject(&mut self, plan: &FaultPlan) -> Result<(), SimError> {
         for fault in plan.iter() {
-            match fault.site {
-                FaultSite::Net(net) if net.index() >= self.netlist.net_count() => {
-                    return Err(SimError::BadEnvironment {
-                        reason: format!("fault site {net} is out of range for this netlist"),
-                    });
-                }
-                FaultSite::Gate(gate) if gate.index() >= self.netlist.gate_count() => {
-                    return Err(SimError::BadEnvironment {
-                        reason: format!("fault site {gate} is out of range for this netlist"),
-                    });
-                }
-                _ => {}
-            }
+            fault.check(self.netlist)?;
             let net = fault.net(self.netlist);
             let at = fault.at_ps;
             match fault.kind {
@@ -282,34 +294,54 @@ impl<'a> Simulator<'a> {
                 FaultKind::StuckAt(v) => {
                     self.arm(at, FaultOp::Force(net, v));
                     if let Some(d) = fault.duration_ps {
-                        self.arm(at + d.max(1), FaultOp::Release(net));
+                        self.arm(at.saturating_add(d.max(1)), FaultOp::Release(net));
                     }
                 }
                 FaultKind::Glitch { to, width_ps } => {
                     self.arm(at, FaultOp::Force(net, to));
-                    self.arm(at + width_ps.max(1), FaultOp::Release(net));
+                    self.arm(at.saturating_add(width_ps.max(1)), FaultOp::Release(net));
                 }
                 FaultKind::DelayPerturb { extra_ps } => {
-                    let Some(gate) = fault.gate(self.netlist) else {
-                        return Err(SimError::BadEnvironment {
-                            reason: format!(
-                                "delay perturbation targets net {} which has no driving gate",
-                                self.netlist.net(net).name
-                            ),
-                        });
-                    };
+                    let gate = fault
+                        .gate(self.netlist)
+                        .expect("check() rejects a delay site without a driver");
                     self.arm(at, FaultOp::SlowGate(gate, extra_ps));
                     if let Some(d) = fault.duration_ps {
-                        self.arm(at + d.max(1), FaultOp::RestoreGate(gate, extra_ps));
+                        self.arm(
+                            at.saturating_add(d.max(1)),
+                            FaultOp::RestoreGate(gate, extra_ps),
+                        );
                     }
                 }
                 FaultKind::DropTransition => self.arm(at, FaultOp::Drop(net)),
             }
         }
-        // Keep the unfired suffix time-ordered; stable sort preserves the
-        // push order of same-time actions (e.g. a force and its release).
-        self.actions[self.next_action..].sort_by_key(|a| a.at);
+        self.sort_armed();
         Ok(())
+    }
+
+    /// Arms a pause at `at_ps`: a drain that may stop
+    /// ([`Simulator::run_pausable`]) stops exactly where a fault armed at
+    /// `at_ps` would fire, ahead of that fault if both are armed. Drains
+    /// that cannot stop (`run_until_quiescent`, `run_until`, `settle`) and
+    /// [`Simulator::fire_next_fault`] pass over it.
+    pub(crate) fn pause_at(&mut self, at_ps: TimePs) {
+        self.arm(at_ps, FaultOp::Pause);
+        self.sort_armed();
+    }
+
+    /// The earliest pause still armed.
+    pub(crate) fn next_pause(&self) -> Option<TimePs> {
+        self.actions[self.next_action..]
+            .iter()
+            .find(|a| matches!(a.op, FaultOp::Pause))
+            .map(|a| a.at)
+    }
+
+    /// Keeps the unfired suffix time-ordered; the stable sort preserves
+    /// the push order of same-time actions (e.g. a force and its release).
+    fn sort_armed(&mut self) {
+        self.actions[self.next_action..].sort_by_key(|a| a.at);
     }
 
     fn arm(&mut self, at: TimePs, op: FaultOp) {
@@ -323,19 +355,23 @@ impl<'a> Simulator<'a> {
 
     /// Applies the earliest pending fault action unconditionally, jumping
     /// the clock to its scheduled time. The testbench uses this so faults
-    /// scheduled while the circuit idles still fire. Returns `false` when
-    /// no action is pending.
+    /// scheduled while the circuit idles still fire. Armed pauses ahead of
+    /// it are passed over. Returns `false` when no action is pending.
     pub(crate) fn fire_next_fault(&mut self) -> bool {
-        if self.next_action >= self.actions.len() {
-            return false;
+        while let Some(&action) = self.actions.get(self.next_action) {
+            self.next_action += 1;
+            if !matches!(action.op, FaultOp::Pause) {
+                self.apply_action(action);
+                return true;
+            }
         }
-        let action = self.actions[self.next_action];
-        self.next_action += 1;
-        self.apply_action(action);
-        true
+        false
     }
 
     fn apply_action(&mut self, action: FaultAction) {
+        if let FaultOp::Pause = action.op {
+            return; // not a fault: it moves nothing, not even the clock
+        }
         self.now = self.now.max(action.at);
         self.faults_applied += 1;
         match action.op {
@@ -393,6 +429,7 @@ impl<'a> Simulator<'a> {
                     self.cancel_pending(net);
                 }
             }
+            FaultOp::Pause => {}
         }
     }
 
@@ -511,11 +548,8 @@ impl<'a> Simulator<'a> {
     /// Returns [`SimError::EventLimit`] if more than `limit` events fire —
     /// the signature of an oscillating circuit.
     pub fn run_until_quiescent(&mut self, limit: u64) -> Result<(), SimError> {
-        let _span = qdi_obs::span::hot("sim.run");
-        let start = self.events_processed;
-        let result = self.drain(None, limit);
-        self.finish_run(start, result.is_err());
-        result
+        let mut budget = limit;
+        self.run(None, limit, &mut budget, false).map(drop)
     }
 
     /// Processes events with timestamps up to and including `t_end`, then
@@ -525,10 +559,36 @@ impl<'a> Simulator<'a> {
     ///
     /// Returns [`SimError::EventLimit`] if more than `limit` events fire.
     pub fn run_until(&mut self, t_end: TimePs, limit: u64) -> Result<(), SimError> {
+        let mut budget = limit;
+        self.run(Some(t_end), limit, &mut budget, false).map(drop)
+    }
+
+    /// Processes events until the queue drains or an armed pause comes
+    /// due ([`Simulator::pause_at`]). The drain may fire `budget` more
+    /// events; a paused drain leaves what is left of it in `budget`, so
+    /// resuming with it keeps `limit` counting across the pause. Returns
+    /// the pause's time if the drain stopped at one.
+    pub(crate) fn run_pausable(
+        &mut self,
+        limit: u64,
+        budget: &mut u64,
+    ) -> Result<Option<TimePs>, SimError> {
+        self.run(None, limit, budget, true)
+    }
+
+    fn run(
+        &mut self,
+        t_end: Option<TimePs>,
+        limit: u64,
+        budget: &mut u64,
+        pausable: bool,
+    ) -> Result<Option<TimePs>, SimError> {
         let _span = qdi_obs::span::hot("sim.run");
         let start = self.events_processed;
-        let result = self.drain(Some(t_end), limit);
-        self.now = self.now.max(t_end);
+        let result = self.drain(t_end, limit, budget, pausable);
+        if let Some(t) = t_end {
+            self.now = self.now.max(t);
+        }
         self.finish_run(start, result.is_err());
         result
     }
@@ -536,9 +596,16 @@ impl<'a> Simulator<'a> {
     /// The shared event loop: pops events (up to `t_end` when bounded),
     /// commits levels and re-evaluates fanout gates. Armed fault actions
     /// are interleaved by time and win ties against events; they do not
-    /// consume the event budget.
-    fn drain(&mut self, t_end: Option<TimePs>, limit: u64) -> Result<(), SimError> {
-        let mut budget = limit;
+    /// consume the event budget. An armed pause comes due exactly as a
+    /// fault would; a `pausable` drain stops there and returns its time,
+    /// any other drain passes over it.
+    fn drain(
+        &mut self,
+        t_end: Option<TimePs>,
+        limit: u64,
+        budget: &mut u64,
+        pausable: bool,
+    ) -> Result<Option<TimePs>, SimError> {
         loop {
             let next_event = self.queue.peek().map(|&Reverse(ev)| ev.time);
             let next_fault = self.actions.get(self.next_action).map(|a| a.at);
@@ -553,6 +620,9 @@ impl<'a> Simulator<'a> {
             if take_fault {
                 let action = self.actions[self.next_action];
                 self.next_action += 1;
+                if pausable && matches!(action.op, FaultOp::Pause) {
+                    return Ok(Some(action.at));
+                }
                 self.apply_action(action);
                 continue;
             }
@@ -575,10 +645,10 @@ impl<'a> Simulator<'a> {
             if !self.has_pending[i] || self.pending_seq[i] != ev.seq {
                 continue; // stale (cancelled or superseded)
             }
-            if budget == 0 {
+            if *budget == 0 {
                 return Err(self.budget_exhausted(limit));
             }
-            budget -= 1;
+            *budget -= 1;
             self.events_processed += 1;
             self.has_pending[i] = false;
             self.now = self.now.max(ev.time);
@@ -593,7 +663,7 @@ impl<'a> Simulator<'a> {
             });
             self.evaluate_loads(ev.net);
         }
-        Ok(())
+        Ok(None)
     }
 
     /// Classifies an exhausted event budget by fingerprinting the tail of

@@ -8,11 +8,16 @@
 //! together with its `classify` outcome. Any change to event order,
 //! inertial cancellation, fault application or protocol checking moves
 //! one of these constants.
+//!
+//! Every injected run is computed twice, from scratch (`Stimulus::run`)
+//! and forked from the golden run (`GoldenRun::fault_run`), and both
+//! tables must equal the pins.
 
 use qdi::crypto::gatelevel::slice::{aes_first_round_slice, SliceStage};
 use qdi::exec::derive_seed;
 use qdi::fi::{
-    classify, default_injection_times, output_values, parse_models, CampaignConfig, Stimulus,
+    classify, default_injection_times, output_values, parse_models, CampaignConfig, FaultRun,
+    GoldenRun, Stimulus,
 };
 use qdi::netlist::GateId;
 use qdi::sim::{Fault, FaultPlan, FaultSite, SimError, TestbenchRun, Transition};
@@ -151,21 +156,52 @@ fn sbox_slice_golden_and_fault_runs_are_pinned() {
     let golden = output_values(&golden_run);
     let times = default_injection_times(netlist, &cfg).expect("injection times");
 
+    let forks = GoldenRun::new(netlist, &stim, &cfg.testbench, times.iter().copied())
+        .expect("golden forks");
     let mut lines = Vec::new();
+    let mut fork_lines = Vec::new();
+    let mut decided = Vec::new();
     for model in parse_models("seu,stuck0,stuck1,delay,glitch").expect("models") {
         for g in GATES {
             for (ti, &at_ps) in times.iter().enumerate() {
                 let fault = Fault::new(FaultSite::Gate(GateId::from_raw(g)), model, at_ps);
-                let result = stim.run(netlist, &cfg.testbench, Some(&FaultPlan::single(fault)));
-                let outcome = classify(netlist, &golden, &result);
-                lines.push(format!(
-                    "{} g{g} t{ti}: {} {outcome}",
-                    model.mnemonic(),
-                    describe(&result)
-                ));
+                let plan = FaultPlan::single(fault);
+                let line = |result: &Result<TestbenchRun, SimError>| {
+                    let outcome = classify(netlist, &golden, result);
+                    format!(
+                        "{} g{g} t{ti}: {} {outcome}",
+                        model.mnemonic(),
+                        describe(result)
+                    )
+                };
+                lines.push(line(&stim.run(netlist, &cfg.testbench, Some(&plan))));
+                let forked = match forks.fault_run(&plan) {
+                    FaultRun::Golden => {
+                        decided.push(lines.len() - 1);
+                        Ok(forks.run().clone())
+                    }
+                    FaultRun::Simulated(result) => result,
+                };
+                fork_lines.push(line(&forked));
             }
         }
     }
+    assert_eq!(
+        fork_lines, lines,
+        "forked runs differ from the runs from scratch"
+    );
+    // The golden-identical rule decides exactly the stuck-at-0 and delay
+    // runs whose log is golden's; the three glitch runs that also end on
+    // golden's log lie outside it.
+    let golden_log = format!("log {GOLDEN_LOG:016x}");
+    let rule: Vec<usize> = (0..PINS.len())
+        .filter(|&i| {
+            (PINS[i].starts_with("stuck0 ") || PINS[i].starts_with("delay "))
+                && PINS[i].contains(&golden_log)
+        })
+        .collect();
+    assert_eq!(rule.len(), 14);
+    assert_eq!(decided, rule, "runs the golden-identical rule decided");
 
     let actual_golden = (
         golden_run.transitions.len(),
