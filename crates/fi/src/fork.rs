@@ -8,26 +8,24 @@
 //! action, injects the plan and runs on, so the fault-free prefix is
 //! simulated once per campaign instead of once per fault. A plan that
 //! fires while the testbench settles has no snapshot before it and runs
-//! from a fresh testbench.
+//! from a fresh testbench; a plan that would fire after the golden run
+//! ends forks from the last snapshot and never fires.
 //!
-//! Two kinds of plan need no simulation at all, because their run is the
-//! golden run edge for edge:
-//!
-//! * a plan whose first action comes at or after a pause the golden run
-//!   ended short of: none of its actions ever fires;
-//! * a *golden-identical* fault: one `stuck0`/`stuck1` fault with no
-//!   duration on a net that already holds the stuck level at the snapshot,
-//!   or one `delay` fault with no duration, where golden never toggles the
-//!   site's net at or after the fault time. The fault fires but moves no
-//!   net: gate evaluation reads levels and pending values, never pending
-//!   times, so both runs make the same schedule and cancel calls until a
-//!   first differing edge, and any such edge would be a golden edge on
-//!   the site. Three more conditions keep the argument exact: the watchdog
-//!   has no sim-time deadline (it also checks cancelled queue entries,
-//!   which differ between the runs), the site passes
-//!   [`qdi_sim::Fault::check`], and the snapshot holds an event still due,
-//!   so the clock the fault moved to its time is set by that event before
-//!   anything reads it. DESIGN.md §4d has the full argument.
+//! One kind of plan needs no simulation at all, because its run is the
+//! golden run edge for edge: a *golden-identical* fault, that is one
+//! `stuck0`/`stuck1` fault with no duration on a net that already holds
+//! the stuck level at the snapshot, or one `delay` fault with no
+//! duration, where golden never toggles the site's net at or after the
+//! fault time. The fault fires but moves no net: gate evaluation reads
+//! levels and pending values, never pending times, so both runs make the
+//! same schedule and cancel calls until a first differing edge, and any
+//! such edge would be a golden edge on the site. Three more conditions
+//! keep the argument exact: the watchdog has no sim-time deadline (it
+//! also checks cancelled queue entries, which differ between the runs),
+//! the site passes [`qdi_sim::Fault::check`], and the snapshot holds an
+//! event still due, so the clock the fault moved to its time is set by
+//! that event before anything reads it. DESIGN.md §4d has the full
+//! argument.
 //!
 //! Every result equals [`Stimulus::run`]'s for the same plan, field for
 //! field; `crates/fi/tests/fork_oracle.rs` checks that.
@@ -70,8 +68,6 @@ pub struct GoldenRun<'a> {
     start: Testbench<'a>,
     /// Snapshots in time order, one per pause the golden run stopped at.
     snapshots: Vec<Snapshot<'a>>,
-    /// The earliest pause the golden run ended short of.
-    ended_before: Option<TimePs>,
     run: TestbenchRun,
     /// Per net: the time of golden's last edge on it.
     last_edge: Vec<Option<TimePs>>,
@@ -121,7 +117,6 @@ impl<'a> GoldenRun<'a> {
             netlist,
             start,
             snapshots,
-            ended_before: bench.next_pause(),
             run,
             last_edge,
             deadline: cfg.watchdog.max_sim_time_ps.is_some(),
@@ -139,16 +134,11 @@ impl<'a> GoldenRun<'a> {
     /// all when the run is provably the golden run (see the module docs).
     #[must_use]
     pub fn fault_run(&self, plan: &FaultPlan) -> FaultRun {
-        let Some(first) = plan.iter().map(|f| f.at_ps).min() else {
-            return FaultRun::Golden; // nothing armed, nothing changes
-        };
-        let injectable = plan.iter().all(|f| f.check(self.netlist).is_ok());
-        if injectable && self.ended_before.is_some_and(|t| first >= t) {
-            return FaultRun::Golden;
-        }
+        // An empty plan has no first action and runs from the start.
+        let first = plan.iter().map(|f| f.at_ps).min().unwrap_or(0);
         let latest = self.snapshots.partition_point(|s| s.at_ps <= first);
         let snapshot = latest.checked_sub(1).map(|i| &self.snapshots[i]);
-        if injectable && snapshot.is_some_and(|s| self.moves_no_net(s, plan)) {
+        if snapshot.is_some_and(|s| self.moves_no_net(s, plan)) {
             return FaultRun::Golden;
         }
         let _span = qdi_obs::span::hot("fi.fault_run");
@@ -167,6 +157,7 @@ impl<'a> GoldenRun<'a> {
             || !snapshot.live
             || snapshot.at_ps != fault.at_ps
             || fault.duration_ps.is_some()
+            || fault.check(self.netlist).is_err()
         {
             return false;
         }

@@ -19,11 +19,8 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 
 use qdi_crypto::gatelevel::slice::{aes_first_round_slice, SliceStage};
-use qdi_exec::ExecConfig;
 use qdi_fi::{
-    classify, default_injection_times, enumerate_faults, output_values, parse_models,
-    run_campaign_parallel, sample_faults, CampaignConfig, FaultOutcome, FaultRun, GoldenRun,
-    Stimulus,
+    default_injection_times, parse_models, CampaignConfig, FaultRun, GoldenRun, Stimulus,
 };
 use qdi_netlist::{cells, GateId, GateKind, NetId, Netlist, NetlistBuilder};
 use qdi_sim::{
@@ -315,41 +312,6 @@ fn a_fault_where_only_cancelled_events_remain_is_simulated() {
     let golden = GoldenRun::new(netlist, &stim, &cfg, [at_ps]).expect("golden");
     let skipped = check_plan(netlist, &stim, &cfg, &golden, &stuck).expect("equal");
     assert!(!skipped, "the rule must not decide this fault");
-}
-
-/// One golden run, then each fault from scratch and classified.
-fn reference_outcomes(nl: &Netlist, faults: &[Fault], cfg: &CampaignConfig) -> Vec<FaultOutcome> {
-    let stim = Stimulus::random(nl, cfg.tokens, cfg.seed).expect("stimulus attaches");
-    let golden = output_values(&stim.run(nl, &cfg.testbench, None).expect("golden run"));
-    faults
-        .iter()
-        .map(|fault| {
-            let plan = FaultPlan::single(*fault);
-            classify(nl, &golden, &stim.run(nl, &cfg.testbench, Some(&plan)))
-        })
-        .collect()
-}
-
-/// A sampled S-box campaign over all six models: the campaign's outcome
-/// list equals the reference loop's at 1, 2 and 8 workers.
-#[test]
-fn sbox_campaign_outcomes_equal_the_reference_loop_at_1_2_and_8_workers() {
-    let netlist = sbox_netlist();
-    let cfg = CampaignConfig {
-        tokens: 2,
-        seed: 0x5eed,
-        ..CampaignConfig::new()
-    };
-    let times = default_injection_times(netlist, &cfg).expect("times");
-    let models = parse_models("seu,stuck0,stuck1,delay,glitch,drop").expect("models");
-    let faults = sample_faults(enumerate_faults(netlist, &models, &times), 240, 3);
-    let reference = reference_outcomes(netlist, &faults, &cfg);
-    for workers in [1, 2, 8] {
-        let report = run_campaign_parallel(netlist, &faults, &cfg, ExecConfig { workers })
-            .expect("campaign runs");
-        let outcomes: Vec<FaultOutcome> = report.records.iter().map(|r| r.outcome).collect();
-        assert_eq!(outcomes, reference, "{workers} worker(s)");
-    }
 }
 
 /// A golden run that fails reports the same error through the fork as

@@ -1,21 +1,27 @@
 //! Property test of the fault-campaign determinism contract: for
-//! arbitrary campaign parameters and any subset of the six fault models,
-//! per-fault outcomes and outcome counts are bit-identical across 1, 2
-//! and 8 workers — and identical to a reference loop built here from the
-//! public pieces (`Stimulus::run` + `classify`), which runs every fault
-//! from scratch where the campaign forks it from the golden run.
+//! arbitrary campaign parameters, either fixture (the dual-rail XOR, every
+//! fault, or the XOR+S-box slice, a sample of its faults) and any subset
+//! of the six fault models, per-fault outcomes and outcome counts are
+//! bit-identical across 1, 2 and 8 workers — and identical to a reference
+//! loop built here from the public pieces (`Stimulus::run` + `classify`),
+//! which runs every fault from scratch where the campaign forks it from
+//! the golden run.
 
 use proptest::prelude::*;
 
+use qdi_crypto::gatelevel::slice::{aes_first_round_slice, SliceStage};
 use qdi_exec::ExecConfig;
 use qdi_fi::{
     classify, default_injection_times, enumerate_faults, output_values, parse_model,
-    run_campaign_parallel, CampaignConfig, FaultOutcome, Stimulus,
+    run_campaign_parallel, sample_faults, CampaignConfig, FaultOutcome, Stimulus,
 };
 use qdi_netlist::{cells, Netlist, NetlistBuilder};
 use qdi_sim::{Fault, FaultKind, FaultPlan};
 
 const MODELS: [&str; 6] = ["seu", "stuck0", "stuck1", "delay", "glitch", "drop"];
+
+/// Faults drawn from the S-box slice's thousands per case.
+const SBOX_SAMPLE: usize = 64;
 
 fn xor_netlist() -> Netlist {
     let mut b = NetlistBuilder::new("xor");
@@ -26,6 +32,12 @@ fn xor_netlist() -> Netlist {
     b.connect_input_acks(&[a.id, bb.id], cell.ack_to_senders);
     let _ = b.output_channel("co", &cell.out.rails.clone(), ack);
     b.finish().expect("valid")
+}
+
+fn sbox_netlist() -> Netlist {
+    aes_first_round_slice("determinism", SliceStage::XorSbox)
+        .expect("slice builds")
+        .netlist
 }
 
 /// One golden run, then each fault injected in order and classified.
@@ -50,8 +62,9 @@ proptest! {
         tokens in 1usize..4,
         // A non-empty subset of MODELS, one bit per model.
         mask in 1u8..64,
+        sbox in any::<bool>(),
     ) {
-        let nl = xor_netlist();
+        let nl = if sbox { sbox_netlist() } else { xor_netlist() };
         let mut cfg = CampaignConfig::new();
         cfg.seed = seed;
         cfg.tokens = tokens;
@@ -62,7 +75,10 @@ proptest! {
             .map(|(_, name)| parse_model(name).expect("known model"))
             .collect();
         let times = default_injection_times(&nl, &cfg).expect("golden anchors");
-        let faults = enumerate_faults(&nl, &models, &times);
+        let mut faults = enumerate_faults(&nl, &models, &times);
+        if sbox {
+            faults = sample_faults(faults, SBOX_SAMPLE, seed);
+        }
         prop_assert!(!faults.is_empty());
 
         let reference = reference_outcomes(&nl, &faults, &cfg);

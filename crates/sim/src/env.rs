@@ -314,13 +314,6 @@ impl<'a> Testbench<'a> {
         self.sim.pause_at(at_ps);
     }
 
-    /// The earliest armed pause that has not come due. After
-    /// [`Advance::Done`], no fault armed at or after this time would have
-    /// fired either.
-    pub fn next_pause(&self) -> Option<TimePs> {
-        self.sim.next_pause()
-    }
-
     /// Attaches a source feeding `values` into input channel `channel`.
     ///
     /// # Errors
@@ -801,20 +794,5 @@ mod tests {
             }
         }
         assert!(forked.iter().all(|&n| n > 0), "{forked:?}");
-    }
-
-    #[test]
-    fn pauses_past_the_end_stay_armed() {
-        let (nl, ..) = xor_netlist();
-        let cfg = TestbenchConfig::default();
-        let golden = streaming_bench(&nl, cfg).run().expect("golden");
-        let mut tb = streaming_bench(&nl, cfg);
-        tb.pause_at(golden.end_time_ps + 1);
-        tb.pause_at(golden.end_time_ps + 500);
-        let Ok(Advance::Done(run)) = tb.advance() else {
-            panic!("no pause comes due after the last event");
-        };
-        assert!(same(&run, &golden));
-        assert_eq!(tb.next_pause(), Some(golden.end_time_ps + 1));
     }
 }

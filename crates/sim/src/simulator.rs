@@ -330,14 +330,6 @@ impl<'a> Simulator<'a> {
         self.sort_armed();
     }
 
-    /// The earliest pause still armed.
-    pub(crate) fn next_pause(&self) -> Option<TimePs> {
-        self.actions[self.next_action..]
-            .iter()
-            .find(|a| matches!(a.op, FaultOp::Pause))
-            .map(|a| a.at)
-    }
-
     /// Keeps the unfired suffix time-ordered; the stable sort preserves
     /// the push order of same-time actions (e.g. a force and its release).
     fn sort_armed(&mut self) {
