@@ -4,7 +4,9 @@
 //! measure what a profiled run pays per hot-span visit (stack push/pop,
 //! roll-up node lookup, two clock reads) and per ordinary span (ids,
 //! one record to every consumer), so instrumentation stays honest about
-//! its observer effect.
+//! its observer effect. The enabled cases install the run record, the
+//! one consumer that turns spans on without `QDI_LOG`, on the null
+//! device, so they pay for every record without filling a disk.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -21,7 +23,6 @@ fn bench_span_overhead(c: &mut Criterion) {
     // Disabled: one relaxed load in `hot`, one branch in the guard's
     // drop. This is what every instrumented hot path (simulator event
     // loop, `.qtrs` codec, pool dispatch) pays in production.
-    qdi_obs::prof::uninstall();
     c.bench_function("span_hot_disabled", |b| {
         b.iter(|| {
             let _s = qdi_obs::span::hot("bench.span.disabled");
@@ -32,7 +33,7 @@ fn bench_span_overhead(c: &mut Criterion) {
 
     // Enabled, under an ordinary span: the realistic shape — a kernel
     // folding into the roll-up of its enclosing step.
-    qdi_obs::prof::install();
+    qdi_obs::span::set_file("/dev/null");
     c.bench_function("span_hot_enabled", |b| {
         let _step = qdi_obs::span("bench", "step");
         b.iter(|| {
@@ -54,7 +55,7 @@ fn bench_span_overhead(c: &mut Criterion) {
         })
     });
 
-    // An ordinary span: one record per close, here to the profile only.
+    // An ordinary span: one record per close, to the run record.
     c.bench_function("span_ordinary_enabled", |b| {
         b.iter(|| {
             let _s = qdi_obs::span("bench", "ordinary");
@@ -62,8 +63,7 @@ fn bench_span_overhead(c: &mut Criterion) {
             black_box(acc)
         })
     });
-    qdi_obs::prof::uninstall();
-    qdi_obs::prof::reset();
+    qdi_obs::span::close_file();
 }
 
 criterion_group! {

@@ -17,10 +17,9 @@ fn bench_progress_overhead(c: &mut Criterion) {
         })
     });
 
-    // Disabled facility: `task` hands back an inert handle; advance is
+    // No progress file: `task` hands back an inert handle; advance is
     // an `Option::as_ref` branch. This is what every campaign pays when
     // nobody is watching.
-    qdi_obs::progress::set_enabled(false);
     let inert = qdi_obs::progress::task("bench.progress.disabled", 1_000_000);
     assert!(!inert.is_enabled());
     c.bench_function("progress_advance_disabled", |b| {
@@ -31,8 +30,13 @@ fn bench_progress_overhead(c: &mut Criterion) {
         })
     });
 
-    // Enabled: completed counter + EWMA CAS per call (still lock-free).
-    qdi_obs::progress::set_enabled(true);
+    // A progress file installed: completed counter + EWMA CAS per call
+    // (still lock-free), and a file write at most every 200 ms.
+    let file = std::env::temp_dir().join(format!(
+        "qdi_bench_progress_overhead_{}.json",
+        std::process::id()
+    ));
+    qdi_obs::progress::set_file(&file);
     let live = qdi_obs::progress::task("bench.progress.enabled", 1_000_000);
     assert!(live.is_enabled());
     c.bench_function("progress_advance_enabled", |b| {
@@ -42,8 +46,8 @@ fn bench_progress_overhead(c: &mut Criterion) {
             black_box(acc)
         })
     });
-    qdi_obs::progress::set_enabled(false);
     qdi_obs::progress::clear();
+    let _ = std::fs::remove_file(&file);
 }
 
 criterion_group! {

@@ -1070,30 +1070,6 @@ mod tests {
     }
 
     #[test]
-    fn installed_profile_attributes_the_flow() {
-        qdi_obs::prof::install();
-        let mut slice = aes_first_round_slice("s", SliceStage::XorOnly).expect("builds");
-        let sel = AesXorSelect { byte: 0, bit: 0 };
-        let mut cfg = fast_cfg(Strategy::Flat, 0x42);
-        cfg.workers = 2;
-        run_slice_flow(&mut slice, &sel, &cfg).expect("flow completes");
-        let profile = qdi_obs::prof::report();
-        qdi_obs::prof::uninstall();
-        qdi_obs::prof::reset();
-        let top = profile.regions.top_by_self(10);
-        assert!(
-            top.iter().any(|r| r.name == "pnr.place_route"),
-            "place-and-route region must be attributed: {top:?}"
-        );
-        assert!(
-            top.iter().any(|r| r.path.contains("dpa.acquire")),
-            "campaign acquisition must be attributed: {top:?}"
-        );
-        let jobs: u64 = profile.pool_runs.iter().map(|r| r.jobs).sum();
-        assert!(jobs >= 24, "one pool job per trace, got {jobs}");
-    }
-
-    #[test]
     fn hierarchical_flow_costs_area() {
         let base = aes_first_round_slice("s", SliceStage::XorSbox).expect("builds");
         let mut nl_flat = base.netlist.clone();

@@ -269,33 +269,30 @@ impl StoreCheckpoint {
 
     /// Reads a checkpoint written by [`StoreCheckpoint::save`], falling
     /// back to the `.bak` generation when the primary is torn or
-    /// corrupt. Files written before the durable format (no CRC trailer)
-    /// still load; a file that carries a trailer but fails verification
-    /// is classified, never parsed around.
+    /// corrupt. A damaged file — one with no CRC trailer included — is
+    /// classified, never parsed around.
     ///
     /// # Errors
     ///
-    /// [`CampaignError::Io`] on filesystem or parse failure,
-    /// [`CampaignError::Checkpoint`] when both generations are damaged
-    /// (with the torn/corrupt classification).
+    /// [`CampaignError::Io`] when neither generation exists, on a
+    /// filesystem failure or on a parse failure;
+    /// [`CampaignError::Checkpoint`] when a generation exists but none
+    /// verifies (with the torn/corrupt classification).
     pub fn load(path: &Path) -> Result<Self, CampaignError> {
-        use qdi_obs::durable;
+        use qdi_obs::durable::{self, Classification, DurableError};
         let json = match durable::recover(path) {
             Ok(recovered) => String::from_utf8(recovered.payload)
                 .map_err(|e| CampaignError::Io(format!("{}: {e}", path.display())))?,
-            Err(e @ durable::DurableError::Io { .. }) => {
-                return Err(CampaignError::Io(e.to_string()))
-            }
-            Err(err) => {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| CampaignError::Io(format!("read {}: {e}", path.display())))?;
-                if text.contains(durable::TRAILER_PREFIX) {
-                    return Err(CampaignError::Checkpoint(format!(
-                        "{}: {err}",
-                        path.display()
-                    )));
-                }
-                text
+            Err(DurableError::Unrecoverable {
+                primary: Classification::Missing,
+                backup: Classification::Missing,
+            }) => return Err(CampaignError::Io(format!("{}: missing", path.display()))),
+            Err(e @ DurableError::Io { .. }) => return Err(CampaignError::Io(e.to_string())),
+            Err(e) => {
+                return Err(CampaignError::Checkpoint(format!(
+                    "{}: {e}",
+                    path.display()
+                )))
             }
         };
         serde_json::from_str(&json)
@@ -1016,6 +1013,24 @@ mod tests {
         let err = StoreCheckpoint::load(&path).expect_err("classified");
         std::fs::remove_file(&path).ok();
         assert!(matches!(err, CampaignError::Checkpoint(_)), "{err}");
+    }
+
+    #[test]
+    fn checkpoint_without_a_trailer_is_classified_not_parsed() {
+        let path = tmp("bare.ckpt.json");
+        let bare = StoreCheckpoint {
+            fingerprint: "cfg workers=2".into(),
+            completed: 4,
+            store_path: "campaign.qtrs".into(),
+            store_offset: 400,
+            quarantined: Vec::new(),
+        };
+        let json = serde_json::to_string(&bare).expect("serializes");
+        std::fs::write(&path, json).expect("writes a checkpoint with no trailer");
+        let err = StoreCheckpoint::load(&path).expect_err("no trailer, no load");
+        std::fs::remove_file(&path).ok();
+        assert!(matches!(err, CampaignError::Checkpoint(_)), "{err}");
+        assert!(err.to_string().contains("torn"), "{err}");
     }
 
     #[test]

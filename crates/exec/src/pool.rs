@@ -431,25 +431,38 @@ mod tests {
         assert_eq!(ExecConfig::with_workers(8).effective_workers(0), 1);
     }
 
-    /// The profiler is process-global; serialize the tests that toggle it.
-    fn prof_gate() -> std::sync::MutexGuard<'static, ()> {
-        static GATE: std::sync::OnceLock<Mutex<()>> = std::sync::OnceLock::new();
-        GATE.get_or_init(|| Mutex::new(()))
+    /// Runs `body` with a fresh run record installed, and the profile
+    /// too when `profile`, and rebuilds the profile from the file. Both
+    /// are process-global, so these tests take one gate.
+    fn recorded(name: &str, profile: bool, body: impl FnOnce()) -> qdi_obs::ProfReport {
+        static GATE: Mutex<()> = Mutex::new(());
+        let _gate = GATE
             .lock()
-            .expect("prof gate poisoned")
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let path =
+            std::env::temp_dir().join(format!("qdi_exec_pool_{name}_{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        qdi_obs::span::set_file(&path);
+        if profile {
+            qdi_obs::prof::install();
+        }
+        body();
+        qdi_obs::prof::uninstall();
+        qdi_obs::flush();
+        qdi_obs::span::close_file();
+        let read = qdi_obs::span::read_records(&path).expect("run record reads");
+        let _ = std::fs::remove_file(&path);
+        qdi_obs::ProfReport::from_records(&read.records)
     }
 
     #[test]
     fn profiling_records_pool_runs_with_lanes() {
-        let _gate = prof_gate();
-        // Distinctive job counts so concurrent tests in this binary
-        // (the profiler ring is process-global) cannot alias the runs.
-        qdi_obs::prof::reset();
-        qdi_obs::prof::install();
-        let _ = run_indexed(&ExecConfig::with_workers(2), 23, |i| i * 3);
-        let _ = run_indexed(&ExecConfig::serial(), 7, |i| i);
-        let report = qdi_obs::prof::report();
-        qdi_obs::prof::uninstall();
+        // Distinctive job counts, so the bags of concurrent tests in this
+        // binary, which reach the same run record, cannot alias the runs.
+        let report = recorded("lanes", true, || {
+            let _ = run_indexed(&ExecConfig::with_workers(2), 23, |i| i * 3);
+            let _ = run_indexed(&ExecConfig::serial(), 7, |i| i);
+        });
 
         let parallel = report
             .pool_runs
@@ -483,18 +496,25 @@ mod tests {
             .map(|r| r.count)
             .sum();
         assert!(job_visits >= 30, "23 parallel + 7 serial, got {job_visits}");
-        qdi_obs::prof::reset();
     }
 
     #[test]
     fn disabled_profiler_records_nothing() {
-        let _gate = prof_gate();
-        qdi_obs::prof::reset();
-        let _ = run_indexed(&ExecConfig::with_workers(2), 19, |i| i);
-        let report = qdi_obs::prof::report();
+        // The run record alone: spans record, but no pool run does.
+        let report = recorded("no_profile", false, || {
+            let _ = run_indexed(&ExecConfig::with_workers(2), 19, |i| i);
+        });
+        assert!(
+            report
+                .regions
+                .regions
+                .iter()
+                .any(|r| r.path == "exec.pool.run"),
+            "the bag's spans record"
+        );
         assert!(
             !report.pool_runs.iter().any(|r| r.jobs == 19),
-            "no timeline while disabled"
+            "no PoolRun without the profile"
         );
     }
 

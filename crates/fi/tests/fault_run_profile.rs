@@ -1,9 +1,9 @@
 //! Where a fault campaign's time goes, read from the library's own hot
-//! spans: `fi_sbox`'s seed-0 unit settles the circuit twice (the golden
-//! run behind `default_injection_times` and the campaign's own) and
-//! simulates only the faults that can move a net, each forked from a
-//! golden snapshot. Its own test binary, because the profile is
-//! process-global.
+//! spans in the run record: `fi_sbox`'s seed-0 unit settles the circuit
+//! twice (the golden run behind `default_injection_times` and the
+//! campaign's own) and simulates only the faults that can move a net,
+//! each forked from a golden snapshot. Its own test binary, because the
+//! run record is process-global.
 
 use qdi_crypto::gatelevel::slice::{aes_first_round_slice, SliceStage};
 use qdi_exec::{derive_seed, ExecConfig};
@@ -21,14 +21,18 @@ fn the_seed_0_sbox_unit_settles_twice_and_skips_golden_identical_faults() {
         ..CampaignConfig::new()
     };
     let models = parse_models("seu,stuck0,stuck1,delay,glitch").expect("models");
-    qdi_obs::prof::reset();
-    qdi_obs::prof::install();
+    let path = std::env::temp_dir().join(format!("qdi_fi_profile_{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    qdi_obs::span::set_file(&path);
     let times = default_injection_times(netlist, &cfg).expect("injection times");
     let faults = enumerate_faults(netlist, &models, &times);
     let report = run_campaign_parallel(netlist, &faults, &cfg, ExecConfig::with_workers(2))
         .expect("campaign runs");
-    let profile = qdi_obs::prof::report();
-    qdi_obs::prof::uninstall();
+    qdi_obs::flush();
+    qdi_obs::span::close_file();
+    let read = qdi_obs::span::read_records(&path).expect("run record reads");
+    let _ = std::fs::remove_file(&path);
+    let profile = qdi_obs::prof::ProfReport::from_records(&read.records);
 
     let count = |name: &str| -> u64 {
         profile

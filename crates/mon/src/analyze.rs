@@ -179,8 +179,8 @@ pub fn analyze(report: &ProfReport, top: usize) -> Analysis {
         findings.push(Finding {
             code: "PROF000",
             message: "the profile holds no pool runs with measurable wall time".to_string(),
-            help: "enable profiling around a parallel campaign \
-                   (qdi_obs::prof::install)"
+            help: "install the profile along with the run record around a \
+                   parallel campaign (qdi_obs::prof::install, qdi_obs::span::set_file)"
                 .to_string(),
         });
         return Analysis {

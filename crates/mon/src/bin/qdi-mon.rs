@@ -12,19 +12,23 @@
 //! qdi-mon slo --config SLO.json METRICS.prom
 //! ```
 //!
-//! Every view but `watch` and `slo` reads a run record
-//! (`qdi_obs::span::set_file`): one JSON record per line, torn lines
-//! skipped. Exit status mirrors `qdi-lint`: `0` success, `1` a
-//! data-level failure (profile findings, a breached SLO, a trace id
-//! with no spans), `2` usage error or unreadable input.
+//! `watch` tails a progress file, or reaches a running `qdi-serve`
+//! through `qdi_serve::client`: it polls `/v1/progress` (or the given
+//! path), or tails a `/v1/jobs/ID/events` SSE stream. Every other view
+//! but `slo` reads a run record (`qdi_obs::span::set_file`): one JSON
+//! record per line, torn lines skipped. Exit status mirrors
+//! `qdi-lint`: `0` success, `1` a data-level failure (profile findings,
+//! a breached SLO, a trace id with no spans), `2` usage error or
+//! unreadable input.
 
 use std::io::Write as _;
 use std::path::Path;
 use std::process::ExitCode;
 
-use qdi_mon::{analyze, dashboard, flame, remote, report, waterfall};
+use qdi_mon::{analyze, dashboard, flame, report, waterfall};
 use qdi_obs::prof::ProfReport;
 use qdi_obs::progress::ProgressSnapshot;
+use qdi_serve::client::ServeClient;
 
 fn usage() -> &'static str {
     "usage: qdi-mon watch [--interval-ms N] [--once] PROGRESS.json|http://HOST:PORT\n\
@@ -43,16 +47,43 @@ fn usage() -> &'static str {
 // Every `cmd_*` returns the exit code, or the message of an exit-2
 // failure, which `run` prints after the subcommand's name.
 
-fn cmd_watch(interval_ms: u64, once: bool, file: &str) -> Result<ExitCode, String> {
-    if remote::is_sse_url(file) {
-        return watch_sse(file);
+/// A `qdi-serve` URL, `http://HOST:PORT[/PATH]`, split into the
+/// server's base URL and the path, `/v1/progress` when there is none.
+fn split_url(url: &str) -> Option<(&str, &str)> {
+    let rest = url.strip_prefix("http://")?;
+    let (base, path) = url.split_at("http://".len() + rest.find('/').unwrap_or(rest.len()));
+    Some((base, if path.len() > 1 { path } else { "/v1/progress" }))
+}
+
+fn cmd_watch(interval_ms: u64, once: bool, source: &str) -> Result<ExitCode, String> {
+    let remote = split_url(source).map(|(base, path)| {
+        let client = ServeClient {
+            timeout: std::time::Duration::from_secs(10),
+            ..ServeClient::new(base)
+        };
+        (client, path)
+    });
+    if let Some((client, path)) = &remote {
+        if let Some(job) = path
+            .strip_prefix("/v1/jobs/")
+            .and_then(|rest| rest.strip_suffix("/events"))
+        {
+            return watch_sse(client, job, once);
+        }
     }
     let mut first = true;
     loop {
-        let loaded = if remote::is_url(file) {
-            remote::fetch_progress(file, std::time::Duration::from_secs(10))
-        } else {
-            ProgressSnapshot::load(file)
+        let loaded = match &remote {
+            Some((client, path)) => {
+                client
+                    .get(path)
+                    .map_err(|err| err.to_string())
+                    .and_then(|response| {
+                        serde_json::from_str(&response.text())
+                            .map_err(|err| format!("parse snapshot: {err:?}"))
+                    })
+            }
+            None => ProgressSnapshot::load(source),
         };
         match loaded {
             Ok(snap) => {
@@ -77,23 +108,41 @@ fn cmd_watch(interval_ms: u64, once: bool, file: &str) -> Result<ExitCode, Strin
     }
 }
 
-/// Tails a `qdi-serve` per-job SSE stream, rendering every `progress`
-/// event as a dashboard frame.
-fn watch_sse(url: &str) -> Result<ExitCode, String> {
-    let mut first = true;
-    remote::stream_sse(url, |frame| {
-        match frame {
-            remote::SseFrame::Progress(snap) => {
-                let rendered = dashboard::render(&snap);
-                print!("{}", dashboard::ansi_frame(&rendered, first));
-                let _ = std::io::stdout().flush();
-                first = false;
+/// Tails a `qdi-serve` job's SSE stream, rendering every `progress`
+/// event as a dashboard frame until the stream ends; with `once`, only
+/// the first frame, without ANSI codes.
+fn watch_sse(client: &ServeClient, job: &str, once: bool) -> Result<ExitCode, String> {
+    let mut frames = 0;
+    let mut ended = "eof".to_owned();
+    client
+        .stream_events(job, None, |event, data| {
+            match event {
+                "progress" => {
+                    let Ok(snap) = serde_json::from_str::<ProgressSnapshot>(data) else {
+                        return true;
+                    };
+                    let frame = dashboard::render(&snap);
+                    if once {
+                        print!("{frame}");
+                    } else {
+                        print!("{}", dashboard::ansi_frame(&frame, frames == 0));
+                        let _ = std::io::stdout().flush();
+                    }
+                    frames += 1;
+                }
+                "done" | "drain" => ended = event.to_owned(),
+                _ => {}
             }
-            remote::SseFrame::State(_) => {}
-            remote::SseFrame::End(reason) => println!("stream ended ({reason})"),
+            !(once && frames > 0)
+        })
+        .map_err(|err| err.to_string())?;
+    if once {
+        if frames == 0 {
+            return Err(format!("stream ended ({ended}) before a progress event"));
         }
-        true
-    })?;
+    } else {
+        println!("stream ended ({ended})");
+    }
     Ok(ExitCode::SUCCESS)
 }
 

@@ -191,7 +191,7 @@ pub fn timeline_svg(runs: &[PoolRun], title: &str) -> String {
     if runs.is_empty() {
         out.push_str(&format!(
             "<text x=\"{PAD}\" y=\"{}\" fill=\"#6b7a88\">no pool runs recorded \
-             (enable profiling and run a parallel bag)</text>\n",
+             (install the profile with the run record, then run a parallel bag)</text>\n",
             HEADER_H + 14.0
         ));
         out.push_str("</svg>\n");

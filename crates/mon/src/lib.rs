@@ -4,9 +4,11 @@
 //! testable form:
 //!
 //! * [`dashboard`] — renders a [`qdi_obs::ProgressSnapshot`] (streamed
-//!   by running campaigns via `qdi_obs::progress::set_file`) as an
-//!   in-place ANSI terminal frame with completed/total bars, EWMA
-//!   throughput and ETA per task, plus the `exec.pool.*` gauges.
+//!   by running campaigns via `qdi_obs::progress::set_file`, or served
+//!   by `qdi-serve`, which `qdi-mon watch http://…` reaches through
+//!   [`qdi_serve::client`]) as an in-place ANSI terminal frame with
+//!   completed/total bars, EWMA throughput and ETA per task, plus the
+//!   `exec.pool.*` gauges.
 //! * [`report`] — turns a run record ([`qdi_obs::span::set_file`])
 //!   into the self-contained HTML report of [`html`]: sparklines from
 //!   its `Metrics` records, the slowest spans, the final readings.
@@ -16,9 +18,6 @@
 //!   vs mean job duration) with rustc-style findings naming the
 //!   dominant loss; [`flame`] renders the same profile as
 //!   self-contained SVGs (`qdi-mon flame` / `qdi-mon timeline`).
-//! * [`remote`] — progress sources on a running `qdi-serve` instance:
-//!   `qdi-mon watch http://host:port` polls `/v1/progress`, and a
-//!   `.../v1/jobs/{id}/events` URL tails the job's SSE stream.
 //! * [`waterfall`] — renders one distributed trace (the spans of one or
 //!   more run records, possibly spanning client + several server
 //!   processes) as a self-contained waterfall SVG; `qdi-mon slo`
@@ -35,6 +34,5 @@ pub mod analyze;
 pub mod dashboard;
 pub mod flame;
 pub mod html;
-pub mod remote;
 pub mod report;
 pub mod waterfall;

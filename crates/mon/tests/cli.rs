@@ -1,10 +1,12 @@
 //! End-to-end tests of the `qdi-mon` binary: exit-code discipline and
 //! output shapes for every subcommand.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpListener;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Command, Output};
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 use qdi_obs::metrics::{HistogramSnapshot, MetricSample, MetricsSnapshot};
 use qdi_obs::prof::{PoolRun, WorkerLane};
@@ -78,8 +80,8 @@ fn metrics_record(samples: Vec<MetricSample>, histograms: Vec<HistogramSnapshot>
     }
 }
 
-fn write_progress(path: &PathBuf, completed: u64, done: bool) {
-    let snap = ProgressSnapshot {
+fn progress(completed: u64, done: bool) -> ProgressSnapshot {
+    ProgressSnapshot {
         ts_us: 1_000_000,
         tasks: vec![TaskSnapshot {
             name: "dpa.campaign".into(),
@@ -95,8 +97,28 @@ fn write_progress(path: &PathBuf, completed: u64, done: bool) {
             name: "exec.pool.workers".into(),
             value: 4.0,
         }],
-    };
-    snap.save(path).unwrap();
+    }
+}
+
+fn write_progress(path: &PathBuf, completed: u64, done: bool) {
+    progress(completed, done).save(path).unwrap();
+}
+
+/// A one-connection fake `qdi-serve`: reads the request head, then
+/// hands the stream to `respond`.
+fn serve_once(respond: impl FnOnce(TcpStream) + Send + 'static) -> (String, JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
+    let url = format!("http://{}", listener.local_addr().expect("addr"));
+    let server = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accepts");
+        let mut reader = BufReader::new(stream.try_clone().expect("clones"));
+        let mut line = String::new();
+        while reader.read_line(&mut line).expect("reads") > 2 {
+            line.clear();
+        }
+        respond(stream);
+    });
+    (url, server)
 }
 
 #[test]
@@ -155,6 +177,89 @@ fn watch_survives_a_hostile_content_length() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(code(&out), 2, "a 2-byte body for a 1 TiB claim: {stderr}");
     assert!(stderr.contains("watch:"), "{stderr}");
+}
+
+#[test]
+fn watch_polls_a_snapshot_over_http() {
+    let body = qdi_obs::json::to_json(&progress(25, false));
+    let (url, server) = serve_once(move |mut stream| {
+        let head = format!(
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        );
+        stream.write_all((head + &body).as_bytes()).expect("writes");
+    });
+    let out = qdi_mon(&["watch", "--once", &url]);
+    server.join().expect("fake server");
+    assert_eq!(code(&out), 0, "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("dpa.campaign") && stdout.contains("25/100"),
+        "{stdout}"
+    );
+}
+
+/// Writes one SSE `progress` event carrying `completed` of 100.
+fn progress_event(stream: &mut TcpStream, id: u64, completed: u64) {
+    let data = qdi_obs::json::to_json(&progress(completed, false));
+    qdi_serve::http::write_sse_event(stream, id, "progress", &data).expect("writes");
+}
+
+#[test]
+fn watch_once_on_an_sse_stream_exits_after_the_first_frame() {
+    let (url, server) = serve_once(|mut stream| {
+        qdi_serve::http::write_sse_preamble(&mut stream).expect("writes");
+        progress_event(&mut stream, 1, 25);
+        // Hold the stream open: `done` goes out only if the watcher is
+        // still reading after 30 s.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("sets a timeout");
+        if stream.read(&mut [0; 1]).is_err() {
+            let _ = qdi_serve::http::write_sse_event(&mut stream, 2, "done", "{}");
+        }
+    });
+    let out = qdi_mon(&["watch", "--once", &format!("{url}/v1/jobs/j000001/events")]);
+    server.join().expect("fake server");
+    assert_eq!(code(&out), 0, "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("25/100"), "{stdout}");
+    assert!(
+        !stdout.contains('\x1b'),
+        "no ANSI codes with --once: {stdout:?}"
+    );
+    assert!(!stdout.contains("stream ended"), "{stdout}");
+}
+
+#[test]
+fn watch_renders_sse_frames_until_done() {
+    let (url, server) = serve_once(|mut stream| {
+        qdi_serve::http::write_sse_preamble(&mut stream).expect("writes");
+        progress_event(&mut stream, 1, 25);
+        qdi_serve::http::write_sse_event(&mut stream, 2, "state", "{}").expect("writes");
+        progress_event(&mut stream, 3, 100);
+        qdi_serve::http::write_sse_event(&mut stream, 4, "done", "{}").expect("writes");
+    });
+    let out = qdi_mon(&["watch", &format!("{url}/v1/jobs/j000001/events")]);
+    server.join().expect("fake server");
+    assert_eq!(code(&out), 0, "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("25/100") && stdout.contains("100/100"),
+        "{stdout}"
+    );
+    assert!(stdout.ends_with("stream ended (done)\n"), "{stdout}");
+}
+
+#[test]
+fn watch_rejects_a_progress_file_without_a_durable_trailer() {
+    let path = temp("qdi_mon_cli_watch_bare.json");
+    std::fs::write(&path, qdi_obs::json::to_json(&progress(25, false))).unwrap();
+    let out = qdi_mon(&["watch", "--once", path.to_str().unwrap()]);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(code(&out), 2, "a bare snapshot is torn, not legacy");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("torn"), "{stderr}");
 }
 
 #[test]
@@ -410,12 +515,12 @@ fn analyze_rejects_garbage_with_usage_exit() {
 
 /// The full loop on a real run record: run an instrumented pool bag
 /// with the profile and the run record installed, and drive all three
-/// profile subcommands on the file.
+/// profile subcommands on the file. The only test here that installs
+/// either.
 #[test]
 fn analyze_and_renderers_work_on_a_recorded_profile() {
     let path = temp("qdi_mon_cli_recorded.run.jsonl");
     let _ = std::fs::remove_file(&path);
-    qdi_obs::prof::reset();
     qdi_obs::prof::install();
     qdi_obs::span::set_file(&path);
     let _ = qdi_exec::run_indexed(&qdi_exec::ExecConfig::with_workers(2), 64, |i| {
@@ -426,10 +531,16 @@ fn analyze_and_renderers_work_on_a_recorded_profile() {
         }
         acc
     });
-    let live = qdi_obs::prof::report();
+    qdi_obs::flush();
     qdi_obs::span::close_file();
     qdi_obs::prof::uninstall();
-    assert!(!live.pool_runs.is_empty(), "pool run recorded");
+    let read = qdi_obs::span::read_records(&path).expect("run record reads");
+    assert!(
+        read.records
+            .iter()
+            .any(|r| matches!(r, Record::PoolRun { run, .. } if run.jobs == 64)),
+        "pool run recorded"
+    );
 
     let out = qdi_mon(&["analyze", path.to_str().unwrap()]);
     assert!(
@@ -466,7 +577,6 @@ fn analyze_and_renderers_work_on_a_recorded_profile() {
     for f in [&path, &flame, &lanes] {
         let _ = std::fs::remove_file(f);
     }
-    qdi_obs::prof::reset();
 }
 
 #[test]

@@ -8,9 +8,9 @@
 //!   [`span()`]s for flow steps, requests and leases, and [`span::hot`]
 //!   spans for kernels, which fold into roll-ups instead of writing a
 //!   record per call. Every span carries W3C trace and span ids, so the
-//!   same records feed logs, the profile's call tree ([`prof`]) and the
-//!   run record. Leveled [`event!`]s attach to the enclosing span and
-//!   are filtered by `QDI_LOG` (same syntax as `RUST_LOG`; see
+//!   same records feed logs and the run record, from which [`prof`]
+//!   rebuilds the profile. Leveled [`event!`]s attach to the enclosing
+//!   span and are filtered by `QDI_LOG` (same syntax as `RUST_LOG`; see
 //!   [`filter::Filter`]).
 //! * **Metrics** — process-wide [`metrics::counter`]s,
 //!   [`metrics::gauge`]s and fixed-bucket [`metrics::histogram`]s with
@@ -24,10 +24,9 @@
 //!   enables.
 //!
 //! Spans have one switch: they record when `QDI_LOG` enables any level
-//! or when a consumer (the profile, the run record) is installed. While
-//! off, every span and event check-point costs one relaxed atomic load,
-//! so instrumented hot paths cost effectively nothing in production
-//! runs.
+//! or when the run record is installed. While off, every span and
+//! event check-point costs one relaxed atomic load, so instrumented hot
+//! paths cost effectively nothing in production runs.
 //!
 //! ```
 //! use qdi_obs::{metrics, Level};
@@ -115,12 +114,9 @@ pub fn init_from_env() {
 
 /// `QDI_LOG` enables at least one level.
 pub(crate) const SWITCH_LOG: u8 = 1;
-/// The profile's call-tree aggregator is installed ([`prof::install`]).
-pub(crate) const SWITCH_PROFILE: u8 = 2;
-/// The run record is installed ([`span::set_file`]).
-pub(crate) const SWITCH_FILE: u8 = 4;
-/// Either consumer: spans record regardless of the log filter.
-pub(crate) const SWITCH_CONSUMERS: u8 = SWITCH_PROFILE | SWITCH_FILE;
+/// The run record is installed ([`span::set_file`]): spans record
+/// regardless of the log filter.
+pub(crate) const SWITCH_FILE: u8 = 2;
 /// `QDI_LOG` not read yet: forces the first check down the slow path.
 const SWITCH_UNINIT: u8 = 0x80;
 
@@ -151,6 +147,15 @@ fn flip(bit: u8, on: bool) {
     } else {
         SWITCH.fetch_and(!bit, Ordering::Relaxed);
     }
+}
+
+/// Serializes the unit tests that install process-global state (the
+/// run record, the profile).
+#[cfg(test)]
+pub(crate) fn test_gate() -> std::sync::MutexGuard<'static, ()> {
+    static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    GATE.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Replaces the active filter programmatically (tests, embedding
@@ -303,15 +308,11 @@ fn dispatch(record: &Record) {
 }
 
 /// Hands the records of one closed span (its hot roll-ups, then the
-/// span itself) to every consumer: the run record, the profile, and —
-/// when the filter enabled the span — the log sinks.
+/// span itself) to the run record and — when the filter enabled the
+/// span — the log sinks.
 pub(crate) fn emit_spans(batch: Vec<Record>, logged: bool) {
-    let bits = switch();
-    if bits & SWITCH_FILE != 0 {
+    if switch() & SWITCH_FILE != 0 {
         span::write_file(&batch);
-    }
-    if bits & SWITCH_PROFILE != 0 {
-        prof::ingest(&batch);
     }
     if logged {
         batch.iter().for_each(dispatch);

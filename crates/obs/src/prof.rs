@@ -1,24 +1,20 @@
 //! Wall-clock attribution profile: the call tree of hot spans and
-//! per-worker pool timelines.
+//! per-worker pool timelines, rebuilt from a run record.
 //!
-//! The profile answers *where the time goes*. Its call tree is built
-//! from span records alone: [`install`] adds the aggregator as a span
-//! consumer (turning spans on), and every hot-span roll-up record
-//! ([`crate::span::SpanRecord::rollup`]) folds into the node of its
-//! folded path — the hot names from its nearest ordinary ancestor down
-//! (`"exec.pool.run;exec.pool.job;dpa.acquire;sim.run"`). The
-//! `qdi-exec` pool additionally records one [`PoolRun`] per parallel bag
-//! while the profile is installed: per-worker lanes with job segments,
-//! steal events, queue-wait and idle totals.
-//!
-//! [`report`] merges everything into a [`ProfReport`]. The profile is
-//! never stored: the run record holds the same roll-ups and pool runs,
-//! and [`ProfReport::from_records`] rebuilds the report from them by the
-//! same fold, which `qdi-mon analyze` turns into a verdict table and
-//! `qdi-mon flame` / `qdi-mon timeline` render as SVGs.
+//! The profile answers *where the time goes*. It is never held in
+//! memory: the run record ([`crate::span::set_file`]) carries every
+//! hot-span roll-up record ([`crate::span::SpanRecord::rollup`]) and,
+//! while [`install`] arms them, one [`PoolRun`] per parallel bag of the
+//! `qdi-exec` pool: per-worker lanes with job segments, steal events,
+//! queue-wait and idle totals. [`ProfReport::from_records`] folds each
+//! roll-up into the node of its folded path — the hot names from its
+//! nearest ordinary ancestor down
+//! (`"exec.pool.run;exec.pool.job;dpa.acquire;sim.run"`) — which
+//! `qdi-mon analyze` turns into a verdict table and `qdi-mon flame` /
+//! `qdi-mon timeline` render as SVGs.
 
 use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use serde::{Deserialize, Serialize};
 
@@ -32,76 +28,28 @@ pub const PATH_SEP: char = ';';
 /// segments are merged into the last one and flagged as truncated.
 pub const MAX_LANE_SEGMENTS: usize = 512;
 
-/// Pool runs retained in the in-memory ring; older runs are dropped
-/// (counted in [`ProfReport::dropped_pool_runs`]) but their totals are
-/// preserved via the lane aggregates of the runs that remain.
+/// Pool runs a rebuilt profile keeps: the most recent ones, the older
+/// ones counted in [`ProfReport::dropped_pool_runs`].
 pub const MAX_POOL_RUNS: usize = 128;
 
-/// Installs the profile as a span consumer: spans record from now on
-/// and roll-ups accumulate until [`reset`].
+static INSTALLED: AtomicBool = AtomicBool::new(false);
+
+/// Installs the profile: from now on every bag the `qdi-exec` pool runs
+/// appends its [`PoolRun`] to the run record, when one is installed.
 pub fn install() {
-    crate::set_switch(crate::SWITCH_PROFILE, true);
+    INSTALLED.store(true, Ordering::Relaxed);
 }
 
-/// Removes the profile consumer; accumulated data stays readable.
+/// Removes the profile: pools record no more timelines.
 pub fn uninstall() {
-    crate::set_switch(crate::SWITCH_PROFILE, false);
+    INSTALLED.store(false, Ordering::Relaxed);
 }
 
-/// Whether the profile is installed.
+/// Whether pools record timelines: the profile and the run record, a
+/// timeline's only destination, are both installed.
 #[must_use]
 pub fn enabled() -> bool {
-    crate::switch() & crate::SWITCH_PROFILE != 0
-}
-
-// ---------------------------------------------------------------------------
-// The call-tree aggregator
-// ---------------------------------------------------------------------------
-
-fn tree() -> &'static Mutex<HashMap<String, RegionStat>> {
-    static TREE: OnceLock<Mutex<HashMap<String, RegionStat>>> = OnceLock::new();
-    TREE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Folds the roll-up records of one closed span into the call tree.
-pub(crate) fn ingest(batch: &[Record]) {
-    fold(&mut tree().lock().expect("prof tree poisoned"), batch);
-}
-
-/// Folds the hot-span roll-ups among `records` into `tree`. Roll-ups
-/// arrive parents first, so a record's path is its parent roll-up's
-/// path plus its own name; a roll-up whose parent is an ordinary span
-/// starts a path.
-fn fold(tree: &mut HashMap<String, RegionStat>, records: &[Record]) {
-    let mut paths: HashMap<&str, String> = HashMap::new();
-    for record in records {
-        let Record::Span(record) = record else {
-            continue;
-        };
-        let Some(rollup) = record.rollup else {
-            continue;
-        };
-        let path = match record.parent_id.as_deref().and_then(|p| paths.get(p)) {
-            Some(parent) => format!("{parent}{PATH_SEP}{}", record.name),
-            None => record.name.clone(),
-        };
-        let stat = tree.entry(path.clone()).or_insert_with(|| RegionStat {
-            name: record.name.clone(),
-            depth: path.matches(PATH_SEP).count(),
-            path: path.clone(),
-            count: 0,
-            total_ns: 0,
-            self_ns: 0,
-            min_ns: u64::MAX,
-            max_ns: 0,
-        });
-        stat.count = stat.count.saturating_add(rollup.count);
-        stat.total_ns = stat.total_ns.saturating_add(rollup.total_ns);
-        stat.self_ns = stat.self_ns.saturating_add(rollup.self_ns);
-        stat.min_ns = stat.min_ns.min(rollup.min_ns);
-        stat.max_ns = stat.max_ns.max(rollup.max_ns);
-        paths.insert(&record.span_id, path);
-    }
+    INSTALLED.load(Ordering::Relaxed) && crate::switch() & crate::SWITCH_FILE != 0
 }
 
 // ---------------------------------------------------------------------------
@@ -197,44 +145,16 @@ impl PoolRun {
     }
 }
 
-/// The most recent [`MAX_POOL_RUNS`] pool runs and how many older
-/// ones were dropped.
-#[derive(Default)]
-struct PoolRuns {
-    runs: Vec<PoolRun>,
-    dropped: u64,
-}
-
-impl PoolRuns {
-    fn push(&mut self, run: PoolRun) {
-        if self.runs.len() == MAX_POOL_RUNS {
-            self.runs.remove(0);
-            self.dropped += 1;
-        }
-        self.runs.push(run);
-    }
-}
-
-fn pool_registry() -> &'static Mutex<PoolRuns> {
-    static POOL: OnceLock<Mutex<PoolRuns>> = OnceLock::new();
-    POOL.get_or_init(|| Mutex::new(PoolRuns::default()))
-}
-
-/// Records one completed pool run (called by `qdi-exec` after the
-/// scope joins, never on the job hot path) and appends it to the run
-/// record, when one is installed. Keeps the most recent
-/// [`MAX_POOL_RUNS`] runs.
+/// Appends one completed pool run to the run record, when one is
+/// installed (called by `qdi-exec` after the scope joins, never on the
+/// job hot path).
 pub fn record_pool_run(run: PoolRun) {
     if crate::switch() & crate::SWITCH_FILE != 0 {
         crate::span::write_file(&[Record::PoolRun {
             ts_us: crate::unix_us().saturating_sub(run.wall_us),
-            run: run.clone(),
+            run,
         }]);
     }
-    pool_registry()
-        .lock()
-        .expect("prof pool poisoned")
-        .push(run);
 }
 
 /// Builds one worker lane incrementally while the worker runs. All
@@ -384,60 +304,66 @@ impl RegionProfile {
 pub struct ProfReport {
     /// Merged region call tree.
     pub regions: RegionProfile,
-    /// Retained pool runs, oldest first.
+    /// Kept pool runs, oldest first.
     pub pool_runs: Vec<PoolRun>,
-    /// Pool runs dropped from the ring (beyond [`MAX_POOL_RUNS`]).
+    /// Older pool runs left out (beyond [`MAX_POOL_RUNS`]).
     pub dropped_pool_runs: u64,
 }
 
 impl ProfReport {
-    /// Rebuilds the profile from the records of a run record: the fold
-    /// the installed profile runs live, over every roll-up, and the
-    /// pool runs in the same ring. A run record written while the
-    /// profile was installed rebuilds to what [`report`] returns at the
-    /// same point.
+    /// Rebuilds the profile from the records of a run record. Roll-ups
+    /// arrive parents first, so a roll-up's path is its parent
+    /// roll-up's path plus its own name; a roll-up whose parent is an
+    /// ordinary span starts a path. The most recent [`MAX_POOL_RUNS`]
+    /// pool runs are kept.
     #[must_use]
     pub fn from_records(records: &[Record]) -> ProfReport {
-        let mut tree = HashMap::new();
-        fold(&mut tree, records);
-        let mut pool = PoolRuns::default();
+        let mut tree: HashMap<String, RegionStat> = HashMap::new();
+        let mut paths: HashMap<&str, String> = HashMap::new();
+        let mut pool_runs = Vec::new();
         for record in records {
-            if let Record::PoolRun { run, .. } = record {
-                pool.push(run.clone());
-            }
+            let record = match record {
+                Record::Span(record) => record,
+                Record::PoolRun { run, .. } => {
+                    pool_runs.push(run.clone());
+                    continue;
+                }
+                _ => continue,
+            };
+            let Some(rollup) = record.rollup else {
+                continue;
+            };
+            let path = match record.parent_id.as_deref().and_then(|p| paths.get(p)) {
+                Some(parent) => format!("{parent}{PATH_SEP}{}", record.name),
+                None => record.name.clone(),
+            };
+            let stat = tree.entry(path.clone()).or_insert_with(|| RegionStat {
+                name: record.name.clone(),
+                depth: path.matches(PATH_SEP).count(),
+                path: path.clone(),
+                count: 0,
+                total_ns: 0,
+                self_ns: 0,
+                min_ns: u64::MAX,
+                max_ns: 0,
+            });
+            stat.count = stat.count.saturating_add(rollup.count);
+            stat.total_ns = stat.total_ns.saturating_add(rollup.total_ns);
+            stat.self_ns = stat.self_ns.saturating_add(rollup.self_ns);
+            stat.min_ns = stat.min_ns.min(rollup.min_ns);
+            stat.max_ns = stat.max_ns.max(rollup.max_ns);
+            paths.insert(&record.span_id, path);
         }
-        ProfReport::assemble(&tree, &pool)
-    }
-
-    fn assemble(tree: &HashMap<String, RegionStat>, pool: &PoolRuns) -> ProfReport {
-        let mut regions: Vec<RegionStat> = tree.values().cloned().collect();
+        let dropped = pool_runs.len().saturating_sub(MAX_POOL_RUNS);
+        pool_runs.drain(..dropped);
+        let mut regions: Vec<RegionStat> = tree.into_values().collect();
         regions.sort_by(|a, b| a.path.cmp(&b.path));
         ProfReport {
             regions: RegionProfile { regions },
-            pool_runs: pool.runs.clone(),
-            dropped_pool_runs: pool.dropped,
+            pool_runs,
+            dropped_pool_runs: dropped as u64,
         }
     }
-}
-
-/// Emits pending thread-root roll-ups, then snapshots the call tree and
-/// the pool-run ring as a [`ProfReport`]. Non-destructive: accumulation
-/// continues afterwards.
-#[must_use]
-pub fn report() -> ProfReport {
-    crate::span::drain_roots();
-    let tree = tree().lock().expect("prof tree poisoned");
-    ProfReport::assemble(&tree, &pool_registry().lock().expect("prof pool poisoned"))
-}
-
-/// Clears the call tree and the pool runs (tests, between independent
-/// runs). Spans still open attribute into the fresh tree when they
-/// close.
-pub fn reset() {
-    tree().lock().expect("prof tree poisoned").clear();
-    let mut pool = pool_registry().lock().expect("prof pool poisoned");
-    pool.runs.clear();
-    pool.dropped = 0;
 }
 
 #[cfg(test)]
@@ -445,12 +371,21 @@ mod tests {
     use super::*;
     use crate::span::hot;
 
-    /// These tests install the process-global profile; serialize them.
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        static GATE: OnceLock<Mutex<()>> = OnceLock::new();
-        GATE.get_or_init(|| Mutex::new(()))
-            .lock()
-            .expect("test gate poisoned")
+    /// Runs `body` with a fresh run record installed, behind the gate
+    /// of the tests that install process-global state, and rebuilds the
+    /// profile from what it wrote.
+    fn recorded(name: &str, body: impl FnOnce()) -> ProfReport {
+        let _gate = crate::test_gate();
+        let path =
+            std::env::temp_dir().join(format!("qdi_obs_prof_{name}_{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        crate::span::set_file(&path);
+        body();
+        crate::flush();
+        crate::span::close_file();
+        let read = crate::span::read_records(&path).expect("run record reads");
+        let _ = std::fs::remove_file(&path);
+        ProfReport::from_records(&read.records)
     }
 
     fn find<'a>(prof: &'a RegionProfile, path: &str) -> &'a RegionStat {
@@ -462,37 +397,33 @@ mod tests {
 
     #[test]
     fn uninstalled_profile_records_nothing() {
-        let _gate = lock();
+        let _gate = crate::test_gate();
+        let path =
+            std::env::temp_dir().join(format!("qdi_obs_prof_switch_{}.jsonl", std::process::id()));
         uninstall();
-        reset();
-        {
-            let _r = hot("prof.test.disabled");
-        }
-        let rep = report();
+        crate::span::set_file(&path);
+        assert!(!enabled(), "the run record alone arms no timeline");
+        install();
+        assert!(enabled());
+        crate::span::close_file();
         assert!(
-            !rep.regions
-                .regions
-                .iter()
-                .any(|r| r.path.contains("prof.test.disabled")),
-            "no call tree without the profile"
+            !enabled(),
+            "a timeline with no run record has nowhere to go"
         );
+        uninstall();
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn nested_hot_spans_attribute_self_and_total() {
-        let _gate = lock();
-        install();
-        reset();
-        {
+        let rep = recorded("nested", || {
             let _outer = hot("prof.test.outer");
             std::thread::sleep(std::time::Duration::from_millis(2));
             {
                 let _inner = hot("prof.test.inner");
                 std::thread::sleep(std::time::Duration::from_millis(2));
             }
-        }
-        let rep = report();
-        uninstall();
+        });
         let outer = find(&rep.regions, "prof.test.outer");
         let inner = find(&rep.regions, "prof.test.outer;prof.test.inner");
         assert_eq!(outer.count, 1);
@@ -505,51 +436,41 @@ mod tests {
             "inner time must not count as outer self time"
         );
         assert!(inner.min_ns <= inner.max_ns);
-        reset();
     }
 
     #[test]
     fn repeat_visits_accumulate_counts_and_minmax() {
-        let _gate = lock();
-        install();
-        reset();
-        for _ in 0..5 {
-            let _r = hot("prof.test.repeat");
-        }
-        let rep = report();
-        uninstall();
+        let rep = recorded("repeat", || {
+            for _ in 0..5 {
+                let _r = hot("prof.test.repeat");
+            }
+        });
         let r = find(&rep.regions, "prof.test.repeat");
         assert_eq!(r.count, 5);
         assert!(r.min_ns <= r.max_ns);
         assert!(r.total_ns >= r.max_ns);
         assert!((r.mean_ns() - r.total_ns as f64 / 5.0).abs() < 1e-9);
-        reset();
     }
 
     #[test]
     fn threads_merge_into_one_tree() {
-        let _gate = lock();
-        install();
-        reset();
-        // A finished thread's root roll-ups reach the next report.
-        std::thread::scope(|s| {
-            let workers: Vec<_> = (0..3)
-                .map(|_| {
-                    s.spawn(|| {
-                        let _r = hot("prof.test.worker");
+        // A finished thread's root roll-ups reach the next flush.
+        let rep = recorded("threads", || {
+            std::thread::scope(|s| {
+                let workers: Vec<_> = (0..3)
+                    .map(|_| {
+                        s.spawn(|| {
+                            let _r = hot("prof.test.worker");
+                        })
                     })
-                })
-                .collect();
-            for w in workers {
-                w.join().expect("worker runs");
-            }
+                    .collect();
+                for w in workers {
+                    w.join().expect("worker runs");
+                }
+            });
+            let _r = hot("prof.test.worker");
         });
-        let _r = hot("prof.test.worker");
-        drop(_r);
-        let rep = report();
-        uninstall();
         assert_eq!(find(&rep.regions, "prof.test.worker").count, 4);
-        reset();
     }
 
     #[test]
@@ -681,20 +602,15 @@ mod tests {
 
     #[test]
     fn top_by_self_picks_the_slowest_region() {
-        let _gate = lock();
-        install();
-        reset();
-        {
-            let _slow = hot("prof.test.slow");
-            std::thread::sleep(std::time::Duration::from_millis(3));
-        }
-        {
+        let rep = recorded("top", || {
+            {
+                let _slow = hot("prof.test.slow");
+                std::thread::sleep(std::time::Duration::from_millis(3));
+            }
             let _fast = hot("prof.test.fast");
-        }
-        let top = report().regions.top_by_self(1);
-        uninstall();
+        });
+        let top = rep.regions.top_by_self(1);
         assert_eq!(top.len(), 1);
         assert_eq!(top[0].name, "prof.test.slow");
-        reset();
     }
 }

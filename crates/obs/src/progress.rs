@@ -3,17 +3,20 @@
 //! Long-running parallel loops (`qdi_dpa::parallel`, the store-backed
 //! campaign runner, `qdi_fi` fault campaigns, `qdi_pnr` stability
 //! studies) register a [`ProgressTask`] and call
-//! [`ProgressTask::advance`] once per finished work item. When progress
-//! is disabled — the default — [`task`] hands back an inert handle and
-//! the whole facility costs one relaxed atomic load per registration
-//! and a branch per advance, mirroring the `QDI_LOG`-off tracing path.
+//! [`ProgressTask::advance`] once per finished work item. Progress has
+//! one switch, its file: until [`set_file`] installs one — the default —
+//! [`task`] hands back an inert handle and the whole facility costs one
+//! relaxed atomic load per registration and a branch per advance,
+//! mirroring the `QDI_LOG`-off tracing path.
 //!
-//! When enabled, each task keeps all-atomic state (completed count, an
-//! EWMA of instantaneous throughput) so worker threads never contend on
-//! a lock, and [`ProgressSnapshot::capture`] folds every live task plus
-//! the `exec.pool.*` gauges into a serializable snapshot. Campaigns can
-//! additionally stream snapshots to a JSON file on a throttle
-//! ([`set_file`]) for `qdi-mon watch` to tail.
+//! Once a file is installed, each task keeps all-atomic state (completed
+//! count, an EWMA of instantaneous throughput) so worker threads never
+//! contend on a lock, [`ProgressSnapshot::capture`] folds every live
+//! task plus the `exec.pool.*` gauges into a serializable snapshot, and
+//! advances stream that snapshot to the file at most every 200 ms for
+//! `qdi-mon watch` to tail. [`ewma_step`] and [`TaskSnapshot::new`] are
+//! the throughput and ETA formulas of every producer of a
+//! [`TaskSnapshot`], `qdi-serve`'s jobs included.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -29,22 +32,31 @@ const EWMA_TAU_S: f64 = 2.0;
 /// ETA value reported when throughput is still unknown.
 pub const ETA_UNKNOWN: f64 = -1.0;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-/// Fast-path flag mirroring "a progress file is configured".
+/// Minimum spacing of the progress-file writes that advances drive, µs.
+const WRITE_INTERVAL_US: u64 = 200_000;
+
+/// Fast-path flag mirroring "a progress file is installed": tasks are
+/// live.
 static FILE_SET: AtomicBool = AtomicBool::new(false);
 /// `now_us` of the last progress-file write (claimed by CAS).
 static LAST_WRITE_US: AtomicU64 = AtomicU64::new(0);
 
-/// Turns the progress facility on or off process-wide. Tasks created
-/// while disabled stay inert even if progress is enabled later.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether progress tracking is currently enabled (one relaxed load).
+/// One step of a throughput EWMA: `ewma` (items/s, 0 before any
+/// sample) after `items` more finished in `dt_s` seconds. The first
+/// sample seeds it; later ones move it by α = 1 − e^(−Δt/τ), τ = 2 s,
+/// so the weight of a sample grows with the time it covers. A step of
+/// no time leaves it unchanged.
 #[must_use]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+pub fn ewma_step(ewma: f64, items: u64, dt_s: f64) -> f64 {
+    if dt_s <= 0.0 {
+        return ewma;
+    }
+    let inst = items as f64 / dt_s;
+    if ewma == 0.0 {
+        inst
+    } else {
+        ewma + (1.0 - (-dt_s / EWMA_TAU_S).exp()) * (inst - ewma)
+    }
 }
 
 struct TaskInner {
@@ -64,11 +76,12 @@ fn registry() -> &'static Mutex<Vec<Arc<TaskInner>>> {
 }
 
 /// Registers a named task with a known work-item total. Re-registering
-/// a name replaces the previous task (campaign restarted). When the
-/// facility is disabled the returned handle is inert.
+/// a name replaces the previous task (campaign restarted). Until a
+/// progress file is installed the returned handle is inert, and stays
+/// so.
 #[must_use]
 pub fn task(name: &str, total: usize) -> ProgressTask {
-    if !enabled() {
+    if !FILE_SET.load(Ordering::Relaxed) {
         return ProgressTask { inner: None };
     }
     let now = crate::now_us();
@@ -121,16 +134,9 @@ impl ProgressTask {
         let last = inner.last_us.swap(now, Ordering::Relaxed);
         if now > last {
             let dt = (now - last) as f64 / 1e6;
-            let inst = n as f64 / dt;
-            let alpha = 1.0 - (-dt / EWMA_TAU_S).exp();
             let mut current = inner.ewma_bits.load(Ordering::Relaxed);
             loop {
-                let prev = f64::from_bits(current);
-                let next = if prev == 0.0 {
-                    inst
-                } else {
-                    prev + alpha * (inst - prev)
-                };
+                let next = ewma_step(f64::from_bits(current), n as u64, dt);
                 match inner.ewma_bits.compare_exchange_weak(
                     current,
                     next.to_bits(),
@@ -142,14 +148,14 @@ impl ProgressTask {
                 }
             }
         }
-        maybe_write_file(false);
+        maybe_write_file(now, false);
     }
 
     /// Marks the task finished and forces a progress-file write.
     pub fn finish(&self) {
         if let Some(inner) = self.inner.as_ref() {
             inner.done.store(true, Ordering::Relaxed);
-            maybe_write_file(true);
+            maybe_write_file(crate::now_us(), true);
         }
     }
 
@@ -163,34 +169,14 @@ impl ProgressTask {
 }
 
 fn snapshot_inner(inner: &TaskInner, now_us: u64) -> TaskSnapshot {
-    let completed = inner.completed.load(Ordering::Relaxed);
-    let total = inner.total.load(Ordering::Relaxed);
-    let elapsed_s = now_us.saturating_sub(inner.started_us) as f64 / 1e6;
-    let rate = if elapsed_s > 0.0 {
-        completed as f64 / elapsed_s
-    } else {
-        0.0
-    };
-    let ewma_rate = f64::from_bits(inner.ewma_bits.load(Ordering::Relaxed));
-    let remaining = total.saturating_sub(completed);
-    let eta_rate = if ewma_rate > 0.0 { ewma_rate } else { rate };
-    let eta_s = if remaining == 0 {
-        0.0
-    } else if eta_rate > 0.0 {
-        remaining as f64 / eta_rate
-    } else {
-        ETA_UNKNOWN
-    };
-    TaskSnapshot {
-        name: inner.name.clone(),
-        completed,
-        total,
-        elapsed_s,
-        rate,
-        ewma_rate,
-        eta_s,
-        done: inner.done.load(Ordering::Relaxed),
-    }
+    TaskSnapshot::new(
+        inner.name.clone(),
+        inner.completed.load(Ordering::Relaxed),
+        inner.total.load(Ordering::Relaxed),
+        now_us.saturating_sub(inner.started_us) as f64 / 1e6,
+        f64::from_bits(inner.ewma_bits.load(Ordering::Relaxed)),
+        inner.done.load(Ordering::Relaxed),
+    )
 }
 
 /// Serializable view of one task.
@@ -211,11 +197,49 @@ pub struct TaskSnapshot {
     /// Estimated seconds to completion ([`ETA_UNKNOWN`] when the
     /// throughput is still zero).
     pub eta_s: f64,
-    /// Whether [`ProgressTask::finish`] was called.
+    /// Whether the task finished ([`ProgressTask::finish`]).
     pub done: bool,
 }
 
 impl TaskSnapshot {
+    /// The view of a task that finished `completed` of `total` items in
+    /// `elapsed_s` seconds, at the throughput EWMA `ewma_rate` of
+    /// [`ewma_step`]. The ETA is 0 once the task is done or complete,
+    /// [`ETA_UNKNOWN`] while the EWMA has no sample, and the remaining
+    /// items over the EWMA otherwise.
+    #[must_use]
+    pub fn new(
+        name: String,
+        completed: u64,
+        total: u64,
+        elapsed_s: f64,
+        ewma_rate: f64,
+        done: bool,
+    ) -> TaskSnapshot {
+        let remaining = total.saturating_sub(completed);
+        let eta_s = if done || remaining == 0 {
+            0.0
+        } else if ewma_rate > 0.0 {
+            remaining as f64 / ewma_rate
+        } else {
+            ETA_UNKNOWN
+        };
+        TaskSnapshot {
+            name,
+            completed,
+            total,
+            elapsed_s,
+            rate: if elapsed_s > 0.0 {
+                completed as f64 / elapsed_s
+            } else {
+                0.0
+            },
+            ewma_rate,
+            eta_s,
+            done,
+        }
+    }
+
     /// Completion as a fraction in `[0, 1]` (1 when `total` is zero).
     #[must_use]
     pub fn fraction(&self) -> f64 {
@@ -295,46 +319,32 @@ impl ProgressSnapshot {
     }
 
     /// Loads a snapshot written by [`ProgressSnapshot::save`], verifying
-    /// the durable trailer. Trailer-less files (older writers) are
-    /// accepted as-is for compatibility.
+    /// the durable trailer.
     ///
     /// # Errors
     ///
-    /// Returns a description when the file is unreadable, torn, corrupt
-    /// or not a progress snapshot.
+    /// Returns a description when the file is missing, torn (a file
+    /// with no trailer included), corrupt or not a progress snapshot.
     pub fn load(path: impl AsRef<Path>) -> Result<ProgressSnapshot, String> {
         let path = path.as_ref();
-        let text = match crate::durable::recover(path) {
-            Ok(recovered) => String::from_utf8(recovered.payload)
-                .map_err(|e| format!("{}: {e}", path.display()))?,
-            // Compatibility: a readable file without any durable trailer
-            // is treated as a bare legacy snapshot. Files that carry a
-            // trailer but fail verification stay rejected.
-            Err(err) => {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|_| format!("{}: {err}", path.display()))?;
-                if text.contains(crate::durable::TRAILER_PREFIX) {
-                    return Err(format!("{}: {err}", path.display()));
-                }
-                text
-            }
-        };
+        let recovered =
+            crate::durable::recover(path).map_err(|e| format!("{}: {e}", path.display()))?;
+        let text =
+            String::from_utf8(recovered.payload).map_err(|e| format!("{}: {e}", path.display()))?;
         serde_json::from_str(&text).map_err(|e| format!("{}: {e}", path.display()))
     }
 }
 
-fn file_slot() -> &'static Mutex<Option<(PathBuf, u64)>> {
-    static FILE: OnceLock<Mutex<Option<(PathBuf, u64)>>> = OnceLock::new();
+fn file_slot() -> &'static Mutex<Option<PathBuf>> {
+    static FILE: OnceLock<Mutex<Option<PathBuf>>> = OnceLock::new();
     FILE.get_or_init(|| Mutex::new(None))
 }
 
-/// Streams [`ProgressSnapshot`]s to `path` (atomically replaced) at
-/// most every `interval_ms`, driven by [`ProgressTask::advance`] calls.
-pub fn set_file(path: impl AsRef<Path>, interval_ms: u64) {
-    *file_slot().lock().expect("progress file poisoned") = Some((
-        path.as_ref().to_path_buf(),
-        interval_ms.saturating_mul(1000),
-    ));
+/// Installs the progress file: tasks registered from now on are live,
+/// and [`ProgressTask::advance`] calls stream [`ProgressSnapshot`]s to
+/// `path` (atomically replaced) at most every 200 ms.
+pub fn set_file(path: impl AsRef<Path>) {
+    *file_slot().lock().expect("progress file poisoned") = Some(path.as_ref().to_path_buf());
     LAST_WRITE_US.store(0, Ordering::Relaxed);
     FILE_SET.store(true, Ordering::Relaxed);
 }
@@ -342,24 +352,18 @@ pub fn set_file(path: impl AsRef<Path>, interval_ms: u64) {
 /// Forces an immediate write of the configured progress file, if any.
 /// Returns whether a file was written.
 pub fn write_now() -> bool {
-    maybe_write_file(true)
+    maybe_write_file(crate::now_us(), true)
 }
 
-fn maybe_write_file(force: bool) -> bool {
+/// Writes the progress file at `now_us`, when one is installed and
+/// `force` is set or the last write is 200 ms old.
+fn maybe_write_file(now: u64, force: bool) -> bool {
     if !FILE_SET.load(Ordering::Relaxed) {
         return false;
     }
-    let now = crate::now_us();
     if !force {
         let last = LAST_WRITE_US.load(Ordering::Relaxed);
-        let interval = {
-            let slot = file_slot().lock().expect("progress file poisoned");
-            match slot.as_ref() {
-                Some((_, interval_us)) => *interval_us,
-                None => return false,
-            }
-        };
-        if now.saturating_sub(last) < interval {
+        if now.saturating_sub(last) < WRITE_INTERVAL_US {
             return false;
         }
         // Claim the write; losers skip instead of stacking up.
@@ -372,12 +376,8 @@ fn maybe_write_file(force: bool) -> bool {
     } else {
         LAST_WRITE_US.store(now, Ordering::Relaxed);
     }
-    let path = {
-        let slot = file_slot().lock().expect("progress file poisoned");
-        match slot.as_ref() {
-            Some((path, _)) => path.clone(),
-            None => return false,
-        }
+    let Some(path) = file_slot().lock().expect("progress file poisoned").clone() else {
+        return false;
     };
     ProgressSnapshot::capture().save(&path).is_ok()
 }
@@ -386,29 +386,36 @@ fn maybe_write_file(force: bool) -> bool {
 mod tests {
     use super::*;
 
-    /// These tests toggle process-global state; serialize them.
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        static GATE: OnceLock<Mutex<()>> = OnceLock::new();
-        GATE.get_or_init(|| Mutex::new(()))
-            .lock()
-            .expect("test gate poisoned")
+    /// Serializes these tests, which share the process-global registry,
+    /// and installs the progress file that makes their tasks live; the
+    /// tasks and the file go when it drops. A handle with no file
+    /// installed is pinned in `tests/progress_off.rs`, its own binary.
+    struct Live {
+        _gate: std::sync::MutexGuard<'static, ()>,
+        path: PathBuf,
     }
 
-    #[test]
-    fn disabled_handles_are_inert() {
-        let _gate = lock();
-        set_enabled(false);
-        let t = task("obs.test.inert", 10);
-        assert!(!t.is_enabled());
-        t.advance(5);
-        t.finish();
-        assert!(t.snapshot().is_none());
+    fn live() -> Live {
+        static GATE: Mutex<()> = Mutex::new(());
+        let gate = GATE
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let path =
+            std::env::temp_dir().join(format!("qdi_obs_progress_{}.json", std::process::id()));
+        set_file(&path);
+        Live { _gate: gate, path }
+    }
+
+    impl Drop for Live {
+        fn drop(&mut self) {
+            clear();
+            let _ = std::fs::remove_file(&self.path);
+        }
     }
 
     #[test]
     fn enabled_task_tracks_completed_total_and_eta() {
-        let _gate = lock();
-        set_enabled(true);
+        let _live = live();
         let t = task("obs.test.live", 100);
         assert!(t.is_enabled());
         t.advance(10);
@@ -425,14 +432,11 @@ mod tests {
         assert!((snap.fraction() - 0.25).abs() < 1e-12);
         t.finish();
         assert!(t.snapshot().unwrap().done);
-        set_enabled(false);
-        clear();
     }
 
     #[test]
     fn reregistering_a_name_replaces_the_task() {
-        let _gate = lock();
-        set_enabled(true);
+        let _live = live();
         let a = task("obs.test.replace", 5);
         a.advance(5);
         let _b = task("obs.test.replace", 9);
@@ -444,15 +448,11 @@ mod tests {
             .unwrap();
         assert_eq!(entry.total, 9);
         assert_eq!(entry.completed, 0, "fresh task replaced the old one");
-        set_enabled(false);
-        clear();
     }
 
     #[test]
     fn progress_snapshot_round_trips_through_a_file() {
-        let _gate = lock();
-        set_enabled(true);
-        clear();
+        let _live = live();
         let t = task("obs.test.file", 4);
         t.advance(4);
         t.finish();
@@ -463,18 +463,36 @@ mod tests {
         let back = ProgressSnapshot::load(&path).unwrap();
         assert_eq!(back.tasks, snap.tasks);
         let _ = std::fs::remove_file(&path);
-        set_enabled(false);
-        clear();
     }
 
     #[test]
     fn eta_unknown_before_any_progress() {
-        let _gate = lock();
-        set_enabled(true);
+        let _live = live();
         let t = task("obs.test.eta", 50);
         let snap = t.snapshot().unwrap();
         assert_eq!(snap.eta_s, ETA_UNKNOWN);
-        set_enabled(false);
-        clear();
+    }
+
+    #[test]
+    fn one_formula_steps_the_ewma_and_derives_the_eta() {
+        assert_eq!(ewma_step(0.0, 10, 0.5), 20.0, "the first sample seeds it");
+        assert_eq!(ewma_step(20.0, 10, 0.0), 20.0, "no time, no step");
+        let alpha = 1.0 - (-1.0f64 / EWMA_TAU_S).exp();
+        assert!((ewma_step(20.0, 40, 1.0) - (20.0 + alpha * 20.0)).abs() < 1e-12);
+
+        let eta = |completed, ewma, done| {
+            TaskSnapshot::new("t".into(), completed, 100, 2.0, ewma, done).eta_s
+        };
+        assert_eq!(eta(0, 0.0, false), ETA_UNKNOWN, "no throughput yet");
+        assert_eq!(eta(40, 0.0, false), ETA_UNKNOWN, "the EWMA has no sample");
+        assert_eq!(eta(40, 20.0, false), 3.0, "remaining over the EWMA");
+        assert_eq!(eta(40, 20.0, true), 0.0, "done");
+        assert_eq!(eta(100, 20.0, false), 0.0, "complete");
+        let snap = TaskSnapshot::new("t".into(), 40, 100, 2.0, 20.0, false);
+        assert_eq!(snap.rate, 20.0, "overall rate: completed over elapsed");
+        assert_eq!(
+            TaskSnapshot::new("t".into(), 0, 100, 0.0, 0.0, false).rate,
+            0.0
+        );
     }
 }

@@ -10,9 +10,9 @@
 //! carry the current span to worker threads.
 //!
 //! A closed span becomes one [`SpanRecord`]. That record is all any
-//! consumer reads: the log sinks of the crate root, the run record
-//! ([`set_file`], read back by [`read_records`]) and the call-tree
-//! aggregator of [`crate::prof`].
+//! consumer reads: the log sinks of the crate root and the run record
+//! ([`set_file`], read back by [`read_records`]), from which
+//! [`crate::prof::ProfReport::from_records`] rebuilds the profile.
 //!
 //! # Ordinary and hot spans
 //!
@@ -26,14 +26,13 @@
 //! whose [`SpanRecord::rollup`] carries the statistics. Once its node
 //! exists, a hot span allocates nothing per call. Hot spans with no
 //! ordinary ancestor fold into a per-thread root table that
-//! [`crate::flush`] and [`crate::prof::report`] drain.
+//! [`crate::flush`] drains.
 //!
 //! # One switch
 //!
-//! Spans record when `QDI_LOG` enables any level or when a consumer is
-//! installed (the profile or the run record). One relaxed atomic load
-//! decides it: a disabled span is an inert guard, pinned at ~4 ns by the
-//! `prof_overhead` bench.
+//! Spans record when `QDI_LOG` enables any level or when the run record
+//! is installed. One relaxed atomic load decides it: a disabled span is
+//! an inert guard, pinned at ~4 ns by the `prof_overhead` bench.
 //!
 //! Timestamps are UNIX-epoch microseconds ([`crate::unix_us`]) so spans
 //! from different processes — client, server, restarted server — line up
@@ -795,7 +794,7 @@ pub fn span_at(level: Level, target: &'static str, name: impl Into<String>) -> S
         return Span::with(State::Off);
     }
     let logged = switch & crate::SWITCH_LOG != 0 && crate::enabled(level, target);
-    if !logged && switch & crate::SWITCH_CONSUMERS == 0 {
+    if !logged && switch & crate::SWITCH_FILE == 0 {
         return Span::with(State::Off);
     }
     let span_id = new_span_id();
@@ -1014,11 +1013,12 @@ fn file_slot() -> &'static Mutex<Option<SpanFile>> {
 /// Installs the run record: appends every [`Record`] to `path` as JSON
 /// Lines (creating the parent directory) and turns spans on. The file
 /// gets every closed span, every event the filter enables and, where
-/// they are produced, pool runs (while the profile is installed) and
-/// metrics snapshots ([`crate::record_metrics`]). One `O_APPEND` handle
-/// is kept per installed path and every record is one `write`, so a
-/// crashed process tears at most the final line ([`read_records`] skips
-/// it). The file is process-global: the last installed path wins.
+/// they are produced, pool runs (while [`crate::prof::install`] arms
+/// them) and metrics snapshots ([`crate::record_metrics`]). One
+/// `O_APPEND` handle is kept per installed path and every record is one
+/// `write`, so a crashed process tears at most the final line
+/// ([`read_records`] skips it). The file is process-global: the last
+/// installed path wins.
 pub fn set_file(path: impl Into<PathBuf>) {
     let path = path.into();
     let mut slot = locked(file_slot());
@@ -1228,6 +1228,7 @@ mod tests {
 
     #[test]
     fn span_file_round_trips_and_skips_a_torn_final_line() {
+        let _gate = crate::test_gate();
         let dir = std::env::temp_dir().join(format!("qdi_obs_span_file_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let path = dir.join("spans.jsonl");

@@ -328,14 +328,12 @@ impl JobHandle {
             inner.started = Some(now);
         }
         if let Some((at, prev)) = inner.last_progress {
-            let dt = now.duration_since(at).as_secs_f64();
-            if dt > 1e-9 && completed >= prev {
-                let inst = (completed - prev) as f64 / dt;
-                inner.ewma_rate = if inner.ewma_rate == 0.0 {
-                    inst
-                } else {
-                    0.3 * inst + 0.7 * inner.ewma_rate
-                };
+            if completed >= prev {
+                inner.ewma_rate = qdi_obs::progress::ewma_step(
+                    inner.ewma_rate,
+                    completed - prev,
+                    now.duration_since(at).as_secs_f64(),
+                );
             }
         }
         inner.last_progress = Some((now, completed));
@@ -454,35 +452,14 @@ fn status_of(inner: &JobInner) -> JobStatus {
 }
 
 fn task_of(inner: &JobInner) -> qdi_obs::progress::TaskSnapshot {
-    let elapsed_s = inner
-        .started
-        .map(|at| at.elapsed().as_secs_f64())
-        .unwrap_or(0.0);
-    let rate = if elapsed_s > 1e-9 {
-        inner.record.completed as f64 / elapsed_s
-    } else {
-        0.0
-    };
-    let remaining = inner.record.total.saturating_sub(inner.record.completed);
-    let eta_s = if inner.record.state.is_terminal() || remaining == 0 {
-        0.0
-    } else if inner.ewma_rate > 1e-9 {
-        remaining as f64 / inner.ewma_rate
-    } else if rate > 1e-9 {
-        remaining as f64 / rate
-    } else {
-        qdi_obs::progress::ETA_UNKNOWN
-    };
-    qdi_obs::progress::TaskSnapshot {
-        name: format!("{}/{}", inner.record.spec.tenant, inner.record.id),
-        completed: inner.record.completed,
-        total: inner.record.total,
-        elapsed_s,
-        rate,
-        ewma_rate: inner.ewma_rate,
-        eta_s,
-        done: inner.record.state.is_terminal(),
-    }
+    qdi_obs::progress::TaskSnapshot::new(
+        format!("{}/{}", inner.record.spec.tenant, inner.record.id),
+        inner.record.completed,
+        inner.record.total,
+        inner.started.map_or(0.0, |at| at.elapsed().as_secs_f64()),
+        inner.ewma_rate,
+        inner.record.state.is_terminal(),
+    )
 }
 
 fn progress_of(inner: &JobInner) -> qdi_obs::progress::ProgressSnapshot {

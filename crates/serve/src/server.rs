@@ -220,7 +220,6 @@ impl Server {
         {
             std::thread::sleep(Duration::from_millis(10));
         }
-        qdi_obs::progress::write_now();
         qdi_obs::flush();
     }
 }

@@ -30,9 +30,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     qdi_obs::span::set_file(RUN_RECORD);
     // Live progress: `qdi-mon watch secure_flow.progress.json` tails
     // this file while the flow runs.
-    qdi_obs::progress::set_enabled(true);
-    qdi_obs::progress::set_file("secure_flow.progress.json", 200);
-    // The profile: while it is installed, every pool run is recorded.
+    qdi_obs::progress::set_file("secure_flow.progress.json");
+    // The profile: every pool run appends its worker timelines to the
+    // run record.
     qdi_obs::prof::install();
     // Emit pending roll-ups on *every* exit path — a failed flow step
     // `?`-returns past the flush calls below.
