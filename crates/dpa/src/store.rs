@@ -18,8 +18,8 @@
 //!   [`StoreCheckpoint`] is a few hundred bytes — fingerprint, progress
 //!   counter and byte offset — because per-index noise seeding makes
 //!   every other bit of campaign state derivable from the config. It is
-//!   the crate's resumable campaign: checkpoint/resume, budget-escalating
-//!   retry ([`ResilienceConfig`]) and supervised quarantine all live here.
+//!   the crate's resumable campaign: checkpoint/resume and supervised
+//!   quarantine live here.
 
 use std::error::Error;
 use std::fmt;
@@ -28,7 +28,7 @@ use std::path::Path;
 use qdi_analog::Trace;
 use qdi_crypto::gatelevel::slice::AesByteSlice;
 use qdi_exec::store::{StoreOptions, StoreReader, StoreWriter};
-use qdi_exec::{run_supervised, ExecConfig, JobOutcome, Quarantine, StoreError, SupervisorPolicy};
+use qdi_exec::{run_supervised, ExecConfig, Quarantine, StoreError, SupervisorPolicy};
 use qdi_sim::SimError;
 use serde::{Deserialize, Serialize};
 
@@ -38,31 +38,22 @@ use crate::parallel::BIAS_SHARD;
 use crate::selection::SelectionFunction;
 use crate::traceset::{TraceSet, TraceSetError};
 
-/// Chunking and retry knobs of a [`StoreCampaignRunner`].
+/// Chunking of a [`StoreCampaignRunner`]. Simulator budgets are the
+/// campaign's own (`CampaignConfig::testbench`): every acquisition runs
+/// once, under exactly those limits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ResilienceConfig {
     /// Traces per [`StoreCampaignRunner::step_chunk`]: the chunk is
     /// acquired on the pool, appended and flushed before the call
     /// returns, so this is also the checkpoint granularity.
     pub checkpoint_every: usize,
-    /// Retries per trace on budget-class simulator failures
-    /// ([`SimError::EventLimit`], [`SimError::SimTimeout`]) before the
-    /// trace fails.
-    pub max_retries: u32,
-    /// Budget multiplier per retry: attempt `k` runs with the configured
-    /// event/round budgets times `budget_backoff^k`. Values below 2 are
-    /// clamped to 2 — retrying with the same budget cannot help a
-    /// deterministic simulation.
-    pub budget_backoff: u64,
 }
 
 impl ResilienceConfig {
-    /// Defaults: chunks of 64 traces, 2 retries, 4x backoff.
+    /// Defaults: chunks of 64 traces.
     pub fn new() -> Self {
         ResilienceConfig {
             checkpoint_every: 64,
-            max_retries: 2,
-            budget_backoff: 4,
         }
     }
 }
@@ -76,8 +67,8 @@ impl Default for ResilienceConfig {
 /// Why a store-backed campaign stopped.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CampaignError {
-    /// The simulator failed permanently (deadlock, livelock, bad
-    /// environment) or exhausted its budget even after all retries.
+    /// The simulator failed: deadlock, livelock, a bad environment or an
+    /// exhausted event/round budget.
     Sim(SimError),
     /// A checkpoint could not be applied (config mismatch, inconsistent
     /// counters) or both of its generations are damaged.
@@ -239,9 +230,9 @@ pub struct StoreCheckpoint {
     pub store_offset: u64,
     /// Campaign indices quarantined by the supervisor (absent from the
     /// store): `completed` counts them, so the store holds exactly
-    /// `completed - quarantined.len()` records. A resumed campaign
-    /// re-attempts exactly these via
-    /// [`StoreCampaignRunner::retry_quarantined`].
+    /// `completed - quarantined.len()` records. A resumed campaign keeps
+    /// them quarantined: an acquisition is a pure function of the config
+    /// and its index, so re-running one would fail the same way.
     #[serde(default)]
     pub quarantined: Vec<usize>,
 }
@@ -257,6 +248,7 @@ impl StoreCheckpoint {
     ///
     /// [`CampaignError::Io`] on serialization or filesystem failure.
     pub fn save(&self, path: &Path) -> Result<(), CampaignError> {
+        let _span = qdi_obs::span::hot("dpa.checkpoint.save");
         let json = serde_json::to_string(self)
             .map_err(|e| CampaignError::Io(format!("serialize checkpoint: {e:?}")))?;
         qdi_obs::durable::save(
@@ -366,11 +358,9 @@ impl<'a> StoreCampaignRunner<'a> {
         })
     }
 
-    /// Enables supervised acquisition (builder style): panicking or
-    /// permanently-failing jobs are quarantined instead of aborting the
-    /// campaign, and the checkpoint records their indices so a resume
-    /// can re-attempt exactly those via
-    /// [`StoreCampaignRunner::retry_quarantined`].
+    /// Enables supervised acquisition (builder style): an acquisition
+    /// that panics or fails is quarantined instead of aborting the
+    /// campaign, and the checkpoint records its index.
     #[must_use]
     pub fn with_supervisor(mut self, policy: SupervisorPolicy) -> Self {
         self.supervisor = Some(policy);
@@ -460,15 +450,15 @@ impl<'a> StoreCampaignRunner<'a> {
     }
 
     /// Campaign indices the supervisor quarantined (absent from the
-    /// store until a successful [`StoreCampaignRunner::retry_quarantined`]).
+    /// store).
     pub fn quarantined(&self) -> &[usize] {
         &self.quarantined
     }
 
-    /// The quarantine manifest accumulated by supervised chunks in this
-    /// process (reasons, attempt counts, per-index seeds). A resumed
-    /// runner starts with an empty manifest — the checkpoint carries
-    /// only the indices — and refills it as re-attempts fail again.
+    /// The quarantine accumulated by supervised chunks in this process
+    /// (campaign indices, kinds and reasons). A resumed runner starts
+    /// with an empty one — the checkpoint carries only the indices — and
+    /// adds only the failures of its own chunks.
     pub fn quarantine(&self) -> &Quarantine {
         &self.manifest
     }
@@ -483,41 +473,43 @@ impl<'a> StoreCampaignRunner<'a> {
     /// them to the store in index order and flushes. Returns `Ok(false)`
     /// when the campaign was already complete.
     ///
-    /// Budget-class simulator failures are retried per trace with the
-    /// escalation policy of [`ResilienceConfig`]; the retry re-derives
-    /// the per-index noise RNG, so a rescued trace is bit-identical to an
-    /// undisturbed acquisition.
-    ///
-    /// With a supervisor ([`StoreCampaignRunner::with_supervisor`]) the
-    /// chunk degrades gracefully instead of failing fast: panicking or
-    /// permanently-erroring jobs are quarantined — their indices skipped
-    /// in the store and recorded in the checkpoint — and every other
-    /// trace still lands.
+    /// Every acquisition runs once, under the campaign's configured
+    /// event/round budgets: the simulation is deterministic and the
+    /// noise RNG is derived from the index, so a failed acquisition
+    /// would only fail again. With a supervisor
+    /// ([`StoreCampaignRunner::with_supervisor`]) the chunk degrades
+    /// gracefully instead of failing fast: failed acquisitions are
+    /// quarantined — their indices skipped in the store and recorded in
+    /// the checkpoint — and every other trace still lands.
     ///
     /// # Errors
     ///
-    /// [`CampaignError::Sim`] on permanent simulator failure (fail-fast
-    /// path only), [`CampaignError::Io`] on store write failure.
+    /// [`CampaignError::Sim`] on a simulator failure (fail-fast path
+    /// only), [`CampaignError::Io`] on store write failure.
     pub fn step_chunk(&mut self) -> Result<bool, CampaignError> {
         if self.is_done() {
             return Ok(false);
         }
+        let _span = qdi_obs::span::hot("dpa.chunk");
         let lo = self.completed;
         let hi = (lo + self.resilience.checkpoint_every.max(1)).min(self.cfg.traces);
-        if let Some(policy) = &self.supervisor {
-            let indices: Vec<usize> = (lo..hi).collect();
-            let (traces, quarantine) = self.acquire_supervised(policy, &indices);
-            for (index, trace) in indices.into_iter().zip(traces) {
-                if let Some(trace) = trace {
-                    self.writer.append(&[self.pts[index]], &trace)?;
-                }
+        let traces: Vec<Option<Trace>> = if self.supervisor.is_some() {
+            let run = run_supervised(&self.exec, hi - lo, |j| self.acquire(lo + j));
+            for mut entry in run.quarantine.entries {
+                entry.index += lo;
+                self.quarantined.push(entry.index);
+                self.manifest.entries.push(entry);
             }
-            self.quarantined.extend(quarantine.indices());
-            self.manifest.entries.extend(quarantine.entries);
+            run.values
         } else {
-            let traces = qdi_exec::try_run_indexed(&self.exec, hi - lo, |j| self.acquire(lo + j))?;
-            for (j, trace) in traces.iter().enumerate() {
-                self.writer.append(&[self.pts[lo + j]], trace)?;
+            qdi_exec::try_run_indexed(&self.exec, hi - lo, |j| self.acquire(lo + j))?
+                .into_iter()
+                .map(Some)
+                .collect()
+        };
+        for (index, trace) in (lo..hi).zip(traces) {
+            if let Some(trace) = trace {
+                self.writer.append(&[self.pts[index]], &trace)?;
             }
         }
         self.writer.flush()?;
@@ -525,100 +517,13 @@ impl<'a> StoreCampaignRunner<'a> {
         Ok(true)
     }
 
-    /// One acquisition with budget escalation: budget-class simulator
-    /// failures re-run with event/round budgets times `budget_backoff^k`.
-    /// Protocol-class failures (deadlock, livelock, bad environment) are
-    /// never retried — the simulation is deterministic, so they would
-    /// only repeat. Budgets only abort a run, so they matter only on a
-    /// noiseless-trace cache miss: a trace that fits any budget is the
-    /// same trace. The noise RNG is re-derived from the index each
-    /// attempt, so a rescued trace is bit-identical to an undisturbed
-    /// acquisition.
+    /// One acquisition under the configured budgets. Budgets only abort
+    /// a run, so they matter only on a noiseless-trace cache miss: a
+    /// trace that fits any budget is the same trace.
     fn acquire(&self, index: usize) -> Result<Trace, CampaignError> {
-        let backoff = self.resilience.budget_backoff.max(2);
-        let mut attempt = 0u32;
-        let trace = loop {
-            let mut cfg = self.cfg;
-            let factor = backoff.saturating_pow(attempt);
-            cfg.testbench.event_limit = cfg.testbench.event_limit.saturating_mul(factor);
-            cfg.testbench.max_rounds = cfg.testbench.max_rounds.saturating_mul(factor);
-            match acquire_trace(&self.cache, &cfg, self.pts[index], index) {
-                Ok(trace) => break trace,
-                Err(SimError::EventLimit { .. } | SimError::SimTimeout { .. })
-                    if attempt < self.resilience.max_retries =>
-                {
-                    attempt += 1;
-                    qdi_obs::metrics::counter("dpa.campaign.retries").inc();
-                }
-                Err(err) => return Err(CampaignError::Sim(err)),
-            }
-        };
+        let trace = acquire_trace(&self.cache, &self.cfg, self.pts[index], index)?;
         self.progress.advance(1);
         Ok(trace)
-    }
-
-    /// Acquires `indices` under the supervisor: one optional trace per
-    /// index plus the manifest of the ones that failed, reported with
-    /// campaign indices and their true per-index seeds.
-    fn acquire_supervised(
-        &self,
-        policy: &SupervisorPolicy,
-        indices: &[usize],
-    ) -> (Vec<Option<Trace>>, Quarantine) {
-        let run = run_supervised(&self.exec, policy, self.cfg.seed, indices.len(), |j| {
-            self.acquire(indices[j])
-        });
-        let mut quarantine = run.quarantine;
-        for entry in &mut quarantine.entries {
-            entry.index = indices[entry.index];
-            entry.job_seed = qdi_exec::derive_seed(self.cfg.seed, entry.index as u64);
-        }
-        let traces = run
-            .outcomes
-            .into_iter()
-            .map(JobOutcome::into_value)
-            .collect();
-        (traces, quarantine)
-    }
-
-    /// Re-attempts every quarantined index under the supervisor policy,
-    /// appending rescued traces at the store tail. Returns the number of
-    /// indices recovered; still-failing indices stay quarantined with a
-    /// refreshed manifest.
-    ///
-    /// Every `.qtrs` record carries its plaintext, so attacks over the
-    /// store stay valid after a rescue — but rescued records land out of
-    /// campaign-index order, so the streamed bias is statistically (not
-    /// bit-) identical to an undisturbed campaign's summation tree.
-    ///
-    /// # Errors
-    ///
-    /// [`CampaignError::Checkpoint`] when no supervisor policy is set,
-    /// [`CampaignError::Io`] on store write failure.
-    pub fn retry_quarantined(&mut self) -> Result<usize, CampaignError> {
-        let Some(policy) = &self.supervisor else {
-            return Err(CampaignError::Checkpoint(
-                "retry_quarantined requires a supervisor policy (with_supervisor)".into(),
-            ));
-        };
-        if self.quarantined.is_empty() {
-            return Ok(0);
-        }
-        let indices = std::mem::take(&mut self.quarantined);
-        let (traces, quarantine) = self.acquire_supervised(policy, &indices);
-        let mut recovered = 0usize;
-        for (index, trace) in indices.into_iter().zip(traces) {
-            match trace {
-                Some(trace) => {
-                    self.writer.append(&[self.pts[index]], &trace)?;
-                    recovered += 1;
-                }
-                None => self.quarantined.push(index),
-            }
-        }
-        self.manifest = quarantine;
-        self.writer.flush()?;
-        Ok(recovered)
     }
 
     /// Flushes and closes the store.
@@ -640,6 +545,10 @@ mod tests {
     use crate::selection::AesXorSelect;
     use qdi_crypto::gatelevel::slice::{aes_first_round_slice, SliceStage};
     use std::io::Write as _;
+
+    /// Event and round budget that one XOR-slice acquisition fits in
+    /// with little room to spare: it needs 56 events and 4 rounds.
+    const TIGHT_BUDGET: u64 = 64;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("qdi_dpa_store_{}_{name}", std::process::id()))
@@ -706,7 +615,6 @@ mod tests {
             cfg,
             ResilienceConfig {
                 checkpoint_every: 4,
-                ..ResilienceConfig::new()
             },
             ExecConfig { workers: 2 },
             &path,
@@ -733,7 +641,6 @@ mod tests {
         let ckpt = tmp("resume.ckpt.json");
         let resilience = ResilienceConfig {
             checkpoint_every: 4,
-            ..ResilienceConfig::new()
         };
         let exec = ExecConfig { workers: 2 };
 
@@ -783,14 +690,13 @@ mod tests {
             cfg,
             ResilienceConfig {
                 checkpoint_every: 4,
-                ..ResilienceConfig::new()
             },
             ExecConfig { workers: 2 },
             &path,
             StoreOptions::new(),
         )
         .expect("creates")
-        .with_supervisor(qdi_exec::SupervisorPolicy::new().without_backoff());
+        .with_supervisor(SupervisorPolicy::new());
         while runner.step_chunk().expect("chunk") {}
         assert!(runner.quarantined().is_empty());
         assert!(runner.quarantine().is_empty());
@@ -805,38 +711,27 @@ mod tests {
     }
 
     #[test]
-    fn quarantined_indices_ride_the_checkpoint_and_are_reattempted() {
+    fn quarantined_indices_ride_the_checkpoint() {
         let slice = aes_first_round_slice("s", SliceStage::XorOnly).expect("builds");
         let mut cfg = noisy_cfg(6);
-        // A budget nothing fits in, with budget escalation disabled:
-        // every acquisition fails permanently.
+        // A budget nothing fits in: every acquisition fails.
         cfg.testbench.event_limit = 1;
         let resilience = ResilienceConfig {
             checkpoint_every: 3,
-            max_retries: 0,
-            budget_backoff: 2,
         };
         let exec = ExecConfig { workers: 2 };
-        let policy = qdi_exec::SupervisorPolicy::new()
-            .without_backoff()
-            .with_retries(0);
         let path = tmp("supervised_quarantine.qtrs");
         let ckpt = tmp("supervised_quarantine.ckpt.json");
 
         let mut runner =
             StoreCampaignRunner::new(&slice, cfg, resilience, exec, &path, StoreOptions::new())
                 .expect("creates")
-                .with_supervisor(policy.clone());
+                .with_supervisor(SupervisorPolicy::new());
         assert!(runner.step_chunk().expect("degrades, does not abort"));
         assert_eq!(runner.completed(), 3);
         assert_eq!(runner.quarantined(), &[0, 1, 2]);
         let manifest = runner.quarantine();
-        assert_eq!(manifest.len(), 3);
-        assert_eq!(
-            manifest.entries[1].job_seed,
-            qdi_exec::derive_seed(cfg.seed, 1),
-            "manifest reports the true per-index seed"
-        );
+        assert_eq!(manifest.indices(), vec![0, 1, 2]);
         assert!(manifest.entries[0].reason.contains("EventLimit"));
         runner.checkpoint().save(&ckpt).expect("saves");
         drop(runner);
@@ -848,37 +743,19 @@ mod tests {
         assert_eq!(checkpoint.quarantined, vec![0, 1, 2]);
         let mut resumed = StoreCampaignRunner::resume(&slice, cfg, resilience, exec, checkpoint)
             .expect("resumes")
-            .with_supervisor(policy);
+            .with_supervisor(SupervisorPolicy::new());
         assert_eq!(resumed.quarantined(), &[0, 1, 2]);
-        // Re-attempting under the same starved budget fails again: the
-        // indices stay quarantined and the manifest is refreshed with
-        // campaign-scope indices and reasons.
-        let recovered = resumed.retry_quarantined().expect("retry pass runs");
-        assert_eq!(recovered, 0);
-        assert_eq!(resumed.quarantined(), &[0, 1, 2]);
-        assert_eq!(resumed.quarantine().indices(), vec![0, 1, 2]);
+        // The resumed runner keeps the checkpointed indices and
+        // quarantines only the failures of its own chunks: indices 0..3
+        // are not run again.
+        while resumed.step_chunk().expect("degrades, does not abort") {}
+        assert_eq!(resumed.quarantined(), &[0, 1, 2, 3, 4, 5]);
+        assert_eq!(resumed.quarantine().indices(), vec![3, 4, 5]);
+        resumed.finish().expect("closes");
+        assert!(TraceSet::from_store(&path).expect("loads").is_empty());
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&ckpt).ok();
         std::fs::remove_file(ckpt.with_extension("json.bak")).ok();
-    }
-
-    #[test]
-    fn retry_quarantined_without_supervisor_is_rejected() {
-        let slice = aes_first_round_slice("s", SliceStage::XorOnly).expect("builds");
-        let cfg = noisy_cfg(2);
-        let path = tmp("no_supervisor.qtrs");
-        let mut runner = StoreCampaignRunner::new(
-            &slice,
-            cfg,
-            ResilienceConfig::new(),
-            ExecConfig { workers: 1 },
-            &path,
-            StoreOptions::new(),
-        )
-        .expect("creates");
-        let err = runner.retry_quarantined().expect_err("needs a policy");
-        std::fs::remove_file(&path).ok();
-        assert!(matches!(err, CampaignError::Checkpoint(_)), "{err}");
     }
 
     #[test]
@@ -888,7 +765,6 @@ mod tests {
         let path = tmp("workers.qtrs");
         let resilience = ResilienceConfig {
             checkpoint_every: 3,
-            ..ResilienceConfig::new()
         };
         let mut runner = StoreCampaignRunner::new(
             &slice,
@@ -915,32 +791,24 @@ mod tests {
     }
 
     #[test]
-    fn budget_failures_retry_with_escalated_budget() {
+    fn a_fitting_budget_gives_the_roomy_trace_and_a_starved_one_fails() {
         let slice = aes_first_round_slice("s", SliceStage::XorOnly).expect("builds");
-        let mut cfg = noisy_cfg(3);
-        // A budget far too small for one handshake cycle: the first
-        // attempt must fail with EventLimit; backoff^1 = 8x then 64x
-        // raises it until the run fits.
-        cfg.testbench.event_limit = 40;
-        cfg.testbench.max_rounds = 40;
         let resilience = ResilienceConfig {
             checkpoint_every: 2,
-            max_retries: 3,
-            budget_backoff: 8,
         };
-        let retries = qdi_obs::metrics::counter("dpa.campaign.retries");
-        let before = retries.get();
-        let path = tmp("escalate.qtrs");
         let exec = ExecConfig { workers: 2 };
+        let path = tmp("budget.qtrs");
+        // A tight budget that one handshake cycle still fits in gives
+        // the traces of a comfortably budgeted run: budgets only abort.
+        let mut tight = noisy_cfg(3);
+        tight.testbench.event_limit = TIGHT_BUDGET;
+        tight.testbench.max_rounds = TIGHT_BUDGET;
         let mut runner =
-            StoreCampaignRunner::new(&slice, cfg, resilience, exec, &path, StoreOptions::new())
+            StoreCampaignRunner::new(&slice, tight, resilience, exec, &path, StoreOptions::new())
                 .expect("creates");
-        while runner.step_chunk().expect("retries rescue the campaign") {}
+        while runner.step_chunk().expect("the budget fits") {}
         runner.finish().expect("closes");
-        assert!(retries.get() > before, "expected at least one retry");
-
-        // The rescued traces match a comfortably-budgeted golden run.
-        let mut roomy = cfg;
+        let mut roomy = tight;
         roomy.testbench.event_limit = 50_000_000;
         roomy.testbench.max_rounds = 1_000_000;
         let golden = run_parallel_campaign(&slice, &roomy, exec).expect("golden runs");
@@ -952,15 +820,21 @@ mod tests {
             assert_eq!(golden.trace(i).samples(), stored.trace(i).samples());
         }
 
-        // Without retries the same starved budget fails the chunk.
-        let no_retry = ResilienceConfig {
-            max_retries: 0,
-            ..resilience
-        };
-        let mut starved =
-            StoreCampaignRunner::new(&slice, cfg, no_retry, exec, &path, StoreOptions::new())
-                .expect("creates");
-        let err = starved.step_chunk().expect_err("budget exhausted");
+        // A budget far too small for one handshake cycle fails the
+        // chunk: nothing raises it behind the caller's back.
+        let mut starved = tight;
+        starved.testbench.event_limit = 40;
+        starved.testbench.max_rounds = 40;
+        let mut runner = StoreCampaignRunner::new(
+            &slice,
+            starved,
+            resilience,
+            exec,
+            &path,
+            StoreOptions::new(),
+        )
+        .expect("creates");
+        let err = runner.step_chunk().expect_err("budget exhausted");
         std::fs::remove_file(&path).ok();
         assert!(
             matches!(err, CampaignError::Sim(SimError::EventLimit { .. })),

@@ -73,7 +73,7 @@ fn assert_matches_reference(
 
 fn supervise(runner: StoreCampaignRunner<'_>, supervised: bool) -> StoreCampaignRunner<'_> {
     if supervised {
-        runner.with_supervisor(SupervisorPolicy::new().without_backoff())
+        runner.with_supervisor(SupervisorPolicy::new())
     } else {
         runner
     }
@@ -93,10 +93,7 @@ fn store_campaign_with_resume(
     let tag = format!("{}_{}_{}", cfg.seed, checkpoint_every, stop_after);
     let path = tmp(&format!("{tag}.qtrs"));
     let ckpt = tmp(&format!("{tag}.ckpt.json"));
-    let resilience = ResilienceConfig {
-        checkpoint_every,
-        ..ResilienceConfig::new()
-    };
+    let resilience = ResilienceConfig { checkpoint_every };
     let mut first = supervise(
         StoreCampaignRunner::new(slice, cfg, resilience, exec, &path, StoreOptions::new())
             .expect("creates"),
@@ -179,15 +176,12 @@ fn failing_stimuli_fail_at_every_index_not_once_per_plaintext() {
     let mut cfg = CampaignConfig::full_codebook(0x42);
     cfg.traces = 512;
     cfg.seed = 7;
-    // A budget no acquisition fits in, with budget escalation off: each
-    // plaintext occurs twice, and both of its acquisitions must fail.
+    // A budget no acquisition fits in: each plaintext occurs twice, and
+    // both of its acquisitions must fail.
     cfg.testbench.event_limit = 1;
     let resilience = ResilienceConfig {
         checkpoint_every: 128,
-        max_retries: 0,
-        budget_backoff: 2,
     };
-    let policy = SupervisorPolicy::new().without_backoff().with_retries(0);
     let path = tmp("starved.qtrs");
     let mut runner = StoreCampaignRunner::new(
         &slice,
@@ -198,7 +192,7 @@ fn failing_stimuli_fail_at_every_index_not_once_per_plaintext() {
         StoreOptions::new(),
     )
     .expect("creates")
-    .with_supervisor(policy);
+    .with_supervisor(SupervisorPolicy::new());
     while runner.step_chunk().expect("degrades, does not abort") {}
     assert_eq!(runner.quarantined(), (0..512).collect::<Vec<_>>());
     let manifest = runner.quarantine();

@@ -51,6 +51,5 @@ pub use store::{
     FsckReport, SampleEncoding, StoreError, StoreInfo, StoreOptions, StoreReader, StoreWriter,
 };
 pub use supervisor::{
-    run_supervised, Backoff, JobOutcome, Quarantine, QuarantineEntry, QuarantineKind,
-    SupervisedRun, SupervisorPolicy,
+    run_supervised, Quarantine, QuarantineEntry, QuarantineKind, SupervisedRun, SupervisorPolicy,
 };

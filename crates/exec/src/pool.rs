@@ -90,7 +90,7 @@ impl Default for ExecConfig {
 /// A panicking job cancels the remaining queue; once every worker has
 /// joined, the pool panics with a message naming the lowest panicked
 /// index and its payload (use [`crate::supervisor::run_supervised`] to
-/// turn panics into per-index outcomes instead).
+/// quarantine panicking jobs instead).
 pub fn run_indexed<T, F>(cfg: &ExecConfig, jobs: usize, job: F) -> Vec<T>
 where
     T: Send,

@@ -14,9 +14,9 @@
 //!    classified errors or the original payload, never a panic, never
 //!    silently wrong data.
 //!
-//! Plus the supervisor's core determinism property as a proptest:
-//! retry-N output is bit-identical to first-try success at 1, 2 and 8
-//! workers.
+//! Plus the supervisor's contract as a proptest: at 1, 2 and 8 workers
+//! every job runs once, failing jobs are quarantined exactly and every
+//! other output equals the clean run.
 
 use std::io::{BufRead, BufReader, Write as _};
 use std::path::PathBuf;
@@ -27,7 +27,7 @@ use proptest::prelude::*;
 use qdi_analog::Trace;
 use qdi_exec::chaos::Corruption;
 use qdi_exec::store::{self, StoreError, StoreOptions, StoreReader, StoreWriter};
-use qdi_exec::{job_rng, run_supervised, ExecConfig, SupervisorPolicy};
+use qdi_exec::{job_rng, run_supervised, ExecConfig};
 use rand::Rng;
 
 const SEED: u64 = 0xC4A0_5EED;
@@ -264,8 +264,8 @@ fn corruption_fuzz_durable_recover_never_lies() {
     std::fs::remove_file(&backup).ok();
 }
 
-/// Deterministic digest of a job's full RNG stream — any divergence in
-/// retry accounting would change it.
+/// Deterministic digest of a job's full RNG stream: any divergence in
+/// which stream a job drew from would change it.
 fn job_digest(root: u64, index: usize) -> u64 {
     let mut rng = job_rng(root, index as u64);
     let mut acc = 0u64;
@@ -280,39 +280,35 @@ fn job_digest(root: u64, index: usize) -> u64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The supervisor's determinism contract: a run where jobs fail
-    /// transiently (up to 2 attempts burned, mask-chosen per index) and
-    /// are retried produces output bit-identical to a run where every
-    /// job succeeds first try — at 1, 2 and 8 workers.
+    /// The supervisor's contract: every job is invoked exactly once, the
+    /// mask-chosen failing jobs (panics and errors) are quarantined
+    /// exactly, and every other output equals the clean run — at 1, 2
+    /// and 8 workers.
     #[test]
-    fn retry_n_output_is_bit_identical_to_first_try(
+    fn failing_jobs_are_quarantined_after_one_attempt_at_any_worker_count(
         root in any::<u64>(),
         fail_mask in any::<u16>(),
         jobs in 1usize..12,
     ) {
-        let clean: Vec<u64> = (0..jobs).map(|i| job_digest(root, i)).collect();
-        let policy = SupervisorPolicy::new().with_retries(2).without_backoff();
+        let fails = |i: usize| (fail_mask >> (i % 16)) & 1 == 1;
+        let quarantined: Vec<usize> = (0..jobs).filter(|&i| fails(i)).collect();
+        let expected: Vec<Option<u64>> = (0..jobs)
+            .map(|i| (!fails(i)).then(|| job_digest(root, i)))
+            .collect();
         for workers in [1usize, 2, 8] {
-            let attempts: Vec<AtomicU32> = (0..jobs).map(|_| AtomicU32::new(0)).collect();
-            let run = run_supervised(
-                &ExecConfig { workers },
-                &policy,
-                root,
-                jobs,
-                |i| {
-                    let n = attempts[i].fetch_add(1, Ordering::SeqCst);
-                    let planned = ((fail_mask >> (i % 16)) & 1) as u32
-                        + ((fail_mask >> ((i + 7) % 16)) & 1) as u32;
-                    if n < planned {
-                        return Err(format!("transient fault, attempt {n}"));
-                    }
-                    Ok(job_digest(root, i))
-                },
-            );
-            prop_assert!(run.quarantine.is_empty(), "retries must absorb the plan");
-            let (values, _) = run.into_values();
-            let values: Vec<u64> = values.into_iter().flatten().collect();
-            prop_assert_eq!(&values, &clean, "workers={}", workers);
+            let calls: Vec<AtomicU32> = (0..jobs).map(|_| AtomicU32::new(0)).collect();
+            let run = run_supervised(&ExecConfig { workers }, jobs, |i| {
+                calls[i].fetch_add(1, Ordering::SeqCst);
+                match (fails(i), i % 3) {
+                    (true, 0) => panic!("planned panic at {i}"),
+                    (true, _) => Err(format!("planned fault at {i}")),
+                    (false, _) => Ok(job_digest(root, i)),
+                }
+            });
+            let calls: Vec<u32> = calls.iter().map(|c| c.load(Ordering::SeqCst)).collect();
+            prop_assert_eq!(calls, vec![1; jobs], "workers={}", workers);
+            prop_assert_eq!(run.quarantine.indices(), quarantined.clone(), "workers={}", workers);
+            prop_assert_eq!(&run.values, &expected, "workers={}", workers);
         }
     }
 }

@@ -64,11 +64,9 @@ impl fmt::Display for Severity {
 ///
 /// Codes are never reused or renumbered; machine consumers key on them.
 /// The `QDI00xx` range is static (netlist-structure) analysis, `QDI01xx`
-/// is dynamic (simulation-time) analysis, `QDI02xx` is symbolic
-/// (data-independence proofs of `qdi-sym`), and `QDI03xx` is runtime
-/// supervision (quarantined campaign jobs reported by
-/// `qdi-exec::supervisor`: `QDI0301` panic, `QDI0302` timeout,
-/// `QDI0303` retries-exhausted error).
+/// is dynamic (simulation-time) analysis and `QDI02xx` is symbolic
+/// (data-independence proofs of `qdi-sym`). `QDI03xx` named quarantined
+/// campaign jobs and is retired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct LintCode(pub u16);
 

@@ -259,7 +259,7 @@ pub struct ProgressSnapshot {
     /// Every registered task, sorted by name.
     pub tasks: Vec<TaskSnapshot>,
     /// The `exec.pool.*` and `exec.supervisor.*` gauges/counters
-    /// (queue depth, steals, per-worker utilization, retry/quarantine
+    /// (queue depth, steals, per-worker utilization, panic/quarantine
     /// totals), sorted by name.
     pub pool: Vec<MetricSample>,
 }

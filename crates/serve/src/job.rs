@@ -299,9 +299,13 @@ impl JobHandle {
     /// Transitions the state, persists the record, and emits a `state`
     /// event. Persistence failures are returned (the caller decides
     /// whether they are fatal) but the in-memory transition always
-    /// lands so the API stays coherent.
+    /// lands so the API stays coherent. The job's clock (the progress
+    /// events' `elapsed_s`) starts when it first enters `Running`.
     pub fn set_state(&self, state: JobState, error: Option<String>) -> Result<(), String> {
         let mut inner = self.lock();
+        if state == JobState::Running && inner.started.is_none() {
+            inner.started = Some(Instant::now());
+        }
         inner.record.state = state;
         inner.record.error = error;
         let saved = inner.record.save(&self.dir);
@@ -324,9 +328,6 @@ impl JobHandle {
     pub fn advance(&self, completed: u64, total: u64, quarantined: Vec<u64>) {
         let now = Instant::now();
         let mut inner = self.lock();
-        if inner.started.is_none() {
-            inner.started = Some(now);
-        }
         if let Some((at, prev)) = inner.last_progress {
             if completed >= prev {
                 inner.ewma_rate = qdi_obs::progress::ewma_step(
@@ -582,5 +583,26 @@ mod tests {
             serde_json::from_str(&events.last().expect("the first chunk emits").data)
                 .expect("progress payload parses");
         assert_eq!(last.tasks[0].completed, total);
+    }
+
+    #[test]
+    fn the_clock_starts_when_the_job_starts_running() {
+        let dir = std::env::temp_dir().join(format!("qdi_serve_clock_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let handle = JobHandle::new(record("j000004"), dir.clone());
+        handle.set_state(JobState::Running, None).expect("state");
+        std::thread::sleep(Duration::from_millis(50));
+        handle.advance(64, 1_024, Vec::new());
+        let progress = handle
+            .events_from(0)
+            .into_iter()
+            .find(|e| e.event == "progress")
+            .expect("the first chunk emits");
+        let snapshot: qdi_obs::progress::ProgressSnapshot =
+            serde_json::from_str(&progress.data).expect("progress payload parses");
+        let task = &snapshot.tasks[0];
+        assert!(task.elapsed_s >= 0.05, "elapsed {} s", task.elapsed_s);
+        assert!(task.rate <= 1_280.0, "rate {}/s", task.rate);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

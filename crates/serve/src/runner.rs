@@ -69,8 +69,7 @@ pub struct DpaReport {
     pub tenant: String,
     /// Traces acquired (equals the configured campaign size).
     pub traces: u64,
-    /// Indices still quarantined after the final retry (absent from
-    /// the store).
+    /// Quarantined campaign indices (absent from the store).
     pub quarantined: Vec<u64>,
     /// Selection function name, when an attack was requested.
     pub selection: Option<String>,
@@ -205,7 +204,9 @@ const CHECKPOINT_BACKLOG: usize = 2;
 /// checkpoints ahead of it. One save runs at a time, always of the
 /// newest checkpoint: those queued behind a slow fsync are coalesced.
 /// The job advances as each save lands, so [`JobHandle::status`]'s
-/// `completed` is always durable progress.
+/// `completed` is always durable progress. The thread adopts the
+/// caller's span, so its `dpa.checkpoint.save` roll-ups land under the
+/// lease.
 struct CheckpointSaver<'scope> {
     queue: SyncSender<StoreCheckpoint>,
     thread: ScopedJoinHandle<'scope, Result<(), String>>,
@@ -219,7 +220,9 @@ impl<'scope> CheckpointSaver<'scope> {
         total: u64,
     ) -> CheckpointSaver<'scope> {
         let (queue, checkpoints) = mpsc::sync_channel::<StoreCheckpoint>(CHECKPOINT_BACKLOG);
+        let lease = qdi_obs::span::handoff();
         let thread = scope.spawn(move || {
+            let _lease = lease.as_ref().map(qdi_obs::span::Handoff::adopt);
             while let Ok(mut checkpoint) = checkpoints.recv() {
                 while let Ok(newer) = checkpoints.try_recv() {
                     checkpoint = newer;
@@ -336,21 +339,7 @@ fn run_dpa(
         return Ok(disposition);
     }
 
-    // One final rescue pass over anything the supervisor quarantined
-    // (either in this lease or recorded by the checkpoint we resumed).
-    // Without one, the saved checkpoint is already the final one.
-    if !runner.quarantined().is_empty() {
-        let recovered = runner
-            .retry_quarantined()
-            .map_err(|e| format!("retry quarantined: {e:?}"))?;
-        if recovered > 0 {
-            qdi_obs::metrics::counter("serve.jobs.rescued").add(recovered as u64);
-        }
-        runner
-            .checkpoint()
-            .save(&ckpt_path)
-            .map_err(|e| format!("checkpoint: {e:?}"))?;
-    }
+    // The saver has landed the last checkpoint: it is the final one.
     let quarantined = quarantined_u64(runner.quarantined());
     runner.finish().map_err(|e| format!("finish: {e:?}"))?;
 

@@ -48,9 +48,12 @@ pub struct DpaJobSpec {
     pub stage: String,
     /// The campaign proper — identical to a local run's config.
     pub campaign: CampaignConfig,
-    /// Checkpoint cadence and retry policy; the default checkpoints
-    /// every 64 traces. `checkpoint_every` is also the scheduling
-    /// quantum: the server re-evaluates fair share at every chunk.
+    /// Checkpoint cadence; the default checkpoints every 64 traces.
+    /// `checkpoint_every` is also the scheduling quantum: the server
+    /// re-evaluates fair share at every chunk. Every acquisition runs
+    /// once under `campaign.testbench`'s budgets, and fields this struct
+    /// does not know (such as an older release's retry knobs) are
+    /// ignored.
     pub resilience: Option<ResilienceConfig>,
     /// Worker threads for this job's acquisition pool (default 1).
     /// Part of the checkpoint fingerprint: a resumed job must use the
@@ -340,6 +343,25 @@ mod tests {
         let spec: JobSpec = serde_json::from_str(&json).expect("parses");
         assert_eq!(spec.priority(), Priority::Normal);
         assert!(spec.validate().is_ok());
+    }
+
+    #[test]
+    fn unknown_resilience_fields_are_ignored() {
+        let campaign = serde_json::to_string(&CampaignConfig::new(7)).expect("serializes");
+        let json = format!(
+            "{{\"tenant\":\"bob\",\"kind\":{{\"Dpa\":{{\"stage\":\"xor\",\"campaign\":{campaign},\
+             \"resilience\":{{\"checkpoint_every\":8,\"retired_knob\":2}}}}}}}}"
+        );
+        let spec: JobSpec = serde_json::from_str(&json).expect("parses");
+        match spec.kind {
+            JobKind::Dpa(dpa) => assert_eq!(
+                dpa.resilience,
+                Some(ResilienceConfig {
+                    checkpoint_every: 8
+                })
+            ),
+            other => panic!("wrong kind {other:?}"),
+        }
     }
 
     #[test]

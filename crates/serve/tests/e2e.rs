@@ -29,7 +29,6 @@ fn dpa_spec(tenant: &str, key: u8, traces: usize) -> JobSpec {
             campaign,
             resilience: Some(ResilienceConfig {
                 checkpoint_every: 4,
-                ..ResilienceConfig::default()
             }),
             exec_workers: Some(1),
             attack: Some(AttackSpec {

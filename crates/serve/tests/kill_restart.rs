@@ -70,7 +70,6 @@ fn crash_spec(tenant: &str) -> JobSpec {
             campaign: campaign(),
             resilience: Some(ResilienceConfig {
                 checkpoint_every: 4,
-                ..ResilienceConfig::default()
             }),
             exec_workers: Some(1),
             attack: Some(AttackSpec {

@@ -44,7 +44,6 @@ fn campaign_cfg(seed: u64, traces: usize) -> CampaignConfig {
 fn resilience() -> ResilienceConfig {
     ResilienceConfig {
         checkpoint_every: 8,
-        ..ResilienceConfig::new()
     }
 }
 
@@ -65,7 +64,7 @@ fn child(
     } else {
         StoreCampaignRunner::new(&slice, cfg, resilience(), exec, store, StoreOptions::new())?
     }
-    .with_supervisor(SupervisorPolicy::new().without_backoff());
+    .with_supervisor(SupervisorPolicy::new());
     loop {
         let more = runner.step_chunk()?;
         runner.checkpoint().save(ckpt)?;

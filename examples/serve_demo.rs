@@ -33,7 +33,6 @@ fn demo_spec(tenant: &str) -> JobSpec {
             campaign,
             resilience: Some(ResilienceConfig {
                 checkpoint_every: 64,
-                ..ResilienceConfig::default()
             }),
             exec_workers: Some(1),
             attack: Some(AttackSpec {

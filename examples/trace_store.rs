@@ -61,7 +61,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let resumable_store = dir.join("trace_store_example_resumable.qtrs");
     let resilience = ResilienceConfig {
         checkpoint_every: 64,
-        ..ResilienceConfig::default()
     };
     let exec = ExecConfig::new();
     let mut runner = StoreCampaignRunner::new(
