@@ -519,11 +519,13 @@ impl<'a> StoreCampaignRunner<'a> {
 
     /// One acquisition under the configured budgets. Budgets only abort
     /// a run, so they matter only on a noiseless-trace cache miss: a
-    /// trace that fits any budget is the same trace.
+    /// trace that fits any budget is the same trace. The progress task
+    /// counts the acquisition either way: a failed one is quarantined or
+    /// fails the chunk, and is done as much as a stored one.
     fn acquire(&self, index: usize) -> Result<Trace, CampaignError> {
-        let trace = acquire_trace(&self.cache, &self.cfg, self.pts[index], index)?;
+        let trace = acquire_trace(&self.cache, &self.cfg, self.pts[index], index);
         self.progress.advance(1);
-        Ok(trace)
+        Ok(trace?)
     }
 
     /// Flushes and closes the store.

@@ -4,9 +4,9 @@ use qdi_netlist::Netlist;
 use qdi_sim::{Fault, FaultPlan, SimError, TestbenchConfig, TimePs};
 use serde::{Deserialize, Serialize};
 
-use crate::fork::{FaultRun, GoldenRun};
-use crate::harness::{output_values, Stimulus};
-use crate::outcome::{classify, FaultOutcome};
+use crate::fork::GoldenRun;
+use crate::harness::Stimulus;
+use crate::outcome::FaultOutcome;
 use crate::report::{FaultRecord, FaultReport};
 
 /// How a campaign drives the netlist.
@@ -64,16 +64,17 @@ pub fn default_injection_times(
 /// Runs a fault campaign: one golden run, then one injected run per
 /// fault, each classified against the golden outputs. The golden run
 /// keeps a testbench snapshot at every distinct injection time, and each
-/// fault run forks from the snapshot at its time ([`GoldenRun`]); a fault
-/// that provably leaves the run equal to golden's takes golden's outcome
-/// without simulating. Injected runs execute on the `qdi-exec` pool — one
-/// job per fault site; `exec.workers == 1` runs them in order on the
-/// calling thread.
+/// fault run forks from the snapshot at its time and is classified from
+/// the protocol check golden's log left there ([`GoldenRun::outcome`]); a
+/// fault that provably leaves the run equal to golden's takes golden's
+/// outcome without simulating. Injected runs execute on the `qdi-exec`
+/// pool — one job per fault site; `exec.workers == 1` runs them in order
+/// on the calling thread.
 ///
 /// The simulation is deterministic and every injected run is independent
 /// (faults never interact), so the report — per-fault outcomes, counts
 /// and coverage — is bit-identical at every worker count, and equal to
-/// classifying [`Stimulus::run`] per fault.
+/// [`crate::classify`] of [`Stimulus::run`] per fault.
 ///
 /// # Errors
 ///
@@ -93,22 +94,13 @@ pub fn run_campaign_parallel(
     let runs_metric = qdi_obs::metrics::counter("fi.runs");
     let stim = Stimulus::random(netlist, cfg.tokens, cfg.seed)?;
     let times = faults.iter().map(|f| f.at_ps);
-    let golden_run = GoldenRun::new(netlist, &stim, &cfg.testbench, times)?;
-    let golden = output_values(golden_run.run());
-    let classify_run = |result: &Result<_, _>| {
-        let _span = qdi_obs::span::hot("fi.classify");
-        classify(netlist, &golden, result)
-    };
-    let golden_outcome = classify_run(&Ok(golden_run.run().clone()));
+    let golden = GoldenRun::new(netlist, &stim, &cfg.testbench, times)?;
     runs_metric.inc();
 
     // Inert unless `qdi_obs::progress` is enabled; feeds `qdi-mon watch`.
     let progress = qdi_obs::progress::task("fi.campaign", faults.len());
     let outcomes = qdi_exec::run_indexed(&exec, faults.len(), |i| {
-        let outcome = match golden_run.fault_run(&FaultPlan::single(faults[i])) {
-            FaultRun::Golden => golden_outcome,
-            FaultRun::Simulated(result) => classify_run(&result),
-        };
+        let outcome = golden.outcome(&FaultPlan::single(faults[i]));
         progress.advance(1);
         outcome
     });

@@ -29,15 +29,27 @@
 //!
 //! Every result equals [`Stimulus::run`]'s for the same plan, field for
 //! field; `crates/fi/tests/fork_oracle.rs` checks that.
+//!
+//! Classification resumes the same way ([`GoldenRun::outcome`]). Each
+//! snapshot also keeps the protocol checker's state after golden's log so
+//! far, and that log's length. A forked run's log is golden's log up to
+//! the snapshot followed by the fork's own edges, so the checker steps
+//! only those edges, from the snapshot's state; a violation in golden's
+//! prefix is already in that state and sticks. A plan that fires while
+//! the testbench settles runs from scratch and is checked from idle. The
+//! sinks' values are compared with golden's directly, in attachment order.
+//! Each outcome equals [`crate::classify`] of the same run.
 
 use std::collections::BTreeSet;
 
 use qdi_netlist::Netlist;
+use qdi_sim::protocol::{CheckState, PinIndex};
 use qdi_sim::{
     Advance, FaultKind, FaultPlan, SimError, Testbench, TestbenchConfig, TestbenchRun, TimePs,
 };
 
 use crate::harness::Stimulus;
+use crate::outcome::{completed, failed, FaultOutcome};
 
 /// How [`GoldenRun::fault_run`] produced a plan's run.
 #[derive(Debug, Clone)]
@@ -57,6 +69,11 @@ struct Snapshot<'a> {
     bench: Testbench<'a>,
     /// The queue holds an event still due to fire.
     live: bool,
+    /// The protocol check after golden's log up to here.
+    check: CheckState,
+    /// How many edges golden had logged here: a fork's log starts with
+    /// exactly these.
+    logged: usize,
 }
 
 /// A stimulus's golden run, with a testbench snapshot at every pause time
@@ -69,6 +86,10 @@ pub struct GoldenRun<'a> {
     /// Snapshots in time order, one per pause the golden run stopped at.
     snapshots: Vec<Snapshot<'a>>,
     run: TestbenchRun,
+    /// Golden's own class: the outcome of every golden-identical fault.
+    outcome: FaultOutcome,
+    /// The netlist's channels, indexed once for every classification.
+    index: PinIndex<'a>,
     /// Per net: the time of golden's last edge on it.
     last_edge: Vec<Option<TimePs>>,
     /// The watchdog has a sim-time deadline, which turns the
@@ -98,16 +119,31 @@ impl<'a> GoldenRun<'a> {
         for at_ps in pauses.into_iter().collect::<BTreeSet<_>>() {
             bench.pause_at(at_ps);
         }
+        let index = PinIndex::new(netlist.channels());
+        let mut check = index.idle();
         let mut snapshots = Vec::new();
         let run = loop {
             match bench.advance()? {
-                Advance::Paused(at_ps) => snapshots.push(Snapshot {
-                    at_ps,
-                    live: bench.simulator().pending_events() > 0,
-                    bench: bench.clone(),
-                }),
+                Advance::Paused(at_ps) => {
+                    let log = bench.simulator().transitions();
+                    let logged = snapshots.last().map_or(0, |s: &Snapshot<'_>| s.logged);
+                    check.feed(&index, &log[logged..]);
+                    snapshots.push(Snapshot {
+                        at_ps,
+                        live: bench.simulator().pending_events() > 0,
+                        check: check.clone(),
+                        logged: log.len(),
+                        bench: bench.clone(),
+                    });
+                }
                 Advance::Done(run) => break run,
             }
+        };
+        // Golden's class: its check finished, and its values are golden's.
+        let outcome = {
+            let _span = qdi_obs::span::hot("fi.classify");
+            let logged = snapshots.last().map_or(0, |s| s.logged);
+            completed(check.feed(&index, &run.transitions[logged..]), || true)
         };
         let mut last_edge = vec![None; netlist.net_count()];
         for t in &run.transitions {
@@ -118,6 +154,8 @@ impl<'a> GoldenRun<'a> {
             start,
             snapshots,
             run,
+            outcome,
+            index,
             last_edge,
             deadline: cfg.watchdog.max_sim_time_ps.is_some(),
         })
@@ -134,16 +172,47 @@ impl<'a> GoldenRun<'a> {
     /// all when the run is provably the golden run (see the module docs).
     #[must_use]
     pub fn fault_run(&self, plan: &FaultPlan) -> FaultRun {
+        self.fork(plan).1
+    }
+
+    /// The class of the run `plan` produces, against the golden run:
+    /// [`crate::classify`] of [`GoldenRun::fault_run`]'s run, with the protocol
+    /// check resumed from the fork's snapshot (see the module docs).
+    #[must_use]
+    pub fn outcome(&self, plan: &FaultPlan) -> FaultOutcome {
+        let (snapshot, run) = self.fork(plan);
+        let result = match run {
+            FaultRun::Golden => return self.outcome,
+            FaultRun::Simulated(result) => result,
+        };
+        let _span = qdi_obs::span::hot("fi.classify");
+        let run = match result {
+            Ok(run) => run,
+            Err(err) => return failed(&err),
+        };
+        let (mut check, logged) = match snapshot {
+            Some(s) => (s.check.clone(), s.logged),
+            None => (self.index.idle(), 0),
+        };
+        let conformant = check.feed(&self.index, &run.transitions[logged..]);
+        completed(conformant, || {
+            run.received_all().eq(self.run.received_all())
+        })
+    }
+
+    /// The snapshot `plan`'s run forks from, if any, and the run.
+    fn fork(&self, plan: &FaultPlan) -> (Option<&Snapshot<'a>>, FaultRun) {
         // An empty plan has no first action and runs from the start.
         let first = plan.iter().map(|f| f.at_ps).min().unwrap_or(0);
         let latest = self.snapshots.partition_point(|s| s.at_ps <= first);
         let snapshot = latest.checked_sub(1).map(|i| &self.snapshots[i]);
         if snapshot.is_some_and(|s| self.moves_no_net(s, plan)) {
-            return FaultRun::Golden;
+            return (snapshot, FaultRun::Golden);
         }
         let _span = qdi_obs::span::hot("fi.fault_run");
         let mut bench = snapshot.map_or(&self.start, |s| &s.bench).clone();
-        FaultRun::Simulated(bench.inject(plan).and_then(|()| bench.run()))
+        let run = FaultRun::Simulated(bench.inject(plan).and_then(|()| bench.run()));
+        (snapshot, run)
     }
 
     /// The golden-identical rule: `plan` is one fault that fires at

@@ -8,10 +8,11 @@
 //! class the paper predicts to be empty for dual-rail logic.
 
 use qdi_netlist::Netlist;
-use qdi_sim::{protocol, SimError, TestbenchRun};
+use qdi_sim::protocol::PinIndex;
+use qdi_sim::{SimError, TestbenchRun};
 use serde::{Deserialize, Serialize};
 
-use crate::harness::OutputValues;
+use crate::harness::{output_values, OutputValues};
 
 /// How one injected run ended, relative to the golden (fault-free) run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -108,6 +109,11 @@ impl std::fmt::Display for FaultOutcome {
 /// silicon), then a value comparison per output channel. A run that
 /// delivers *extra or missing* tokens on a channel also differs from the
 /// golden values and classifies as corruption.
+///
+/// This checks the whole log from idle. A campaign classifies its forked
+/// runs with [`crate::GoldenRun::outcome`] instead, which checks only the
+/// log past the fork's snapshot, with the same checker and the same
+/// result.
 #[must_use]
 pub fn classify(
     netlist: &Netlist,
@@ -115,25 +121,36 @@ pub fn classify(
     result: &Result<TestbenchRun, SimError>,
 ) -> FaultOutcome {
     match result {
-        Err(SimError::Deadlock { .. }) => FaultOutcome::Deadlock,
-        Err(SimError::Livelock { .. })
-        | Err(SimError::EventLimit { .. })
-        | Err(SimError::SimTimeout { .. }) => FaultOutcome::Livelock,
-        Err(SimError::BadEnvironment { .. }) => FaultOutcome::Aborted,
-        Err(_) => FaultOutcome::Aborted,
+        Err(err) => failed(err),
         Ok(run) => {
-            let clean = protocol::check_all(netlist, &run.transitions)
-                .iter()
-                .all(protocol::ProtocolReport::conformant);
-            if !clean {
-                return FaultOutcome::ProtocolViolation;
-            }
-            if crate::harness::output_values(run) == *golden {
-                FaultOutcome::Masked
-            } else {
-                FaultOutcome::SilentCorruption
-            }
+            let index = PinIndex::new(netlist.channels());
+            let conformant = index.idle().feed(&index, &run.transitions);
+            completed(conformant, || output_values(run) == *golden)
         }
+    }
+}
+
+/// The class of a run that failed with `err`.
+pub(crate) fn failed(err: &SimError) -> FaultOutcome {
+    match err {
+        SimError::Deadlock { .. } => FaultOutcome::Deadlock,
+        SimError::Livelock { .. } | SimError::EventLimit { .. } | SimError::SimTimeout { .. } => {
+            FaultOutcome::Livelock
+        }
+        SimError::BadEnvironment { .. } => FaultOutcome::Aborted,
+        _ => FaultOutcome::Aborted,
+    }
+}
+
+/// The class of a run that completed: the protocol verdict first, then
+/// whether every output channel delivered the golden values.
+pub(crate) fn completed(conformant: bool, golden_values: impl FnOnce() -> bool) -> FaultOutcome {
+    if !conformant {
+        FaultOutcome::ProtocolViolation
+    } else if golden_values() {
+        FaultOutcome::Masked
+    } else {
+        FaultOutcome::SilentCorruption
     }
 }
 

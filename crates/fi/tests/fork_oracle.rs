@@ -2,7 +2,9 @@
 //! exactly what [`Stimulus::run`] gives from scratch. A completed run must
 //! match in transitions, end time, cycles and received values, an error in
 //! every field, and a plan the fast path calls `Golden` must run, from
-//! scratch, to the golden run itself.
+//! scratch, to the golden run itself. The campaign's outcome
+//! ([`GoldenRun::outcome`], which checks only the log past the fork's
+//! snapshot) must equal [`classify`] of the run from scratch.
 //!
 //! The cases cover three fixtures (the dual-rail XOR, the XOR+S-box slice
 //! and a pipe with a glitch-swallowing gate), all six fault models with
@@ -20,7 +22,8 @@ use proptest::prelude::*;
 
 use qdi_crypto::gatelevel::slice::{aes_first_round_slice, SliceStage};
 use qdi_fi::{
-    default_injection_times, parse_models, CampaignConfig, FaultRun, GoldenRun, Stimulus,
+    classify, default_injection_times, output_values, parse_models, CampaignConfig, FaultRun,
+    GoldenRun, Stimulus,
 };
 use qdi_netlist::{cells, GateId, GateKind, NetId, Netlist, NetlistBuilder};
 use qdi_sim::{
@@ -96,6 +99,13 @@ fn check_plan(
             .collect::<Vec<_>>()
             .join(" + ")
     };
+    let golden_values = output_values(golden.run());
+    prop_assert_eq!(
+        golden.outcome(plan),
+        classify(netlist, &golden_values, &reference),
+        "outcomes differ: {}",
+        describe()
+    );
     match (golden.fault_run(plan), reference) {
         (FaultRun::Golden, Ok(reference)) => {
             prop_assert!(

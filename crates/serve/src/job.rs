@@ -300,11 +300,16 @@ impl JobHandle {
     /// event. Persistence failures are returned (the caller decides
     /// whether they are fatal) but the in-memory transition always
     /// lands so the API stays coherent. The job's clock (the progress
-    /// events' `elapsed_s`) starts when it first enters `Running`.
+    /// events' `elapsed_s`) starts when it first enters `Running`. Each
+    /// entry into `Running` also starts a rate sample at the record's
+    /// `completed` (the recovered count after a restart), so the lease's
+    /// first `progress` event already carries a rate and an ETA.
     pub fn set_state(&self, state: JobState, error: Option<String>) -> Result<(), String> {
         let mut inner = self.lock();
-        if state == JobState::Running && inner.started.is_none() {
-            inner.started = Some(Instant::now());
+        if state == JobState::Running {
+            let now = Instant::now();
+            inner.started.get_or_insert(now);
+            inner.last_progress = Some((now, inner.record.completed));
         }
         inner.record.state = state;
         inner.record.error = error;
@@ -603,6 +608,10 @@ mod tests {
         let task = &snapshot.tasks[0];
         assert!(task.elapsed_s >= 0.05, "elapsed {} s", task.elapsed_s);
         assert!(task.rate <= 1_280.0, "rate {}/s", task.rate);
+        // The first chunk's sample runs from `Running`: the event has a
+        // rate estimate and an ETA.
+        assert!(task.ewma_rate > 0.0, "ewma {}/s", task.ewma_rate);
+        assert!(task.eta_s >= 0.0, "eta {} s", task.eta_s);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -264,12 +264,9 @@ impl<'a> Testbench<'a> {
         Ok(Testbench::with_delay(netlist, cfg, LinearDelay::new()))
     }
 
-    /// Creates a testbench with a custom delay model.
-    pub fn with_delay(
-        netlist: &'a Netlist,
-        cfg: TestbenchConfig,
-        delay: impl DelayModel + 'static,
-    ) -> Self {
+    /// Creates a testbench with a custom delay model, which the simulator
+    /// asks once per gate ([`Simulator::new`]).
+    pub fn with_delay(netlist: &'a Netlist, cfg: TestbenchConfig, delay: impl DelayModel) -> Self {
         let mut sim = Simulator::new(netlist, delay);
         sim.set_watchdog(cfg.watchdog);
         Testbench {

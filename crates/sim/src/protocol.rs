@@ -4,6 +4,15 @@
 //! (paper Fig. 2: valid data → acknowledge → return to zero → acknowledge
 //! release) and flags violations of the 1-of-N invariant and of the phase
 //! order.
+//!
+//! [`check_all`] and [`check_channel`] report every violation with its
+//! text. Beneath them, a [`PinIndex`] maps each net to the channels it
+//! serves, and a [`CheckState`] holds a check part-way through a log. A
+//! caller that checks many logs sharing a prefix, such as fault runs forked
+//! from one golden run, builds the index once, keeps the state the prefix
+//! leaves and feeds each log only past it
+//! ([`CheckState::feed`]). All of these step edges through one set of
+//! phase rules.
 
 use serde::{Deserialize, Serialize};
 
@@ -104,9 +113,10 @@ impl ProtocolReport {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum Phase {
     /// All rails low, acknowledge released (ready).
+    #[default]
     Idle,
     /// One rail high, waiting for acknowledge capture.
     Valid,
@@ -117,11 +127,11 @@ enum Phase {
 }
 
 /// Where an edge lands in a channel: its acknowledge, or the rail whose
-/// level sits at this slot of the caller's rail-level table.
+/// level sits at this slot of [`CheckState`]'s rail-level table.
 #[derive(Debug, Clone, Copy)]
 enum Pin {
     Ack,
-    Rail(usize),
+    Rail(u32),
 }
 
 /// The nets `channel` listens to: its acknowledge, then each rail at its
@@ -133,7 +143,7 @@ fn pins(channel: &Channel, first_slot: usize) -> impl Iterator<Item = (NetId, Pi
         .iter()
         .enumerate()
         .filter(move |&(i, r)| Some(*r) != channel.ack && !channel.rails[..i].contains(r))
-        .map(move |(i, &r)| (r, Pin::Rail(first_slot + i)));
+        .map(move |(i, &r)| (r, Pin::Rail(slot(first_slot + i))));
     channel
         .ack
         .map(|ack| (ack, Pin::Ack))
@@ -141,97 +151,254 @@ fn pins(channel: &Channel, first_slot: usize) -> impl Iterator<Item = (NetId, Pi
         .chain(rails)
 }
 
-/// One channel's four-phase state machine: the phase rules live only
-/// here.
-struct ChannelCheck<'c> {
-    channel: &'c Channel,
-    phase: Phase,
-    /// Rails currently high.
-    high: usize,
-    communications: usize,
-    violations: Vec<ProtocolViolation>,
+/// An index into the checker's tables: `u32`, like the net ids beside it.
+fn slot(i: usize) -> u32 {
+    u32::try_from(i).expect("channel pin count exceeds u32")
 }
 
-impl<'c> ChannelCheck<'c> {
-    fn new(channel: &'c Channel) -> Self {
-        ChannelCheck {
-            channel,
-            phase: Phase::Idle,
-            high: 0,
-            communications: 0,
-            violations: Vec::new(),
+/// The channels a protocol check follows, indexed by net: each net maps
+/// to the channels it serves (one acknowledge net can serve several) and
+/// to where each rail's level lives in a [`CheckState`]. Build it once per
+/// netlist ([`PinIndex::new`]); every check of every log then steps only
+/// the channels an edge's net serves.
+#[derive(Debug, Clone)]
+pub struct PinIndex<'c> {
+    channels: Vec<&'c Channel>,
+    /// The pins of net `n` are `pins[start[n]..start[n + 1]]`, each with
+    /// its channel's position in `channels`.
+    start: Vec<u32>,
+    pins: Vec<(u32, Pin)>,
+    /// Rail-level slots: one per rail of every channel.
+    rail_slots: usize,
+}
+
+impl<'c> PinIndex<'c> {
+    /// Indexes `channels`, in order: [`check_all`] reports them in this
+    /// order.
+    pub fn new(channels: impl IntoIterator<Item = &'c Channel>) -> PinIndex<'c> {
+        let channels: Vec<&'c Channel> = channels.into_iter().collect();
+        let mut index: Vec<(NetId, u32, Pin)> = Vec::new();
+        let mut rail_slots = 0;
+        for (c, channel) in channels.iter().enumerate() {
+            index.extend(pins(channel, rail_slots).map(|(net, pin)| (net, slot(c), pin)));
+            rail_slots += channel.arity();
+        }
+        // A net appears at most once per channel, so the key is unique.
+        index.sort_unstable_by_key(|&(net, c, _)| (net, c));
+        let nets = index.last().map_or(0, |&(net, ..)| net.index() + 1);
+        let mut start = vec![0u32; nets + 1];
+        for &(net, ..) in &index {
+            start[net.index() + 1] += 1;
+        }
+        for n in 0..nets {
+            start[n + 1] += start[n];
+        }
+        PinIndex {
+            channels,
+            start,
+            pins: index.into_iter().map(|(_, c, pin)| (c, pin)).collect(),
+            rail_slots,
         }
     }
 
-    fn violation(&mut self, t: &Transition, kind: ViolationKind, detail: String) {
-        self.violations.push(ProtocolViolation {
+    /// The state before any edge: every channel idle, every rail low.
+    #[must_use]
+    pub fn idle(&self) -> CheckState {
+        CheckState {
+            channels: vec![Lane::default(); self.channels.len()],
+            rail_levels: vec![false; self.rail_slots],
+            violated: false,
+        }
+    }
+
+    /// The pins `net` carries, with their channels' positions.
+    fn pins_of(&self, net: NetId) -> &[(u32, Pin)] {
+        let n = net.index();
+        match (self.start.get(n), self.start.get(n + 1)) {
+            (Some(&from), Some(&to)) => &self.pins[from as usize..to as usize],
+            _ => &[],
+        }
+    }
+
+    /// Replays `transitions` from idle into one report per channel.
+    fn reports(&self, transitions: &[Transition]) -> Vec<ProtocolReport> {
+        let mut reports: Vec<ProtocolReport> = self
+            .channels
+            .iter()
+            .map(|channel| ProtocolReport {
+                channel: channel.id,
+                channel_name: channel.name.clone(),
+                communications: 0,
+                violations: Vec::new(),
+            })
+            .collect();
+        let mut state = self.idle();
+        for t in transitions {
+            state.step(self, t, |c, step| match step {
+                Step::Quiet => {}
+                Step::Communication => reports[c].communications += 1,
+                Step::Broken(broken) => reports[c]
+                    .violations
+                    .push(broken.violation(self.channels[c], t)),
+            });
+        }
+        reports
+    }
+}
+
+/// One channel's place in the four-phase sequence.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct Lane {
+    phase: Phase,
+    /// Rails currently high.
+    high: u32,
+}
+
+/// A protocol check part-way through a log: each channel's phase and
+/// number of rails high, every rail's level, and whether any edge so far
+/// broke a rule. It is a small value: a run that continues another (a
+/// fault run forked from a golden-run snapshot) clones the state the
+/// shared prefix left and steps only its own edges.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CheckState {
+    channels: Vec<Lane>,
+    rail_levels: Vec<bool>,
+    /// Sticky: no later edge clears it.
+    violated: bool,
+}
+
+impl CheckState {
+    /// Steps `transitions` through `index`'s channels, stopping at the
+    /// first violation, and returns [`CheckState::conformant`]. Feeding a
+    /// log in pieces gives the verdict [`check_all`] gives on the whole
+    /// log.
+    pub fn feed(&mut self, index: &PinIndex<'_>, transitions: &[Transition]) -> bool {
+        for t in transitions {
+            if self.violated {
+                break;
+            }
+            self.step(index, t, |_, _| {});
+        }
+        !self.violated
+    }
+
+    /// `true` while no edge fed so far broke a rule.
+    #[must_use]
+    pub fn conformant(&self) -> bool {
+        !self.violated
+    }
+
+    /// Steps one edge through every channel its net serves, telling `on`
+    /// what it did to each (by the channel's position in `index`).
+    fn step(&mut self, index: &PinIndex<'_>, t: &Transition, mut on: impl FnMut(usize, Step)) {
+        for &(c, pin) in index.pins_of(t.net) {
+            let c = c as usize;
+            let step = self.step_channel(index.channels[c], c, pin, t.rising);
+            self.violated |= matches!(step, Step::Broken(_));
+            on(c, step);
+        }
+    }
+
+    /// The four-phase rules of one channel: they live only here.
+    fn step_channel(&mut self, channel: &Channel, c: usize, pin: Pin, rising: bool) -> Step {
+        let lane = &mut self.channels[c];
+        let slot = match pin {
+            Pin::Ack => {
+                return match (lane.phase, rising) {
+                    (Phase::Valid, false) => {
+                        lane.phase = Phase::Acked;
+                        Step::Quiet
+                    }
+                    (Phase::Rtz, true) => {
+                        lane.phase = Phase::Idle;
+                        Step::Quiet
+                    }
+                    (Phase::Idle, true) | (Phase::Acked, false) => Step::Quiet, // re-assertion, harmless
+                    (phase, _) => Step::Broken(Broken::Ack { rising, phase }),
+                };
+            }
+            Pin::Rail(slot) => slot as usize,
+        };
+        if self.rail_levels[slot] != rising {
+            self.rail_levels[slot] = rising;
+            if rising {
+                lane.high += 1;
+            } else {
+                lane.high -= 1;
+            }
+        }
+        if lane.high > 1 {
+            return Step::Broken(Broken::Encoding);
+        }
+        match (lane.phase, rising) {
+            (Phase::Idle, true) => {
+                lane.phase = Phase::Valid;
+                Step::Communication
+            }
+            (Phase::Acked, false) => {
+                lane.phase = Phase::Rtz;
+                Step::Quiet
+            }
+            // Without an acknowledge net we cannot see captures; accept
+            // valid -> invalid directly.
+            (Phase::Valid, false) if channel.ack.is_none() => {
+                lane.phase = Phase::Rtz;
+                Step::Quiet
+            }
+            (phase, _) => Step::Broken(Broken::Rail { rising, phase }),
+        }
+    }
+}
+
+/// What one edge did to one channel.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// Nothing a report counts.
+    Quiet,
+    /// Idle to valid: one more communication.
+    Communication,
+    /// A rule broken.
+    Broken(Broken),
+}
+
+/// A broken rule, kept unformatted until a report wants its text.
+#[derive(Debug, Clone, Copy)]
+enum Broken {
+    /// An acknowledge edge out of phase.
+    Ack { rising: bool, phase: Phase },
+    /// More than one rail high.
+    Encoding,
+    /// A rail edge out of phase.
+    Rail { rising: bool, phase: Phase },
+}
+
+impl Broken {
+    fn violation(self, channel: &Channel, t: &Transition) -> ProtocolViolation {
+        let (kind, detail) = match self {
+            Broken::Ack { rising, phase } => (
+                ViolationKind::PhaseOrder,
+                format!(
+                    "acknowledge edge ({}) out of phase {phase:?}",
+                    if rising { "release" } else { "capture" },
+                ),
+            ),
+            Broken::Encoding => (
+                ViolationKind::IllegalEncoding,
+                format!("more than one rail high on {}", channel.name),
+            ),
+            Broken::Rail { rising, phase } => (
+                ViolationKind::PhaseOrder,
+                format!(
+                    "rail edge ({}) out of phase {phase:?} on {}",
+                    if rising { "rise" } else { "fall" },
+                    channel.name
+                ),
+            ),
+        };
+        ProtocolViolation {
             time_ps: t.time_ps,
             kind,
             detail,
-        });
-    }
-
-    fn step(&mut self, pin: Pin, rail_levels: &mut [bool], t: &Transition) {
-        let slot = match pin {
-            Pin::Ack => {
-                match (self.phase, t.rising) {
-                    (Phase::Valid, false) => self.phase = Phase::Acked,
-                    (Phase::Rtz, true) => self.phase = Phase::Idle,
-                    (Phase::Idle, true) | (Phase::Acked, false) => {} // re-assertion, harmless
-                    _ => self.violation(
-                        t,
-                        ViolationKind::PhaseOrder,
-                        format!(
-                            "acknowledge edge ({}) out of phase {:?}",
-                            if t.rising { "release" } else { "capture" },
-                            self.phase
-                        ),
-                    ),
-                }
-                return;
-            }
-            Pin::Rail(slot) => slot,
-        };
-        if rail_levels[slot] != t.rising {
-            rail_levels[slot] = t.rising;
-            if t.rising {
-                self.high += 1;
-            } else {
-                self.high -= 1;
-            }
-        }
-        if self.high > 1 {
-            let detail = format!("more than one rail high on {}", self.channel.name);
-            self.violation(t, ViolationKind::IllegalEncoding, detail);
-            return;
-        }
-        match (self.phase, t.rising) {
-            (Phase::Idle, true) => {
-                self.phase = Phase::Valid;
-                self.communications += 1;
-            }
-            (Phase::Acked, false) => self.phase = Phase::Rtz,
-            // Without an acknowledge net we cannot see captures; accept
-            // valid -> invalid directly.
-            (Phase::Valid, false) if self.channel.ack.is_none() => self.phase = Phase::Rtz,
-            _ => {
-                let detail = format!(
-                    "rail edge ({}) out of phase {:?} on {}",
-                    if t.rising { "rise" } else { "fall" },
-                    self.phase,
-                    self.channel.name
-                );
-                self.violation(t, ViolationKind::PhaseOrder, detail);
-            }
-        }
-    }
-
-    fn finish(self) -> ProtocolReport {
-        ProtocolReport {
-            channel: self.channel.id,
-            channel_name: self.channel.name.clone(),
-            communications: self.communications,
-            violations: self.violations,
         }
     }
 }
@@ -241,52 +408,15 @@ impl<'c> ChannelCheck<'c> {
 /// The log must start from the idle state (all rails low, acknowledge
 /// high), which is what [`crate::Testbench`] produces.
 pub fn check_channel(channel: &Channel, transitions: &[Transition]) -> ProtocolReport {
-    let mut reports = check(std::iter::once(channel), transitions);
+    let mut reports = PinIndex::new([channel]).reports(transitions);
     reports.pop().expect("one report per channel")
 }
 
-/// Checks every channel of the netlist against the log, in one pass.
+/// Checks every channel of the netlist against the log, in one pass over
+/// a [`PinIndex`] of the netlist's channels. Reports come out in channel
+/// order.
 pub fn check_all(netlist: &Netlist, transitions: &[Transition]) -> Vec<ProtocolReport> {
-    check(netlist.channels(), transitions)
-}
-
-/// The one replay behind [`check_channel`] and [`check_all`]. Each net is
-/// indexed once to the channels it serves (one acknowledge net can serve
-/// several), then every edge steps exactly those channels' state
-/// machines. Reports come out in channel order.
-fn check<'c>(
-    channels: impl Iterator<Item = &'c Channel>,
-    transitions: &[Transition],
-) -> Vec<ProtocolReport> {
-    let mut checks: Vec<ChannelCheck<'c>> = channels.map(ChannelCheck::new).collect();
-    let mut index: Vec<(NetId, usize, Pin)> = Vec::new();
-    let mut rail_slots = 0;
-    for (c, check) in checks.iter().enumerate() {
-        index.extend(pins(check.channel, rail_slots).map(|(net, pin)| (net, c, pin)));
-        rail_slots += check.channel.arity();
-    }
-    // A net appears at most once per channel, so the key is unique.
-    index.sort_unstable_by_key(|&(net, c, _)| (net, c));
-    // The pins of net `n` are `index[start[n]..start[n + 1]]`.
-    let nets = index.last().map_or(0, |&(net, ..)| net.index() + 1);
-    let mut start = vec![0usize; nets + 1];
-    for &(net, ..) in &index {
-        start[net.index() + 1] += 1;
-    }
-    for n in 0..nets {
-        start[n + 1] += start[n];
-    }
-    let mut rail_levels = vec![false; rail_slots];
-    for t in transitions {
-        let n = t.net.index();
-        if n >= nets {
-            continue;
-        }
-        for &(_, c, pin) in &index[start[n]..start[n + 1]] {
-            checks[c].step(pin, &mut rail_levels, t);
-        }
-    }
-    checks.into_iter().map(ChannelCheck::finish).collect()
+    PinIndex::new(netlist.channels()).reports(transitions)
 }
 
 #[cfg(test)]

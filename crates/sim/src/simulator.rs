@@ -4,7 +4,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
-use qdi_netlist::{ChannelId, ChannelState, GateId, NetId, Netlist};
+use qdi_netlist::{ChannelId, ChannelState, GateId, GateKind, NetId, Netlist};
 use serde::{Deserialize, Serialize};
 
 use crate::delay::DelayModel;
@@ -114,6 +114,134 @@ impl PartialOrd for Event {
     }
 }
 
+/// A table offset: CSR offsets and pin positions are `u32`, like the ids
+/// they sit beside.
+fn offset(len: usize) -> u32 {
+    u32::try_from(len).expect("netlist pin count exceeds u32")
+}
+
+/// One gate as the event loop reads it.
+#[derive(Debug, Clone, Copy)]
+struct GateRow {
+    kind: GateKind,
+    output: NetId,
+    /// Its input nets are `Compiled::inputs[first_input..end_input]`, in
+    /// pin order.
+    first_input: u32,
+    end_input: u32,
+    /// Propagation delay, asked of the delay model once.
+    delay: TimePs,
+}
+
+/// The netlist compiled into flat tables once per [`Simulator::new`]. The
+/// netlist is borrowed immutably for the simulator's life, so the tables
+/// cannot go stale, and every clone shares them.
+#[derive(Debug)]
+struct Compiled {
+    /// Per gate, in id order.
+    gates: Vec<GateRow>,
+    /// Every gate's input nets, gate after gate.
+    inputs: Vec<NetId>,
+    /// Per net: its loads are `loads[load_start[n]..load_start[n + 1]]`,
+    /// a gate once per pin it connects.
+    load_start: Vec<u32>,
+    loads: Vec<GateId>,
+    /// Per net: the driving gate, if any.
+    driver: Vec<Option<GateId>>,
+}
+
+impl Compiled {
+    fn new(netlist: &Netlist, delay: &dyn DelayModel) -> Compiled {
+        let mut inputs = Vec::new();
+        let gates = netlist
+            .gates()
+            .map(|g| {
+                let first_input = offset(inputs.len());
+                inputs.extend_from_slice(&g.inputs);
+                GateRow {
+                    kind: g.kind,
+                    output: g.output,
+                    first_input,
+                    end_input: offset(inputs.len()),
+                    delay: delay.delay_ps(netlist, g.id),
+                }
+            })
+            .collect();
+        let mut load_start = Vec::with_capacity(netlist.net_count() + 1);
+        let mut loads = Vec::new();
+        load_start.push(0);
+        for net in netlist.nets() {
+            loads.extend_from_slice(&net.loads);
+            load_start.push(offset(loads.len()));
+        }
+        Compiled {
+            gates,
+            inputs,
+            load_start,
+            loads,
+            driver: netlist.nets().map(|n| n.driver).collect(),
+        }
+    }
+
+    fn loads(&self, net: NetId) -> &[GateId] {
+        let n = net.index();
+        &self.loads[self.load_start[n] as usize..self.load_start[n + 1] as usize]
+    }
+
+    fn inputs(&self, gate: &GateRow) -> &[NetId] {
+        &self.inputs[gate.first_input as usize..gate.end_input as usize]
+    }
+}
+
+/// One net's simulation state. A fork copies all of them as one
+/// allocation.
+#[derive(Debug, Clone, Copy, Default)]
+struct NetState {
+    /// Sequence number of the authoritative pending event, if any.
+    pending_seq: u64,
+    level: bool,
+    has_pending: bool,
+    pending_value: bool,
+    /// The level a fault is currently forcing, if any.
+    forced: Option<bool>,
+    /// The level the legitimate driver/stimulus last wanted while the net
+    /// was forced; re-asserted on release of undriven nets.
+    masked_drive: bool,
+}
+
+impl NetState {
+    /// Effective future value: the pending target if any, else the
+    /// committed level.
+    fn effective(self) -> bool {
+        if self.has_pending {
+            self.pending_value
+        } else {
+            self.level
+        }
+    }
+}
+
+/// Everything a run changes: a simulator's clone is a clone of this plus
+/// a share of the compiled tables.
+#[derive(Debug, Clone)]
+struct State {
+    nets: Vec<NetState>,
+    queue: BinaryHeap<Reverse<Event>>,
+    now: TimePs,
+    seq: u64,
+    events_processed: u64,
+    queue_high_water: usize,
+    log: Vec<Transition>,
+    /// Extra propagation delay of the gates an active delay perturbation
+    /// slows, at most one entry per gate; empty in most runs.
+    slowed: Vec<(GateId, TimePs)>,
+    /// Compiled fault actions, sorted by time; `next_action` is the cursor
+    /// into the unfired suffix.
+    actions: Vec<FaultAction>,
+    next_action: usize,
+    faults_applied: u64,
+}
+
 /// Event-driven simulator over a borrowed netlist.
 ///
 /// All nets start low (the QDI reset state: every channel invalid, every
@@ -121,37 +249,17 @@ impl PartialOrd for Event {
 /// all-low output (completion NORs, inverters) reach their idle levels
 /// before any stimulus is applied.
 ///
-/// A clone is an independent simulator in the same state: levels, queued
-/// events, armed faults and log. It shares only the netlist and the delay
-/// model, so a clone taken mid-run continues exactly as the original
-/// would.
+/// [`Simulator::new`] compiles the netlist once into flat tables: each
+/// gate's kind, output, inputs and delay (the [`DelayModel`] is asked once
+/// per gate, never per event), and each net's fanout. A clone is an
+/// independent simulator in the same state: levels, queued events, armed
+/// faults and log. It shares only the netlist and the compiled tables, so
+/// a clone taken mid-run continues exactly as the original would.
 #[derive(Clone)]
 pub struct Simulator<'a> {
     netlist: &'a Netlist,
-    delay: Arc<dyn DelayModel>,
-    levels: Vec<bool>,
-    /// Per net: sequence number of the authoritative pending event, if any.
-    pending_seq: Vec<u64>,
-    pending_value: Vec<bool>,
-    has_pending: Vec<bool>,
-    queue: BinaryHeap<Reverse<Event>>,
-    now: TimePs,
-    seq: u64,
-    events_processed: u64,
-    queue_high_water: usize,
-    log: Vec<Transition>,
-    /// Per net: the level a fault is currently forcing, if any.
-    forced: Vec<Option<bool>>,
-    /// Per net: the level the legitimate driver/stimulus last wanted while
-    /// the net was forced; re-asserted on release of undriven nets.
-    masked_drive: Vec<bool>,
-    /// Per gate: extra propagation delay from active delay perturbations.
-    extra_delay: Vec<TimePs>,
-    /// Compiled fault actions, sorted by time; `next_action` is the cursor
-    /// into the unfired suffix.
-    actions: Vec<FaultAction>,
-    next_action: usize,
-    faults_applied: u64,
+    compiled: Arc<Compiled>,
+    state: State,
     watchdog: WatchdogConfig,
     /// Metric handles resolved once per simulator, not per run.
     events_metric: qdi_obs::metrics::Counter,
@@ -162,37 +270,34 @@ impl std::fmt::Debug for Simulator<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulator")
             .field("netlist", &self.netlist.name())
-            .field("now_ps", &self.now)
-            .field("queued", &self.queue.len())
-            .field("logged", &self.log.len())
+            .field("now_ps", &self.state.now)
+            .field("queued", &self.state.queue.len())
+            .field("logged", &self.state.log.len())
             .finish()
     }
 }
 
 impl<'a> Simulator<'a> {
-    /// Creates a simulator with the given delay model. All nets start low;
-    /// call [`Simulator::settle`] before applying stimulus.
-    pub fn new(netlist: &'a Netlist, delay: impl DelayModel + 'static) -> Self {
-        let n = netlist.net_count();
+    /// Creates a simulator, asking `delay` once for every gate's delay.
+    /// All nets start low; call [`Simulator::settle`] before applying
+    /// stimulus.
+    pub fn new(netlist: &'a Netlist, delay: impl DelayModel) -> Self {
         Simulator {
             netlist,
-            delay: Arc::new(delay),
-            levels: vec![false; n],
-            pending_seq: vec![0; n],
-            pending_value: vec![false; n],
-            has_pending: vec![false; n],
-            queue: BinaryHeap::new(),
-            now: 0,
-            seq: 0,
-            events_processed: 0,
-            queue_high_water: 0,
-            log: Vec::new(),
-            forced: vec![None; n],
-            masked_drive: vec![false; n],
-            extra_delay: vec![0; netlist.gate_count()],
-            actions: Vec::new(),
-            next_action: 0,
-            faults_applied: 0,
+            compiled: Arc::new(Compiled::new(netlist, &delay)),
+            state: State {
+                nets: vec![NetState::default(); netlist.net_count()],
+                queue: BinaryHeap::new(),
+                now: 0,
+                seq: 0,
+                events_processed: 0,
+                queue_high_water: 0,
+                log: Vec::new(),
+                slowed: Vec::new(),
+                actions: Vec::new(),
+                next_action: 0,
+                faults_applied: 0,
+            },
             watchdog: WatchdogConfig::new(),
             events_metric: qdi_obs::metrics::counter("sim.events"),
             queue_metric: qdi_obs::metrics::gauge("sim.queue_depth"),
@@ -206,12 +311,12 @@ impl<'a> Simulator<'a> {
 
     /// Current simulation time.
     pub fn now(&self) -> TimePs {
-        self.now
+        self.state.now
     }
 
     /// Current level of `net`.
     pub fn level(&self, net: NetId) -> bool {
-        self.levels[net.index()]
+        self.state.nets[net.index()].level
     }
 
     /// Decoded state of `channel`.
@@ -221,44 +326,42 @@ impl<'a> Simulator<'a> {
 
     /// The transition log accumulated so far.
     pub fn transitions(&self) -> &[Transition] {
-        &self.log
+        &self.state.log
     }
 
     /// Takes ownership of the log, leaving it empty.
     pub fn take_transitions(&mut self) -> Vec<Transition> {
-        std::mem::take(&mut self.log)
+        std::mem::take(&mut self.state.log)
     }
 
     /// Clears the transition log.
     pub fn clear_log(&mut self) {
-        self.log.clear();
+        self.state.log.clear();
     }
 
     /// Total events processed since construction.
     pub fn events_processed(&self) -> u64 {
-        self.events_processed
+        self.state.events_processed
     }
 
     /// Deepest the event queue has ever been since construction.
     pub fn queue_high_water(&self) -> usize {
-        self.queue_high_water
+        self.state.queue_high_water
     }
 
     /// `true` when no event is scheduled.
     pub fn is_quiescent(&self) -> bool {
-        self.queue.is_empty()
+        self.state.queue.is_empty()
     }
 
     /// Queued events still due to fire; cancelled and superseded entries,
     /// which the queue keeps until they surface, do not count. Costs one
     /// pass over the queue.
     pub fn pending_events(&self) -> usize {
-        self.queue
+        self.state
+            .queue
             .iter()
-            .filter(|Reverse(ev)| {
-                let i = ev.net.index();
-                self.has_pending[i] && self.pending_seq[i] == ev.seq
-            })
+            .filter(|Reverse(ev)| self.state.is_due(ev))
             .count()
     }
 
@@ -285,38 +388,39 @@ impl<'a> Simulator<'a> {
     /// range for this netlist, or a delay perturbation targets a net with
     /// no driving gate.
     pub fn inject(&mut self, plan: &FaultPlan) -> Result<(), SimError> {
+        let s = &mut self.state;
         for fault in plan.iter() {
             fault.check(self.netlist)?;
             let net = fault.net(self.netlist);
             let at = fault.at_ps;
             match fault.kind {
-                FaultKind::TransientFlip => self.arm(at, FaultOp::Flip(net)),
+                FaultKind::TransientFlip => s.arm(at, FaultOp::Flip(net)),
                 FaultKind::StuckAt(v) => {
-                    self.arm(at, FaultOp::Force(net, v));
+                    s.arm(at, FaultOp::Force(net, v));
                     if let Some(d) = fault.duration_ps {
-                        self.arm(at.saturating_add(d.max(1)), FaultOp::Release(net));
+                        s.arm(at.saturating_add(d.max(1)), FaultOp::Release(net));
                     }
                 }
                 FaultKind::Glitch { to, width_ps } => {
-                    self.arm(at, FaultOp::Force(net, to));
-                    self.arm(at.saturating_add(width_ps.max(1)), FaultOp::Release(net));
+                    s.arm(at, FaultOp::Force(net, to));
+                    s.arm(at.saturating_add(width_ps.max(1)), FaultOp::Release(net));
                 }
                 FaultKind::DelayPerturb { extra_ps } => {
                     let gate = fault
                         .gate(self.netlist)
                         .expect("check() rejects a delay site without a driver");
-                    self.arm(at, FaultOp::SlowGate(gate, extra_ps));
+                    s.arm(at, FaultOp::SlowGate(gate, extra_ps));
                     if let Some(d) = fault.duration_ps {
-                        self.arm(
+                        s.arm(
                             at.saturating_add(d.max(1)),
                             FaultOp::RestoreGate(gate, extra_ps),
                         );
                     }
                 }
-                FaultKind::DropTransition => self.arm(at, FaultOp::Drop(net)),
+                FaultKind::DropTransition => s.arm(at, FaultOp::Drop(net)),
             }
         }
-        self.sort_armed();
+        s.sort_armed();
         Ok(())
     }
 
@@ -326,23 +430,13 @@ impl<'a> Simulator<'a> {
     /// that cannot stop (`run_until_quiescent`, `run_until`, `settle`) and
     /// [`Simulator::fire_next_fault`] pass over it.
     pub(crate) fn pause_at(&mut self, at_ps: TimePs) {
-        self.arm(at_ps, FaultOp::Pause);
-        self.sort_armed();
-    }
-
-    /// Keeps the unfired suffix time-ordered; the stable sort preserves
-    /// the push order of same-time actions (e.g. a force and its release).
-    fn sort_armed(&mut self) {
-        self.actions[self.next_action..].sort_by_key(|a| a.at);
-    }
-
-    fn arm(&mut self, at: TimePs, op: FaultOp) {
-        self.actions.push(FaultAction { at, op });
+        self.state.arm(at_ps, FaultOp::Pause);
+        self.state.sort_armed();
     }
 
     /// Fault actions applied so far.
     pub fn faults_applied(&self) -> u64 {
-        self.faults_applied
+        self.state.faults_applied
     }
 
     /// Applies the earliest pending fault action unconditionally, jumping
@@ -350,158 +444,15 @@ impl<'a> Simulator<'a> {
     /// scheduled while the circuit idles still fire. Armed pauses ahead of
     /// it are passed over. Returns `false` when no action is pending.
     pub(crate) fn fire_next_fault(&mut self) -> bool {
-        while let Some(&action) = self.actions.get(self.next_action) {
-            self.next_action += 1;
+        let s = &mut self.state;
+        while let Some(&action) = s.actions.get(s.next_action) {
+            s.next_action += 1;
             if !matches!(action.op, FaultOp::Pause) {
-                self.apply_action(action);
+                s.apply_action(&self.compiled, action);
                 return true;
             }
         }
         false
-    }
-
-    fn apply_action(&mut self, action: FaultAction) {
-        if let FaultOp::Pause = action.op {
-            return; // not a fault: it moves nothing, not even the clock
-        }
-        self.now = self.now.max(action.at);
-        self.faults_applied += 1;
-        match action.op {
-            FaultOp::Flip(net) => {
-                let i = net.index();
-                if self.forced[i].is_some() {
-                    return; // a stuck-at dominates a transient
-                }
-                if self.has_pending[i] {
-                    self.cancel_pending(net);
-                }
-                let flipped = !self.levels[i];
-                self.commit_fault_level(net, flipped);
-                // The legitimate driver still computes from uncorrupted
-                // inputs: a combinational node heals after one gate delay,
-                // a state-holding node (Muller) keeps the corruption.
-                if let Some(driver) = self.netlist.net(net).driver {
-                    self.evaluate_gate(driver);
-                }
-            }
-            FaultOp::Force(net, v) => {
-                let i = net.index();
-                if self.has_pending[i] {
-                    self.cancel_pending(net);
-                }
-                self.masked_drive[i] = self.levels[i];
-                self.forced[i] = Some(v);
-                if self.levels[i] != v {
-                    self.commit_fault_level(net, v);
-                }
-            }
-            FaultOp::Release(net) => {
-                let i = net.index();
-                if self.forced[i].take().is_none() {
-                    return;
-                }
-                if let Some(driver) = self.netlist.net(net).driver {
-                    self.evaluate_gate(driver);
-                } else {
-                    // Undriven (primary input): re-assert whatever the
-                    // stimulus last wanted while the force was active.
-                    let want = self.masked_drive[i];
-                    if want != self.effective(net) {
-                        self.schedule(net, want, self.now + 1);
-                    }
-                }
-            }
-            FaultOp::SlowGate(gate, extra) => self.extra_delay[gate.index()] += extra,
-            FaultOp::RestoreGate(gate, extra) => {
-                let d = &mut self.extra_delay[gate.index()];
-                *d = d.saturating_sub(extra);
-            }
-            FaultOp::Drop(net) => {
-                if self.has_pending[net.index()] {
-                    self.cancel_pending(net);
-                }
-            }
-            FaultOp::Pause => {}
-        }
-    }
-
-    /// Commits a fault-driven level change: logs the edge like any other
-    /// transition and lets the fanout see the corrupted value.
-    fn commit_fault_level(&mut self, net: NetId, value: bool) {
-        self.levels[net.index()] = value;
-        self.log.push(Transition {
-            time_ps: self.now,
-            net,
-            rising: value,
-        });
-        self.evaluate_loads(net);
-    }
-
-    /// Re-evaluates every gate `net` feeds. The fanout list is borrowed
-    /// from the netlist, which outlives the simulator, so no copy is made.
-    fn evaluate_loads(&mut self, net: NetId) {
-        let netlist = self.netlist;
-        for &load in &netlist.net(net).loads {
-            self.evaluate_gate(load);
-        }
-    }
-
-    fn schedule(&mut self, net: NetId, value: bool, at: TimePs) {
-        self.seq += 1;
-        let i = net.index();
-        self.pending_seq[i] = self.seq;
-        self.pending_value[i] = value;
-        self.has_pending[i] = true;
-        self.queue.push(Reverse(Event {
-            time: at,
-            seq: self.seq,
-            net,
-            value,
-        }));
-        // Cheap max-on-push; reported to the global gauge once per run.
-        self.queue_high_water = self.queue_high_water.max(self.queue.len());
-    }
-
-    fn cancel_pending(&mut self, net: NetId) {
-        let i = net.index();
-        self.has_pending[i] = false;
-        // Bump the seq so the queued event is recognised as stale.
-        self.seq += 1;
-        self.pending_seq[i] = self.seq;
-    }
-
-    /// Effective future value of a net: pending target if any, else the
-    /// committed level.
-    fn effective(&self, net: NetId) -> bool {
-        let i = net.index();
-        if self.has_pending[i] {
-            self.pending_value[i]
-        } else {
-            self.levels[i]
-        }
-    }
-
-    fn evaluate_gate(&mut self, gate: GateId) {
-        let g = self.netlist.gate(gate);
-        let out = g.output;
-        if self.forced[out.index()].is_some() {
-            return; // a stuck-at/glitch fault overpowers the gate's drive
-        }
-        let prev = self.level(out);
-        let newv = g.kind.eval(g.inputs.iter().map(|&n| self.level(n)), prev);
-        if newv == self.effective(out) {
-            return;
-        }
-        if self.has_pending[out.index()] {
-            // The pending change is contradicted by the new evaluation:
-            // inertial behaviour cancels it.
-            self.cancel_pending(out);
-            if newv == self.level(out) {
-                return;
-            }
-        }
-        let d = self.delay.delay_ps(self.netlist, gate) + self.extra_delay[gate.index()];
-        self.schedule(out, newv, self.now + d);
     }
 
     /// Drives a primary-input net to `value` after `delay_ps`, as an
@@ -515,22 +466,24 @@ impl<'a> Simulator<'a> {
             self.netlist.net(net).is_primary_input,
             "only primary inputs may be driven (net {net})"
         );
-        if self.forced[net.index()].is_some() {
+        let s = &mut self.state;
+        let state = s.nets[net.index()];
+        if state.forced.is_some() {
             // The fault wins while active; remember what the stimulus
             // wanted so a later release can re-assert it.
-            self.masked_drive[net.index()] = value;
+            s.nets[net.index()].masked_drive = value;
             return;
         }
-        if self.effective(net) == value {
+        if state.effective() == value {
             return;
         }
-        if self.has_pending[net.index()] {
-            self.cancel_pending(net);
-            if self.level(net) == value {
+        if state.has_pending {
+            s.cancel_pending(net);
+            if state.level == value {
                 return;
             }
         }
-        self.schedule(net, value, self.now + delay_ps.max(1));
+        s.schedule(net, value, s.now + delay_ps.max(1));
     }
 
     /// Processes events until the queue drains.
@@ -576,10 +529,10 @@ impl<'a> Simulator<'a> {
         pausable: bool,
     ) -> Result<Option<TimePs>, SimError> {
         let _span = qdi_obs::span::hot("sim.run");
-        let start = self.events_processed;
+        let start = self.state.events_processed;
         let result = self.drain(t_end, limit, budget, pausable);
         if let Some(t) = t_end {
-            self.now = self.now.max(t);
+            self.state.now = self.state.now.max(t);
         }
         self.finish_run(start, result.is_err());
         result
@@ -598,9 +551,11 @@ impl<'a> Simulator<'a> {
         budget: &mut u64,
         pausable: bool,
     ) -> Result<Option<TimePs>, SimError> {
+        let c = &*self.compiled;
+        let s = &mut self.state;
         loop {
-            let next_event = self.queue.peek().map(|&Reverse(ev)| ev.time);
-            let next_fault = self.actions.get(self.next_action).map(|a| a.at);
+            let next_event = s.queue.peek().map(|&Reverse(ev)| ev.time);
+            let next_fault = s.actions.get(s.next_action).map(|a| a.at);
             let take_fault = match (next_fault, next_event) {
                 (Some(a), Some(e)) => a <= e && t_end.is_none_or(|t| a <= t),
                 // With no event due, a fault still fires inside a bounded
@@ -610,15 +565,15 @@ impl<'a> Simulator<'a> {
                 (None, _) => false,
             };
             if take_fault {
-                let action = self.actions[self.next_action];
-                self.next_action += 1;
+                let action = s.actions[s.next_action];
+                s.next_action += 1;
                 if pausable && matches!(action.op, FaultOp::Pause) {
                     return Ok(Some(action.at));
                 }
-                self.apply_action(action);
+                s.apply_action(c, action);
                 continue;
             }
-            let Some(&Reverse(ev)) = self.queue.peek() else {
+            let Some(&Reverse(ev)) = s.queue.peek() else {
                 break;
             };
             if t_end.is_some_and(|t| ev.time > t) {
@@ -632,37 +587,255 @@ impl<'a> Simulator<'a> {
                     });
                 }
             }
-            self.queue.pop();
-            let i = ev.net.index();
-            if !self.has_pending[i] || self.pending_seq[i] != ev.seq {
+            s.queue.pop();
+            if !s.is_due(&ev) {
                 continue; // stale (cancelled or superseded)
             }
             if *budget == 0 {
-                return Err(self.budget_exhausted(limit));
+                return Err(s.budget_exhausted(&self.watchdog, limit));
             }
             *budget -= 1;
-            self.events_processed += 1;
-            self.has_pending[i] = false;
-            self.now = self.now.max(ev.time);
-            if self.levels[i] == ev.value {
+            s.events_processed += 1;
+            s.now = s.now.max(ev.time);
+            let net = &mut s.nets[ev.net.index()];
+            net.has_pending = false;
+            if net.level == ev.value {
                 continue;
             }
-            self.levels[i] = ev.value;
-            self.log.push(Transition {
+            net.level = ev.value;
+            s.log.push(Transition {
                 time_ps: ev.time,
                 net: ev.net,
                 rising: ev.value,
             });
-            self.evaluate_loads(ev.net);
+            s.evaluate_loads(c, ev.net);
         }
         Ok(None)
+    }
+
+    /// Per-run bookkeeping: global metrics plus one trace event (the
+    /// event loop itself never touches the tracing runtime).
+    fn finish_run(&mut self, start_events: u64, hit_limit: bool) {
+        let s = &self.state;
+        let processed = s.events_processed - start_events;
+        if processed > 0 {
+            self.events_metric.add(processed);
+        }
+        self.queue_metric.record_max(s.queue_high_water as i64);
+        if hit_limit {
+            qdi_obs::warn!(target: "qdi_sim::simulator",
+                events = processed, now_ps = s.now,
+                "event limit hit — circuit may oscillate");
+        } else {
+            qdi_obs::trace!(target: "qdi_sim::simulator",
+                events = processed,
+                queue_high_water = s.queue_high_water,
+                now_ps = s.now,
+                "run drained");
+        }
+    }
+
+    /// Evaluates every gate once and runs to quiescence, then clears the
+    /// log: brings completion detectors and inverters to their idle levels
+    /// without polluting the trace.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`SimError::EventLimit`] from the settling run.
+    pub fn settle(&mut self, limit: u64) -> Result<(), SimError> {
+        let _span = qdi_obs::span::hot("sim.settle");
+        for gate in self.netlist.gates() {
+            self.state.evaluate_gate(&self.compiled, gate.id);
+        }
+        self.run_until_quiescent(limit)?;
+        self.clear_log();
+        Ok(())
+    }
+
+    /// Gates whose output toggled in the half-open window `[t0, t1)`,
+    /// deduplicated, for feeding
+    /// [`qdi_netlist::graph::SwitchingProfile::from_switching_gates`].
+    pub fn switched_gates(&self, t0: TimePs, t1: TimePs) -> Vec<GateId> {
+        let mut gates: Vec<GateId> = self
+            .state
+            .log
+            .iter()
+            .filter(|t| t.time_ps >= t0 && t.time_ps < t1)
+            .filter_map(|t| self.compiled.driver[t.net.index()])
+            .collect();
+        gates.sort();
+        gates.dedup();
+        gates
+    }
+}
+
+impl State {
+    /// `ev` is its net's authoritative pending event, not a cancelled or
+    /// superseded one.
+    fn is_due(&self, ev: &Event) -> bool {
+        let net = self.nets[ev.net.index()];
+        net.has_pending && net.pending_seq == ev.seq
+    }
+
+    fn arm(&mut self, at: TimePs, op: FaultOp) {
+        self.actions.push(FaultAction { at, op });
+    }
+
+    /// Keeps the unfired suffix time-ordered; the stable sort preserves
+    /// the push order of same-time actions (e.g. a force and its release).
+    fn sort_armed(&mut self) {
+        self.actions[self.next_action..].sort_by_key(|a| a.at);
+    }
+
+    fn apply_action(&mut self, c: &Compiled, action: FaultAction) {
+        if let FaultOp::Pause = action.op {
+            return; // not a fault: it moves nothing, not even the clock
+        }
+        self.now = self.now.max(action.at);
+        self.faults_applied += 1;
+        match action.op {
+            FaultOp::Flip(net) => {
+                let state = self.nets[net.index()];
+                if state.forced.is_some() {
+                    return; // a stuck-at dominates a transient
+                }
+                if state.has_pending {
+                    self.cancel_pending(net);
+                }
+                self.commit_fault_level(c, net, !state.level);
+                // The legitimate driver still computes from uncorrupted
+                // inputs: a combinational node heals after one gate delay,
+                // a state-holding node (Muller) keeps the corruption.
+                if let Some(driver) = c.driver[net.index()] {
+                    self.evaluate_gate(c, driver);
+                }
+            }
+            FaultOp::Force(net, v) => {
+                let state = self.nets[net.index()];
+                if state.has_pending {
+                    self.cancel_pending(net);
+                }
+                let slot = &mut self.nets[net.index()];
+                slot.masked_drive = state.level;
+                slot.forced = Some(v);
+                if state.level != v {
+                    self.commit_fault_level(c, net, v);
+                }
+            }
+            FaultOp::Release(net) => {
+                if self.nets[net.index()].forced.take().is_none() {
+                    return;
+                }
+                if let Some(driver) = c.driver[net.index()] {
+                    self.evaluate_gate(c, driver);
+                } else {
+                    // Undriven (primary input): re-assert whatever the
+                    // stimulus last wanted while the force was active.
+                    let state = self.nets[net.index()];
+                    if state.masked_drive != state.effective() {
+                        self.schedule(net, state.masked_drive, self.now + 1);
+                    }
+                }
+            }
+            FaultOp::SlowGate(gate, extra) => {
+                match self.slowed.iter_mut().find(|(slowed, _)| *slowed == gate) {
+                    Some((_, d)) => *d += extra,
+                    None => self.slowed.push((gate, extra)),
+                }
+            }
+            FaultOp::RestoreGate(gate, extra) => {
+                if let Some((_, d)) = self.slowed.iter_mut().find(|(slowed, _)| *slowed == gate) {
+                    *d = d.saturating_sub(extra);
+                }
+            }
+            FaultOp::Drop(net) => {
+                if self.nets[net.index()].has_pending {
+                    self.cancel_pending(net);
+                }
+            }
+            FaultOp::Pause => {}
+        }
+    }
+
+    /// Commits a fault-driven level change: logs the edge like any other
+    /// transition and lets the fanout see the corrupted value.
+    fn commit_fault_level(&mut self, c: &Compiled, net: NetId, value: bool) {
+        self.nets[net.index()].level = value;
+        self.log.push(Transition {
+            time_ps: self.now,
+            net,
+            rising: value,
+        });
+        self.evaluate_loads(c, net);
+    }
+
+    /// Re-evaluates every gate `net` feeds.
+    fn evaluate_loads(&mut self, c: &Compiled, net: NetId) {
+        for &load in c.loads(net) {
+            self.evaluate_gate(c, load);
+        }
+    }
+
+    fn schedule(&mut self, net: NetId, value: bool, at: TimePs) {
+        self.seq += 1;
+        let state = &mut self.nets[net.index()];
+        state.pending_seq = self.seq;
+        state.pending_value = value;
+        state.has_pending = true;
+        self.queue.push(Reverse(Event {
+            time: at,
+            seq: self.seq,
+            net,
+            value,
+        }));
+        // Cheap max-on-push; reported to the global gauge once per run.
+        self.queue_high_water = self.queue_high_water.max(self.queue.len());
+    }
+
+    fn cancel_pending(&mut self, net: NetId) {
+        // Bump the seq so the queued event is recognised as stale.
+        self.seq += 1;
+        let state = &mut self.nets[net.index()];
+        state.has_pending = false;
+        state.pending_seq = self.seq;
+    }
+
+    fn evaluate_gate(&mut self, c: &Compiled, gate: GateId) {
+        let g = &c.gates[gate.index()];
+        let out = self.nets[g.output.index()];
+        if out.forced.is_some() {
+            return; // a stuck-at/glitch fault overpowers the gate's drive
+        }
+        let inputs = c.inputs(g).iter().map(|n| self.nets[n.index()].level);
+        let newv = g.kind.eval(inputs, out.level);
+        if newv == out.effective() {
+            return;
+        }
+        if out.has_pending {
+            // The pending change is contradicted by the new evaluation:
+            // inertial behaviour cancels it.
+            self.cancel_pending(g.output);
+            if newv == out.level {
+                return;
+            }
+        }
+        let delay = g.delay + self.extra_delay(gate);
+        self.schedule(g.output, newv, self.now + delay);
+    }
+
+    /// What active delay perturbations add to `gate`'s delay.
+    fn extra_delay(&self, gate: GateId) -> TimePs {
+        self.slowed
+            .iter()
+            .find(|&&(slowed, _)| slowed == gate)
+            .map_or(0, |&(_, extra)| extra)
     }
 
     /// Classifies an exhausted event budget by fingerprinting the tail of
     /// the transition log: a small set of nets toggling many times each is
     /// a livelock (oscillation); anything else stays an `EventLimit`.
-    fn budget_exhausted(&self, limit: u64) -> SimError {
-        let tail_len = self.watchdog.activity_tail.min(self.log.len());
+    fn budget_exhausted(&self, watchdog: &WatchdogConfig, limit: u64) -> SimError {
+        let tail_len = watchdog.activity_tail.min(self.log.len());
         let tail = &self.log[self.log.len() - tail_len..];
         let mut per_net: HashMap<NetId, (u32, TimePs, TimePs)> = HashMap::new();
         for t in tail {
@@ -686,9 +859,7 @@ impl<'a> Simulator<'a> {
             })
             .collect();
         match ranked.first() {
-            Some(&(_, toggles, first, last))
-                if toggles >= self.watchdog.livelock_toggles.max(2) =>
-            {
+            Some(&(_, toggles, first, last)) if toggles >= watchdog.livelock_toggles.max(2) => {
                 SimError::Livelock {
                     limit,
                     time_ps: self.now,
@@ -702,59 +873,6 @@ impl<'a> Simulator<'a> {
                 active,
             },
         }
-    }
-
-    /// Per-run bookkeeping: global metrics plus one trace event (the
-    /// event loop itself never touches the tracing runtime).
-    fn finish_run(&mut self, start_events: u64, hit_limit: bool) {
-        let processed = self.events_processed - start_events;
-        if processed > 0 {
-            self.events_metric.add(processed);
-        }
-        self.queue_metric.record_max(self.queue_high_water as i64);
-        if hit_limit {
-            qdi_obs::warn!(target: "qdi_sim::simulator",
-                events = processed, now_ps = self.now,
-                "event limit hit — circuit may oscillate");
-        } else {
-            qdi_obs::trace!(target: "qdi_sim::simulator",
-                events = processed,
-                queue_high_water = self.queue_high_water,
-                now_ps = self.now,
-                "run drained");
-        }
-    }
-
-    /// Evaluates every gate once and runs to quiescence, then clears the
-    /// log: brings completion detectors and inverters to their idle levels
-    /// without polluting the trace.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SimError::EventLimit`] from the settling run.
-    pub fn settle(&mut self, limit: u64) -> Result<(), SimError> {
-        let _span = qdi_obs::span::hot("sim.settle");
-        for gate in self.netlist.gates() {
-            self.evaluate_gate(gate.id);
-        }
-        self.run_until_quiescent(limit)?;
-        self.clear_log();
-        Ok(())
-    }
-
-    /// Gates whose output toggled in the half-open window `[t0, t1)`,
-    /// deduplicated, for feeding
-    /// [`qdi_netlist::graph::SwitchingProfile::from_switching_gates`].
-    pub fn switched_gates(&self, t0: TimePs, t1: TimePs) -> Vec<GateId> {
-        let mut gates: Vec<GateId> = self
-            .log
-            .iter()
-            .filter(|t| t.time_ps >= t0 && t.time_ps < t1)
-            .filter_map(|t| self.netlist.net(t.net).driver)
-            .collect();
-        gates.sort();
-        gates.dedup();
-        gates
     }
 }
 
@@ -1134,6 +1252,53 @@ mod tests {
                 .time_ps
         };
         assert!(t(slow) > t(fast), "heavier net must switch later");
+    }
+
+    #[test]
+    fn the_delay_model_is_asked_once_per_gate_at_construction() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        /// Counts its calls through a borrowed counter, so it is not
+        /// `'static`.
+        struct Counting<'c>(&'c AtomicUsize);
+        impl DelayModel for Counting<'_> {
+            fn delay_ps(&self, netlist: &Netlist, gate: GateId) -> TimePs {
+                self.0.fetch_add(1, Ordering::Relaxed);
+                LinearDelay::new().delay_ps(netlist, gate)
+            }
+        }
+        let mut b = NetlistBuilder::new("chain");
+        let a = b.input_net("a");
+        let c = b.input_net("b");
+        let y = b.gate(GateKind::Muller, "y", &[a, c]);
+        let n = b.gate(GateKind::Inv, "n", &[y]);
+        let z = b.gate(GateKind::Nor, "z", &[n, a]);
+        b.mark_output(z);
+        let nl = b.finish().expect("valid");
+        let (a, c) = (nl.find_net("a").expect("a"), nl.find_net("b").expect("b"));
+        let calls = AtomicUsize::new(0);
+        let mut sim = Simulator::new(&nl, Counting(&calls));
+        assert_eq!(calls.load(Ordering::Relaxed), nl.gate_count());
+        sim.settle(1000).expect("settle");
+        sim.drive(a, true, 1);
+        sim.drive(c, true, 1);
+        sim.run_until_quiescent(1000).expect("run");
+        let mut fork = sim.clone();
+        fork.drive(a, false, 1);
+        fork.run_until_quiescent(1000).expect("run");
+        assert!(fork.transitions().len() > sim.transitions().len());
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            nl.gate_count(),
+            "running and cloning must not ask the delay model again"
+        );
+        // The table holds what the model answers: the same log as the
+        // model itself gives.
+        let mut reference = Simulator::new(&nl, LinearDelay::new());
+        reference.settle(1000).expect("settle");
+        reference.drive(a, true, 1);
+        reference.drive(c, true, 1);
+        reference.run_until_quiescent(1000).expect("run");
+        assert_eq!(reference.transitions(), sim.transitions());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use qdi_netlist::{cells, Channel, GateKind, NetId, Netlist, NetlistBuilder};
-use qdi_sim::protocol::{ProtocolReport, ProtocolViolation, ViolationKind};
+use qdi_sim::protocol::{PinIndex, ProtocolReport, ProtocolViolation, ViolationKind};
 use qdi_sim::{hazard, protocol, Testbench, TestbenchConfig, Transition};
 
 fn lut_fixture(table: &[u64], inputs: usize) -> (Netlist, Vec<Channel>, Channel) {
@@ -220,9 +220,18 @@ proptest! {
     /// detail, and every communication count. Logs are random edges,
     /// so two rails high, out-of-phase acknowledges, re-asserted levels
     /// and same-time edges all occur.
+    ///
+    /// The log is also cut in two. Feeding the prefix into a
+    /// `CheckState`, cloning it and feeding the clone the suffix must
+    /// give `check_all`'s verdict on the whole log, and the prefix alone
+    /// its verdict on the prefix. The cut falls at a random edge or
+    /// around the log's first violation, so that violation lands before
+    /// the cut, on the first edge after it, or further on.
     #[test]
     fn one_pass_protocol_check_matches_per_channel_scan(
         edges in prop::collection::vec((0usize..64, 0u8..4, 0u64..3), 0..160),
+        cut in any::<usize>(),
+        cut_near_violation in 0u8..4,
     ) {
         let (nl, nets) = protocol_fixture();
         let mut levels = vec![false; nl.net_count()];
@@ -248,5 +257,27 @@ proptest! {
         for (c, report) in nl.channels().zip(&want) {
             prop_assert_eq!(&protocol::check_channel(c, &log), report);
         }
+
+        let conformant =
+            |reports: &[ProtocolReport]| reports.iter().all(ProtocolReport::conformant);
+        // The shortest prefix the reference calls non-conformant.
+        let first_bad = (1..=log.len()).find(|&k| !conformant(&protocol::check_all(&nl, &log[..k])));
+        let split = match (first_bad, cut_near_violation) {
+            // The violating edge is the suffix's first, or the prefix's last.
+            (Some(k), 1) => k - 1,
+            (Some(k), 2) => k,
+            _ => cut % (log.len() + 1),
+        };
+        let index = PinIndex::new(nl.channels());
+        let mut prefix = index.idle();
+        let prefix_clean = prefix.feed(&index, &log[..split]);
+        prop_assert_eq!(prefix_clean, conformant(&protocol::check_all(&nl, &log[..split])));
+        prop_assert_eq!(prefix_clean, prefix.conformant());
+        let mut resumed = prefix.clone();
+        let clean = resumed.feed(&index, &log[split..]);
+        prop_assert_eq!(clean, conformant(&want), "split at {} of {}", split, log.len());
+        prop_assert_eq!(clean, resumed.conformant());
+        // The prefix's own state is untouched by its clone's suffix.
+        prop_assert_eq!(prefix.conformant(), prefix_clean);
     }
 }
