@@ -412,9 +412,10 @@ impl<'a> StoreCampaignRunner<'a> {
                 expected_records
             )));
         }
-        // A resumed campaign starts its progress bar at the checkpoint.
-        let progress = qdi_obs::progress::task("dpa.store_campaign", cfg.traces);
-        progress.advance(checkpoint.completed);
+        // A resumed campaign starts its progress bar at the checkpoint,
+        // and its rate clock there.
+        let progress =
+            qdi_obs::progress::task_from("dpa.store_campaign", checkpoint.completed, cfg.traces);
         Ok(StoreCampaignRunner {
             cfg,
             resilience,

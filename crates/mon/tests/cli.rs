@@ -335,7 +335,7 @@ fn export_round_trips_through_prometheus_text() {
     assert_eq!(code(&out), 0);
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("# TYPE qdi_dpa_traces gauge"));
-    let parsed = qdi_obs::prometheus::parse(&text).unwrap();
+    let parsed = qdi_obs::prometheus::parse(&text).unwrap().samples;
     assert_eq!(parsed.len(), 2);
     assert_eq!(parsed[0].name, "qdi_dpa_traces");
     assert_eq!(parsed[0].value, 10_000.0);
@@ -694,21 +694,20 @@ fn trace_survives_a_span_whose_end_overflows() {
 #[test]
 fn slo_verdicts_follow_the_exit_code_discipline() {
     let metrics = temp("qdi_mon_cli_slo.prom");
-    let mut exposition = String::new();
-    qdi_obs::prometheus::render_histogram_samples(
-        &mut exposition,
-        qdi_obs::slo::ROUTE_LATENCY_MS,
-        &[("route", "POST /v1/jobs"), ("tenant", "ci")],
-        &[5.0, 50.0],
-        &[8, 2, 0],
-        120.0,
-    );
-    exposition.push_str(&qdi_obs::prometheus::render_labeled(
-        qdi_obs::slo::ROUTE_REQUESTS,
-        &[("route", "POST /v1/jobs"), ("tenant", "ci")],
-        10.0,
-    ));
-    std::fs::write(&metrics, &exposition).unwrap();
+    let labels = [("route", "POST /v1/jobs"), ("tenant", "ci")];
+    let scrape = MetricsSnapshot {
+        samples: vec![MetricSample {
+            name: qdi_obs::metrics::series(qdi_obs::slo::ROUTE_REQUESTS, &labels),
+            value: 10.0,
+        }],
+        histograms: vec![HistogramSnapshot {
+            name: qdi_obs::metrics::series(qdi_obs::slo::ROUTE_LATENCY_MS, &labels),
+            bounds: vec![5.0, 50.0],
+            counts: vec![8, 2, 0],
+            sum: 120.0,
+        }],
+    };
+    std::fs::write(&metrics, qdi_obs::prometheus::render(&scrape)).unwrap();
 
     let passing = temp("qdi_mon_cli_slo_pass.json");
     std::fs::write(

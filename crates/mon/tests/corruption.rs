@@ -10,9 +10,8 @@ use std::process::Command;
 use qdi_exec::chaos::Corruption;
 use qdi_exec::job_rng;
 use qdi_mon::{analyze, flame, report, waterfall};
-use qdi_obs::metrics::{HistogramSnapshot, MetricSample, MetricsSnapshot};
+use qdi_obs::metrics::{series, HistogramSnapshot, MetricSample, MetricsSnapshot};
 use qdi_obs::prof::{PoolRun, ProfReport, Segment, WorkerLane};
-use qdi_obs::prometheus::{render_histogram_samples, render_labeled};
 use qdi_obs::slo::{self, SloConfig, ROUTE_ERRORS, ROUTE_LATENCY_MS, ROUTE_REQUESTS};
 use qdi_obs::span::{Records, Rollup, SpanEvent, SpanLink, SpanRecord, LINK_RESUME};
 use qdi_obs::{FieldValue, Level, Record};
@@ -161,25 +160,26 @@ const SLO_CONFIG: &str = r#"{"slos":[{"name":"all","availability":0.99,"p99_ms":
 
 /// A `/metrics` scrape of two tenants' request, error and latency series.
 fn exposition() -> Vec<u8> {
-    let mut text = String::new();
+    let mut scrape = MetricsSnapshot::default();
     for (tenant, requests, errors) in [("alice", 60u64, 1u64), ("bob", 40, 0)] {
         let labels = [("route", "/v1/jobs"), ("tenant", tenant)];
-        text.push_str(&render_labeled(ROUTE_REQUESTS, &labels, requests as f64));
-        text.push_str(&render_labeled(
-            ROUTE_ERRORS,
-            &[labels[0], labels[1], ("class", "server")],
-            errors as f64,
-        ));
-        render_histogram_samples(
-            &mut text,
-            ROUTE_LATENCY_MS,
-            &labels,
-            &[1.0, 10.0, 100.0],
-            &[requests / 2, requests / 2 - 1, 1, 0],
-            42.0,
-        );
+        scrape.samples.push(MetricSample {
+            name: series(ROUTE_REQUESTS, &labels),
+            value: requests as f64,
+        });
+        scrape.samples.push(MetricSample {
+            name: series(ROUTE_ERRORS, &[labels[0], labels[1], ("class", "server")]),
+            value: errors as f64,
+        });
+        scrape.histograms.push(HistogramSnapshot {
+            name: series(ROUTE_LATENCY_MS, &labels),
+            bounds: vec![1.0, 10.0, 100.0],
+            counts: vec![requests / 2, requests / 2 - 1, 1, 0],
+            sum: 42.0,
+        });
     }
-    text.into_bytes()
+    scrape.normalize();
+    qdi_obs::prometheus::render(&scrape).into_bytes()
 }
 
 /// Exit status of the real binary; a panic would exit 101.

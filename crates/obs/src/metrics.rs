@@ -4,6 +4,17 @@
 //! locked when a handle is first created or a snapshot is taken, never
 //! on the hot update path. Metrics are always live (they are a few
 //! relaxed atomic ops), independent of the `QDI_LOG` filter.
+//!
+//! A labeled metric is an ordinary entry whose name is its Prometheus
+//! series identity, built by [`series`]:
+//!
+//! ```
+//! use qdi_obs::metrics::{counter, series};
+//! counter(&series("serve.http.route.requests", &[("route", "GET /healthz"), ("tenant", "")]))
+//!     .inc();
+//! ```
+//!
+//! Snapshots, deltas and the run record carry it like any other name.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -167,6 +178,43 @@ impl Histogram {
     }
 }
 
+/// The registry name of the series `name` with `labels`:
+/// `name{k="v",…}` with the keys sorted and each value escaped by
+/// [`crate::prometheus::escape_label_value`]. With no labels it is
+/// `name` itself. [`crate::prometheus::parse`] names what it reads the
+/// same way, so one series has one name on both sides of a scrape.
+#[must_use]
+pub fn series<K: AsRef<str>, V: AsRef<str>>(name: &str, labels: &[(K, V)]) -> String {
+    if labels.is_empty() {
+        return name.to_string();
+    }
+    let mut pairs: Vec<(&str, &str)> = labels
+        .iter()
+        .map(|(k, v)| (k.as_ref(), v.as_ref()))
+        .collect();
+    pairs.sort_unstable();
+    let body: Vec<String> = pairs
+        .iter()
+        .map(|(k, v)| format!("{k}=\"{}\"", crate::prometheus::escape_label_value(v)))
+        .collect();
+    format!("{name}{{{}}}", body.join(","))
+}
+
+/// Splits a series name into its metric name and its label block
+/// (`{…}` included, empty when the series has no labels).
+#[must_use]
+pub(crate) fn split_series(series: &str) -> (&str, &str) {
+    series.split_at(series.find('{').unwrap_or(series.len()))
+}
+
+/// The series `name` with `suffix` appended to its metric name, its
+/// labels kept: `with_suffix("h{k=\"v\"}", ".sum")` is `h.sum{k="v"}`.
+#[must_use]
+pub(crate) fn with_suffix(series: &str, suffix: &str) -> String {
+    let (name, labels) = split_series(series);
+    format!("{name}{suffix}{labels}")
+}
+
 enum Metric {
     Counter(Counter),
     Gauge(Gauge),
@@ -234,8 +282,9 @@ pub fn histogram(name: &str, bounds: &[f64]) -> Histogram {
 /// One flattened metric reading inside a [`MetricsSnapshot`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MetricSample {
-    /// Metric name; histograms contribute `<name>.count` and
-    /// `<name>.sum`, gauges contribute `<name>` and `<name>.max`.
+    /// Series name; histograms contribute `<name>.count` and
+    /// `<name>.sum`, gauges contribute `<name>` and `<name>.max`, each
+    /// suffix going on the metric name, before any label block.
     pub name: String,
     /// The reading, widened to `f64`.
     pub value: f64,
@@ -247,7 +296,8 @@ pub struct MetricSample {
 /// `_count` triplet instead of collapsing the distribution.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HistogramSnapshot {
-    /// The histogram's dotted registry name.
+    /// The histogram's series name: its dotted registry name, or its
+    /// wire name when [`crate::prometheus::parse`] read it.
     pub name: String,
     /// Inclusive upper bounds, strictly increasing (no `+Inf` entry).
     pub bounds: Vec<f64>,
@@ -259,10 +309,57 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Total observation count (the sum over all buckets).
+    /// Total observation count (the sum over all buckets, saturating:
+    /// a parsed scrape's counts are untrusted).
     #[must_use]
     pub fn count(&self) -> u64 {
-        self.counts.iter().sum()
+        self.counts
+            .iter()
+            .fold(0, |total, &c| total.saturating_add(c))
+    }
+
+    /// Nearest-rank quantile upper estimate: the bound of the first
+    /// bucket whose cumulative count reaches rank `ceil(q * count)`.
+    /// Observations above the last finite bound report `+Inf`. `None`
+    /// when the histogram is empty or `q` is outside `[0, 1]`.
+    #[must_use]
+    pub fn quantile(&self, q: f64) -> Option<f64> {
+        let count = self.count();
+        if count == 0 || !(0.0..=1.0).contains(&q) {
+            return None;
+        }
+        let rank = ((q * count as f64).ceil() as u64).max(1);
+        let mut cumulative = 0u64;
+        let bucket = self.counts.iter().position(|&c| {
+            cumulative = cumulative.saturating_add(c);
+            cumulative >= rank
+        });
+        Some(
+            bucket
+                .and_then(|i| self.bounds.get(i).copied())
+                .unwrap_or(f64::INFINITY),
+        )
+    }
+
+    /// Adds another histogram's observations to this one (same bounds
+    /// required), saturating the counts: used to aggregate per-tenant
+    /// series under a wildcard SLO.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description when the bucket layouts differ.
+    pub fn merge(&mut self, other: &HistogramSnapshot) -> Result<(), String> {
+        if self.bounds != other.bounds {
+            return Err(format!(
+                "cannot merge histogram `{}`: bucket layouts differ",
+                self.name
+            ));
+        }
+        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
+            *mine = mine.saturating_add(*theirs);
+        }
+        self.sum += other.sum;
+        Ok(())
     }
 }
 
@@ -302,17 +399,17 @@ impl MetricsSnapshot {
                         value: g.get() as f64,
                     });
                     samples.push(MetricSample {
-                        name: format!("{name}.max"),
+                        name: with_suffix(name, ".max"),
                         value: g.high_water() as f64,
                     });
                 }
                 Metric::Histogram(h) => {
                     samples.push(MetricSample {
-                        name: format!("{name}.count"),
+                        name: with_suffix(name, ".count"),
                         value: h.count() as f64,
                     });
                     samples.push(MetricSample {
-                        name: format!("{name}.sum"),
+                        name: with_suffix(name, ".sum"),
                         value: h.sum(),
                     });
                     histograms.push(HistogramSnapshot {
@@ -364,7 +461,7 @@ impl MetricsSnapshot {
         for s in &self.samples {
             let before = earlier.get(&s.name).unwrap_or(0.0);
             let changed = (s.value - before).abs() > 0.0;
-            let absolute = s.name.ends_with(".max");
+            let absolute = split_series(&s.name).0.ends_with(".max");
             if absolute {
                 if changed || earlier.get(&s.name).is_none() {
                     samples.push(s.clone());

@@ -63,6 +63,8 @@ struct TaskInner {
     name: String,
     total: AtomicU64,
     completed: AtomicU64,
+    /// Items already done when the clock started at `started_us`.
+    started_at: u64,
     started_us: u64,
     last_us: AtomicU64,
     /// EWMA of instantaneous throughput (items/s), stored as f64 bits.
@@ -81,6 +83,16 @@ fn registry() -> &'static Mutex<Vec<Arc<TaskInner>>> {
 /// so.
 #[must_use]
 pub fn task(name: &str, total: usize) -> ProgressTask {
+    task_from(name, 0, total)
+}
+
+/// Registers a task that starts with `completed` of its `total` items
+/// already done, such as a campaign resumed from a checkpoint. Those
+/// items are no rate sample: the EWMA waits for the first
+/// [`ProgressTask::advance`], and the overall rate counts only the items
+/// finished after registration.
+#[must_use]
+pub fn task_from(name: &str, completed: usize, total: usize) -> ProgressTask {
     if !FILE_SET.load(Ordering::Relaxed) {
         return ProgressTask { inner: None };
     }
@@ -88,7 +100,8 @@ pub fn task(name: &str, total: usize) -> ProgressTask {
     let inner = Arc::new(TaskInner {
         name: name.to_string(),
         total: AtomicU64::new(total as u64),
-        completed: AtomicU64::new(0),
+        completed: AtomicU64::new(completed as u64),
+        started_at: completed as u64,
         started_us: now,
         last_us: AtomicU64::new(now),
         ewma_bits: AtomicU64::new(0f64.to_bits()),
@@ -171,6 +184,7 @@ impl ProgressTask {
 fn snapshot_inner(inner: &TaskInner, now_us: u64) -> TaskSnapshot {
     TaskSnapshot::new(
         inner.name.clone(),
+        inner.started_at,
         inner.completed.load(Ordering::Relaxed),
         inner.total.load(Ordering::Relaxed),
         now_us.saturating_sub(inner.started_us) as f64 / 1e6,
@@ -188,9 +202,10 @@ pub struct TaskSnapshot {
     pub completed: u64,
     /// Work items in total.
     pub total: u64,
-    /// Seconds since the task was registered.
+    /// Seconds since the task's clock started.
     pub elapsed_s: f64,
-    /// Overall throughput `completed / elapsed`, items/s.
+    /// Overall throughput: the items finished since the clock started
+    /// over `elapsed_s`, items/s.
     pub rate: f64,
     /// EWMA of instantaneous throughput, items/s.
     pub ewma_rate: f64,
@@ -202,14 +217,17 @@ pub struct TaskSnapshot {
 }
 
 impl TaskSnapshot {
-    /// The view of a task that finished `completed` of `total` items in
-    /// `elapsed_s` seconds, at the throughput EWMA `ewma_rate` of
-    /// [`ewma_step`]. The ETA is 0 once the task is done or complete,
-    /// [`ETA_UNKNOWN`] while the EWMA has no sample, and the remaining
-    /// items over the EWMA otherwise.
+    /// The view of a task that has finished `completed` of `total` items,
+    /// `started_at` of them before its clock started `elapsed_s` seconds
+    /// ago (a resumed task starts partly done), at the throughput EWMA
+    /// `ewma_rate` of [`ewma_step`]. The overall rate counts only the
+    /// items finished on the clock. The ETA is 0 once the task is done or
+    /// complete, [`ETA_UNKNOWN`] while the EWMA has no sample, and the
+    /// remaining items over the EWMA otherwise.
     #[must_use]
     pub fn new(
         name: String,
+        started_at: u64,
         completed: u64,
         total: u64,
         elapsed_s: f64,
@@ -230,7 +248,7 @@ impl TaskSnapshot {
             total,
             elapsed_s,
             rate: if elapsed_s > 0.0 {
-                completed as f64 / elapsed_s
+                completed.saturating_sub(started_at) as f64 / elapsed_s
             } else {
                 0.0
             },
@@ -481,17 +499,19 @@ mod tests {
         assert!((ewma_step(20.0, 40, 1.0) - (20.0 + alpha * 20.0)).abs() < 1e-12);
 
         let eta = |completed, ewma, done| {
-            TaskSnapshot::new("t".into(), completed, 100, 2.0, ewma, done).eta_s
+            TaskSnapshot::new("t".into(), 0, completed, 100, 2.0, ewma, done).eta_s
         };
         assert_eq!(eta(0, 0.0, false), ETA_UNKNOWN, "no throughput yet");
         assert_eq!(eta(40, 0.0, false), ETA_UNKNOWN, "the EWMA has no sample");
         assert_eq!(eta(40, 20.0, false), 3.0, "remaining over the EWMA");
         assert_eq!(eta(40, 20.0, true), 0.0, "done");
         assert_eq!(eta(100, 20.0, false), 0.0, "complete");
-        let snap = TaskSnapshot::new("t".into(), 40, 100, 2.0, 20.0, false);
+        let snap = TaskSnapshot::new("t".into(), 0, 40, 100, 2.0, 20.0, false);
         assert_eq!(snap.rate, 20.0, "overall rate: completed over elapsed");
+        let resumed = TaskSnapshot::new("t".into(), 30, 40, 100, 2.0, 20.0, false);
+        assert_eq!(resumed.rate, 5.0, "only the items finished on the clock");
         assert_eq!(
-            TaskSnapshot::new("t".into(), 0, 100, 0.0, 0.0, false).rate,
+            TaskSnapshot::new("t".into(), 0, 0, 100, 0.0, 0.0, false).rate,
             0.0
         );
     }

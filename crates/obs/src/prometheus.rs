@@ -1,14 +1,17 @@
-//! Prometheus text-format 0.0.4 exposition of a [`MetricsSnapshot`].
+//! Prometheus text-format 0.0.4 exposition of a [`MetricsSnapshot`],
+//! and the parser that reads it back.
 //!
 //! Scalar samples render as gauges (the snapshot has already widened
 //! counters to `f64`) with the original dotted metric name sanitized
 //! into the Prometheus grammar (`[a-zA-Z_:][a-zA-Z0-9_:]*`) under a
-//! `qdi_` namespace:
+//! `qdi_` namespace. A labeled series ([`crate::metrics::series`]) keeps
+//! its label block, and each family gets one `# HELP`/`# TYPE` header:
 //!
 //! ```text
-//! # HELP qdi_dpa_traces qdi metric `dpa.traces`
-//! # TYPE qdi_dpa_traces gauge
-//! qdi_dpa_traces 10000
+//! # HELP qdi_serve_http_route_requests qdi metric `serve.http.route.requests`
+//! # TYPE qdi_serve_http_route_requests gauge
+//! qdi_serve_http_route_requests{route="GET /healthz",tenant=""} 3
+//! qdi_serve_http_route_requests{route="POST /v1/jobs",tenant="alice"} 1
 //! ```
 //!
 //! Histograms render the standard triplet — cumulative `_bucket` series
@@ -24,27 +27,32 @@
 //! qdi_serve_http_latency_ms_count 41
 //! ```
 //!
-//! [`parse`] reads the same format back (comments skipped) and
-//! [`parse_histograms`] regroups `_bucket`/`_sum`/`_count` series into
-//! [`ParsedHistogram`]s, which the format round-trip test, `qdi-mon
-//! export` and the SLO evaluator rely on.
+//! [`parse`] reads the format back into the [`MetricsSnapshot`] that
+//! [`render`] consumes, with every name in wire form: `_bucket` lines
+//! regroup into [`HistogramSnapshot`]s, every other line is a sample.
+//! So a snapshot survives a render and a parse, which the format tests,
+//! `qdi-mon slo` and the serve tests rely on.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-use crate::metrics::{MetricSample, MetricsSnapshot};
+use crate::metrics::{
+    series, split_series, with_suffix, HistogramSnapshot, MetricSample, MetricsSnapshot,
+};
 
-/// Maps a dotted qdi metric name into the Prometheus name grammar,
-/// prefixing `qdi_` unless the name already carries it.
+/// Maps a dotted qdi series name into the Prometheus name grammar,
+/// prefixing `qdi_` unless the name already carries it. A label block
+/// (`{…}`) passes through untouched.
 #[must_use]
 pub fn metric_name(raw: &str) -> String {
-    let sanitized: String = raw
+    let (name, labels) = split_series(raw);
+    let sanitized: String = name
         .chars()
         .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
         .collect();
     if sanitized.starts_with("qdi_") {
-        sanitized
+        format!("{sanitized}{labels}")
     } else {
-        format!("qdi_{sanitized}")
+        format!("qdi_{sanitized}{labels}")
     }
 }
 
@@ -90,69 +98,69 @@ pub fn unescape_label_value(escaped: &str) -> Result<String, String> {
     Ok(out)
 }
 
-/// Renders one labeled sample line, `name{k="v",...} value`, escaping
-/// every label value. With no labels the brace block is omitted.
-#[must_use]
-pub fn render_labeled(name: &str, labels: &[(&str, &str)], value: f64) -> String {
-    let name = metric_name(name);
-    if labels.is_empty() {
-        return format!("{name} {}\n", render_value(value));
-    }
-    let body: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", escape_label_value(v)))
-        .collect();
-    format!("{name}{{{}}} {}\n", body.join(","), render_value(value))
-}
+/// Unescaped `(key, value)` label pairs, in the order they were read.
+type Labels = Vec<(String, String)>;
 
 /// Splits a sample's name token into its base name and unescaped
 /// `(key, value)` labels. A token without a brace block has no labels.
 ///
 /// # Errors
 ///
-/// Returns a description on unbalanced braces, unquoted values, or bad
-/// escapes.
-pub fn parse_labels(token: &str) -> Result<(String, Vec<(String, String)>), String> {
-    let Some(open) = token.find('{') else {
-        return Ok((token.to_string(), Vec::new()));
-    };
-    let base = token[..open].to_string();
-    let body = token[open + 1..]
-        .strip_suffix('}')
-        .ok_or_else(|| format!("unbalanced label braces in `{token}`"))?;
+/// Returns a description on unbalanced braces, unquoted values, bad
+/// escapes, or text after the label block.
+pub fn parse_labels(token: &str) -> Result<(String, Labels), String> {
+    match read_series(token)? {
+        (base, labels, "") => Ok((base.to_string(), labels)),
+        _ => Err(format!("text after the labels in `{token}`")),
+    }
+}
+
+/// Whether `key` is a label name: `[a-zA-Z0-9_]+`.
+fn is_label_name(key: &str) -> bool {
+    !key.is_empty() && key.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+}
+
+/// Reads a series, `name` or `name{k="v",…}`, off the front of `text`:
+/// its name, its unescaped labels and the rest of `text`.
+fn read_series(text: &str) -> Result<(&str, Labels, &str), String> {
+    let end = text
+        .find(|c: char| c == '{' || c.is_whitespace())
+        .unwrap_or(text.len());
+    let (name, rest) = text.split_at(end);
     let mut labels = Vec::new();
-    let mut rest = body;
-    while !rest.is_empty() {
-        let eq = rest
-            .find('=')
-            .ok_or_else(|| format!("label without `=` in `{token}`"))?;
-        let key = rest[..eq].to_string();
-        let after = rest[eq + 1..]
+    let Some(mut rest) = rest.strip_prefix('{') else {
+        return Ok((name, labels, rest));
+    };
+    loop {
+        if let Some(after) = rest.strip_prefix('}') {
+            return Ok((name, labels, after));
+        }
+        let (key, value) = rest
+            .split_once('=')
+            .filter(|(key, _)| is_label_name(key))
+            .ok_or_else(|| format!("expected `name=\"value\"` in the labels of `{text}`"))?;
+        let value = value
             .strip_prefix('"')
             .ok_or_else(|| format!("label `{key}` value is not quoted"))?;
-        // Find the closing quote, skipping escaped characters.
-        let mut close = None;
-        let mut skip = false;
-        for (i, c) in after.char_indices() {
-            if skip {
-                skip = false;
-            } else if c == '\\' {
-                skip = true;
-            } else if c == '"' {
-                close = Some(i);
-                break;
-            }
-        }
-        let close = close.ok_or_else(|| format!("label `{key}` value is unterminated"))?;
-        labels.push((key, unescape_label_value(&after[..close])?));
-        rest = &after[close + 1..];
-        if let Some(stripped) = rest.strip_prefix(',') {
-            rest = stripped;
-        } else if !rest.is_empty() {
-            return Err(format!("expected `,` between labels in `{token}`"));
+        // The closing quote is the first one no backslash escapes.
+        let mut escaped = false;
+        let close = value
+            .char_indices()
+            .find(|&(_, c)| {
+                let close = !escaped && c == '"';
+                escaped = !escaped && c == '\\';
+                close
+            })
+            .ok_or_else(|| format!("label `{key}` value is unterminated"))?
+            .0;
+        labels.push((key.to_string(), unescape_label_value(&value[..close])?));
+        rest = &value[close + 1..];
+        if let Some(after) = rest.strip_prefix(',') {
+            rest = after;
+        } else if !rest.starts_with('}') {
+            return Err(format!("expected `,` or `}}` between labels in `{text}`"));
         }
     }
-    Ok((base, labels))
 }
 
 fn render_value(v: f64) -> String {
@@ -167,342 +175,187 @@ fn render_value(v: f64) -> String {
     }
 }
 
-/// Appends one histogram's cumulative `_bucket`/`_sum`/`_count` sample
-/// lines (no `# HELP`/`# TYPE` header) for the given label set.
-/// `counts` are non-cumulative per-bound counts with a trailing
-/// overflow bucket, exactly as [`crate::metrics::Histogram`] reports
-/// them.
-pub fn render_histogram_samples(
-    out: &mut String,
-    name: &str,
-    labels: &[(&str, &str)],
-    bounds: &[f64],
-    counts: &[u64],
-    sum: f64,
-) {
+/// Renders one sample line, `name{k="v",...} value`, of a series name
+/// as [`crate::metrics::series`] builds it.
+fn render_labeled(series: &str, value: f64) -> String {
+    format!("{} {}\n", metric_name(series), render_value(value))
+}
+
+/// One histogram's cumulative `_bucket` lines, `le` last among its
+/// labels, then its `_sum` and `_count` lines.
+fn render_histogram_samples(out: &mut String, h: &HistogramSnapshot) {
+    let (name, labels) = split_series(&h.name);
+    let wire = metric_name(name);
+    let open = match labels.strip_suffix('}') {
+        Some(labels) => format!("{labels},"),
+        None => "{".to_string(),
+    };
     let mut cumulative = 0u64;
-    let mut bucket_labels: Vec<(&str, String)> =
-        labels.iter().map(|(k, v)| (*k, (*v).to_string())).collect();
-    bucket_labels.push(("le", String::new()));
-    for (i, count) in counts.iter().enumerate() {
-        cumulative += count;
-        let le = bounds
+    for (i, count) in h.counts.iter().enumerate() {
+        cumulative = cumulative.saturating_add(*count);
+        let le = h
+            .bounds
             .get(i)
             .map_or_else(|| "+Inf".to_string(), |b| render_value(*b));
-        bucket_labels.last_mut().expect("le slot").1 = le;
-        let borrowed: Vec<(&str, &str)> = bucket_labels
-            .iter()
-            .map(|(k, v)| (*k, v.as_str()))
-            .collect();
-        out.push_str(&render_labeled(
-            &format!("{name}.bucket"),
-            &borrowed,
-            cumulative as f64,
-        ));
+        out.push_str(&format!("{wire}_bucket{open}le=\"{le}\"}} {cumulative}\n"));
     }
-    out.push_str(&render_labeled(&format!("{name}.sum"), labels, sum));
-    out.push_str(&render_labeled(
-        &format!("{name}.count"),
-        labels,
-        cumulative as f64,
-    ));
+    out.push_str(&render_labeled(&with_suffix(&h.name, ".sum"), h.sum));
+    out.push_str(&format!("{wire}_count{labels} {cumulative}\n"));
 }
 
-/// Renders a snapshot in Prometheus text format 0.0.4. Scalar samples
-/// keep the snapshot's deterministic name ordering; histograms render
-/// as the standard `_bucket`/`_sum`/`_count` triplet after them (their
-/// flattened `<name>.count` / `<name>.sum` samples are elided so the
-/// series do not collide).
+/// The lines of the family `name` (a metric name, no labels), opened
+/// with its `# HELP`/`# TYPE` header on first use.
+fn family<'f>(
+    families: &'f mut BTreeMap<String, String>,
+    name: &str,
+    kind: &str,
+) -> &'f mut String {
+    let wire = metric_name(name);
+    families.entry(wire.clone()).or_insert_with(|| {
+        let what = if kind == "histogram" { kind } else { "metric" };
+        format!("# HELP {wire} qdi {what} `{name}`\n# TYPE {wire} {kind}\n")
+    })
+}
+
+/// Renders a snapshot in Prometheus text format 0.0.4: one `# HELP`/
+/// `# TYPE` header per family, families in wire-name order, each
+/// followed by all of its series. Histograms render as the standard
+/// `_bucket`/`_sum`/`_count` triplet; their flattened `<name>.count` /
+/// `<name>.sum` samples are elided so the series do not collide.
 #[must_use]
 pub fn render(snapshot: &MetricsSnapshot) -> String {
-    let elide: Vec<String> = snapshot
+    let elide: BTreeSet<String> = snapshot
         .histograms
         .iter()
-        .flat_map(|h| [format!("{}.count", h.name), format!("{}.sum", h.name)])
+        .flat_map(|h| [with_suffix(&h.name, ".count"), with_suffix(&h.name, ".sum")])
         .collect();
-    let mut out = String::new();
+    let mut families = BTreeMap::new();
     for sample in &snapshot.samples {
-        if elide.contains(&sample.name) {
-            continue;
+        if !elide.contains(&sample.name) {
+            let lines = family(&mut families, split_series(&sample.name).0, "gauge");
+            lines.push_str(&render_labeled(&sample.name, sample.value));
         }
-        let name = metric_name(&sample.name);
-        out.push_str(&format!("# HELP {name} qdi metric `{}`\n", sample.name));
-        out.push_str(&format!("# TYPE {name} gauge\n"));
-        out.push_str(&format!("{name} {}\n", render_value(sample.value)));
     }
     for h in &snapshot.histograms {
-        let name = metric_name(&h.name);
-        out.push_str(&format!("# HELP {name} qdi histogram `{}`\n", h.name));
-        out.push_str(&format!("# TYPE {name} histogram\n"));
-        render_histogram_samples(&mut out, &h.name, &[], &h.bounds, &h.counts, h.sum);
+        render_histogram_samples(
+            family(&mut families, split_series(&h.name).0, "histogram"),
+            h,
+        );
     }
-    out
+    families.into_values().collect()
 }
 
-/// Finds where a sample line's name token (which may carry a quoted
-/// label block containing spaces) ends, or `None` when no `{` opens one.
-fn label_block_end(line: &str) -> Option<Result<usize, String>> {
-    let open = line.find('{')?;
-    let mut in_quotes = false;
-    let mut skip = false;
-    for (i, c) in line[open..].char_indices() {
-        if skip {
-            skip = false;
-        } else if in_quotes && c == '\\' {
-            skip = true;
-        } else if c == '"' {
-            in_quotes = !in_quotes;
-        } else if c == '}' && !in_quotes {
-            return Some(Ok(open + i + 1));
-        }
-    }
-    Some(Err("unbalanced label braces".to_string()))
-}
-
-/// Parses text-format 0.0.4 exposition back into `(name, value)`
-/// samples (comment and blank lines skipped). A label block is kept
-/// verbatim in the sample name; use [`parse_labels`] to split it out.
+/// Parses text-format 0.0.4 exposition (comment and blank lines
+/// skipped) back into the snapshot [`render`] consumes, every name in
+/// wire form and every label block in [`crate::metrics::series`] form
+/// (keys sorted, values escaped). Each `<family>_bucket{…,le="…"}` line
+/// joins the histogram series keyed by its labels minus `le`, which
+/// takes its sum from the matching `_sum` line (0 when absent); every
+/// other line, `_sum` and `_count` included, is a sample.
 ///
 /// # Errors
 ///
-/// Returns a description naming the first malformed line.
-pub fn parse(text: &str) -> Result<Vec<MetricSample>, String> {
+/// Returns a description naming the first malformed line or label
+/// block, or the first histogram with a non-finite bound other than
+/// `+Inf`, a duplicate or non-cumulative bucket, or no `+Inf` bucket.
+pub fn parse(text: &str) -> Result<MetricsSnapshot, String> {
     let mut samples = Vec::new();
+    // Histogram series name -> its (bound, cumulative count) buckets.
+    let mut buckets: BTreeMap<String, Vec<(f64, u64)>> = BTreeMap::new();
     for (lineno, line) in text.lines().enumerate() {
+        let at = |e: String| format!("line {}: {e}", lineno + 1);
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let (name, rest) = match label_block_end(line) {
-            Some(Ok(end)) => line.split_at(end),
-            Some(Err(e)) => return Err(format!("line {}: {e}", lineno + 1)),
-            None => {
-                let cut = line.find(char::is_whitespace).unwrap_or(line.len());
-                line.split_at(cut)
-            }
-        };
+        let (base, mut labels, rest) = read_series(line).map_err(at)?;
         let mut parts = rest.split_whitespace();
         let Some(value) = parts.next() else {
-            return Err(format!("line {}: expected `name value`", lineno + 1));
+            return Err(at("expected `name value`".to_string()));
         };
         if parts.next().is_some() {
-            return Err(format!("line {}: trailing tokens", lineno + 1));
+            return Err(at("trailing tokens".to_string()));
         }
-        let value = match value {
-            "+Inf" => f64::INFINITY,
-            "-Inf" => f64::NEG_INFINITY,
-            other => other
-                .parse::<f64>()
-                .map_err(|e| format!("line {}: bad value `{other}`: {e}", lineno + 1))?,
-        };
-        samples.push(MetricSample {
-            name: name.to_string(),
-            value,
-        });
-    }
-    Ok(samples)
-}
-
-/// One histogram series reconstructed from parsed exposition lines:
-/// the family name, its identifying labels (minus `le`), and the
-/// cumulative bucket counts.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParsedHistogram {
-    /// Prometheus family name (the `_bucket` suffix stripped).
-    pub name: String,
-    /// Identifying labels, sorted by key, `le` excluded.
-    pub labels: Vec<(String, String)>,
-    /// Finite bucket upper bounds, ascending (`+Inf` excluded).
-    pub bounds: Vec<f64>,
-    /// Cumulative counts per bound plus the final `+Inf` entry, so
-    /// `cumulative.len() == bounds.len() + 1`.
-    pub cumulative: Vec<u64>,
-    /// Sum of observations (from the `_sum` series, 0 when absent).
-    pub sum: f64,
-    /// Total observations (the `+Inf` bucket).
-    pub count: u64,
-}
-
-impl ParsedHistogram {
-    /// The label value for `key`, when present.
-    #[must_use]
-    pub fn label(&self, key: &str) -> Option<&str> {
-        self.labels
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// Non-cumulative per-bucket counts (last entry is the `+Inf`
-    /// overflow), the inverse of the exposition's running totals.
-    #[must_use]
-    pub fn bucket_counts(&self) -> Vec<u64> {
-        let mut prev = 0u64;
-        self.cumulative
-            .iter()
-            .map(|&c| {
-                let d = c.saturating_sub(prev);
-                prev = c;
-                d
-            })
-            .collect()
-    }
-
-    /// Nearest-rank quantile upper estimate: the bound of the first
-    /// bucket whose cumulative count reaches rank `ceil(q * count)`.
-    /// Observations above the last finite bound report `+Inf`. `None`
-    /// when the histogram is empty.
-    #[must_use]
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.count == 0 || !(0.0..=1.0).contains(&q) {
-            return None;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).max(1);
-        for (i, &c) in self.cumulative.iter().enumerate() {
-            if c >= rank {
-                return Some(self.bounds.get(i).copied().unwrap_or(f64::INFINITY));
-            }
-        }
-        Some(f64::INFINITY)
-    }
-
-    /// Merges another series into this one (same bounds required):
-    /// used to aggregate per-tenant series under a wildcard SLO.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description when the bucket layouts differ.
-    pub fn merge(&mut self, other: &ParsedHistogram) -> Result<(), String> {
-        if self.bounds != other.bounds {
-            return Err(format!(
-                "cannot merge histogram `{}`: bucket layouts differ",
-                self.name
-            ));
-        }
-        // Counts come from scraped text: saturate rather than overflow.
-        for (mine, theirs) in self.cumulative.iter_mut().zip(&other.cumulative) {
-            *mine = mine.saturating_add(*theirs);
-        }
-        self.sum += other.sum;
-        self.count = self.count.saturating_add(other.count);
-        Ok(())
-    }
-}
-
-/// Regroups parsed exposition samples into histogram series: every
-/// `<family>_bucket{...,le="..."}` line joins the series keyed by
-/// `(family, labels − le)`, picking up the matching `_sum` and
-/// `_count` lines. Samples that are not part of a histogram triplet
-/// are ignored, as are `_sum`/`_count` lines with no sibling buckets.
-///
-/// # Errors
-///
-/// Returns a description on malformed label blocks, duplicate or
-/// non-monotonic buckets, or a missing `+Inf` bucket.
-pub fn parse_histograms(samples: &[MetricSample]) -> Result<Vec<ParsedHistogram>, String> {
-    type Key = (String, Vec<(String, String)>);
-    #[derive(Default)]
-    struct Partial {
-        buckets: Vec<(f64, u64)>, // (le, cumulative); +Inf stored as INFINITY
-        sum: f64,
-        count: Option<u64>,
-    }
-    fn slot(
-        groups: &mut BTreeMap<String, (Key, Partial)>,
-        family: String,
-        mut labels: Vec<(String, String)>,
-    ) -> &mut Partial {
-        labels.sort();
-        let ordering_key = format!("{family}\u{0}{labels:?}");
-        &mut groups
-            .entry(ordering_key)
-            .or_insert_with(|| ((family, labels), Partial::default()))
-            .1
-    }
-    let mut groups: BTreeMap<String, (Key, Partial)> = BTreeMap::new();
-    for sample in samples {
-        let (base, labels) = parse_labels(&sample.name)?;
-        if let Some(family) = base.strip_suffix("_bucket") {
-            let Some(le) = labels
-                .iter()
-                .find(|(k, _)| k == "le")
-                .map(|(_, v)| v.clone())
-            else {
-                continue;
-            };
+        let value: f64 = value
+            .parse()
+            .map_err(|e| at(format!("bad value `{value}`: {e}")))?;
+        let le = labels.iter().position(|(k, _)| k == "le");
+        if let (Some(family), Some(le)) = (base.strip_suffix("_bucket"), le) {
+            let (_, le) = labels.remove(le);
             let bound = match le.as_str() {
                 "+Inf" => f64::INFINITY,
                 other => match other.parse::<f64>() {
                     Ok(bound) if bound.is_finite() => bound,
                     Ok(_) => {
-                        return Err(format!(
-                            "bad le `{other}` on `{}`: only `+Inf` may be non-finite",
-                            sample.name
-                        ))
+                        return Err(at(format!(
+                            "bad le `{other}` on `{base}`: only `+Inf` may be non-finite"
+                        )))
                     }
-                    Err(e) => return Err(format!("bad le `{other}` on `{}`: {e}", sample.name)),
+                    Err(e) => return Err(at(format!("bad le `{other}` on `{base}`: {e}"))),
                 },
             };
-            let rest: Vec<(String, String)> =
-                labels.into_iter().filter(|(k, _)| k != "le").collect();
-            slot(&mut groups, family.to_string(), rest)
-                .buckets
-                .push((bound, sample.value as u64));
-        } else if let Some(family) = base.strip_suffix("_sum") {
-            slot(&mut groups, family.to_string(), labels).sum = sample.value;
-        } else if let Some(family) = base.strip_suffix("_count") {
-            slot(&mut groups, family.to_string(), labels).count = Some(sample.value as u64);
+            buckets
+                .entry(series(family, &labels))
+                .or_default()
+                .push((bound, value as u64));
+        } else {
+            samples.push(MetricSample {
+                name: series(base, &labels),
+                value,
+            });
         }
     }
-    let mut out = Vec::new();
-    for ((family, labels), mut partial) in groups.into_values() {
-        if partial.buckets.is_empty() {
-            continue; // `_sum`/`_count` of something that is not a histogram
-        }
+    let mut snapshot = MetricsSnapshot {
+        samples,
+        histograms: Vec::with_capacity(buckets.len()),
+    };
+    snapshot.normalize();
+    for (name, mut buckets) in buckets {
         // Every bound is finite or `+Inf` (checked above), so `total_cmp`
         // is the numeric order.
-        partial.buckets.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let (last, finite) = partial.buckets.split_last().expect("non-empty bucket list");
-        if last.0 != f64::INFINITY {
-            return Err(format!("histogram `{family}` has no `+Inf` bucket"));
+        buckets.sort_by(|a, b| a.0.total_cmp(&b.0));
+        if buckets.last().is_some_and(|last| last.0 != f64::INFINITY) {
+            return Err(format!("histogram `{name}` has no `+Inf` bucket"));
         }
-        let mut bounds = Vec::with_capacity(finite.len());
-        let mut cumulative = Vec::with_capacity(partial.buckets.len());
+        let mut bounds = Vec::with_capacity(buckets.len() - 1);
+        let mut counts = Vec::with_capacity(buckets.len());
         let mut prev_bound = f64::NEG_INFINITY;
         let mut prev_count = 0u64;
-        for &(bound, count) in partial.buckets.iter() {
+        for (bound, count) in buckets {
             if bound == prev_bound {
-                return Err(format!("histogram `{family}` has duplicate le `{bound}`"));
+                return Err(format!("histogram `{name}` has duplicate le `{bound}`"));
             }
             if count < prev_count {
                 return Err(format!(
-                    "histogram `{family}` bucket counts are not cumulative at le `{bound}`"
+                    "histogram `{name}` bucket counts are not cumulative at le `{bound}`"
                 ));
             }
             if bound != f64::INFINITY {
                 bounds.push(bound);
             }
-            cumulative.push(count);
+            counts.push(count - prev_count);
             prev_bound = bound;
             prev_count = count;
         }
-        let count = partial.count.unwrap_or(last.1);
-        out.push(ParsedHistogram {
-            name: family,
-            labels,
+        let sum_name = with_suffix(&name, "_sum");
+        let sum = snapshot
+            .samples
+            .binary_search_by(|s| s.name.as_str().cmp(&sum_name))
+            .map_or(0.0, |i| snapshot.samples[i].value);
+        snapshot.histograms.push(HistogramSnapshot {
+            name,
             bounds,
-            cumulative,
-            sum: partial.sum,
-            count,
+            counts,
+            sum,
         });
     }
-    Ok(out)
+    Ok(snapshot)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::HistogramSnapshot;
+    use crate::metrics;
 
     fn snap(pairs: &[(&str, f64)]) -> MetricsSnapshot {
         MetricsSnapshot {
@@ -517,6 +370,45 @@ mod tests {
         }
     }
 
+    /// `snapshot` with every name in wire form, as [`parse`] reads it.
+    fn wire(mut snapshot: MetricsSnapshot) -> MetricsSnapshot {
+        for s in &mut snapshot.samples {
+            s.name = metric_name(&s.name);
+        }
+        for h in &mut snapshot.histograms {
+            h.name = metric_name(&h.name);
+        }
+        snapshot.normalize();
+        snapshot
+    }
+
+    /// The registered series whose names start with `prefix`.
+    fn captured(prefix: &str) -> MetricsSnapshot {
+        let mut snapshot = MetricsSnapshot::capture();
+        snapshot.samples.retain(|s| s.name.starts_with(prefix));
+        snapshot.histograms.retain(|h| h.name.starts_with(prefix));
+        snapshot
+    }
+
+    /// `n` label values drawn from the seed `label`. Value `i` holds the
+    /// character a label block must escape (`"`, `\`, newline) or must
+    /// not split on (`,`, `=`, `}`) numbered `i % 6`, among random ones.
+    fn seeded_values(label: &str, n: usize) -> Vec<String> {
+        const SPECIAL: [char; 6] = ['"', '\\', '\n', ',', '=', '}'];
+        const ANY: [char; 10] = ['"', '\\', '\n', ',', '=', '}', '{', ' ', 'a', '/'];
+        let mut rng = proptest::TestRng::deterministic(label);
+        (0..n)
+            .map(|i| {
+                let mut value: Vec<char> = (0..rng.below(6))
+                    .map(|_| ANY[rng.below(ANY.len() as u64) as usize])
+                    .collect();
+                let at = rng.below(value.len() as u64 + 1) as usize;
+                value.insert(at, SPECIAL[i % SPECIAL.len()]);
+                value.into_iter().collect()
+            })
+            .collect()
+    }
+
     #[test]
     fn sanitizes_names_into_prometheus_grammar() {
         assert_eq!(metric_name("dpa.traces"), "qdi_dpa_traces");
@@ -526,6 +418,11 @@ mod tests {
         );
         assert_eq!(metric_name("qdi_already"), "qdi_already");
         assert_eq!(metric_name("weird-name!x"), "qdi_weird_name_x");
+        assert_eq!(
+            metric_name("serve.x{route=\"GET /v1.x\"}"),
+            "qdi_serve_x{route=\"GET /v1.x\"}",
+            "a label block passes through"
+        );
     }
 
     #[test]
@@ -541,11 +438,8 @@ mod tests {
     fn round_trips_through_parse() {
         let original = snap(&[("a.x", 1.5), ("b.y", -3.0), ("c.z", 0.0)]);
         let parsed = parse(&render(&original)).unwrap();
-        assert_eq!(parsed.len(), original.samples.len());
-        for (p, o) in parsed.iter().zip(&original.samples) {
-            assert_eq!(p.name, metric_name(&o.name));
-            assert_eq!(p.value, o.value);
-        }
+        assert_eq!(parsed.samples.len(), original.samples.len());
+        assert_eq!(parsed, wire(original));
     }
 
     #[test]
@@ -575,27 +469,47 @@ mod tests {
 
     #[test]
     fn labeled_samples_round_trip_through_parse() {
-        let labels = [
-            ("flow", "secure \"fast\" path"),
-            ("dir", "C:\\traces"),
-            ("note", "two\nlines"),
-        ];
-        let line = render_labeled("dpa.traces", &labels, 7.0);
-        let parsed = parse(&line).unwrap();
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0].value, 7.0);
-        let (base, got) = parse_labels(&parsed[0].name).unwrap();
-        assert_eq!(base, "qdi_dpa_traces");
-        let want: Vec<(String, String)> = labels
-            .iter()
-            .map(|(k, v)| ((*k).to_string(), (*v).to_string()))
-            .collect();
-        assert_eq!(got, want);
+        let values = seeded_values("labeled_samples_round_trip_through_parse", 12);
+        for (i, pair) in values.chunks(2).enumerate() {
+            let labels = [("tenant", pair[1].as_str()), ("route", pair[0].as_str())];
+            metrics::counter(&metrics::series("obs.test.labeled.requests", &labels))
+                .add(i as u64 + 1);
+        }
+        metrics::gauge(&metrics::series(
+            "obs.test.labeled.depth",
+            &[("queue", values[0].as_str())],
+        ))
+        .set(-7);
+        let original = captured("obs.test.labeled.");
+        assert_eq!(
+            original.samples.len(),
+            6 + 2,
+            "six counters, a gauge and its max"
+        );
+        let text = render(&original);
+        assert_eq!(
+            text.matches("# TYPE qdi_obs_test_labeled_requests gauge\n")
+                .count(),
+            1,
+            "one header per family"
+        );
+        let parsed = parse(&text).unwrap();
+        assert_eq!(parsed, wire(original));
+        // Each value comes back as it was registered, whatever it holds.
+        let first = metrics::series(
+            "obs.test.labeled.requests",
+            &[("route", &values[0]), ("tenant", &values[1])],
+        );
+        assert_eq!(parsed.get(&metric_name(&first)), Some(1.0));
+        let (_, labels) = parse_labels(&first).unwrap();
+        let want = [("route", &values[0]), ("tenant", &values[1])];
+        assert!(labels.iter().map(|(k, v)| (k.as_str(), v)).eq(want));
     }
 
     #[test]
     fn render_labeled_without_labels_matches_plain_form() {
-        assert_eq!(render_labeled("a.x", &[], 1.5), "qdi_a_x 1.5\n");
+        assert_eq!(metrics::series::<&str, &str>("a.x", &[]), "a.x");
+        assert_eq!(render_labeled("a.x", 1.5), "qdi_a_x 1.5\n");
         let (base, labels) = parse_labels("qdi_a_x").unwrap();
         assert_eq!(base, "qdi_a_x");
         assert!(labels.is_empty());
@@ -605,6 +519,7 @@ mod tests {
     fn parse_labels_rejects_malformed_blocks() {
         assert!(parse_labels("m{k=\"v\"").is_err(), "unbalanced braces");
         assert!(parse_labels("m{k}").is_err(), "no equals");
+        assert!(parse_labels("m{a}b=\"c\"}").is_err(), "brace in a name");
         assert!(parse_labels("m{k=v}").is_err(), "unquoted value");
         assert!(parse_labels("m{k=\"v}").is_err(), "unterminated value");
         assert!(
@@ -647,134 +562,168 @@ mod tests {
     }
 
     #[test]
-    fn histograms_round_trip_through_parse_and_parse_histograms() {
+    fn histograms_round_trip_through_parse() {
         let original = latency_snapshot();
-        let samples = parse(&render(&original)).unwrap();
-        let parsed = parse_histograms(&samples).unwrap();
-        assert_eq!(parsed.len(), 1);
-        let h = &parsed[0];
+        let parsed = parse(&render(&original)).unwrap();
+        assert_eq!(parsed.histograms.len(), 1);
+        let h = &parsed.histograms[0];
         assert_eq!(h.name, "qdi_serve_http_latency_ms");
-        assert!(h.labels.is_empty());
         assert_eq!(h.bounds, original.histograms[0].bounds);
-        assert_eq!(h.bucket_counts(), original.histograms[0].counts);
-        assert_eq!(h.count, 41);
+        assert_eq!(h.counts, original.histograms[0].counts);
+        assert_eq!(h.count(), 41);
         assert!((h.sum - 220.5).abs() < 1e-9);
+        assert_eq!(parsed, wire(original));
+
+        // Labeled histograms registered through the registry, with
+        // seeded label values and observations.
+        let values = seeded_values("histograms_round_trip_through_parse", 12);
+        let mut rng = proptest::TestRng::deterministic("observations");
+        for pair in values.chunks(2) {
+            let labels = [("route", pair[0].as_str()), ("tenant", pair[1].as_str())];
+            let h = metrics::histogram(
+                &metrics::series("obs.test.hist.latency.ms", &labels),
+                &[1.0, 10.0, 100.0],
+            );
+            for _ in 0..rng.below(40) {
+                h.observe(rng.unit_f64() * 200.0);
+            }
+        }
+        let original = captured("obs.test.hist.");
+        assert_eq!(original.histograms.len(), 6);
+        let text = render(&original);
+        assert_eq!(
+            text.matches("# TYPE qdi_obs_test_hist_latency_ms histogram\n")
+                .count(),
+            1,
+            "one header per family"
+        );
+        assert_eq!(parse(&text).unwrap(), wire(original));
     }
 
     #[test]
     fn labeled_histograms_group_by_their_label_sets() {
-        let mut text = String::new();
+        let mut snapshot = MetricsSnapshot::default();
         for tenant in ["alice", "bob"] {
-            render_histogram_samples(
-                &mut text,
-                "serve.http.latency.ms",
-                &[("route", "/v1/jobs"), ("tenant", tenant)],
-                &[10.0, 100.0],
-                &[3, 1, if tenant == "bob" { 1 } else { 0 }],
-                42.0,
-            );
+            snapshot.histograms.push(HistogramSnapshot {
+                name: metrics::series(
+                    "serve.http.latency.ms",
+                    &[("route", "/v1/jobs"), ("tenant", tenant)],
+                ),
+                bounds: vec![10.0, 100.0],
+                counts: vec![3, 1, if tenant == "bob" { 1 } else { 0 }],
+                sum: 42.0,
+            });
         }
-        let parsed = parse_histograms(&parse(&text).unwrap()).unwrap();
+        let parsed = parse(&render(&snapshot)).unwrap().histograms;
         assert_eq!(parsed.len(), 2);
+        let label = |h: &HistogramSnapshot, key: &str| {
+            let (_, labels) = parse_labels(&h.name).unwrap();
+            labels.into_iter().find(|(k, _)| k == key).map(|(_, v)| v)
+        };
         for h in &parsed {
-            assert_eq!(h.label("route"), Some("/v1/jobs"));
-            assert!(h.label("le").is_none(), "le is not an identity label");
+            assert_eq!(label(h, "route").as_deref(), Some("/v1/jobs"));
+            assert!(label(h, "le").is_none(), "le is not an identity label");
         }
-        let bob = parsed
-            .iter()
-            .find(|h| h.label("tenant") == Some("bob"))
-            .unwrap();
-        assert_eq!(bob.count, 5);
+        let tenant = |name: &str| {
+            parsed
+                .iter()
+                .find(|h| label(h, "tenant").as_deref() == Some(name))
+                .unwrap()
+        };
+        let bob = tenant("bob");
+        assert_eq!(bob.count(), 5);
         assert_eq!(bob.quantile(0.99), Some(f64::INFINITY), "overflow hit");
-        let alice = parsed
-            .iter()
-            .find(|h| h.label("tenant") == Some("alice"))
-            .unwrap();
-        assert_eq!(alice.count, 4);
+        let alice = tenant("alice");
+        assert_eq!(alice.count(), 4);
         assert_eq!(alice.quantile(0.5), Some(10.0));
         assert_eq!(alice.quantile(0.99), Some(100.0));
     }
 
     #[test]
     fn quantiles_use_nearest_rank_on_cumulative_counts() {
-        let h = ParsedHistogram {
+        // Cumulative 50, 90, 99, 100.
+        let h = HistogramSnapshot {
             name: "lat".into(),
-            labels: vec![],
             bounds: vec![1.0, 10.0, 100.0],
-            cumulative: vec![50, 90, 99, 100],
+            counts: vec![50, 40, 9, 1],
             sum: 0.0,
-            count: 100,
         };
         assert_eq!(h.quantile(0.5), Some(1.0));
         assert_eq!(h.quantile(0.9), Some(10.0));
         assert_eq!(h.quantile(0.99), Some(100.0));
         assert_eq!(h.quantile(1.0), Some(f64::INFINITY));
         assert_eq!(h.quantile(0.0), Some(1.0), "rank clamps to 1");
-        let empty = ParsedHistogram {
+        let empty = HistogramSnapshot {
             name: "lat".into(),
-            labels: vec![],
             bounds: vec![1.0],
-            cumulative: vec![0, 0],
+            counts: vec![0, 0],
             sum: 0.0,
-            count: 0,
         };
         assert_eq!(empty.quantile(0.99), None);
     }
 
     #[test]
     fn histogram_merge_requires_identical_layouts() {
-        let mut a = ParsedHistogram {
+        let mut a = HistogramSnapshot {
             name: "lat".into(),
-            labels: vec![],
             bounds: vec![1.0, 10.0],
-            cumulative: vec![1, 2, 3],
+            counts: vec![1, 1, 1],
             sum: 5.0,
-            count: 3,
         };
-        let b = ParsedHistogram {
-            cumulative: vec![0, 1, 2],
+        let b = HistogramSnapshot {
+            counts: vec![0, 1, 1],
             sum: 11.0,
-            count: 2,
             ..a.clone()
         };
         a.merge(&b).unwrap();
-        assert_eq!(a.cumulative, vec![1, 3, 5]);
-        assert_eq!(a.count, 5);
+        assert_eq!(a.counts, vec![1, 2, 2]);
+        assert_eq!(a.count(), 5);
         assert!((a.sum - 16.0).abs() < 1e-9);
-        let other = ParsedHistogram {
+        let other = HistogramSnapshot {
             bounds: vec![2.0, 10.0],
             ..b.clone()
         };
         assert!(a.merge(&other).is_err());
+        // Scraped counts are untrusted: merging saturates.
+        let mut full = HistogramSnapshot {
+            counts: vec![u64::MAX, 1, 0],
+            ..b.clone()
+        };
+        full.merge(&full.clone()).unwrap();
+        assert_eq!(full.count(), u64::MAX);
     }
 
     #[test]
     fn parse_histograms_rejects_inconsistent_series() {
         // No +Inf bucket.
         let text = "qdi_l_bucket{le=\"1\"} 3\nqdi_l_sum 1\nqdi_l_count 3\n";
-        assert!(parse_histograms(&parse(text).unwrap()).is_err());
+        assert!(parse(text).is_err());
         // Non-cumulative counts.
         let text = "qdi_l_bucket{le=\"1\"} 3\nqdi_l_bucket{le=\"+Inf\"} 2\n";
-        assert!(parse_histograms(&parse(text).unwrap()).is_err());
+        assert!(parse(text).is_err());
         // Duplicate le.
         let text =
             "qdi_l_bucket{le=\"1\"} 1\nqdi_l_bucket{le=\"1\"} 1\nqdi_l_bucket{le=\"+Inf\"} 2\n";
-        assert!(parse_histograms(&parse(text).unwrap()).is_err());
+        assert!(parse(text).is_err());
         // Non-finite bounds other than `+Inf`: classified, never a panic
         // in the bucket sort.
         for le in ["NaN", "nan", "-Inf", "inf", "Infinity"] {
             let text = format!("qdi_l_bucket{{le=\"{le}\"}} 1\nqdi_l_bucket{{le=\"+Inf\"}} 2\n");
-            let err = parse_histograms(&parse(&text).unwrap()).expect_err(le);
+            let err = parse(&text).expect_err(le);
             assert!(err.contains(le), "{err}");
         }
         // A bare counter that merely ends in _count is not a histogram.
         let text = "qdi_requests_count 9\n";
-        assert!(parse_histograms(&parse(text).unwrap()).unwrap().is_empty());
+        let parsed = parse(text).unwrap();
+        assert!(parsed.histograms.is_empty());
+        assert_eq!(parsed.get("qdi_requests_count"), Some(9.0));
     }
 
     #[test]
     fn parse_handles_specials_and_rejects_garbage() {
-        let parsed = parse("# c\nqdi_a +Inf\nqdi_b -Inf\n\nqdi_c 2e3\n").unwrap();
+        let parsed = parse("# c\nqdi_a +Inf\nqdi_b -Inf\n\nqdi_c 2e3\n")
+            .unwrap()
+            .samples;
         assert_eq!(parsed[0].value, f64::INFINITY);
         assert_eq!(parsed[1].value, f64::NEG_INFINITY);
         assert_eq!(parsed[2].value, 2000.0);

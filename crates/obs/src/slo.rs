@@ -23,7 +23,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::prometheus::{self, ParsedHistogram};
+use crate::metrics::HistogramSnapshot;
+use crate::prometheus;
 
 /// Dotted name of the per-route request counter (labels: `route`,
 /// `tenant`).
@@ -209,45 +210,39 @@ fn label<'s>(labels: &'s [(String, String)], key: &str) -> &'s str {
 /// Returns a description when the exposition does not parse or its
 /// histogram series are inconsistent.
 pub fn evaluate(cfg: &SloConfig, exposition: &str) -> Result<SloReport, String> {
-    let samples = prometheus::parse(exposition)?;
-    let histograms = prometheus::parse_histograms(&samples)?;
-    let requests_name = prometheus::metric_name(ROUTE_REQUESTS);
-    let errors_name = prometheus::metric_name(ROUTE_ERRORS);
-    let latency_name = prometheus::metric_name(ROUTE_LATENCY_MS);
-
-    // (route, tenant, value) for counters; errors additionally carry a
-    // `class` label we aggregate over.
-    let mut requests: Vec<(String, String, u64)> = Vec::new();
-    let mut errors: Vec<(String, String, u64)> = Vec::new();
-    for sample in &samples {
-        let (base, labels) = prometheus::parse_labels(&sample.name)?;
-        let bucket = if base == requests_name {
-            &mut requests
-        } else if base == errors_name {
-            &mut errors
-        } else {
-            continue;
-        };
-        bucket.push((
-            label(&labels, "route").to_string(),
-            label(&labels, "tenant").to_string(),
-            sample.value as u64,
-        ));
-    }
+    let scrape = prometheus::parse(exposition)?;
+    // Each series' (family, route, tenant); other labels, such as an
+    // error's `class`, are summed over.
+    let slice = |name: &str| -> Result<(String, String, String), String> {
+        let (base, labels) = prometheus::parse_labels(name)?;
+        let route = label(&labels, "route").to_string();
+        Ok((base, route, label(&labels, "tenant").to_string()))
+    };
+    let samples = scrape
+        .samples
+        .iter()
+        .map(|s| Ok((slice(&s.name)?, s.value as u64)))
+        .collect::<Result<Vec<_>, String>>()?;
+    let histograms = scrape
+        .histograms
+        .iter()
+        .map(|h| Ok((slice(&h.name)?, h)))
+        .collect::<Result<Vec<_>, String>>()?;
 
     let mut verdicts = Vec::with_capacity(cfg.slos.len());
     for slo in &cfg.slos {
-        let route = slo.route.as_deref();
-        let tenant = slo.tenant.as_deref();
+        let (route, tenant) = (slo.route.as_deref(), slo.tenant.as_deref());
+        let wanted = |(family, r, t): &(String, String, String), name: &str| {
+            *family == prometheus::metric_name(name) && matches(route, r) && matches(tenant, t)
+        };
         // Scraped counts are untrusted: saturate rather than overflow.
-        let total: u64 = requests
-            .iter()
-            .filter(|(r, t, _)| matches(route, r) && matches(tenant, t))
-            .fold(0, |sum, (_, _, v)| sum.saturating_add(*v));
-        let failed: u64 = errors
-            .iter()
-            .filter(|(r, t, _)| matches(route, r) && matches(tenant, t))
-            .fold(0, |sum, (_, _, v)| sum.saturating_add(*v));
+        let count = |name: &str| {
+            samples
+                .iter()
+                .filter(|(series, _)| wanted(series, name))
+                .fold(0u64, |sum, (_, v)| sum.saturating_add(*v))
+        };
+        let (total, failed) = (count(ROUTE_REQUESTS), count(ROUTE_ERRORS));
 
         let availability = (total > 0).then(|| 1.0 - (failed.min(total) as f64 / total as f64));
         let burn_rate = match (slo.availability, availability) {
@@ -269,16 +264,14 @@ pub fn evaluate(cfg: &SloConfig, exposition: &str) -> Result<SloReport, String> 
             _ => true, // no target, or no traffic to judge
         };
 
-        let mut merged: Option<ParsedHistogram> = None;
+        let mut merged: Option<HistogramSnapshot> = None;
         if slo.p99_ms.is_some() {
-            for h in histograms
+            for (_, h) in histograms
                 .iter()
-                .filter(|h| h.name == latency_name)
-                .filter(|h| matches(route, h.label("route").unwrap_or("")))
-                .filter(|h| matches(tenant, h.label("tenant").unwrap_or("")))
+                .filter(|(series, _)| wanted(series, ROUTE_LATENCY_MS))
             {
                 match merged.as_mut() {
-                    None => merged = Some(h.clone()),
+                    None => merged = Some((*h).clone()),
                     Some(m) => m.merge(h)?,
                 }
             }
@@ -309,35 +302,36 @@ pub fn evaluate(cfg: &SloConfig, exposition: &str) -> Result<SloReport, String> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prometheus::render_histogram_samples;
+    use crate::metrics::{series, MetricSample, MetricsSnapshot};
 
     fn exposition(errors_routes: u64, slow: u64) -> String {
-        let mut text = String::new();
+        let mut scrape = MetricsSnapshot::default();
         for (tenant, requests) in [("alice", 60u64), ("bob", 40u64)] {
-            text.push_str(&prometheus::render_labeled(
-                ROUTE_REQUESTS,
-                &[("route", "/v1/jobs"), ("tenant", tenant)],
-                requests as f64,
-            ));
-            render_histogram_samples(
-                &mut text,
-                ROUTE_LATENCY_MS,
-                &[("route", "/v1/jobs"), ("tenant", tenant)],
-                &[10.0, 100.0],
-                &[requests - slow, 0, slow],
-                42.0,
-            );
+            let labels = [("route", "/v1/jobs"), ("tenant", tenant)];
+            scrape.samples.push(MetricSample {
+                name: series(ROUTE_REQUESTS, &labels),
+                value: requests as f64,
+            });
+            scrape.histograms.push(HistogramSnapshot {
+                name: series(ROUTE_LATENCY_MS, &labels),
+                bounds: vec![10.0, 100.0],
+                counts: vec![requests - slow, 0, slow],
+                sum: 42.0,
+            });
         }
-        text.push_str(&prometheus::render_labeled(
-            ROUTE_ERRORS,
-            &[
-                ("route", "/v1/jobs"),
-                ("tenant", "alice"),
-                ("class", "server"),
-            ],
-            errors_routes as f64,
-        ));
-        text
+        scrape.samples.push(MetricSample {
+            name: series(
+                ROUTE_ERRORS,
+                &[
+                    ("route", "/v1/jobs"),
+                    ("tenant", "alice"),
+                    ("class", "server"),
+                ],
+            ),
+            value: errors_routes as f64,
+        });
+        scrape.normalize();
+        prometheus::render(&scrape)
     }
 
     fn config(json: &str) -> SloConfig {

@@ -200,7 +200,8 @@ struct JobInner {
     record: JobRecord,
     events: VecDeque<JobEvent>,
     next_seq: u64,
-    started: Option<Instant>,
+    /// When the job first entered `Running`, and its `completed` then.
+    started: Option<(Instant, u64)>,
     ewma_rate: f64,
     last_progress: Option<(Instant, u64)>,
     last_progress_event: Option<Instant>,
@@ -300,7 +301,8 @@ impl JobHandle {
     /// event. Persistence failures are returned (the caller decides
     /// whether they are fatal) but the in-memory transition always
     /// lands so the API stays coherent. The job's clock (the progress
-    /// events' `elapsed_s`) starts when it first enters `Running`. Each
+    /// events' `elapsed_s`) starts when it first enters `Running`, at the
+    /// record's `completed`, from which the overall rate counts. Each
     /// entry into `Running` also starts a rate sample at the record's
     /// `completed` (the recovered count after a restart), so the lease's
     /// first `progress` event already carries a rate and an ETA.
@@ -308,8 +310,9 @@ impl JobHandle {
         let mut inner = self.lock();
         if state == JobState::Running {
             let now = Instant::now();
-            inner.started.get_or_insert(now);
-            inner.last_progress = Some((now, inner.record.completed));
+            let completed = inner.record.completed;
+            inner.started.get_or_insert((now, completed));
+            inner.last_progress = Some((now, completed));
         }
         inner.record.state = state;
         inner.record.error = error;
@@ -458,11 +461,15 @@ fn status_of(inner: &JobInner) -> JobStatus {
 }
 
 fn task_of(inner: &JobInner) -> qdi_obs::progress::TaskSnapshot {
+    let (elapsed_s, started_at) = inner.started.map_or((0.0, 0), |(at, completed)| {
+        (at.elapsed().as_secs_f64(), completed)
+    });
     qdi_obs::progress::TaskSnapshot::new(
         format!("{}/{}", inner.record.spec.tenant, inner.record.id),
+        started_at,
         inner.record.completed,
         inner.record.total,
-        inner.started.map_or(0.0, |at| at.elapsed().as_secs_f64()),
+        elapsed_s,
         inner.ewma_rate,
         inner.record.state.is_terminal(),
     )
@@ -612,6 +619,34 @@ mod tests {
         // rate estimate and an ETA.
         assert!(task.ewma_rate > 0.0, "ewma {}/s", task.ewma_rate);
         assert!(task.eta_s >= 0.0, "eta {} s", task.eta_s);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_recovered_job_rates_only_the_traces_it_runs() {
+        let dir = std::env::temp_dir().join(format!("qdi_serve_resumed_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        // What recovery leaves: 60,000 of 65,536 traces checkpointed.
+        let mut recovered = record("j000005");
+        (recovered.completed, recovered.total) = (60_000, 65_536);
+        let handle = JobHandle::new(recovered, dir.clone());
+        handle.set_state(JobState::Running, None).expect("state");
+        // One 64-trace chunk in at least 50 ms: at most 1,280 traces/s.
+        std::thread::sleep(Duration::from_millis(50));
+        handle.advance(60_064, 65_536, Vec::new());
+        let task = handle.progress_snapshot();
+        assert_eq!(task.completed, 60_064);
+        assert!(
+            task.rate > 0.0 && task.rate <= 1_280.0,
+            "rate {}/s",
+            task.rate
+        );
+        assert!(
+            task.ewma_rate > 0.0 && task.ewma_rate <= 1_280.0,
+            "ewma {}/s",
+            task.ewma_rate
+        );
+        assert!(task.eta_s >= 5_472.0 / 1_280.0, "eta {} s", task.eta_s);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

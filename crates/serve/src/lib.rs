@@ -16,8 +16,9 @@
 //! * **crash recovery** — the job table is rebuilt from durable
 //!   records after `kill -9` and campaigns resume bit-identically from
 //!   their [`qdi_dpa::StoreCheckpoint`]s ([`runner`]);
-//! * **observability** — `GET /metrics` exposes the existing
-//!   Prometheus exposition, `GET /v1/progress` the
+//! * **observability** — `GET /metrics` renders the process-wide
+//!   metrics registry, the per-route RED series included ([`server`]),
+//!   as one Prometheus exposition, `GET /v1/progress` the
 //!   [`qdi_obs::progress::ProgressSnapshot`] data model that
 //!   `qdi-mon watch` renders.
 //!
@@ -34,7 +35,6 @@ pub mod runner;
 pub mod scheduler;
 pub mod server;
 pub mod spec;
-pub mod telemetry;
 
 pub use client::{ClientError, ServeClient};
 pub use http::{HttpError, Limits, Request, Response};

@@ -347,8 +347,10 @@ fn run_dpa(
     let json = serde_json::to_string_pretty(&report).map_err(|e| format!("{e:?}"))?;
     write_artifact(&job.dir.join(REPORT_FILE), &json)?;
     job.advance(total, total, quarantined);
-    let _ = job.set_state(JobState::Completed, None);
+    // Counted before the state is published, so a client that sees the
+    // job completed also sees it counted.
     qdi_obs::metrics::counter("serve.jobs.completed").inc();
+    let _ = job.set_state(JobState::Completed, None);
     Ok(Disposition::Done)
 }
 
@@ -431,8 +433,10 @@ fn run_fi(job: &Arc<JobHandle>, spec: &FiJobSpec) -> Result<(), String> {
     let json = serde_json::to_string_pretty(&report).map_err(|e| format!("{e:?}"))?;
     write_artifact(&job.dir.join(REPORT_FILE), &json)?;
     job.advance(total, total, Vec::new());
-    let _ = job.set_state(JobState::Completed, None);
+    // Counted before the state is published, so a client that sees the
+    // job completed also sees it counted.
     qdi_obs::metrics::counter("serve.jobs.completed").inc();
+    let _ = job.set_state(JobState::Completed, None);
     Ok(())
 }
 
@@ -455,8 +459,10 @@ fn run_pnr(job: &Arc<JobHandle>, spec: &PnrJobSpec) -> Result<(), String> {
     let json = serde_json::to_string_pretty(&outcomes).map_err(|e| format!("{e:?}"))?;
     write_artifact(&job.dir.join(REPORT_FILE), &json)?;
     job.advance(total, total, Vec::new());
-    let _ = job.set_state(JobState::Completed, None);
+    // Counted before the state is published, so a client that sees the
+    // job completed also sees it counted.
     qdi_obs::metrics::counter("serve.jobs.completed").inc();
+    let _ = job.set_state(JobState::Completed, None);
     Ok(())
 }
 

@@ -18,6 +18,29 @@
 //! | `GET`  | `/v1/progress` | all jobs as one `ProgressSnapshot` |
 //! | `POST` | `/v1/shutdown` | request a graceful drain |
 //!
+//! Each request is matched against this table once (`match_route`).
+//! The matched row, its id elided (`GET /v1/jobs/{id}/report`), names
+//! the request span and labels the request's RED series; a request no
+//! row matches is labeled `unmatched`.
+//!
+//! ## RED series
+//!
+//! Each response counts in labeled metrics of the process-wide
+//! [`qdi_obs::metrics`] registry, which `GET /metrics` renders with
+//! every other metric:
+//!
+//! * `serve.http.route.requests{route,tenant}`: requests;
+//! * `serve.http.route.errors{class,route,tenant}`: 4xx (`client`) and
+//!   5xx (`server`) responses;
+//! * `serve.http.route.latency.ms{route,tenant}`: latency, in the
+//!   buckets of `LATENCY_BOUNDS_MS`.
+//!
+//! The `tenant` label is the owner of the job the request created (a
+//! submit), names (a job route) or lists (`GET /v1/jobs?tenant=`), and
+//! empty otherwise, so it only ever names a tenant that owns a job the
+//! server holds. Label values are thus bounded by the endpoint table
+//! and those tenants, never chosen by a peer.
+//!
 //! ## Accept model
 //!
 //! The accept loop blocks in `accept` and hands every connection to its
@@ -41,8 +64,10 @@ use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use qdi_obs::metrics::{self, MetricsSnapshot};
+use qdi_obs::slo::{ROUTE_ERRORS, ROUTE_LATENCY_MS, ROUTE_REQUESTS};
 use qdi_obs::Span;
 
 use crate::http::{
@@ -54,7 +79,6 @@ use crate::job::{
 use crate::runner::{run_lease, Disposition};
 use crate::scheduler::Scheduler;
 use crate::spec::{JobKind, JobSpec};
-use crate::telemetry::{route_label, RedRegistry};
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -96,7 +120,6 @@ struct ServerState {
     shutdown_requested: AtomicBool,
     next_id: AtomicU64,
     connections: AtomicUsize,
-    red: RedRegistry,
 }
 
 impl ServerState {
@@ -109,7 +132,6 @@ impl ServerState {
             shutdown_requested: AtomicBool::new(false),
             next_id: AtomicU64::new(1),
             connections: AtomicUsize::new(0),
-            red: RedRegistry::new(),
         }
     }
 
@@ -214,10 +236,8 @@ impl Server {
         }
         // Give in-flight connection threads (e.g. SSE streams noticing
         // the drain) a moment to finish writing.
-        let deadline = std::time::Instant::now() + Duration::from_secs(2);
-        while self.state.connections.load(Ordering::SeqCst) > 0
-            && std::time::Instant::now() < deadline
-        {
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while self.state.connections.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(10));
         }
         qdi_obs::flush();
@@ -303,13 +323,13 @@ fn recover_jobs(state: &Arc<ServerState>) {
                         .insert(id, Arc::clone(&handle));
                     if let Some(reason) = invalid {
                         let _ = handle.set_state(JobState::Failed, Some(reason));
-                        qdi_obs::metrics::counter("serve.recover.invalid").inc();
+                        metrics::counter("serve.recover.invalid").inc();
                     } else if !terminal {
                         recovered.push(handle);
                     }
                 }
                 Err(_) => {
-                    qdi_obs::metrics::counter("serve.recover.corrupt").inc();
+                    metrics::counter("serve.recover.corrupt").inc();
                 }
             }
         }
@@ -318,7 +338,7 @@ fn recover_jobs(state: &Arc<ServerState>) {
     recovered.sort_by_key(|h| h.record().submit_seq);
     for handle in recovered {
         let _ = handle.mark_resumed();
-        qdi_obs::metrics::counter("serve.jobs.resumed").inc();
+        metrics::counter("serve.jobs.resumed").inc();
         state.sched.enqueue(handle);
     }
     state.next_id.store(max_id + 1, Ordering::SeqCst);
@@ -339,7 +359,7 @@ fn worker_loop(state: &Arc<ServerState>) {
             Ok(Disposition::Done) => {}
             Err(_) => {
                 let _ = job.set_state(JobState::Failed, Some("worker panicked".into()));
-                qdi_obs::metrics::counter("serve.jobs.failed").inc();
+                metrics::counter("serve.jobs.failed").inc();
                 qdi_obs::flush();
             }
         }
@@ -396,30 +416,87 @@ fn accept_loop(state: &Arc<ServerState>, listener: &TcpListener) {
     }
 }
 
-/// The tenant a request concerns, for RED labels: the spec's tenant on
-/// submit, the `?tenant=` filter on list, the job's owner on
-/// `/v1/jobs/{id}` routes, empty otherwise.
-fn tenant_label(state: &Arc<ServerState>, request: &Request) -> String {
+/// Latency bucket upper bounds of the RED histogram, in milliseconds:
+/// sub-millisecond health checks through multi-second long-polls.
+const LATENCY_BOUNDS_MS: [f64; 12] = [
+    1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0,
+];
+
+/// Counts one finished request in its RED series.
+fn observe_red(route: &str, tenant: &str, status: u16, latency_ms: f64) {
+    let labels = [("route", route), ("tenant", tenant)];
+    metrics::counter(&metrics::series(ROUTE_REQUESTS, &labels)).inc();
+    let latency = metrics::series(ROUTE_LATENCY_MS, &labels);
+    metrics::histogram(&latency, &LATENCY_BOUNDS_MS).observe(latency_ms);
+    let class = match status {
+        400..=499 => "client",
+        500..=599 => "server",
+        _ => return,
+    };
+    let labels = [("route", route), ("tenant", tenant), ("class", class)];
+    metrics::counter(&metrics::series(ROUTE_ERRORS, &labels)).inc();
+}
+
+/// The handler a row of the endpoint table dispatches to.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Endpoint {
+    Healthz,
+    Metrics,
+    Progress,
+    Shutdown,
+    Submit,
+    List,
+    Status,
+    Cancel,
+    Events,
+    Report,
+    Checkpoint,
+    TraceStore,
+    Unmatched,
+}
+
+/// A request matched against the endpoint table.
+struct Route<'r> {
+    /// The matched row, id elided: the span name and the `route` label.
+    label: &'static str,
+    endpoint: Endpoint,
+    /// The id segment of a job route.
+    job_id: Option<&'r str>,
+}
+
+/// Matches a request against the endpoint table: the one place a
+/// request's method and path are read.
+fn match_route(request: &Request) -> Route<'_> {
+    use Endpoint::*;
     let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
-    match segments.as_slice() {
-        ["v1", "jobs"] if request.method == "POST" => std::str::from_utf8(&request.body)
-            .ok()
-            .and_then(|body| serde_json::parse_value_str(body).ok())
-            .and_then(|value| {
-                value
-                    .get("tenant")
-                    .and_then(serde::Value::as_str)
-                    .map(str::to_owned)
-            })
-            .unwrap_or_default(),
-        ["v1", "jobs"] => request.query_param("tenant").unwrap_or_default().to_owned(),
-        ["v1", "jobs", id, ..] => state.job(id).map(|j| j.tenant()).unwrap_or_default(),
-        _ => String::new(),
+    let (label, endpoint) = match (request.method.as_str(), segments.as_slice()) {
+        ("GET", ["healthz"]) => ("GET /healthz", Healthz),
+        ("GET", ["metrics"]) => ("GET /metrics", Metrics),
+        ("GET", ["v1", "progress"]) => ("GET /v1/progress", Progress),
+        ("POST", ["v1", "shutdown"]) => ("POST /v1/shutdown", Shutdown),
+        ("POST", ["v1", "jobs"]) => ("POST /v1/jobs", Submit),
+        ("GET", ["v1", "jobs"]) => ("GET /v1/jobs", List),
+        ("GET", ["v1", "jobs", _]) => ("GET /v1/jobs/{id}", Status),
+        ("DELETE", ["v1", "jobs", _]) => ("DELETE /v1/jobs/{id}", Cancel),
+        ("POST", ["v1", "jobs", _, "cancel"]) => ("POST /v1/jobs/{id}/cancel", Cancel),
+        ("GET", ["v1", "jobs", _, "events"]) => ("GET /v1/jobs/{id}/events", Events),
+        ("GET", ["v1", "jobs", _, "report"]) => ("GET /v1/jobs/{id}/report", Report),
+        ("GET", ["v1", "jobs", _, "checkpoint"]) => ("GET /v1/jobs/{id}/checkpoint", Checkpoint),
+        ("GET", ["v1", "jobs", _, "trace-store"]) => ("GET /v1/jobs/{id}/trace-store", TraceStore),
+        _ => ("unmatched", Unmatched),
+    };
+    // Every matched row with a third segment is a job route, and that
+    // segment is its id.
+    let job_id = segments.get(2).copied().filter(|_| endpoint != Unmatched);
+    Route {
+        label,
+        endpoint,
+        job_id,
     }
 }
 
 fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) {
-    qdi_obs::metrics::counter("serve.http.requests").inc();
+    metrics::counter("serve.http.requests").inc();
     let timeout = Duration::from_millis(state.cfg.io_timeout_ms.max(1));
     let _ = stream.set_read_timeout(Some(timeout));
     let _ = stream.set_write_timeout(Some(timeout));
@@ -432,57 +509,50 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) {
         Ok(Some(request)) => request,
         Ok(None) => return,
         Err(err) => {
-            qdi_obs::metrics::counter("serve.http.errors").inc();
-            state.red.observe("malformed", "", err.status, 0.0);
+            metrics::counter("serve.http.errors").inc();
+            observe_red("malformed", "", err.status, 0.0);
             let _ = Response::from_error(&err).write_to(&mut writer);
             return;
         }
     };
-    let started = std::time::Instant::now();
-    let route_name = route_label(&request.method, &request.path);
-    let tenant = tenant_label(state, &request);
+    let started = Instant::now();
+    let route = match_route(&request);
     // One span per request: a child of the caller's traceparent when
     // one was sent, a fresh root otherwise (so server-side work is
     // traceable even from untraced clients).
-    let mut span = qdi_obs::span("qdi-serve", route_name.clone());
+    let mut span = qdi_obs::span("qdi-serve", route.label);
     if let Some(ctx) = request.trace_context() {
         span = span.child_of(&ctx);
     }
     span.set_attr("http.method", request.method.clone());
     span.set_attr("http.path", request.path.clone());
+    // The job the path names, looked up once; its owner labels the
+    // request (see the module docs).
+    let mut job = route.job_id.and_then(|id| state.job(id));
+    if let (Endpoint::Events, Some(named)) = (route.endpoint, job.as_deref()) {
+        // SSE never returns: stream events until the job ends.
+        sse_stream(state, &mut writer, &request, named);
+        finish(&mut span, &route, Some(named), 200, started);
+        return;
+    }
+    let response = respond(state, &request, &route, &mut job, &mut span).unwrap_or_else(|err| {
+        metrics::counter("serve.http.errors").inc();
+        Response::from_error(&err)
+    });
+    finish(&mut span, &route, job.as_deref(), response.status, started);
+    let _ = response.write_to(&mut writer);
+}
+
+/// Books a finished request: the span's status and tenant, and the RED
+/// series of its route and of the owner of `job`.
+fn finish(span: &mut Span, route: &Route, job: Option<&JobHandle>, status: u16, started: Instant) {
+    let tenant = job.map(JobHandle::tenant).unwrap_or_default();
+    span.set_attr("http.status", status.to_string());
     if !tenant.is_empty() {
         span.set_attr("tenant", tenant.clone());
     }
-    // SSE never returns: stream events until the job ends.
-    if request.method == "GET"
-        && request.path.starts_with("/v1/jobs/")
-        && request.path.ends_with("/events")
-    {
-        sse_stream(state, &mut writer, &request);
-        span.set_attr("http.status", "200");
-        state.red.observe(
-            &route_name,
-            &tenant,
-            200,
-            started.elapsed().as_secs_f64() * 1e3,
-        );
-        return;
-    }
-    let response = match route(state, &request, &mut span) {
-        Ok(response) => response,
-        Err(err) => {
-            qdi_obs::metrics::counter("serve.http.errors").inc();
-            Response::from_error(&err)
-        }
-    };
-    span.set_attr("http.status", response.status.to_string());
-    state.red.observe(
-        &route_name,
-        &tenant,
-        response.status,
-        started.elapsed().as_secs_f64() * 1e3,
-    );
-    let _ = response.write_to(&mut writer);
+    let latency_ms = started.elapsed().as_secs_f64() * 1e3;
+    observe_red(route.label, &tenant, status, latency_ms);
 }
 
 fn json_ok<T: serde::Serialize>(value: &T) -> Result<Response, HttpError> {
@@ -491,35 +561,43 @@ fn json_ok<T: serde::Serialize>(value: &T) -> Result<Response, HttpError> {
     Ok(Response::json(200, json))
 }
 
-fn route(
+/// Serves a matched request other than the event stream of a job that
+/// exists. `job` holds the job the path names; a submit sets it to the
+/// job it creates and a tenant-filtered list to one of that tenant's
+/// jobs.
+fn respond(
     state: &Arc<ServerState>,
     request: &Request,
+    route: &Route,
+    job: &mut Option<Arc<JobHandle>>,
     span: &mut Span,
 ) -> Result<Response, HttpError> {
-    let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
-    match (request.method.as_str(), segments.as_slice()) {
-        ("GET", ["healthz"]) => Ok(healthz(state)),
-        ("GET", ["metrics"]) => {
-            let snapshot = qdi_obs::metrics::MetricsSnapshot::capture();
-            let mut body = qdi_obs::prometheus::render(&snapshot);
-            body.push_str(&state.red.render_prometheus());
-            Ok(Response::text(200, body))
-        }
-        ("GET", ["v1", "progress"]) => json_ok(&progress_snapshot(state)),
-        ("POST", ["v1", "shutdown"]) => {
+    let id = route.job_id.unwrap_or_default();
+    let named = || {
+        job.as_deref()
+            .ok_or_else(|| HttpError::new(404, format!("no job {id}")))
+    };
+    match route.endpoint {
+        Endpoint::Healthz => Ok(healthz(state)),
+        Endpoint::Metrics => Ok(Response::text(
+            200,
+            qdi_obs::prometheus::render(&MetricsSnapshot::capture()),
+        )),
+        Endpoint::Progress => json_ok(&progress_snapshot(state)),
+        Endpoint::Shutdown => {
             state.shutdown_requested.store(true, Ordering::SeqCst);
             Ok(Response::json(202, "{\"status\":\"draining\"}"))
         }
-        ("POST", ["v1", "jobs"]) => submit(state, request, span),
-        ("GET", ["v1", "jobs"]) => list_jobs(state, request),
-        ("GET", ["v1", "jobs", id]) => status(state, id, request),
-        ("POST", ["v1", "jobs", id, "cancel"]) | ("DELETE", ["v1", "jobs", id]) => {
-            cancel(state, id)
-        }
-        ("GET", ["v1", "jobs", id, "report"]) => artifact(state, id, REPORT_FILE),
-        ("GET", ["v1", "jobs", id, "checkpoint"]) => artifact(state, id, CHECKPOINT_FILE),
-        ("GET", ["v1", "jobs", id, "trace-store"]) => trace_store(state, id),
-        _ => Err(HttpError::new(
+        Endpoint::Status => status(named()?, request),
+        // The stream of a held job never gets here.
+        Endpoint::Events => Err(HttpError::new(404, format!("no job {id}"))),
+        Endpoint::Cancel => cancel(state, id, named()?),
+        Endpoint::Report => artifact(id, named()?, REPORT_FILE, "application/json"),
+        Endpoint::Checkpoint => artifact(id, named()?, CHECKPOINT_FILE, "application/json"),
+        Endpoint::TraceStore => artifact(id, named()?, STORE_FILE, "application/octet-stream"),
+        Endpoint::Submit => submit(state, request, span, job),
+        Endpoint::List => list_jobs(state, request, job),
+        Endpoint::Unmatched => Err(HttpError::new(
             404,
             format!("no route for {} {}", request.method, request.path),
         )),
@@ -566,6 +644,7 @@ fn submit(
     state: &Arc<ServerState>,
     request: &Request,
     span: &mut Span,
+    job: &mut Option<Arc<JobHandle>>,
 ) -> Result<Response, HttpError> {
     if state.drain.load(Ordering::SeqCst) {
         return Err(HttpError::new(503, "server is draining"));
@@ -623,27 +702,32 @@ fn submit(
         .lock()
         .expect("jobs lock poisoned")
         .insert(id.clone(), Arc::clone(&handle));
-    state.sched.enqueue(handle);
-    qdi_obs::metrics::counter("serve.jobs.submitted").inc();
+    state.sched.enqueue(Arc::clone(&handle));
+    *job = Some(handle);
+    metrics::counter("serve.jobs.submitted").inc();
     Ok(Response::json(200, format!("{{\"id\":{}}}", quoted(&id))))
 }
 
-fn list_jobs(state: &Arc<ServerState>, request: &Request) -> Result<Response, HttpError> {
+fn list_jobs(
+    state: &Arc<ServerState>,
+    request: &Request,
+    job: &mut Option<Arc<JobHandle>>,
+) -> Result<Response, HttpError> {
     let tenant = request.query_param("tenant");
     let jobs = state.jobs.lock().expect("jobs lock poisoned");
-    let statuses: Vec<crate::job::JobStatus> = jobs
+    let listed: Vec<&Arc<JobHandle>> = jobs
         .values()
         .filter(|j| tenant.is_none_or(|t| j.tenant() == t))
-        .map(|j| j.status())
         .collect();
+    if tenant.is_some() {
+        *job = listed.first().map(|j| Arc::clone(j));
+    }
+    let statuses: Vec<crate::job::JobStatus> = listed.iter().map(|j| j.status()).collect();
     drop(jobs);
     json_ok(&statuses)
 }
 
-fn status(state: &Arc<ServerState>, id: &str, request: &Request) -> Result<Response, HttpError> {
-    let job = state
-        .job(id)
-        .ok_or_else(|| HttpError::new(404, format!("no job {id}")))?;
+fn status(job: &JobHandle, request: &Request) -> Result<Response, HttpError> {
     if let Some(wait_ms) = request.query_param("wait_ms") {
         let wait_ms: u64 = wait_ms
             .parse()
@@ -659,53 +743,34 @@ fn status(state: &Arc<ServerState>, id: &str, request: &Request) -> Result<Respo
     json_ok(&job.status())
 }
 
-fn cancel(state: &Arc<ServerState>, id: &str) -> Result<Response, HttpError> {
-    let job = state
-        .job(id)
-        .ok_or_else(|| HttpError::new(404, format!("no job {id}")))?;
+fn cancel(state: &Arc<ServerState>, id: &str, job: &JobHandle) -> Result<Response, HttpError> {
     job.request_cancel();
     // A queued job cancels immediately; a running one at its next
     // chunk boundary.
     if state.sched.remove(id) && !job.state().is_terminal() {
         let _ = job.set_state(JobState::Canceled, None);
-        qdi_obs::metrics::counter("serve.jobs.canceled").inc();
+        metrics::counter("serve.jobs.canceled").inc();
     }
     json_ok(&job.status())
 }
 
-fn artifact(state: &Arc<ServerState>, id: &str, file: &str) -> Result<Response, HttpError> {
-    let job = state
-        .job(id)
-        .ok_or_else(|| HttpError::new(404, format!("no job {id}")))?;
-    let path = job.dir.join(file);
-    let bytes = std::fs::read(&path)
+fn artifact(
+    id: &str,
+    job: &JobHandle,
+    file: &str,
+    content_type: &str,
+) -> Result<Response, HttpError> {
+    let bytes = std::fs::read(job.dir.join(file))
         .map_err(|_| HttpError::new(404, format!("{file} not available for {id}")))?;
-    Ok(Response::bytes(200, "application/json", bytes))
+    Ok(Response::bytes(200, content_type, bytes))
 }
 
-fn trace_store(state: &Arc<ServerState>, id: &str) -> Result<Response, HttpError> {
-    let job = state
-        .job(id)
-        .ok_or_else(|| HttpError::new(404, format!("no job {id}")))?;
-    let path = job.dir.join(STORE_FILE);
-    let bytes = std::fs::read(&path)
-        .map_err(|_| HttpError::new(404, format!("trace store not available for {id}")))?;
-    Ok(Response::bytes(200, "application/octet-stream", bytes))
-}
-
-fn sse_stream(state: &Arc<ServerState>, writer: &mut TcpStream, request: &Request) {
-    let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
-    let id = match segments.as_slice() {
-        ["v1", "jobs", id, "events"] => *id,
-        _ => {
-            let _ = Response::from_error(&HttpError::new(404, "bad events path")).write_to(writer);
-            return;
-        }
-    };
-    let Some(job) = state.job(id) else {
-        let _ = Response::from_error(&HttpError::new(404, format!("no job {id}"))).write_to(writer);
-        return;
-    };
+fn sse_stream(
+    state: &Arc<ServerState>,
+    writer: &mut TcpStream,
+    request: &Request,
+    job: &JobHandle,
+) {
     // Cursor: the next sequence number to send. `?after=N` (or a
     // `Last-Event-ID` header) resumes past N; the default replays the
     // whole retained log.
@@ -757,6 +822,87 @@ mod tests {
 
     fn tmp_dir(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("qdi_serve_server_{tag}_{}", std::process::id()))
+    }
+
+    fn request(method: &str, path: &str) -> Request {
+        let raw = format!("{method} {path} HTTP/1.1\r\nContent-Length: 0\r\n\r\n");
+        let limits = crate::http::Limits::default();
+        read_request(&mut raw.as_bytes(), &limits).unwrap().unwrap()
+    }
+
+    #[test]
+    fn route_labels_collapse_job_ids() {
+        let label = |method: &str, path: &str| match_route(&request(method, path)).label;
+        assert_eq!(label("GET", "/healthz"), "GET /healthz");
+        assert_eq!(label("POST", "/v1/jobs"), "POST /v1/jobs");
+        assert_eq!(label("GET", "/v1/jobs/j000042"), "GET /v1/jobs/{id}");
+        assert_eq!(
+            label("GET", "/v1/jobs/j000042/report"),
+            "GET /v1/jobs/{id}/report"
+        );
+        assert_eq!(
+            label("GET", "/v1/jobs/j000042/events"),
+            "GET /v1/jobs/{id}/events"
+        );
+        // A job route carries its id; nothing a peer invents is a label.
+        let events = request("GET", "/v1/jobs/j000042/events");
+        assert_eq!(match_route(&events).job_id, Some("j000042"));
+        for (method, path) in [
+            ("GET", "/nope/7"),
+            ("HEAD", "/healthz"),
+            ("GET", "/v1/jobs/j000042/nope"),
+        ] {
+            let unmatched = request(method, path);
+            let route = match_route(&unmatched);
+            assert_eq!(
+                (route.label, route.job_id),
+                ("unmatched", None),
+                "{method} {path}"
+            );
+        }
+    }
+
+    #[test]
+    fn red_series_render_slo_consumable_series() {
+        observe_red("POST /v1/jobs", "alice", 200, 3.0);
+        observe_red("POST /v1/jobs", "alice", 200, 40.0);
+        observe_red("POST /v1/jobs", "alice", 422, 1.5);
+        observe_red("GET /healthz", "", 200, 0.4);
+        observe_red("GET /v1/jobs/{id}", "bob", 500, 9000.0);
+
+        let text = qdi_obs::prometheus::render(&MetricsSnapshot::capture());
+        let cfg = qdi_obs::slo::SloConfig::from_json(
+            r#"{"slos":[
+                {"name":"submit-availability","route":"POST /v1/jobs",
+                 "tenant":"alice","availability":0.5,"p99_ms":5000.0},
+                {"name":"bob-no-errors","tenant":"bob","availability":0.999}
+            ]}"#,
+        )
+        .expect("config parses");
+        let report = qdi_obs::slo::evaluate(&cfg, &text).expect("evaluates");
+        assert_eq!(report.verdicts.len(), 2);
+        let submit = &report.verdicts[0];
+        assert_eq!(submit.requests, 3);
+        assert_eq!(submit.errors, 1);
+        assert!(submit.ok, "2/3 availability beats a 0.5 target");
+        let bob = &report.verdicts[1];
+        assert_eq!(bob.requests, 1);
+        assert_eq!(bob.errors, 1);
+        assert!(!bob.ok, "a 5xx on one request breaches 99.9%");
+        assert!(report.breached());
+    }
+
+    #[test]
+    fn latency_overflow_lands_in_the_inf_bucket() {
+        observe_red("GET /x", "t", 200, 99_999.0);
+        let text = qdi_obs::prometheus::render(&MetricsSnapshot::capture());
+        assert!(text.contains("route=\"GET /x\",tenant=\"t\",le=\"+Inf\"} 1"));
+        let mut hists = qdi_obs::prometheus::parse(&text)
+            .expect("parses")
+            .histograms;
+        hists.retain(|h| h.name.contains("route=\"GET /x\""));
+        assert_eq!(hists.len(), 1);
+        assert_eq!(hists[0].quantile(0.99), Some(f64::INFINITY));
     }
 
     #[test]

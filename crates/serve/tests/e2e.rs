@@ -79,14 +79,12 @@ fn two_tenants_share_one_worker_and_reports_match_local_runs() {
     // must have yielded at least once, and the counter is visible in
     // the Prometheus exposition (which our own parser must accept).
     let metrics = client.get("/metrics").expect("metrics").text();
-    let samples = qdi_obs::prometheus::parse(&metrics).expect("exposition parses");
+    let scrape = qdi_obs::prometheus::parse(&metrics).expect("exposition parses");
     let find = |name: &str| {
         let wire = qdi_obs::prometheus::metric_name(name);
-        samples
-            .iter()
-            .find(|s| s.name == wire)
+        scrape
+            .get(&wire)
             .unwrap_or_else(|| panic!("{wire} missing from /metrics"))
-            .value
     };
     assert!(
         find("serve.sched.yields") >= 1.0,
@@ -96,43 +94,45 @@ fn two_tenants_share_one_worker_and_reports_match_local_runs() {
 
     // Per-route/per-tenant RED telemetry rides the same exposition:
     // each tenant's submit is counted under its own labels, and the
-    // latency histogram round-trips through our own histogram reader.
-    let labeled = |name: &str, route: &str, tenant: &str| {
-        let wire = qdi_obs::prometheus::metric_name(name);
-        samples
-            .iter()
-            .filter_map(|s| {
-                let (base, labels) = qdi_obs::prometheus::parse_labels(&s.name).ok()?;
-                (base == wire
-                    && labels.iter().any(|(k, v)| k == "route" && v == route)
-                    && labels.iter().any(|(k, v)| k == "tenant" && v == tenant))
-                .then_some(s.value)
-            })
-            .next()
+    // latency histogram round-trips through our own parser.
+    let series = |name: &str, tenant: &str| {
+        let labels = [("route", "POST /v1/jobs"), ("tenant", tenant)];
+        qdi_obs::prometheus::metric_name(&qdi_obs::metrics::series(name, &labels))
     };
     for tenant in ["alice", "bob"] {
         assert!(
-            labeled("serve.http.route.requests", "POST /v1/jobs", tenant).is_some_and(|v| v >= 1.0),
+            scrape
+                .get(&series("serve.http.route.requests", tenant))
+                .is_some_and(|v| v >= 1.0),
             "{tenant}'s submit missing from the RED counters"
         );
-    }
-    let histograms = qdi_obs::prometheus::parse_histograms(&samples).expect("histograms parse");
-    let latency_wire = qdi_obs::prometheus::metric_name(qdi_obs::slo::ROUTE_LATENCY_MS);
-    for tenant in ["alice", "bob"] {
-        let hist = histograms
+        let latency = series(qdi_obs::slo::ROUTE_LATENCY_MS, tenant);
+        let hist = scrape
+            .histograms
             .iter()
-            .find(|h| {
-                h.name == latency_wire
-                    && h.labels
-                        .iter()
-                        .any(|(k, v)| k == "route" && v == "POST /v1/jobs")
-                    && h.labels.iter().any(|(k, v)| k == "tenant" && v == tenant)
-            })
+            .find(|h| h.name == latency)
             .unwrap_or_else(|| panic!("{tenant}'s submit latency histogram missing"));
-        assert!(hist.count >= 1, "{tenant}'s histogram counted no requests");
-        assert_eq!(hist.cumulative.len(), hist.bounds.len() + 1);
-        assert_eq!(*hist.cumulative.last().expect("+Inf bucket"), hist.count);
+        assert!(
+            hist.count() >= 1,
+            "{tenant}'s histogram counted no requests"
+        );
+        assert_eq!(hist.counts.len(), hist.bounds.len() + 1);
+        let count = series("serve.http.route.latency.ms.count", tenant);
+        assert_eq!(
+            scrape.get(&count),
+            Some(hist.count() as f64),
+            "{tenant}'s `_count` is not its `+Inf` bucket"
+        );
     }
+    // One `# TYPE` line per family, RED families included.
+    let mut types: Vec<&str> = metrics
+        .lines()
+        .filter(|l| l.starts_with("# TYPE"))
+        .collect();
+    let families = types.len();
+    types.sort_unstable();
+    types.dedup();
+    assert_eq!(types.len(), families, "a family is declared twice");
 
     // SSE replay: both tenants' streams deliver progress and a
     // terminal `done`.

@@ -295,6 +295,52 @@ fn unbounded_injection_times_are_422_and_the_server_survives() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A peer cannot mint RED series. 100 unknown paths share the
+/// `unmatched` route, and a tenant label only names the owner of a job
+/// the server holds, so 100 list filters and 100 rejected submit bodies
+/// naming fresh tenants label nothing: the scrape keeps its
+/// `qdi_serve_http_route_requests` series count.
+#[test]
+fn peer_chosen_paths_and_tenants_mint_no_red_series() {
+    let dir = std::env::temp_dir().join(format!("qdi_serve_labels_{}", std::process::id()));
+    let mut cfg = ServeConfig::new(&dir);
+    cfg.addr = "127.0.0.1:0".into();
+    cfg.io_timeout_ms = 2_000;
+    let server = Server::start(cfg).expect("server starts");
+    let client = qdi_serve::ServeClient::new(format!("http://{}", server.local_addr()));
+    let probe = |i: usize| {
+        let _ = client.get(&format!("/nope/{i}"));
+        let _ = client.get(&format!("/v1/jobs?tenant=t{i}"));
+        let err = client
+            .submit(&format!("{{\"tenant\":\"x{i}\"}}"))
+            .expect_err("a spec with no kind is rejected");
+        assert_eq!(err.status, 400, "{err:?}");
+    };
+    let series = || {
+        let text = client.get("/metrics").expect("metrics").text();
+        text.lines()
+            .filter(|l| l.starts_with("qdi_serve_http_route_requests{"))
+            .count()
+    };
+    // The series are process-wide, and the other tests here also send
+    // malformed, unmatched, submit and health requests: register one of
+    // each label set first, the scrape's own included.
+    probe(0);
+    let mut garbage = TcpStream::connect(server.local_addr()).expect("connects");
+    garbage.write_all(b"GET\r\n\r\n").expect("sends");
+    let _ = garbage.read_to_end(&mut Vec::new());
+    client.get("/healthz").expect("healthz answers");
+    series();
+    let before = series();
+    for i in 1..=100 {
+        probe(i);
+    }
+    assert_eq!(series(), before, "peer-chosen labels minted series");
+
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The accept loop blocks in `accept`, so a drain has to wake it. On an
 /// unspecified bind address (`0.0.0.0`) the wake goes to loopback; with
 /// no traffic at all, `shutdown()` still returns at once.

@@ -123,6 +123,7 @@ fn main() {
         "serve_demo: wrote serve_demo.metrics.prom ({} samples)",
         qdi::obs::prometheus::parse(&metrics)
             .expect("exposition parses")
+            .samples
             .len()
     );
 
