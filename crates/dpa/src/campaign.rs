@@ -105,6 +105,11 @@ pub(crate) fn plaintext_schedule(cfg: &CampaignConfig) -> Vec<u8> {
 /// one cache and drops it when it finishes.
 pub(crate) struct TraceCache<'a> {
     slice: &'a AesByteSlice,
+    /// The slice's testbench under the campaign's budgets, with no sources
+    /// or sinks: a miss clones it, so the campaign compiles the netlist
+    /// once and every miss shares the compiled tables.
+    blank: Testbench<'a>,
+    budgets: TestbenchConfig,
     synth: TraceSynthesizer<'a>,
     slots: Vec<OnceLock<Trace>>,
     simulated: AtomicUsize,
@@ -112,21 +117,43 @@ pub(crate) struct TraceCache<'a> {
 }
 
 impl<'a> TraceCache<'a> {
-    /// An empty cache for campaigns on `slice` under `cfg`'s synthesis
-    /// configuration.
-    pub(crate) fn new(slice: &'a AesByteSlice, cfg: &CampaignConfig) -> Self {
-        TraceCache {
+    /// An empty cache for campaigns on `slice` under `cfg`'s testbench
+    /// budgets and synthesis configuration.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`Testbench::new`]'s errors.
+    pub(crate) fn new(slice: &'a AesByteSlice, cfg: &CampaignConfig) -> Result<Self, SimError> {
+        Ok(TraceCache {
             slice,
+            blank: Testbench::new(&slice.netlist, cfg.testbench)?,
+            budgets: cfg.testbench,
             synth: TraceSynthesizer::new(&slice.netlist, cfg.synth),
             slots: std::iter::repeat_with(OnceLock::new).take(256).collect(),
             simulated: AtomicUsize::new(0),
             simulated_metric: qdi_obs::metrics::counter("dpa.acquire.simulated"),
-        }
+        })
     }
 
     /// Acquisitions that ran the simulator (cache misses) so far.
     pub(crate) fn simulated(&self) -> usize {
         self.simulated.load(Ordering::Relaxed)
+    }
+
+    /// The testbench of a miss: a clone of the blank testbench with the
+    /// stimulus attached when `budgets` are the campaign's, and one built
+    /// from scratch otherwise.
+    fn testbench(
+        &self,
+        budgets: &TestbenchConfig,
+        key: u8,
+        pt: u8,
+    ) -> Result<Testbench<'a>, SimError> {
+        if *budgets != self.budgets {
+            return slice_testbench(self.slice, budgets, key, pt);
+        }
+        let _span = qdi_obs::span::hot("sim.tb.new");
+        attach_stimulus(self.slice, self.blank.clone(), key, pt)
     }
 }
 
@@ -154,7 +181,7 @@ pub(crate) fn acquire_trace(
         None => {
             cache.simulated.fetch_add(1, Ordering::Relaxed);
             cache.simulated_metric.inc();
-            let run = slice_testbench(cache.slice, &cfg.testbench, cfg.key, pt)?.run()?;
+            let run = cache.testbench(&cfg.testbench, cfg.key, pt)?.run()?;
             let trace = cache.synth.synthesize(&run.transitions);
             // The clone drops the growth capacity synthesis left behind.
             slot.get_or_init(|| trace.clone())
@@ -168,7 +195,7 @@ pub(crate) fn acquire_trace(
 }
 
 /// A testbench driving the slice with plaintext `pt` and key `key` for
-/// one token.
+/// one token, built from scratch.
 fn slice_testbench<'n>(
     slice: &'n AesByteSlice,
     testbench: &TestbenchConfig,
@@ -176,7 +203,17 @@ fn slice_testbench<'n>(
     pt: u8,
 ) -> Result<Testbench<'n>, SimError> {
     let _span = qdi_obs::span::hot("sim.tb.new");
-    let mut tb = Testbench::new(&slice.netlist, *testbench)?;
+    attach_stimulus(slice, Testbench::new(&slice.netlist, *testbench)?, key, pt)
+}
+
+/// Attaches to `tb` the slice's sources, fed plaintext `pt` and key `key`
+/// for one token, and its sinks.
+fn attach_stimulus<'n>(
+    slice: &AesByteSlice,
+    mut tb: Testbench<'n>,
+    key: u8,
+    pt: u8,
+) -> Result<Testbench<'n>, SimError> {
     let pbits = bit_values(pt);
     let kbits = bit_values(key);
     for i in 0..8 {
@@ -281,7 +318,7 @@ mod tests {
         let mut cfg = CampaignConfig::full_codebook(0x42);
         cfg.traces = 512;
         let pts = plaintext_schedule(&cfg);
-        let cache = TraceCache::new(&slice, &cfg);
+        let cache = TraceCache::new(&slice, &cfg).expect("builds");
         // A starved budget fails every acquisition and fills no slot...
         let mut starved = cfg;
         starved.testbench.event_limit = 1;

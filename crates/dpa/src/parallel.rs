@@ -64,7 +64,7 @@ pub fn run_parallel_campaign(
         .attr("workers", exec.workers);
     let start = std::time::Instant::now();
     let pts = plaintext_schedule(cfg);
-    let cache = TraceCache::new(slice, cfg);
+    let cache = TraceCache::new(slice, cfg)?;
     // Inert unless `qdi_obs::progress` is enabled; `qdi-mon watch` tails
     // the streamed snapshots for a live completed/total + ETA view.
     let progress = qdi_obs::progress::task("dpa.campaign", cfg.traces);

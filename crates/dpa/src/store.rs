@@ -346,7 +346,7 @@ impl<'a> StoreCampaignRunner<'a> {
             cfg,
             resilience,
             exec,
-            cache: TraceCache::new(slice, &cfg),
+            cache: TraceCache::new(slice, &cfg)?,
             pts: plaintext_schedule(&cfg),
             writer,
             store_path,
@@ -420,7 +420,7 @@ impl<'a> StoreCampaignRunner<'a> {
             cfg,
             resilience,
             exec,
-            cache: TraceCache::new(slice, &cfg),
+            cache: TraceCache::new(slice, &cfg)?,
             pts: plaintext_schedule(&cfg),
             writer,
             store_path: checkpoint.store_path,
@@ -433,8 +433,12 @@ impl<'a> StoreCampaignRunner<'a> {
     }
 
     /// Snapshots the campaign. Call after [`StoreCampaignRunner::step_chunk`]
-    /// returns; the chunk's records are flushed before this offset is
-    /// taken, so the checkpoint never points past durable data.
+    /// returns; the chunk's records are flushed to the OS before this
+    /// offset is taken, so the checkpoint never points past data a
+    /// `kill -9` leaves behind. The store is never fsynced, though: after
+    /// a power loss it can end before a checkpoint that landed, and
+    /// [`StoreCampaignRunner::resume`] fails with the store's
+    /// `OffsetMismatch` (as [`CampaignError::Io`]).
     pub fn checkpoint(&self) -> StoreCheckpoint {
         StoreCheckpoint {
             fingerprint: store_fingerprint(&self.cfg, self.exec.workers),

@@ -2,9 +2,9 @@
 //! hand-offs.
 //!
 //! DPA campaigns run chunk-at-a-time through
-//! [`qdi_dpa::StoreCampaignRunner`] with a durable
-//! checkpoint after every chunk, saved by a per-lease thread while the
-//! next chunk is acquired. That buys three properties at once:
+//! [`qdi_dpa::StoreCampaignRunner`], handing a checkpoint over after
+//! every chunk to a per-lease thread that saves the newest one durably
+//! while later chunks are acquired. That buys three properties at once:
 //!
 //! * **fair-share preemption is free** — parking the job is just
 //!   dropping the runner; the next lease resumes from the checkpoint
@@ -19,8 +19,7 @@
 //! as single uninterruptible leases.
 
 use std::path::Path;
-use std::sync::mpsc::{self, SyncSender};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 use std::thread::{Scope, ScopedJoinHandle};
 
 use serde::{Deserialize, Serialize};
@@ -144,6 +143,20 @@ fn open_lease_span(job: &Arc<JobHandle>, record: &JobRecord) -> Span {
     span
 }
 
+/// Publishes the terminal `state` of `job`, counted first in
+/// `serve.jobs.completed`, `.failed` or `.canceled`, so a client that
+/// sees the job end also sees it counted on `/metrics`.
+pub(crate) fn end_job(job: &JobHandle, state: JobState, error: Option<String>) {
+    let counter = match state {
+        JobState::Completed => "serve.jobs.completed",
+        JobState::Failed => "serve.jobs.failed",
+        JobState::Canceled => "serve.jobs.canceled",
+        JobState::Queued | JobState::Running => unreachable!("{state:?} is not terminal"),
+    };
+    qdi_obs::metrics::counter(counter).inc();
+    let _ = job.set_state(state, error);
+}
+
 /// Releases a lease's worker ([`Scheduler::release`]) when dropped.
 struct LeaseHeld<'a>(&'a Scheduler);
 
@@ -160,8 +173,7 @@ impl Drop for LeaseHeld<'_> {
 pub fn run_lease(sched: &Scheduler, job: &Arc<JobHandle>) -> Disposition {
     let held = LeaseHeld(sched);
     if job.cancel_requested() {
-        let _ = job.set_state(JobState::Canceled, None);
-        qdi_obs::metrics::counter("serve.jobs.canceled").inc();
+        end_job(job, JobState::Canceled, None);
         return Disposition::Done;
     }
     let _ = job.set_state(JobState::Running, None);
@@ -185,8 +197,7 @@ pub fn run_lease(sched: &Scheduler, job: &Arc<JobHandle>) -> Disposition {
         }
         Err(message) => {
             lease.set_attr("error", message.clone());
-            let _ = job.set_state(JobState::Failed, Some(message));
-            qdi_obs::metrics::counter("serve.jobs.failed").inc();
+            end_job(job, JobState::Failed, Some(message));
             Disposition::Done
         }
     };
@@ -194,21 +205,67 @@ pub fn run_lease(sched: &Scheduler, job: &Arc<JobHandle>) -> Disposition {
     disposition
 }
 
-/// Checkpoints a lease may hand over while a save is in flight before
-/// acquisition waits for the disk. A `kill -9` therefore loses at most
-/// the chunk being acquired, these, and the one being saved.
-const CHECKPOINT_BACKLOG: usize = 2;
+/// The saver's hand-off: one slot holding the newest checkpoint the
+/// saver has not taken yet. [`Slot::put`] replaces it and never waits,
+/// so however slow the disk, at most one unsaved checkpoint is held.
+#[derive(Default)]
+struct Slot {
+    state: Mutex<SlotState>,
+    filled: Condvar,
+}
+
+#[derive(Default)]
+struct SlotState {
+    newest: Option<StoreCheckpoint>,
+    closed: bool,
+}
+
+impl Slot {
+    fn lock(&self) -> MutexGuard<'_, SlotState> {
+        self.state.lock().expect("checkpoint slot poisoned")
+    }
+
+    /// Puts `checkpoint` in the slot, replacing any the saver has not
+    /// taken yet.
+    fn put(&self, checkpoint: StoreCheckpoint) {
+        self.lock().newest = Some(checkpoint);
+        self.filled.notify_one();
+    }
+
+    /// No more checkpoints will come.
+    fn close(&self) {
+        self.lock().closed = true;
+        self.filled.notify_one();
+    }
+
+    /// Waits for a checkpoint and takes the newest; `None` once the slot
+    /// is closed and empty.
+    fn take(&self) -> Option<StoreCheckpoint> {
+        let mut state = self.lock();
+        loop {
+            if let Some(checkpoint) = state.newest.take() {
+                return Some(checkpoint);
+            }
+            if state.closed {
+                return None;
+            }
+            state = self.filled.wait(state).expect("checkpoint slot poisoned");
+        }
+    }
+}
 
 /// Saves a lease's checkpoints on a thread of its own, so acquisition
-/// waits on the disk only when it runs [`CHECKPOINT_BACKLOG`]
-/// checkpoints ahead of it. One save runs at a time, always of the
-/// newest checkpoint: those queued behind a slow fsync are coalesced.
-/// The job advances as each save lands, so [`JobHandle::status`]'s
-/// `completed` is always durable progress. The thread adopts the
-/// caller's span, so its `dpa.checkpoint.save` roll-ups land under the
-/// lease.
+/// never waits on the disk. Each chunk's checkpoint goes into a
+/// [`Slot`], and the saver lands the newest one there with one save at
+/// a time: a checkpoint handed over while a save is in flight replaces
+/// any that is waiting. The job advances as each save lands, so
+/// [`JobHandle::status`]'s `completed` is always durable progress. The
+/// thread owns the slot and the lease holds it weakly, so a hand-over
+/// fails once the saver has stopped, on a failed save or a panic. The
+/// thread adopts the caller's span, so its `dpa.checkpoint.save`
+/// roll-ups land under the lease.
 struct CheckpointSaver<'scope> {
-    queue: SyncSender<StoreCheckpoint>,
+    slot: Weak<Slot>,
     thread: ScopedJoinHandle<'scope, Result<(), String>>,
 }
 
@@ -219,14 +276,12 @@ impl<'scope> CheckpointSaver<'scope> {
         path: &'env Path,
         total: u64,
     ) -> CheckpointSaver<'scope> {
-        let (queue, checkpoints) = mpsc::sync_channel::<StoreCheckpoint>(CHECKPOINT_BACKLOG);
+        let owned = Arc::new(Slot::default());
+        let slot = Arc::downgrade(&owned);
         let lease = qdi_obs::span::handoff();
         let thread = scope.spawn(move || {
             let _lease = lease.as_ref().map(qdi_obs::span::Handoff::adopt);
-            while let Ok(mut checkpoint) = checkpoints.recv() {
-                while let Ok(newer) = checkpoints.try_recv() {
-                    checkpoint = newer;
-                }
+            while let Some(checkpoint) = owned.take() {
                 checkpoint
                     .save(path)
                     .map_err(|e| format!("checkpoint: {e:?}"))?;
@@ -238,19 +293,24 @@ impl<'scope> CheckpointSaver<'scope> {
             }
             Ok(())
         });
-        CheckpointSaver { queue, thread }
+        CheckpointSaver { slot, thread }
     }
 
-    /// Hands `checkpoint` over, waiting only while the backlog is full.
-    /// `false` when a save failed; [`CheckpointSaver::finish`] returns
-    /// its error.
+    /// Hands `checkpoint` over without waiting. `false` when the saver
+    /// has stopped; [`CheckpointSaver::finish`] returns its error.
     fn save(&self, checkpoint: StoreCheckpoint) -> bool {
-        self.queue.send(checkpoint).is_ok()
+        let Some(slot) = self.slot.upgrade() else {
+            return false;
+        };
+        slot.put(checkpoint);
+        true
     }
 
     /// Waits until the last checkpoint handed over has landed.
     fn finish(self) -> Result<(), String> {
-        drop(self.queue);
+        if let Some(slot) = self.slot.upgrade() {
+            slot.close();
+        }
         self.thread
             .join()
             .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
@@ -306,8 +366,7 @@ fn run_dpa(
                     .checkpoint()
                     .save(&ckpt_path)
                     .map_err(|e| format!("checkpoint: {e:?}"))?;
-                let _ = job.set_state(JobState::Canceled, None);
-                qdi_obs::metrics::counter("serve.jobs.canceled").inc();
+                end_job(job, JobState::Canceled, None);
                 return Ok(Some(Disposition::Done));
             }
             runner.step_chunk().map_err(|e| format!("acquire: {e:?}"))?;
@@ -347,10 +406,7 @@ fn run_dpa(
     let json = serde_json::to_string_pretty(&report).map_err(|e| format!("{e:?}"))?;
     write_artifact(&job.dir.join(REPORT_FILE), &json)?;
     job.advance(total, total, quarantined);
-    // Counted before the state is published, so a client that sees the
-    // job completed also sees it counted.
-    qdi_obs::metrics::counter("serve.jobs.completed").inc();
-    let _ = job.set_state(JobState::Completed, None);
+    end_job(job, JobState::Completed, None);
     Ok(Disposition::Done)
 }
 
@@ -433,10 +489,7 @@ fn run_fi(job: &Arc<JobHandle>, spec: &FiJobSpec) -> Result<(), String> {
     let json = serde_json::to_string_pretty(&report).map_err(|e| format!("{e:?}"))?;
     write_artifact(&job.dir.join(REPORT_FILE), &json)?;
     job.advance(total, total, Vec::new());
-    // Counted before the state is published, so a client that sees the
-    // job completed also sees it counted.
-    qdi_obs::metrics::counter("serve.jobs.completed").inc();
-    let _ = job.set_state(JobState::Completed, None);
+    end_job(job, JobState::Completed, None);
     Ok(())
 }
 
@@ -459,10 +512,7 @@ fn run_pnr(job: &Arc<JobHandle>, spec: &PnrJobSpec) -> Result<(), String> {
     let json = serde_json::to_string_pretty(&outcomes).map_err(|e| format!("{e:?}"))?;
     write_artifact(&job.dir.join(REPORT_FILE), &json)?;
     job.advance(total, total, Vec::new());
-    // Counted before the state is published, so a client that sees the
-    // job completed also sees it counted.
-    qdi_obs::metrics::counter("serve.jobs.completed").inc();
-    let _ = job.set_state(JobState::Completed, None);
+    end_job(job, JobState::Completed, None);
     Ok(())
 }
 
@@ -553,6 +603,35 @@ mod tests {
         });
         assert!(err.starts_with("checkpoint: "), "{err}");
         assert_eq!(job.status().completed, 0, "nothing landed");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn hand_overs_the_saver_has_not_taken_leave_only_the_newest() {
+        let slot = Slot::default();
+        for completed in 1..=1_000 {
+            slot.put(checkpoint(completed, vec![completed]));
+        }
+        slot.close();
+        let taken = slot.take().expect("the newest checkpoint waits");
+        assert_eq!((taken.completed, taken.quarantined), (1_000, vec![1_000]));
+        assert!(slot.take().is_none(), "nothing older is left");
+    }
+
+    #[test]
+    fn a_checkpoint_handed_over_just_before_finish_still_lands() {
+        let dir = tmp_dir("finish");
+        let job = running_job(dir.clone(), 64);
+        let path = dir.join(CHECKPOINT_FILE);
+        std::thread::scope(|scope| {
+            let saver = CheckpointSaver::start(scope, &job, &path, 64);
+            assert!(saver.save(checkpoint(64, vec![5])));
+            saver.finish().expect("the save lands");
+        });
+        let saved = StoreCheckpoint::load(&path).expect("the checkpoint loads");
+        assert_eq!((saved.completed, saved.quarantined), (64, vec![5]));
+        let status = job.status();
+        assert_eq!((status.completed, status.quarantined), (64, vec![5]));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -76,7 +76,7 @@ use crate::http::{
 use crate::job::{
     JobHandle, JobRecord, JobState, TraceMeta, CHECKPOINT_FILE, REPORT_FILE, STORE_FILE,
 };
-use crate::runner::{run_lease, Disposition};
+use crate::runner::{end_job, run_lease, Disposition};
 use crate::scheduler::Scheduler;
 use crate::spec::{JobKind, JobSpec};
 
@@ -358,8 +358,7 @@ fn worker_loop(state: &Arc<ServerState>) {
             Ok(Disposition::Requeue) => state.sched.enqueue(job),
             Ok(Disposition::Done) => {}
             Err(_) => {
-                let _ = job.set_state(JobState::Failed, Some("worker panicked".into()));
-                metrics::counter("serve.jobs.failed").inc();
+                end_job(&job, JobState::Failed, Some("worker panicked".into()));
                 qdi_obs::flush();
             }
         }
@@ -748,8 +747,7 @@ fn cancel(state: &Arc<ServerState>, id: &str, job: &JobHandle) -> Result<Respons
     // A queued job cancels immediately; a running one at its next
     // chunk boundary.
     if state.sched.remove(id) && !job.state().is_terminal() {
-        let _ = job.set_state(JobState::Canceled, None);
-        metrics::counter("serve.jobs.canceled").inc();
+        end_job(job, JobState::Canceled, None);
     }
     json_ok(&job.status())
 }

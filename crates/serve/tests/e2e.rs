@@ -10,7 +10,8 @@ use qdi_dpa::selection::AesXorSelect;
 use qdi_dpa::{parallel_bias_signal, run_parallel_campaign, CampaignConfig, ResilienceConfig};
 use qdi_exec::ExecConfig;
 use qdi_serve::{
-    AttackSpec, DpaJobSpec, DpaReport, JobKind, JobSpec, ServeClient, ServeConfig, Server,
+    AttackSpec, DpaJobSpec, DpaReport, FiJobSpec, JobKind, JobSpec, ServeClient, ServeConfig,
+    Server,
 };
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
@@ -264,7 +265,64 @@ fn cancel_parks_the_campaign_promptly() {
         .expect("status");
     assert_eq!(format!("{:?}", status.state), "Canceled");
     assert!(status.completed < 512, "cancel must not require a full run");
+    // Counted before the state is published: the first scrape after the
+    // client sees the job canceled already counts it.
+    assert!(scraped(&client, "serve.jobs.canceled") >= 1.0);
 
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_job_that_fails_in_its_lease_is_counted_when_the_client_sees_it() {
+    let dir = tmp_dir("failed");
+    std::fs::remove_dir_all(&dir).ok();
+    let server = Server::start(ServeConfig::new(&dir)).expect("server starts");
+    let client = ServeClient::new(format!("http://{}", server.local_addr()));
+
+    // A golden run that cannot fit its event budget fails the lease.
+    let mut campaign = qdi_fi::campaign::CampaignConfig::new();
+    campaign.testbench.event_limit = 1;
+    let spec = JobSpec {
+        tenant: "dave".into(),
+        name: None,
+        priority: None,
+        kind: JobKind::Fi(FiJobSpec {
+            stage: "xor".into(),
+            campaign,
+            models: "seu".into(),
+            times_ps: None,
+            sample: None,
+        }),
+    };
+    let id = client
+        .submit(&serde_json::to_string(&spec).expect("serializes"))
+        .expect("submits");
+    let status = client
+        .wait_terminal(&id, Duration::from_secs(120))
+        .expect("status");
+    assert_eq!(format!("{:?}", status.state), "Failed");
+    assert!(
+        status
+            .error
+            .as_deref()
+            .is_some_and(|e| e.starts_with("golden run: ")),
+        "{:?}",
+        status.error
+    );
+    assert!(scraped(&client, "serve.jobs.failed") >= 1.0);
+
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The value of counter `name` in one `/metrics` scrape, read through
+/// the repo's own Prometheus parser.
+fn scraped(client: &ServeClient, name: &str) -> f64 {
+    let metrics = client.get("/metrics").expect("metrics").text();
+    let scrape = qdi_obs::prometheus::parse(&metrics).expect("exposition parses");
+    let wire = qdi_obs::prometheus::metric_name(name);
+    scrape
+        .get(&wire)
+        .unwrap_or_else(|| panic!("{wire} missing from /metrics"))
 }

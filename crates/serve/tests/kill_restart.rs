@@ -54,9 +54,14 @@ fn wait_addr(addr_file: &Path) -> String {
     }
 }
 
+/// The campaign size: large enough that a release build is still
+/// acquiring when the kill or the drain lands, since the checkpoint
+/// saver never holds acquisition back.
+const TRACES: usize = 8_192;
+
 fn campaign() -> CampaignConfig {
     let mut campaign = CampaignConfig::new(0x3C);
-    campaign.traces = 1024;
+    campaign.traces = TRACES;
     campaign
 }
 
@@ -139,7 +144,7 @@ fn sigkill_mid_campaign_resumes_bit_identically() {
         "resumed job must complete: {:?}",
         status.error
     );
-    assert_eq!(status.completed, 1024);
+    assert_eq!(status.completed, TRACES as u64);
     assert!(
         status.resumes >= 1,
         "recovery must be recorded as a resume (progress was {at_kill} at kill)"
@@ -229,7 +234,7 @@ fn sigkill_mid_campaign_resumes_bit_identically() {
         .join("traces.qtrs");
     let fsck = qdi_exec::store::fsck(&store).expect("fsck runs");
     assert!(fsck.tail_error.is_none(), "store not clean: {fsck:?}");
-    assert_eq!(fsck.records, 1024);
+    assert_eq!(fsck.records, TRACES);
     assert_eq!(fsck.torn_tail_bytes, 0);
 
     // Graceful exit via the API: the drained daemon leaves on its own.
