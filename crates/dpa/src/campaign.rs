@@ -109,7 +109,6 @@ pub(crate) struct TraceCache<'a> {
     /// or sinks: a miss clones it, so the campaign compiles the netlist
     /// once and every miss shares the compiled tables.
     blank: Testbench<'a>,
-    budgets: TestbenchConfig,
     synth: TraceSynthesizer<'a>,
     slots: Vec<OnceLock<Trace>>,
     simulated: AtomicUsize,
@@ -127,7 +126,6 @@ impl<'a> TraceCache<'a> {
         Ok(TraceCache {
             slice,
             blank: Testbench::new(&slice.netlist, cfg.testbench)?,
-            budgets: cfg.testbench,
             synth: TraceSynthesizer::new(&slice.netlist, cfg.synth),
             slots: std::iter::repeat_with(OnceLock::new).take(256).collect(),
             simulated: AtomicUsize::new(0),
@@ -141,17 +139,8 @@ impl<'a> TraceCache<'a> {
     }
 
     /// The testbench of a miss: a clone of the blank testbench with the
-    /// stimulus attached when `budgets` are the campaign's, and one built
-    /// from scratch otherwise.
-    fn testbench(
-        &self,
-        budgets: &TestbenchConfig,
-        key: u8,
-        pt: u8,
-    ) -> Result<Testbench<'a>, SimError> {
-        if *budgets != self.budgets {
-            return slice_testbench(self.slice, budgets, key, pt);
-        }
+    /// stimulus attached.
+    fn testbench(&self, key: u8, pt: u8) -> Result<Testbench<'a>, SimError> {
         let _span = qdi_obs::span::hot("sim.tb.new");
         attach_stimulus(self.slice, self.blank.clone(), key, pt)
     }
@@ -161,10 +150,10 @@ impl<'a> TraceCache<'a> {
 /// four-phase computation of the slice for plaintext `pt`, plus noise
 /// from the per-index RNG [`qdi_exec::job_rng`]`(cfg.seed, index)`.
 ///
-/// The noiseless trace comes from `cache`; on a miss the slice is
-/// simulated and synthesized under `cfg`'s budgets. Errors and panics
-/// never fill a slot, so a failing stimulus fails at every index that
-/// uses it. Two workers missing the same slot both simulate; the first
+/// The noiseless trace comes from `cache`, which must be built from the
+/// same `cfg`; on a miss the slice is simulated and synthesized under the
+/// cache's budgets. Errors and panics never fill a slot, so a failing
+/// stimulus fails at every index that uses it. Two workers missing the same slot both simulate; the first
 /// to store wins, and both traces are equal. The trace therefore depends
 /// only on the config, `pt` and `index` — never on the worker that ran
 /// it, the attempt number, the order of acquisition or the cache state.
@@ -181,7 +170,7 @@ pub(crate) fn acquire_trace(
         None => {
             cache.simulated.fetch_add(1, Ordering::Relaxed);
             cache.simulated_metric.inc();
-            let run = cache.testbench(&cfg.testbench, cfg.key, pt)?.run()?;
+            let run = cache.testbench(cfg.key, pt)?.run()?;
             let trace = cache.synth.synthesize(&run.transitions);
             // The clone drops the growth capacity synthesis left behind.
             slot.get_or_init(|| trace.clone())
@@ -318,19 +307,25 @@ mod tests {
         let mut cfg = CampaignConfig::full_codebook(0x42);
         cfg.traces = 512;
         let pts = plaintext_schedule(&cfg);
-        let cache = TraceCache::new(&slice, &cfg).expect("builds");
-        // A starved budget fails every acquisition and fills no slot...
+        // A starved budget fails every acquisition and fills no slot, so
+        // each one simulates again...
         let mut starved = cfg;
         starved.testbench.event_limit = 1;
+        let starved_cache = TraceCache::new(&slice, &starved).expect("builds");
         for (i, &pt) in pts.iter().enumerate() {
-            assert!(acquire_trace(&cache, &starved, pt, i).is_err(), "index {i}");
+            assert!(
+                acquire_trace(&starved_cache, &starved, pt, i).is_err(),
+                "index {i}"
+            );
         }
-        assert_eq!(cache.simulated(), 512);
-        // ...so the same cache then simulates each plaintext exactly once.
+        assert_eq!(starved_cache.simulated(), 512);
+        assert!(starved_cache.slots.iter().all(|slot| slot.get().is_none()));
+        // ...while a campaign that fits simulates each plaintext once.
+        let cache = TraceCache::new(&slice, &cfg).expect("builds");
         for (i, &pt) in pts.iter().enumerate() {
             acquire_trace(&cache, &cfg, pt, i).expect("fits the default budget");
         }
-        assert_eq!(cache.simulated(), 512 + 256);
+        assert_eq!(cache.simulated(), 256);
     }
 
     #[test]

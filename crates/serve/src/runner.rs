@@ -19,7 +19,8 @@
 //! as single uninterruptible leases.
 
 use std::path::Path;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
+use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::{Scope, ScopedJoinHandle};
 
 use serde::{Deserialize, Serialize};
@@ -205,67 +206,73 @@ pub fn run_lease(sched: &Scheduler, job: &Arc<JobHandle>) -> Disposition {
     disposition
 }
 
-/// The saver's hand-off: one slot holding the newest checkpoint the
-/// saver has not taken yet. [`Slot::put`] replaces it and never waits,
-/// so however slow the disk, at most one unsaved checkpoint is held.
-#[derive(Default)]
-struct Slot {
-    state: Mutex<SlotState>,
-    filled: Condvar,
+/// The lease's end of the hand-off to its saver: the newest checkpoint
+/// the saver has not taken yet, and a one-deep wake-up. [`Handover::put`]
+/// replaces the waiting checkpoint and never waits, so however slow the
+/// disk, at most one unsaved checkpoint is held. Dropping it, by
+/// [`CheckpointSaver::finish`], an early return or a panic, ends the
+/// saver once it has taken what is left.
+struct Handover {
+    newest: Arc<Mutex<Option<StoreCheckpoint>>>,
+    wake: SyncSender<()>,
 }
 
-#[derive(Default)]
-struct SlotState {
-    newest: Option<StoreCheckpoint>,
-    closed: bool,
+/// The saver's end of a [`Handover`]. The saver drops it when it stops,
+/// and every later hand-over then fails.
+struct Pickup {
+    newest: Arc<Mutex<Option<StoreCheckpoint>>>,
+    woken: Receiver<()>,
 }
 
-impl Slot {
-    fn lock(&self) -> MutexGuard<'_, SlotState> {
-        self.state.lock().expect("checkpoint slot poisoned")
-    }
+/// An empty slot and its two ends.
+fn checkpoint_slot() -> (Handover, Pickup) {
+    let newest = Arc::new(Mutex::new(None));
+    let (wake, woken) = mpsc::sync_channel(1);
+    let pickup = Pickup {
+        newest: Arc::clone(&newest),
+        woken,
+    };
+    (Handover { newest, wake }, pickup)
+}
 
+fn lock(newest: &Mutex<Option<StoreCheckpoint>>) -> MutexGuard<'_, Option<StoreCheckpoint>> {
+    newest.lock().expect("checkpoint slot poisoned")
+}
+
+impl Handover {
     /// Puts `checkpoint` in the slot, replacing any the saver has not
-    /// taken yet.
-    fn put(&self, checkpoint: StoreCheckpoint) {
-        self.lock().newest = Some(checkpoint);
-        self.filled.notify_one();
+    /// taken yet. `false` once the saver has stopped.
+    fn put(&self, checkpoint: StoreCheckpoint) -> bool {
+        *lock(&self.newest) = Some(checkpoint);
+        // A full channel holds a wake-up the saver has yet to see, and
+        // the saver takes the slot's newest checkpoint when it does.
+        !matches!(self.wake.try_send(()), Err(TrySendError::Disconnected(())))
     }
+}
 
-    /// No more checkpoints will come.
-    fn close(&self) {
-        self.lock().closed = true;
-        self.filled.notify_one();
-    }
-
-    /// Waits for a checkpoint and takes the newest; `None` once the slot
-    /// is closed and empty.
+impl Pickup {
+    /// Waits for a checkpoint and takes the newest; `None` once the
+    /// [`Handover`] is dropped and nothing is left.
     fn take(&self) -> Option<StoreCheckpoint> {
-        let mut state = self.lock();
-        loop {
-            if let Some(checkpoint) = state.newest.take() {
+        while self.woken.recv().is_ok() {
+            if let Some(checkpoint) = lock(&self.newest).take() {
                 return Some(checkpoint);
             }
-            if state.closed {
-                return None;
-            }
-            state = self.filled.wait(state).expect("checkpoint slot poisoned");
         }
+        None
     }
 }
 
 /// Saves a lease's checkpoints on a thread of its own, so acquisition
-/// never waits on the disk. Each chunk's checkpoint goes into a
-/// [`Slot`], and the saver lands the newest one there with one save at
-/// a time: a checkpoint handed over while a save is in flight replaces
-/// any that is waiting. The job advances as each save lands, so
+/// never waits on the disk. Each chunk's checkpoint goes through a
+/// [`Handover`], and the saver lands the newest one with one save at a
+/// time: a checkpoint handed over while a save is in flight replaces any
+/// that is waiting. The job advances as each save lands, so
 /// [`JobHandle::status`]'s `completed` is always durable progress. The
-/// thread owns the slot and the lease holds it weakly, so a hand-over
-/// fails once the saver has stopped, on a failed save or a panic. The
 /// thread adopts the caller's span, so its `dpa.checkpoint.save`
 /// roll-ups land under the lease.
 struct CheckpointSaver<'scope> {
-    slot: Weak<Slot>,
+    handover: Handover,
     thread: ScopedJoinHandle<'scope, Result<(), String>>,
 }
 
@@ -276,12 +283,11 @@ impl<'scope> CheckpointSaver<'scope> {
         path: &'env Path,
         total: u64,
     ) -> CheckpointSaver<'scope> {
-        let owned = Arc::new(Slot::default());
-        let slot = Arc::downgrade(&owned);
+        let (handover, pickup) = checkpoint_slot();
         let lease = qdi_obs::span::handoff();
         let thread = scope.spawn(move || {
             let _lease = lease.as_ref().map(qdi_obs::span::Handoff::adopt);
-            while let Some(checkpoint) = owned.take() {
+            while let Some(checkpoint) = pickup.take() {
                 checkpoint
                     .save(path)
                     .map_err(|e| format!("checkpoint: {e:?}"))?;
@@ -293,25 +299,20 @@ impl<'scope> CheckpointSaver<'scope> {
             }
             Ok(())
         });
-        CheckpointSaver { slot, thread }
+        CheckpointSaver { handover, thread }
     }
 
     /// Hands `checkpoint` over without waiting. `false` when the saver
     /// has stopped; [`CheckpointSaver::finish`] returns its error.
     fn save(&self, checkpoint: StoreCheckpoint) -> bool {
-        let Some(slot) = self.slot.upgrade() else {
-            return false;
-        };
-        slot.put(checkpoint);
-        true
+        self.handover.put(checkpoint)
     }
 
     /// Waits until the last checkpoint handed over has landed.
     fn finish(self) -> Result<(), String> {
-        if let Some(slot) = self.slot.upgrade() {
-            slot.close();
-        }
-        self.thread
+        let CheckpointSaver { handover, thread } = self;
+        drop(handover);
+        thread
             .join()
             .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
     }
@@ -608,14 +609,14 @@ mod tests {
 
     #[test]
     fn hand_overs_the_saver_has_not_taken_leave_only_the_newest() {
-        let slot = Slot::default();
+        let (handover, pickup) = checkpoint_slot();
         for completed in 1..=1_000 {
-            slot.put(checkpoint(completed, vec![completed]));
+            assert!(handover.put(checkpoint(completed, vec![completed])));
         }
-        slot.close();
-        let taken = slot.take().expect("the newest checkpoint waits");
+        drop(handover);
+        let taken = pickup.take().expect("the newest checkpoint waits");
         assert_eq!((taken.completed, taken.quarantined), (1_000, vec![1_000]));
-        assert!(slot.take().is_none(), "nothing older is left");
+        assert!(pickup.take().is_none(), "nothing older is left");
     }
 
     #[test]
@@ -633,5 +634,45 @@ mod tests {
         let status = job.status();
         assert_eq!((status.completed, status.quarantined), (64, vec![5]));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Runs a lease scope that hands one checkpoint over and then leaves
+    /// through `exit` without [`CheckpointSaver::finish`], on a thread of
+    /// its own. The job's durable progress once the scope has returned.
+    fn progress_after_unfinished_exit(
+        tag: &str,
+        exit: fn(CheckpointSaver<'_>),
+    ) -> Result<u64, mpsc::RecvTimeoutError> {
+        let dir = tmp_dir(tag);
+        let job = running_job(dir.clone(), 64);
+        let (returned, scope_returned) = mpsc::channel();
+        std::thread::spawn(move || {
+            let path = dir.join(CHECKPOINT_FILE);
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                std::thread::scope(|scope| {
+                    let saver = CheckpointSaver::start(scope, &job, &path, 64);
+                    assert!(saver.save(checkpoint(8, Vec::new())));
+                    exit(saver);
+                });
+            }));
+            let _ = returned.send(job.status().completed);
+            std::fs::remove_dir_all(&dir).ok();
+        });
+        // Generous: the scope either returns at once or never does.
+        scope_returned.recv_timeout(std::time::Duration::from_secs(60))
+    }
+
+    #[test]
+    fn a_lease_that_leaves_without_finish_still_ends_its_saver() {
+        // An error returned early from the lease drops the saver...
+        assert_eq!(
+            progress_after_unfinished_exit("drop", |saver| drop(saver)),
+            Ok(8)
+        );
+        // ...and so does a panic, before the scope re-raises it.
+        assert_eq!(
+            progress_after_unfinished_exit("panic", |_| panic!("the lease panics")),
+            Ok(8)
+        );
     }
 }
