@@ -180,6 +180,25 @@ fn watch_survives_a_hostile_content_length() {
 }
 
 #[test]
+fn watch_fails_on_an_sse_line_past_the_bound() {
+    let max = qdi_serve::http::MAX_SSE_LINE;
+    let (url, server) = serve_once(move |mut stream| {
+        qdi_serve::http::write_sse_preamble(&mut stream).expect("writes");
+        let data = "x".repeat(max + 1 - "data: ".len());
+        // The watcher hangs up once the line passes the bound.
+        let _ = write!(stream, "id: 1\r\nevent: progress\r\ndata: {data}\r\n\r\n");
+    });
+    let out = qdi_mon(&["watch", &format!("{url}/v1/jobs/j000001/events")]);
+    server.join().expect("fake server");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(code(&out), 2, "an SSE line past the bound: {stderr}");
+    assert!(
+        stderr.contains("watch:") && stderr.contains(&max.to_string()),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn watch_polls_a_snapshot_over_http() {
     let body = qdi_obs::json::to_json(&progress(25, false));
     let (url, server) = serve_once(move |mut stream| {

@@ -206,14 +206,6 @@ impl Netlist {
         }
     }
 
-    /// Resets every net's interconnect capacitance to the pre-layout
-    /// default `Cd` ([`Net::DEFAULT_ROUTING_CAP_FF`]).
-    pub fn reset_routing_caps(&mut self) {
-        for net in &mut self.nets {
-            net.routing_cap_ff = Net::DEFAULT_ROUTING_CAP_FF;
-        }
-    }
-
     /// Computes aggregate statistics.
     pub fn stats(&self) -> NetlistStats {
         let mut by_kind: HashMap<&'static str, usize> = HashMap::new();
@@ -721,19 +713,6 @@ mod tests {
         assert_eq!(stats.gates, 2);
         assert!(stats.by_kind.contains(&("C".to_owned(), 1)));
         assert!(stats.by_kind.contains(&("OR".to_owned(), 1)));
-    }
-
-    #[test]
-    fn reset_routing_caps_restores_default() {
-        let mut b = NetlistBuilder::new("t");
-        let a = b.input_net("a");
-        let y = b.gate(GateKind::Buf, "y", &[a]);
-        b.mark_output(y);
-        let mut nl = b.finish().expect("valid");
-        nl.set_routing_cap(y, 99.0);
-        assert_eq!(nl.net(y).routing_cap_ff, 99.0);
-        nl.reset_routing_caps();
-        assert_eq!(nl.net(y).routing_cap_ff, Net::DEFAULT_ROUTING_CAP_FF);
     }
 
     #[test]

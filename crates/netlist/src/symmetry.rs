@@ -217,15 +217,6 @@ pub fn capacitance_skew(netlist: &Netlist) -> Vec<ChannelSkew> {
     rows
 }
 
-/// Compatibility shim over [`capacitance_skew`]: only the worst channel,
-/// as `(name, dA)`, or `None` when no channel defines the criterion.
-pub fn worst_capacitance_skew(netlist: &Netlist) -> Option<(String, f64)> {
-    capacitance_skew(netlist)
-        .into_iter()
-        .next()
-        .map(|row| (row.name, row.d_a))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,9 +299,9 @@ mod tests {
         b.mark_output(o);
         let mut nl = b.finish().expect("valid");
         nl.set_routing_cap(a.rail(1), 24.0); // vs default 8 -> dA = 2.0
-        let (name, skew) = worst_capacitance_skew(&nl).expect("defined");
-        assert_eq!(name, "a");
-        assert!((skew - 2.0).abs() < 1e-12);
+        let worst = &capacitance_skew(&nl)[0];
+        assert_eq!(worst.name, "a");
+        assert!((worst.d_a - 2.0).abs() < 1e-12);
     }
 
     #[test]

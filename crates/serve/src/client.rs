@@ -1,12 +1,16 @@
 //! A small blocking HTTP client for the job API — `std::net` only,
 //! one request per connection, mirroring the server's `Connection:
 //! close` discipline. Used by the `qdi-client` binary, the e2e tests
-//! and anything that wants to submit campaigns programmatically.
+//! and anything that wants to submit campaigns programmatically. It
+//! speaks [`crate::http`]'s codec, with the server's limits, and
+//! reports every codec error as a transport error.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::BufReader;
 use std::net::TcpStream;
 use std::time::Duration;
 
+use crate::http;
+pub use crate::http::HttpResponse;
 use crate::job::JobStatus;
 
 /// A client error, as text with the HTTP status when one was received.
@@ -54,23 +58,27 @@ pub fn authority_of(url: &str) -> Result<String, ClientError> {
     Ok(authority.to_owned())
 }
 
-/// A parsed response.
-#[derive(Debug, Clone)]
-pub struct HttpResponse {
-    /// Status code.
-    pub status: u16,
-    /// Lower-cased header pairs.
-    pub headers: Vec<(String, String)>,
-    /// Body bytes.
-    pub body: Vec<u8>,
-}
-
-impl HttpResponse {
-    /// Body as UTF-8 (lossy).
-    #[must_use]
-    pub fn text(&self) -> String {
-        String::from_utf8_lossy(&self.body).into_owned()
-    }
+/// Connects to `base`'s authority with the given socket timeouts and
+/// sends one request ([`http::write_request`]).
+fn send(
+    base: &str,
+    read_timeout: Duration,
+    write_timeout: Option<Duration>,
+    method: &str,
+    path: &str,
+    headers: &[(&str, &str)],
+    body: &[u8],
+) -> Result<TcpStream, ClientError> {
+    let authority = authority_of(base)?;
+    let mut stream = TcpStream::connect(&authority)
+        .map_err(|e| transport(format!("connect {authority}: {e}")))?;
+    stream
+        .set_read_timeout(Some(read_timeout))
+        .and_then(|()| stream.set_write_timeout(write_timeout))
+        .map_err(|e| transport(e.to_string()))?;
+    http::write_request(&mut stream, method, path, &authority, headers, body)
+        .map_err(|e| transport(format!("send: {e}")))?;
+    Ok(stream)
 }
 
 /// Issues one request against `base` (e.g. `http://127.0.0.1:8080`).
@@ -105,88 +113,9 @@ pub fn request_with_headers(
     headers: &[(&str, &str)],
     timeout: Duration,
 ) -> Result<HttpResponse, ClientError> {
-    let authority = authority_of(base)?;
-    let mut stream = TcpStream::connect(&authority)
-        .map_err(|e| transport(format!("connect {authority}: {e}")))?;
-    stream
-        .set_read_timeout(Some(timeout))
-        .map_err(|e| transport(e.to_string()))?;
-    stream
-        .set_write_timeout(Some(timeout))
-        .map_err(|e| transport(e.to_string()))?;
-    let body_bytes = body.unwrap_or("").as_bytes();
-    let mut head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {authority}\r\nContent-Length: {}\r\nConnection: close\r\n",
-        body_bytes.len()
-    );
-    for (name, value) in headers {
-        head.push_str(&format!("{name}: {value}\r\n"));
-    }
-    head.push_str("\r\n");
-    stream
-        .write_all(head.as_bytes())
-        .and_then(|()| stream.write_all(body_bytes))
-        .map_err(|e| transport(format!("send: {e}")))?;
-    read_response(&mut BufReader::new(stream))
-}
-
-fn read_response(reader: &mut impl BufRead) -> Result<HttpResponse, ClientError> {
-    let mut line = String::new();
-    reader
-        .read_line(&mut line)
-        .map_err(|e| transport(format!("status line: {e}")))?;
-    let status: u16 = line
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| transport(format!("malformed status line {line:?}")))?;
-    let mut headers = Vec::new();
-    let mut content_length: Option<usize> = None;
-    loop {
-        let mut line = String::new();
-        reader
-            .read_line(&mut line)
-            .map_err(|e| transport(format!("headers: {e}")))?;
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            let name = name.trim().to_ascii_lowercase();
-            let value = value.trim().to_owned();
-            if name == "content-length" {
-                content_length = value.parse().ok();
-            }
-            headers.push((name, value));
-        }
-    }
-    let mut body = Vec::new();
-    match content_length {
-        // The declared length is the peer's claim, not an allocation
-        // size: the buffer grows only with bytes that actually arrive.
-        Some(len) => {
-            reader
-                .take(len as u64)
-                .read_to_end(&mut body)
-                .map_err(|e| transport(format!("body: {e}")))?;
-            if body.len() < len {
-                return Err(transport(format!(
-                    "body: {} of {len} declared bytes before the connection closed",
-                    body.len()
-                )));
-            }
-        }
-        None => {
-            reader
-                .read_to_end(&mut body)
-                .map_err(|e| transport(format!("body: {e}")))?;
-        }
-    }
-    Ok(HttpResponse {
-        status,
-        headers,
-        body,
-    })
+    let body = body.unwrap_or("").as_bytes();
+    let stream = send(base, timeout, Some(timeout), method, path, headers, body)?;
+    http::read_response(&mut BufReader::new(stream)).map_err(|e| transport(e.message))
 }
 
 /// High-level client over the job API.
@@ -328,80 +257,45 @@ impl ServeClient {
     ///
     /// # Errors
     ///
-    /// Transport failures establishing the stream.
+    /// Transport failures establishing the stream, a status other than
+    /// 200, or an event the codec refuses ([`http::read_sse_event`]).
     pub fn stream_events(
         &self,
         id: &str,
         after: Option<u64>,
         mut on_event: impl FnMut(&str, &str) -> bool,
     ) -> Result<(), ClientError> {
-        let authority = authority_of(&self.base)?;
-        let mut stream = TcpStream::connect(&authority)
-            .map_err(|e| transport(format!("connect {authority}: {e}")))?;
-        stream
-            .set_read_timeout(Some(Duration::from_secs(60)))
-            .map_err(|e| transport(e.to_string()))?;
         let path = match after {
             Some(after) => format!("/v1/jobs/{id}/events?after={after}"),
             None => format!("/v1/jobs/{id}/events"),
         };
-        let head = format!(
-            "GET {path} HTTP/1.1\r\nHost: {authority}\r\nAccept: text/event-stream\r\nConnection: close\r\n\r\n"
-        );
-        stream
-            .write_all(head.as_bytes())
-            .map_err(|e| transport(format!("send: {e}")))?;
+        let accept = [("Accept", "text/event-stream")];
+        let timeout = Duration::from_secs(60);
+        let stream = send(&self.base, timeout, None, "GET", &path, &accept, b"")?;
         let mut reader = BufReader::new(stream);
-        // Response head.
-        let mut line = String::new();
-        reader
-            .read_line(&mut line)
-            .map_err(|e| transport(format!("status line: {e}")))?;
-        if !line.contains("200") {
-            return Err(transport(format!("SSE request failed: {}", line.trim())));
+        let codec = |e: http::HttpError| transport(e.message);
+        let head = http::read_response_head(&mut reader).map_err(codec)?;
+        if head.status != 200 {
+            return Err(ClientError {
+                status: head.status,
+                message: "SSE request failed".into(),
+            });
         }
-        loop {
-            let mut line = String::new();
-            if reader
-                .read_line(&mut line)
-                .map_err(|e| transport(e.to_string()))?
-                == 0
-            {
-                return Ok(());
-            }
-            let line = line.trim_end();
-            if line.is_empty() || line.starts_with(':') || line.starts_with("id:") {
-                continue;
-            }
-            // Skip the remaining response headers until the first SSE
-            // field; header lines also contain ':' so detect exactly
-            // the two field names we emit.
-            let Some(event) = line.strip_prefix("event: ") else {
-                continue;
-            };
-            let event = event.to_owned();
-            let mut data = String::new();
-            let mut line = String::new();
-            if reader
-                .read_line(&mut line)
-                .map_err(|e| transport(e.to_string()))?
-                > 0
-            {
-                if let Some(payload) = line.trim_end().strip_prefix("data: ") {
-                    data = payload.to_owned();
-                }
-            }
-            let keep_going = on_event(&event, &data);
-            if !keep_going || event == "done" || event == "drain" {
-                return Ok(());
+        while let Some(event) = http::read_sse_event(&mut reader).map_err(codec)? {
+            let last = matches!(event.event.as_str(), "done" | "drain");
+            if !on_event(&event.event, &event.data) || last {
+                break;
             }
         }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::Limits;
+    use std::io::{BufRead, Write};
     use std::net::TcpListener;
 
     #[test]
@@ -424,5 +318,61 @@ mod tests {
             .expect_err("a 2-byte body cannot satisfy a 1 TiB Content-Length");
         assert_eq!(err.status, 0, "{err}");
         server.join().expect("fake server");
+    }
+
+    /// A one-connection fake server: reads the request head, then hands
+    /// the stream to `respond`.
+    fn serve_once(
+        respond: impl FnOnce(TcpStream) + Send + 'static,
+    ) -> (String, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
+        let base = format!("http://{}", listener.local_addr().expect("addr"));
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accepts");
+            let mut reader = BufReader::new(stream.try_clone().expect("clones"));
+            let mut line = String::new();
+            while reader.read_line(&mut line).expect("reads") > 2 {
+                line.clear();
+            }
+            respond(stream);
+        });
+        (base, server)
+    }
+
+    #[test]
+    fn an_endless_header_line_is_a_transport_error_naming_the_bound() {
+        let max = Limits::default().max_header_line;
+        let (base, server) = serve_once(move |mut stream| {
+            let line = format!("X-Pad: {}", "a".repeat(max + 1 - "X-Pad: ".len()));
+            let _ = write!(stream, "HTTP/1.1 200 OK\r\n{line}");
+        });
+        let err = request(&base, "GET", "/healthz", None, Duration::from_secs(10))
+            .expect_err("a header line past the bound");
+        server.join().expect("fake server");
+        assert_eq!(err.status, 0, "{err}");
+        assert!(err.message.contains(&max.to_string()), "{err}");
+    }
+
+    #[test]
+    fn an_sse_line_past_the_bound_fails_the_stream_before_the_callback() {
+        let (base, server) = serve_once(|mut stream| {
+            http::write_sse_preamble(&mut stream).expect("writes");
+            let data = "x".repeat(http::MAX_SSE_LINE + 1 - "data: ".len());
+            // The client hangs up once the line passes the bound.
+            let _ = write!(stream, "id: 1\r\nevent: progress\r\ndata: {data}\r\n\r\n");
+        });
+        let mut seen = Vec::new();
+        let result = ServeClient::new(base).stream_events("j000001", None, |event, data| {
+            seen.push((event.to_owned(), data.len()));
+            true
+        });
+        server.join().expect("fake server");
+        let err = result.expect_err("an SSE line past the bound");
+        assert_eq!(err.status, 0, "{err}");
+        assert!(
+            err.message.contains(&http::MAX_SSE_LINE.to_string()),
+            "{err}"
+        );
+        assert!(seen.is_empty(), "the callback saw {seen:?}");
     }
 }

@@ -381,17 +381,6 @@ impl JobHandle {
         task_of(&inner)
     }
 
-    /// Events with `seq > after`, oldest first.
-    #[must_use]
-    pub fn events_after(&self, after: u64) -> Vec<JobEvent> {
-        self.lock()
-            .events
-            .iter()
-            .filter(|e| e.seq > after)
-            .cloned()
-            .collect()
-    }
-
     /// Events with `seq >= from`, oldest first (SSE replay cursor).
     #[must_use]
     pub fn events_from(&self, from: u64) -> Vec<JobEvent> {
@@ -561,9 +550,9 @@ mod tests {
         // and a state transition (seq 1).
         handle.advance(4, 256, Vec::new());
         handle.set_state(JobState::Running, None).expect("state");
-        let all = handle.events_after(0);
-        assert_eq!(all.len(), 1, "seq 0 is excluded by an after=0 cursor");
-        assert_eq!(handle.events_after(u64::MAX).len(), 0);
+        let all = handle.events_from(1);
+        assert_eq!(all.len(), 1, "seq 0 is excluded by a from=1 cursor");
+        assert_eq!(handle.events_from(u64::MAX).len(), 0);
         assert_eq!(handle.wait_event(0, Duration::from_millis(10)), 1);
         handle.set_state(JobState::Completed, None).expect("state");
         // Terminal state: waiters return immediately even with no new

@@ -42,6 +42,4 @@ pub use job::{JobHandle, JobRecord, JobState, JobStatus, TraceMeta};
 pub use runner::{DpaReport, GuessReport};
 pub use scheduler::Scheduler;
 pub use server::{ServeConfig, Server};
-pub use spec::{
-    dpa_spec_from_flow, AttackSpec, DpaJobSpec, FiJobSpec, JobKind, JobSpec, PnrJobSpec, Priority,
-};
+pub use spec::{AttackSpec, DpaJobSpec, FiJobSpec, JobKind, JobSpec, PnrJobSpec, Priority};

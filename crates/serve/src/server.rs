@@ -89,12 +89,8 @@ pub struct ServeConfig {
     pub data_dir: PathBuf,
     /// Campaign worker threads (concurrent leases).
     pub workers: usize,
-    /// HTTP parser limits.
-    pub limits: Limits,
     /// Socket read/write timeout, ms.
     pub io_timeout_ms: u64,
-    /// Maximum concurrent connections before responding 503.
-    pub max_connections: usize,
 }
 
 impl ServeConfig {
@@ -105,9 +101,7 @@ impl ServeConfig {
             addr: "127.0.0.1:0".into(),
             data_dir: data_dir.into(),
             workers: 2,
-            limits: Limits::default(),
             io_timeout_ms: 10_000,
-            max_connections: 64,
         }
     }
 }
@@ -322,7 +316,7 @@ fn recover_jobs(state: &Arc<ServerState>) {
                         .expect("jobs lock poisoned")
                         .insert(id, Arc::clone(&handle));
                     if let Some(reason) = invalid {
-                        let _ = handle.set_state(JobState::Failed, Some(reason));
+                        end_job(&handle, JobState::Failed, Some(reason));
                         metrics::counter("serve.recover.invalid").inc();
                     } else if !terminal {
                         recovered.push(handle);
@@ -390,6 +384,9 @@ impl Drop for ConnectionSlot {
 /// Pause after a failed `accept`; successful accepts never wait.
 const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
 
+/// Open connections at which the accept loop answers 503 instead.
+const MAX_CONNECTIONS: usize = 64;
+
 /// Blocks in `accept` until [`Server::shutdown`] sets `drain` and wakes
 /// it ([`wake_accept`]).
 fn accept_loop(state: &Arc<ServerState>, listener: &TcpListener) {
@@ -403,7 +400,7 @@ fn accept_loop(state: &Arc<ServerState>, listener: &TcpListener) {
             std::thread::sleep(ACCEPT_ERROR_BACKOFF);
             continue;
         };
-        if state.connections.load(Ordering::SeqCst) >= state.cfg.max_connections {
+        if state.connections.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
             let _ = Response::from_error(&HttpError::new(503, "connection limit"))
                 .write_to(&mut stream);
             continue;
@@ -504,7 +501,7 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) {
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
-    let request = match read_request(&mut reader, &state.cfg.limits) {
+    let request = match read_request(&mut reader, &Limits::default()) {
         Ok(Some(request)) => request,
         Ok(None) => return,
         Err(err) => {
@@ -982,6 +979,29 @@ mod tests {
             assert_eq!(kept.state, JobState::Queued, "{id}");
             assert_eq!((kept.completed, kept.quarantined), (0, vec![]), "{id}");
         }
+        std::fs::remove_dir_all(&data).ok();
+    }
+
+    #[test]
+    fn recovery_fails_and_counts_a_record_that_no_longer_validates() {
+        let data = tmp_dir("invalid");
+        std::fs::remove_dir_all(&data).ok();
+        let dir = data.join("tenants").join("t").join("jobs").join("j000001");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let mut record = running_dpa_record("j000001", 1024);
+        if let JobKind::Dpa(dpa) = &mut record.spec.kind {
+            dpa.stage = "des".into();
+        }
+        record.save(&dir).expect("record saves");
+        let failed = metrics::counter("serve.jobs.failed");
+        let before = failed.get();
+
+        let state = Arc::new(ServerState::new(ServeConfig::new(&data)));
+        recover_jobs(&state);
+        let status = state.job("j000001").expect("recovered").status();
+        assert_eq!(status.state, JobState::Failed);
+        assert!(status.error.expect("a reason").contains("stage"));
+        assert!(failed.get() > before, "serve.jobs.failed did not count it");
         std::fs::remove_dir_all(&data).ok();
     }
 }

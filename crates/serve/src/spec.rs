@@ -10,7 +10,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use qdi_core::FlowConfig;
 use qdi_dpa::{CampaignConfig, ResilienceConfig};
 
 /// Scheduling priority *within* one tenant's queue. Fair sharing
@@ -279,30 +278,6 @@ impl JobSpec {
     }
 }
 
-/// Builds a DPA job spec from a local [`FlowConfig`] — the bridge from
-/// "I ran this on my workstation" to "submit the same campaign to the
-/// team server": the embedded campaign config and worker count
-/// transfer verbatim.
-#[must_use]
-pub fn dpa_spec_from_flow(tenant: &str, flow: &FlowConfig) -> JobSpec {
-    JobSpec {
-        tenant: tenant.to_owned(),
-        name: Some("flow-campaign".into()),
-        priority: None,
-        kind: JobKind::Dpa(DpaJobSpec {
-            stage: "xor".into(),
-            campaign: flow.campaign,
-            resilience: None,
-            exec_workers: Some(flow.workers.max(1)),
-            attack: Some(AttackSpec {
-                selection: "xor".into(),
-                bit: 0,
-                guesses: None,
-            }),
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -426,19 +401,5 @@ mod tests {
             .validate()
             .expect_err("seven");
         assert!(err.contains("models"), "{err}");
-    }
-
-    #[test]
-    fn flow_config_maps_to_a_valid_spec() {
-        let flow = FlowConfig::new(qdi_pnr::Strategy::Flat, 0);
-        let spec = dpa_spec_from_flow("team", &flow);
-        assert!(spec.validate().is_ok());
-        match spec.kind {
-            JobKind::Dpa(dpa) => {
-                assert_eq!(dpa.campaign, flow.campaign);
-                assert_eq!(dpa.exec_workers, Some(flow.workers.max(1)));
-            }
-            other => panic!("wrong kind {other:?}"),
-        }
     }
 }

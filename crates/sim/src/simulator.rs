@@ -651,22 +651,6 @@ impl<'a> Simulator<'a> {
         self.clear_log();
         Ok(())
     }
-
-    /// Gates whose output toggled in the half-open window `[t0, t1)`,
-    /// deduplicated, for feeding
-    /// [`qdi_netlist::graph::SwitchingProfile::from_switching_gates`].
-    pub fn switched_gates(&self, t0: TimePs, t1: TimePs) -> Vec<GateId> {
-        let mut gates: Vec<GateId> = self
-            .state
-            .log
-            .iter()
-            .filter(|t| t.time_ps >= t0 && t.time_ps < t1)
-            .filter_map(|t| self.compiled.driver[t.net.index()])
-            .collect();
-        gates.sort();
-        gates.dedup();
-        gates
-    }
 }
 
 impl State {
@@ -1308,19 +1292,5 @@ mod tests {
         let y = nl.find_net("y").expect("y");
         let mut sim = Simulator::new(&nl, ConstantDelay::new(5));
         sim.drive(y, true, 1);
-    }
-
-    #[test]
-    fn switched_gates_window() {
-        let nl = and_netlist();
-        let a = nl.find_net("a").expect("a");
-        let c = nl.find_net("b").expect("b");
-        let mut sim = Simulator::new(&nl, ConstantDelay::new(10));
-        sim.settle(100).expect("settle");
-        sim.drive(a, true, 1);
-        sim.drive(c, true, 1);
-        sim.run_until_quiescent(100).expect("run");
-        let gates = sim.switched_gates(0, sim.now() + 1);
-        assert_eq!(gates.len(), 1); // only the AND gate drives a net
     }
 }
