@@ -140,6 +140,49 @@ impl Trace {
         }
     }
 
+    /// Adds every trace of `others` in list order: bit-identical to
+    /// `for t in others { self.add_assign(t) }`, with eight addends
+    /// summed per pass over the samples.
+    ///
+    /// The sum is zero-padded once, in place, to the longest addend.
+    /// Then, per group of eight addends, the samples all eight cover take
+    /// their eight adds in list order in one pass, and each sample past
+    /// the shortest of them adds, in order, only the addends that reach
+    /// it. Addends after the last full group are added one at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any grid differs from this trace's (as
+    /// [`Trace::add_assign`] does), before anything is added.
+    pub fn add_assign_all(&mut self, others: &[&Trace]) {
+        for other in others {
+            self.check_grid(other);
+        }
+        let longest = others.iter().map(|t| t.len()).max().unwrap_or(0);
+        if longest > self.samples.len() {
+            self.samples.resize(longest, 0.0);
+        }
+        let mut groups = others.chunks_exact(8);
+        for group in &mut groups {
+            let common = group.iter().map(|t| t.len()).min().unwrap_or(0);
+            add_eight(
+                &mut self.samples[..common],
+                std::array::from_fn(|k| group[k].samples()),
+            );
+            for other in group {
+                for (a, b) in self.samples[common..]
+                    .iter_mut()
+                    .zip(&other.samples[common..])
+                {
+                    *a += b;
+                }
+            }
+        }
+        for other in groups.remainder() {
+            self.add_assign(other);
+        }
+    }
+
     /// Subtracts `other` sample-wise (zero-padded like [`Trace::add_assign`]).
     ///
     /// # Panics
@@ -312,6 +355,18 @@ impl Trace {
         grid.into_iter()
             .map(|r| r.into_iter().collect::<String>() + "\n")
             .collect()
+    }
+}
+
+/// `sum[i] += a[0][i]`, then `a[1][i]`, … `a[7][i]`, for every `i` in
+/// one pass: each sample's adds stay in list order, and the samples are
+/// independent, so the loop vectorizes across them. Every addend must
+/// cover `sum`.
+fn add_eight(sum: &mut [f64], a: [&[f64]; 8]) {
+    let n = sum.len();
+    let [a0, a1, a2, a3, a4, a5, a6, a7] = a.map(|x| &x[..n]);
+    for (i, s) in sum.iter_mut().enumerate() {
+        *s = *s + a0[i] + a1[i] + a2[i] + a3[i] + a4[i] + a5[i] + a6[i] + a7[i];
     }
 }
 

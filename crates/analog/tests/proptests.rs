@@ -12,6 +12,45 @@ fn arb_pulse() -> impl Strategy<Value = Pulse> {
     })
 }
 
+/// A sample whose bits matter: exact ±0.0, or a magnitude from 1e-3 to
+/// 1e3 of either sign, so the order of adds shows in the last bits.
+fn arb_sample() -> impl Strategy<Value = f64> {
+    (0u8..4, -3.0f64..3.0).prop_map(|(kind, e)| match kind {
+        0 => 0.0,
+        1 => -0.0,
+        2 => 10f64.powf(e),
+        _ => -(10f64.powf(e)),
+    })
+}
+
+/// A trace on the `(0, 10)` grid of 0–12 samples.
+fn arb_trace() -> impl Strategy<Value = Trace> {
+    prop::collection::vec(arb_sample(), 0..13).prop_map(|s| Trace::from_samples(0, 10, s))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The fused sum is a loop of `add_assign`, bit for bit: addends
+    /// shorter than, as long as and longer than the sum, ±0.0 samples,
+    /// partial groups of eight and tails.
+    #[test]
+    fn add_assign_all_is_a_loop_of_add_assign(
+        sum in arb_trace(),
+        addends in prop::collection::vec(arb_trace(), 0..21),
+    ) {
+        let refs: Vec<&Trace> = addends.iter().collect();
+        let mut fused = sum.clone();
+        fused.add_assign_all(&refs);
+        let mut looped = sum;
+        for t in &refs {
+            looped.add_assign(t);
+        }
+        let bits = |t: &Trace| t.samples().iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&fused), bits(&looped));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -87,4 +126,21 @@ proptest! {
             .sum();
         prop_assert!((total - sum).abs() < 1e-18 + 1e-12 * total);
     }
+}
+
+#[test]
+#[should_panic(expected = "trace sample periods differ")]
+fn add_assign_all_panics_on_a_grid_mismatch() {
+    let mut sum = Trace::zeros(0, 10, 4);
+    let same = Trace::zeros(0, 10, 4);
+    let other = Trace::zeros(0, 20, 4);
+    sum.add_assign_all(&[&same; 8]);
+    sum.add_assign_all(&[&same, &same, &other]);
+}
+
+#[test]
+#[should_panic(expected = "trace origins differ")]
+fn add_assign_all_panics_on_an_origin_mismatch() {
+    let mut sum = Trace::zeros(0, 10, 4);
+    sum.add_assign_all(&[&Trace::zeros(5, 10, 4)]);
 }

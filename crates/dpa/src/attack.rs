@@ -10,87 +10,105 @@ use crate::parallel::parallel_attack_windowed;
 use crate::selection::SelectionFunction;
 use crate::traceset::TraceSet;
 
-/// One-pass accumulator for the DPA bias `T = A0 − A1` (eqs. 7–9):
-/// traces are split by `D(input, guess)` (eq. 7) and folded in as they
-/// arrive — one running sum and count per partition — then each sum is
-/// averaged (eq. 8) and the averages are differenced (eq. 9). The same
-/// accumulator serves in-memory sets ([`crate::parallel`]) and `.qtrs`
-/// streams ([`crate::store`]) in bounded memory.
+/// Running partition sums for the DPA bias `T = A0 − A1` (eqs. 7–9):
+/// traces are split by `D(input, guess)` (eq. 7) and summed per
+/// partition, one run of consecutive acquisitions at a time ([`fold`]),
+/// then each sum is averaged (eq. 8) and the averages are differenced
+/// (eq. 9). The same accumulator serves in-memory sets
+/// ([`crate::parallel`]) and `.qtrs` streams ([`crate::store`]) in
+/// bounded memory.
 ///
 /// Floating-point summation is not associative, so the *grouping* of
 /// accumulations fixes the result bit-pattern. Every bias in the crate
-/// accumulates shards of [`crate::BIAS_SHARD`] traces in index order and
-/// merges them in shard order: one summation tree, whatever the worker
-/// count or store chunk size.
+/// folds shards of [`crate::BIAS_SHARD`] traces in index order and
+/// merges them in shard order: per sample, each shard's partition sum
+/// starts from a copy of its first trace and adds the rest in index
+/// order. One summation tree, whatever the worker count, guess block or
+/// store chunk size.
+///
+/// [`fold`]: BiasAccumulator::fold
 #[derive(Debug, Clone, Default)]
-pub struct BiasAccumulator {
-    sum0: Option<Trace>,
-    n0: usize,
-    sum1: Option<Trace>,
-    n1: usize,
+pub(crate) struct BiasAccumulator {
+    /// Running sums of the `D = 0` and `D = 1` partitions.
+    sums: [Option<Trace>; 2],
+    /// Traces folded into each partition.
+    counts: [usize; 2],
 }
 
 impl BiasAccumulator {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        BiasAccumulator::default()
-    }
-
-    /// Folds one trace into the `D = 1` partition when `selected`, else
-    /// into `D = 0`.
+    /// Folds one run of acquisitions, in index order, into the partition
+    /// sums of `guess`. A partition's first trace starts its sum as a
+    /// copy; after that its traces wait in a group of eight, which
+    /// [`Trace::add_assign_all`] adds in one pass, and a partial group is
+    /// added when the run ends — the same sums, bit for bit, as adding
+    /// the traces one at a time, with no allocation past the copies.
     ///
     /// # Panics
     ///
-    /// Panics if the trace grid differs from traces already accumulated
-    /// (as [`Trace::add_assign`] does).
-    pub fn accumulate(&mut self, selected: bool, trace: &Trace) {
-        let _span = qdi_obs::span::hot("dpa.bias.accumulate");
-        let (slot, n) = if selected {
-            (&mut self.sum1, &mut self.n1)
-        } else {
-            (&mut self.sum0, &mut self.n0)
+    /// Panics if a trace grid differs from traces already folded (as
+    /// [`Trace::add_assign`] does).
+    pub(crate) fn fold<'a>(
+        &mut self,
+        run: impl IntoIterator<Item = (&'a [u8], &'a Trace)>,
+        sel: &dyn SelectionFunction,
+        guess: u16,
+    ) {
+        let mut run = run.into_iter().peekable();
+        let Some(&(_, filler)) = run.peek() else {
+            return;
         };
-        match slot {
-            Some(sum) => sum.add_assign(trace),
-            None => *slot = Some(trace.clone()),
+        // `filler` only occupies slots past `pending[d]`, which are never
+        // added.
+        let mut groups = [[filler; 8]; 2];
+        let mut pending = [0usize; 2];
+        for (input, trace) in run {
+            let d = usize::from(sel.select(input, guess));
+            self.counts[d] += 1;
+            let Some(sum) = &mut self.sums[d] else {
+                self.sums[d] = Some(trace.clone());
+                continue;
+            };
+            groups[d][pending[d]] = trace;
+            pending[d] += 1;
+            if pending[d] == 8 {
+                sum.add_assign_all(&groups[d]);
+                pending[d] = 0;
+            }
         }
-        *n += 1;
+        for ((sum, group), n) in self.sums.iter_mut().zip(&groups).zip(pending) {
+            if let Some(sum) = sum {
+                sum.add_assign_all(&group[..n]);
+            }
+        }
     }
 
     /// Merges another accumulator into this one. Merging shard
     /// accumulators in shard order keeps the summation tree — and thus
     /// the final bias — independent of how shards were scheduled.
-    pub fn merge(&mut self, other: BiasAccumulator) {
-        if let Some(sum) = other.sum0 {
-            match &mut self.sum0 {
-                Some(acc) => acc.add_assign(&sum),
-                None => self.sum0 = Some(sum),
+    pub(crate) fn merge(&mut self, other: BiasAccumulator) {
+        for ((sum, n), (other_sum, other_n)) in self
+            .sums
+            .iter_mut()
+            .zip(&mut self.counts)
+            .zip(other.sums.into_iter().zip(other.counts))
+        {
+            match (sum, other_sum) {
+                (Some(sum), Some(other)) => sum.add_assign(&other),
+                (slot @ None, other) => *slot = other,
+                (Some(_), None) => {}
             }
+            *n += other_n;
         }
-        if let Some(sum) = other.sum1 {
-            match &mut self.sum1 {
-                Some(acc) => acc.add_assign(&sum),
-                None => self.sum1 = Some(sum),
-            }
-        }
-        self.n0 += other.n0;
-        self.n1 += other.n1;
-    }
-
-    /// Partition sizes accumulated so far, `(|S0|, |S1|)`.
-    pub fn counts(&self) -> (usize, usize) {
-        (self.n0, self.n1)
     }
 
     /// Finishes the averages and returns `T = A0 − A1`, or `None` when
     /// either partition is empty (the guess cannot be scored).
-    pub fn finish(self) -> Option<Trace> {
-        let (mut a0, mut a1) = match (self.sum0, self.sum1) {
-            (Some(s0), Some(s1)) => (s0, s1),
-            _ => return None,
+    pub(crate) fn finish(self) -> Option<Trace> {
+        let [Some(mut a0), Some(mut a1)] = self.sums else {
+            return None;
         };
-        a0.scale(1.0 / self.n0 as f64);
-        a1.scale(1.0 / self.n1 as f64);
+        a0.scale(1.0 / self.counts[0] as f64);
+        a1.scale(1.0 / self.counts[1] as f64);
         Some(Trace::difference(&a0, &a1))
     }
 }

@@ -65,7 +65,7 @@ pub mod template;
 
 mod traceset;
 
-pub use attack::{AttackResult, BiasAccumulator, GuessScore};
+pub use attack::{AttackResult, GuessScore};
 pub use campaign::{CampaignConfig, PlaintextSource};
 pub use cpa::{cpa, CpaResult, HammingWeightSbox, LeakageModel};
 pub use parallel::{

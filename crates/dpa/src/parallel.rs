@@ -12,17 +12,24 @@
 //!   trace's noise depends only on its index, never on which worker ran
 //!   it or in what order. This is the only noise schedule in the crate:
 //!   the store-backed runner uses it too.
-//! * **Fixed-shard accumulation.** [`parallel_bias_signal`] folds traces
-//!   into per-shard [`BiasAccumulator`]s of [`BIAS_SHARD`] traces each —
-//!   a shard structure that depends only on the set size — and merges
-//!   shards in index order, fixing the f64 summation tree.
+//! * **Fixed-shard accumulation.** Every bias folds shards of
+//!   [`BIAS_SHARD`] traces — a shard structure that depends only on the
+//!   set size — and merges them in index order. Per sample, a shard's
+//!   partition sum starts from a copy of its first trace and adds the
+//!   rest in index order, which fixes the f64 summation tree. The fold
+//!   adds eight traces per pass over the samples
+//!   ([`qdi_analog::Trace::add_assign_all`]) without changing any
+//!   sample's order of adds.
 //!
-//! This tree is the crate's only bias computation: the templates,
+//! This tree is the crate's only bias computation, in three job shapes:
+//! [`parallel_bias_signal`] runs one pool job per shard for one guess;
+//! [`parallel_attack_windowed`] runs one job per block of guesses, which
+//! reads each shard once for the whole block; and
+//! [`crate::bias_signals_from_store`] folds each chunk, cut at shard
+//! boundaries, into every guess's running shard sums. The templates,
 //! measurements to disclosure, multi-bit attacks and the secure flow all
-//! rank through [`parallel_attack_windowed`] or [`parallel_bias_signal`]
-//! (with [`ExecConfig::serial`] where they have no worker count), and
-//! [`crate::bias_signals_from_store`] streams into one such tree per
-//! guess.
+//! rank through the first two (with [`ExecConfig::serial`] where they
+//! have no worker count).
 //!
 //! Each campaign driver also simulates and synthesizes every distinct
 //! plaintext only once ([`crate::campaign`]'s noiseless-trace cache) and
@@ -88,42 +95,19 @@ pub fn run_parallel_campaign(
     Ok(set)
 }
 
-/// Folds the index range `[lo, hi)` of `set` into one accumulator —
-/// the per-shard work of the parallel bias computation.
-fn accumulate_shard(
+/// Folds shard `s` of `set` for `guess` into a fresh accumulator — the
+/// per-shard work of every in-memory bias.
+fn fold_shard(
     set: &TraceSet,
     sel: &dyn SelectionFunction,
     guess: u16,
-    lo: usize,
-    hi: usize,
+    s: usize,
 ) -> BiasAccumulator {
-    let _span = qdi_obs::span::hot("dpa.bias.shard");
-    let mut acc = BiasAccumulator::new();
-    for i in lo..hi {
-        acc.accumulate(sel.select(set.input(i), guess), set.trace(i));
-    }
+    let lo = s * BIAS_SHARD;
+    let hi = (lo + BIAS_SHARD).min(set.len());
+    let mut acc = BiasAccumulator::default();
+    acc.fold((lo..hi).map(|i| (set.input(i), set.trace(i))), sel, guess);
     acc
-}
-
-/// Computes the bias trace with a fixed-shard summation tree, serially.
-/// [`parallel_bias_signal`] with any worker count produces exactly this.
-pub(crate) fn sharded_bias(
-    set: &TraceSet,
-    sel: &dyn SelectionFunction,
-    guess: u16,
-) -> Option<Trace> {
-    let n = set.len();
-    let mut total = BiasAccumulator::new();
-    for lo in (0..n).step_by(BIAS_SHARD) {
-        total.merge(accumulate_shard(
-            set,
-            sel,
-            guess,
-            lo,
-            (lo + BIAS_SHARD).min(n),
-        ));
-    }
-    total.finish()
 }
 
 /// Computes the DPA bias `T = A0 − A1` for one guess with shards of
@@ -140,20 +124,41 @@ pub fn parallel_bias_signal(
     if n == 0 {
         return None;
     }
-    let shards = n.div_ceil(BIAS_SHARD);
-    let accs = qdi_exec::run_indexed(&exec, shards, |s| {
-        let lo = s * BIAS_SHARD;
-        accumulate_shard(set, sel, guess, lo, (lo + BIAS_SHARD).min(n))
+    let accs = qdi_exec::run_indexed(&exec, n.div_ceil(BIAS_SHARD), |s| {
+        let _span = qdi_obs::span::hot("dpa.bias.shard");
+        fold_shard(set, sel, guess, s)
     });
-    let mut total = BiasAccumulator::new();
+    let mut total = BiasAccumulator::default();
     for acc in accs {
         total.merge(acc);
     }
     total.finish()
 }
 
+/// Most guesses one [`parallel_attack_windowed`] job folds per pass
+/// over a shard.
+const MAX_GUESS_BLOCK: usize = 16;
+
+/// The biases of a block of guesses: the shards are walked in order and
+/// each is folded for every guess of the block while it is still in
+/// cache, its sums merging into the guess's total in shard order.
+fn block_biases(
+    set: &TraceSet,
+    sel: &dyn SelectionFunction,
+    guesses: &[u16],
+) -> Vec<Option<Trace>> {
+    let mut totals = vec![BiasAccumulator::default(); guesses.len()];
+    for s in 0..set.len().div_ceil(BIAS_SHARD) {
+        let _span = qdi_obs::span::hot("dpa.bias.shard");
+        for (total, &guess) in totals.iter_mut().zip(guesses) {
+            total.merge(fold_shard(set, sel, guess, s));
+        }
+    }
+    totals.into_iter().map(BiasAccumulator::finish).collect()
+}
+
 /// Ranks every guess of the selection function in parallel — one pool
-/// job per guess, each computing its fixed-shard bias serially.
+/// job per block of guesses (see [`parallel_attack_windowed`]).
 pub fn parallel_attack(
     set: &TraceSet,
     sel: &dyn SelectionFunction,
@@ -164,9 +169,13 @@ pub fn parallel_attack(
 }
 
 /// Parallel guess ranking over an explicit guess subset, scoring peaks
-/// only inside `window` when one is given. The ranking is worker-count
-/// invariant: per-guess biases use the fixed-shard summation tree and
-/// results are merged in guess order before the (stable, total) sort.
+/// only inside `window` when one is given. Each pool job takes a block
+/// of consecutive guesses and walks the shards once for all of them;
+/// the block holds at most 16 guesses and is sized so there are at least
+/// as many jobs as workers when there are that many guesses. The ranking
+/// is worker-count invariant: per-guess biases use the fixed-shard
+/// summation tree whatever the block, and results are merged in guess
+/// order before the (stable, total) sort.
 pub fn parallel_attack_windowed(
     set: &TraceSet,
     sel: &dyn SelectionFunction,
@@ -180,10 +189,15 @@ pub fn parallel_attack_windowed(
         .attr("traces", set.len())
         .attr("workers", exec.workers);
     let start = std::time::Instant::now();
-    let scored: Vec<Option<GuessScore>> = qdi_exec::run_indexed(&exec, guesses.len(), |i| {
-        let guess = guesses[i];
-        let bias = sharded_bias(set, sel, guess)?;
-        score_bias(guess, &bias, window)
+    let block = (guesses.len() / exec.effective_workers(guesses.len())).clamp(1, MAX_GUESS_BLOCK);
+    let blocks: Vec<&[u16]> = guesses.chunks(block).collect();
+    let scored = qdi_exec::run_indexed(&exec, blocks.len(), |b| {
+        let biases = block_biases(set, sel, blocks[b]);
+        blocks[b]
+            .iter()
+            .zip(biases)
+            .filter_map(|(&guess, bias)| score_bias(guess, &bias?, window))
+            .collect::<Vec<_>>()
     });
     let mut scores: Vec<GuessScore> = scored.into_iter().flatten().collect();
     sort_scores(&mut scores);
@@ -264,7 +278,10 @@ mod tests {
         let cfg = noisy_cfg(20);
         let set = run_parallel_campaign(&slice, &cfg, ExecConfig { workers: 2 }).expect("runs");
         let sel = AesXorSelect { byte: 0, bit: 0 };
-        let golden = sharded_bias(&set, &sel, 0x42).expect("bias");
+        let golden = block_biases(&set, &sel, &[0x42])
+            .pop()
+            .flatten()
+            .expect("bias");
         for workers in [1, 2, 8] {
             let t = parallel_bias_signal(&set, &sel, 0x42, ExecConfig { workers }).expect("bias");
             assert_eq!(golden.samples(), t.samples(), "bias @ {workers} workers");

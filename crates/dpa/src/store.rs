@@ -151,8 +151,10 @@ impl TraceSet {
 
 /// Computes the DPA bias `T = A0 − A1` of every guess in `guesses` in
 /// one pass over the store, read in chunks of `chunk` traces — peak
-/// resident trace memory is one chunk plus the running sums. Each guess
-/// has its own fixed [`BIAS_SHARD`] summation tree, the one the
+/// resident trace memory is one chunk plus the running sums. Each chunk
+/// is cut at [`BIAS_SHARD`] boundaries and each piece folded into every
+/// guess's running shard sums: each guess has its own fixed
+/// [`BIAS_SHARD`] summation tree, the one the
 /// in-memory parallel path uses, so slot `i` is bit-identical to
 /// [`crate::parallel::parallel_bias_signal`] for `guesses[i]` over
 /// [`TraceSet::from_store`] of the same file, at every worker count.
@@ -169,27 +171,32 @@ pub fn bias_signals_from_store(
     chunk: usize,
 ) -> Result<Vec<Option<Trace>>, StoreError> {
     let reader = StoreReader::open(path)?;
-    let mut totals = vec![BiasAccumulator::new(); guesses.len()];
-    let mut shards = vec![BiasAccumulator::new(); guesses.len()];
+    let mut totals = vec![BiasAccumulator::default(); guesses.len()];
+    let mut shards = totals.clone();
     let mut in_shard = 0usize;
     for batch in reader.chunks(chunk.max(1)) {
-        for (input, trace) in batch? {
+        let batch = batch?;
+        let mut rest = batch.as_slice();
+        while !rest.is_empty() {
+            // Fold up to the next shard boundary, then merge the shard.
+            let (run, tail) = rest.split_at(rest.len().min(BIAS_SHARD - in_shard));
+            let _span = qdi_obs::span::hot("dpa.bias.shard");
             for (shard, &guess) in shards.iter_mut().zip(guesses) {
-                shard.accumulate(sel.select(&input, guess), &trace);
+                let records = run.iter().map(|(input, trace)| (input.as_slice(), trace));
+                shard.fold(records, sel, guess);
             }
-            in_shard += 1;
+            in_shard += run.len();
             if in_shard == BIAS_SHARD {
                 for (total, shard) in totals.iter_mut().zip(&mut shards) {
                     total.merge(std::mem::take(shard));
                 }
                 in_shard = 0;
             }
+            rest = tail;
         }
     }
-    if in_shard > 0 {
-        for (total, shard) in totals.iter_mut().zip(shards) {
-            total.merge(shard);
-        }
+    for (total, shard) in totals.iter_mut().zip(shards) {
+        total.merge(shard);
     }
     Ok(totals.into_iter().map(BiasAccumulator::finish).collect())
 }

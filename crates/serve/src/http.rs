@@ -16,7 +16,7 @@
 //! trivially auditable — exactly what a service embedded in an EDA
 //! flow wants from its network edge.
 
-use std::io::{BufRead, Read, Write};
+use std::io::{BufRead, BufWriter, Read, Write};
 
 use crate::spec::MAX_TRACES;
 
@@ -414,6 +414,10 @@ pub fn read_response(reader: &mut impl BufRead) -> Result<HttpResponse, HttpErro
     }
 }
 
+/// Bytes a response or SSE event is gathered into before it reaches the
+/// socket, so a message that fits is one write.
+const WRITE_BUFFER: usize = 8 * 1024;
+
 /// A response about to be written.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
@@ -473,12 +477,16 @@ impl Response {
     }
 
     /// Serializes status line, headers and body. One response per
-    /// connection: always advertises `Connection: close`.
+    /// connection: always advertises `Connection: close`. The head, and
+    /// a body that fits the 8 KiB write buffer with it, go out in one
+    /// write; a larger body is written through after the head, not
+    /// copied.
     ///
     /// # Errors
     ///
     /// Propagates writer errors (typically a peer that went away).
     pub fn write_to(&self, writer: &mut impl Write) -> std::io::Result<()> {
+        let mut writer = BufWriter::with_capacity(WRITE_BUFFER, writer);
         write!(
             writer,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
@@ -533,7 +541,8 @@ pub fn write_sse_preamble(writer: &mut impl Write) -> std::io::Result<()> {
 
 /// Writes one SSE event, which [`read_sse_event`] reads back. `event`
 /// and `data` must each be a single line (JSON is) of at most
-/// [`MAX_SSE_LINE`] bytes.
+/// [`MAX_SSE_LINE`] bytes. An event that fits the 8 KiB write buffer is
+/// one write.
 ///
 /// # Errors
 ///
@@ -544,6 +553,7 @@ pub fn write_sse_event(
     event: &str,
     data: &str,
 ) -> std::io::Result<()> {
+    let mut writer = BufWriter::with_capacity(WRITE_BUFFER, writer);
     write!(writer, "id: {id}\r\nevent: {event}\r\ndata: {data}\r\n\r\n")?;
     writer.flush()
 }
@@ -762,6 +772,57 @@ mod tests {
             .expect("an event");
         assert_eq!((event.id, event.event.as_str()), (Some(u64::MAX), "state"));
         assert!(event.data == data);
+    }
+
+    /// A sink that counts the `write` calls reaching it.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_json_response_is_one_write() {
+        let mut out = CountingWriter::default();
+        Response::json(200, r#"{"state":"running"}"#)
+            .write_to(&mut out)
+            .expect("writes");
+        assert_eq!(out.writes, 1);
+        let read = read_response(&mut Cursor::new(out.bytes)).expect("reads");
+        assert_eq!(read.text(), "{\"state\":\"running\"}\n");
+    }
+
+    #[test]
+    fn a_small_sse_event_is_one_write() {
+        let mut out = CountingWriter::default();
+        write_sse_event(&mut out, 7, "progress", r#"{"completed":64}"#).expect("writes");
+        assert_eq!(out.writes, 1);
+        let event = read_sse_event(&mut Cursor::new(out.bytes)).expect("reads");
+        assert_eq!(event.map(|e| e.id), Some(Some(7)));
+    }
+
+    #[test]
+    fn a_body_past_the_buffer_is_written_through_after_the_head() {
+        let body = vec![0xA5; WRITE_BUFFER + 1];
+        let mut out = CountingWriter::default();
+        Response::bytes(200, "application/octet-stream", body.clone())
+            .write_to(&mut out)
+            .expect("writes");
+        assert_eq!(out.writes, 2);
+        let read = read_response(&mut Cursor::new(out.bytes)).expect("reads");
+        assert!(read.body == body);
     }
 
     fn text(chars: Vec<u32>) -> String {
